@@ -1,0 +1,93 @@
+"""Byte-level pins on the artifacts of every preset variant.
+
+Each case runs at ``stream.horizon=300`` for seeds 0 and 1 and compares the
+sha256 of ``metrics.csv``, ``schedule.csv``, ``config.yaml`` and
+``manifest.json`` with ``golden_artifacts.json``. The cases cover every
+preset variant except ``theory-verify`` (which writes no run artifacts),
+including the ``ema-replay`` companion, plus two configurations no preset
+runs: MALR driven by an EMA signal, and AMA with weight adaptation off.
+
+The digests were recorded once, before the averaging refactor, and are
+never re-recorded: a change that alters any byte of these artifacts fails
+here. ``python tests/test_golden_artifacts.py`` prints the digests the
+current code produces, for comparison by hand.
+"""
+
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from oclopt.harness import (apply_overrides, expand_variants, preset, run_experiment,
+                            run_with_companions)
+
+GOLDEN = Path(__file__).with_name("golden_artifacts.json")
+ARTIFACTS = ("metrics.csv", "schedule.csv", "config.yaml", "manifest.json")
+SEEDS = (0, 1)
+HORIZON = 300
+PRESETS = ("main-comparison", "malr-ablation", "ama-vs-ema", "batch-size",
+           "buffer-size", "objective-comparison", "adam-base", "task-cyclic")
+# configurations no preset runs: (case id, preset, variant label, overrides)
+EXTRA = (
+    ("ama-vs-ema/ema-averaging", "ama-vs-ema", "base", {"optimizer.averaging": "ema"}),
+    ("main-comparison/ama-malr-no-adapt", "main-comparison", "ama-malr",
+     {"optimizer.adapt": False}),
+)
+
+
+def cases() -> dict:
+    """case id -> (config, with companions)."""
+    out = {}
+    for name in PRESETS:
+        base = apply_overrides(preset(name), {"stream.horizon": HORIZON})
+        for label, cfg in expand_variants(base):
+            out[f"{name}/{label}"] = (cfg, True)
+    for case_id, name, label, overrides in EXTRA:
+        cfg = dict(expand_variants(apply_overrides(preset(name),
+                                                   {"stream.horizon": HORIZON})))[label]
+        out[case_id] = (apply_overrides(cfg, overrides), False)
+    return out
+
+
+def digests(case_id: str, out_dir: Path) -> dict:
+    """'<case>/seed<s>/<run>' -> {artifact: sha256} for both seeds of a case."""
+    cfg, companions = cases()[case_id]
+    out = {}
+    for seed in SEEDS:
+        seed_dir = out_dir / f"seed{seed}"
+        if companions:
+            runs = list(run_with_companions(cfg, seed=seed, out_dir=seed_dir))
+        else:
+            run_experiment(cfg, seed, seed_dir / "main")
+            runs = ["main"]
+        for run in runs:
+            out[f"{case_id}/seed{seed}/{run}"] = {
+                name: hashlib.sha256((seed_dir / run / name).read_bytes()).hexdigest()
+                for name in ARTIFACTS}
+    return out
+
+
+@pytest.mark.parametrize("case_id", sorted(cases()))
+def test_artifacts_match_golden_digests(case_id, tmp_path):
+    golden = json.loads(GOLDEN.read_text())
+    want = {k: v for k, v in golden.items() if k.startswith(case_id + "/seed")}
+    assert want, f"no golden digests for {case_id}"
+    assert digests(case_id, tmp_path) == want
+
+
+def test_golden_file_covers_every_case():
+    golden = json.loads(GOLDEN.read_text())
+    assert len(golden) == 56
+    assert {k.rsplit("/", 2)[0] for k in golden} == set(cases())
+
+
+if __name__ == "__main__":
+    everything = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, case_id in enumerate(sorted(cases())):
+            everything.update(digests(case_id, Path(tmp) / str(i)))
+    json.dump(everything, sys.stdout, indent=2, sort_keys=True)
+    sys.stdout.write("\n")
