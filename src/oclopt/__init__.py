@@ -1,28 +1,31 @@
 """Online continual learning optimization toolkit.
 
-Synthetic non-stationary streams, replay pools, moving-average optimizers
-(EMA and the adaptive two-model variant), moving-average-based learning-rate
-control, OCL metrics, and empirical verification of SGD convergence bounds.
+Synthetic non-stationary streams, replay pools, one moving-average averager
+(plain SGD, EMA and the adaptive two-model variant), moving-average-based
+learning-rate control, OCL metrics, and empirical verification of SGD
+convergence bounds.
 """
+
+# the one version string: run manifests and pyproject.toml both read it
+__version__ = "0.1.0"
 
 from .datapool import (DataPool, EmptyPoolError, Minibatch, load_pool,
                        sample_mixed_replay, sample_pure_replay, save_pool, update)
-from .harness import (ConfigError, ExperimentConfig, apply_overrides, expand_variants,
-                      load_config, preset, run_experiment, run_with_companions,
-                      save_config, verify_bounds_from_config)
+from .harness import (ConfigError, ExperimentConfig, Run, apply_overrides,
+                      expand_variants, load_config, preset, run_experiment,
+                      run_with_companions, save_config, verify_bounds_from_config)
 from .metrics import (MetricLedger, RunningMean, forward_transfer,
-                      information_retention, learning_efficacy, online_validation)
-from .model import (DivergenceError, ModelSpec, ParamVector, accuracy, init_params,
-                    loss_and_grad, predict, validation_performance)
-from .optim import (AdamState, AmaState, CostCounter, EmaState, SgdState, adam_step,
-                    ama_step, best_ma, ema_step, init_adam, init_ama, init_ema,
+                      information_retention)
+from .model import (DivergenceError, ModelSpec, ParamVector, accuracy,
+                    init_params, loss_and_grad, predict, validation_performance)
+from .optim import (AdamState, AmaState, CostCounter, SgdState, adam_step,
+                    ama_step, best_ma, init_adam, init_ama, init_averager, init_ema,
                     init_sgd, load_optimizer, ma_update, save_optimizer, sgd_step,
                     unfolded_ma_coefficients)
-from .schedule import ScheduleState, cyclic_lr, init_schedule, malr_update, rwp_update, sigma
+from .schedule import (ScheduleState, cyclic_lr, init_schedule, malr_update,
+                       rwp_update, sigma)
 from .stream import (DriftingQuadraticSpec, Environment, HorizonError,
                      PiecewiseTaskSpec, RotatingGaussianSpec, StreamBatch, StreamSpec,
                      eval_batch, next_batch, run_protocol_step)
 from .theory import (AssumptionError, BoundInputs, BoundReport, bound_terms,
                      make_rate_schedule, verify_bound)
-
-__version__ = "0.1.0"

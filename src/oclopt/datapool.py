@@ -13,7 +13,6 @@ re-enumerated independently.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Optional
 
@@ -241,19 +240,21 @@ def sample_mixed_replay(pool: DataPool, current: StreamBatch, m: int,
 # d_in float64 features, one float64 label, one u64 arrival step. Vector-label
 # pools (the quadratic stream) do not fit this layout and are rejected.
 
+def _record_dtype(d_in: int) -> np.dtype:
+    return np.dtype([("x", "<f8", (d_in,)), ("y", "<f8"), ("t", "<u8")])
+
+
 def save_pool(pool: DataPool, path):
     if pool.size == 0:
         raise EmptyPoolError("refusing to persist an empty pool")
     xs, ys, arrival = pool.items()
     if ys.ndim != 1:
         raise ValueError("persistence supports scalar labels only")
-    d_in = xs.shape[1]
+    records = np.empty(pool.size, dtype=_record_dtype(xs.shape[1]))
+    records["x"], records["y"], records["t"] = xs, ys, arrival
     with open(path, "wb") as f:
-        f.write(struct.pack("<I", d_in))
-        for i in range(pool.size):
-            f.write(xs[i].astype("<f8").tobytes())
-            f.write(struct.pack("<d", float(ys[i])))
-            f.write(struct.pack("<Q", int(arrival[i])))
+        f.write(np.uint32(xs.shape[1]).astype("<u4").tobytes())
+        f.write(records.tobytes())
 
 
 def load_pool(path, capacity: Optional[int] = None, seed: int = 0,
@@ -261,21 +262,19 @@ def load_pool(path, capacity: Optional[int] = None, seed: int = 0,
     """Load a persisted pool. label_kind 'int' casts labels back to class indices."""
     with open(path, "rb") as f:
         raw = f.read()
-    (d_in,) = struct.unpack_from("<I", raw, 0)
+    if len(raw) < 4:
+        raise ValueError("corrupt pool file: shorter than the 4-byte header")
+    d_in = int(np.frombuffer(raw, dtype="<u4", count=1)[0])
+    if d_in == 0:
+        raise ValueError("corrupt pool file: zero input dimension")
     rec_size = 8 * d_in + 8 + 8
-    body = raw[4:]
-    if len(body) % rec_size != 0:
+    if (len(raw) - 4) % rec_size != 0:
         raise ValueError("corrupt pool file: truncated record")
-    n = len(body) // rec_size
-    xs = np.empty((n, d_in))
-    ys = np.empty(n)
-    arrival = np.empty(n, dtype=np.int64)
-    off = 0
-    for i in range(n):
-        xs[i] = np.frombuffer(body, dtype="<f8", count=d_in, offset=off)
-        (ys[i],) = struct.unpack_from("<d", body, off + 8 * d_in)
-        (arrival[i],) = struct.unpack_from("<Q", body, off + 8 * d_in + 8)
-        off += rec_size
+    records = np.frombuffer(raw, dtype=_record_dtype(d_in),
+                            count=(len(raw) - 4) // rec_size, offset=4)
+    xs = records["x"].astype(np.float64)
+    ys = records["y"].astype(np.float64)
+    arrival = records["t"].astype(np.int64)
     pool = DataPool(capacity=capacity, seed=seed)
     labels = ys.astype(np.int64) if label_kind == "int" else ys
     order = np.argsort(arrival, kind="stable")

@@ -24,21 +24,19 @@ from typing import Optional
 import numpy as np
 import yaml
 
+from . import __version__
 from . import rng as rngmod
 from .datapool import DataPool, EmptyPoolError, sample_mixed_replay, sample_pure_replay
-from .metrics import MetricLedger, RunningMean, forward_transfer, information_retention
+from .metrics import MetricLedger, forward_transfer, information_retention
 from .model import (DivergenceError, ModelSpec, init_params, loss_and_grad, predict,
                     step_ahead_performance, validation_performance)
-from .optim import (AmaState, CostCounter, EmaState, ama_step, best_ma, ema_step,
-                    init_adam, init_ama, init_ema, init_sgd, adam_step, sgd_step,
-                    save_optimizer)
+from .optim import (AmaState, CostCounter, adam_step, ama_step, best_ma, init_adam,
+                    init_averager, init_sgd, save_optimizer, sgd_step)
 from .rng import substream
-from .schedule import cyclic_lr, init_schedule, malr_update, rwp_update, sigma
+from .schedule import cyclic_lr, init_schedule, malr_update, rwp_update
 from .stream import (DriftingQuadraticSpec, Environment, PiecewiseTaskSpec,
                      RotatingGaussianSpec, StreamSpec, run_protocol_step)
 from .theory import BoundReport, make_rate_schedule, verify_bound
-
-PACKAGE_VERSION = "0.1.0"
 
 
 class ConfigError(ValueError):
@@ -92,6 +90,13 @@ class OptimizerConfig:
     k_v: int = 20
     k_w: int = 10000
     adapt: bool = True
+
+    def averaged_models(self) -> int:
+        """Number of MA models the averaging mode keeps: none 0, ema 1, ama 2."""
+        try:
+            return ("none", "ema", "ama").index(self.averaging)
+        except ValueError:
+            raise ConfigError(f"unknown averaging mode {self.averaging!r}") from None
 
 
 @dataclass
@@ -148,14 +153,17 @@ class ExperimentConfig:
             errors.append("mixed replay needs an even batch size")
         if self.schedule.kind not in ("constant", "rwp", "malr", "cyclic", "trace"):
             errors.append(f"unknown schedule kind {self.schedule.kind!r}")
-        if self.schedule.kind == "malr" and self.optimizer.averaging == "none":
+        try:
+            n_models = self.optimizer.averaged_models()
+        except ConfigError as e:
+            errors.append(str(e))
+            n_models = None
+        if self.schedule.kind == "malr" and n_models == 0:
             errors.append("malr needs a moving-average model for the sigma signal")
         if self.schedule.kind == "cyclic" and self.stream.kind != "piecewise-task":
             errors.append("cyclic schedule requires a task-aware (piecewise) stream")
         if self.schedule.kind == "trace" and not self.schedule.lr_trace:
             errors.append("trace schedule requires lr_trace")
-        if self.optimizer.averaging not in ("none", "ema", "ama"):
-            errors.append(f"unknown averaging mode {self.optimizer.averaging!r}")
         if self.optimizer.base not in ("sgd", "adam"):
             errors.append(f"unknown base optimizer {self.optimizer.base!r}")
         if self.model.kind == "quadratic-probe" and self.stream.kind != "drifting-quadratic":
@@ -255,7 +263,7 @@ def build_model_spec(config: ExperimentConfig) -> ModelSpec:
                      d_in=s.d_in, n_classes=s.n_classes, hidden=m.hidden)
 
 
-# -- run results -----------------------------------------------------------------
+# -- runs ------------------------------------------------------------------------
 
 @dataclass
 class RunResult:
@@ -269,8 +277,7 @@ class RunResult:
     final_theta: np.ndarray
     final_inference: np.ndarray
     diverged: bool = False
-    ama: Optional[AmaState] = None
-    ema: Optional[EmaState] = None
+    ama: Optional[AmaState] = None   # the averager (0, 1 or 2 MA models)
 
     def final_metrics(self) -> dict:
         last = {}
@@ -287,184 +294,170 @@ METRIC_COLUMNS = ("t", "k", "p_le", "p_ir", "p_ft", "alpha", "sigma",
 SCHEDULE_COLUMNS = ("k", "alpha", "sigma", "val_perf", "conditions")
 
 
+class Run:
+    """All mutable state of one seed's run, and the learner the protocol drives.
+
+    ``step(t)`` executes protocol step t through ``run_protocol_step``, which
+    calls back ``predict`` and ``update``, then records the step's metrics.
+    """
+
+    def __init__(self, config: ExperimentConfig, seed: int):
+        self.config = config
+        self.seed = seed
+        self.stream_spec = build_stream_spec(config, seed)
+        self.model_spec = build_model_spec(config)
+        self.pool = DataPool(capacity=config.replay.capacity, seed=seed)
+        self.holdout = DataPool(capacity=None, seed=seed,
+                                holdout_fraction=config.replay.holdout_fraction)
+        self.env = Environment(spec=self.stream_spec, pool=self.pool, holdout=self.holdout)
+        theta = init_params(self.model_spec, substream(seed, rngmod.INIT))
+
+        o = config.optimizer
+        if o.base == "sgd":
+            self.base = init_sgd(theta, beta=o.momentum)
+        else:
+            self.base = init_adam(theta, beta1=o.beta1, beta2=o.beta2, eps=o.adam_eps)
+        n_models = o.averaged_models()
+        # EMA and plain SGD have no weights to adapt, but their validation
+        # window still resets every k_w iterations
+        self.averager = init_averager(theta, n_models, gamma0=o.gamma0, delta=o.delta,
+                                      k_m=o.k_m, k_v=o.k_v, k_w=o.k_w,
+                                      adapt=o.adapt or n_models < 2)
+        s = config.schedule
+        self.sched = None
+        if s.kind in ("rwp", "malr"):
+            self.sched = init_schedule(s.kind, s.alpha0, beta_lr=s.beta_lr, k_r=s.k_r,
+                                       epsilon=s.epsilon, use_c2=s.use_c2,
+                                       use_c3=s.use_c3)
+
+        self.k = 0
+        self.diverged = False
+        self.ledger = MetricLedger()
+        self.costs = CostCounter()
+        self.metric_rows = []
+        self.schedule_rows = []
+        self.lr_trace = []
+        self.val_rng = substream(seed, rngmod.VALIDATION)
+        self.val_batch_size = config.val_batch_size or config.replay.batch_size
+        horizon = config.stream.horizon
+        self.ft_k1 = config.ft_k1 if config.ft_k1 is not None else max(1, horizon // 10)
+        self.ft_k2 = config.ft_k2 if config.ft_k2 is not None else max(2, horizon // 4)
+        self.task_iters = (config.stream.task_length * config.iters_per_step
+                           if config.stream.kind == "piecewise-task" else 0)
+
+    def inference_params(self):
+        return best_ma(self.averager) if self.averager.ma else self.base.theta
+
+    def alpha(self, k: int) -> float:
+        s = self.config.schedule
+        if self.sched is not None:
+            return self.sched.alpha
+        if s.kind == "constant":
+            return s.alpha0
+        if s.kind == "cyclic":
+            return max(cyclic_lr(s.alpha0, (k - 1) % self.task_iters, self.task_iters),
+                       1e-12 * s.alpha0)
+        # trace replay: clamp to the recorded horizon
+        return s.lr_trace[min(k - 1, len(s.lr_trace) - 1)]
+
+    def sample_validation(self):
+        if self.holdout.size == 0:
+            return None
+        return sample_pure_replay(self.holdout, self.val_batch_size, rng=self.val_rng)
+
+    def evaluate(self, params, batch) -> float:
+        # the schedule/validation signal orientation is configurable; the
+        # stream metrics always use the natural metric for the model family
+        return validation_performance(self.model_spec, params, batch,
+                                      metric=self.config.schedule.metric)
+
+    def predict(self, inputs):
+        return predict(self.model_spec, self.inference_params(), inputs)
+
+    def update(self, t: int, batch):
+        for _ in range(self.config.iters_per_step):
+            self.iterate(batch)
+
+    def iterate(self, batch):
+        """One optimizer iteration: replay draw, base step, averager, schedule."""
+        k = self.k + 1
+        alpha = self.alpha(k)
+        r = self.config.replay
+        if r.mode == "pure":
+            mb = sample_pure_replay(self.pool, r.batch_size)
+        else:
+            mb = sample_mixed_replay(self.pool, batch, r.batch_size, window=r.window)
+        loss, grad = loss_and_grad(self.model_spec, self.base.theta, mb)
+        self.costs.forward += 1
+        self.costs.grad += 1
+        if not np.isfinite(loss) or not np.all(np.isfinite(grad.values)):
+            raise DivergenceError(f"non-finite loss at iteration {k}")
+        if self.config.optimizer.base == "sgd":
+            sgd_step(self.base, grad, alpha)
+        else:
+            adam_step(self.base, grad, alpha)
+        self.costs.update += 1
+        self.k = k
+        self.lr_trace.append(alpha)
+        avg = ama_step(self.averager, self.base.theta, k, self.sample_validation,
+                       self.evaluate, self.costs)
+        if self.sched is not None and k % avg.k_v == 0 and avg.n > 0:
+            val_perf, sig = avg.best_perf(), avg.sigma()
+            if self.sched.kind == "rwp":
+                rwp_update(self.sched, val_perf, k)
+            else:
+                malr_update(self.sched, val_perf, sig, k)
+            mask = sum(1 << i for i, c in enumerate(self.sched.last_conditions) if c)
+            self.schedule_rows.append((k, self.sched.alpha, sig, val_perf, mask))
+
+    def step(self, t: int) -> bool:
+        """Run protocol step t and record its metrics; False once diverged."""
+        try:
+            predictions, batch = run_protocol_step(self.env, self, t)
+        except DivergenceError:
+            self.diverged = True
+            return False
+        if t >= 2:
+            self.ledger.record_step_ahead(
+                t - 1, step_ahead_performance(self.model_spec, predictions, batch))
+        horizon = self.config.stream.horizon
+        if t % self.config.eval_every == 0 or t == horizon:
+            p_le = self.ledger.learning_efficacy(t - 1) if t >= 2 else float("nan")
+            try:
+                p_ir = information_retention(self.model_spec, self.inference_params(),
+                                             self.holdout, t)
+            except EmptyPoolError:
+                p_ir = float("nan")
+            if t + self.ft_k2 <= horizon:
+                p_ft = forward_transfer(self.model_spec, self.inference_params(),
+                                        self.stream_spec, t, self.ft_k1, self.ft_k2)
+            else:
+                p_ft = float("nan")
+            alpha_now = self.lr_trace[-1] if self.lr_trace else float("nan")
+            self.metric_rows.append((t, self.k, p_le, p_ir, p_ft, alpha_now)
+                                    + self.averager.search_columns())
+        return True
+
+    def result(self) -> RunResult:
+        return RunResult(config=self.config, seed=self.seed, metric_rows=self.metric_rows,
+                         schedule_rows=self.schedule_rows, ledger=self.ledger,
+                         costs=self.costs, lr_trace=self.lr_trace,
+                         final_theta=self.base.theta.values.copy(),
+                         final_inference=self.inference_params().values.copy(),
+                         diverged=self.diverged, ama=self.averager)
+
+
 def run_experiment(config: ExperimentConfig, seed: Optional[int] = None,
                    out_dir=None) -> RunResult:
     """Execute the protocol for one seed; optionally write artifacts."""
     config.validate()
-    seed = config.seeds[0] if seed is None else seed
-    stream_spec = build_stream_spec(config, seed)
-    model_spec = build_model_spec(config)
-    pool = DataPool(capacity=config.replay.capacity, seed=seed)
-    holdout = DataPool(capacity=None, seed=seed,
-                       holdout_fraction=config.replay.holdout_fraction)
-    env = Environment(spec=stream_spec, pool=pool, holdout=holdout)
-    theta = init_params(model_spec, substream(seed, rngmod.INIT))
-
-    ocfg = config.optimizer
-    if ocfg.base == "sgd":
-        base = init_sgd(theta, beta=ocfg.momentum)
-    else:
-        base = init_adam(theta, beta1=ocfg.beta1, beta2=ocfg.beta2, eps=ocfg.adam_eps)
-    ama = ema = None
-    if ocfg.averaging == "ama":
-        ama = init_ama(theta, gamma0=ocfg.gamma0, delta=ocfg.delta, k_m=ocfg.k_m,
-                       k_v=ocfg.k_v, k_w=ocfg.k_w, adapt=ocfg.adapt)
-    elif ocfg.averaging == "ema":
-        ema = init_ema(theta, gamma=ocfg.gamma0, k_m=ocfg.k_m)
-
-    scfg = config.schedule
-    sched = None
-    if scfg.kind in ("rwp", "malr"):
-        sched = init_schedule(scfg.kind, scfg.alpha0, beta_lr=scfg.beta_lr,
-                              k_r=scfg.k_r, epsilon=scfg.epsilon,
-                              use_c2=scfg.use_c2, use_c3=scfg.use_c3)
-    lr_trace_in = list(scfg.lr_trace) if scfg.kind == "trace" else None
-
-    ledger = MetricLedger()
-    costs = CostCounter()
-    val_rng = substream(seed, rngmod.VALIDATION)
-    val_batch_size = config.val_batch_size or config.replay.batch_size
-    sgd_val = RunningMean()          # plain-SGD / EMA online validation means
-    ma_val = RunningMean()
-    metric_rows = []
-    schedule_rows = []
-    lr_trace = []
-    horizon = config.stream.horizon
-    p = config.iters_per_step
-    k1 = config.ft_k1 if config.ft_k1 is not None else max(1, horizon // 10)
-    k2 = config.ft_k2 if config.ft_k2 is not None else max(2, horizon // 4)
-    task_iters = config.stream.task_length * p if config.stream.kind == "piecewise-task" else 0
-    # schedule/validation signal orientation is configurable; the stream
-    # metrics always use the natural metric for the model family
-    val_metric = scfg.metric
-    state = {"k": 0, "diverged": False}
-
-    def inference_params():
-        if ama is not None:
-            return best_ma(ama)
-        if ema is not None:
-            return ema.ma
-        return base.theta
-
-    def current_alpha(k: int) -> float:
-        if sched is not None:
-            return sched.alpha
-        if scfg.kind == "constant":
-            return scfg.alpha0
-        if scfg.kind == "cyclic":
-            return max(cyclic_lr(scfg.alpha0, (k - 1) % task_iters, task_iters),
-                       1e-12 * scfg.alpha0)
-        # trace replay: clamp to the recorded horizon
-        idx = min(k - 1, len(lr_trace_in) - 1)
-        return lr_trace_in[idx]
-
-    def sample_validation():
-        if holdout.size == 0:
-            return None
-        return sample_pure_replay(holdout, val_batch_size, rng=val_rng)
-
-    def evaluate(params, batch):
-        return validation_performance(model_spec, params, batch, metric=val_metric)
-
-    def draw_minibatch(t, batch):
-        if config.replay.mode == "pure":
-            return sample_pure_replay(pool, config.replay.batch_size)
-        return sample_mixed_replay(pool, batch, config.replay.batch_size,
-                                   window=config.replay.window)
-
-    class Learner:
-        def predict(self, inputs):
-            return predict(model_spec, inference_params(), inputs)
-
-        def update(self, t, batch):
-            for _ in range(p):
-                k = state["k"] + 1
-                alpha = current_alpha(k)
-                mb = draw_minibatch(t, batch)
-                loss, grad = loss_and_grad(model_spec, base.theta, mb)
-                costs.forward += 1
-                costs.grad += 1
-                if not np.isfinite(loss) or not np.all(np.isfinite(grad.values)):
-                    state["diverged"] = True
-                    raise DivergenceError(f"non-finite loss at iteration {k}")
-                if ocfg.base == "sgd":
-                    sgd_step(base, grad, alpha)
-                else:
-                    adam_step(base, grad, alpha)
-                costs.update += 1
-                state["k"] = k
-                lr_trace.append(alpha)
-                if ema is not None:
-                    ema_step(ema, base.theta, k, costs)
-                if ama is not None:
-                    ama_step(ama, base.theta, k, sample_validation, evaluate, costs)
-                else:
-                    if k % ocfg.k_v == 0:
-                        vb = sample_validation()
-                        if vb is not None:
-                            costs.forward += 1
-                            sgd_val.fold(evaluate(base.theta, vb))
-                            if ema is not None:
-                                costs.forward += 1
-                                ma_val.fold(evaluate(ema.ma, vb))
-                    if k % ocfg.k_w == 0:
-                        sgd_val.reset()
-                        ma_val.reset()
-                if sched is not None and k % ocfg.k_v == 0:
-                    val_perf = sig = None
-                    if ama is not None:
-                        if ama.n > 0:
-                            val_perf, sig = ama.best_perf(), ama.sigma()
-                    elif ema is not None:
-                        if ma_val.n > 0:
-                            val_perf, sig = ma_val.mean, sigma(ma_val.mean, sgd_val.mean)
-                    elif sgd_val.n > 0:
-                        val_perf, sig = sgd_val.mean, float("nan")
-                    if val_perf is not None:
-                        if sched.kind == "rwp":
-                            rwp_update(sched, val_perf, k)
-                        else:
-                            malr_update(sched, val_perf, sig, k)
-                        mask = sum(1 << i for i, c in enumerate(sched.last_conditions) if c)
-                        schedule_rows.append((k, sched.alpha, sig, val_perf, mask))
-
-    learner = Learner()
-    diverged = False
-    for t in range(1, horizon + 1):
-        try:
-            predictions, batch = run_protocol_step(env, learner, t)
-        except DivergenceError:
-            diverged = True
+    run = Run(config, config.seeds[0] if seed is None else seed)
+    for t in range(1, config.stream.horizon + 1):
+        if not run.step(t):
             break
-        if t >= 2:
-            ledger.record_step_ahead(t - 1, step_ahead_performance(model_spec,
-                                                                   predictions, batch))
-        if t % config.eval_every == 0 or t == horizon:
-            p_le = ledger.learning_efficacy(t - 1) if t >= 2 else float("nan")
-            try:
-                p_ir = information_retention(model_spec, inference_params(), holdout, t)
-            except EmptyPoolError:
-                p_ir = float("nan")
-            if t + k2 <= horizon:
-                p_ft = forward_transfer(model_spec, inference_params(), stream_spec,
-                                        t, k1, k2)
-            else:
-                p_ft = float("nan")
-            g1 = ama.gamma1 if ama is not None else float("nan")
-            g2 = ama.gamma2 if ama is not None else float("nan")
-            ib = ama.i_best if ama is not None else 0
-            sig = ama.sigma() if ama is not None else float("nan")
-            alpha_now = lr_trace[-1] if lr_trace else float("nan")
-            metric_rows.append((t, state["k"], p_le, p_ir, p_ft, alpha_now, sig,
-                                g1, g2, ib))
-
-    result = RunResult(config=config, seed=seed, metric_rows=metric_rows,
-                       schedule_rows=schedule_rows, ledger=ledger, costs=costs,
-                       lr_trace=lr_trace, final_theta=base.theta.values.copy(),
-                       final_inference=inference_params().values.copy(),
-                       diverged=diverged, ama=ama, ema=ema)
+    result = run.result()
     if out_dir is not None:
-        write_artifacts(result, base, out_dir)
+        write_artifacts(result, run.base, out_dir)
     return result
 
 
@@ -490,10 +483,9 @@ def write_artifacts(result: RunResult, base_state, out_dir) -> dict:
     _write_csv(out / "metrics.csv", METRIC_COLUMNS, result.metric_rows)
     _write_csv(out / "schedule.csv", SCHEDULE_COLUMNS, result.schedule_rows)
     save_config(result.config, out / "config.yaml")
-    ma = result.ama if result.ama is not None else result.ema
-    save_optimizer(out / "checkpoint.npz", base_state, ma)
+    save_optimizer(out / "checkpoint.npz", base_state, result.ama)
     manifest = {
-        "package_version": PACKAGE_VERSION,
+        "package_version": __version__,
         "seed": result.seed,
         "config": config_to_dict(result.config),
         "status": "diverged" if result.diverged else "ok",

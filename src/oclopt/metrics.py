@@ -1,4 +1,4 @@
-"""Online continual learning metrics and the online validation accumulator.
+"""Online continual learning metrics and the running-mean validation accumulator.
 
 Three stream-level metrics, all higher-is-better:
 
@@ -47,12 +47,6 @@ class RunningMean:
         self.n = 0
 
 
-def online_validation(acc: RunningMean, spec: ModelSpec, theta: ParamVector,
-                      minibatch, metric: str = "accuracy") -> RunningMean:
-    """Fold one holdout-minibatch evaluation into the running validation mean."""
-    return acc.fold(validation_performance(spec, theta, minibatch, metric=metric))
-
-
 @dataclass
 class MetricLedger:
     """Append-only per-step records backing the metric computations."""
@@ -71,10 +65,6 @@ class MetricLedger:
         if missing:
             raise MetricError(f"missing step-ahead records for steps {missing[:5]}")
         return float(np.mean([self.step_ahead[j] for j in range(1, t + 1)]))
-
-
-def learning_efficacy(ledger: MetricLedger, t: int) -> float:
-    return ledger.learning_efficacy(t)
 
 
 def information_retention(spec: ModelSpec, theta: ParamVector, holdout: DataPool,

@@ -1,17 +1,18 @@
 """Base optimizers and the moving-average family.
 
 The moving-average (MA) model is a convex combination of the SGD iterates:
-``ma <- gamma * ma + (1 - gamma) * theta`` with gamma in [0, 1]. The adaptive
-variant (AMA) maintains two MA models with weights a factor ``delta`` apart
-and population-search adapts the weights: every ``k_w`` iterations the better
-model (by running online validation performance) is copied over the other and
-the weights move up or down by ``delta``.
+``ma <- gamma * ma + (1 - gamma) * theta`` with gamma in [0, 1]. One averager
+(``AmaState``) covers the family. With two MA models (AMA) the weights sit a
+factor ``delta`` apart and population search adapts them: every ``k_w``
+iterations the better model (by running online validation performance) is
+copied over the other and the weights move up or down by ``delta``. One model
+is a fixed-weight EMA; no model is plain SGD with online validation only.
 
 Interval hyperparameters, all counted in global update iterations:
 
 * ``k_m``: MA models update every k_m iterations.
 * ``k_v``: online validation folds every k_v iterations (one shared holdout
-  minibatch evaluated on both MA models and the SGD model).
+  minibatch evaluated on every MA model and the SGD model).
 * ``k_w``: weight adaptation plus running-mean reset every k_w iterations.
 
 All updates mutate state in place and return it; per-event costs can be
@@ -26,6 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .metrics import RunningMean
 from .model import DivergenceError, ParamVector
 
 log = logging.getLogger(__name__)
@@ -138,143 +140,148 @@ def ma_update(ma: ParamVector, gamma: float, theta: ParamVector) -> ParamVector:
 
 
 @dataclass
-class EmaState:
-    """Plain exponential moving average of the SGD iterates with fixed weight."""
-
-    ma: ParamVector
-    gamma: float
-    k_m: int = 1
-
-    def __post_init__(self):
-        if not (0.0 <= self.gamma <= 1.0):
-            raise ValueError("gamma must lie in [0, 1]")
-
-
-def init_ema(theta0: ParamVector, gamma: float, k_m: int = 1) -> EmaState:
-    return EmaState(ma=theta0.copy(), gamma=gamma, k_m=k_m)
-
-
-def ema_step(state: EmaState, sgd_theta: ParamVector, k: int,
-             costs: Optional[CostCounter] = None) -> EmaState:
-    if k % state.k_m == 0:
-        ma_update(state.ma, state.gamma, sgd_theta)
-        if costs is not None:
-            costs.update += 1
-    return state
-
-
-@dataclass
 class AmaState:
-    """Two MA models plus the population-search bookkeeping.
+    """The moving-average family: 0, 1 or 2 MA models of the SGD iterates.
 
-    acc1/acc2/acc_sgd are running means of online validation performance,
-    folded every k_v iterations on a shared minibatch and reset every k_w
-    iterations. i_best selects the MA model used for inference and for the
-    sigma signal.
+    Two models are the adaptive variant (AMA): weights a factor ``delta``
+    apart, adapted by population search. One model is a fixed-weight EMA,
+    and no model is plain SGD, which still keeps the online validation mean.
+    ``val`` holds one running validation mean per MA model and ``val_sgd``
+    the SGD model's; they fold every k_v iterations on a shared minibatch and
+    reset every k_w iterations. i_best (1-based) selects the MA model used
+    for inference and for the sigma signal.
+
+    With ``adapt`` off the k_w window event never fires: no reset and no
+    weight move, so a 2-model averager with delta=1 reproduces EMA exactly.
     """
 
-    ma1: ParamVector
-    ma2: ParamVector
-    gamma1: float
-    gamma2: float
+    ma: list
+    gammas: list
+    val: list
+    val_sgd: RunningMean
     delta: float = 5.0
     k_m: int = 10
     k_v: int = 20
     k_w: int = 10000
-    acc1: float = 0.0
-    acc2: float = 0.0
-    acc_sgd: float = 0.0
-    n: int = 0
     i_best: int = 1
     adapt: bool = True
     skipped_validations: int = 0
 
     def __post_init__(self):
-        for g in (self.gamma1, self.gamma2):
+        if not (len(self.ma) == len(self.gammas) == len(self.val) <= 2):
+            raise ValueError("need one weight and one validation mean per MA model, "
+                             "at most two models")
+        for g in self.gammas:
             if not (0.0 <= g <= 1.0):
                 raise ValueError("MA weights must lie in [0, 1]")
         if self.delta <= 0.0:
             raise ValueError("delta must be positive")
 
-    def sigma(self) -> float:
-        """Validation-performance gap between the best MA model and the SGD model."""
-        best = self.acc1 if self.i_best == 1 else self.acc2
-        return best - self.acc_sgd
+    @property
+    def n(self) -> int:
+        """Validation folds since the last reset."""
+        return self.val_sgd.n
 
     def best_perf(self) -> float:
-        return self.acc1 if self.i_best == 1 else self.acc2
+        """Running validation performance of the selected model (SGD if none)."""
+        return self.val[self.i_best - 1].mean if self.ma else self.val_sgd.mean
+
+    def sigma(self) -> float:
+        """Validation-performance gap between the best MA model and the SGD model."""
+        return self.best_perf() - self.val_sgd.mean if self.ma else float("nan")
+
+    def search_columns(self) -> tuple:
+        """(sigma, gamma_ma1, gamma_ma2, i_best) of the two-model weight search.
+
+        Averagers without a search report (nan, nan, nan, 0).
+        """
+        if len(self.ma) < 2:
+            return float("nan"), float("nan"), float("nan"), 0
+        return self.sigma(), self.gammas[0], self.gammas[1], self.i_best
+
+
+def init_averager(theta0: ParamVector, n_models: int, gamma0: float = 0.99,
+                  delta: float = 5.0, k_m: int = 10, k_v: int = 20, k_w: int = 10000,
+                  adapt: bool = True) -> AmaState:
+    """n_models copies of theta0 with weights gamma0, gamma0 / delta."""
+    return AmaState(ma=[theta0.copy() for _ in range(n_models)],
+                    gammas=[gamma0 / delta ** i for i in range(n_models)],
+                    val=[RunningMean() for _ in range(n_models)], val_sgd=RunningMean(),
+                    delta=delta, k_m=k_m, k_v=k_v, k_w=k_w, adapt=adapt)
 
 
 def init_ama(theta0: ParamVector, gamma0: float = 0.99, delta: float = 5.0,
              k_m: int = 10, k_v: int = 20, k_w: int = 10000,
              adapt: bool = True) -> AmaState:
-    return AmaState(ma1=theta0.copy(), ma2=theta0.copy(),
-                    gamma1=gamma0, gamma2=gamma0 / delta,
-                    delta=delta, k_m=k_m, k_v=k_v, k_w=k_w, adapt=adapt)
+    return init_averager(theta0, 2, gamma0, delta, k_m, k_v, k_w, adapt)
+
+
+def init_ema(theta0: ParamVector, gamma: float, k_m: int = 1) -> AmaState:
+    return init_averager(theta0, 1, gamma, k_m=k_m)
 
 
 def ama_step(state: AmaState, sgd_theta: ParamVector, k: int,
              sample_validation: Callable[[], object],
              evaluate: Callable[[ParamVector, object], float],
              costs: Optional[CostCounter] = None) -> AmaState:
-    """One iteration of the adaptive moving average bookkeeping after an SGD step.
+    """One iteration of the moving-average bookkeeping after an SGD step.
 
     Args:
-        state: AMA state, mutated in place.
+        state: averager, mutated in place.
         sgd_theta: the SGD model after update iteration k.
         k: global update iteration (1-based).
         sample_validation: returns a holdout minibatch, or None when no
-            holdout data exists yet (the validation fold is then skipped).
+            holdout data exists yet (the validation fold is then skipped and
+            counted in ``skipped_validations``).
         evaluate: higher-is-better performance of parameters on a minibatch.
         costs: optional compute accounting.
     """
     if k < 1:
         raise ValueError("iteration counter is 1-based")
     if k % state.k_m == 0:
-        ma_update(state.ma1, state.gamma1, sgd_theta)
-        ma_update(state.ma2, state.gamma2, sgd_theta)
+        for ma, gamma in zip(state.ma, state.gammas):
+            ma_update(ma, gamma, sgd_theta)
         if costs is not None:
-            costs.update += 2
+            costs.update += len(state.ma)
     if k % state.k_v == 0:
         batch = sample_validation()
         if batch is None:
             state.skipped_validations += 1
             log.warning("no holdout data at validation iteration %d; fold skipped", k)
         else:
-            a1 = evaluate(state.ma1, batch)
-            a2 = evaluate(state.ma2, batch)
-            a_sgd = evaluate(sgd_theta, batch)
+            for ma, acc in zip(state.ma, state.val):
+                acc.fold(evaluate(ma, batch))
+            state.val_sgd.fold(evaluate(sgd_theta, batch))
             if costs is not None:
-                costs.forward += 3
-            n = state.n
-            state.acc1 = (n * state.acc1 + a1) / (n + 1)
-            state.acc2 = (n * state.acc2 + a2) / (n + 1)
-            state.acc_sgd = (n * state.acc_sgd + a_sgd) / (n + 1)
-            state.n = n + 1
-            if state.acc1 > state.acc2:
-                state.i_best = 1
-            elif state.acc2 > state.acc1:
-                state.i_best = 2
-            # exact tie: keep the previous selection
+                costs.forward += len(state.ma) + 1
+            if len(state.ma) == 2:
+                acc1, acc2 = state.val[0].mean, state.val[1].mean
+                if acc1 > acc2:
+                    state.i_best = 1
+                elif acc2 > acc1:
+                    state.i_best = 2
+                # exact tie: keep the previous selection
     if state.adapt and k % state.k_w == 0:
-        state.acc1 = state.acc2 = state.acc_sgd = 0.0
-        state.n = 0
-        if state.i_best == 1:
-            state.gamma1 = min(1.0, state.delta * state.gamma1)
-            state.gamma2 = state.gamma1 / state.delta
-            state.ma2.values[:] = state.ma1.values
-            state.i_best = 2
-        else:
-            state.gamma1 = state.gamma1 / state.delta
-            state.gamma2 = state.gamma2 / state.delta
-            state.ma1.values[:] = state.ma2.values
-            state.i_best = 1
+        for acc in state.val + [state.val_sgd]:
+            acc.reset()
+        if len(state.ma) == 2:
+            # copy the better model over the other, move both weights by delta
+            (ma1, ma2), (g1, g2) = state.ma, state.gammas
+            if state.i_best == 1:
+                g1 = min(1.0, state.delta * g1)
+                state.gammas = [g1, g1 / state.delta]
+                ma2.values[:] = ma1.values
+                state.i_best = 2
+            else:
+                state.gammas = [g1 / state.delta, g2 / state.delta]
+                ma1.values[:] = ma2.values
+                state.i_best = 1
     return state
 
 
 def best_ma(state: AmaState) -> ParamVector:
     """The MA model currently selected for inference."""
-    return state.ma1 if state.i_best == 1 else state.ma2
+    return state.ma[state.i_best - 1]
 
 
 def unfolded_ma_coefficients(gammas: np.ndarray) -> np.ndarray:
@@ -299,7 +306,7 @@ def unfolded_ma_coefficients(gammas: np.ndarray) -> np.ndarray:
 # -- checkpointing -------------------------------------------------------------
 
 def save_optimizer(path, base, ma=None):
-    """Serialize optimizer state (and optional MA state) to an .npz archive.
+    """Serialize optimizer state (and optional averager state) to an .npz archive.
 
     Float64 values round-trip exactly, so a restored optimizer continues
     bit-identically to one that was never saved.
@@ -316,23 +323,22 @@ def save_optimizer(path, base, ma=None):
                                             float(base.step), base.lr]))
     else:
         raise TypeError(f"unsupported base optimizer {type(base)!r}")
-    if isinstance(ma, EmaState):
-        blobs.update(ma_kind="ema", ma_ma=ma.ma.values,
-                     ma_scalars=np.array([ma.gamma, float(ma.k_m)]))
-    elif isinstance(ma, AmaState):
-        blobs.update(ma_kind="ama", ma_ma1=ma.ma1.values, ma_ma2=ma.ma2.values,
-                     ma_scalars=np.array([ma.gamma1, ma.gamma2, ma.delta,
-                                          float(ma.k_m), float(ma.k_v), float(ma.k_w),
-                                          ma.acc1, ma.acc2, ma.acc_sgd,
-                                          float(ma.n), float(ma.i_best),
-                                          float(ma.adapt), float(ma.skipped_validations)]))
+    if isinstance(ma, AmaState):
+        width = len(base.theta.values)
+        blobs.update(ma_models=np.array([m.values for m in ma.ma]).reshape(-1, width),
+                     ma_gammas=np.array(ma.gammas, dtype=float),
+                     ma_means=np.array([acc.mean for acc in ma.val + [ma.val_sgd]]),
+                     ma_scalars=np.array([ma.delta, float(ma.k_m), float(ma.k_v),
+                                          float(ma.k_w), float(ma.n), float(ma.i_best),
+                                          float(ma.adapt),
+                                          float(ma.skipped_validations)]))
     elif ma is not None:
         raise TypeError(f"unsupported MA state {type(ma)!r}")
     np.savez(path, **blobs)
 
 
 def load_optimizer(path, layout=()):
-    """Restore (base_state, ma_state) saved by save_optimizer."""
+    """Restore (base_state, averager) saved by save_optimizer."""
     with np.load(path, allow_pickle=False) as z:
         kind = str(z["base_kind"])
         if kind == "sgd":
@@ -347,19 +353,12 @@ def load_optimizer(path, layout=()):
                              beta1=float(b1), beta2=float(b2), eps=float(eps),
                              step=int(step), lr=float(lr))
         ma = None
-        if "ma_kind" in z:
-            mk = str(z["ma_kind"])
-            if mk == "ema":
-                gamma, k_m = z["ma_scalars"]
-                ma = EmaState(ma=ParamVector(z["ma_ma"].copy(), layout),
-                              gamma=float(gamma), k_m=int(k_m))
-            else:
-                s = z["ma_scalars"]
-                ma = AmaState(ma1=ParamVector(z["ma_ma1"].copy(), layout),
-                              ma2=ParamVector(z["ma_ma2"].copy(), layout),
-                              gamma1=float(s[0]), gamma2=float(s[1]), delta=float(s[2]),
-                              k_m=int(s[3]), k_v=int(s[4]), k_w=int(s[5]),
-                              acc1=float(s[6]), acc2=float(s[7]), acc_sgd=float(s[8]),
-                              n=int(s[9]), i_best=int(s[10]), adapt=bool(s[11]),
-                              skipped_validations=int(s[12]))
+        if "ma_models" in z:
+            delta, k_m, k_v, k_w, n, i_best, adapt, skipped = z["ma_scalars"]
+            means = [RunningMean(float(m), int(n)) for m in z["ma_means"]]
+            ma = AmaState(ma=[ParamVector(v.copy(), layout) for v in z["ma_models"]],
+                          gammas=[float(g) for g in z["ma_gammas"]],
+                          val=means[:-1], val_sgd=means[-1], delta=float(delta),
+                          k_m=int(k_m), k_v=int(k_v), k_w=int(k_w), i_best=int(i_best),
+                          adapt=bool(adapt), skipped_validations=int(skipped))
     return base, ma

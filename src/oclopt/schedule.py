@@ -1,4 +1,4 @@
-"""Learning-rate controllers: constant, reduce-when-plateau, MALR, cyclic cosine.
+"""Learning-rate controllers: reduce-when-plateau, MALR, and the cyclic cosine rate.
 
 Reduce-when-plateau (rwp) halves the rate (factor ``beta_lr``) when the
 validation signal has not improved for ``k_r`` iterations. MALR adds two
@@ -40,7 +40,7 @@ class ScheduleState:
     though updates typically arrive only at validation-refresh events.
     """
 
-    kind: str                 # constant | rwp | malr | cyclic
+    kind: str                 # rwp | malr
     alpha: float
     alpha0: float
     beta_lr: float = 0.5
@@ -69,7 +69,7 @@ class ScheduleState:
 def init_schedule(kind: str, alpha0: float, beta_lr: float = 0.5, k_r: int = 60000,
                   epsilon: float = 0.03, use_c2: bool = True,
                   use_c3: bool = True) -> ScheduleState:
-    if kind not in ("constant", "rwp", "malr", "cyclic"):
+    if kind not in ("rwp", "malr"):
         raise ValueError(f"unknown schedule kind {kind!r}")
     return ScheduleState(kind=kind, alpha=alpha0, alpha0=alpha0, beta_lr=beta_lr,
                          k_r=k_r, epsilon=epsilon, use_c2=use_c2, use_c3=use_c3)

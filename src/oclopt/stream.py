@@ -278,8 +278,12 @@ def run_protocol_step(env: Environment, learner, t: int):
 
     In order: (1) sample the batch, (2) ask the learner to predict every datum
     before labels are revealed, (3) integrate the batch into the pools,
-    (4) let the learner update. If the learner's update raises, the pools are
-    rolled back so the step has no effect.
+    (4) let the learner update. If the learner's update raises, the pools
+    (items, counters and generators) are rolled back and the step is not
+    counted. Nothing else is rolled back: the learner's own changes from
+    iterations completed before the failure (in the harness: optimizer,
+    averager, schedule, compute costs and the learning-rate trace) stay
+    applied.
 
     Returns (predictions, batch); predictions are whatever
     ``learner.predict(inputs)`` produced from the pre-update parameters.
@@ -301,9 +305,3 @@ def run_protocol_step(env: Environment, learner, t: int):
         raise
     env.last_step = t
     return predictions, batch
-
-
-def rotation_matrix(angle: float) -> np.ndarray:
-    """2-D rotation matrix, used by tests as an independent oracle."""
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, -s], [s, c]])

@@ -221,12 +221,10 @@ def verify_bound(quad: DriftingQuadraticSpec, alphas: Sequence[float], k_max: in
         lhs = float(mean_grad[j_star])
         lhs_se = float(sd_grad[j_star]) / math.sqrt(n_seeds)
         t1, t2, t3 = bound_terms(inputs, k)
-        a = alphas[: k + 1]
-        denom = float(np.sum(2.0 * a - lipschitz * a * a))
-        rhs = t1 + t2 + t3
-        rhs_se = 2.0 * float(sd_look[k]) / math.sqrt(n_seeds) / denom
-        holds = lhs <= rhs + 2.0 * math.hypot(lhs_se, rhs_se)
         dg, r2, r3 = schedule_conditions(alphas, lipschitz, chis, k)
+        rhs = t1 + t2 + t3
+        rhs_se = 2.0 * float(sd_look[k]) / math.sqrt(n_seeds) / dg
+        holds = lhs <= rhs + 2.0 * math.hypot(lhs_se, rhs_se)
         report.checkpoints.append(BoundCheckpoint(
             k=k, lhs=lhs, lhs_se=lhs_se, t1=t1, t2=t2, t3=t3, rhs=rhs,
             rhs_se=rhs_se, holds=holds, denom_growth=dg, t2_ratio=r2, t3_ratio=r3))

@@ -16,8 +16,8 @@ from oclopt.harness import (apply_overrides, expand_variants, preset,
                             verify_bounds_from_config)
 from oclopt.model import (ModelSpec, ParamVector, loss_and_grad,
                           validation_performance)
-from oclopt.optim import (ama_step, best_ma, ema_step, init_ama, init_ema,
-                          init_sgd, ma_update, sgd_step, unfolded_ma_coefficients)
+from oclopt.optim import (ama_step, best_ma, init_ama, init_ema, init_sgd, ma_update,
+                          sgd_step, unfolded_ma_coefficients)
 from oclopt.rng import ball_uniform, substream
 from oclopt.stream import DriftingQuadraticSpec
 from tests.test_model import fd_gradient, grad_agreement, random_model_and_batch
@@ -106,12 +106,8 @@ def test_criterion_03_reduction_identities():
             g = ParamVector(0.7 * (sgd.theta.values - target)
                             + 0.2 * loc.standard_normal(3))
             sgd_step(sgd, g, lr=0.05)
-            if hasattr(ma_state, "ma1"):
-                ama_step(ma_state, sgd.theta, k, lambda: "b", lambda p, b: 0.0)
-                out.append(ma_state.ma1.values.copy())
-            else:
-                ema_step(ma_state, sgd.theta, k)
-                out.append(ma_state.ma.values.copy())
+            ama_step(ma_state, sgd.theta, k, lambda: "b", lambda p, b: 0.0)
+            out.append(ma_state.ma[0].values.copy())
         return np.array(out)
 
     ema_traj = trajectory(lambda th: init_ema(th, 0.97, k_m=5))
@@ -125,8 +121,8 @@ def test_criterion_03_reduction_identities():
     tracks = True
     for k in range(1, 300):
         sgd_step(sgd, ParamVector(loc.standard_normal(3)), lr=0.03)
-        ema_step(ema0, sgd.theta, k)
-        tracks = tracks and np.array_equal(ema0.ma.values, sgd.theta.values)
+        ama_step(ema0, sgd.theta, k, lambda: "b", lambda p, b: 0.0)
+        tracks = tracks and np.array_equal(ema0.ma[0].values, sgd.theta.values)
     report(3, ama_is_ema and tracks,
            "delta=1/no-adapt AMA equals EMA bit-for-bit; gamma=0 EMA equals SGD")
 

@@ -234,6 +234,18 @@ class TestPersistence:
         assert struct.unpack_from("<Q", raw, 4 + 24)[0] == 4
         assert len(raw) == 4 + 2 * (2 * 8 + 8 + 8)
 
+    def test_file_shorter_than_header_rejected(self, tmp_path):
+        path = tmp_path / "pool.bin"
+        path.write_bytes(b"\x02\x00")
+        with pytest.raises(ValueError, match="corrupt pool file"):
+            load_pool(path)
+
+    def test_zero_input_dimension_rejected(self, tmp_path):
+        path = tmp_path / "pool.bin"
+        path.write_bytes(b"\x00\x00\x00\x00" + bytes(16))
+        with pytest.raises(ValueError, match="corrupt pool file"):
+            load_pool(path)
+
     def test_vector_labels_rejected(self, tmp_path):
         pool = DataPool(seed=0)
         xs = np.ones((3, 2))

@@ -148,6 +148,27 @@ class TestRunExperiment:
         assert not res.diverged
 
 
+class TestComputeAccounting:
+    @pytest.mark.parametrize("averaging,n_models", [("none", 0), ("ema", 1), ("ama", 2)])
+    @pytest.mark.parametrize("holdout_fraction", [0.05, 0.002])
+    def test_costs_match_closed_form_for_every_averager(self, averaging, n_models,
+                                                        holdout_fraction):
+        # criterion 11's closed form with m MA models: F = K + (m+1)(K//k_v -
+        # skipped), G = K, U = K + m(K//k_m); the small holdout fraction leaves
+        # the holdout pool empty at the first validation folds
+        cfg = tiny_config(**{"optimizer.averaging": averaging, "schedule.kind": "rwp",
+                             "replay.holdout_fraction": holdout_fraction})
+        res = run_experiment(cfg, seed=2)
+        k_total, o = len(res.lr_trace), cfg.optimizer
+        skipped = res.ama.skipped_validations
+        assert k_total == cfg.stream.horizon * cfg.iters_per_step
+        assert (skipped > 0) == (holdout_fraction < 0.01)
+        assert len(res.ama.ma) == n_models
+        assert (res.costs.forward, res.costs.grad, res.costs.update) == (
+            k_total + (n_models + 1) * (k_total // o.k_v - skipped), k_total,
+            k_total + n_models * (k_total // o.k_m))
+
+
 class TestTheoryConfig:
     def test_theory_preset_has_at_least_six_configs(self):
         cfg = preset("theory-verify")

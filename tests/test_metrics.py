@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from oclopt.datapool import DataPool, EmptyPoolError, Minibatch
+from oclopt.datapool import DataPool, EmptyPoolError
 from oclopt.metrics import (MetricError, MetricLedger, RunningMean, forward_transfer,
-                            information_retention, online_validation)
+                            information_retention)
 from oclopt.model import ModelSpec, ParamVector, init_params, predict
 from oclopt.rng import substream
 from oclopt.stream import RotatingGaussianSpec, StreamSpec, eval_batch
@@ -33,14 +33,6 @@ class TestRunningMean:
         for x in xs:
             acc.fold(float(x))
         assert np.isclose(acc.mean, xs.mean(), rtol=1e-12)
-
-    def test_online_validation_folds_model_performance(self):
-        spec = softmax_spec()
-        theta = ParamVector(np.zeros(spec.n_params), spec.param_layout())
-        batch = Minibatch(np.ones((4, 2)), np.zeros(4, dtype=int))
-        acc = RunningMean()
-        online_validation(acc, spec, theta, batch)
-        assert acc.mean == 1.0 and acc.n == 1  # ties -> class 0, labels 0
 
 
 class TestLearningEfficacy:

@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oclopt.model import DivergenceError, ParamVector
-from oclopt.optim import (AmaState, CostCounter, adam_step, ama_step, best_ma,
-                          ema_step, init_adam, init_ama, init_ema, init_sgd,
-                          load_optimizer, ma_update, save_optimizer, sgd_step,
-                          unfolded_ma_coefficients)
+from oclopt.optim import (CostCounter, adam_step, ama_step, best_ma, init_adam,
+                          init_ama, init_averager, init_ema, init_sgd, load_optimizer,
+                          ma_update, save_optimizer, sgd_step, unfolded_ma_coefficients)
 
 
 def pv(*values):
@@ -151,50 +150,68 @@ def steer(value):
 class TestAmaStep:
     def test_initialization_splits_gamma_by_delta(self):
         state = init_ama(pv(1.0), gamma0=0.99, delta=5.0)
-        assert state.gamma1 == 0.99
-        assert np.isclose(state.gamma2, 0.198)
+        assert state.gammas[0] == 0.99
+        assert np.isclose(state.gammas[1], 0.198)
         assert state.i_best == 1 and state.n == 0
 
     def test_weight_event_best1_clamps_and_copies(self):
         state = init_ama(pv(1.0), gamma0=0.99, delta=5.0, k_m=10**9, k_v=10**9, k_w=1)
-        state.ma1 = pv(7.0)
-        state.ma2 = pv(3.0)
+        state.ma = [pv(7.0), pv(3.0)]
         state.i_best = 1
         ama_step(state, pv(0.0), 1, lambda: None, steer(0))
-        assert state.gamma1 == 1.0                      # min(1, 4.95)
-        assert np.isclose(state.gamma2, 0.2)            # gamma1 / delta
-        assert state.ma2.values[0] == 7.0               # copy of the best
+        assert state.gammas[0] == 1.0                   # min(1, 4.95)
+        assert np.isclose(state.gammas[1], 0.2)         # gamma1 / delta
+        assert state.ma[1].values[0] == 7.0             # copy of the best
         assert state.i_best == 2
-        assert state.acc1 == state.acc2 == 0.0 and state.n == 0
+        assert state.val[0].mean == state.val[1].mean == 0.0 and state.n == 0
 
     def test_weight_event_best2_divides_and_copies(self):
         state = init_ama(pv(1.0), gamma0=0.99, delta=5.0, k_m=10**9, k_v=10**9, k_w=1)
-        state.ma1 = pv(7.0)
-        state.ma2 = pv(3.0)
+        state.ma = [pv(7.0), pv(3.0)]
         state.i_best = 2
         ama_step(state, pv(0.0), 1, lambda: None, steer(0))
-        assert np.isclose(state.gamma1, 0.198)
-        assert np.isclose(state.gamma2, 0.0396)
-        assert state.ma1.values[0] == 3.0
+        assert np.isclose(state.gammas[0], 0.198)
+        assert np.isclose(state.gammas[1], 0.0396)
+        assert state.ma[0].values[0] == 3.0
         assert state.i_best == 1
+
+    def test_window_event_without_adapt_keeps_means_weights_and_models(self):
+        state = init_ama(pv(1.0), gamma0=0.99, delta=5.0, k_m=10**9, k_v=1, k_w=2,
+                         adapt=False)
+        state.ma = [pv(7.0), pv(3.0)]
+        evaluate = lambda params, batch: float(params.values[0])
+        for k in (1, 2, 3, 4):
+            ama_step(state, pv(0.5), k, lambda: "batch", evaluate)
+        # k = 2 and 4 are k_w boundaries: no reset, no weight move, no copy
+        assert state.n == 4
+        assert (state.val[0].mean, state.val[1].mean, state.val_sgd.mean) == (7.0, 3.0, 0.5)
+        assert state.gammas == [0.99, 0.99 / 5.0]
+        assert (state.ma[0].values[0], state.ma[1].values[0]) == (7.0, 3.0)
+        assert state.i_best == 1
+        # one and zero models always reset at k_w (they have no weights to move)
+        for n_models in (0, 1):
+            other = init_averager(pv(1.0), n_models, k_m=10**9, k_v=1, k_w=2)
+            ama_step(other, pv(0.5), 1, lambda: "batch", evaluate)
+            assert other.n == 1
+            ama_step(other, pv(0.5), 2, lambda: "batch", evaluate)
+            assert other.n == 0 and other.gammas == [0.99] * n_models
 
     def test_validation_folds_running_means(self):
         state = init_ama(pv(0.0), k_m=10**9, k_v=1, k_w=10**9)
-        state.ma1 = pv(1.0)
-        state.ma2 = pv(0.0)
+        state.ma = [pv(1.0), pv(0.0)]
         evaluate = lambda params, batch: float(params.values[0])
         ama_step(state, pv(0.5), 1, lambda: "batch", evaluate)
-        assert (state.acc1, state.acc2, state.acc_sgd, state.n) == (1.0, 0.0, 0.5, 1)
+        assert (state.val[0].mean, state.val[1].mean, state.val_sgd.mean,
+                state.n) == (1.0, 0.0, 0.5, 1)
         assert state.i_best == 1
-        state.ma1 = pv(0.0)
-        state.ma2 = pv(1.0)
+        state.ma = [pv(0.0), pv(1.0)]
         ama_step(state, pv(0.5), 2, lambda: "batch", evaluate)
-        assert (state.acc1, state.acc2, state.n) == (0.5, 0.5, 2)
+        assert (state.val[0].mean, state.val[1].mean, state.n) == (0.5, 0.5, 2)
         # exact tie retains the previous selection
         assert state.i_best == 1
         ama_step(state, pv(0.5), 3, lambda: "batch", evaluate)
         assert state.i_best == 2
-        assert np.isclose(state.sigma(), state.acc2 - state.acc_sgd)
+        assert np.isclose(state.sigma(), state.val[1].mean - state.val_sgd.mean)
 
     def test_empty_validation_source_skips_with_warning(self):
         state = init_ama(pv(0.0), k_m=10**9, k_v=1, k_w=10**9)
@@ -206,9 +223,9 @@ class TestAmaStep:
         state = init_ama(pv(0.0), gamma0=0.5, k_m=3, k_v=10**9, k_w=10**9)
         for k in (1, 2):
             ama_step(state, pv(1.0), k, lambda: None, steer(0))
-        assert state.ma1.values[0] == 0.0
+        assert state.ma[0].values[0] == 0.0
         ama_step(state, pv(1.0), 3, lambda: None, steer(0))
-        assert state.ma1.values[0] == 0.5
+        assert state.ma[0].values[0] == 0.5
 
     def test_gamma_ratio_invariant_after_every_weight_event(self):
         rng = np.random.default_rng(4)
@@ -218,14 +235,13 @@ class TestAmaStep:
             ama_step(state, pv(float(rng.standard_normal())), k,
                      lambda: "b", ev)
             if k % 8 == 0:
-                assert np.isclose(state.gamma2, state.gamma1 / state.delta)
-            assert 0.0 <= state.gamma1 <= 1.0
-            assert 0.0 <= state.gamma2 <= 1.0
+                assert np.isclose(state.gammas[1], state.gammas[0] / state.delta)
+            assert 0.0 <= state.gammas[0] <= 1.0
+            assert 0.0 <= state.gammas[1] <= 1.0
 
     def test_best_ma_returns_selected_model(self):
         state = init_ama(pv(0.0))
-        state.ma1 = pv(1.0)
-        state.ma2 = pv(2.0)
+        state.ma = [pv(1.0), pv(2.0)]
         state.i_best = 1
         assert best_ma(state).values[0] == 1.0
         state.i_best = 2
@@ -243,13 +259,8 @@ class TestEquivalences:
             g = ParamVector(0.7 * (sgd.theta.values - np.array([1.0, -1.0, 0.5]))
                             + 0.1 * rng.standard_normal(3))
             sgd_step(sgd, g, lr=0.05)
-            if isinstance(ma_state, AmaState):
-                ama_step(ma_state, sgd.theta, k, lambda: "b",
-                         lambda p, b: 0.0)
-                out.append(ma_state.ma1.values.copy())
-            else:
-                ema_step(ma_state, sgd.theta, k)
-                out.append(ma_state.ma.values.copy())
+            ama_step(ma_state, sgd.theta, k, lambda: "b", lambda p, b: 0.0)
+            out.append(ma_state.ma[0].values.copy())
         return np.array(out)
 
     def test_ama_with_delta_one_and_no_adapt_is_ema_bitwise(self):
@@ -267,8 +278,8 @@ class TestEquivalences:
         for k in range(1, 100):
             g = ParamVector(rng.standard_normal(2))
             sgd_step(sgd, g, lr=0.03)
-            ema_step(ema, sgd.theta, k)
-            assert np.array_equal(ema.ma.values, sgd.theta.values)
+            ama_step(ema, sgd.theta, k, lambda: "b", lambda p, b: 0.0)
+            assert np.array_equal(ema.ma[0].values, sgd.theta.values)
 
 
 class TestCheckpoint:
@@ -292,10 +303,9 @@ class TestCheckpoint:
             sgd_step(sgd2, ParamVector(g.copy()), lr=0.05)
             ama_step(ama2, sgd2.theta, k, lambda: "b", ev)
         assert np.array_equal(sgd.theta.values, sgd2.theta.values)
-        assert np.array_equal(ama.ma1.values, ama2.ma1.values)
-        assert np.array_equal(ama.ma2.values, ama2.ma2.values)
-        assert (ama.gamma1, ama.gamma2, ama.i_best, ama.n) == \
-               (ama2.gamma1, ama2.gamma2, ama2.i_best, ama2.n)
+        assert np.array_equal(ama.ma[0].values, ama2.ma[0].values)
+        assert np.array_equal(ama.ma[1].values, ama2.ma[1].values)
+        assert (ama.gammas, ama.i_best, ama.n) == (ama2.gammas, ama2.i_best, ama2.n)
 
     def test_adam_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)

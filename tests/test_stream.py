@@ -6,8 +6,13 @@ import pytest
 from oclopt.datapool import DataPool
 from oclopt.stream import (DriftingQuadraticSpec, Environment, HorizonError,
                            PiecewiseTaskSpec, ProtocolError, RotatingGaussianSpec,
-                           StreamSpec, eval_batch, next_batch, rotation_matrix,
-                           run_protocol_step)
+                           StreamSpec, eval_batch, next_batch, run_protocol_step)
+
+
+def rotation_matrix(angle: float) -> np.ndarray:
+    """2-D rotation matrix, an independent oracle for the rotating stream."""
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array([[c, -s], [s, c]])
 
 
 def quad_spec(v=(0.0, 0.0), noise=0.0, horizon=50, seed=7, batch=4):
