@@ -73,6 +73,8 @@ class DataPool:
         self._ys: Optional[np.ndarray] = None
         self._arrival: Optional[np.ndarray] = None
         self._rid: Optional[np.ndarray] = None
+        self._ckpt_buf: Optional[tuple] = None   # reused by checkpoint()
+        self._ckpt_id = 0
         self._reservoir_rng = substream(seed, rngmod.RESERVOIR)
         self._replay_rng = substream(seed, rngmod.REPLAY)
 
@@ -143,19 +145,40 @@ class DataPool:
     # -- checkpoint / restore (atomic protocol steps) -------------------------
 
     def checkpoint(self) -> dict:
+        """Snapshot for ``restore``; only the latest checkpoint can be restored.
+
+        The stored items are copied into buffers the pool keeps for its whole
+        life, sized like its storage. A fresh copy every protocol step would
+        page-fault whenever the allocator has returned the last one to the
+        system, which it does or not depending on the heap layout.
+        """
+        arrays = None
+        if self._xs is not None:
+            live = (self._xs, self._ys, self._arrival, self._rid)
+            if self._ckpt_buf is None or len(self._ckpt_buf[0]) != len(self._xs):
+                self._ckpt_buf = tuple(np.empty_like(a) for a in live)
+            arrays = []
+            for buf, a in zip(self._ckpt_buf, live):
+                np.copyto(buf[: self.size], a[: self.size])
+                arrays.append(buf[: self.size])
+        self._ckpt_id += 1
+        xs, ys, arrival, rid = arrays or (None,) * 4
         return {
+            "id": self._ckpt_id,
             "size": self.size,
             "seen": self.seen_count,
             "last_step": self.last_step,
-            "xs": None if self._xs is None else self._xs[: self.size].copy(),
-            "ys": None if self._ys is None else self._ys[: self.size].copy(),
-            "arrival": None if self._arrival is None else self._arrival[: self.size].copy(),
-            "rid": None if self._rid is None else self._rid[: self.size].copy(),
+            "xs": xs,
+            "ys": ys,
+            "arrival": arrival,
+            "rid": rid,
             "reservoir_state": _copy_rng_state(self._reservoir_rng.bit_generator.state),
             "replay_state": _copy_rng_state(self._replay_rng.bit_generator.state),
         }
 
     def restore(self, ckpt: dict):
+        if ckpt["id"] != self._ckpt_id:
+            raise ValueError("only the latest checkpoint of a pool can be restored")
         self.size = ckpt["size"]
         self.seen_count = ckpt["seen"]
         self.last_step = ckpt["last_step"]

@@ -201,6 +201,38 @@ class TestMixedReplay:
         assert seen == {1, 2, 3}
 
 
+class TestCheckpoint:
+    @staticmethod
+    def state(pool):
+        return (pool.size, pool.seen_count, pool.last_step, pool.record_ids(),
+                pool.arrivals(), pool._xs[: pool.size].copy(),
+                pool._reservoir_rng.bit_generator.state)
+
+    @pytest.mark.parametrize("capacity", [None, 25])
+    def test_restore_undoes_growth_and_eviction(self, capacity):
+        # an unlimited pool outgrows its storage, a capped one evicts
+        pool = DataPool(capacity=capacity, seed=3)
+        for t in range(1, 4):
+            update(pool, None, make_batch(t))
+        for t in range(4, 7):
+            pool.checkpoint()
+            update(pool, None, make_batch(t))
+        before = self.state(pool)
+        ckpt = pool.checkpoint()
+        for t in range(7, 20):
+            update(pool, None, make_batch(t))
+        pool.restore(ckpt)
+        np.testing.assert_equal(self.state(pool), before)
+
+    def test_only_latest_checkpoint_restores(self):
+        pool = DataPool(seed=0)
+        update(pool, None, make_batch(1))
+        older = pool.checkpoint()
+        pool.checkpoint()
+        with pytest.raises(ValueError, match="latest checkpoint"):
+            pool.restore(older)
+
+
 class TestPersistence:
     def test_round_trip(self, tmp_path):
         pool = DataPool(seed=0)
