@@ -147,46 +147,30 @@ class DataPool:
     def checkpoint(self) -> dict:
         """Snapshot for ``restore``; only the latest checkpoint can be restored.
 
-        The stored items are copied into buffers the pool keeps for its whole
-        life, sized like its storage. A fresh copy every protocol step would
-        page-fault whenever the allocator has returned the last one to the
-        system, which it does or not depending on the heap layout.
+        The items are copied into buffers the pool keeps and reuses: a fresh
+        copy each step page-faults or not depending on the heap layout.
         """
-        arrays = None
+        items = None
         if self._xs is not None:
             live = (self._xs, self._ys, self._arrival, self._rid)
             if self._ckpt_buf is None or len(self._ckpt_buf[0]) != len(self._xs):
                 self._ckpt_buf = tuple(np.empty_like(a) for a in live)
-            arrays = []
-            for buf, a in zip(self._ckpt_buf, live):
-                np.copyto(buf[: self.size], a[: self.size])
-                arrays.append(buf[: self.size])
+            items = tuple(buf[: self.size] for buf in self._ckpt_buf)
+            for copy, a in zip(items, live):
+                copy[:] = a[: self.size]
         self._ckpt_id += 1
-        xs, ys, arrival, rid = arrays or (None,) * 4
-        return {
-            "id": self._ckpt_id,
-            "size": self.size,
-            "seen": self.seen_count,
-            "last_step": self.last_step,
-            "xs": xs,
-            "ys": ys,
-            "arrival": arrival,
-            "rid": rid,
-            "reservoir_state": _copy_rng_state(self._reservoir_rng.bit_generator.state),
-            "replay_state": _copy_rng_state(self._replay_rng.bit_generator.state),
-        }
+        return {"id": self._ckpt_id, "size": self.size, "seen": self.seen_count,
+                "last_step": self.last_step, "items": items,
+                "reservoir_state": _copy_rng_state(self._reservoir_rng.bit_generator.state),
+                "replay_state": _copy_rng_state(self._replay_rng.bit_generator.state)}
 
     def restore(self, ckpt: dict):
         if ckpt["id"] != self._ckpt_id:
             raise ValueError("only the latest checkpoint of a pool can be restored")
-        self.size = ckpt["size"]
-        self.seen_count = ckpt["seen"]
-        self.last_step = ckpt["last_step"]
-        if ckpt["xs"] is not None and self._xs is not None:
-            self._xs[: self.size] = ckpt["xs"]
-            self._ys[: self.size] = ckpt["ys"]
-            self._arrival[: self.size] = ckpt["arrival"]
-            self._rid[: self.size] = ckpt["rid"]
+        self.size, self.seen_count, self.last_step = ckpt["size"], ckpt["seen"], ckpt["last_step"]
+        if ckpt["items"] is not None:
+            for a, copy in zip((self._xs, self._ys, self._arrival, self._rid), ckpt["items"]):
+                a[: self.size] = copy
         self._reservoir_rng.bit_generator.state = _copy_rng_state(ckpt["reservoir_state"])
         self._replay_rng.bit_generator.state = _copy_rng_state(ckpt["replay_state"])
 
