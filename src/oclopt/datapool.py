@@ -27,16 +27,6 @@ class EmptyPoolError(RuntimeError):
     """Sampling from a pool with no stored items."""
 
 
-def _copy_rng_state(state):
-    # cheap recursive copy of a bit-generator state dict (hot path: one
-    # checkpoint per protocol step)
-    if isinstance(state, dict):
-        return {k: _copy_rng_state(v) for k, v in state.items()}
-    if isinstance(state, np.ndarray):
-        return state.copy()
-    return state
-
-
 @dataclass(frozen=True)
 class Minibatch:
     """A sampled training minibatch (inputs + labels, no step identity)."""
@@ -73,7 +63,7 @@ class DataPool:
         self._ys: Optional[np.ndarray] = None
         self._arrival: Optional[np.ndarray] = None
         self._rid: Optional[np.ndarray] = None
-        self._ckpt_buf: Optional[tuple] = None   # reused by checkpoint()
+        self._undo: Optional[list] = None   # rows overwritten since checkpoint()
         self._ckpt_id = 0
         self._reservoir_rng = substream(seed, rngmod.RESERVOIR)
         self._replay_rng = substream(seed, rngmod.REPLAY)
@@ -101,29 +91,26 @@ class DataPool:
     def offer(self, xs: np.ndarray, ys: np.ndarray, t: int, rids: np.ndarray):
         """Offer a block of items; reservoir-evict past capacity."""
         n = len(xs)
-        if n == 0:
-            self.last_step = max(self.last_step, t)
-            return
         self._ensure_storage(xs, ys, n)
         cap = self.capacity if self.capacity is not None else self.seen_count + n
         fill = min(max(cap - self.seen_count, 0), n)
-        for i in range(fill):
-            self._xs[self.size] = xs[i]
-            self._ys[self.size] = ys[i]
-            self._arrival[self.size] = t
-            self._rid[self.size] = rids[i]
-            self.size += 1
+        new = slice(self.size, self.size + fill)
+        self._xs[new], self._ys[new] = xs[:fill], ys[:fill]
+        self._arrival[new], self._rid[new] = t, rids[:fill]
+        self.size += fill
         if fill < n:
             # Algorithm R: item with 0-based global index i survives at slot
-            # j ~ Uniform{0..i} iff j < capacity.
+            # j ~ Uniform{0..i} iff j < capacity. Slots are written one by one
+            # in arrival order: a slot drawn twice keeps the later item.
             idx = self.seen_count + np.arange(fill, n)
             slots = self._reservoir_rng.integers(0, idx + 1)
-            for i, j in zip(range(fill, n), slots):
-                if j < cap:
-                    self._xs[j] = xs[i]
-                    self._ys[j] = ys[i]
-                    self._arrival[j] = t
-                    self._rid[j] = rids[i]
+            for i in np.flatnonzero(slots < cap):
+                j = slots[i]
+                if self._undo is not None:
+                    self._undo.append((j, self._xs[j].copy(), self._ys[j].copy(),
+                                       self._arrival[j], self._rid[j]))
+                self._xs[j], self._ys[j] = xs[fill + i], ys[fill + i]
+                self._arrival[j], self._rid[j] = t, rids[fill + i]
         self.seen_count += n
         self.last_step = max(self.last_step, t)
 
@@ -145,34 +132,31 @@ class DataPool:
     # -- checkpoint / restore (atomic protocol steps) -------------------------
 
     def checkpoint(self) -> dict:
-        """Snapshot for ``restore``; only the latest checkpoint can be restored.
+        """Mark the state ``restore`` returns to and open an undo log.
 
-        The items are copied into buffers the pool keeps and reuses: a fresh
-        copy each step page-faults or not depending on the heap layout.
+        The checkpoint holds the counters and generator states, not items:
+        until the next checkpoint, ``offer`` logs the old row of each slot
+        reservoir eviction overwrites, and items appended past ``size`` need
+        no entry. Only the latest checkpoint of a pool can be restored.
         """
-        items = None
-        if self._xs is not None:
-            live = (self._xs, self._ys, self._arrival, self._rid)
-            if self._ckpt_buf is None or len(self._ckpt_buf[0]) != len(self._xs):
-                self._ckpt_buf = tuple(np.empty_like(a) for a in live)
-            items = tuple(buf[: self.size] for buf in self._ckpt_buf)
-            for copy, a in zip(items, live):
-                copy[:] = a[: self.size]
         self._ckpt_id += 1
+        self._undo = []
         return {"id": self._ckpt_id, "size": self.size, "seen": self.seen_count,
-                "last_step": self.last_step, "items": items,
-                "reservoir_state": _copy_rng_state(self._reservoir_rng.bit_generator.state),
-                "replay_state": _copy_rng_state(self._replay_rng.bit_generator.state)}
+                "last_step": self.last_step,
+                "reservoir_state": self._reservoir_rng.bit_generator.state,
+                "replay_state": self._replay_rng.bit_generator.state}
 
     def restore(self, ckpt: dict):
+        """Write the logged rows back newest first, then reset counters and
+        generators; costs O(slots overwritten), not O(pool). Idempotent."""
         if ckpt["id"] != self._ckpt_id:
             raise ValueError("only the latest checkpoint of a pool can be restored")
+        for j, x, y, arrival, rid in reversed(self._undo):
+            self._xs[j], self._ys[j], self._arrival[j], self._rid[j] = x, y, arrival, rid
+        self._undo.clear()
         self.size, self.seen_count, self.last_step = ckpt["size"], ckpt["seen"], ckpt["last_step"]
-        if ckpt["items"] is not None:
-            for a, copy in zip((self._xs, self._ys, self._arrival, self._rid), ckpt["items"]):
-                a[: self.size] = copy
-        self._reservoir_rng.bit_generator.state = _copy_rng_state(ckpt["reservoir_state"])
-        self._replay_rng.bit_generator.state = _copy_rng_state(ckpt["replay_state"])
+        self._reservoir_rng.bit_generator.state = ckpt["reservoir_state"]
+        self._replay_rng.bit_generator.state = ckpt["replay_state"]
 
 
 def update(pool: DataPool, holdout: Optional[DataPool], batch: StreamBatch):

@@ -166,6 +166,17 @@ class ExperimentConfig:
             errors.append("trace schedule requires lr_trace")
         if self.optimizer.base not in ("sgd", "adam"):
             errors.append(f"unknown base optimizer {self.optimizer.base!r}")
+        o, s, r = self.optimizer, self.stream, self.replay
+        for ok, message in (
+                (o.delta > 0, "optimizer.delta must be > 0"),
+                (0 <= o.gamma0 <= 1, "optimizer.gamma0 must be in [0, 1]"),
+                (min(o.k_m, o.k_v, o.k_w) >= 1, "optimizer.k_m, k_v and k_w must be >= 1"),
+                (self.eval_every >= 1, "eval_every must be >= 1"),
+                (min(s.horizon, s.batch_size) >= 1, "stream.horizon and batch_size must be >= 1"),
+                (r.capacity is None or r.capacity >= 1, "replay.capacity must be >= 1 or null"),
+                (0 <= r.holdout_fraction < 1, "replay.holdout_fraction must be in [0, 1)")):
+            if not ok:
+                errors.append(message)
         if self.model.kind == "quadratic-probe" and self.stream.kind != "drifting-quadratic":
             errors.append("quadratic-probe model requires the drifting-quadratic stream")
         if self.stream.kind == "drifting-quadratic" and self.model.kind != "quadratic-probe":

@@ -3,10 +3,14 @@ and pool persistence."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from oclopt import rng as rngmod
 from oclopt.datapool import (DataPool, EmptyPoolError, load_pool, sample_mixed_replay,
                              sample_pure_replay, save_pool, update)
+from oclopt.rng import substream
 from oclopt.stream import StreamBatch
 
 
@@ -16,10 +20,14 @@ def offer_items(pool, n, t=1, d=2, start_rid=0):
     pool.offer(xs, ys, t, start_rid + np.arange(n, dtype=np.int64))
 
 
-def make_batch(t, n=10, d=2, seed=0):
+def make_items(t, n=10, d=2, seed=0):
     rng = np.random.default_rng(seed + t)
-    return StreamBatch(t=t, inputs=rng.standard_normal((n, d)),
-                       labels=rng.integers(0, 3, n))
+    return rng.standard_normal((n, d)), rng.integers(0, 3, n)
+
+
+def make_batch(t, n=10, d=2, seed=0):
+    inputs, labels = make_items(t, n, d, seed)
+    return StreamBatch(t=t, inputs=inputs, labels=labels)
 
 
 class TestReservoir:
@@ -201,26 +209,98 @@ class TestMixedReplay:
         assert seen == {1, 2, 3}
 
 
+class ReferencePool:
+    """Per-item Algorithm R, one array write per item: the oracle for offer."""
+
+    def __init__(self, capacity, seed, room, d=2):
+        self.capacity, self.size, self.seen_count = capacity, 0, 0
+        self.xs = np.empty((room, d))
+        self.ys = np.empty(room, dtype=np.int64)
+        self.arrival = np.empty(room, dtype=np.int64)
+        self.rid = np.empty(room, dtype=np.int64)
+        self.reservoir_rng = substream(seed, rngmod.RESERVOIR)
+        self.replay_rng = substream(seed, rngmod.REPLAY)
+
+    def offer(self, xs, ys, t, rids):
+        n = len(xs)
+        if n == 0:
+            return
+        cap = self.capacity if self.capacity is not None else self.seen_count + n
+        fill = min(max(cap - self.seen_count, 0), n)
+        for i in range(fill):
+            self.xs[self.size] = xs[i]
+            self.ys[self.size] = ys[i]
+            self.arrival[self.size] = t
+            self.rid[self.size] = rids[i]
+            self.size += 1
+        if fill < n:
+            idx = self.seen_count + np.arange(fill, n)
+            slots = self.reservoir_rng.integers(0, idx + 1)
+            for i, j in zip(range(fill, n), slots):
+                if j < cap:
+                    self.xs[j] = xs[i]
+                    self.ys[j] = ys[i]
+                    self.arrival[j] = t
+                    self.rid[j] = rids[i]
+        self.seen_count += n
+
+
 class TestCheckpoint:
     @staticmethod
     def state(pool):
-        return (pool.size, pool.seen_count, pool.last_step, pool.record_ids(),
-                pool.arrivals(), pool._xs[: pool.size].copy(),
-                pool._reservoir_rng.bit_generator.state)
+        stored = () if pool.size == 0 else tuple(
+            a[: pool.size].tobytes() for a in (pool._xs, pool._ys, pool._arrival, pool._rid))
+        return (pool.size, pool.seen_count, pool.last_step, stored,
+                pool._reservoir_rng.bit_generator.state, pool._replay_rng.bit_generator.state)
 
-    @pytest.mark.parametrize("capacity", [None, 25])
-    def test_restore_undoes_growth_and_eviction(self, capacity):
-        # an unlimited pool outgrows its storage, a capped one evicts
-        pool = DataPool(capacity=capacity, seed=3)
-        for t in range(1, 4):
-            update(pool, None, make_batch(t))
-        for t in range(4, 7):
-            pool.checkpoint()
-            update(pool, None, make_batch(t))
+    @staticmethod
+    def assert_matches_reference(pool, ref):
+        assert (pool.size, pool.seen_count) == (ref.size, ref.seen_count)
+        if pool.size:
+            for a, b in ((pool._xs, ref.xs), (pool._ys, ref.ys),
+                         (pool._arrival, ref.arrival), (pool._rid, ref.rid)):
+                assert a.dtype == b.dtype
+                assert a[: pool.size].tobytes() == b[: ref.size].tobytes()
+        np.testing.assert_equal(pool._reservoir_rng.bit_generator.state,
+                                ref.reservoir_rng.bit_generator.state)
+        np.testing.assert_equal(pool._replay_rng.bit_generator.state,
+                                ref.replay_rng.bit_generator.state)
+
+    # An unlimited pool outgrows its storage, a capped one evicts. Offers of
+    # the first half of the steps before the checkpoint run with no undo log,
+    # the rest each open one; replay draws after the checkpoint move the
+    # replay generator, which restore must reset too.
+    @settings(max_examples=150, deadline=None)
+    @given(capacity=st.none() | st.integers(1, 50), seed=st.integers(0, 2**16),
+           sizes=st.lists(st.integers(0, 40), max_size=20),
+           n_undone=st.integers(0, 20))
+    @example(capacity=None, seed=3, sizes=[10] * 19, n_undone=13)
+    @example(capacity=25, seed=3, sizes=[10] * 19, n_undone=13)
+    def test_offer_matches_reference_and_restore_undoes_it(self, capacity, seed, sizes,
+                                                           n_undone):
+        pool = DataPool(capacity=capacity, seed=seed)
+        ref = ReferencePool(capacity, seed, room=max(sum(sizes), 1))
+        split = max(len(sizes) - n_undone, 0)
+
+        def offer(t, n):
+            xs, ys = make_items(t, n=n)
+            rids = pool.seen_count + np.arange(n, dtype=np.int64)
+            pool.offer(xs, ys, t, rids)
+            ref.offer(xs, ys, t, rids)
+            self.assert_matches_reference(pool, ref)
+
+        for t, n in enumerate(sizes[:split], start=1):
+            if t > split // 2:
+                pool.checkpoint()
+            offer(t, n)
         before = self.state(pool)
         ckpt = pool.checkpoint()
-        for t in range(7, 20):
-            update(pool, None, make_batch(t))
+        for t, n in enumerate(sizes[split:], start=split + 1):
+            offer(t, n)
+            pool._replay_rng.random()
+            ref.replay_rng.random()
+        pool.restore(ckpt)
+        np.testing.assert_equal(self.state(pool), before)
         pool.restore(ckpt)
         np.testing.assert_equal(self.state(pool), before)
 

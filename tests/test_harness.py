@@ -208,6 +208,17 @@ class TestCli:
         bad.write_text("stream: {kind: nope}\n")
         assert cli_main(["run", str(bad)]) == 2
 
+    @pytest.mark.parametrize("override", [
+        "optimizer.delta=0", "optimizer.gamma0=1.5", "optimizer.k_m=0", "optimizer.k_v=0",
+        "optimizer.k_w=0", "eval_every=0", "stream.horizon=0", "stream.batch_size=0",
+        "replay.capacity=0", "replay.holdout_fraction=1.0"])
+    def test_out_of_range_value_is_a_config_error(self, override, tmp_path, monkeypatch,
+                                                  capsys):
+        monkeypatch.chdir(tmp_path)   # a run that got past validation writes runs/ here
+        code = cli_main(["preset", "main-comparison", "--override", override, "--run"])
+        assert code == 2
+        assert "config error: " in capsys.readouterr().err
+
     def test_override_parsing(self, tmp_path, capsys):
         code = cli_main(["preset", "main-comparison", "--override",
                          "stream.horizon=5"])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oclopt.datapool import DataPool
+from oclopt.datapool import DataPool, sample_pure_replay
 from oclopt.stream import (DriftingQuadraticSpec, Environment, HorizonError,
                            PiecewiseTaskSpec, ProtocolError, RotatingGaussianSpec,
                            StreamSpec, eval_batch, next_batch, run_protocol_step)
@@ -129,25 +129,35 @@ class TestDriftConstants:
 
 
 class _RecordingLearner:
-    """Minimal learner: predicts zeros, optionally raises during update."""
+    """Minimal learner: predicts zeros; its update draws a replay minibatch
+    from ``pool`` if given, then raises at step ``fail_at``."""
 
-    def __init__(self, fail_at=None):
+    def __init__(self, fail_at=None, pool=None):
         self.fail_at = fail_at
+        self.pool = pool
         self.updates = []
 
     def predict(self, inputs):
         return np.zeros(len(inputs), dtype=np.int64)
 
     def update(self, t, batch):
+        if self.pool is not None:
+            sample_pure_replay(self.pool, 4)
         if self.fail_at == t:
             raise RuntimeError("boom")
         self.updates.append(t)
 
 
+def pool_state(pool):
+    stored = pool.items() + (pool.record_ids(),) if pool.size else ()
+    return (pool.size, pool.seen_count, pool.last_step, [a.tobytes() for a in stored],
+            pool._reservoir_rng.bit_generator.state, pool._replay_rng.bit_generator.state)
+
+
 class TestProtocol:
-    def make_env(self, holdout_fraction=0.05, seed=5):
+    def make_env(self, holdout_fraction=0.05, seed=5, capacity=None):
         spec = rotating_spec(seed=seed)
-        pool = DataPool(seed=seed)
+        pool = DataPool(capacity=capacity, seed=seed)
         holdout = DataPool(seed=seed, holdout_fraction=holdout_fraction)
         return Environment(spec=spec, pool=pool, holdout=holdout)
 
@@ -173,20 +183,25 @@ class TestProtocol:
         again = learner.predict(batch.inputs)
         assert np.array_equal(preds, again)
 
-    def test_failed_update_rolls_back_pools(self):
-        env = self.make_env()
-        ok = _RecordingLearner()
-        run_protocol_step(env, ok, 1)
-        size_before = (env.pool.size, env.holdout.size)
-        seen_before = (env.pool.seen_count, env.holdout.seen_count)
+    # each step routes 7 items to the training pool and 1 to the holdout, so
+    # with capacity 8 the failed step overwrites slots of step 1's items
+    @pytest.mark.parametrize("capacity", [None, 8], ids=["unlimited", "capped"])
+    def test_failed_update_rolls_back_pools(self, capacity):
+        env, clean = (self.make_env(holdout_fraction=0.2, capacity=capacity)
+                      for _ in range(2))
+        run_protocol_step(env, _RecordingLearner(pool=env.pool), 1)
+        run_protocol_step(clean, _RecordingLearner(pool=clean.pool), 1)
         with pytest.raises(RuntimeError):
-            run_protocol_step(env, _RecordingLearner(fail_at=2), 2)
-        assert (env.pool.size, env.holdout.size) == size_before
-        assert (env.pool.seen_count, env.holdout.seen_count) == seen_before
+            run_protocol_step(env, _RecordingLearner(fail_at=2, pool=env.pool), 2)
         assert env.last_step == 1
+        for pool, ref in ((env.pool, clean.pool), (env.holdout, clean.holdout)):
+            np.testing.assert_equal(pool_state(pool), pool_state(ref))
         # the step can be retried cleanly
-        run_protocol_step(env, ok, 2)
+        run_protocol_step(env, _RecordingLearner(pool=env.pool), 2)
+        run_protocol_step(clean, _RecordingLearner(pool=clean.pool), 2)
         assert env.last_step == 2
+        for pool, ref in ((env.pool, clean.pool), (env.holdout, clean.holdout)):
+            np.testing.assert_equal(pool_state(pool), pool_state(ref))
 
     def test_holdout_routing_matches_enumeration(self):
         # oracle: re-enumerate the routing coins from the pinned substream
