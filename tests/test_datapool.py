@@ -3,7 +3,7 @@ and pool persistence."""
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -266,6 +266,22 @@ class TestCheckpoint:
         np.testing.assert_equal(pool._replay_rng.bit_generator.state,
                                 ref.replay_rng.bit_generator.state)
 
+    @pytest.mark.parametrize("capacity", [None, 25])
+    def test_restore_undoes_growth_and_eviction(self, capacity):
+        # an unlimited pool outgrows its storage, a capped one evicts
+        pool = DataPool(capacity=capacity, seed=3)
+        for t in range(1, 4):
+            update(pool, None, make_batch(t))
+        for t in range(4, 7):
+            pool.checkpoint()
+            update(pool, None, make_batch(t))
+        before = self.state(pool)
+        ckpt = pool.checkpoint()
+        for t in range(7, 20):
+            update(pool, None, make_batch(t))
+        pool.restore(ckpt)
+        np.testing.assert_equal(self.state(pool), before)
+
     # An unlimited pool outgrows its storage, a capped one evicts. Offers of
     # the first half of the steps before the checkpoint run with no undo log,
     # the rest each open one; replay draws after the checkpoint move the
@@ -274,8 +290,6 @@ class TestCheckpoint:
     @given(capacity=st.none() | st.integers(1, 50), seed=st.integers(0, 2**16),
            sizes=st.lists(st.integers(0, 40), max_size=20),
            n_undone=st.integers(0, 20))
-    @example(capacity=None, seed=3, sizes=[10] * 19, n_undone=13)
-    @example(capacity=25, seed=3, sizes=[10] * 19, n_undone=13)
     def test_offer_matches_reference_and_restore_undoes_it(self, capacity, seed, sizes,
                                                            n_undone):
         pool = DataPool(capacity=capacity, seed=seed)
