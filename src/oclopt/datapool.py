@@ -89,7 +89,14 @@ class DataPool:
                 setattr(self, name, new)
 
     def offer(self, xs: np.ndarray, ys: np.ndarray, t: int, rids: np.ndarray):
-        """Offer a block of items; reservoir-evict past capacity."""
+        """Offer a block of items; reservoir-evict past capacity.
+
+        Steps must not decrease (an equal step is allowed: the holdout's
+        empty offers reuse it), so a pool that has never dropped or
+        overwritten an item stores its arrivals in non-decreasing order.
+        """
+        if t < self.last_step:
+            raise ValueError(f"step {t} is below last offered step {self.last_step}")
         n = len(xs)
         self._ensure_storage(xs, ys, n)
         cap = self.capacity if self.capacity is not None else self.seen_count + n
@@ -112,7 +119,7 @@ class DataPool:
                 self._xs[j], self._ys[j] = xs[fill + i], ys[fill + i]
                 self._arrival[j], self._rid[j] = t, rids[fill + i]
         self.seen_count += n
-        self.last_step = max(self.last_step, t)
+        self.last_step = t
 
     # -- views --------------------------------------------------------------
 
@@ -181,7 +188,6 @@ def update(pool: DataPool, holdout: Optional[DataPool], batch: StreamBatch):
     if holdout is not None:
         holdout.offer(batch.inputs[to_holdout], batch.labels[to_holdout], batch.t,
                       rids[to_holdout])
-        holdout.last_step = max(holdout.last_step, batch.t)
 
 
 def sample_pure_replay(pool: DataPool, m: int,
@@ -202,24 +208,35 @@ def sample_mixed_replay(pool: DataPool, current: StreamBatch, m: int,
     The history half draws uniformly from stored items with arrival step in
     [t - window, t - 1]; window=None means t-1 (full coverage). If the window
     holds nothing (e.g. t=1), the whole minibatch falls back to current data.
+
+    A pool that has never dropped or overwritten an item (every unlimited
+    pool) keeps its arrivals sorted, so the window is a slot range found by
+    binary search: O(log n). Once a capped pool has evicted, the window is
+    found by a scan of its O(capacity) arrivals.
     """
     if m % 2 != 0:
         raise ValueError("mixed replay needs an even minibatch size")
     t = current.t
     b = (t - 1) if window is None else window
     g = pool._replay_rng if rng is None else rng
-    if pool.size > 0:
+    eligible = None
+    if pool.size == 0:
+        lo = hi = 0
+    elif pool.size == pool.seen_count:
+        lo, hi = pool._arrival[: pool.size].searchsorted((t - b, t))
+    else:
         arr = pool._arrival[: pool.size]
         eligible = np.flatnonzero((arr >= t - b) & (arr <= t - 1))
-    else:
-        eligible = np.array([], dtype=np.int64)
-    if len(eligible) == 0:
+        lo, hi = 0, len(eligible)
+    if hi <= lo:
         idx_cur = g.integers(0, current.n, size=m)
         return Minibatch(inputs=current.inputs[idx_cur].copy(),
                          labels=current.labels[idx_cur].copy())
     half = m // 2
     idx_cur = g.integers(0, current.n, size=half)
-    idx_hist = eligible[g.integers(0, len(eligible), size=half)]
+    idx_hist = lo + g.integers(0, hi - lo, size=half)
+    if eligible is not None:
+        idx_hist = eligible[idx_hist]
     inputs = np.concatenate([current.inputs[idx_cur], pool._xs[idx_hist]])
     labels = np.concatenate([current.labels[idx_cur], pool._ys[idx_hist]])
     return Minibatch(inputs=inputs, labels=labels)

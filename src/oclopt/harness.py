@@ -166,15 +166,33 @@ class ExperimentConfig:
             errors.append("trace schedule requires lr_trace")
         if self.optimizer.base not in ("sgd", "adam"):
             errors.append(f"unknown base optimizer {self.optimizer.base!r}")
-        o, s, r = self.optimizer, self.stream, self.replay
+        o, s, r, sch, mod = (self.optimizer, self.stream, self.replay, self.schedule,
+                             self.model)
+        # the stream, model and schedule constructors check these too, but a
+        # ValueError from them would surface as a traceback, not a config error
+        rate_driven = sch.kind in ("rwp", "malr")
+        classification = s.kind != "drifting-quadratic"
+        piecewise = s.kind == "piecewise-task"
         for ok, message in (
+                (len(self.seeds) >= 1, "seeds must list at least one seed"),
                 (o.delta > 0, "optimizer.delta must be > 0"),
                 (0 <= o.gamma0 <= 1, "optimizer.gamma0 must be in [0, 1]"),
                 (min(o.k_m, o.k_v, o.k_w) >= 1, "optimizer.k_m, k_v and k_w must be >= 1"),
                 (self.eval_every >= 1, "eval_every must be >= 1"),
                 (min(s.horizon, s.batch_size) >= 1, "stream.horizon and batch_size must be >= 1"),
                 (r.capacity is None or r.capacity >= 1, "replay.capacity must be >= 1 or null"),
-                (0 <= r.holdout_fraction < 1, "replay.holdout_fraction must be in [0, 1)")):
+                (0 <= r.holdout_fraction < 1, "replay.holdout_fraction must be in [0, 1)"),
+                (s.d_in >= (2 if s.kind == "rotating-gaussian" else 1),
+                 "stream.d_in must be >= 1 (>= 2 for rotating-gaussian)"),
+                (not classification or s.n_classes >= 2, "stream.n_classes must be >= 2"),
+                (not piecewise or 1 <= s.classes_per_task <= s.n_classes,
+                 "stream.classes_per_task must be in [1, n_classes]"),
+                (not piecewise or s.task_length >= 1, "stream.task_length must be >= 1"),
+                (not rate_driven or sch.alpha0 > 0, "schedule.alpha0 must be > 0"),
+                (not rate_driven or 0 < sch.beta_lr < 1, "schedule.beta_lr must be in (0, 1)"),
+                (not rate_driven or sch.k_r >= 1, "schedule.k_r must be >= 1"),
+                (mod.kind != "mlp-1-hidden" or mod.hidden >= 1, "model.hidden must be >= 1"),
+                (mod.weight_decay >= 0, "model.weight_decay must be >= 0")):
             if not ok:
                 errors.append(message)
         if self.model.kind == "quadratic-probe" and self.stream.kind != "drifting-quadratic":

@@ -18,6 +18,7 @@ Batch generation is pure and random-access: batch t depends only on
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -179,8 +180,16 @@ class PiecewiseTaskSpec:
         return (base + np.arange(self.classes_per_task)) % self.n_classes
 
     def class_means(self, seed: int, d_in: int) -> np.ndarray:
-        g = substream(seed, rngmod.MEANS)
-        return self.mean_scale * g.standard_normal((self.n_classes, d_in))
+        """The (n_classes, d_in) mean table; cached and read-only."""
+        return _class_means(self, seed, d_in)
+
+
+@lru_cache(maxsize=256)
+def _class_means(spec: PiecewiseTaskSpec, seed: int, d_in: int) -> np.ndarray:
+    g = substream(seed, rngmod.MEANS)
+    means = spec.mean_scale * g.standard_normal((spec.n_classes, d_in))
+    means.setflags(write=False)
+    return means
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 """Reservoir behavior, replay sampling distributions, holdout disjointness,
 and pool persistence."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -105,6 +107,14 @@ class TestHoldoutRouting:
         with pytest.raises(ValueError):
             update(pool, None, make_batch(5))
 
+    def test_offer_rejects_a_step_below_the_last(self):
+        pool = DataPool(seed=0)
+        offer_items(pool, 3, t=4)
+        offer_items(pool, 2, t=4, start_rid=3)   # equal steps are allowed
+        with pytest.raises(ValueError, match="below last offered step"):
+            offer_items(pool, 1, t=3, start_rid=5)
+        assert (pool.seen_count, pool.last_step) == (5, 4)
+
 
 class TestPureReplay:
     def test_singleton_pool_repeats(self):
@@ -207,6 +217,65 @@ class TestMixedReplay:
             mb = sample_mixed_replay(pool, current, 6)
             seen |= set(np.unique(mb.labels[mb.labels != 4]))
         assert seen == {1, 2, 3}
+
+
+def scan_mixed_replay(pool, current, m, window, g):
+    """The mixed draw with the eligible history found by a scan of every
+    stored arrival: the oracle for sample_mixed_replay."""
+    t = current.t
+    b = (t - 1) if window is None else window
+    if pool.size > 0:
+        arr = pool._arrival[: pool.size]
+        eligible = np.flatnonzero((arr >= t - b) & (arr <= t - 1))
+    else:
+        eligible = np.array([], dtype=np.int64)
+    if len(eligible) == 0:
+        idx_cur = g.integers(0, current.n, size=m)
+        return current.inputs[idx_cur], current.labels[idx_cur]
+    half = m // 2
+    idx_cur = g.integers(0, current.n, size=half)
+    idx_hist = eligible[g.integers(0, len(eligible), size=half)]
+    return (np.concatenate([current.inputs[idx_cur], pool._xs[idx_hist]]),
+            np.concatenate([current.labels[idx_cur], pool._ys[idx_hist]]))
+
+
+class TestMixedReplayMatchesScan:
+    # Offers at non-decreasing steps (gap 0 repeats a step) into unlimited
+    # pools, whose arrivals stay sorted, and capped ones, which may evict; a
+    # draw after every offer, then a rollback of the last offers and a draw.
+    @settings(max_examples=150, deadline=None)
+    @given(capacity=st.none() | st.integers(1, 50), seed=st.integers(0, 2**16),
+           offers=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 20)), max_size=15),
+           n_undone=st.integers(0, 15), data=st.data())
+    def test_draws_equal_the_scan(self, capacity, seed, offers, n_undone, data):
+        pool = DataPool(capacity=capacity, seed=seed)
+
+        def draw():
+            t = pool.last_step + data.draw(st.integers(0, 2), label="ahead")
+            current = make_batch(t, n=data.draw(st.integers(1, 5), label="n_current"),
+                                 seed=seed)
+            window = data.draw(st.none() | st.integers(0, t + 3), label="window")
+            m = data.draw(st.sampled_from([2, 4, 8]), label="m")
+            g = copy.deepcopy(pool._replay_rng)
+            mb = sample_mixed_replay(pool, current, m, window=window)
+            xs, ys = scan_mixed_replay(pool, current, m, window, g)
+            assert mb.inputs.tobytes() == xs.tobytes()
+            assert mb.labels.tobytes() == ys.tobytes()
+            np.testing.assert_equal(pool._replay_rng.bit_generator.state,
+                                    g.bit_generator.state)
+
+        split = max(len(offers) - n_undone, 0)
+        t = 0
+        for i, (gap, n) in enumerate(offers):
+            if i == split:
+                ckpt = pool.checkpoint()
+            t += gap
+            xs, ys = make_items(t, n=n, seed=seed)
+            pool.offer(xs, ys, t, pool.seen_count + np.arange(n, dtype=np.int64))
+            draw()
+        if split < len(offers):
+            pool.restore(ckpt)
+            draw()
 
 
 class ReferencePool:

@@ -208,16 +208,33 @@ class TestCli:
         bad.write_text("stream: {kind: nope}\n")
         assert cli_main(["run", str(bad)]) == 2
 
-    @pytest.mark.parametrize("override", [
-        "optimizer.delta=0", "optimizer.gamma0=1.5", "optimizer.k_m=0", "optimizer.k_v=0",
-        "optimizer.k_w=0", "eval_every=0", "stream.horizon=0", "stream.batch_size=0",
-        "replay.capacity=0", "replay.holdout_fraction=1.0"])
-    def test_out_of_range_value_is_a_config_error(self, override, tmp_path, monkeypatch,
-                                                  capsys):
+    # main-comparison streams rotating Gaussians under malr; the piecewise
+    # keys need a piecewise-task preset. Space separates several overrides.
+    @pytest.mark.parametrize("name,override", [
+        *(pytest.param("main-comparison", o, id=o) for o in (
+            "optimizer.delta=0", "optimizer.gamma0=1.5", "optimizer.k_m=0",
+            "optimizer.k_v=0", "optimizer.k_w=0", "eval_every=0", "stream.horizon=0",
+            "stream.batch_size=0", "replay.capacity=0", "replay.holdout_fraction=1.0",
+            "schedule.k_r=0", "schedule.beta_lr=0", "schedule.alpha0=0",
+            "stream.n_classes=1", "stream.d_in=1", "model.weight_decay=-1")),
+        *(pytest.param("objective-comparison", o, id=o) for o in (
+            "stream.d_in=0", "stream.classes_per_task=0", "stream.classes_per_task=5",
+            "stream.task_length=0", "model.kind=mlp-1-hidden model.hidden=0"))])
+    def test_out_of_range_value_is_a_config_error(self, name, override, tmp_path,
+                                                  monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)   # a run that got past validation writes runs/ here
-        code = cli_main(["preset", "main-comparison", "--override", override, "--run"])
+        args = ["preset", name, "--override", "stream.horizon=30"]
+        for o in override.split():
+            args += ["--override", o]
+        code = cli_main(args + ["--run"])
         assert code == 2
         assert "config error: " in capsys.readouterr().err
+
+    def test_empty_seed_list_is_a_config_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code = cli_main(["preset", "main-comparison", "--override", "seeds=[]", "--run"])
+        assert code == 2
+        assert "at least one seed" in capsys.readouterr().err
 
     def test_override_parsing(self, tmp_path, capsys):
         code = cli_main(["preset", "main-comparison", "--override",

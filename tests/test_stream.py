@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from oclopt import rng as rngmod
 from oclopt.datapool import DataPool, sample_pure_replay
+from oclopt.rng import substream
 from oclopt.stream import (DriftingQuadraticSpec, Environment, HorizonError,
                            PiecewiseTaskSpec, ProtocolError, RotatingGaussianSpec,
                            StreamSpec, eval_batch, next_batch, run_protocol_step)
@@ -86,6 +88,15 @@ class TestNextBatch:
         assert list(pw.active_classes(31)) == [0, 1]  # cycles mod n_classes
         batch = next_batch(spec, 15)
         assert set(np.unique(batch.labels)) <= {2, 3}
+
+    def test_piecewise_class_means_are_one_read_only_draw(self):
+        pw = piecewise_spec(n_classes=6).piecewise
+        means = pw.class_means(11, 3)
+        fresh = pw.mean_scale * substream(11, rngmod.MEANS).standard_normal((6, 3))
+        assert means.tobytes() == fresh.tobytes()
+        assert pw.class_means(11, 3) is means
+        with pytest.raises(ValueError):
+            means[0, 0] = 0.0
 
     def test_quadratic_noise_bounded(self):
         spec = quad_spec(noise=0.4, batch=64)
