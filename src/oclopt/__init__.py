@@ -23,7 +23,7 @@ from .optim import (AdamState, AmaState, CostCounter, SgdState, adam_step,
                     init_sgd, load_optimizer, ma_update, save_optimizer, sgd_step,
                     unfolded_ma_coefficients)
 from .schedule import (ScheduleState, cyclic_lr, init_schedule, malr_update,
-                       rwp_update, sigma)
+                       rwp_update)
 from .stream import (DriftingQuadraticSpec, Environment, HorizonError,
                      PiecewiseTaskSpec, RotatingGaussianSpec, StreamBatch, StreamSpec,
                      eval_batch, next_batch, run_protocol_step)

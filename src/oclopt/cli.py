@@ -37,8 +37,11 @@ def _parse_override(raw: str):
 
 
 def _run_config(config, out_root: Path) -> int:
+    variants = list(expand_variants(config))
+    for _, concrete in variants:   # no variant runs unless every one is valid
+        concrete.validate()
     status = EXIT_OK
-    for label, concrete in expand_variants(config):
+    for label, concrete in variants:
         for seed in concrete.seeds:
             out = out_root / label / f"seed{seed}"
             results = run_with_companions(concrete, seed=seed, out_dir=out)
@@ -58,7 +61,6 @@ def cmd_run(args) -> int:
     config = load_config(args.config)
     if args.override:
         config = apply_overrides(config, dict(_parse_override(o) for o in args.override))
-    config.validate()
     out_root = Path(args.out or config.out_dir or f"runs/{config.name}")
     return _run_config(config, out_root)
 
@@ -76,14 +78,12 @@ def cmd_preset(args) -> int:
         from .harness import config_to_dict
         print(yaml.safe_dump(config_to_dict(config), sort_keys=True), end="")
     if args.run:
-        config.validate()
         return _run_config(config, Path(f"runs/{config.name}"))
     return EXIT_OK
 
 
 def _sweep_one(path: str) -> int:
     config = load_config(path)
-    config.validate()
     out_root = Path(config.out_dir or f"runs/{config.name}")
     return _run_config(config, out_root)
 

@@ -68,9 +68,6 @@ class DataPool:
         self._reservoir_rng = substream(seed, rngmod.RESERVOIR)
         self._replay_rng = substream(seed, rngmod.REPLAY)
 
-    def __len__(self) -> int:
-        return self.size
-
     # -- storage ------------------------------------------------------------
 
     def _ensure_storage(self, xs: np.ndarray, ys: np.ndarray, extra: int):
@@ -132,9 +129,6 @@ class DataPool:
             raise EmptyPoolError("pool is empty")
         return (self._xs[: self.size].copy(), self._ys[: self.size].copy(),
                 self._arrival[: self.size].copy())
-
-    def arrivals(self) -> np.ndarray:
-        return np.array([], dtype=np.int64) if self._arrival is None else self._arrival[: self.size].copy()
 
     # -- checkpoint / restore (atomic protocol steps) -------------------------
 

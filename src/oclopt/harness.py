@@ -142,11 +142,10 @@ class ExperimentConfig:
     theory: Optional[dict] = None
 
     def validate(self):
+        """Check what only the harness knows, then build the first seed's run,
+        so every range check of the constructors it calls reports as a
+        ConfigError."""
         errors = []
-        if self.iters_per_step < 0:
-            errors.append("iters_per_step must be >= 0")
-        if self.replay.batch_size < 1:
-            errors.append("replay batch size must be >= 1")
         if self.replay.mode not in ("pure", "mixed"):
             errors.append(f"unknown replay mode {self.replay.mode!r}")
         if self.replay.mode == "mixed" and self.replay.batch_size % 2 != 0:
@@ -166,41 +165,18 @@ class ExperimentConfig:
             errors.append("trace schedule requires lr_trace")
         if self.optimizer.base not in ("sgd", "adam"):
             errors.append(f"unknown base optimizer {self.optimizer.base!r}")
-        o, s, r, sch, mod = (self.optimizer, self.stream, self.replay, self.schedule,
-                             self.model)
-        # the stream, model and schedule constructors check these too, but a
-        # ValueError from them would surface as a traceback, not a config error
-        rate_driven = sch.kind in ("rwp", "malr")
-        classification = s.kind != "drifting-quadratic"
-        piecewise = s.kind == "piecewise-task"
-        for ok, message in (
-                (len(self.seeds) >= 1, "seeds must list at least one seed"),
-                (o.delta > 0, "optimizer.delta must be > 0"),
-                (0 <= o.gamma0 <= 1, "optimizer.gamma0 must be in [0, 1]"),
-                (min(o.k_m, o.k_v, o.k_w) >= 1, "optimizer.k_m, k_v and k_w must be >= 1"),
-                (self.eval_every >= 1, "eval_every must be >= 1"),
-                (min(s.horizon, s.batch_size) >= 1, "stream.horizon and batch_size must be >= 1"),
-                (r.capacity is None or r.capacity >= 1, "replay.capacity must be >= 1 or null"),
-                (0 <= r.holdout_fraction < 1, "replay.holdout_fraction must be in [0, 1)"),
-                (s.d_in >= (2 if s.kind == "rotating-gaussian" else 1),
-                 "stream.d_in must be >= 1 (>= 2 for rotating-gaussian)"),
-                (not classification or s.n_classes >= 2, "stream.n_classes must be >= 2"),
-                (not piecewise or 1 <= s.classes_per_task <= s.n_classes,
-                 "stream.classes_per_task must be in [1, n_classes]"),
-                (not piecewise or s.task_length >= 1, "stream.task_length must be >= 1"),
-                (not rate_driven or sch.alpha0 > 0, "schedule.alpha0 must be > 0"),
-                (not rate_driven or 0 < sch.beta_lr < 1, "schedule.beta_lr must be in (0, 1)"),
-                (not rate_driven or sch.k_r >= 1, "schedule.k_r must be >= 1"),
-                (mod.kind != "mlp-1-hidden" or mod.hidden >= 1, "model.hidden must be >= 1"),
-                (mod.weight_decay >= 0, "model.weight_decay must be >= 0")):
-            if not ok:
-                errors.append(message)
         if self.model.kind == "quadratic-probe" and self.stream.kind != "drifting-quadratic":
             errors.append("quadratic-probe model requires the drifting-quadratic stream")
         if self.stream.kind == "drifting-quadratic" and self.model.kind != "quadratic-probe":
             errors.append("drifting-quadratic stream requires the quadratic-probe model")
+        if not self.seeds:
+            errors.append("seeds must list at least one seed")
         if errors:
             raise ConfigError("; ".join(errors))
+        try:
+            Run(self, self.seeds[0])
+        except (TypeError, ValueError) as e:
+            raise ConfigError(str(e)) from e
         return self
 
 
@@ -208,21 +184,27 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     return dataclasses.asdict(config)
 
 
+def _build(cls, block: dict, where: str):
+    """cls(**block), rejecting unknown keys and non-integers for int fields."""
+    fields = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = set(block) - set(fields)
+    if unknown:
+        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+    for key, value in block.items():
+        # type() rather than isinstance(): a bool is not an integer here
+        if (fields[key] in ("int", "Optional[int]") and type(value) is not int
+                and not (value is None and fields[key] == "Optional[int]")):
+            raise ConfigError(f"{where} key {key} must be an integer, got {value!r}")
+    return cls(**block)
+
+
 def config_from_dict(d: dict) -> ExperimentConfig:
     d = copymod.deepcopy(d)
-    parts = {}
-    for name, cls in (("stream", StreamConfig), ("model", ModelConfig),
-                      ("optimizer", OptimizerConfig), ("replay", ReplayConfig),
-                      ("schedule", ScheduleConfig)):
-        block = d.pop(name, {})
-        unknown = set(block) - {f.name for f in dataclasses.fields(cls)}
-        if unknown:
-            raise ConfigError(f"unknown keys in {name}: {sorted(unknown)}")
-        parts[name] = cls(**block)
-    unknown = set(d) - {f.name for f in dataclasses.fields(ExperimentConfig)}
-    if unknown:
-        raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
-    return ExperimentConfig(**d, **parts)
+    parts = {name: _build(cls, d.pop(name, {}), name)
+             for name, cls in (("stream", StreamConfig), ("model", ModelConfig),
+                               ("optimizer", OptimizerConfig), ("replay", ReplayConfig),
+                               ("schedule", ScheduleConfig))}
+    return _build(ExperimentConfig, {**d, **parts}, "top-level")
 
 
 def save_config(config: ExperimentConfig, path):
@@ -278,16 +260,12 @@ def build_stream_spec(config: ExperimentConfig, seed: int) -> StreamSpec:
                       rotating=rotating, piecewise=piecewise)
 
 
-def build_model_spec(config: ExperimentConfig) -> ModelSpec:
+def build_model_spec(config: ExperimentConfig, stream_spec: StreamSpec) -> ModelSpec:
     m, s = config.model, config.stream
     if m.kind == "quadratic-probe":
-        quad = DriftingQuadraticSpec(dim=s.d_in, mu=s.mu, l_smooth=s.l_smooth,
-                                     center0=tuple(s.center0),
-                                     velocity=tuple(s.velocity),
-                                     noise_radius=s.noise_radius)
         return ModelSpec(kind="quadratic-probe", loss="quadratic",
                          weight_decay=m.weight_decay, dim=s.d_in,
-                         curvature=tuple(quad.eigenvalues()))
+                         curvature=tuple(stream_spec.quadratic.eigenvalues()))
     return ModelSpec(kind=m.kind, loss=m.loss, weight_decay=m.weight_decay,
                      d_in=s.d_in, n_classes=s.n_classes, hidden=m.hidden)
 
@@ -304,7 +282,6 @@ class RunResult:
     costs: CostCounter
     lr_trace: list             # alpha used at each iteration 1..K
     final_theta: np.ndarray
-    final_inference: np.ndarray
     diverged: bool = False
     ama: Optional[AmaState] = None   # the averager (0, 1 or 2 MA models)
 
@@ -334,7 +311,7 @@ class Run:
         self.config = config
         self.seed = seed
         self.stream_spec = build_stream_spec(config, seed)
-        self.model_spec = build_model_spec(config)
+        self.model_spec = build_model_spec(config, self.stream_spec)
         self.pool = DataPool(capacity=config.replay.capacity, seed=seed)
         self.holdout = DataPool(capacity=None, seed=seed,
                                 holdout_fraction=config.replay.holdout_fraction)
@@ -367,12 +344,26 @@ class Run:
         self.schedule_rows = []
         self.lr_trace = []
         self.val_rng = substream(seed, rngmod.VALIDATION)
-        self.val_batch_size = config.val_batch_size or config.replay.batch_size
-        horizon = config.stream.horizon
+        r, horizon = config.replay, config.stream.horizon
+        self.val_batch_size = (r.batch_size if config.val_batch_size is None
+                               else config.val_batch_size)
         self.ft_k1 = config.ft_k1 if config.ft_k1 is not None else max(1, horizon // 10)
         self.ft_k2 = config.ft_k2 if config.ft_k2 is not None else max(2, horizon // 4)
         self.task_iters = (config.stream.task_length * config.iters_per_step
                            if config.stream.kind == "piecewise-task" else 0)
+        # the values only the harness resolves; every other range check sits
+        # in the constructor that owns the value
+        rates = s.lr_trace if s.kind == "trace" else [s.alpha0]
+        for ok, message in (
+                (config.iters_per_step >= 0, "iters_per_step must be >= 0"),
+                (config.eval_every >= 1, "eval_every must be >= 1"),
+                (r.batch_size >= 1, "replay.batch_size must be >= 1"),
+                (self.val_batch_size >= 1, "val_batch_size must be >= 1 or null"),
+                (self.ft_k2 > self.ft_k1 >= 1, "the forward-transfer window needs "
+                                               "ft_k2 > ft_k1 >= 1"),
+                (min(rates) > 0, "the learning rate must be positive")):
+            if not ok:
+                raise ValueError(message)
 
     def inference_params(self):
         return best_ma(self.averager) if self.averager.ma else self.base.theta
@@ -472,7 +463,6 @@ class Run:
                          schedule_rows=self.schedule_rows, ledger=self.ledger,
                          costs=self.costs, lr_trace=self.lr_trace,
                          final_theta=self.base.theta.values.copy(),
-                         final_inference=self.inference_params().values.copy(),
                          diverged=self.diverged, ama=self.averager)
 
 

@@ -52,7 +52,6 @@ class MetricLedger:
     """Append-only per-step records backing the metric computations."""
 
     step_ahead: dict = field(default_factory=dict)   # j -> perf of theta_j on batch j+1
-    rows: list = field(default_factory=list)
 
     def record_step_ahead(self, j: int, perf: float):
         if j in self.step_ahead:

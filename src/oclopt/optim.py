@@ -176,6 +176,8 @@ class AmaState:
                 raise ValueError("MA weights must lie in [0, 1]")
         if self.delta <= 0.0:
             raise ValueError("delta must be positive")
+        if min(self.k_m, self.k_v, self.k_w) < 1:
+            raise ValueError("k_m, k_v and k_w must be >= 1")
 
     @property
     def n(self) -> int:
@@ -204,6 +206,8 @@ def init_averager(theta0: ParamVector, n_models: int, gamma0: float = 0.99,
                   delta: float = 5.0, k_m: int = 10, k_v: int = 20, k_w: int = 10000,
                   adapt: bool = True) -> AmaState:
     """n_models copies of theta0 with weights gamma0, gamma0 / delta."""
+    if not (0.0 <= gamma0 <= 1.0 and delta > 0.0):
+        raise ValueError("need gamma0 in [0, 1] and delta > 0")
     return AmaState(ma=[theta0.copy() for _ in range(n_models)],
                     gammas=[gamma0 / delta ** i for i in range(n_models)],
                     val=[RunningMean() for _ in range(n_models)], val_sgd=RunningMean(),

@@ -25,11 +25,6 @@ from dataclasses import dataclass
 _NEG_INF = float("-inf")
 
 
-def sigma(val_perf_ma: float, val_perf_sgd: float) -> float:
-    """Gap between MA-model and SGD-model validation performance (higher-is-better)."""
-    return val_perf_ma - val_perf_sgd
-
-
 @dataclass
 class ScheduleState:
     """State shared by the plateau-based controllers.
@@ -53,7 +48,6 @@ class ScheduleState:
     best_sigma: float = _NEG_INF
     last_val_improve_k: int = 0
     last_sigma_increase_k: int = 0
-    last_cut_k: int = 0
     n_cuts: int = 0
     last_conditions: tuple = (False, False, False)
 
@@ -93,7 +87,6 @@ def _cut(state: ScheduleState, val_perf: float, sigma_k: float, k: int):
     state.best_sigma = sigma_k
     state.last_val_improve_k = k
     state.last_sigma_increase_k = k
-    state.last_cut_k = k
     state.n_cuts += 1
 
 

@@ -224,18 +224,6 @@ class StreamSpec:
         if self.kind == "rotating-gaussian" and self.d_in < 2:
             raise ValueError("rotating-gaussian needs d_in >= 2")
 
-    @property
-    def n_classes(self) -> int:
-        if self.kind == "rotating-gaussian":
-            return self.rotating.n_classes
-        if self.kind == "piecewise-task":
-            return self.piecewise.n_classes
-        raise ValueError("regression streams have no classes")
-
-    @property
-    def classification(self) -> bool:
-        return self.kind in ("rotating-gaussian", "piecewise-task")
-
 
 def _generate(spec: StreamSpec, t: int, purpose: int) -> StreamBatch:
     g = substream(spec.seed, purpose, t)

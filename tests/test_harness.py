@@ -1,7 +1,11 @@
 """Experiment runner determinism, config round-trips, presets, and the CLI."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oclopt.cli import main as cli_main
 from oclopt.harness import (ConfigError, PRESET_NAMES, apply_overrides,
@@ -9,6 +13,7 @@ from oclopt.harness import (ConfigError, PRESET_NAMES, apply_overrides,
                             load_config, preset, run_experiment, run_from_manifest,
                             run_with_companions, save_config,
                             verify_bounds_from_config)
+from oclopt.model import DivergenceError
 
 
 def tiny_config(**overrides):
@@ -36,6 +41,17 @@ class TestConfig:
         d["stream"]["bogus"] = 1
         with pytest.raises(ConfigError):
             config_from_dict(d)
+
+    @pytest.mark.parametrize("key,value", [
+        ("stream.horizon", 1.5), ("iters_per_step", 0.5), ("stream.task_length", 1.5),
+        ("replay.capacity", 1.5), ("optimizer.k_w", True), ("iters_per_step", None)])
+    def test_integer_keys_take_integers(self, key, value):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            apply_overrides(tiny_config(), {key: value})
+
+    def test_optional_integer_keys_take_null(self):
+        cfg = apply_overrides(tiny_config(), {"replay.capacity": None, "ft_k1": None})
+        assert cfg.replay.capacity is None and cfg.ft_k1 is None
 
     def test_override_paths_validated(self):
         cfg = tiny_config()
@@ -219,7 +235,13 @@ class TestCli:
             "stream.n_classes=1", "stream.d_in=1", "model.weight_decay=-1")),
         *(pytest.param("objective-comparison", o, id=o) for o in (
             "stream.d_in=0", "stream.classes_per_task=0", "stream.classes_per_task=5",
-            "stream.task_length=0", "model.kind=mlp-1-hidden model.hidden=0"))])
+            "stream.task_length=0", "model.kind=mlp-1-hidden model.hidden=0")),
+        *(pytest.param("theory-verify", o, id=o) for o in (
+            "stream.mu=0", "stream.d_in=3", "stream.noise_radius=-1")),
+        pytest.param("adam-base", "optimizer.beta1=1.0", id="optimizer.beta1=1.0"),
+        *(pytest.param("main-comparison", o, id=o) for o in (
+            "optimizer.delta=0.5", "schedule.kind=constant schedule.alpha0=0",
+            "ft_k1=0", "val_batch_size=-1", "stream.horizon=1.5", "optimizer.delta=x"))])
     def test_out_of_range_value_is_a_config_error(self, name, override, tmp_path,
                                                   monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)   # a run that got past validation writes runs/ here
@@ -229,6 +251,16 @@ class TestCli:
         code = cli_main(args + ["--run"])
         assert code == 2
         assert "config error: " in capsys.readouterr().err
+
+    def test_every_variant_is_validated_before_the_first_run(self, tmp_path, monkeypatch,
+                                                             capsys):
+        # ama-malr is valid on a rotating stream, sgd-cyclic is not
+        monkeypatch.chdir(tmp_path)
+        code = cli_main(["preset", "task-cyclic", "--override", "stream.horizon=30",
+                         "--override", "stream.kind=rotating-gaussian", "--run"])
+        assert code == 2
+        assert "cyclic schedule requires" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     def test_empty_seed_list_is_a_config_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -338,3 +370,41 @@ class TestForwardTransferDefaults:
                    for t in [row[0]]]
         assert recorded == [50, 100, 150, 200]
         assert with_ft == [50, 100, 150]
+
+
+# the probe grid: every variant of seven presets, one numeric scalar key set to
+# one of a few small values, on a 24-step run
+PROBE_VARIANTS = [concrete for name in ("main-comparison", "malr-ablation",
+                                        "objective-comparison", "theory-verify",
+                                        "task-cyclic", "adam-base", "batch-size")
+                  for _, concrete in expand_variants(preset(name))]
+PROBE_KEYS = (
+    [f"stream.{k}" for k in ("d_in", "batch_size", "horizon", "mu", "l_smooth",
+                             "noise_radius", "n_classes", "mean_radius",
+                             "angular_velocity", "noise_std", "classes_per_task",
+                             "task_length", "mean_scale")]
+    + ["model.weight_decay", "model.hidden"]
+    + [f"optimizer.{k}" for k in ("momentum", "beta1", "beta2", "adam_eps", "gamma0",
+                                  "delta", "k_m", "k_v", "k_w")]
+    + [f"replay.{k}" for k in ("batch_size", "window", "capacity", "holdout_fraction")]
+    + [f"schedule.{k}" for k in ("alpha0", "beta_lr", "k_r", "epsilon")]
+    + ["iters_per_step", "eval_every", "ft_k1", "ft_k2", "val_batch_size"])
+
+
+class TestValidationBuildsTheRun:
+    @settings(max_examples=100, deadline=None)
+    @given(config=st.sampled_from(PROBE_VARIANTS), key=st.sampled_from(PROBE_KEYS),
+           value=st.sampled_from((-1, 0, 0.5, 1, 1.5, 2, 3)))
+    def test_a_validated_config_runs_or_diverges(self, config, key, value):
+        try:
+            cfg = apply_overrides(config, {"seeds": [0], "stream.horizon": 24,
+                                           "eval_every": 4, key: value})
+            cfg.validate()
+        except ConfigError:
+            return
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")
+            try:
+                run_experiment(cfg)
+            except DivergenceError:
+                pass

@@ -154,6 +154,18 @@ class TestAmaStep:
         assert np.isclose(state.gammas[1], 0.198)
         assert state.i_best == 1 and state.n == 0
 
+    # checked before gamma0 / delta, and with no MA model to carry gamma0
+    @pytest.mark.parametrize("n_models,kwargs", [(2, {"delta": 0.0}), (0, {"gamma0": 1.5}),
+                                                 (0, {"gamma0": -0.1})])
+    def test_bad_weight_parameters_rejected(self, n_models, kwargs):
+        with pytest.raises(ValueError, match="need gamma0 in"):
+            init_averager(pv(1.0), n_models, **kwargs)
+
+    @pytest.mark.parametrize("interval", ["k_m", "k_v", "k_w"])
+    def test_intervals_below_one_rejected(self, interval):
+        with pytest.raises(ValueError, match="k_m, k_v and k_w"):
+            init_averager(pv(1.0), 2, **{interval: 0})
+
     def test_weight_event_best1_clamps_and_copies(self):
         state = init_ama(pv(1.0), gamma0=0.99, delta=5.0, k_m=10**9, k_v=10**9, k_w=1)
         state.ma = [pv(7.0), pv(3.0)]

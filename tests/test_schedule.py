@@ -5,18 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oclopt.schedule import (cyclic_lr, init_schedule, malr_update, rwp_update,
-                             sigma)
-
-
-class TestSigma:
-    def test_identical_models_give_zero(self):
-        assert sigma(0.4, 0.4) == 0.0
-
-    def test_threshold_arithmetic(self):
-        s = sigma(0.45, 0.41)
-        assert np.isclose(s, 0.04)
-        assert s > 0.03
+from oclopt.schedule import cyclic_lr, init_schedule, malr_update, rwp_update
 
 
 class TestRwp:
