@@ -9,15 +9,15 @@ convergence bounds.
 # the one version string: run manifests and pyproject.toml both read it
 __version__ = "0.1.0"
 
-from .datapool import (DataPool, EmptyPoolError, Minibatch, load_pool,
-                       sample_mixed_replay, sample_pure_replay, save_pool, update)
+from .datapool import (DataPool, EmptyPoolError, Minibatch, sample_mixed_replay,
+                       sample_pure_replay, update)
 from .harness import (ConfigError, ExperimentConfig, Run, apply_overrides,
                       expand_variants, load_config, preset, run_experiment,
                       run_with_companions, save_config, verify_bounds_from_config)
 from .metrics import (MetricLedger, RunningMean, forward_transfer,
                       information_retention)
-from .model import (DivergenceError, ModelSpec, ParamVector, accuracy,
-                    init_params, loss_and_grad, predict, validation_performance)
+from .model import (DivergenceError, ModelSpec, accuracy, init_params,
+                    loss_and_grad, predict, validation_performance)
 from .optim import (AdamState, AmaState, CostCounter, SgdState, adam_step,
                     ama_step, best_ma, init_adam, init_ama, init_averager, init_ema,
                     init_sgd, load_optimizer, ma_update, save_optimizer, sgd_step,

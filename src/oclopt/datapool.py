@@ -235,53 +235,3 @@ def sample_mixed_replay(pool: DataPool, current: StreamBatch, m: int,
     labels = np.concatenate([current.labels[idx_cur], pool._ys[idx_hist]])
     return Minibatch(inputs=inputs, labels=labels)
 
-
-# -- persistence --------------------------------------------------------------
-#
-# Record file layout (little endian): u32 d_in header, then per record
-# d_in float64 features, one float64 label, one u64 arrival step. Vector-label
-# pools (the quadratic stream) do not fit this layout and are rejected.
-
-def _record_dtype(d_in: int) -> np.dtype:
-    return np.dtype([("x", "<f8", (d_in,)), ("y", "<f8"), ("t", "<u8")])
-
-
-def save_pool(pool: DataPool, path):
-    if pool.size == 0:
-        raise EmptyPoolError("refusing to persist an empty pool")
-    xs, ys, arrival = pool.items()
-    if ys.ndim != 1:
-        raise ValueError("persistence supports scalar labels only")
-    records = np.empty(pool.size, dtype=_record_dtype(xs.shape[1]))
-    records["x"], records["y"], records["t"] = xs, ys, arrival
-    with open(path, "wb") as f:
-        f.write(np.uint32(xs.shape[1]).astype("<u4").tobytes())
-        f.write(records.tobytes())
-
-
-def load_pool(path, capacity: Optional[int] = None, seed: int = 0,
-              label_kind: str = "float") -> DataPool:
-    """Load a persisted pool. label_kind 'int' casts labels back to class indices."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < 4:
-        raise ValueError("corrupt pool file: shorter than the 4-byte header")
-    d_in = int(np.frombuffer(raw, dtype="<u4", count=1)[0])
-    if d_in == 0:
-        raise ValueError("corrupt pool file: zero input dimension")
-    rec_size = 8 * d_in + 8 + 8
-    if (len(raw) - 4) % rec_size != 0:
-        raise ValueError("corrupt pool file: truncated record")
-    records = np.frombuffer(raw, dtype=_record_dtype(d_in),
-                            count=(len(raw) - 4) // rec_size, offset=4)
-    xs = records["x"].astype(np.float64)
-    ys = records["y"].astype(np.float64)
-    arrival = records["t"].astype(np.int64)
-    pool = DataPool(capacity=capacity, seed=seed)
-    labels = ys.astype(np.int64) if label_kind == "int" else ys
-    order = np.argsort(arrival, kind="stable")
-    for t in np.unique(arrival[order]):
-        mask = arrival == t
-        rids = pool.seen_count + np.arange(int(mask.sum()), dtype=np.int64)
-        pool.offer(xs[mask], labels[mask], int(t), rids)
-    return pool

@@ -152,6 +152,8 @@ class ExperimentConfig:
             errors.append("mixed replay needs an even batch size")
         if self.schedule.kind not in ("constant", "rwp", "malr", "cyclic", "trace"):
             errors.append(f"unknown schedule kind {self.schedule.kind!r}")
+        if self.schedule.metric not in ("accuracy", "loss"):
+            errors.append(f"unknown schedule metric {self.schedule.metric!r}")
         try:
             n_models = self.optimizer.averaged_models()
         except ConfigError as e:
@@ -169,8 +171,11 @@ class ExperimentConfig:
             errors.append("quadratic-probe model requires the drifting-quadratic stream")
         if self.stream.kind == "drifting-quadratic" and self.model.kind != "quadratic-probe":
             errors.append("drifting-quadratic stream requires the quadratic-probe model")
-        if not self.seeds:
+        if not isinstance(self.seeds, (list, tuple)) or not self.seeds:
             errors.append("seeds must list at least one seed")
+        # type() rather than isinstance(): a bool is not a seed
+        elif any(type(seed) is not int or seed < 0 for seed in self.seeds):
+            errors.append(f"seeds must be non-negative integers, got {self.seeds!r}")
         if errors:
             raise ConfigError("; ".join(errors))
         try:
@@ -410,7 +415,7 @@ class Run:
         loss, grad = loss_and_grad(self.model_spec, self.base.theta, mb)
         self.costs.forward += 1
         self.costs.grad += 1
-        if not np.isfinite(loss) or not np.all(np.isfinite(grad.values)):
+        if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
             raise DivergenceError(f"non-finite loss at iteration {k}")
         if self.config.optimizer.base == "sgd":
             sgd_step(self.base, grad, alpha)
@@ -462,7 +467,7 @@ class Run:
         return RunResult(config=self.config, seed=self.seed, metric_rows=self.metric_rows,
                          schedule_rows=self.schedule_rows, ledger=self.ledger,
                          costs=self.costs, lr_trace=self.lr_trace,
-                         final_theta=self.base.theta.values.copy(),
+                         final_theta=self.base.theta.copy(),
                          diverged=self.diverged, ama=self.averager)
 
 

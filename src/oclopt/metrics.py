@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .datapool import DataPool, EmptyPoolError, Minibatch
-from .model import ModelSpec, ParamVector, validation_performance
+from .model import ModelSpec, validation_performance
 from .stream import StreamSpec, eval_batch
 
 
@@ -66,8 +66,8 @@ class MetricLedger:
         return float(np.mean([self.step_ahead[j] for j in range(1, t + 1)]))
 
 
-def information_retention(spec: ModelSpec, theta: ParamVector, holdout: DataPool,
-                          t: int, metric: str = "accuracy") -> float:
+def information_retention(spec: ModelSpec, theta: np.ndarray, holdout: DataPool,
+                          t: int) -> float:
     """Performance of theta on all holdout items with arrival step <= t."""
     if holdout.size == 0:
         raise EmptyPoolError("holdout pool is empty")
@@ -75,8 +75,7 @@ def information_retention(spec: ModelSpec, theta: ParamVector, holdout: DataPool
     mask = arrival <= t
     if not mask.any():
         raise EmptyPoolError(f"holdout pool has no items from steps <= {t}")
-    return validation_performance(spec, theta, Minibatch(xs[mask], ys[mask]),
-                                  metric=metric)
+    return validation_performance(spec, theta, Minibatch(xs[mask], ys[mask]))
 
 
 @lru_cache(maxsize=8192)
@@ -86,8 +85,8 @@ def _eval_batch_cached(stream_spec: StreamSpec, t: int):
     return eval_batch(stream_spec, t)
 
 
-def forward_transfer(spec: ModelSpec, theta: ParamVector, stream_spec: StreamSpec,
-                     t: int, k1: int, k2: int, metric: str = "accuracy") -> float:
+def forward_transfer(spec: ModelSpec, theta: np.ndarray, stream_spec: StreamSpec,
+                     t: int, k1: int, k2: int) -> float:
     """Performance of theta on evaluation data from steps t+k1 .. t+k2."""
     if not (k2 > k1 >= 1):
         raise ValueError("need k2 > k1 >= 1")
@@ -97,5 +96,4 @@ def forward_transfer(spec: ModelSpec, theta: ParamVector, stream_spec: StreamSpe
     batches = [_eval_batch_cached(stream_spec, j) for j in range(t + k1, t + k2 + 1)]
     inputs = np.concatenate([b.inputs for b in batches])
     labels = np.concatenate([b.labels for b in batches])
-    return validation_performance(spec, theta, Minibatch(inputs, labels),
-                                  metric=metric)
+    return validation_performance(spec, theta, Minibatch(inputs, labels))

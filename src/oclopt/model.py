@@ -10,6 +10,10 @@ framework:
 * ``mlp-1-hidden``: one tanh hidden layer + softmax. Smooth everywhere so
   Lipschitz-style assumptions stay globally valid.
 
+Parameters, gradients and averaged models are plain flat float64 arrays of
+shape ``(spec.n_params,)``. ``ModelSpec.layout`` names the blocks of that
+vector, and ``spec.block(theta, name)`` is a reshaped view into it.
+
 Losses are mean per-example loss plus 0.5 * weight_decay * ||theta||^2, and
 gradients are exact. Models carry no running statistics, so averaged copies of
 parameters need no recomputation of any kind.
@@ -17,8 +21,9 @@ parameters need no recomputation of any kind.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -28,43 +33,13 @@ class DivergenceError(FloatingPointError):
 
 
 @dataclass(frozen=True)
-class ParamVector:
-    """Flat parameter vector plus a named-block layout.
+class ModelSpec:
+    """Model family, loss and sizes; owns the layout of the parameter vector.
 
-    Layout maps block name -> (offset, shape); the blocks partition the
-    vector. Views returned by ``block`` share memory with ``values``.
+    ``layout`` maps block name -> (slice, shape); the blocks tile
+    ``[0, n_params)`` contiguously in declared order.
     """
 
-    values: np.ndarray
-    layout: tuple = ()
-
-    def __post_init__(self):
-        if self.values.ndim != 1:
-            raise ValueError("ParamVector must be flat")
-        covered = 0
-        for _, off, shape in self.layout:
-            if off != covered:
-                raise ValueError("layout blocks must be contiguous from 0")
-            covered += int(np.prod(shape))
-        if self.layout and covered != self.values.size:
-            raise ValueError("layout does not partition the vector")
-
-    @property
-    def dim(self) -> int:
-        return self.values.size
-
-    def block(self, name: str) -> np.ndarray:
-        for n, off, shape in self.layout:
-            if n == name:
-                return self.values[off: off + int(np.prod(shape))].reshape(shape)
-        raise KeyError(name)
-
-    def copy(self) -> "ParamVector":
-        return ParamVector(self.values.copy(), self.layout)
-
-
-@dataclass(frozen=True)
-class ModelSpec:
     kind: str                       # quadratic-probe | linear-softmax | mlp-1-hidden
     loss: str                       # quadratic | cross-entropy
     weight_decay: float = 0.0
@@ -98,42 +73,43 @@ class ModelSpec:
     def classification(self) -> bool:
         return self.kind != "quadratic-probe"
 
-    @property
+    @cached_property
+    def layout(self) -> dict:
+        if self.kind == "quadratic-probe":
+            shapes = {"theta": (self.dim,)}
+        elif self.kind == "linear-softmax":
+            shapes = {"w": (self.n_classes, self.d_in), "b": (self.n_classes,)}
+        else:
+            shapes = {"w1": (self.hidden, self.d_in), "b1": (self.hidden,),
+                      "w2": (self.n_classes, self.hidden), "b2": (self.n_classes,)}
+        table, start = {}, 0
+        for name, shape in shapes.items():
+            stop = start + math.prod(shape)
+            table[name] = (slice(start, stop), shape)
+            start = stop
+        return table
+
+    @cached_property
     def n_params(self) -> int:
-        if self.kind == "quadratic-probe":
-            return self.dim
-        if self.kind == "linear-softmax":
-            return self.n_classes * self.d_in + self.n_classes
-        return (self.hidden * self.d_in + self.hidden
-                + self.n_classes * self.hidden + self.n_classes)
+        return next(reversed(self.layout.values()))[0].stop
 
-    def param_layout(self) -> tuple:
-        if self.kind == "quadratic-probe":
-            return (("theta", 0, (self.dim,)),)
-        if self.kind == "linear-softmax":
-            w = self.n_classes * self.d_in
-            return (("w", 0, (self.n_classes, self.d_in)),
-                    ("b", w, (self.n_classes,)))
-        w1 = self.hidden * self.d_in
-        b1 = w1 + self.hidden
-        w2 = b1 + self.n_classes * self.hidden
-        return (("w1", 0, (self.hidden, self.d_in)),
-                ("b1", w1, (self.hidden,)),
-                ("w2", b1, (self.n_classes, self.hidden)),
-                ("b2", w2, (self.n_classes,)))
+    def block(self, theta: np.ndarray, name: str) -> np.ndarray:
+        """View of the named block of a flat parameter array (shares its memory)."""
+        where, shape = self.layout[name]
+        return theta[where].reshape(shape)
 
 
-def init_params(spec: ModelSpec, rng: np.random.Generator) -> ParamVector:
+def init_params(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
     """Deterministic initialization given the caller's generator."""
-    layout = spec.param_layout()
-    values = np.zeros(spec.n_params)
-    pv = ParamVector(values, layout)
+    theta = np.zeros(spec.n_params)
     if spec.kind == "linear-softmax":
-        pv.block("w")[:] = 0.1 * rng.standard_normal((spec.n_classes, spec.d_in))
+        spec.block(theta, "w")[:] = 0.1 * rng.standard_normal((spec.n_classes, spec.d_in))
     elif spec.kind == "mlp-1-hidden":
-        pv.block("w1")[:] = rng.standard_normal((spec.hidden, spec.d_in)) / np.sqrt(spec.d_in)
-        pv.block("w2")[:] = rng.standard_normal((spec.n_classes, spec.hidden)) / np.sqrt(spec.hidden)
-    return pv
+        spec.block(theta, "w1")[:] = (rng.standard_normal((spec.hidden, spec.d_in))
+                                      / np.sqrt(spec.d_in))
+        spec.block(theta, "w2")[:] = (rng.standard_normal((spec.n_classes, spec.hidden))
+                                      / np.sqrt(spec.hidden))
+    return theta
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -152,7 +128,7 @@ def _check_batch(spec: ModelSpec, batch):
     return x
 
 
-def loss_and_grad(spec: ModelSpec, theta: ParamVector, batch):
+def loss_and_grad(spec: ModelSpec, theta: np.ndarray, batch):
     """Mean per-example loss plus the L2 penalty, and its exact gradient.
 
     Deterministic in (theta, batch). Non-finite results are returned as-is;
@@ -162,69 +138,68 @@ def loss_and_grad(spec: ModelSpec, theta: ParamVector, batch):
         return _loss_and_grad(spec, theta, batch)
 
 
-def _loss_and_grad(spec: ModelSpec, theta: ParamVector, batch):
-    if theta.dim != spec.n_params:
-        raise ValueError(f"parameter dimension {theta.dim} != expected {spec.n_params}")
+def _loss_and_grad(spec: ModelSpec, theta: np.ndarray, batch):
+    if theta.shape != (spec.n_params,):
+        raise ValueError(f"parameter shape {theta.shape} != expected ({spec.n_params},)")
     x = _check_batch(spec, batch)
     y = np.asarray(batch.labels)
     n = len(x)
-    grad = np.zeros_like(theta.values)
-    gv = ParamVector(grad, theta.layout)
+    grad = np.zeros_like(theta)
 
     if spec.kind == "quadratic-probe":
         a = np.asarray(spec.curvature)
-        d = theta.values[None, :] - y
+        d = theta[None, :] - y
         loss = 0.5 * float(np.mean(np.sum(d * d * a[None, :], axis=1)))
-        grad[:] = a * (theta.values - y.mean(axis=0))
+        grad[:] = a * (theta - y.mean(axis=0))
     elif spec.kind == "linear-softmax":
-        w, b = theta.block("w"), theta.block("b")
+        w, b = spec.block(theta, "w"), spec.block(theta, "b")
         p = _softmax(x @ w.T + b[None, :])
         loss = float(-np.mean(np.log(np.maximum(p[np.arange(n), y], 1e-300))))
         dz = p.copy()
         dz[np.arange(n), y] -= 1.0
         dz /= n
-        gv.block("w")[:] = dz.T @ x
-        gv.block("b")[:] = dz.sum(axis=0)
+        spec.block(grad, "w")[:] = dz.T @ x
+        spec.block(grad, "b")[:] = dz.sum(axis=0)
     else:
-        w1, b1 = theta.block("w1"), theta.block("b1")
-        w2, b2 = theta.block("w2"), theta.block("b2")
+        w1, b1 = spec.block(theta, "w1"), spec.block(theta, "b1")
+        w2, b2 = spec.block(theta, "w2"), spec.block(theta, "b2")
         h = np.tanh(x @ w1.T + b1[None, :])
         p = _softmax(h @ w2.T + b2[None, :])
         loss = float(-np.mean(np.log(np.maximum(p[np.arange(n), y], 1e-300))))
         dz = p.copy()
         dz[np.arange(n), y] -= 1.0
         dz /= n
-        gv.block("w2")[:] = dz.T @ h
-        gv.block("b2")[:] = dz.sum(axis=0)
+        spec.block(grad, "w2")[:] = dz.T @ h
+        spec.block(grad, "b2")[:] = dz.sum(axis=0)
         dh = (dz @ w2) * (1.0 - h * h)
-        gv.block("w1")[:] = dh.T @ x
-        gv.block("b1")[:] = dh.sum(axis=0)
+        spec.block(grad, "w1")[:] = dh.T @ x
+        spec.block(grad, "b1")[:] = dh.sum(axis=0)
 
     if spec.weight_decay > 0.0:
-        loss += 0.5 * spec.weight_decay * float(theta.values @ theta.values)
-        grad += spec.weight_decay * theta.values
-    return loss, gv
+        loss += 0.5 * spec.weight_decay * float(theta @ theta)
+        grad += spec.weight_decay * theta
+    return loss, grad
 
 
-def logits(spec: ModelSpec, theta: ParamVector, inputs: np.ndarray) -> np.ndarray:
+def logits(spec: ModelSpec, theta: np.ndarray, inputs: np.ndarray) -> np.ndarray:
     x = np.asarray(inputs, dtype=float)
     if spec.kind == "linear-softmax":
-        return x @ theta.block("w").T + theta.block("b")[None, :]
+        return x @ spec.block(theta, "w").T + spec.block(theta, "b")[None, :]
     if spec.kind == "mlp-1-hidden":
-        h = np.tanh(x @ theta.block("w1").T + theta.block("b1")[None, :])
-        return h @ theta.block("w2").T + theta.block("b2")[None, :]
+        h = np.tanh(x @ spec.block(theta, "w1").T + spec.block(theta, "b1")[None, :])
+        return h @ spec.block(theta, "w2").T + spec.block(theta, "b2")[None, :]
     raise ValueError("logits are defined for classification models only")
 
 
-def predict(spec: ModelSpec, theta: ParamVector, inputs: np.ndarray) -> np.ndarray:
+def predict(spec: ModelSpec, theta: np.ndarray, inputs: np.ndarray) -> np.ndarray:
     """Labels for classification (argmax, ties to the lowest class index);
     the parameter vector replicated per datum for the quadratic probe."""
     if spec.kind == "quadratic-probe":
-        return np.tile(theta.values, (len(inputs), 1))
+        return np.tile(theta, (len(inputs), 1))
     return np.argmax(logits(spec, theta, inputs), axis=1)
 
 
-def accuracy(spec: ModelSpec, theta: ParamVector, batch) -> float:
+def accuracy(spec: ModelSpec, theta: np.ndarray, batch) -> float:
     """Fraction of argmax-correct predictions. Classification only."""
     if not spec.classification:
         raise ValueError("accuracy is undefined for regression models; use loss-based metrics")
@@ -241,13 +216,13 @@ def _without_decay(spec: ModelSpec) -> ModelSpec:
                      n_classes=spec.n_classes, hidden=spec.hidden)
 
 
-def data_loss(spec: ModelSpec, theta: ParamVector, batch) -> float:
+def data_loss(spec: ModelSpec, theta: np.ndarray, batch) -> float:
     """Mean per-example loss without the weight-decay term (an evaluation metric)."""
     loss, _ = loss_and_grad(_without_decay(spec), theta, batch)
     return loss
 
 
-def validation_performance(spec: ModelSpec, theta: ParamVector, batch,
+def validation_performance(spec: ModelSpec, theta: np.ndarray, batch,
                            metric: str = "accuracy") -> float:
     """Higher-is-better validation signal.
 

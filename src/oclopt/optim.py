@@ -28,7 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .metrics import RunningMean
-from .model import DivergenceError, ParamVector
+from .model import DivergenceError
 
 log = logging.getLogger(__name__)
 
@@ -56,37 +56,37 @@ class SgdState:
     beta = 0 recovers the plain update theta <- theta - lr * g.
     """
 
-    theta: ParamVector
+    theta: np.ndarray
     momentum: np.ndarray
     beta: float = 0.9
     lr: float = 0.0
 
     def __post_init__(self):
-        if self.momentum.shape != self.theta.values.shape:
+        if self.momentum.shape != self.theta.shape:
             raise ValueError("momentum buffer shape must match theta")
 
 
-def init_sgd(theta: ParamVector, beta: float = 0.9) -> SgdState:
-    return SgdState(theta=theta, momentum=np.zeros_like(theta.values), beta=beta)
+def init_sgd(theta: np.ndarray, beta: float = 0.9) -> SgdState:
+    return SgdState(theta=theta, momentum=np.zeros_like(theta), beta=beta)
 
 
 def sgd_step(state: SgdState, grad, lr: float) -> SgdState:
     if lr <= 0.0:
         raise ValueError("learning rate must be positive")
-    g = grad.values if isinstance(grad, ParamVector) else np.asarray(grad)
-    if g.shape != state.theta.values.shape:
+    g = np.asarray(grad)
+    if g.shape != state.theta.shape:
         raise ValueError("gradient shape mismatch")
     _check_finite(g)
     state.momentum *= state.beta
     state.momentum += g
-    state.theta.values[:] -= lr * state.momentum
+    state.theta -= lr * state.momentum
     state.lr = lr
     return state
 
 
 @dataclass
 class AdamState:
-    theta: ParamVector
+    theta: np.ndarray
     m: np.ndarray
     v: np.ndarray
     beta1: float = 0.9
@@ -98,21 +98,21 @@ class AdamState:
     def __post_init__(self):
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValueError("beta1, beta2 must lie in [0, 1)")
-        if self.m.shape != self.theta.values.shape or self.v.shape != self.theta.values.shape:
+        if self.m.shape != self.theta.shape or self.v.shape != self.theta.shape:
             raise ValueError("moment accumulator shape must match theta")
 
 
-def init_adam(theta: ParamVector, beta1: float = 0.9, beta2: float = 0.999,
+def init_adam(theta: np.ndarray, beta1: float = 0.9, beta2: float = 0.999,
               eps: float = 1e-8) -> AdamState:
-    return AdamState(theta=theta, m=np.zeros_like(theta.values),
-                     v=np.zeros_like(theta.values), beta1=beta1, beta2=beta2, eps=eps)
+    return AdamState(theta=theta, m=np.zeros_like(theta), v=np.zeros_like(theta),
+                     beta1=beta1, beta2=beta2, eps=eps)
 
 
 def adam_step(state: AdamState, grad, lr: float) -> AdamState:
     if lr <= 0.0:
         raise ValueError("learning rate must be positive")
-    g = grad.values if isinstance(grad, ParamVector) else np.asarray(grad)
-    if g.shape != state.theta.values.shape:
+    g = np.asarray(grad)
+    if g.shape != state.theta.shape:
         raise ValueError("gradient shape mismatch")
     _check_finite(g)
     state.step += 1
@@ -122,20 +122,19 @@ def adam_step(state: AdamState, grad, lr: float) -> AdamState:
     state.v += (1.0 - state.beta2) * g * g
     m_hat = state.m / (1.0 - state.beta1 ** state.step)
     v_hat = state.v / (1.0 - state.beta2 ** state.step)
-    state.theta.values[:] -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    state.theta -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
     state.lr = lr
     return state
 
 
 # -- moving averages ----------------------------------------------------------
 
-def ma_update(ma: ParamVector, gamma: float, theta: ParamVector) -> ParamVector:
+def ma_update(ma: np.ndarray, gamma: float, theta: np.ndarray) -> np.ndarray:
     """Elementwise convex combination ma <- gamma * ma + (1 - gamma) * theta."""
     if not (0.0 <= gamma <= 1.0):
         raise ValueError(f"MA weight must lie in [0, 1], got {gamma}")
-    v = ma.values
-    v *= gamma
-    v += (1.0 - gamma) * theta.values
+    ma *= gamma
+    ma += (1.0 - gamma) * theta
     return ma
 
 
@@ -202,7 +201,7 @@ class AmaState:
         return self.sigma(), self.gammas[0], self.gammas[1], self.i_best
 
 
-def init_averager(theta0: ParamVector, n_models: int, gamma0: float = 0.99,
+def init_averager(theta0: np.ndarray, n_models: int, gamma0: float = 0.99,
                   delta: float = 5.0, k_m: int = 10, k_v: int = 20, k_w: int = 10000,
                   adapt: bool = True) -> AmaState:
     """n_models copies of theta0 with weights gamma0, gamma0 / delta."""
@@ -214,19 +213,19 @@ def init_averager(theta0: ParamVector, n_models: int, gamma0: float = 0.99,
                     delta=delta, k_m=k_m, k_v=k_v, k_w=k_w, adapt=adapt)
 
 
-def init_ama(theta0: ParamVector, gamma0: float = 0.99, delta: float = 5.0,
+def init_ama(theta0: np.ndarray, gamma0: float = 0.99, delta: float = 5.0,
              k_m: int = 10, k_v: int = 20, k_w: int = 10000,
              adapt: bool = True) -> AmaState:
     return init_averager(theta0, 2, gamma0, delta, k_m, k_v, k_w, adapt)
 
 
-def init_ema(theta0: ParamVector, gamma: float, k_m: int = 1) -> AmaState:
+def init_ema(theta0: np.ndarray, gamma: float, k_m: int = 1) -> AmaState:
     return init_averager(theta0, 1, gamma, k_m=k_m)
 
 
-def ama_step(state: AmaState, sgd_theta: ParamVector, k: int,
+def ama_step(state: AmaState, sgd_theta: np.ndarray, k: int,
              sample_validation: Callable[[], object],
-             evaluate: Callable[[ParamVector, object], float],
+             evaluate: Callable[[np.ndarray, object], float],
              costs: Optional[CostCounter] = None) -> AmaState:
     """One iteration of the moving-average bookkeeping after an SGD step.
 
@@ -274,16 +273,16 @@ def ama_step(state: AmaState, sgd_theta: ParamVector, k: int,
             if state.i_best == 1:
                 g1 = min(1.0, state.delta * g1)
                 state.gammas = [g1, g1 / state.delta]
-                ma2.values[:] = ma1.values
+                ma2[:] = ma1
                 state.i_best = 2
             else:
                 state.gammas = [g1 / state.delta, g2 / state.delta]
-                ma1.values[:] = ma2.values
+                ma1[:] = ma2
                 state.i_best = 1
     return state
 
 
-def best_ma(state: AmaState) -> ParamVector:
+def best_ma(state: AmaState) -> np.ndarray:
     """The MA model currently selected for inference."""
     return state.ma[state.i_best - 1]
 
@@ -317,19 +316,18 @@ def save_optimizer(path, base, ma=None):
     """
     blobs = {}
     if isinstance(base, SgdState):
-        blobs.update(base_kind="sgd", base_theta=base.theta.values,
+        blobs.update(base_kind="sgd", base_theta=base.theta,
                      base_momentum=base.momentum,
                      base_scalars=np.array([base.beta, base.lr]))
     elif isinstance(base, AdamState):
-        blobs.update(base_kind="adam", base_theta=base.theta.values,
+        blobs.update(base_kind="adam", base_theta=base.theta,
                      base_m=base.m, base_v=base.v,
                      base_scalars=np.array([base.beta1, base.beta2, base.eps,
                                             float(base.step), base.lr]))
     else:
         raise TypeError(f"unsupported base optimizer {type(base)!r}")
     if isinstance(ma, AmaState):
-        width = len(base.theta.values)
-        blobs.update(ma_models=np.array([m.values for m in ma.ma]).reshape(-1, width),
+        blobs.update(ma_models=np.array(ma.ma).reshape(-1, len(base.theta)),
                      ma_gammas=np.array(ma.gammas, dtype=float),
                      ma_means=np.array([acc.mean for acc in ma.val + [ma.val_sgd]]),
                      ma_scalars=np.array([ma.delta, float(ma.k_m), float(ma.k_v),
@@ -341,18 +339,18 @@ def save_optimizer(path, base, ma=None):
     np.savez(path, **blobs)
 
 
-def load_optimizer(path, layout=()):
+def load_optimizer(path):
     """Restore (base_state, averager) saved by save_optimizer."""
     with np.load(path, allow_pickle=False) as z:
         kind = str(z["base_kind"])
         if kind == "sgd":
             beta, lr = z["base_scalars"]
-            base = SgdState(theta=ParamVector(z["base_theta"].copy(), layout),
+            base = SgdState(theta=z["base_theta"].copy(),
                             momentum=z["base_momentum"].copy(), beta=float(beta),
                             lr=float(lr))
         else:
             b1, b2, eps, step, lr = z["base_scalars"]
-            base = AdamState(theta=ParamVector(z["base_theta"].copy(), layout),
+            base = AdamState(theta=z["base_theta"].copy(),
                              m=z["base_m"].copy(), v=z["base_v"].copy(),
                              beta1=float(b1), beta2=float(b2), eps=float(eps),
                              step=int(step), lr=float(lr))
@@ -360,7 +358,7 @@ def load_optimizer(path, layout=()):
         if "ma_models" in z:
             delta, k_m, k_v, k_w, n, i_best, adapt, skipped = z["ma_scalars"]
             means = [RunningMean(float(m), int(n)) for m in z["ma_means"]]
-            ma = AmaState(ma=[ParamVector(v.copy(), layout) for v in z["ma_models"]],
+            ma = AmaState(ma=[v.copy() for v in z["ma_models"]],
                           gammas=[float(g) for g in z["ma_gammas"]],
                           val=means[:-1], val_sgd=means[-1], delta=float(delta),
                           k_m=int(k_m), k_v=int(k_v), k_w=int(k_w), i_best=int(i_best),

@@ -14,8 +14,7 @@ from oclopt.datapool import DataPool, Minibatch
 from oclopt.harness import (apply_overrides, expand_variants, preset,
                             run_experiment, run_from_manifest,
                             verify_bounds_from_config)
-from oclopt.model import (ModelSpec, ParamVector, loss_and_grad,
-                          validation_performance)
+from oclopt.model import ModelSpec, loss_and_grad, validation_performance
 from oclopt.optim import (ama_step, best_ma, init_ama, init_ema, init_sgd, ma_update,
                           sgd_step, unfolded_ma_coefficients)
 from oclopt.rng import ball_uniform, substream
@@ -60,7 +59,7 @@ def test_criterion_01_gradient_oracle():
         spec, theta, batch = random_model_and_batch(rng)
         _, grad = loss_and_grad(spec, theta, batch)
         numeric = fd_gradient(spec, theta, batch)
-        worst = max(worst, grad_agreement(grad.values, numeric))
+        worst = max(worst, grad_agreement(grad, numeric))
     elapsed = time.perf_counter() - t0
     report(1, worst < 1e-6 and elapsed < 10.0,
            f"finite-difference agreement {worst:.2e} (<1e-6) over 100 draws "
@@ -78,15 +77,15 @@ def test_criterion_02_ma_algebra():
     steps = 100_000
     thetas = rng.standard_normal((steps + 1, 3))
     gammas = rng.uniform(0.0, 1.0, steps)
-    ma = ParamVector(thetas[0].copy())
+    ma = thetas[0].copy()
     lo = thetas[0].copy()
     hi = thetas[0].copy()
     violations = 0
     for i in range(steps):
-        ma_update(ma, float(gammas[i]), ParamVector(thetas[i + 1]))
+        ma_update(ma, float(gammas[i]), thetas[i + 1])
         np.minimum(lo, thetas[i + 1], out=lo)
         np.maximum(hi, thetas[i + 1], out=hi)
-        if np.any(ma.values < lo - 1e-12) or np.any(ma.values > hi + 1e-12):
+        if np.any(ma < lo - 1e-12) or np.any(ma > hi + 1e-12):
             violations += 1
     report(2, worst_sum < 1e-12 and violations == 0,
            f"coefficient-sum deviation {worst_sum:.2e} (<1e-12) over 1000 "
@@ -99,15 +98,14 @@ def test_criterion_03_reduction_identities():
 
     def trajectory(make_ma, gamma_steps=400):
         loc = np.random.default_rng(3)
-        sgd = init_sgd(ParamVector(loc.standard_normal(3)), beta=0.9)
+        sgd = init_sgd(loc.standard_normal(3), beta=0.9)
         ma_state = make_ma(sgd.theta)
         out = []
         for k in range(1, gamma_steps + 1):
-            g = ParamVector(0.7 * (sgd.theta.values - target)
-                            + 0.2 * loc.standard_normal(3))
+            g = 0.7 * (sgd.theta - target) + 0.2 * loc.standard_normal(3)
             sgd_step(sgd, g, lr=0.05)
             ama_step(ma_state, sgd.theta, k, lambda: "b", lambda p, b: 0.0)
-            out.append(ma_state.ma[0].values.copy())
+            out.append(ma_state.ma[0].copy())
         return np.array(out)
 
     ema_traj = trajectory(lambda th: init_ema(th, 0.97, k_m=5))
@@ -116,13 +114,13 @@ def test_criterion_03_reduction_identities():
     ama_is_ema = np.array_equal(ema_traj, ama_traj)
 
     loc = np.random.default_rng(5)
-    sgd = init_sgd(ParamVector(loc.standard_normal(3)), beta=0.0)
+    sgd = init_sgd(loc.standard_normal(3), beta=0.0)
     ema0 = init_ema(sgd.theta, gamma=0.0, k_m=1)
     tracks = True
     for k in range(1, 300):
-        sgd_step(sgd, ParamVector(loc.standard_normal(3)), lr=0.03)
+        sgd_step(sgd, loc.standard_normal(3), lr=0.03)
         ama_step(ema0, sgd.theta, k, lambda: "b", lambda p, b: 0.0)
-        tracks = tracks and np.array_equal(ema0.ma[0].values, sgd.theta.values)
+        tracks = tracks and np.array_equal(ema0.ma[0], sgd.theta)
     report(3, ama_is_ema and tracks,
            "delta=1/no-adapt AMA equals EMA bit-for-bit; gamma=0 EMA equals SGD")
 
@@ -192,7 +190,7 @@ def _quad_sim(seed, n_iters, alpha_fn, k_w=10**9):
                                  noise_radius=1.0)
     spec = ModelSpec(kind="quadratic-probe", loss="quadratic", dim=d,
                      curvature=tuple(quad.eigenvalues()))
-    theta = ParamVector(np.zeros(d))
+    theta = np.zeros(d)
     sgd = init_sgd(theta, beta=0.0)
     ama = init_ama(theta, k_m=2, k_v=4, k_w=k_w)
     g_noise = substream(seed, 7)
@@ -211,8 +209,8 @@ def _quad_sim(seed, n_iters, alpha_fn, k_w=10**9):
             ks.append(k)
             sigmas.append(ama.sigma())
         c = quad.center(k)
-        d_sgd.append(float(np.linalg.norm(sgd.theta.values - c)))
-        d_ma.append(float(np.linalg.norm(best_ma(ama).values - c)))
+        d_sgd.append(float(np.linalg.norm(sgd.theta - c)))
+        d_ma.append(float(np.linalg.norm(best_ma(ama) - c)))
     return np.array(ks), np.array(sigmas), np.array(d_sgd), np.array(d_ma)
 
 

@@ -1,5 +1,5 @@
 """Reservoir behavior, replay sampling distributions, holdout disjointness,
-and pool persistence."""
+and checkpoint rollback."""
 
 import copy
 
@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from oclopt import rng as rngmod
-from oclopt.datapool import (DataPool, EmptyPoolError, load_pool, sample_mixed_replay,
-                             sample_pure_replay, save_pool, update)
+from oclopt.datapool import (DataPool, EmptyPoolError, sample_mixed_replay,
+                             sample_pure_replay, update)
 from oclopt.rng import substream
 from oclopt.stream import StreamBatch
 
@@ -395,55 +395,3 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="latest checkpoint"):
             pool.restore(older)
 
-
-class TestPersistence:
-    def test_round_trip(self, tmp_path):
-        pool = DataPool(seed=0)
-        for t in range(1, 6):
-            update(pool, None, make_batch(t, n=8, d=3))
-        path = tmp_path / "pool.bin"
-        save_pool(pool, path)
-        loaded = load_pool(path, label_kind="int")
-        xs0, ys0, t0 = pool.items()
-        xs1, ys1, t1 = loaded.items()
-        order0 = np.lexsort((xs0[:, 0], t0))
-        order1 = np.lexsort((xs1[:, 0], t1))
-        assert np.allclose(xs0[order0], xs1[order1])
-        assert np.array_equal(ys0[order0], ys1[order1])
-        assert np.array_equal(t0[order0], t1[order1])
-
-    def test_layout_is_exact(self, tmp_path):
-        # header u32 d_in, then per record: d_in f64, f64 label, u64 arrival
-        import struct
-
-        pool = DataPool(seed=0)
-        xs = np.array([[1.5, -2.0], [0.25, 8.0]])
-        ys = np.array([3, 1], dtype=np.int64)
-        pool.offer(xs, ys, 4, np.array([0, 1], dtype=np.int64))
-        path = tmp_path / "pool.bin"
-        save_pool(pool, path)
-        raw = path.read_bytes()
-        assert struct.unpack_from("<I", raw, 0)[0] == 2
-        rec = struct.unpack_from("<ddd q", raw.replace(b"", b""), 4)  # features+label
-        assert rec[:2] == (1.5, -2.0) and rec[2] == 3.0
-        assert struct.unpack_from("<Q", raw, 4 + 24)[0] == 4
-        assert len(raw) == 4 + 2 * (2 * 8 + 8 + 8)
-
-    def test_file_shorter_than_header_rejected(self, tmp_path):
-        path = tmp_path / "pool.bin"
-        path.write_bytes(b"\x02\x00")
-        with pytest.raises(ValueError, match="corrupt pool file"):
-            load_pool(path)
-
-    def test_zero_input_dimension_rejected(self, tmp_path):
-        path = tmp_path / "pool.bin"
-        path.write_bytes(b"\x00\x00\x00\x00" + bytes(16))
-        with pytest.raises(ValueError, match="corrupt pool file"):
-            load_pool(path)
-
-    def test_vector_labels_rejected(self, tmp_path):
-        pool = DataPool(seed=0)
-        xs = np.ones((3, 2))
-        pool.offer(xs, xs.copy(), 1, np.arange(3, dtype=np.int64))
-        with pytest.raises(ValueError):
-            save_pool(pool, tmp_path / "pool.bin")

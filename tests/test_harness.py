@@ -268,6 +268,22 @@ class TestCli:
         assert code == 2
         assert "at least one seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seeds", ["[0,-1]", "[0,true]", "[0,1.5]", '[0,\"1\"]'])
+    def test_every_seed_must_be_a_non_negative_integer(self, seeds, tmp_path,
+                                                        monkeypatch, capsys):
+        # only the first seed's run is built during validation; a bad later
+        # seed must still stop the sweep before any run writes output
+        monkeypatch.chdir(tmp_path)
+        code = cli_main(["preset", "main-comparison", "--override", "stream.horizon=30",
+                         "--override", f"seeds={seeds}", "--run"])
+        assert code == 2
+        assert "seeds must be non-negative integers" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    def test_unknown_schedule_metric_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="unknown schedule metric 'acuracy'"):
+            tiny_config(**{"schedule.metric": "acuracy"}).validate()
+
     def test_override_parsing(self, tmp_path, capsys):
         code = cli_main(["preset", "main-comparison", "--override",
                          "stream.horizon=5"])

@@ -6,7 +6,7 @@ import pytest
 from oclopt.datapool import DataPool, EmptyPoolError
 from oclopt.metrics import (MetricError, MetricLedger, RunningMean, forward_transfer,
                             information_retention)
-from oclopt.model import ModelSpec, ParamVector, init_params, predict
+from oclopt.model import ModelSpec, init_params, predict
 from oclopt.rng import substream
 from oclopt.stream import RotatingGaussianSpec, StreamSpec, eval_batch
 
@@ -85,8 +85,8 @@ class TestLearningEfficacy:
 class TestInformationRetention:
     def test_memorizing_single_class(self):
         spec = softmax_spec()
-        theta = ParamVector(np.zeros(spec.n_params), spec.param_layout())
-        theta.block("b")[:] = np.array([10.0, 0.0])
+        theta = np.zeros(spec.n_params)
+        spec.block(theta, "b")[:] = np.array([10.0, 0.0])
         holdout = DataPool(seed=0)
         xs = np.random.default_rng(0).standard_normal((10, 2))
         holdout.offer(xs, np.zeros(10, dtype=np.int64), 1, np.arange(10, dtype=np.int64))
@@ -106,8 +106,8 @@ class TestInformationRetention:
 
     def test_respects_arrival_cutoff(self):
         spec = softmax_spec()
-        theta = ParamVector(np.zeros(spec.n_params), spec.param_layout())
-        theta.block("b")[:] = np.array([10.0, 0.0])
+        theta = np.zeros(spec.n_params)
+        spec.block(theta, "b")[:] = np.array([10.0, 0.0])
         holdout = DataPool(seed=0)
         holdout.offer(np.zeros((5, 2)), np.zeros(5, dtype=np.int64), 1,
                       np.arange(5, dtype=np.int64))
@@ -118,7 +118,7 @@ class TestInformationRetention:
 
     def test_empty_holdout_raises(self):
         spec = softmax_spec()
-        theta = ParamVector(np.zeros(spec.n_params), spec.param_layout())
+        theta = np.zeros(spec.n_params)
         with pytest.raises(EmptyPoolError):
             information_retention(spec, theta, DataPool(seed=0), 1)
 

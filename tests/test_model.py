@@ -3,20 +3,22 @@ and the analytic assumption witnesses."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oclopt.datapool import Minibatch
-from oclopt.model import (ModelSpec, ParamVector, accuracy, init_params, logits,
-                          loss_and_grad, predict, validation_performance)
+from oclopt.model import (ModelSpec, accuracy, init_params, logits, loss_and_grad,
+                          predict, validation_performance)
 
 
 def fd_gradient(spec, theta, batch, h=1e-5):
     """Central-difference gradient, the independent oracle."""
-    grad = np.zeros_like(theta.values)
-    for i in range(theta.dim):
-        up = ParamVector(theta.values.copy(), theta.layout)
-        dn = ParamVector(theta.values.copy(), theta.layout)
-        up.values[i] += h
-        dn.values[i] -= h
+    grad = np.zeros_like(theta)
+    for i in range(theta.size):
+        up = theta.copy()
+        dn = theta.copy()
+        up[i] += h
+        dn[i] -= h
         lu, _ = loss_and_grad(spec, up, batch)
         ld, _ = loss_and_grad(spec, dn, batch)
         grad[i] = (lu - ld) / (2 * h)
@@ -44,7 +46,7 @@ def random_model_and_batch(rng):
                          d_in=d, n_classes=c, hidden=hidden)
         batch = Minibatch(rng.standard_normal((n, d)), rng.integers(0, c, n))
     theta = init_params(spec, rng)
-    theta.values[:] += 0.3 * rng.standard_normal(theta.dim)
+    theta[:] += 0.3 * rng.standard_normal(theta.size)
     return spec, theta, batch
 
 
@@ -53,16 +55,16 @@ class TestGradients:
         spec = ModelSpec(kind="quadratic-probe", loss="quadratic", dim=3,
                          curvature=(0.5, 1.0, 1.5))
         target = np.array([1.0, -2.0, 0.5])
-        theta = ParamVector(target.copy())
+        theta = target.copy()
         batch = Minibatch(np.tile(target, (4, 1)), np.tile(target, (4, 1)))
         loss, grad = loss_and_grad(spec, theta, batch)
         assert loss == 0.0
-        assert np.allclose(grad.values, 0.0)
+        assert np.allclose(grad, 0.0)
 
     def test_softmax_zero_params_gives_ln2(self):
         spec = ModelSpec(kind="linear-softmax", loss="cross-entropy", d_in=3,
                          n_classes=2)
-        theta = ParamVector(np.zeros(spec.n_params), spec.param_layout())
+        theta = np.zeros(spec.n_params)
         batch = Minibatch(np.random.default_rng(0).standard_normal((6, 3)),
                           np.array([0, 1, 0, 1, 1, 0]))
         loss, _ = loss_and_grad(spec, theta, batch)
@@ -76,7 +78,7 @@ class TestGradients:
         batch = Minibatch(rng.standard_normal((8, 3)), rng.integers(0, 3, 8))
         _, grad = loss_and_grad(spec, theta, batch)
         numeric = fd_gradient(spec, theta, batch)
-        assert grad_agreement(grad.values, numeric) < 1e-6
+        assert grad_agreement(grad, numeric) < 1e-6
 
     def test_all_kinds_match_finite_differences(self):
         rng = np.random.default_rng(7)
@@ -84,20 +86,28 @@ class TestGradients:
             spec, theta, batch = random_model_and_batch(rng)
             _, grad = loss_and_grad(spec, theta, batch)
             numeric = fd_gradient(spec, theta, batch)
-            assert grad_agreement(grad.values, numeric) < 1e-6, spec.kind
+            assert grad_agreement(grad, numeric) < 1e-6, spec.kind
 
     def test_dimension_mismatch_raises(self):
         spec = ModelSpec(kind="linear-softmax", loss="cross-entropy", d_in=3,
                          n_classes=2)
-        theta = ParamVector(np.zeros(spec.n_params), spec.param_layout())
+        theta = np.zeros(spec.n_params)
         bad = Minibatch(np.zeros((4, 5)), np.zeros(4, dtype=int))
         with pytest.raises(ValueError):
             loss_and_grad(spec, theta, bad)
 
+    @pytest.mark.parametrize("shape", [(5,), (7,), (1, 6), (6, 1)])
+    def test_parameters_must_be_flat_of_n_params(self, shape):
+        spec = ModelSpec(kind="linear-softmax", loss="cross-entropy", d_in=2,
+                         n_classes=2)
+        batch = Minibatch(np.zeros((4, 2)), np.zeros(4, dtype=int))
+        with pytest.raises(ValueError, match="parameter shape"):
+            loss_and_grad(spec, np.zeros(shape), batch)
+
     def test_empty_batch_raises(self):
         spec = ModelSpec(kind="linear-softmax", loss="cross-entropy", d_in=2,
                          n_classes=2)
-        theta = ParamVector(np.zeros(spec.n_params), spec.param_layout())
+        theta = np.zeros(spec.n_params)
         with pytest.raises(ValueError):
             loss_and_grad(spec, theta, Minibatch(np.zeros((0, 2)), np.zeros(0, dtype=int)))
 
@@ -109,9 +119,9 @@ class TestGradients:
         theta = init_params(spec, rng)
         xs, ys = rng.standard_normal((16, 2)), rng.integers(0, 3, 16)
         _, full = loss_and_grad(spec, theta, Minibatch(xs, ys))
-        singles = [loss_and_grad(spec, theta, Minibatch(xs[i:i + 1], ys[i:i + 1]))[1].values
+        singles = [loss_and_grad(spec, theta, Minibatch(xs[i:i + 1], ys[i:i + 1]))[1]
                    for i in range(16)]
-        assert np.allclose(np.mean(singles, axis=0), full.values, atol=1e-12)
+        assert np.allclose(np.mean(singles, axis=0), full, atol=1e-12)
 
 
 class TestAccuracy:
@@ -121,8 +131,8 @@ class TestAccuracy:
 
     def test_perfect_predictor(self):
         spec = self.spec()
-        theta = ParamVector(np.zeros(spec.n_params), spec.param_layout())
-        theta.block("w")[:] = np.array([[5.0, 0.0], [-5.0, 0.0]])
+        theta = np.zeros(spec.n_params)
+        spec.block(theta, "w")[:] = np.array([[5.0, 0.0], [-5.0, 0.0]])
         xs = np.array([[1.0, 0.0], [-1.0, 0.0], [2.0, 1.0]])
         ys = np.array([0, 1, 0])
         assert accuracy(spec, theta, Minibatch(xs, ys)) == 1.0
@@ -130,7 +140,7 @@ class TestAccuracy:
     def test_tie_breaks_toward_lowest_class(self):
         # zero params tie all logits; predictions are class 0 everywhere
         spec = self.spec()
-        theta = ParamVector(np.zeros(spec.n_params), spec.param_layout())
+        theta = np.zeros(spec.n_params)
         xs = np.random.default_rng(0).standard_normal((10, 2))
         ys = np.array([0] * 6 + [1] * 4)
         assert accuracy(spec, theta, Minibatch(xs, ys)) == 0.6
@@ -143,7 +153,7 @@ class TestAccuracy:
         xs = rng.standard_normal((20, 3))
         ys = rng.integers(0, 4, 20)
         # independent enumeration: per-example argmax over explicit dot products
-        w, b = theta.block("w"), theta.block("b")
+        w, b = spec.block(theta, "w"), spec.block(theta, "b")
         correct = 0
         for i in range(20):
             scores = [float(w[c] @ xs[i]) + float(b[c]) for c in range(4)]
@@ -154,30 +164,46 @@ class TestAccuracy:
     def test_regression_model_rejected(self):
         spec = ModelSpec(kind="quadratic-probe", loss="quadratic", dim=2,
                          curvature=(1.0, 1.0))
-        theta = ParamVector(np.zeros(2))
+        theta = np.zeros(2)
         with pytest.raises(ValueError):
             accuracy(spec, theta, Minibatch(np.zeros((2, 2)), np.zeros((2, 2))))
 
     def test_validation_performance_orientation(self):
         spec = ModelSpec(kind="quadratic-probe", loss="quadratic", dim=2,
                          curvature=(1.0, 1.0))
-        good = ParamVector(np.array([1.0, 1.0]))
-        bad = ParamVector(np.array([9.0, 9.0]))
+        good = np.array([1.0, 1.0])
+        bad = np.array([9.0, 9.0])
         batch = Minibatch(np.tile([1.0, 1.0], (4, 1)), np.tile([1.0, 1.0], (4, 1)))
         assert validation_performance(spec, good, batch) > validation_performance(spec, bad, batch)
 
 
-class TestParamVector:
-    def test_layout_must_partition(self):
-        with pytest.raises(ValueError):
-            ParamVector(np.zeros(5), (("a", 0, (2,)), ("b", 2, (2,))))
+class TestLayout:
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["quadratic-probe", "linear-softmax", "mlp-1-hidden"]),
+           d_in=st.integers(1, 6), n_classes=st.integers(2, 5),
+           hidden=st.integers(1, 7), dim=st.integers(1, 6), seed=st.integers(0, 99))
+    def test_blocks_tile_the_vector(self, kind, d_in, n_classes, hidden, dim, seed):
+        if kind == "quadratic-probe":
+            spec = ModelSpec(kind=kind, loss="quadratic", dim=dim, curvature=(1.0,) * dim)
+        else:
+            spec = ModelSpec(kind=kind, loss="cross-entropy", d_in=d_in,
+                             n_classes=n_classes, hidden=hidden)
+        theta = init_params(spec, np.random.default_rng(seed))
+        assert theta.shape == (spec.n_params,)
+        covered = 0
+        for name, (where, shape) in spec.layout.items():
+            assert (where.start, where.stop) == (covered, covered + int(np.prod(shape)))
+            covered = where.stop
+            view = spec.block(theta, name)
+            assert view.shape == shape and np.shares_memory(view, theta)
+        assert covered == spec.n_params
 
     def test_block_views_share_memory(self):
         spec = ModelSpec(kind="linear-softmax", loss="cross-entropy", d_in=2,
                          n_classes=2)
-        theta = ParamVector(np.zeros(spec.n_params), spec.param_layout())
-        theta.block("b")[:] = 7.0
-        assert np.all(theta.values[-2:] == 7.0)
+        theta = np.zeros(spec.n_params)
+        spec.block(theta, "b")[:] = 7.0
+        assert np.all(theta[-2:] == 7.0)
 
     def test_init_is_deterministic(self):
         from oclopt.rng import substream
@@ -185,7 +211,7 @@ class TestParamVector:
                          n_classes=2, hidden=4)
         a = init_params(spec, substream(5, 6))
         b = init_params(spec, substream(5, 6))
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
 
 class TestNoiseWitness:
@@ -203,12 +229,12 @@ class TestNoiseWitness:
         spec = ModelSpec(kind="quadratic-probe", loss="quadratic", dim=3,
                          curvature=tuple(quad.eigenvalues()))
         rng = np.random.default_rng(0)
-        theta = ParamVector(rng.standard_normal(3))
+        theta = rng.standard_normal(3)
         batch = next_batch(stream, 1)
         # true gradient of the per-step objective at the noiseless center
-        true_grad = quad.grad_at(theta.values, 1)
+        true_grad = quad.grad_at(theta, 1)
         rho = quad.noise_bound()
         for i in range(batch.n):
             single = Minibatch(batch.inputs[i:i + 1], batch.labels[i:i + 1])
             _, g = loss_and_grad(spec, theta, single)
-            assert np.linalg.norm(g.values - true_grad) <= rho + 1e-12
+            assert np.linalg.norm(g - true_grad) <= rho + 1e-12

@@ -6,27 +6,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oclopt.model import DivergenceError, ParamVector
+from oclopt.model import DivergenceError
 from oclopt.optim import (CostCounter, adam_step, ama_step, best_ma, init_adam,
                           init_ama, init_averager, init_ema, init_sgd, load_optimizer,
                           ma_update, save_optimizer, sgd_step, unfolded_ma_coefficients)
 
 
 def pv(*values):
-    return ParamVector(np.array(values, dtype=float))
+    return np.array(values, dtype=float)
 
 
 class TestSgd:
     def test_plain_update_is_theta_minus_lr_grad(self):
         state = init_sgd(pv(1.0, 2.0), beta=0.0)
         sgd_step(state, pv(0.5, -1.0), lr=0.1)
-        assert np.allclose(state.theta.values, [0.95, 2.1])
+        assert np.allclose(state.theta, [0.95, 2.1])
 
     def test_zero_grad_keeps_theta_fixed(self):
         state = init_sgd(pv(3.0), beta=0.9)
         for _ in range(5):
             sgd_step(state, pv(0.0), lr=0.2)
-        assert state.theta.values[0] == 3.0
+        assert state.theta[0] == 3.0
 
     def test_momentum_matches_scalar_recurrence_oracle(self):
         # independent recurrence in plain python floats
@@ -34,12 +34,12 @@ class TestSgd:
         theta_ref, buf = 1.0, 0.0
         state = init_sgd(pv(1.0), beta=beta)
         for _ in range(3):
-            g = lam * (state.theta.values[0] - c)
+            g = lam * (state.theta[0] - c)
             sgd_step(state, pv(g), lr=alpha)
             g_ref = lam * (theta_ref - c)
             buf = beta * buf + g_ref
             theta_ref = theta_ref - alpha * buf
-        assert np.isclose(state.theta.values[0], theta_ref, rtol=1e-12)
+        assert np.isclose(state.theta[0], theta_ref, rtol=1e-12)
 
     def test_nonfinite_grad_signals_divergence(self):
         state = init_sgd(pv(1.0))
@@ -56,13 +56,13 @@ class TestAdam:
     def test_zero_grad_from_init_keeps_theta(self):
         state = init_adam(pv(1.0, -1.0))
         adam_step(state, pv(0.0, 0.0), lr=0.1)
-        assert np.allclose(state.theta.values, [1.0, -1.0])
+        assert np.allclose(state.theta, [1.0, -1.0])
 
     def test_first_step_is_signlike(self):
         # bias correction makes m_hat/sqrt(v_hat) = g/|g| on the first step
         state = init_adam(pv(0.0))
         adam_step(state, pv(0.04), lr=0.1)
-        assert np.isclose(state.theta.values[0], -0.1, rtol=1e-4)
+        assert np.isclose(state.theta[0], -0.1, rtol=1e-4)
 
     def test_five_step_scalar_oracle(self):
         b1, b2, eps, alpha = 0.9, 0.999, 1e-8, 0.05
@@ -74,19 +74,19 @@ class TestAdam:
             m = b1 * m + (1 - b1) * g
             v = b2 * v + (1 - b2) * g * g
             theta_ref -= alpha * (m / (1 - b1 ** i)) / (np.sqrt(v / (1 - b2 ** i)) + eps)
-        assert np.isclose(state.theta.values[0], theta_ref, rtol=1e-12)
+        assert np.isclose(state.theta[0], theta_ref, rtol=1e-12)
 
 
 class TestMaUpdate:
     def test_gamma_zero_copies_sgd(self):
         ma = pv(5.0, 5.0)
         ma_update(ma, 0.0, pv(1.0, 2.0))
-        assert np.allclose(ma.values, [1.0, 2.0])
+        assert np.allclose(ma, [1.0, 2.0])
 
     def test_gamma_one_freezes(self):
         ma = pv(5.0, 5.0)
         ma_update(ma, 1.0, pv(1.0, 2.0))
-        assert np.allclose(ma.values, [5.0, 5.0])
+        assert np.allclose(ma, [5.0, 5.0])
 
     def test_gamma_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -104,7 +104,7 @@ class TestMaUpdate:
         expected = gamma ** k * thetas[0]
         for i in range(1, k + 1):
             expected += (1 - gamma) * gamma ** (k - i) * thetas[i]
-        assert np.isclose(ma.values[0], expected, rtol=1e-12)
+        assert np.isclose(ma[0], expected, rtol=1e-12)
 
     def test_varying_gamma_matches_explicit_products(self):
         rng = np.random.default_rng(1)
@@ -118,7 +118,7 @@ class TestMaUpdate:
         expected = np.prod(gammas) * thetas[0]
         for i in range(1, k + 1):
             expected += (1 - gammas[i - 1]) * np.prod(gammas[i:]) * thetas[i]
-        assert np.isclose(ma.values[0], expected, rtol=1e-10)
+        assert np.isclose(ma[0], expected, rtol=1e-10)
 
 
 class TestUnfoldedCoefficients:
@@ -139,12 +139,12 @@ class TestUnfoldedCoefficients:
         for g, th in zip(gammas, thetas[1:]):
             ma_update(ma, g, pv(th))
             lo, hi = min(lo, th), max(hi, th)
-            assert lo - 1e-12 <= ma.values[0] <= hi + 1e-12
+            assert lo - 1e-12 <= ma[0] <= hi + 1e-12
 
 
 def steer(value):
     """Evaluate hook whose 'performance' is the first parameter coordinate."""
-    return lambda params, batch: float(params.values[0])
+    return lambda params, batch: float(params[0])
 
 
 class TestAmaStep:
@@ -173,7 +173,7 @@ class TestAmaStep:
         ama_step(state, pv(0.0), 1, lambda: None, steer(0))
         assert state.gammas[0] == 1.0                   # min(1, 4.95)
         assert np.isclose(state.gammas[1], 0.2)         # gamma1 / delta
-        assert state.ma[1].values[0] == 7.0             # copy of the best
+        assert state.ma[1][0] == 7.0             # copy of the best
         assert state.i_best == 2
         assert state.val[0].mean == state.val[1].mean == 0.0 and state.n == 0
 
@@ -184,21 +184,21 @@ class TestAmaStep:
         ama_step(state, pv(0.0), 1, lambda: None, steer(0))
         assert np.isclose(state.gammas[0], 0.198)
         assert np.isclose(state.gammas[1], 0.0396)
-        assert state.ma[0].values[0] == 3.0
+        assert state.ma[0][0] == 3.0
         assert state.i_best == 1
 
     def test_window_event_without_adapt_keeps_means_weights_and_models(self):
         state = init_ama(pv(1.0), gamma0=0.99, delta=5.0, k_m=10**9, k_v=1, k_w=2,
                          adapt=False)
         state.ma = [pv(7.0), pv(3.0)]
-        evaluate = lambda params, batch: float(params.values[0])
+        evaluate = lambda params, batch: float(params[0])
         for k in (1, 2, 3, 4):
             ama_step(state, pv(0.5), k, lambda: "batch", evaluate)
         # k = 2 and 4 are k_w boundaries: no reset, no weight move, no copy
         assert state.n == 4
         assert (state.val[0].mean, state.val[1].mean, state.val_sgd.mean) == (7.0, 3.0, 0.5)
         assert state.gammas == [0.99, 0.99 / 5.0]
-        assert (state.ma[0].values[0], state.ma[1].values[0]) == (7.0, 3.0)
+        assert (state.ma[0][0], state.ma[1][0]) == (7.0, 3.0)
         assert state.i_best == 1
         # one and zero models always reset at k_w (they have no weights to move)
         for n_models in (0, 1):
@@ -211,7 +211,7 @@ class TestAmaStep:
     def test_validation_folds_running_means(self):
         state = init_ama(pv(0.0), k_m=10**9, k_v=1, k_w=10**9)
         state.ma = [pv(1.0), pv(0.0)]
-        evaluate = lambda params, batch: float(params.values[0])
+        evaluate = lambda params, batch: float(params[0])
         ama_step(state, pv(0.5), 1, lambda: "batch", evaluate)
         assert (state.val[0].mean, state.val[1].mean, state.val_sgd.mean,
                 state.n) == (1.0, 0.0, 0.5, 1)
@@ -235,9 +235,9 @@ class TestAmaStep:
         state = init_ama(pv(0.0), gamma0=0.5, k_m=3, k_v=10**9, k_w=10**9)
         for k in (1, 2):
             ama_step(state, pv(1.0), k, lambda: None, steer(0))
-        assert state.ma[0].values[0] == 0.0
+        assert state.ma[0][0] == 0.0
         ama_step(state, pv(1.0), 3, lambda: None, steer(0))
-        assert state.ma[0].values[0] == 0.5
+        assert state.ma[0][0] == 0.5
 
     def test_gamma_ratio_invariant_after_every_weight_event(self):
         rng = np.random.default_rng(4)
@@ -255,9 +255,9 @@ class TestAmaStep:
         state = init_ama(pv(0.0))
         state.ma = [pv(1.0), pv(2.0)]
         state.i_best = 1
-        assert best_ma(state).values[0] == 1.0
+        assert best_ma(state)[0] == 1.0
         state.i_best = 2
-        assert best_ma(state).values[0] == 2.0
+        assert best_ma(state)[0] == 2.0
 
 
 class TestEquivalences:
@@ -268,11 +268,11 @@ class TestEquivalences:
         ma_state = make_ma(sgd.theta)
         out = []
         for k in range(1, steps + 1):
-            g = ParamVector(0.7 * (sgd.theta.values - np.array([1.0, -1.0, 0.5]))
-                            + 0.1 * rng.standard_normal(3))
+            g = (0.7 * (sgd.theta - np.array([1.0, -1.0, 0.5]))
+                 + 0.1 * rng.standard_normal(3))
             sgd_step(sgd, g, lr=0.05)
             ama_step(ma_state, sgd.theta, k, lambda: "b", lambda p, b: 0.0)
-            out.append(ma_state.ma[0].values.copy())
+            out.append(ma_state.ma[0].copy())
         return np.array(out)
 
     def test_ama_with_delta_one_and_no_adapt_is_ema_bitwise(self):
@@ -288,10 +288,10 @@ class TestEquivalences:
         sgd = init_sgd(pv(*rng.standard_normal(2)), beta=0.0)
         ema = init_ema(sgd.theta, gamma=0.0, k_m=1)
         for k in range(1, 100):
-            g = ParamVector(rng.standard_normal(2))
+            g = rng.standard_normal(2)
             sgd_step(sgd, g, lr=0.03)
             ama_step(ema, sgd.theta, k, lambda: "b", lambda p, b: 0.0)
-            assert np.array_equal(ema.ma[0].values, sgd.theta.values)
+            assert np.array_equal(ema.ma[0], sgd.theta)
 
 
 class TestCheckpoint:
@@ -299,9 +299,9 @@ class TestCheckpoint:
         rng = np.random.default_rng(9)
         sgd = init_sgd(pv(*rng.standard_normal(4)), beta=0.9)
         ama = init_ama(sgd.theta, k_m=2, k_v=4, k_w=8)
-        ev = lambda p, b: float(p.values[0])
+        ev = lambda p, b: float(p[0])
         for k in range(1, 21):
-            sgd_step(sgd, ParamVector(rng.standard_normal(4)), lr=0.05)
+            sgd_step(sgd, rng.standard_normal(4), lr=0.05)
             ama_step(ama, sgd.theta, k, lambda: "b", ev)
         path = tmp_path / "ckpt.npz"
         save_optimizer(path, sgd, ama)
@@ -310,28 +310,28 @@ class TestCheckpoint:
         grads = [follow.standard_normal(4) for _ in range(20)]
         for k in range(21, 41):
             g = grads[k - 21]
-            sgd_step(sgd, ParamVector(g.copy()), lr=0.05)
+            sgd_step(sgd, g.copy(), lr=0.05)
             ama_step(ama, sgd.theta, k, lambda: "b", ev)
-            sgd_step(sgd2, ParamVector(g.copy()), lr=0.05)
+            sgd_step(sgd2, g.copy(), lr=0.05)
             ama_step(ama2, sgd2.theta, k, lambda: "b", ev)
-        assert np.array_equal(sgd.theta.values, sgd2.theta.values)
-        assert np.array_equal(ama.ma[0].values, ama2.ma[0].values)
-        assert np.array_equal(ama.ma[1].values, ama2.ma[1].values)
+        assert np.array_equal(sgd.theta, sgd2.theta)
+        assert np.array_equal(ama.ma[0], ama2.ma[0])
+        assert np.array_equal(ama.ma[1], ama2.ma[1])
         assert (ama.gammas, ama.i_best, ama.n) == (ama2.gammas, ama2.i_best, ama2.n)
 
     def test_adam_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)
         adam = init_adam(pv(*rng.standard_normal(3)))
         for _ in range(10):
-            adam_step(adam, ParamVector(rng.standard_normal(3)), lr=0.01)
+            adam_step(adam, rng.standard_normal(3), lr=0.01)
         path = tmp_path / "adam.npz"
         save_optimizer(path, adam)
         adam2, ma = load_optimizer(path)
         assert ma is None
         g = rng.standard_normal(3)
-        adam_step(adam, ParamVector(g.copy()), lr=0.01)
-        adam_step(adam2, ParamVector(g.copy()), lr=0.01)
-        assert np.array_equal(adam.theta.values, adam2.theta.values)
+        adam_step(adam, g.copy(), lr=0.01)
+        adam_step(adam2, g.copy(), lr=0.01)
+        assert np.array_equal(adam.theta, adam2.theta)
 
 
 class TestCostAccounting:
