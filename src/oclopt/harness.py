@@ -1,9 +1,10 @@
 """Config-driven experiment runner tying streams, pools, models, optimizers,
 schedules, and metrics together.
 
-An experiment executes the online protocol for the configured horizon. Each
-time step reveals a batch, records pre-update predictions, integrates the
-batch into the training/holdout pools, then runs ``iters_per_step`` optimizer
+An experiment executes the online protocol for the configured horizon. One
+``Run`` holds a seed's state, and ``run_protocol_step`` executes one step on
+it: reveal a batch, record pre-update predictions, integrate the batch into
+the training/holdout pools, then run ``iters_per_step`` optimizer
 iterations, each drawing a replay minibatch. Moving-average, online
 validation, and learning-rate events fire on their global-iteration
 intervals. Everything is deterministic per seed; rerunning a manifest
@@ -24,7 +25,7 @@ from typing import Optional
 import numpy as np
 import yaml
 
-from . import __version__
+from . import __version__, datapool, stream
 from . import rng as rngmod
 from .datapool import DataPool, EmptyPoolError, sample_mixed_replay, sample_pure_replay
 from .metrics import MetricLedger, forward_transfer, information_retention
@@ -34,13 +35,17 @@ from .optim import (AmaState, CostCounter, adam_step, ama_step, best_ma, init_ad
                     init_averager, init_sgd, save_optimizer, sgd_step)
 from .rng import substream
 from .schedule import cyclic_lr, init_schedule, malr_update, rwp_update
-from .stream import (DriftingQuadraticSpec, Environment, PiecewiseTaskSpec,
-                     RotatingGaussianSpec, StreamSpec, run_protocol_step)
+from .stream import (DriftingQuadraticSpec, PiecewiseTaskSpec, RotatingGaussianSpec,
+                     StreamSpec)
 from .theory import BoundReport, make_rate_schedule, verify_bound
 
 
 class ConfigError(ValueError):
     """The experiment configuration is inconsistent or incomplete."""
+
+
+class ProtocolError(RuntimeError):
+    """Protocol steps must be executed strictly in order."""
 
 
 # -- configuration tree ---------------------------------------------------------
@@ -76,6 +81,9 @@ class ModelConfig:
     hidden: int = 16
 
 
+AVERAGING = ("none", "ema", "ama")   # index: the number of MA models kept
+
+
 @dataclass
 class OptimizerConfig:
     base: str = "sgd"          # sgd | adam
@@ -90,13 +98,6 @@ class OptimizerConfig:
     k_v: int = 20
     k_w: int = 10000
     adapt: bool = True
-
-    def averaged_models(self) -> int:
-        """Number of MA models the averaging mode keeps: none 0, ema 1, ama 2."""
-        try:
-            return ("none", "ema", "ama").index(self.averaging)
-        except ValueError:
-            raise ConfigError(f"unknown averaging mode {self.averaging!r}") from None
 
 
 @dataclass
@@ -142,46 +143,12 @@ class ExperimentConfig:
     theory: Optional[dict] = None
 
     def validate(self):
-        """Check what only the harness knows, then build the first seed's run,
-        so every range check of the constructors it calls reports as a
-        ConfigError."""
-        errors = []
-        if self.replay.mode not in ("pure", "mixed"):
-            errors.append(f"unknown replay mode {self.replay.mode!r}")
-        if self.replay.mode == "mixed" and self.replay.batch_size % 2 != 0:
-            errors.append("mixed replay needs an even batch size")
-        if self.schedule.kind not in ("constant", "rwp", "malr", "cyclic", "trace"):
-            errors.append(f"unknown schedule kind {self.schedule.kind!r}")
-        if self.schedule.metric not in ("accuracy", "loss"):
-            errors.append(f"unknown schedule metric {self.schedule.metric!r}")
-        try:
-            n_models = self.optimizer.averaged_models()
-        except ConfigError as e:
-            errors.append(str(e))
-            n_models = None
-        if self.schedule.kind == "malr" and n_models == 0:
-            errors.append("malr needs a moving-average model for the sigma signal")
-        if self.schedule.kind == "cyclic" and self.stream.kind != "piecewise-task":
-            errors.append("cyclic schedule requires a task-aware (piecewise) stream")
-        if self.schedule.kind == "trace" and not self.schedule.lr_trace:
-            errors.append("trace schedule requires lr_trace")
-        if self.optimizer.base not in ("sgd", "adam"):
-            errors.append(f"unknown base optimizer {self.optimizer.base!r}")
-        if self.model.kind == "quadratic-probe" and self.stream.kind != "drifting-quadratic":
-            errors.append("quadratic-probe model requires the drifting-quadratic stream")
-        if self.stream.kind == "drifting-quadratic" and self.model.kind != "quadratic-probe":
-            errors.append("drifting-quadratic stream requires the quadratic-probe model")
+        """Build every seed's run; the run's constructor owns every other
+        check and reports what it rejects as a ConfigError."""
         if not isinstance(self.seeds, (list, tuple)) or not self.seeds:
-            errors.append("seeds must list at least one seed")
-        # type() rather than isinstance(): a bool is not a seed
-        elif any(type(seed) is not int or seed < 0 for seed in self.seeds):
-            errors.append(f"seeds must be non-negative integers, got {self.seeds!r}")
-        if errors:
-            raise ConfigError("; ".join(errors))
-        try:
-            Run(self, self.seeds[0])
-        except (TypeError, ValueError) as e:
-            raise ConfigError(str(e)) from e
+            raise ConfigError("seeds must list at least one seed")
+        for seed in self.seeds:
+            Run(self, seed)
         return self
 
 
@@ -258,8 +225,6 @@ def build_stream_spec(config: ExperimentConfig, seed: int) -> StreamSpec:
             n_classes=s.n_classes, classes_per_task=s.classes_per_task,
             task_length=s.task_length, mean_scale=s.mean_scale,
             noise_std=s.noise_std)
-    else:
-        raise ConfigError(f"unknown stream kind {s.kind!r}")
     return StreamSpec(kind=s.kind, d_in=s.d_in, batch_size=s.batch_size,
                       horizon=s.horizon, seed=seed, quadratic=quadratic,
                       rotating=rotating, piecewise=piecewise)
@@ -286,7 +251,7 @@ class RunResult:
     ledger: MetricLedger
     costs: CostCounter
     lr_trace: list             # alpha used at each iteration 1..K
-    final_theta: np.ndarray
+    base: object               # the base optimizer state (SgdState or AdamState)
     diverged: bool = False
     ama: Optional[AmaState] = None   # the averager (0, 1 or 2 MA models)
 
@@ -305,42 +270,114 @@ METRIC_COLUMNS = ("t", "k", "p_le", "p_ir", "p_ft", "alpha", "sigma",
 SCHEDULE_COLUMNS = ("k", "alpha", "sigma", "val_perf", "conditions")
 
 
+def run_protocol_step(run, t: int):
+    """Execute step t of the online protocol on a run.
+
+    In order: (1) sample the batch, (2) ask ``run.predict`` for every datum
+    before labels are revealed, (3) integrate the batch into ``run.pool`` and
+    ``run.holdout``, (4) call ``run.update``. If the update raises, both
+    pools (items, counters, generators and ``last_step``) are rolled back and
+    the step is not counted. Nothing else is rolled back: the run's changes
+    from iterations completed before the failure (optimizer, averager,
+    schedule, compute costs and the learning-rate trace) stay applied.
+
+    ``run`` is anything with ``stream_spec``, ``pool``, ``holdout``,
+    ``predict`` and ``update``. Returns (predictions, batch); predictions
+    come from the pre-update parameters.
+    """
+    if t != run.pool.last_step + 1:
+        raise ProtocolError(f"expected step {run.pool.last_step + 1}, got {t}")
+    batch = stream.next_batch(run.stream_spec, t)
+    predictions = run.predict(batch.inputs)
+    pool_ckpt, hold_ckpt = run.pool.checkpoint(), run.holdout.checkpoint()
+    datapool.update(run.pool, run.holdout, batch)
+    try:
+        run.update(t, batch)
+    except Exception:
+        run.pool.restore(pool_ckpt)
+        run.holdout.restore(hold_ckpt)
+        raise
+    return predictions, batch
+
+
 class Run:
     """All mutable state of one seed's run, and the learner the protocol drives.
 
-    ``step(t)`` executes protocol step t through ``run_protocol_step``, which
-    calls back ``predict`` and ``update``, then records the step's metrics.
+    Building a run validates a config for one seed: the constructor checks
+    the seed and the kinds and pairings only the harness knows, and reports
+    whatever the constructors it calls reject as a ConfigError. ``step(t)``
+    executes protocol step t through ``run_protocol_step``, which calls back
+    ``predict`` and ``update``, then records the step's metrics.
     """
 
     def __init__(self, config: ExperimentConfig, seed: int):
-        self.config = config
-        self.seed = seed
-        self.stream_spec = build_stream_spec(config, seed)
-        self.model_spec = build_model_spec(config, self.stream_spec)
-        self.pool = DataPool(capacity=config.replay.capacity, seed=seed)
-        self.holdout = DataPool(capacity=None, seed=seed,
-                                holdout_fraction=config.replay.holdout_fraction)
-        self.env = Environment(spec=self.stream_spec, pool=self.pool, holdout=self.holdout)
-        theta = init_params(self.model_spec, substream(seed, rngmod.INIT))
+        try:
+            o, r, s = config.optimizer, config.replay, config.schedule
+            stream_kind, model_kind = config.stream.kind, config.model.kind
+            horizon = config.stream.horizon
+            self.val_batch_size = (r.batch_size if config.val_batch_size is None
+                                   else config.val_batch_size)
+            self.ft_k1 = config.ft_k1 if config.ft_k1 is not None else max(1, horizon // 10)
+            self.ft_k2 = config.ft_k2 if config.ft_k2 is not None else max(2, horizon // 4)
+            rates = s.lr_trace if s.kind == "trace" and s.lr_trace else [s.alpha0]
+            # the kinds, pairings and values only the harness resolves; every
+            # other range check sits in the constructor that owns the value
+            errors = [message for bad, message in (
+                # type() rather than isinstance(): a bool is not a seed
+                (type(seed) is not int or seed < 0,
+                 f"seeds must be non-negative integers, got {seed!r}"),
+                (r.mode not in ("pure", "mixed"), f"unknown replay mode {r.mode!r}"),
+                (r.mode == "mixed" and r.batch_size % 2 != 0,
+                 "mixed replay needs an even batch size"),
+                (s.kind not in ("constant", "rwp", "malr", "cyclic", "trace"),
+                 f"unknown schedule kind {s.kind!r}"),
+                (s.metric not in ("accuracy", "loss"), f"unknown schedule metric {s.metric!r}"),
+                (o.averaging not in AVERAGING, f"unknown averaging mode {o.averaging!r}"),
+                (s.kind == "malr" and o.averaging == "none",
+                 "malr needs a moving-average model for the sigma signal"),
+                (s.kind == "cyclic" and stream_kind != "piecewise-task",
+                 "cyclic schedule requires a task-aware (piecewise) stream"),
+                (s.kind == "trace" and not s.lr_trace, "trace schedule requires lr_trace"),
+                (o.base not in ("sgd", "adam"), f"unknown base optimizer {o.base!r}"),
+                (model_kind == "quadratic-probe" and stream_kind != "drifting-quadratic",
+                 "quadratic-probe model requires the drifting-quadratic stream"),
+                (stream_kind == "drifting-quadratic" and model_kind != "quadratic-probe",
+                 "drifting-quadratic stream requires the quadratic-probe model"),
+                (config.iters_per_step < 0, "iters_per_step must be >= 0"),
+                (config.eval_every < 1, "eval_every must be >= 1"),
+                (r.batch_size < 1, "replay.batch_size must be >= 1"),
+                (self.val_batch_size < 1, "val_batch_size must be >= 1 or null"),
+                (not self.ft_k2 > self.ft_k1 >= 1,
+                 "the forward-transfer window needs ft_k2 > ft_k1 >= 1"),
+                (min(rates) <= 0, "the learning rate must be positive")) if bad]
+            if errors:
+                raise ValueError("; ".join(errors))
 
-        o = config.optimizer
-        if o.base == "sgd":
-            self.base = init_sgd(theta, beta=o.momentum)
-        else:
-            self.base = init_adam(theta, beta1=o.beta1, beta2=o.beta2, eps=o.adam_eps)
-        n_models = o.averaged_models()
-        # EMA and plain SGD have no weights to adapt, but their validation
-        # window still resets every k_w iterations
-        self.averager = init_averager(theta, n_models, gamma0=o.gamma0, delta=o.delta,
-                                      k_m=o.k_m, k_v=o.k_v, k_w=o.k_w,
-                                      adapt=o.adapt or n_models < 2)
-        s = config.schedule
-        self.sched = None
-        if s.kind in ("rwp", "malr"):
-            self.sched = init_schedule(s.kind, s.alpha0, beta_lr=s.beta_lr, k_r=s.k_r,
-                                       epsilon=s.epsilon, use_c2=s.use_c2,
-                                       use_c3=s.use_c3)
-
+            self.config = config
+            self.seed = seed
+            self.stream_spec = build_stream_spec(config, seed)
+            self.model_spec = build_model_spec(config, self.stream_spec)
+            self.pool = DataPool(capacity=r.capacity, seed=seed)
+            self.holdout = DataPool(capacity=None, seed=seed,
+                                    holdout_fraction=r.holdout_fraction)
+            theta = init_params(self.model_spec, substream(seed, rngmod.INIT))
+            if o.base == "sgd":
+                self.base = init_sgd(theta, beta=o.momentum)
+            else:
+                self.base = init_adam(theta, beta1=o.beta1, beta2=o.beta2, eps=o.adam_eps)
+            n_models = AVERAGING.index(o.averaging)
+            # EMA and plain SGD have no weights to adapt, but their validation
+            # window still resets every k_w iterations
+            self.averager = init_averager(theta, n_models, gamma0=o.gamma0, delta=o.delta,
+                                          k_m=o.k_m, k_v=o.k_v, k_w=o.k_w,
+                                          adapt=o.adapt or n_models < 2)
+            self.sched = None
+            if s.kind in ("rwp", "malr"):
+                self.sched = init_schedule(s.kind, s.alpha0, beta_lr=s.beta_lr, k_r=s.k_r,
+                                           epsilon=s.epsilon, use_c2=s.use_c2,
+                                           use_c3=s.use_c3)
+        except (TypeError, ValueError) as e:
+            raise ConfigError(str(e)) from e
         self.k = 0
         self.diverged = False
         self.ledger = MetricLedger()
@@ -349,26 +386,8 @@ class Run:
         self.schedule_rows = []
         self.lr_trace = []
         self.val_rng = substream(seed, rngmod.VALIDATION)
-        r, horizon = config.replay, config.stream.horizon
-        self.val_batch_size = (r.batch_size if config.val_batch_size is None
-                               else config.val_batch_size)
-        self.ft_k1 = config.ft_k1 if config.ft_k1 is not None else max(1, horizon // 10)
-        self.ft_k2 = config.ft_k2 if config.ft_k2 is not None else max(2, horizon // 4)
         self.task_iters = (config.stream.task_length * config.iters_per_step
-                           if config.stream.kind == "piecewise-task" else 0)
-        # the values only the harness resolves; every other range check sits
-        # in the constructor that owns the value
-        rates = s.lr_trace if s.kind == "trace" else [s.alpha0]
-        for ok, message in (
-                (config.iters_per_step >= 0, "iters_per_step must be >= 0"),
-                (config.eval_every >= 1, "eval_every must be >= 1"),
-                (r.batch_size >= 1, "replay.batch_size must be >= 1"),
-                (self.val_batch_size >= 1, "val_batch_size must be >= 1 or null"),
-                (self.ft_k2 > self.ft_k1 >= 1, "the forward-transfer window needs "
-                                               "ft_k2 > ft_k1 >= 1"),
-                (min(rates) > 0, "the learning rate must be positive")):
-            if not ok:
-                raise ValueError(message)
+                           if stream_kind == "piecewise-task" else 0)
 
     def inference_params(self):
         return best_ma(self.averager) if self.averager.ma else self.base.theta
@@ -415,7 +434,7 @@ class Run:
         loss, grad = loss_and_grad(self.model_spec, self.base.theta, mb)
         self.costs.forward += 1
         self.costs.grad += 1
-        if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
+        if not np.isfinite(loss):
             raise DivergenceError(f"non-finite loss at iteration {k}")
         if self.config.optimizer.base == "sgd":
             sgd_step(self.base, grad, alpha)
@@ -438,7 +457,7 @@ class Run:
     def step(self, t: int) -> bool:
         """Run protocol step t and record its metrics; False once diverged."""
         try:
-            predictions, batch = run_protocol_step(self.env, self, t)
+            predictions, batch = run_protocol_step(self, t)
         except DivergenceError:
             self.diverged = True
             return False
@@ -466,22 +485,20 @@ class Run:
     def result(self) -> RunResult:
         return RunResult(config=self.config, seed=self.seed, metric_rows=self.metric_rows,
                          schedule_rows=self.schedule_rows, ledger=self.ledger,
-                         costs=self.costs, lr_trace=self.lr_trace,
-                         final_theta=self.base.theta.copy(),
+                         costs=self.costs, lr_trace=self.lr_trace, base=self.base,
                          diverged=self.diverged, ama=self.averager)
 
 
 def run_experiment(config: ExperimentConfig, seed: Optional[int] = None,
                    out_dir=None) -> RunResult:
     """Execute the protocol for one seed; optionally write artifacts."""
-    config.validate()
-    run = Run(config, config.seeds[0] if seed is None else seed)
+    run = Run(config, config.seeds[0] if seed is None and config.seeds else seed)
     for t in range(1, config.stream.horizon + 1):
         if not run.step(t):
             break
     result = run.result()
     if out_dir is not None:
-        write_artifacts(result, run.base, out_dir)
+        write_artifacts(result, out_dir)
     return result
 
 
@@ -501,13 +518,13 @@ def _write_csv(path, columns, rows):
             w.writerow([_fmt(v) for v in row])
 
 
-def write_artifacts(result: RunResult, base_state, out_dir) -> dict:
+def write_artifacts(result: RunResult, out_dir) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "metrics.csv", METRIC_COLUMNS, result.metric_rows)
     _write_csv(out / "schedule.csv", SCHEDULE_COLUMNS, result.schedule_rows)
     save_config(result.config, out / "config.yaml")
-    save_optimizer(out / "checkpoint.npz", base_state, result.ama)
+    save_optimizer(out / "checkpoint.npz", result.base, result.ama)
     manifest = {
         "package_version": __version__,
         "seed": result.seed,

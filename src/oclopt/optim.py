@@ -213,16 +213,6 @@ def init_averager(theta0: np.ndarray, n_models: int, gamma0: float = 0.99,
                     delta=delta, k_m=k_m, k_v=k_v, k_w=k_w, adapt=adapt)
 
 
-def init_ama(theta0: np.ndarray, gamma0: float = 0.99, delta: float = 5.0,
-             k_m: int = 10, k_v: int = 20, k_w: int = 10000,
-             adapt: bool = True) -> AmaState:
-    return init_averager(theta0, 2, gamma0, delta, k_m, k_v, k_w, adapt)
-
-
-def init_ema(theta0: np.ndarray, gamma: float, k_m: int = 1) -> AmaState:
-    return init_averager(theta0, 1, gamma, k_m=k_m)
-
-
 def ama_step(state: AmaState, sgd_theta: np.ndarray, k: int,
              sample_validation: Callable[[], object],
              evaluate: Callable[[np.ndarray, object], float],

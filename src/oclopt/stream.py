@@ -1,4 +1,4 @@
-"""Synthetic non-stationary data streams and the four-step interaction protocol.
+"""Synthetic non-stationary data streams.
 
 Three stream families with analytically known drift:
 
@@ -12,7 +12,8 @@ Three stream families with analytically known drift:
   count).
 
 Batch generation is pure and random-access: batch t depends only on
-(seed, t), so streams can be replayed or sampled out of order.
+(seed, t), so streams can be replayed or sampled out of order. The protocol
+that consumes the batches is ``oclopt.harness.run_protocol_step``.
 """
 
 from __future__ import annotations
@@ -29,10 +30,6 @@ from .rng import ball_uniform, substream
 
 class HorizonError(ValueError):
     """Requested time step lies outside [1, horizon]."""
-
-
-class ProtocolError(RuntimeError):
-    """Protocol steps must be executed strictly in order."""
 
 
 @dataclass(frozen=True)
@@ -258,47 +255,3 @@ def eval_batch(spec: StreamSpec, t: int) -> StreamBatch:
     if not (1 <= t <= spec.horizon):
         raise HorizonError(f"step {t} outside [1, {spec.horizon}]")
     return _generate(spec, t, rngmod.EVAL)
-
-
-@dataclass
-class Environment:
-    """Stream plus data pools, advanced one protocol step at a time."""
-
-    spec: StreamSpec
-    pool: "DataPool"          # noqa: F821 - duck-typed, see datapool module
-    holdout: "DataPool"       # noqa: F821
-    last_step: int = 0
-
-
-def run_protocol_step(env: Environment, learner, t: int):
-    """Execute one step of the online continual learning protocol.
-
-    In order: (1) sample the batch, (2) ask the learner to predict every datum
-    before labels are revealed, (3) integrate the batch into the pools,
-    (4) let the learner update. If the learner's update raises, the pools
-    (items, counters and generators) are rolled back and the step is not
-    counted. Nothing else is rolled back: the learner's own changes from
-    iterations completed before the failure (in the harness: optimizer,
-    averager, schedule, compute costs and the learning-rate trace) stay
-    applied.
-
-    Returns (predictions, batch); predictions are whatever
-    ``learner.predict(inputs)`` produced from the pre-update parameters.
-    """
-    from .datapool import update as pool_update
-
-    if t != env.last_step + 1:
-        raise ProtocolError(f"expected step {env.last_step + 1}, got {t}")
-    batch = next_batch(env.spec, t)
-    predictions = learner.predict(batch.inputs)
-    pool_ckpt = env.pool.checkpoint()
-    hold_ckpt = env.holdout.checkpoint()
-    pool_update(env.pool, env.holdout, batch)
-    try:
-        learner.update(t, batch)
-    except Exception:
-        env.pool.restore(pool_ckpt)
-        env.holdout.restore(hold_ckpt)
-        raise
-    env.last_step = t
-    return predictions, batch

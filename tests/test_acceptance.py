@@ -15,7 +15,7 @@ from oclopt.harness import (apply_overrides, expand_variants, preset,
                             run_experiment, run_from_manifest,
                             verify_bounds_from_config)
 from oclopt.model import ModelSpec, loss_and_grad, validation_performance
-from oclopt.optim import (ama_step, best_ma, init_ama, init_ema, init_sgd, ma_update,
+from oclopt.optim import (ama_step, best_ma, init_averager, init_sgd, ma_update,
                           sgd_step, unfolded_ma_coefficients)
 from oclopt.rng import ball_uniform, substream
 from oclopt.stream import DriftingQuadraticSpec
@@ -108,14 +108,14 @@ def test_criterion_03_reduction_identities():
             out.append(ma_state.ma[0].copy())
         return np.array(out)
 
-    ema_traj = trajectory(lambda th: init_ema(th, 0.97, k_m=5))
-    ama_traj = trajectory(lambda th: init_ama(th, gamma0=0.97, delta=1.0, k_m=5,
-                                              k_v=10, k_w=50, adapt=False))
+    ema_traj = trajectory(lambda th: init_averager(th, 1, 0.97, k_m=5))
+    ama_traj = trajectory(lambda th: init_averager(th, 2, gamma0=0.97, delta=1.0, k_m=5,
+                                                   k_v=10, k_w=50, adapt=False))
     ama_is_ema = np.array_equal(ema_traj, ama_traj)
 
     loc = np.random.default_rng(5)
     sgd = init_sgd(loc.standard_normal(3), beta=0.0)
-    ema0 = init_ema(sgd.theta, gamma=0.0, k_m=1)
+    ema0 = init_averager(sgd.theta, 1, 0.0, k_m=1)
     tracks = True
     for k in range(1, 300):
         sgd_step(sgd, loc.standard_normal(3), lr=0.03)
@@ -192,7 +192,7 @@ def _quad_sim(seed, n_iters, alpha_fn, k_w=10**9):
                      curvature=tuple(quad.eigenvalues()))
     theta = np.zeros(d)
     sgd = init_sgd(theta, beta=0.0)
-    ama = init_ama(theta, k_m=2, k_v=4, k_w=k_w)
+    ama = init_averager(theta, 2, k_m=2, k_v=4, k_w=k_w)
     g_noise = substream(seed, 7)
     g_val = substream(seed, 5)
     ks, sigmas, d_sgd, d_ma = [], [], [], []

@@ -1,5 +1,6 @@
 """Experiment runner determinism, config round-trips, presets, and the CLI."""
 
+import json
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oclopt import harness
 from oclopt.cli import main as cli_main
 from oclopt.harness import (ConfigError, PRESET_NAMES, apply_overrides,
                             config_from_dict, config_to_dict, expand_variants,
@@ -99,12 +101,12 @@ class TestRunExperiment:
         # repr equality is the same contract as CSV byte identity
         assert repr(a.metric_rows) == repr(b.metric_rows)
         assert repr(a.schedule_rows) == repr(b.schedule_rows)
-        assert np.array_equal(a.final_theta, b.final_theta)
+        assert np.array_equal(a.base.theta, b.base.theta)
 
     def test_different_seed_differs(self):
         a = run_experiment(tiny_config(), seed=1)
         b = run_experiment(tiny_config(), seed=2)
-        assert not np.array_equal(a.final_theta, b.final_theta)
+        assert not np.array_equal(a.base.theta, b.base.theta)
 
     def test_artifact_csvs_bit_identical_across_reruns(self, tmp_path):
         cfg = tiny_config()
@@ -121,6 +123,31 @@ class TestRunExperiment:
                           out_dir=tmp_path / "replay")
         assert (tmp_path / "orig" / "metrics.csv").read_bytes() == \
                (tmp_path / "replay" / "metrics.csv").read_bytes()
+
+    def test_manifest_seed_is_checked(self, tmp_path):
+        run_experiment(tiny_config(), seed=4, out_dir=tmp_path / "orig")
+        path = tmp_path / "orig" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["seed"] = -1
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ConfigError, match="seeds must be non-negative integers"):
+            run_from_manifest(path)
+
+    def test_one_run_is_built_per_experiment(self, monkeypatch):
+        built = []
+
+        class CountingRun(harness.Run):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(harness, "Run", CountingRun)
+        run_experiment(tiny_config(), seed=3)
+        assert len(built) == 1
+
+    def test_a_config_without_seeds_is_a_config_error(self):
+        with pytest.raises(ConfigError):
+            run_experiment(tiny_config(seeds=[]))
 
     def test_output_directory_does_not_change_numbers(self, tmp_path):
         cfg = tiny_config()
@@ -271,8 +298,8 @@ class TestCli:
     @pytest.mark.parametrize("seeds", ["[0,-1]", "[0,true]", "[0,1.5]", '[0,\"1\"]'])
     def test_every_seed_must_be_a_non_negative_integer(self, seeds, tmp_path,
                                                         monkeypatch, capsys):
-        # only the first seed's run is built during validation; a bad later
-        # seed must still stop the sweep before any run writes output
+        # every seed's run is built during validation, so a bad later seed
+        # stops the sweep before any run writes output
         monkeypatch.chdir(tmp_path)
         code = cli_main(["preset", "main-comparison", "--override", "stream.horizon=30",
                          "--override", f"seeds={seeds}", "--run"])

@@ -1,6 +1,8 @@
 """Base-optimizer recurrences, MA algebra, the adaptive weight search, and
 checkpoint round-trips."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +10,8 @@ from hypothesis import strategies as st
 
 from oclopt.model import DivergenceError
 from oclopt.optim import (CostCounter, adam_step, ama_step, best_ma, init_adam,
-                          init_ama, init_averager, init_ema, init_sgd, load_optimizer,
-                          ma_update, save_optimizer, sgd_step, unfolded_ma_coefficients)
+                          init_averager, init_sgd, load_optimizer, ma_update,
+                          save_optimizer, sgd_step, unfolded_ma_coefficients)
 
 
 def pv(*values):
@@ -41,10 +43,16 @@ class TestSgd:
             theta_ref = theta_ref - alpha * buf
         assert np.isclose(state.theta[0], theta_ref, rtol=1e-12)
 
-    def test_nonfinite_grad_signals_divergence(self):
-        state = init_sgd(pv(1.0))
+    @pytest.mark.parametrize("init,step", [(init_sgd, sgd_step), (init_adam, adam_step)],
+                             ids=["sgd_step", "adam_step"])
+    def test_nonfinite_grad_signals_divergence(self, init, step):
+        # the step functions own the gradient check: nothing changes on a raise
+        state = init(pv(1.0, 2.0))
+        step(state, pv(0.5, -1.0), lr=0.1)   # non-zero buffers to compare
+        before = copy.deepcopy(vars(state))
         with pytest.raises(DivergenceError):
-            sgd_step(state, pv(float("nan")), lr=0.1)
+            step(state, pv(0.5, float("nan")), lr=0.2)
+        np.testing.assert_equal(vars(state), before)
 
     def test_nonpositive_lr_rejected(self):
         state = init_sgd(pv(1.0))
@@ -149,7 +157,7 @@ def steer(value):
 
 class TestAmaStep:
     def test_initialization_splits_gamma_by_delta(self):
-        state = init_ama(pv(1.0), gamma0=0.99, delta=5.0)
+        state = init_averager(pv(1.0), 2, gamma0=0.99, delta=5.0)
         assert state.gammas[0] == 0.99
         assert np.isclose(state.gammas[1], 0.198)
         assert state.i_best == 1 and state.n == 0
@@ -167,7 +175,8 @@ class TestAmaStep:
             init_averager(pv(1.0), 2, **{interval: 0})
 
     def test_weight_event_best1_clamps_and_copies(self):
-        state = init_ama(pv(1.0), gamma0=0.99, delta=5.0, k_m=10**9, k_v=10**9, k_w=1)
+        state = init_averager(pv(1.0), 2, gamma0=0.99, delta=5.0, k_m=10**9, k_v=10**9,
+                              k_w=1)
         state.ma = [pv(7.0), pv(3.0)]
         state.i_best = 1
         ama_step(state, pv(0.0), 1, lambda: None, steer(0))
@@ -178,7 +187,8 @@ class TestAmaStep:
         assert state.val[0].mean == state.val[1].mean == 0.0 and state.n == 0
 
     def test_weight_event_best2_divides_and_copies(self):
-        state = init_ama(pv(1.0), gamma0=0.99, delta=5.0, k_m=10**9, k_v=10**9, k_w=1)
+        state = init_averager(pv(1.0), 2, gamma0=0.99, delta=5.0, k_m=10**9, k_v=10**9,
+                              k_w=1)
         state.ma = [pv(7.0), pv(3.0)]
         state.i_best = 2
         ama_step(state, pv(0.0), 1, lambda: None, steer(0))
@@ -188,8 +198,8 @@ class TestAmaStep:
         assert state.i_best == 1
 
     def test_window_event_without_adapt_keeps_means_weights_and_models(self):
-        state = init_ama(pv(1.0), gamma0=0.99, delta=5.0, k_m=10**9, k_v=1, k_w=2,
-                         adapt=False)
+        state = init_averager(pv(1.0), 2, gamma0=0.99, delta=5.0, k_m=10**9, k_v=1,
+                              k_w=2, adapt=False)
         state.ma = [pv(7.0), pv(3.0)]
         evaluate = lambda params, batch: float(params[0])
         for k in (1, 2, 3, 4):
@@ -209,7 +219,7 @@ class TestAmaStep:
             assert other.n == 0 and other.gammas == [0.99] * n_models
 
     def test_validation_folds_running_means(self):
-        state = init_ama(pv(0.0), k_m=10**9, k_v=1, k_w=10**9)
+        state = init_averager(pv(0.0), 2, k_m=10**9, k_v=1, k_w=10**9)
         state.ma = [pv(1.0), pv(0.0)]
         evaluate = lambda params, batch: float(params[0])
         ama_step(state, pv(0.5), 1, lambda: "batch", evaluate)
@@ -226,13 +236,13 @@ class TestAmaStep:
         assert np.isclose(state.sigma(), state.val[1].mean - state.val_sgd.mean)
 
     def test_empty_validation_source_skips_with_warning(self):
-        state = init_ama(pv(0.0), k_m=10**9, k_v=1, k_w=10**9)
+        state = init_averager(pv(0.0), 2, k_m=10**9, k_v=1, k_w=10**9)
         ama_step(state, pv(0.5), 1, lambda: None, steer(0))
         assert state.n == 0
         assert state.skipped_validations == 1
 
     def test_ma_updates_only_on_km_boundary(self):
-        state = init_ama(pv(0.0), gamma0=0.5, k_m=3, k_v=10**9, k_w=10**9)
+        state = init_averager(pv(0.0), 2, gamma0=0.5, k_m=3, k_v=10**9, k_w=10**9)
         for k in (1, 2):
             ama_step(state, pv(1.0), k, lambda: None, steer(0))
         assert state.ma[0][0] == 0.0
@@ -241,7 +251,7 @@ class TestAmaStep:
 
     def test_gamma_ratio_invariant_after_every_weight_event(self):
         rng = np.random.default_rng(4)
-        state = init_ama(pv(0.0), gamma0=0.99, delta=5.0, k_m=2, k_v=4, k_w=8)
+        state = init_averager(pv(0.0), 2, gamma0=0.99, delta=5.0, k_m=2, k_v=4, k_w=8)
         ev = lambda params, batch: float(rng.random())
         for k in range(1, 200):
             ama_step(state, pv(float(rng.standard_normal())), k,
@@ -252,7 +262,7 @@ class TestAmaStep:
             assert 0.0 <= state.gammas[1] <= 1.0
 
     def test_best_ma_returns_selected_model(self):
-        state = init_ama(pv(0.0))
+        state = init_averager(pv(0.0), 2)
         state.ma = [pv(1.0), pv(2.0)]
         state.i_best = 1
         assert best_ma(state)[0] == 1.0
@@ -277,16 +287,16 @@ class TestEquivalences:
 
     def test_ama_with_delta_one_and_no_adapt_is_ema_bitwise(self):
         gamma0, k_m = 0.95, 4
-        ema_traj = self.run_trajectory(lambda th: init_ema(th, gamma0, k_m=k_m))
+        ema_traj = self.run_trajectory(lambda th: init_averager(th, 1, gamma0, k_m=k_m))
         ama_traj = self.run_trajectory(
-            lambda th: init_ama(th, gamma0=gamma0, delta=1.0, k_m=k_m, k_v=8,
-                                k_w=16, adapt=False))
+            lambda th: init_averager(th, 2, gamma0=gamma0, delta=1.0, k_m=k_m, k_v=8,
+                                     k_w=16, adapt=False))
         assert np.array_equal(ema_traj, ama_traj)
 
     def test_ema_gamma_zero_tracks_sgd_bitwise(self):
         rng = np.random.default_rng(1)
         sgd = init_sgd(pv(*rng.standard_normal(2)), beta=0.0)
-        ema = init_ema(sgd.theta, gamma=0.0, k_m=1)
+        ema = init_averager(sgd.theta, 1, 0.0, k_m=1)
         for k in range(1, 100):
             g = rng.standard_normal(2)
             sgd_step(sgd, g, lr=0.03)
@@ -298,7 +308,7 @@ class TestCheckpoint:
     def test_sgd_ama_round_trip_resumes_bit_identically(self, tmp_path):
         rng = np.random.default_rng(9)
         sgd = init_sgd(pv(*rng.standard_normal(4)), beta=0.9)
-        ama = init_ama(sgd.theta, k_m=2, k_v=4, k_w=8)
+        ama = init_averager(sgd.theta, 2, k_m=2, k_v=4, k_w=8)
         ev = lambda p, b: float(p[0])
         for k in range(1, 21):
             sgd_step(sgd, rng.standard_normal(4), lr=0.05)
@@ -338,7 +348,7 @@ class TestCostAccounting:
     def test_event_counts_over_interval_window(self):
         k_m, k_v, k_w = 10, 20, 40
         window = 40
-        state = init_ama(pv(0.0), k_m=k_m, k_v=k_v, k_w=k_w)
+        state = init_averager(pv(0.0), 2, k_m=k_m, k_v=k_v, k_w=k_w)
         costs = CostCounter()
         for k in range(1, window + 1):
             ama_step(state, pv(1.0), k, lambda: "b", lambda p, b: 0.0, costs)

@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oclopt import rng as rngmod
 from oclopt.datapool import DataPool, sample_pure_replay
+from oclopt.harness import ProtocolError, run_protocol_step
 from oclopt.rng import substream
-from oclopt.stream import (DriftingQuadraticSpec, Environment, HorizonError,
-                           PiecewiseTaskSpec, ProtocolError, RotatingGaussianSpec,
-                           StreamSpec, eval_batch, next_batch, run_protocol_step)
+from oclopt.stream import (DriftingQuadraticSpec, HorizonError, PiecewiseTaskSpec,
+                           RotatingGaussianSpec, StreamSpec, eval_batch, next_batch)
 
 
 def rotation_matrix(angle: float) -> np.ndarray:
@@ -139,20 +141,23 @@ class TestDriftConstants:
             assert lhs <= quad.lipschitz() * np.linalg.norm(x - y) + 1e-12
 
 
-class _RecordingLearner:
-    """Minimal learner: predicts zeros; its update draws a replay minibatch
-    from ``pool`` if given, then raises at step ``fail_at``."""
+class _FakeRun:
+    """What ``run_protocol_step`` drives: a stream, a training pool and a
+    holdout pool, plus a learner that predicts zeros and whose update draws a
+    replay minibatch, then raises while ``fail_at`` equals the step."""
 
-    def __init__(self, fail_at=None, pool=None):
-        self.fail_at = fail_at
-        self.pool = pool
+    def __init__(self, holdout_fraction=0.05, seed=5, capacity=None):
+        self.stream_spec = rotating_spec(seed=seed)
+        self.pool = DataPool(capacity=capacity, seed=seed)
+        self.holdout = DataPool(seed=seed, holdout_fraction=holdout_fraction)
+        self.fail_at = None
         self.updates = []
 
     def predict(self, inputs):
         return np.zeros(len(inputs), dtype=np.int64)
 
     def update(self, t, batch):
-        if self.pool is not None:
+        if self.pool.size:
             sample_pure_replay(self.pool, 4)
         if self.fail_at == t:
             raise RuntimeError("boom")
@@ -166,68 +171,65 @@ def pool_state(pool):
 
 
 class TestProtocol:
-    def make_env(self, holdout_fraction=0.05, seed=5, capacity=None):
-        spec = rotating_spec(seed=seed)
-        pool = DataPool(capacity=capacity, seed=seed)
-        holdout = DataPool(seed=seed, holdout_fraction=holdout_fraction)
-        return Environment(spec=spec, pool=pool, holdout=holdout)
-
     def test_noop_learner_still_grows_pool(self):
-        env = self.make_env(holdout_fraction=0.0)
-        learner = _RecordingLearner()
+        run = _FakeRun(holdout_fraction=0.0)
         for t in (1, 2, 3):
-            run_protocol_step(env, learner, t)
-        assert env.pool.size == 3 * env.spec.batch_size
+            run_protocol_step(run, t)
+        assert run.pool.size == 3 * run.stream_spec.batch_size
+        assert run.updates == [1, 2, 3]
 
     def test_steps_must_be_sequential(self):
-        env = self.make_env()
-        learner = _RecordingLearner()
-        run_protocol_step(env, learner, 1)
+        run = _FakeRun()
+        run_protocol_step(run, 1)
         with pytest.raises(ProtocolError):
-            run_protocol_step(env, learner, 3)
+            run_protocol_step(run, 3)
 
     def test_predictions_are_pure_in_prior_params(self):
         # rerunning the prediction with labels withheld gives identical output
-        env = self.make_env()
-        learner = _RecordingLearner()
-        preds, batch = run_protocol_step(env, learner, 1)
-        again = learner.predict(batch.inputs)
+        run = _FakeRun()
+        preds, batch = run_protocol_step(run, 1)
+        again = run.predict(batch.inputs)
         assert np.array_equal(preds, again)
 
-    # each step routes 7 items to the training pool and 1 to the holdout, so
-    # with capacity 8 the failed step overwrites slots of step 1's items
-    @pytest.mark.parametrize("capacity", [None, 8], ids=["unlimited", "capped"])
-    def test_failed_update_rolls_back_pools(self, capacity):
-        env, clean = (self.make_env(holdout_fraction=0.2, capacity=capacity)
+    # each step offers 8 items; a capped pool overwrites slots of earlier
+    # steps' items, so the undo log of the failed step is exercised
+    @settings(max_examples=100, deadline=None)
+    @given(capacity=st.none() | st.integers(1, 16),
+           holdout_fraction=st.floats(0.0, 0.5), fail_at=st.integers(1, 6),
+           failures=st.integers(1, 2))
+    def test_failed_update_rolls_back_pools(self, capacity, holdout_fraction, fail_at,
+                                            failures):
+        run, clean = (_FakeRun(holdout_fraction=holdout_fraction, capacity=capacity)
                       for _ in range(2))
-        run_protocol_step(env, _RecordingLearner(pool=env.pool), 1)
-        run_protocol_step(clean, _RecordingLearner(pool=clean.pool), 1)
-        with pytest.raises(RuntimeError):
-            run_protocol_step(env, _RecordingLearner(fail_at=2, pool=env.pool), 2)
-        assert env.last_step == 1
-        for pool, ref in ((env.pool, clean.pool), (env.holdout, clean.holdout)):
-            np.testing.assert_equal(pool_state(pool), pool_state(ref))
+        for t in range(1, fail_at):
+            run_protocol_step(run, t)
+            run_protocol_step(clean, t)
+        run.fail_at = fail_at
+        for _ in range(failures):
+            with pytest.raises(RuntimeError, match="boom"):
+                run_protocol_step(run, fail_at)
+            assert run.pool.last_step == run.holdout.last_step == fail_at - 1
+            for pool, ref in ((run.pool, clean.pool), (run.holdout, clean.holdout)):
+                np.testing.assert_equal(pool_state(pool), pool_state(ref))
         # the step can be retried cleanly
-        run_protocol_step(env, _RecordingLearner(pool=env.pool), 2)
-        run_protocol_step(clean, _RecordingLearner(pool=clean.pool), 2)
-        assert env.last_step == 2
-        for pool, ref in ((env.pool, clean.pool), (env.holdout, clean.holdout)):
+        run.fail_at = None
+        run_protocol_step(run, fail_at)
+        run_protocol_step(clean, fail_at)
+        assert run.pool.last_step == run.holdout.last_step == fail_at
+        for pool, ref in ((run.pool, clean.pool), (run.holdout, clean.holdout)):
             np.testing.assert_equal(pool_state(pool), pool_state(ref))
+        assert run.updates == clean.updates == list(range(1, fail_at + 1))
 
     def test_holdout_routing_matches_enumeration(self):
         # oracle: re-enumerate the routing coins from the pinned substream
-        from oclopt import rng as rngmod
-        from oclopt.rng import substream
-
-        env = self.make_env(holdout_fraction=0.05, seed=5)
-        learner = _RecordingLearner()
+        run = _FakeRun(holdout_fraction=0.05, seed=5)
         total = 0
         expected_holdout = 0
         for t in (1, 2, 3):
-            run_protocol_step(env, learner, t)
-            n = env.spec.batch_size
-            coins = substream(env.spec.seed, rngmod.HOLDOUT, t).random(n)
+            run_protocol_step(run, t)
+            n = run.stream_spec.batch_size
+            coins = substream(run.stream_spec.seed, rngmod.HOLDOUT, t).random(n)
             expected_holdout += int((coins < 0.05).sum())
             total += n
-        assert env.holdout.size == expected_holdout
-        assert env.pool.size == total - expected_holdout
+        assert run.holdout.size == expected_holdout
+        assert run.pool.size == total - expected_holdout
