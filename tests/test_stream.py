@@ -191,14 +191,37 @@ class TestProtocol:
         again = run.predict(batch.inputs)
         assert np.array_equal(preds, again)
 
+    # each step routes 7 items to the training pool and 1 to the holdout, so
+    # with capacity 8 the failed step overwrites slots of step 1's items
+    @pytest.mark.parametrize("capacity", [None, 8], ids=["unlimited", "capped"])
+    def test_failed_update_rolls_back_pools(self, capacity):
+        run, clean = (_FakeRun(holdout_fraction=0.2, capacity=capacity)
+                      for _ in range(2))
+        run_protocol_step(run, 1)
+        run_protocol_step(clean, 1)
+        run.fail_at = 2
+        with pytest.raises(RuntimeError, match="boom"):
+            run_protocol_step(run, 2)
+        assert run.pool.last_step == run.holdout.last_step == 1
+        for pool, ref in ((run.pool, clean.pool), (run.holdout, clean.holdout)):
+            np.testing.assert_equal(pool_state(pool), pool_state(ref))
+        # the step can be retried cleanly
+        run.fail_at = None
+        run_protocol_step(run, 2)
+        run_protocol_step(clean, 2)
+        assert run.pool.last_step == run.holdout.last_step == 2
+        for pool, ref in ((run.pool, clean.pool), (run.holdout, clean.holdout)):
+            np.testing.assert_equal(pool_state(pool), pool_state(ref))
+        assert run.updates == clean.updates == [1, 2]
+
     # each step offers 8 items; a capped pool overwrites slots of earlier
     # steps' items, so the undo log of the failed step is exercised
     @settings(max_examples=100, deadline=None)
     @given(capacity=st.none() | st.integers(1, 16),
            holdout_fraction=st.floats(0.0, 0.5), fail_at=st.integers(1, 6),
            failures=st.integers(1, 2))
-    def test_failed_update_rolls_back_pools(self, capacity, holdout_fraction, fail_at,
-                                            failures):
+    def test_failed_update_at_any_step_rolls_back_pools(self, capacity, holdout_fraction,
+                                                        fail_at, failures):
         run, clean = (_FakeRun(holdout_fraction=holdout_fraction, capacity=capacity)
                       for _ in range(2))
         for t in range(1, fail_at):
