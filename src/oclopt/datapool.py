@@ -104,17 +104,22 @@ class DataPool:
         self.size += fill
         if fill < n:
             # Algorithm R: item with 0-based global index i survives at slot
-            # j ~ Uniform{0..i} iff j < capacity. Slots are written one by one
-            # in arrival order: a slot drawn twice keeps the later item.
+            # j ~ Uniform{0..i} iff j < capacity. A slot drawn twice keeps the
+            # later item, so each drawn slot is written once, with its last draw.
             idx = self.seen_count + np.arange(fill, n)
             slots = self._reservoir_rng.integers(0, idx + 1)
-            for i in np.flatnonzero(slots < cap):
-                j = slots[i]
+            hit = np.flatnonzero(slots < cap)
+            if len(hit):
+                j = slots.take(hit)
+                if len(hit) > 1:
+                    j, last = np.unique(j[::-1], return_index=True)
+                    hit = hit[::-1].take(last)
+                src = fill + hit
                 if self._undo is not None:
-                    self._undo.append((j, self._xs[j].copy(), self._ys[j].copy(),
-                                       self._arrival[j], self._rid[j]))
-                self._xs[j], self._ys[j] = xs[fill + i], ys[fill + i]
-                self._arrival[j], self._rid[j] = t, rids[fill + i]
+                    self._undo.append((j, self._xs.take(j, 0), self._ys.take(j, 0),
+                                       self._arrival.take(j), self._rid.take(j)))
+                self._xs[j], self._ys[j] = xs.take(src, 0), ys.take(src, 0)
+                self._arrival[j], self._rid[j] = t, rids.take(src)
         self.seen_count += n
         self.last_step = t
 
@@ -136,9 +141,9 @@ class DataPool:
         """Mark the state ``restore`` returns to and open an undo log.
 
         The checkpoint holds the counters and generator states, not items:
-        until the next checkpoint, ``offer`` logs the old row of each slot
-        reservoir eviction overwrites, and items appended past ``size`` need
-        no entry. Only the latest checkpoint of a pool can be restored.
+        until the next checkpoint, each evicting ``offer`` logs one entry of
+        the old rows it overwrites, and items appended past ``size`` need no
+        entry. Only the latest checkpoint of a pool can be restored.
         """
         self._ckpt_id += 1
         self._undo = []
@@ -191,7 +196,7 @@ def sample_pure_replay(pool: DataPool, m: int,
         raise EmptyPoolError("cannot sample from an empty pool")
     g = pool._replay_rng if rng is None else rng
     idx = g.integers(0, pool.size, size=m)
-    return Minibatch(inputs=pool._xs[idx].copy(), labels=pool._ys[idx].copy())
+    return Minibatch(inputs=pool._xs.take(idx, 0), labels=pool._ys.take(idx, 0))
 
 
 def sample_mixed_replay(pool: DataPool, current: StreamBatch, m: int,
@@ -224,14 +229,13 @@ def sample_mixed_replay(pool: DataPool, current: StreamBatch, m: int,
         lo, hi = 0, len(eligible)
     if hi <= lo:
         idx_cur = g.integers(0, current.n, size=m)
-        return Minibatch(inputs=current.inputs[idx_cur].copy(),
-                         labels=current.labels[idx_cur].copy())
+        return Minibatch(current.inputs.take(idx_cur, 0), current.labels.take(idx_cur, 0))
     half = m // 2
     idx_cur = g.integers(0, current.n, size=half)
-    idx_hist = lo + g.integers(0, hi - lo, size=half)
+    idx_hist = g.integers(lo, hi, size=half)
     if eligible is not None:
         idx_hist = eligible[idx_hist]
-    inputs = np.concatenate([current.inputs[idx_cur], pool._xs[idx_hist]])
-    labels = np.concatenate([current.labels[idx_cur], pool._ys[idx_hist]])
+    inputs = np.concatenate([current.inputs.take(idx_cur, 0), pool._xs.take(idx_hist, 0)])
+    labels = np.concatenate([current.labels.take(idx_cur, 0), pool._ys.take(idx_hist, 0)])
     return Minibatch(inputs=inputs, labels=labels)
 

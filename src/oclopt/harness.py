@@ -434,7 +434,7 @@ class Run:
         loss, grad = loss_and_grad(self.model_spec, self.base.theta, mb)
         self.costs.forward += 1
         self.costs.grad += 1
-        if not np.isfinite(loss):
+        if not math.isfinite(loss):
             raise DivergenceError(f"non-finite loss at iteration {k}")
         if self.config.optimizer.base == "sgd":
             sgd_step(self.base, grad, alpha)
@@ -493,9 +493,11 @@ def run_experiment(config: ExperimentConfig, seed: Optional[int] = None,
                    out_dir=None) -> RunResult:
     """Execute the protocol for one seed; optionally write artifacts."""
     run = Run(config, config.seeds[0] if seed is None and config.seeds else seed)
-    for t in range(1, config.stream.horizon + 1):
-        if not run.step(t):
-            break
+    # non-finite values are the divergence signal, so overflow is not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, config.stream.horizon + 1):
+            if not run.step(t):
+                break
     result = run.result()
     if out_dir is not None:
         write_artifacts(result, out_dir)

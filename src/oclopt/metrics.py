@@ -60,10 +60,11 @@ class MetricLedger:
 
     def learning_efficacy(self, t: int) -> float:
         """Prefix mean over j = 1..t of step-(j+1) performance under theta_j."""
-        missing = [j for j in range(1, t + 1) if j not in self.step_ahead]
-        if missing:
-            raise MetricError(f"missing step-ahead records for steps {missing[:5]}")
-        return float(np.mean([self.step_ahead[j] for j in range(1, t + 1)]))
+        try:
+            return float(np.mean([self.step_ahead[j] for j in range(1, t + 1)]))
+        except KeyError:
+            missing = [j for j in range(1, t + 1) if j not in self.step_ahead]
+            raise MetricError(f"missing step-ahead records for steps {missing[:5]}") from None
 
 
 def information_retention(spec: ModelSpec, theta: np.ndarray, holdout: DataPool,

@@ -112,12 +112,6 @@ def init_params(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
     return theta
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def _check_batch(spec: ModelSpec, batch):
     x = np.asarray(batch.inputs, dtype=float)
     if len(x) == 0:
@@ -132,48 +126,45 @@ def loss_and_grad(spec: ModelSpec, theta: np.ndarray, batch):
     """Mean per-example loss plus the L2 penalty, and its exact gradient.
 
     Deterministic in (theta, batch). Non-finite results are returned as-is;
-    callers treat them as a divergence signal, so overflow is not a warning.
+    callers treat them as a divergence signal. A direct call gets numpy's
+    default floating-point warnings; ``run_experiment`` silences overflow and
+    invalid-value warnings once around a whole run.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _loss_and_grad(spec, theta, batch)
-
-
-def _loss_and_grad(spec: ModelSpec, theta: np.ndarray, batch):
     if theta.shape != (spec.n_params,):
         raise ValueError(f"parameter shape {theta.shape} != expected ({spec.n_params},)")
     x = _check_batch(spec, batch)
     y = np.asarray(batch.labels)
     n = len(x)
-    grad = np.zeros_like(theta)
+    grad = np.empty_like(theta)
 
     if spec.kind == "quadratic-probe":
         a = np.asarray(spec.curvature)
         d = theta[None, :] - y
         loss = 0.5 * float(np.mean(np.sum(d * d * a[None, :], axis=1)))
         grad[:] = a * (theta - y.mean(axis=0))
-    elif spec.kind == "linear-softmax":
-        w, b = spec.block(theta, "w"), spec.block(theta, "b")
-        p = _softmax(x @ w.T + b[None, :])
-        loss = float(-np.mean(np.log(np.maximum(p[np.arange(n), y], 1e-300))))
-        dz = p.copy()
-        dz[np.arange(n), y] -= 1.0
-        dz /= n
-        spec.block(grad, "w")[:] = dz.T @ x
-        spec.block(grad, "b")[:] = dz.sum(axis=0)
     else:
-        w1, b1 = spec.block(theta, "w1"), spec.block(theta, "b1")
-        w2, b2 = spec.block(theta, "w2"), spec.block(theta, "b2")
-        h = np.tanh(x @ w1.T + b1[None, :])
-        p = _softmax(h @ w2.T + b2[None, :])
-        loss = float(-np.mean(np.log(np.maximum(p[np.arange(n), y], 1e-300))))
-        dz = p.copy()
-        dz[np.arange(n), y] -= 1.0
-        dz /= n
-        spec.block(grad, "w2")[:] = dz.T @ h
-        spec.block(grad, "b2")[:] = dz.sum(axis=0)
-        dh = (dz @ w2) * (1.0 - h * h)
-        spec.block(grad, "w1")[:] = dh.T @ x
-        spec.block(grad, "b1")[:] = dh.sum(axis=0)
+        mlp = spec.kind == "mlp-1-hidden"
+        out_w, out_b = ("w2", "b2") if mlp else ("w", "b")
+        w, feats = spec.block(theta, out_w), x
+        if mlp:
+            feats = np.tanh(x @ spec.block(theta, "w1").T + spec.block(theta, "b1"))
+        # softmax in place; p then becomes dz, the loss gradient in the logits
+        p = feats @ w.T
+        p += spec.block(theta, out_b)
+        p -= p.max(axis=1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=1, keepdims=True)
+        rows = np.arange(n)
+        loss = -float(np.log(np.maximum(p[rows, y], 1e-300)).sum() / n)
+        p[rows, y] -= 1.0
+        p /= n
+        np.matmul(p.T, feats, out=spec.block(grad, out_w))
+        p.sum(axis=0, out=spec.block(grad, out_b))
+        if mlp:
+            dh = p @ w
+            dh *= 1.0 - feats * feats
+            np.matmul(dh.T, x, out=spec.block(grad, "w1"))
+            dh.sum(axis=0, out=spec.block(grad, "b1"))
 
     if spec.weight_decay > 0.0:
         loss += 0.5 * spec.weight_decay * float(theta @ theta)
@@ -196,7 +187,7 @@ def predict(spec: ModelSpec, theta: np.ndarray, inputs: np.ndarray) -> np.ndarra
     the parameter vector replicated per datum for the quadratic probe."""
     if spec.kind == "quadratic-probe":
         return np.tile(theta, (len(inputs), 1))
-    return np.argmax(logits(spec, theta, inputs), axis=1)
+    return logits(spec, theta, inputs).argmax(axis=1)
 
 
 def accuracy(spec: ModelSpec, theta: np.ndarray, batch) -> float:
@@ -205,8 +196,8 @@ def accuracy(spec: ModelSpec, theta: np.ndarray, batch) -> float:
         raise ValueError("accuracy is undefined for regression models; use loss-based metrics")
     if len(batch.inputs) == 0:
         raise ValueError("dataset must be non-empty")
-    preds = predict(spec, theta, batch.inputs)
-    return float(np.mean(preds == np.asarray(batch.labels)))
+    correct = predict(spec, theta, batch.inputs) == np.asarray(batch.labels)
+    return float(np.count_nonzero(correct) / correct.size)
 
 
 @lru_cache(maxsize=64)
@@ -242,7 +233,7 @@ def step_ahead_performance(spec: ModelSpec, predictions: np.ndarray, batch) -> f
     """
     y = np.asarray(batch.labels)
     if spec.classification:
-        return float(np.mean(predictions == y))
+        return float(np.count_nonzero(predictions == y) / y.size)
     a = np.asarray(spec.curvature)
     d = predictions - y
     return -0.5 * float(np.mean(np.sum(d * d * a[None, :], axis=1)))

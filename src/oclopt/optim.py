@@ -43,7 +43,7 @@ class CostCounter:
 
 
 def _check_finite(g: np.ndarray):
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise DivergenceError("non-finite gradient")
 
 

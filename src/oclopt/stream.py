@@ -139,11 +139,12 @@ class RotatingGaussianSpec:
         if not np.isfinite(self.angular_velocity):
             raise ValueError("drift magnitudes must be finite")
 
-    def mean(self, klass: int, t: int, d_in: int) -> np.ndarray:
-        angle = 2.0 * np.pi * klass / self.n_classes + self.angular_velocity * t
-        m = np.zeros(d_in)
-        m[0] = self.mean_radius * np.cos(angle)
-        m[1] = self.mean_radius * np.sin(angle)
+    def mean(self, klass, t: int, d_in: int) -> np.ndarray:
+        """Class ``klass``'s mean at step t; an array of classes gives a row each."""
+        angle = 2.0 * np.pi * np.asarray(klass) / self.n_classes + self.angular_velocity * t
+        m = np.zeros(angle.shape + (d_in,))
+        m[..., 0] = self.mean_radius * np.cos(angle)
+        m[..., 1] = self.mean_radius * np.sin(angle)
         return m
 
 
@@ -232,14 +233,14 @@ def _generate(spec: StreamSpec, t: int, purpose: int) -> StreamBatch:
     if spec.kind == "rotating-gaussian":
         r = spec.rotating
         labels = g.integers(0, r.n_classes, size=n)
-        means = np.stack([r.mean(int(c), t, spec.d_in) for c in range(r.n_classes)])
-        inputs = means[labels] + r.noise_std * g.standard_normal((n, spec.d_in))
+        means = r.mean(np.arange(r.n_classes), t, spec.d_in)
+        inputs = means.take(labels, axis=0) + r.noise_std * g.standard_normal((n, spec.d_in))
         return StreamBatch(t=t, inputs=inputs, labels=labels)
     p = spec.piecewise
     active = p.active_classes(t)
     labels = active[g.integers(0, len(active), size=n)]
     means = p.class_means(spec.seed, spec.d_in)
-    inputs = means[labels] + p.noise_std * g.standard_normal((n, spec.d_in))
+    inputs = means.take(labels, axis=0) + p.noise_std * g.standard_normal((n, spec.d_in))
     return StreamBatch(t=t, inputs=inputs, labels=labels)
 
 

@@ -387,6 +387,35 @@ class TestCheckpoint:
         pool.restore(ckpt)
         np.testing.assert_equal(self.state(pool), before)
 
+    @pytest.mark.parametrize("capacity", [1, 2])
+    def test_repeated_slot_keeps_the_later_item(self, capacity):
+        # the first offer fills the pool without a draw, so the second
+        # block's slots are the first draws of the reservoir generator; take
+        # the first seed whose block of 8 draws a kept slot twice
+        draws = capacity + np.arange(8) + 1
+        for seed in range(1000):
+            slots = substream(seed, rngmod.RESERVOIR).integers(0, draws)
+            kept = slots[slots < capacity]
+            if len(kept) > len(set(kept)):
+                break
+        else:
+            pytest.fail("no seed draws a kept slot twice")
+        pool = DataPool(capacity=capacity, seed=seed)
+        ref = ReferencePool(capacity, seed, room=capacity)
+
+        def offer(t, n):
+            xs, ys = make_items(t, n=n)
+            rids = pool.seen_count + np.arange(n, dtype=np.int64)
+            pool.offer(xs, ys, t, rids)
+            ref.offer(xs, ys, t, rids)
+
+        offer(1, capacity)
+        before, ckpt = self.state(pool), pool.checkpoint()
+        offer(2, 8)
+        self.assert_matches_reference(pool, ref)
+        pool.restore(ckpt)
+        np.testing.assert_equal(self.state(pool), before)
+
     def test_only_latest_checkpoint_restores(self):
         pool = DataPool(seed=0)
         update(pool, None, make_batch(1))

@@ -160,6 +160,14 @@ class TestRunExperiment:
         res = run_experiment(cfg, seed=1)
         assert res.diverged
 
+    def test_divergence_raises_no_floating_point_warning(self):
+        # overflow is silenced once around the run, not per loss evaluation
+        cfg = tiny_config(**{"schedule.kind": "constant", "schedule.alpha0": 1e6})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = run_experiment(cfg, seed=1)
+        assert res.diverged
+
     def test_quadratic_stream_runs(self):
         cfg = tiny_config(**{
             "stream.kind": "drifting-quadratic",

@@ -124,6 +124,80 @@ class TestGradients:
         assert np.allclose(np.mean(singles, axis=0), full, atol=1e-12)
 
 
+def frozen_loss_and_grad(spec, theta, batch):
+    """The kernel before softmax and gradient writes went in place: the oracle
+    the in-place kernel must match bit for bit."""
+    def softmax(z):
+        z = z - z.max(axis=1, keepdims=True)
+        e = np.exp(z)
+        return e / e.sum(axis=1, keepdims=True)
+
+    x = np.asarray(batch.inputs, dtype=float)
+    y = np.asarray(batch.labels)
+    n = len(x)
+    grad = np.zeros_like(theta)
+    if spec.kind == "quadratic-probe":
+        a = np.asarray(spec.curvature)
+        d = theta[None, :] - y
+        loss = 0.5 * float(np.mean(np.sum(d * d * a[None, :], axis=1)))
+        grad[:] = a * (theta - y.mean(axis=0))
+    elif spec.kind == "linear-softmax":
+        w, b = spec.block(theta, "w"), spec.block(theta, "b")
+        p = softmax(x @ w.T + b[None, :])
+        loss = float(-np.mean(np.log(np.maximum(p[np.arange(n), y], 1e-300))))
+        dz = p.copy()
+        dz[np.arange(n), y] -= 1.0
+        dz /= n
+        spec.block(grad, "w")[:] = dz.T @ x
+        spec.block(grad, "b")[:] = dz.sum(axis=0)
+    else:
+        w1, b1 = spec.block(theta, "w1"), spec.block(theta, "b1")
+        w2, b2 = spec.block(theta, "w2"), spec.block(theta, "b2")
+        h = np.tanh(x @ w1.T + b1[None, :])
+        p = softmax(h @ w2.T + b2[None, :])
+        loss = float(-np.mean(np.log(np.maximum(p[np.arange(n), y], 1e-300))))
+        dz = p.copy()
+        dz[np.arange(n), y] -= 1.0
+        dz /= n
+        spec.block(grad, "w2")[:] = dz.T @ h
+        spec.block(grad, "b2")[:] = dz.sum(axis=0)
+        dh = (dz @ w2) * (1.0 - h * h)
+        spec.block(grad, "w1")[:] = dh.T @ x
+        spec.block(grad, "b1")[:] = dh.sum(axis=0)
+    if spec.weight_decay > 0.0:
+        loss += 0.5 * spec.weight_decay * float(theta @ theta)
+        grad += spec.weight_decay * theta
+    return loss, grad
+
+
+class TestKernelMatchesFrozen:
+    # scales up to 1e200 overflow the logits and the decay term, so both
+    # kernels return non-finite values there, which must agree too
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(["quadratic-probe", "linear-softmax", "mlp-1-hidden"]),
+           wd=st.sampled_from([0.0, 1e-4, 0.3]), n=st.integers(1, 64),
+           d_in=st.integers(1, 6), n_classes=st.integers(2, 16), hidden=st.integers(1, 16),
+           log_scale=st.floats(-3.0, 200.0), seed=st.integers(0, 2**32 - 1))
+    def test_loss_and_grad_equal_the_frozen_kernel(self, kind, wd, n, d_in, n_classes,
+                                                    hidden, log_scale, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "quadratic-probe":
+            spec = ModelSpec(kind=kind, loss="quadratic", weight_decay=wd, dim=d_in,
+                             curvature=tuple(rng.uniform(0.2, 2.0, d_in)))
+            labels = rng.standard_normal((n, d_in))
+        else:
+            spec = ModelSpec(kind=kind, loss="cross-entropy", weight_decay=wd, d_in=d_in,
+                             n_classes=n_classes, hidden=hidden)
+            labels = rng.integers(0, n_classes, n)
+        batch = Minibatch(rng.standard_normal((n, d_in)), labels)
+        theta = 10.0 ** log_scale * rng.standard_normal(spec.n_params)
+        with np.errstate(all="ignore"):
+            loss, grad = loss_and_grad(spec, theta, batch)
+            want_loss, want_grad = frozen_loss_and_grad(spec, theta, batch)
+        assert loss == want_loss or (np.isnan(loss) and np.isnan(want_loss))
+        assert np.array_equal(grad, want_grad, equal_nan=True)
+
+
 class TestAccuracy:
     def spec(self):
         return ModelSpec(kind="linear-softmax", loss="cross-entropy", d_in=2,

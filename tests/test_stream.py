@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from oclopt import rng as rngmod
 from oclopt.datapool import DataPool, sample_pure_replay
-from oclopt.harness import ProtocolError, run_protocol_step
+from oclopt.harness import (PRESET_NAMES, ProtocolError, build_stream_spec,
+                            expand_variants, preset, run_protocol_step)
 from oclopt.rng import substream
 from oclopt.stream import (DriftingQuadraticSpec, HorizonError, PiecewiseTaskSpec,
                            RotatingGaussianSpec, StreamSpec, eval_batch, next_batch)
@@ -68,6 +69,34 @@ class TestNextBatch:
         for k in (1, 5, 23):
             expected = rotation_matrix(k * omega) @ rot.mean(1, 0, 2)
             assert np.allclose(rot.mean(1, k, 2), expected, atol=1e-12)
+
+    def test_mean_table_equals_the_per_class_scalar_path(self):
+        # every rotating-gaussian preset variant over its horizon, plus the
+        # main-comparison stream stretched to 4 800 steps
+        def scalar_table(rot, t, d_in):
+            rows = []
+            for c in range(rot.n_classes):
+                angle = 2.0 * np.pi * c / rot.n_classes + rot.angular_velocity * t
+                m = np.zeros(d_in)
+                m[0] = rot.mean_radius * np.cos(angle)
+                m[1] = rot.mean_radius * np.sin(angle)
+                rows.append(m)
+            return np.stack(rows)
+
+        streams = set()
+        for name in PRESET_NAMES:
+            for _, cfg in expand_variants(preset(name)):
+                if cfg.stream.kind == "rotating-gaussian":
+                    streams.add(build_stream_spec(cfg, 0))
+                    if name == "main-comparison":
+                        cfg.stream.horizon = 4800
+                        streams.add(build_stream_spec(cfg, 0))
+        assert len({s.horizon for s in streams}) == 2
+        for spec in streams:
+            rot = spec.rotating
+            for t in range(1, spec.horizon + 1):
+                table = rot.mean(np.arange(rot.n_classes), t, spec.d_in)
+                assert np.array_equal(table, scalar_table(rot, t, spec.d_in)), (spec, t)
 
     def test_horizon_exceeded(self):
         spec = rotating_spec(horizon=10)
