@@ -21,8 +21,7 @@ from .model import (DivergenceError, ModelSpec, accuracy, init_params,
                     loss_and_grad, predict, validation_performance)
 from .optim import (AdamState, AmaState, CostCounter, SgdState, adam_step,
                     ama_step, best_ma, init_adam, init_averager, init_sgd,
-                    load_optimizer, ma_update, save_optimizer, sgd_step,
-                    unfolded_ma_coefficients)
+                    load_optimizer, ma_update, save_optimizer, sgd_step)
 from .schedule import (ScheduleState, cyclic_lr, init_schedule, malr_update,
                        rwp_update)
 from .stream import (DriftingQuadraticSpec, HorizonError, PiecewiseTaskSpec,

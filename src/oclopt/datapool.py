@@ -14,6 +14,7 @@ re-enumerated independently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -33,10 +34,6 @@ class Minibatch:
 
     inputs: np.ndarray
     labels: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return len(self.inputs)
 
 
 class DataPool:
@@ -65,8 +62,10 @@ class DataPool:
         self._rid: Optional[np.ndarray] = None
         self._undo: Optional[list] = None   # rows overwritten since checkpoint()
         self._ckpt_id = 0
-        self._reservoir_rng = substream(seed, rngmod.RESERVOIR)
-        self._replay_rng = substream(seed, rngmod.REPLAY)
+
+    _RNGS = ("_reservoir_rng", "_replay_rng")   # each built on its first draw
+    _reservoir_rng = cached_property(lambda self: substream(self.seed, rngmod.RESERVOIR))
+    _replay_rng = cached_property(lambda self: substream(self.seed, rngmod.REPLAY))
 
     # -- storage ------------------------------------------------------------
 
@@ -125,9 +124,6 @@ class DataPool:
 
     # -- views --------------------------------------------------------------
 
-    def record_ids(self) -> np.ndarray:
-        return np.array([], dtype=np.int64) if self._rid is None else self._rid[: self.size].copy()
-
     def items(self):
         """(inputs, labels, arrival steps) copies of the stored items."""
         if self.size == 0:
@@ -140,29 +136,32 @@ class DataPool:
     def checkpoint(self) -> dict:
         """Mark the state ``restore`` returns to and open an undo log.
 
-        The checkpoint holds the counters and generator states, not items:
-        until the next checkpoint, each evicting ``offer`` logs one entry of
-        the old rows it overwrites, and items appended past ``size`` need no
-        entry. Only the latest checkpoint of a pool can be restored.
+        The checkpoint holds the counters and the states of the generators
+        built so far (one never drawn is not recorded), not items: until the
+        next checkpoint, each evicting ``offer`` logs one entry of the old
+        rows it overwrites, and items appended past ``size`` need no entry.
+        Only the latest checkpoint of a pool can be restored.
         """
         self._ckpt_id += 1
         self._undo = []
         return {"id": self._ckpt_id, "size": self.size, "seen": self.seen_count,
-                "last_step": self.last_step,
-                "reservoir_state": self._reservoir_rng.bit_generator.state,
-                "replay_state": self._replay_rng.bit_generator.state}
+                "last_step": self.last_step, "rngs": {name: g.bit_generator.state
+                    for name, g in vars(self).items() if name in self._RNGS}}
 
     def restore(self, ckpt: dict):
-        """Write the logged rows back newest first, then reset counters and
-        generators; costs O(slots overwritten), not O(pool). Idempotent."""
+        """Write the logged rows back newest first, reset counters and recorded
+        generators, drop the ones built since; O(slots overwritten). Idempotent."""
         if ckpt["id"] != self._ckpt_id:
             raise ValueError("only the latest checkpoint of a pool can be restored")
         for j, x, y, arrival, rid in reversed(self._undo):
             self._xs[j], self._ys[j], self._arrival[j], self._rid[j] = x, y, arrival, rid
         self._undo.clear()
         self.size, self.seen_count, self.last_step = ckpt["size"], ckpt["seen"], ckpt["last_step"]
-        self._reservoir_rng.bit_generator.state = ckpt["reservoir_state"]
-        self._replay_rng.bit_generator.state = ckpt["replay_state"]
+        for name in self._RNGS:
+            if name in ckpt["rngs"]:
+                getattr(self, name).bit_generator.state = ckpt["rngs"][name]
+            else:   # rebuilt as new on its next draw
+                vars(self).pop(name, None)
 
 
 def update(pool: DataPool, holdout: Optional[DataPool], batch: StreamBatch):
@@ -200,8 +199,7 @@ def sample_pure_replay(pool: DataPool, m: int,
 
 
 def sample_mixed_replay(pool: DataPool, current: StreamBatch, m: int,
-                        window: Optional[int] = None,
-                        rng: Optional[np.random.Generator] = None) -> Minibatch:
+                        window: Optional[int] = None) -> Minibatch:
     """Half the minibatch from the current step, half uniform from the history window.
 
     The history half draws uniformly from stored items with arrival step in
@@ -217,7 +215,7 @@ def sample_mixed_replay(pool: DataPool, current: StreamBatch, m: int,
         raise ValueError("mixed replay needs an even minibatch size")
     t = current.t
     b = (t - 1) if window is None else window
-    g = pool._replay_rng if rng is None else rng
+    g = pool._replay_rng
     eligible = None
     if pool.size == 0:
         lo = hi = 0

@@ -277,25 +277,6 @@ def best_ma(state: AmaState) -> np.ndarray:
     return state.ma[state.i_best - 1]
 
 
-def unfolded_ma_coefficients(gammas: np.ndarray) -> np.ndarray:
-    """Coefficients of theta_0..theta_k in the unrolled MA recursion.
-
-    For weights gamma_1..gamma_k the MA model equals
-    sum_i coeff[i] * theta_i with coeff[k] = 1 - gamma_k,
-    coeff[i] = (1 - gamma_i) * prod_{j>i} gamma_j for 0 < i < k, and
-    coeff[0] = prod_j gamma_j. The coefficients sum to 1 for any weight
-    sequence; tests rely on this identity.
-    """
-    gammas = np.asarray(gammas, dtype=float)
-    k = len(gammas)
-    coeffs = np.empty(k + 1)
-    suffix = np.concatenate([np.cumprod(gammas[::-1])[::-1], [1.0]])
-    coeffs[0] = suffix[0]
-    for i in range(1, k + 1):
-        coeffs[i] = (1.0 - gammas[i - 1]) * suffix[i]
-    return coeffs
-
-
 # -- checkpointing -------------------------------------------------------------
 
 def save_optimizer(path, base, ma=None):

@@ -4,10 +4,13 @@ Every source of randomness in the package is a Philox4x64-10 counter-based
 generator keyed by (seed, purpose, *indices) through numpy's SeedSequence.
 Substreams are independent and random-access: the batch at time step t can
 be regenerated without replaying steps 1..t-1, and the same (seed, path)
-yields the identical stream on any platform.
+yields the identical stream on any platform. Per-step keys are read from a
+cached table of 1 024-step blocks that equals SeedSequence's keys.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,14 +26,48 @@ INIT = 6         # model parameter initialization
 NOISE = 7        # gradient-noise draws in theory simulations
 MEANS = 8        # fixed class-mean layout for piecewise-task streams
 
+# numpy SeedSequence's hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _M32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
+
+
+@lru_cache(maxsize=64)
+def _key_block(seed: int, purpose: int, block: int) -> np.ndarray:
+    """Philox keys of (seed, purpose, t) for the 1 024 steps t of ``block``, hashing
+    t into the pool of SeedSequence(seed, spawn_key=(purpose,)) as SeedSequence does."""
+    words = max(4, (seed.bit_length() + 31) // 32) + ((purpose.bit_length() + 31) // 32 or 1)
+    a, b = _INIT_A * pow(_MULT_A, 4 * words, 1 << 32) & _M32, _INIT_B   # after 4 hashmix per word
+    t, out = (block << 10) | np.arange(1024, dtype=np.uint32), []
+    for word in np.random.SeedSequence(seed, spawn_key=(purpose,)).pool.tolist():
+        v = (t ^ a) * (a := a * _MULT_A & _M32)               # hashmix(t)
+        v = (_MIX_L * word & _M32) - _MIX_R * (v ^ v >> 16)   # mix(word, .)
+        v = (v ^ v >> 16 ^ b) * (b := b * _MULT_B & _M32)     # generate_state
+        out.append((v ^ v >> 16).astype(np.uint64))
+    keys = np.stack([out[0] | out[1] << 32, out[2] | out[3] << 32], axis=1)
+    keys.setflags(write=False)   # its rows are handed out as keys
+    return keys
+
+
+class _Key(np.random.bit_generator.ISeedSequence):   # hands Philox a precomputed key
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.key
+
 
 def substream(seed: int, *path: int) -> np.random.Generator:
     """Return an independent Generator for the given (seed, path).
+
+    Paths ``(purpose, t)`` with 0 <= t < 2**32 read their key from a block table.
 
     Args:
         seed: experiment-level 64-bit seed.
         path: purpose tag plus optional indices (e.g. time step).
     """
+    if len(path) == 2 and seed >= 0 and 0 <= path[1] < 1 << 32:
+        key = _key_block(int(seed), int(path[0]), int(path[1]) >> 10)[int(path[1]) & 1023]
+        return np.random.Generator(np.random.Philox(_Key(key)))
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
     return np.random.Generator(np.random.Philox(ss))
 

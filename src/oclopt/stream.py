@@ -18,8 +18,8 @@ that consumes the batches is ``oclopt.harness.run_protocol_step``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, fields
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -93,9 +93,6 @@ class DriftingQuadraticSpec:
     def loss_at(self, theta: np.ndarray, t: int) -> float:
         d = theta - self.center(t)
         return 0.5 * float(d @ (self.eigenvalues() * d))
-
-    def grad_at(self, theta: np.ndarray, t) -> np.ndarray:
-        return self.eigenvalues() * (theta - self.center(t))
 
     def lipschitz(self) -> float:
         return self.l_smooth
@@ -221,6 +218,10 @@ class StreamSpec:
             raise ValueError("quadratic dim must equal d_in")
         if self.kind == "rotating-gaussian" and self.d_in < 2:
             raise ValueError("rotating-gaussian needs d_in >= 2")
+
+    def __hash__(self):   # hashed once: forward transfer looks a spec up per batch
+        return self._hash
+    _hash = cached_property(lambda self: hash(tuple(getattr(self, f.name) for f in fields(self))))
 
 
 def _generate(spec: StreamSpec, t: int, purpose: int) -> StreamBatch:

@@ -14,6 +14,7 @@ from oclopt.datapool import (DataPool, EmptyPoolError, sample_mixed_replay,
                              sample_pure_replay, update)
 from oclopt.rng import substream
 from oclopt.stream import StreamBatch
+from tests.oracles import record_ids
 
 
 def offer_items(pool, n, t=1, d=2, start_rid=0):
@@ -90,8 +91,8 @@ class TestHoldoutRouting:
         holdout = DataPool(seed=3, holdout_fraction=0.2)
         for t in range(1, 30):
             update(pool, holdout, make_batch(t, n=20))
-        train_ids = set(pool.record_ids())
-        hold_ids = set(holdout.record_ids())
+        train_ids = set(record_ids(pool))
+        hold_ids = set(record_ids(holdout))
         assert train_ids.isdisjoint(hold_ids)
         assert len(train_ids) + len(hold_ids) == 29 * 20
 
@@ -122,7 +123,7 @@ class TestPureReplay:
         offer_items(pool, 1)
         mb = sample_pure_replay(pool, 6)
         assert np.all(mb.labels == mb.labels[0])
-        assert mb.n == 6
+        assert len(mb.inputs) == 6
 
     def test_empty_pool_raises(self):
         with pytest.raises(EmptyPoolError):
@@ -170,7 +171,7 @@ class TestMixedReplay:
         pool = DataPool(seed=0)
         current = make_batch(1)
         mb = sample_mixed_replay(pool, current, 8)
-        assert mb.n == 8
+        assert len(mb.inputs) == 8
         # every item comes from the current batch
         assert all(any(np.array_equal(x, c) for c in current.inputs) for x in mb.inputs)
 
@@ -415,6 +416,25 @@ class TestCheckpoint:
         self.assert_matches_reference(pool, ref)
         pool.restore(ckpt)
         np.testing.assert_equal(self.state(pool), before)
+
+    def test_restore_drops_generators_built_after_the_checkpoint(self):
+        # the checkpoint precedes every draw, so neither generator exists
+        # yet; a replay draw and an eviction build both, restore drops them
+        pool, fresh = DataPool(capacity=5, seed=4), DataPool(capacity=5, seed=4)
+        offer_items(pool, 5)
+        offer_items(fresh, 5)
+        ckpt = pool.checkpoint()
+        sample_pure_replay(pool, 3)
+        offer_items(pool, 4, t=2, start_rid=5)
+        pool.restore(ckpt)
+        for name in ("_reservoir_rng", "_replay_rng"):
+            np.testing.assert_equal(getattr(pool, name).bit_generator.state,
+                                    getattr(fresh, name).bit_generator.state)
+        assert sample_pure_replay(pool, 3).inputs.tobytes() == \
+            sample_pure_replay(fresh, 3).inputs.tobytes()
+        offer_items(pool, 4, t=2, start_rid=5)
+        offer_items(fresh, 4, t=2, start_rid=5)
+        np.testing.assert_equal(self.state(pool), self.state(fresh))
 
     def test_only_latest_checkpoint_restores(self):
         pool = DataPool(seed=0)

@@ -294,6 +294,7 @@ class TestNoiseWitness:
         # batch-mean gradient by at most l_smooth * noise_radius * 2 (each
         # observation is within noise_radius of the center)
         from oclopt.stream import DriftingQuadraticSpec, StreamSpec, next_batch
+        from tests.oracles import grad_at
 
         quad = DriftingQuadraticSpec(dim=3, mu=0.4, l_smooth=1.2,
                                      center0=(1.0, 0.0, -1.0),
@@ -306,7 +307,7 @@ class TestNoiseWitness:
         theta = rng.standard_normal(3)
         batch = next_batch(stream, 1)
         # true gradient of the per-step objective at the noiseless center
-        true_grad = quad.grad_at(theta, 1)
+        true_grad = grad_at(quad, theta, 1)
         rho = quad.noise_bound()
         for i in range(batch.n):
             single = Minibatch(batch.inputs[i:i + 1], batch.labels[i:i + 1])

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from oclopt.model import DivergenceError
 from oclopt.optim import (CostCounter, adam_step, ama_step, best_ma, init_adam,
                           init_averager, init_sgd, load_optimizer, ma_update,
-                          save_optimizer, sgd_step, unfolded_ma_coefficients)
+                          save_optimizer, sgd_step)
+from tests.oracles import unfolded_ma_coefficients
 
 
 def pv(*values):

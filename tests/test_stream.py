@@ -12,6 +12,7 @@ from oclopt.harness import (PRESET_NAMES, ProtocolError, build_stream_spec,
 from oclopt.rng import substream
 from oclopt.stream import (DriftingQuadraticSpec, HorizonError, PiecewiseTaskSpec,
                            RotatingGaussianSpec, StreamSpec, eval_batch, next_batch)
+from tests.oracles import grad_at, record_ids
 
 
 def rotation_matrix(angle: float) -> np.ndarray:
@@ -160,13 +161,13 @@ class TestDriftConstants:
         a = quad.eigenvalues()
         top = np.zeros(3)
         top[np.argmax(a)] = 1.0
-        g1 = quad.grad_at(top * 2.0, 1)
-        g2 = quad.grad_at(top * 0.5, 1)
+        g1 = grad_at(quad, top * 2.0, 1)
+        g2 = grad_at(quad, top * 0.5, 1)
         assert np.isclose(np.linalg.norm(g1 - g2), quad.lipschitz() * 1.5)
         rng = np.random.default_rng(1)
         for _ in range(50):
             x, y = rng.standard_normal((2, 3))
-            lhs = np.linalg.norm(quad.grad_at(x, 1) - quad.grad_at(y, 1))
+            lhs = np.linalg.norm(grad_at(quad, x, 1) - grad_at(quad, y, 1))
             assert lhs <= quad.lipschitz() * np.linalg.norm(x - y) + 1e-12
 
 
@@ -194,7 +195,7 @@ class _FakeRun:
 
 
 def pool_state(pool):
-    stored = pool.items() + (pool.record_ids(),) if pool.size else ()
+    stored = pool.items() + (record_ids(pool),) if pool.size else ()
     return (pool.size, pool.seen_count, pool.last_step, [a.tobytes() for a in stored],
             pool._reservoir_rng.bit_generator.state, pool._replay_rng.bit_generator.state)
 
