@@ -3,12 +3,15 @@
 Each case runs at ``stream.horizon=300`` for seeds 0 and 1 and compares the
 sha256 of ``metrics.csv``, ``schedule.csv``, ``config.yaml`` and
 ``manifest.json`` with ``golden_artifacts.json``. The cases cover every
-preset variant except ``theory-verify`` (which writes no run artifacts),
-including the ``ema-replay`` companion, plus two configurations no preset
-runs: MALR driven by an EMA signal, and AMA with weight adaptation off.
+preset variant, including the ``ema-replay`` companion, plus configurations
+no preset runs (``EXTRA``): MALR driven by an EMA signal, AMA with weight
+adaptation off, the MLP model, zero iterations per step, windowed and capped
+mixed replay, a run that diverges mid-step, Adam with EMA at a constant
+rate, and ``theory-verify`` run as an experiment.
 
-The digests were recorded once, before the averaging refactor, and are
-never re-recorded: a change that alters any byte of these artifacts fails
+The preset digests were recorded before the averaging refactor and the
+other ``EXTRA`` digests before replay draws were joined per step; none is
+ever re-recorded: a change that alters any byte of these artifacts fails
 here. ``python tests/test_golden_artifacts.py`` prints the digests the
 current code produces, for comparison by hand.
 """
@@ -35,6 +38,23 @@ EXTRA = (
     ("ama-vs-ema/ema-averaging", "ama-vs-ema", "base", {"optimizer.averaging": "ema"}),
     ("main-comparison/ama-malr-no-adapt", "main-comparison", "ama-malr",
      {"optimizer.adapt": False}),
+    ("main-comparison/ama-malr-mlp", "main-comparison", "ama-malr",
+     {"model.kind": "mlp-1-hidden", "model.hidden": 8}),
+    ("main-comparison/ama-malr-no-iters", "main-comparison", "ama-malr",
+     {"iters_per_step": 0}),
+    ("objective-comparison/mixed-p5-window", "objective-comparison", "mixed-p5",
+     {"replay.window": 20}),
+    ("objective-comparison/mixed-p5-capped", "objective-comparison", "mixed-p5",
+     {"replay.capacity": 200}),
+    ("objective-comparison/mixed-p5-window-capped", "objective-comparison", "mixed-p5",
+     {"replay.window": 20, "replay.capacity": 200}),
+    # diverges at iteration 77, in the middle of step 16
+    ("objective-comparison/mixed-p5-diverged", "objective-comparison", "mixed-p5",
+     {"schedule.alpha0": 1e6}),
+    ("ama-vs-ema/adam-ema-constant", "ama-vs-ema", "base",
+     {"optimizer.base": "adam", "optimizer.averaging": "ema", "schedule.kind": "constant",
+      "schedule.alpha0": 0.002, "companion": None}),
+    ("theory-verify/run", "theory-verify", "base", {}),
 )
 
 
@@ -80,7 +100,7 @@ def test_artifacts_match_golden_digests(case_id, tmp_path):
 
 def test_golden_file_covers_every_case():
     golden = json.loads(GOLDEN.read_text())
-    assert len(golden) == 56
+    assert len(golden) == 72
     assert {k.rsplit("/", 2)[0] for k in golden} == set(cases())
 
 
