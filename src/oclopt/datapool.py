@@ -124,12 +124,17 @@ class DataPool:
 
     # -- views --------------------------------------------------------------
 
-    def items(self):
-        """(inputs, labels, arrival steps) copies of the stored items."""
+    def slots_between(self, first: int, last: int):
+        """Slots of the stored items that arrived in steps [first, last], in
+        slot order. A pool that has never dropped or overwritten an item (every
+        unlimited pool) keeps its arrivals sorted, so this is a slice found by
+        binary search; otherwise an index array from an O(size) scan."""
         if self.size == 0:
-            raise EmptyPoolError("pool is empty")
-        return (self._xs[: self.size].copy(), self._ys[: self.size].copy(),
-                self._arrival[: self.size].copy())
+            return slice(0, 0)
+        arrival = self._arrival[: self.size]
+        if self.size == self.seen_count:
+            return slice(*arrival.searchsorted((first, last + 1)))
+        return np.flatnonzero((arrival >= first) & (arrival <= last))
 
     # -- checkpoint / restore (atomic protocol steps) -------------------------
 
@@ -189,51 +194,55 @@ def update(pool: DataPool, holdout: Optional[DataPool], batch: StreamBatch):
 
 
 def sample_pure_replay(pool: DataPool, m: int,
-                       rng: Optional[np.random.Generator] = None) -> Minibatch:
-    """m items uniform with replacement over everything stored."""
+                       rng: Optional[np.random.Generator] = None,
+                       count: int = 1) -> Minibatch:
+    """``count`` minibatches of m items, uniform with replacement over
+    everything stored, as one block of ``count * m`` rows: rows [i*m, (i+1)*m)
+    are the i-th minibatch. One joined draw equals ``count`` consecutive
+    draws of m, row for row, and leaves the generator in the same state."""
     if pool.size == 0:
         raise EmptyPoolError("cannot sample from an empty pool")
     g = pool._replay_rng if rng is None else rng
-    idx = g.integers(0, pool.size, size=m)
+    idx = g.integers(0, pool.size, size=count * m)
     return Minibatch(inputs=pool._xs.take(idx, 0), labels=pool._ys.take(idx, 0))
 
 
 def sample_mixed_replay(pool: DataPool, current: StreamBatch, m: int,
-                        window: Optional[int] = None) -> Minibatch:
+                        window: Optional[int] = None, count: int = 1) -> Minibatch:
     """Half the minibatch from the current step, half uniform from the history window.
 
     The history half draws uniformly from stored items with arrival step in
     [t - window, t - 1]; window=None means t-1 (full coverage). If the window
     holds nothing (e.g. t=1), the whole minibatch falls back to current data.
+    The window is found once per call (see ``DataPool.slots_between``).
 
-    A pool that has never dropped or overwritten an item (every unlimited
-    pool) keeps its arrivals sorted, so the window is a slot range found by
-    binary search: O(log n). Once a capped pool has evicted, the window is
-    found by a scan of its O(capacity) arrivals.
+    ``count`` minibatches come as one block of ``count * m`` rows: rows
+    [i*m, (i+1)*m) are the i-th minibatch, current half first. They are drawn
+    by one call whose bounds repeat [current, history] ``count`` times, so
+    the block equals ``count`` consecutive calls with ``count=1``, row for
+    row, and leaves the replay generator in the same state.
     """
     if m % 2 != 0:
         raise ValueError("mixed replay needs an even minibatch size")
     t = current.t
     b = (t - 1) if window is None else window
     g = pool._replay_rng
-    eligible = None
-    if pool.size == 0:
-        lo = hi = 0
-    elif pool.size == pool.seen_count:
-        lo, hi = pool._arrival[: pool.size].searchsorted((t - b, t))
-    else:
-        arr = pool._arrival[: pool.size]
-        eligible = np.flatnonzero((arr >= t - b) & (arr <= t - 1))
-        lo, hi = 0, len(eligible)
+    slots = pool.slots_between(t - b, t - 1)
+    scanned = not isinstance(slots, slice)
+    lo, hi = (0, len(slots)) if scanned else (slots.start, slots.stop)
     if hi <= lo:
-        idx_cur = g.integers(0, current.n, size=m)
-        return Minibatch(current.inputs.take(idx_cur, 0), current.labels.take(idx_cur, 0))
+        idx = g.integers(0, current.n, size=count * m)
+        return Minibatch(current.inputs.take(idx, 0), current.labels.take(idx, 0))
     half = m // 2
-    idx_cur = g.integers(0, current.n, size=half)
-    idx_hist = g.integers(lo, hi, size=half)
-    if eligible is not None:
-        idx_hist = eligible[idx_hist]
-    inputs = np.concatenate([current.inputs.take(idx_cur, 0), pool._xs.take(idx_hist, 0)])
-    labels = np.concatenate([current.labels.take(idx_cur, 0), pool._ys.take(idx_hist, 0)])
-    return Minibatch(inputs=inputs, labels=labels)
-
+    # array bounds (no size=) draw element by element in order: per
+    # minibatch, the current half, then the history half
+    history = np.arange(count * m) % m >= half
+    idx = g.integers(np.where(history, lo, 0),
+                     np.where(history, hi, current.n)).reshape(count, m)
+    cur, hist = idx[:, :half], idx[:, half:]
+    if scanned:
+        hist = slots.take(hist)
+    inputs = np.concatenate((current.inputs.take(cur, 0), pool._xs.take(hist, 0)), 1)
+    labels = np.concatenate((current.labels.take(cur, 0), pool._ys.take(hist, 0)), 1)
+    return Minibatch(inputs=inputs.reshape(count * m, *inputs.shape[2:]),
+                     labels=labels.reshape(count * m, *labels.shape[2:]))

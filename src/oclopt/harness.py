@@ -4,10 +4,10 @@ schedules, and metrics together.
 An experiment executes the online protocol for the configured horizon. One
 ``Run`` holds a seed's state, and ``run_protocol_step`` executes one step on
 it: reveal a batch, record pre-update predictions, integrate the batch into
-the training/holdout pools, then run ``iters_per_step`` optimizer
-iterations, each drawing a replay minibatch. Moving-average, online
-validation, and learning-rate events fire on their global-iteration
-intervals. Everything is deterministic per seed; rerunning a manifest
+the training/holdout pools, then draw the step's replay minibatches in
+one call and run ``iters_per_step`` optimizer iterations on them.
+Moving-average, online validation, and learning-rate events fire on their
+global-iteration intervals. Everything is deterministic per seed; rerunning a manifest
 reproduces the CSVs byte for byte.
 """
 
@@ -27,10 +27,11 @@ import yaml
 
 from . import __version__, datapool, stream
 from . import rng as rngmod
-from .datapool import DataPool, EmptyPoolError, sample_mixed_replay, sample_pure_replay
+from .datapool import (DataPool, EmptyPoolError, Minibatch, sample_mixed_replay,
+                       sample_pure_replay)
 from .metrics import MetricLedger, forward_transfer, information_retention
-from .model import (DivergenceError, ModelSpec, init_params, loss_and_grad, predict,
-                    step_ahead_performance, validation_performance)
+from .model import (DivergenceError, ModelSpec, Workspace, check_batch, init_params,
+                    loss_and_grad, predict, step_ahead_performance, validation_performance)
 from .optim import (AmaState, CostCounter, adam_step, ama_step, best_ma, init_adam,
                     init_averager, init_sgd, save_optimizer, sgd_step)
 from .rng import substream
@@ -361,6 +362,7 @@ class Run:
             self.holdout = DataPool(capacity=None, seed=seed,
                                     holdout_fraction=r.holdout_fraction)
             theta = init_params(self.model_spec, substream(seed, rngmod.INIT))
+            self.work = Workspace(self.model_spec, theta)   # the base optimizer's theta
             if o.base == "sgd":
                 self.base = init_sgd(theta, beta=o.momentum)
             else:
@@ -419,19 +421,27 @@ class Run:
         return predict(self.model_spec, self.inference_params(), inputs)
 
     def update(self, t: int, batch):
-        for _ in range(self.config.iters_per_step):
-            self.iterate(batch)
+        """Draw the step's replay minibatches as one block, then run one
+        iteration on each. A pure-replay step with an empty training pool
+        (every datum so far went to the holdout) runs no iterations."""
+        p, r = self.config.iters_per_step, self.config.replay
+        if p == 0 or (r.mode == "pure" and self.pool.size == 0):
+            return
+        m = r.batch_size
+        if r.mode == "pure":
+            block = sample_pure_replay(self.pool, m, count=p)
+        else:
+            block = sample_mixed_replay(self.pool, batch, m, window=r.window, count=p)
+        check_batch(self.model_spec, block)
+        for i in range(0, p * m, m):
+            self.iterate(Minibatch(block.inputs[i:i + m], block.labels[i:i + m]))
 
-    def iterate(self, batch):
-        """One optimizer iteration: replay draw, base step, averager, schedule."""
+    def iterate(self, mb):
+        """One optimizer iteration on a replay minibatch: base step, averager,
+        schedule."""
         k = self.k + 1
         alpha = self.alpha(k)
-        r = self.config.replay
-        if r.mode == "pure":
-            mb = sample_pure_replay(self.pool, r.batch_size)
-        else:
-            mb = sample_mixed_replay(self.pool, batch, r.batch_size, window=r.window)
-        loss, grad = loss_and_grad(self.model_spec, self.base.theta, mb)
+        loss, grad = loss_and_grad(self.model_spec, self.base.theta, mb, work=self.work)
         self.costs.forward += 1
         self.costs.grad += 1
         if not math.isfinite(loss):

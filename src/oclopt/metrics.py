@@ -72,11 +72,11 @@ def information_retention(spec: ModelSpec, theta: np.ndarray, holdout: DataPool,
     """Performance of theta on all holdout items with arrival step <= t."""
     if holdout.size == 0:
         raise EmptyPoolError("holdout pool is empty")
-    xs, ys, arrival = holdout.items()
-    mask = arrival <= t
-    if not mask.any():
+    slots = holdout.slots_between(0, t)   # arrival steps are >= 0
+    xs, ys = holdout._xs[slots], holdout._ys[slots]
+    if len(ys) == 0:
         raise EmptyPoolError(f"holdout pool has no items from steps <= {t}")
-    return validation_performance(spec, theta, Minibatch(xs[mask], ys[mask]))
+    return validation_performance(spec, theta, Minibatch(xs, ys))
 
 
 @lru_cache(maxsize=8192)

@@ -112,30 +112,67 @@ def init_params(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
     return theta
 
 
-def _check_batch(spec: ModelSpec, batch):
+def check_batch(spec: ModelSpec, batch) -> np.ndarray:
+    """The batch's inputs as floats, once they are checked to be non-empty
+    and as wide as the model's input, with one label in range per row for a
+    classifier."""
     x = np.asarray(batch.inputs, dtype=float)
     if len(x) == 0:
         raise ValueError("minibatch must be non-empty")
     expected = spec.dim if spec.kind == "quadratic-probe" else spec.d_in
     if x.shape[1] != expected:
         raise ValueError(f"input dimension {x.shape[1]} != model dimension {expected}")
+    y = np.asarray(batch.labels)
+    if spec.classification and (y.shape != (len(x),) or np.minimum.reduce(y) < 0
+                                or np.maximum.reduce(y) >= spec.n_classes):
+        raise ValueError(f"a classifier needs one label in [0, {spec.n_classes}) per row")
     return x
 
 
-def loss_and_grad(spec: ModelSpec, theta: np.ndarray, batch):
+class Workspace:
+    """Buffers and views that ``loss_and_grad`` reuses across calls on one
+    parameter array: the gradient, the blocks of theta and of the gradient,
+    and, sized to the minibatch, the logits, the MLP's hidden layer and the
+    flat offset of each logits row. The gradient a call returns is the
+    workspace's buffer, which the next call on the same workspace overwrites.
+    """
+
+    def __init__(self, spec: ModelSpec, theta: np.ndarray):
+        if theta.shape != (spec.n_params,):
+            raise ValueError(f"parameter shape {theta.shape} != expected ({spec.n_params},)")
+        self.spec, self.theta, self.grad = spec, theta, np.empty_like(theta)
+        self.blocks = {name: spec.block(theta, name) for name in spec.layout}
+        self.grad_blocks = {name: spec.block(self.grad, name) for name in spec.layout}
+        self.rows = 0
+
+    def fit_rows(self, n: int):
+        if n != self.rows:
+            c, hidden = self.spec.n_classes, (n, self.spec.hidden)
+            self.rows, self.logits, self.row_offsets = n, np.empty((n, c)), np.arange(n) * c
+            if self.spec.kind == "mlp-1-hidden":
+                self.hidden, self.dh = np.empty(hidden), np.empty(hidden)
+
+
+def loss_and_grad(spec: ModelSpec, theta: np.ndarray, batch, work: Workspace | None = None):
     """Mean per-example loss plus the L2 penalty, and its exact gradient.
 
     Deterministic in (theta, batch). Non-finite results are returned as-is;
     callers treat them as a divergence signal. A direct call gets numpy's
     default floating-point warnings; ``run_experiment`` silences overflow and
     invalid-value warnings once around a whole run.
+
+    Without ``work`` the call checks the batch and runs on a throwaway
+    workspace, so the gradient is a fresh array. With ``work``, a
+    ``Workspace`` built for this spec and theta, the caller has checked the
+    batch (``check_batch``) and the gradient is the workspace's buffer.
     """
-    if theta.shape != (spec.n_params,):
-        raise ValueError(f"parameter shape {theta.shape} != expected ({spec.n_params},)")
-    x = _check_batch(spec, batch)
-    y = np.asarray(batch.labels)
-    n = len(x)
-    grad = np.empty_like(theta)
+    if work is None:
+        work, x = Workspace(spec, theta), check_batch(spec, batch)
+    elif work.spec is spec and work.theta is theta:
+        x = batch.inputs
+    else:
+        raise ValueError("the workspace was built for another spec or parameter array")
+    y, grad, n = np.asarray(batch.labels), work.grad, len(x)
 
     if spec.kind == "quadratic-probe":
         a = np.asarray(spec.curvature)
@@ -143,28 +180,33 @@ def loss_and_grad(spec: ModelSpec, theta: np.ndarray, batch):
         loss = 0.5 * float(np.mean(np.sum(d * d * a[None, :], axis=1)))
         grad[:] = a * (theta - y.mean(axis=0))
     else:
+        work.fit_rows(n)
         mlp = spec.kind == "mlp-1-hidden"
         out_w, out_b = ("w2", "b2") if mlp else ("w", "b")
-        w, feats = spec.block(theta, out_w), x
+        w, feats = work.blocks[out_w], x
         if mlp:
-            feats = np.tanh(x @ spec.block(theta, "w1").T + spec.block(theta, "b1"))
+            feats = np.matmul(x, work.blocks["w1"].T, out=work.hidden)
+            feats += work.blocks["b1"]
+            np.tanh(feats, out=feats)
         # softmax in place; p then becomes dz, the loss gradient in the logits
-        p = feats @ w.T
-        p += spec.block(theta, out_b)
-        p -= p.max(axis=1, keepdims=True)
+        p = np.matmul(feats, w.T, out=work.logits)
+        p += work.blocks[out_b]
+        p -= np.maximum.reduce(p, axis=1, keepdims=True)
         np.exp(p, out=p)
-        p /= p.sum(axis=1, keepdims=True)
-        rows = np.arange(n)
-        loss = -float(np.log(np.maximum(p[rows, y], 1e-300)).sum() / n)
-        p[rows, y] -= 1.0
+        p /= np.add.reduce(p, axis=1, keepdims=True)
+        label_at = work.row_offsets + y
+        picked = p.take(label_at)
+        loss = -float(np.add.reduce(np.log(np.maximum(picked, 1e-300))) / n)
+        picked -= 1.0
+        p.put(label_at, picked)
         p /= n
-        np.matmul(p.T, feats, out=spec.block(grad, out_w))
-        p.sum(axis=0, out=spec.block(grad, out_b))
+        np.matmul(p.T, feats, out=work.grad_blocks[out_w])
+        np.add.reduce(p, axis=0, out=work.grad_blocks[out_b])
         if mlp:
-            dh = p @ w
+            dh = np.matmul(p, w, out=work.dh)
             dh *= 1.0 - feats * feats
-            np.matmul(dh.T, x, out=spec.block(grad, "w1"))
-            dh.sum(axis=0, out=spec.block(grad, "b1"))
+            np.matmul(dh.T, x, out=work.grad_blocks["w1"])
+            np.add.reduce(dh, axis=0, out=work.grad_blocks["b1"])
 
     if spec.weight_decay > 0.0:
         loss += 0.5 * spec.weight_decay * float(theta @ theta)

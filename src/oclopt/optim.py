@@ -43,7 +43,7 @@ class CostCounter:
 
 
 def _check_finite(g: np.ndarray):
-    if not np.isfinite(g).all():
+    if not np.logical_and.reduce(np.isfinite(g)):
         raise DivergenceError("non-finite gradient")
 
 

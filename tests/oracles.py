@@ -30,3 +30,26 @@ def grad_at(quad, theta: np.ndarray, t) -> np.ndarray:
 def record_ids(pool) -> np.ndarray:
     """Record ids of the items a ``DataPool`` stores, in slot order."""
     return np.array([], dtype=np.int64) if pool._rid is None else pool._rid[: pool.size].copy()
+
+
+def stored_items(pool):
+    """(inputs, labels, arrival steps) copies of the items a ``DataPool``
+    stores, in slot order."""
+    n = pool.size
+    return pool._xs[:n].copy(), pool._ys[:n].copy(), pool._arrival[:n].copy()
+
+
+def consecutive_draws(sample, count, *args, **kwargs):
+    """(inputs, labels) of ``count`` consecutive ``count=1`` calls of a replay
+    sampler, stacked in call order: the reference for one joined draw."""
+    draws = [sample(*args, **kwargs) for _ in range(count)]
+    return (np.concatenate([d.inputs for d in draws]),
+            np.concatenate([d.labels for d in draws]))
+
+
+def retained_rows(holdout, t):
+    """The rows information retention scores, by copy and mask: every stored
+    holdout item with arrival step <= t, copied in slot order."""
+    xs, ys, arrival = stored_items(holdout)
+    keep = arrival <= t
+    return xs[keep], ys[keep]

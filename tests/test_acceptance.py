@@ -19,7 +19,7 @@ from oclopt.optim import (ama_step, best_ma, init_averager, init_sgd, ma_update,
                           sgd_step)
 from oclopt.rng import ball_uniform, substream
 from oclopt.stream import DriftingQuadraticSpec
-from tests.oracles import unfolded_ma_coefficients
+from tests.oracles import stored_items, unfolded_ma_coefficients
 from tests.test_model import fd_gradient, grad_agreement, random_model_and_batch
 
 SEEDS_20 = list(range(20))
@@ -276,7 +276,7 @@ def test_criterion_09_reservoir_and_buffer_sweep():
         xs = np.zeros((n_items, 1))
         pool.offer(xs, np.arange(n_items, dtype=np.int64), 1,
                    np.arange(n_items, dtype=np.int64))
-        _, ys, _ = pool.items()
+        _, ys, _ = stored_items(pool)
         counts[ys] += 1
     expected = trials * cap / n_items
     chi2 = float(np.sum((counts - expected) ** 2 / expected))

@@ -14,7 +14,7 @@ from oclopt.datapool import (DataPool, EmptyPoolError, sample_mixed_replay,
                              sample_pure_replay, update)
 from oclopt.rng import substream
 from oclopt.stream import StreamBatch
-from tests.oracles import record_ids
+from tests.oracles import consecutive_draws, record_ids, stored_items
 
 
 def offer_items(pool, n, t=1, d=2, start_rid=0):
@@ -62,7 +62,7 @@ class TestReservoir:
         for s in range(trials):
             pool = DataPool(capacity=cap, seed=s)
             offer_items(pool, n)
-            _, ys, _ = pool.items()
+            _, ys, _ = stored_items(pool)
             counts[ys] += 1
         p = cap / n
         se = np.sqrt(p * (1 - p) / trials)
@@ -77,7 +77,7 @@ class TestReservoir:
         for s in range(trials):
             pool = DataPool(capacity=cap, seed=10_000 + s)
             offer_items(pool, n)
-            _, ys, _ = pool.items()
+            _, ys, _ = stored_items(pool)
             counts[ys] += 1
         expected = trials * cap / n
         chi2 = float(np.sum((counts - expected) ** 2 / expected))
@@ -277,6 +277,40 @@ class TestMixedReplayMatchesScan:
         if split < len(offers):
             pool.restore(ckpt)
             draw()
+
+
+class TestJoinedDraws:
+    # One call with count=p must equal p consecutive count=1 calls on an
+    # identical pool: unlimited and capped pools (which evict past their
+    # capacity), windowed draws, and the fallback when the window holds
+    # nothing (an empty pool at t=1, or a window past every stored item).
+    @settings(max_examples=150, deadline=None)
+    @given(capacity=st.none() | st.integers(1, 30), seed=st.integers(0, 2**16),
+           sizes=st.lists(st.integers(0, 12), max_size=8), mixed=st.booleans(),
+           half=st.integers(1, 6), count=st.integers(1, 6),
+           window=st.none() | st.integers(0, 4), n_current=st.integers(1, 5))
+    def test_joined_draw_equals_consecutive_draws(self, capacity, seed, sizes, mixed, half,
+                                                  count, window, n_current):
+        pool = DataPool(capacity=capacity, seed=seed)
+        for t, n in enumerate(sizes, start=1):
+            xs, ys = make_items(t, n=n, seed=seed)
+            pool.offer(xs, ys, t, pool.seen_count + np.arange(n, dtype=np.int64))
+        if not mixed and pool.size == 0:
+            return
+        twin = copy.deepcopy(pool)
+        m = 2 * half
+        if mixed:
+            current = make_batch(len(sizes) + 1, n=n_current, seed=seed)
+            block = sample_mixed_replay(pool, current, m, window=window, count=count)
+            xs, ys = consecutive_draws(sample_mixed_replay, count, twin, current, m,
+                                       window=window)
+        else:
+            block = sample_pure_replay(pool, m, count=count)
+            xs, ys = consecutive_draws(sample_pure_replay, count, twin, m)
+        assert block.inputs.tobytes() == xs.tobytes()
+        assert block.labels.tobytes() == ys.tobytes()
+        np.testing.assert_equal(pool._replay_rng.bit_generator.state,
+                                twin._replay_rng.bit_generator.state)
 
 
 class ReferencePool:

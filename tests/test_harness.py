@@ -16,6 +16,7 @@ from oclopt.harness import (ConfigError, PRESET_NAMES, apply_overrides,
                             run_with_companions, save_config,
                             verify_bounds_from_config)
 from oclopt.model import DivergenceError
+from tests.oracles import record_ids, stored_items
 
 
 def tiny_config(**overrides):
@@ -197,6 +198,47 @@ class TestRunExperiment:
         cfg = tiny_config(**{"replay.mode": "mixed"})
         res = run_experiment(cfg, seed=1)
         assert not res.diverged
+
+    def test_divergence_mid_step_keeps_completed_iterations(self):
+        # alpha0=1e6 diverges at iteration 77, the second of step 16's five:
+        # iteration 76 stays applied, while both pools and the replay
+        # generator roll back to their state after step 15
+        cfg = apply_overrides(dict(expand_variants(preset("objective-comparison")))["mixed-p5"],
+                              {"stream.horizon": 300, "schedule.alpha0": 1e6})
+        run = harness.Run(cfg, 0)
+
+        def pools():
+            return [(pool.size, pool.seen_count, pool.last_step,
+                     [a.tobytes() for a in stored_items(pool) + (record_ids(pool),)])
+                    for pool in (run.pool, run.holdout)]
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in range(1, 16):
+                assert run.step(t)
+            before, replay_state = pools(), run.pool._replay_rng.bit_generator.state
+            assert not run.step(16)
+        assert run.diverged
+        assert len(run.lr_trace) == 76
+        assert pools() == before
+        np.testing.assert_equal(run.pool._replay_rng.bit_generator.state, replay_state)
+
+    @pytest.mark.parametrize("name,label,seed", [("main-comparison", "ama-malr", 26),
+                                                 ("theory-verify", "base", 26),
+                                                 ("theory-verify", "base", 35)])
+    def test_pure_replay_step_with_empty_training_pool_runs_no_iterations(self, name,
+                                                                          label, seed):
+        # one datum per step, and these seeds route step 1's to the holdout;
+        # a step runs its iterations once the training pool holds an item
+        cfg = dict(expand_variants(apply_overrides(preset(name), {
+            "stream.batch_size": 1, "stream.horizon": 30})))[label]
+        run = harness.Run(cfg, seed)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in range(1, 31):
+                k = run.k
+                assert run.step(t)
+                assert run.k == k + (cfg.iters_per_step if run.pool.size else 0)
+                assert t > 1 or run.pool.size == 0
+        assert 0 < run.k < 30 * cfg.iters_per_step
 
 
 class TestComputeAccounting:

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from oclopt import metrics
 from oclopt.datapool import DataPool, EmptyPoolError
 from oclopt.metrics import (MetricError, MetricLedger, RunningMean, forward_transfer,
                             information_retention)
 from oclopt.model import ModelSpec, init_params, predict
 from oclopt.rng import substream
 from oclopt.stream import RotatingGaussianSpec, StreamSpec, eval_batch
+from tests.oracles import retained_rows
 
 
 def softmax_spec():
@@ -121,6 +123,27 @@ class TestInformationRetention:
         theta = np.zeros(spec.n_params)
         with pytest.raises(EmptyPoolError):
             information_retention(spec, theta, DataPool(seed=0), 1)
+
+    # an unlimited holdout is read as a prefix of its slots, a capped one
+    # that has evicted through a mask; either way the scored rows, in order,
+    # are those of copying every item and masking arrival <= t
+    @pytest.mark.parametrize("capacity", [None, 12], ids=["unlimited", "capped"])
+    def test_scores_the_copy_and_mask_rows(self, capacity, monkeypatch):
+        spec = softmax_spec()
+        holdout = DataPool(capacity=capacity, seed=7)
+        rng = np.random.default_rng(11)
+        for t in range(1, 9):
+            n = int(rng.integers(0, 6))
+            holdout.offer(rng.standard_normal((n, 2)), rng.integers(0, 2, n), t,
+                          holdout.seen_count + np.arange(n, dtype=np.int64))
+        assert (holdout.size < holdout.seen_count) == (capacity is not None)
+        monkeypatch.setattr(metrics, "validation_performance",
+                            lambda spec, theta, batch: (batch.inputs.tobytes(),
+                                                        batch.labels.tobytes()))
+        for t in range(int(holdout._arrival[: holdout.size].min()), 10):
+            xs, ys = retained_rows(holdout, t)
+            assert information_retention(spec, None, holdout, t) == (xs.tobytes(),
+                                                                     ys.tobytes())
 
 
 def rotating_stream(omega=0.0, horizon=200, seed=0):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oclopt.datapool import Minibatch
-from oclopt.model import (ModelSpec, accuracy, init_params, logits, loss_and_grad,
+from oclopt.model import (ModelSpec, Workspace, accuracy, init_params, logits, loss_and_grad,
                           predict, validation_performance)
 
 
@@ -104,6 +104,22 @@ class TestGradients:
         with pytest.raises(ValueError, match="parameter shape"):
             loss_and_grad(spec, np.zeros(shape), batch)
 
+    @pytest.mark.parametrize("labels", [[0, 1, 3, 0], [0, -1, 2, 0], [0, 1, 2]])
+    def test_labels_must_be_one_class_in_range_per_row(self, labels):
+        spec = ModelSpec(kind="linear-softmax", loss="cross-entropy", d_in=2,
+                         n_classes=3)
+        batch = Minibatch(np.zeros((4, 2)), np.array(labels))
+        with pytest.raises(ValueError, match="label"):
+            loss_and_grad(spec, np.zeros(spec.n_params), batch)
+
+    def test_workspace_serves_only_its_parameter_array(self):
+        spec = ModelSpec(kind="linear-softmax", loss="cross-entropy", d_in=2,
+                         n_classes=2)
+        theta = np.zeros(spec.n_params)
+        batch = Minibatch(np.zeros((4, 2)), np.zeros(4, dtype=int))
+        with pytest.raises(ValueError, match="workspace"):
+            loss_and_grad(spec, theta.copy(), batch, work=Workspace(spec, theta))
+
     def test_empty_batch_raises(self):
         spec = ModelSpec(kind="linear-softmax", loss="cross-entropy", d_in=2,
                          n_classes=2)
@@ -191,11 +207,17 @@ class TestKernelMatchesFrozen:
             labels = rng.integers(0, n_classes, n)
         batch = Minibatch(rng.standard_normal((n, d_in)), labels)
         theta = 10.0 ** log_scale * rng.standard_normal(spec.n_params)
+        # a run's workspace has served other calls, of this size or another
+        work = Workspace(spec, theta)
         with np.errstate(all="ignore"):
+            loss_and_grad(spec, theta, Minibatch(batch.inputs[:1], labels[:1]), work=work)
             loss, grad = loss_and_grad(spec, theta, batch)
+            work_loss, work_grad = loss_and_grad(spec, theta, batch, work=work)
             want_loss, want_grad = frozen_loss_and_grad(spec, theta, batch)
-        assert loss == want_loss or (np.isnan(loss) and np.isnan(want_loss))
-        assert np.array_equal(grad, want_grad, equal_nan=True)
+        for got_loss, got_grad in ((loss, grad), (work_loss, work_grad)):
+            assert got_loss == want_loss or (np.isnan(got_loss) and np.isnan(want_loss))
+            assert np.array_equal(got_grad, want_grad, equal_nan=True)
+        assert work_grad is work.grad and grad is not work.grad
 
 
 class TestAccuracy:

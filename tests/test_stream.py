@@ -12,7 +12,7 @@ from oclopt.harness import (PRESET_NAMES, ProtocolError, build_stream_spec,
 from oclopt.rng import substream
 from oclopt.stream import (DriftingQuadraticSpec, HorizonError, PiecewiseTaskSpec,
                            RotatingGaussianSpec, StreamSpec, eval_batch, next_batch)
-from tests.oracles import grad_at, record_ids
+from tests.oracles import grad_at, record_ids, stored_items
 
 
 def rotation_matrix(angle: float) -> np.ndarray:
@@ -195,7 +195,7 @@ class _FakeRun:
 
 
 def pool_state(pool):
-    stored = pool.items() + (record_ids(pool),) if pool.size else ()
+    stored = stored_items(pool) + (record_ids(pool),) if pool.size else ()
     return (pool.size, pool.seen_count, pool.last_step, [a.tobytes() for a in stored],
             pool._reservoir_rng.bit_generator.state, pool._replay_rng.bit_generator.state)
 
