@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import rng as rngmod
-from .rng import substream
+from .rng import BLOCK, step_streams, substream
 from .stream import StreamBatch
 
 
@@ -62,10 +62,25 @@ class DataPool:
         self._rid: Optional[np.ndarray] = None
         self._undo: Optional[list] = None   # rows overwritten since checkpoint()
         self._ckpt_id = 0
+        self._coins = (None, None, None)    # (block, n, coins) of the latest read
 
     _RNGS = ("_reservoir_rng", "_replay_rng")   # each built on its first draw
     _reservoir_rng = cached_property(lambda self: substream(self.seed, rngmod.RESERVOIR))
     _replay_rng = cached_property(lambda self: substream(self.seed, rngmod.REPLAY))
+
+    def routing_coins(self, t: int, n: int) -> np.ndarray:
+        """``substream(seed, HOLDOUT, t).random(n)``, read-only, from a block of
+        ``BLOCK`` steps drawn at once; only the latest block is kept. Blocks
+        start at the steps a stream's blocks start at, so both fill on one step."""
+        b, i = divmod(t - 1, BLOCK)
+        if self._coins[:2] != (b, n):
+            coins = np.empty((BLOCK, n))
+            for row, g in zip(coins, step_streams(self.seed, rngmod.HOLDOUT, b * BLOCK + 1,
+                                                  (b + 1) * BLOCK + 1)):
+                g.random(out=row)
+            coins.setflags(write=False)
+            self._coins = (b, n, coins)
+        return self._coins[2][i]
 
     # -- storage ------------------------------------------------------------
 
@@ -94,20 +109,24 @@ class DataPool:
         if t < self.last_step:
             raise ValueError(f"step {t} is below last offered step {self.last_step}")
         n = len(xs)
+        if n == 0:
+            self.last_step = t
+            return
         self._ensure_storage(xs, ys, n)
         cap = self.capacity if self.capacity is not None else self.seen_count + n
         fill = min(max(cap - self.seen_count, 0), n)
-        new = slice(self.size, self.size + fill)
-        self._xs[new], self._ys[new] = xs[:fill], ys[:fill]
-        self._arrival[new], self._rid[new] = t, rids[:fill]
-        self.size += fill
+        if fill:
+            new = slice(self.size, self.size + fill)
+            self._xs[new], self._ys[new] = xs[:fill], ys[:fill]
+            self._arrival[new], self._rid[new] = t, rids[:fill]
+            self.size += fill
         if fill < n:
             # Algorithm R: item with 0-based global index i survives at slot
             # j ~ Uniform{0..i} iff j < capacity. A slot drawn twice keeps the
             # later item, so each drawn slot is written once, with its last draw.
             idx = self.seen_count + np.arange(fill, n)
             slots = self._reservoir_rng.integers(0, idx + 1)
-            hit = np.flatnonzero(slots < cap)
+            hit = (slots < cap).nonzero()[0]
             if len(hit):
                 j = slots.take(hit)
                 if len(hit) > 1:
@@ -149,9 +168,10 @@ class DataPool:
         """
         self._ckpt_id += 1
         self._undo = []
+        built = vars(self)
         return {"id": self._ckpt_id, "size": self.size, "seen": self.seen_count,
-                "last_step": self.last_step, "rngs": {name: g.bit_generator.state
-                    for name, g in vars(self).items() if name in self._RNGS}}
+                "last_step": self.last_step, "rngs": {name: built[name].bit_generator.state
+                                                      for name in self._RNGS if name in built}}
 
     def restore(self, ckpt: dict):
         """Write the logged rows back newest first, reset counters and recorded
@@ -172,25 +192,26 @@ class DataPool:
 def update(pool: DataPool, holdout: Optional[DataPool], batch: StreamBatch):
     """Integrate one revealed batch: route each datum to holdout or training pool.
 
-    Routing coins are drawn from the (seed, HOLDOUT, t) substream, so the
-    split of any step is re-enumerable. Record ids continue the global offer
-    sequence across both pools.
+    Routing coins are drawn from the (seed, HOLDOUT, t) substream (see
+    ``DataPool.routing_coins``), so the split of any step is re-enumerable.
+    Record ids continue the global offer sequence across both pools.
     """
-    if batch.t <= pool.last_step:
-        raise ValueError(f"step {batch.t} does not exceed last integrated step {pool.last_step}")
-    n = batch.n
+    t, n, xs, ys = batch.t, batch.n, batch.inputs, batch.labels
+    if t <= pool.last_step:
+        raise ValueError(f"step {t} does not exceed last integrated step {pool.last_step}")
     base = pool.seen_count + (holdout.seen_count if holdout is not None else 0)
-    rids = base + np.arange(n, dtype=np.int64)
+    rids = np.arange(base, base + n, dtype=np.int64)
+    to_holdout = None
     if holdout is not None and holdout.holdout_fraction > 0.0:
-        coins = substream(pool.seed, rngmod.HOLDOUT, batch.t).random(n)
-        to_holdout = coins < holdout.holdout_fraction
-    else:
-        to_holdout = np.zeros(n, dtype=bool)
-    keep = ~to_holdout
-    pool.offer(batch.inputs[keep], batch.labels[keep], batch.t, rids[keep])
-    if holdout is not None:
-        holdout.offer(batch.inputs[to_holdout], batch.labels[to_holdout], batch.t,
-                      rids[to_holdout])
+        to_holdout = pool.routing_coins(t, n) < holdout.holdout_fraction
+    if to_holdout is None or not to_holdout.any():
+        pool.offer(xs, ys, t, rids)
+        if holdout is not None:
+            holdout.offer(xs[:0], ys[:0], t, rids[:0])
+        return
+    hold, keep = to_holdout.nonzero()[0], (~to_holdout).nonzero()[0]
+    pool.offer(xs.take(keep, 0), ys.take(keep, 0), t, rids.take(keep))
+    holdout.offer(xs.take(hold, 0), ys.take(hold, 0), t, rids.take(hold))
 
 
 def sample_pure_replay(pool: DataPool, m: int,

@@ -340,6 +340,7 @@ class Run:
                  "cyclic schedule requires a task-aware (piecewise) stream"),
                 (s.kind == "trace" and not s.lr_trace, "trace schedule requires lr_trace"),
                 (o.base not in ("sgd", "adam"), f"unknown base optimizer {o.base!r}"),
+                (config.model.hidden < 1, "model.hidden must be >= 1"),
                 (model_kind == "quadratic-probe" and stream_kind != "drifting-quadratic",
                  "quadratic-probe model requires the drifting-quadratic stream"),
                 (stream_kind == "drifting-quadratic" and model_kind != "quadratic-probe",

@@ -17,13 +17,12 @@ streams substitute negative loss so all comparisons stay maximizations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from .datapool import DataPool, EmptyPoolError, Minibatch
 from .model import ModelSpec, validation_performance
-from .stream import StreamSpec, eval_batch
+from .stream import StreamSpec, eval_window
 
 
 class MetricError(RuntimeError):
@@ -52,19 +51,28 @@ class MetricLedger:
     """Append-only per-step records backing the metric computations."""
 
     step_ahead: dict = field(default_factory=dict)   # j -> perf of theta_j on batch j+1
+    # step_ahead[1..n] up to the first missing record, in a float64 buffer
+    # that doubles when full
+    _prefix: np.ndarray = field(default_factory=lambda: np.empty(64), init=False,
+                                repr=False, compare=False)
+    _n: int = field(default=0, init=False, repr=False, compare=False)
 
     def record_step_ahead(self, j: int, perf: float):
         if j in self.step_ahead:
             raise MetricError(f"step-ahead record {j} already exists")
         self.step_ahead[j] = perf
+        while self._n + 1 in self.step_ahead:
+            if self._n == len(self._prefix):
+                self._prefix = np.concatenate((self._prefix, np.empty(self._n)))
+            self._prefix[self._n] = self.step_ahead[self._n + 1]
+            self._n += 1
 
     def learning_efficacy(self, t: int) -> float:
         """Prefix mean over j = 1..t of step-(j+1) performance under theta_j."""
-        try:
-            return float(np.mean([self.step_ahead[j] for j in range(1, t + 1)]))
-        except KeyError:
+        if t > self._n:
             missing = [j for j in range(1, t + 1) if j not in self.step_ahead]
-            raise MetricError(f"missing step-ahead records for steps {missing[:5]}") from None
+            raise MetricError(f"missing step-ahead records for steps {missing[:5]}")
+        return float(np.mean(self._prefix[:max(t, 0)]))
 
 
 def information_retention(spec: ModelSpec, theta: np.ndarray, holdout: DataPool,
@@ -79,13 +87,6 @@ def information_retention(spec: ModelSpec, theta: np.ndarray, holdout: DataPool,
     return validation_performance(spec, theta, Minibatch(xs, ys))
 
 
-@lru_cache(maxsize=8192)
-def _eval_batch_cached(stream_spec: StreamSpec, t: int):
-    # evaluation windows overlap heavily across recording events; the spec is
-    # hashable and batches are treated as read-only
-    return eval_batch(stream_spec, t)
-
-
 def forward_transfer(spec: ModelSpec, theta: np.ndarray, stream_spec: StreamSpec,
                      t: int, k1: int, k2: int) -> float:
     """Performance of theta on evaluation data from steps t+k1 .. t+k2."""
@@ -94,7 +95,5 @@ def forward_transfer(spec: ModelSpec, theta: np.ndarray, stream_spec: StreamSpec
     if t + k2 > stream_spec.horizon:
         raise MetricError(f"future window [{t + k1}, {t + k2}] exceeds horizon "
                           f"{stream_spec.horizon}")
-    batches = [_eval_batch_cached(stream_spec, j) for j in range(t + k1, t + k2 + 1)]
-    inputs = np.concatenate([b.inputs for b in batches])
-    labels = np.concatenate([b.labels for b in batches])
-    return validation_performance(spec, theta, Minibatch(inputs, labels))
+    return validation_performance(spec, theta, Minibatch(*eval_window(stream_spec, t + k1,
+                                                                      t + k2)))

@@ -5,7 +5,8 @@ generator keyed by (seed, purpose, *indices) through numpy's SeedSequence.
 Substreams are independent and random-access: the batch at time step t can
 be regenerated without replaying steps 1..t-1, and the same (seed, path)
 yields the identical stream on any platform. Per-step keys are read from a
-cached table of 1 024-step blocks that equals SeedSequence's keys.
+cached table of 1 024-step blocks that equals SeedSequence's keys, and
+``step_streams`` re-keys one generator per step of a block of steps.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ VALIDATION = 5   # online-validation minibatch sampling (sequential)
 INIT = 6         # model parameter initialization
 NOISE = 7        # gradient-noise draws in theory simulations
 MEANS = 8        # fixed class-mean layout for piecewise-task streams
+
+BLOCK = 256      # steps per block that per-step draws are served from
 
 # numpy SeedSequence's hash constants (numpy/random/bit_generator.pyx)
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
@@ -56,6 +59,13 @@ class _Key(np.random.bit_generator.ISeedSequence):   # hands Philox a precompute
         return self.key
 
 
+def _step_key(seed, purpose, t) -> np.ndarray | None:
+    """The table's Philox key of (seed, purpose, t); None outside the table."""
+    if seed >= 0 and 0 <= t < 1 << 32:
+        return _key_block(int(seed), int(purpose), int(t) >> 10)[int(t) & 1023]
+    return None
+
+
 def substream(seed: int, *path: int) -> np.random.Generator:
     """Return an independent Generator for the given (seed, path).
 
@@ -65,11 +75,32 @@ def substream(seed: int, *path: int) -> np.random.Generator:
         seed: experiment-level 64-bit seed.
         path: purpose tag plus optional indices (e.g. time step).
     """
-    if len(path) == 2 and seed >= 0 and 0 <= path[1] < 1 << 32:
-        key = _key_block(int(seed), int(path[0]), int(path[1]) >> 10)[int(path[1]) & 1023]
+    key = _step_key(seed, *path) if len(path) == 2 else None
+    if key is not None:
         return np.random.Generator(np.random.Philox(_Key(key)))
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def step_streams(seed: int, purpose: int, first: int, stop: int):
+    """Yield, for t = first .. stop - 1, a Generator in the state
+    ``substream(seed, purpose, t)`` starts in.
+
+    Steps in the key table share one Generator, re-keyed before each yield
+    (setting a state costs about a quarter of building a generator), so
+    finish a step's draws before taking the next. Other steps get
+    ``substream``'s own generator.
+    """
+    g = None
+    for t in range(first, stop):
+        key = _step_key(seed, purpose, t)
+        if g is None or key is None:
+            g = substream(seed, purpose, t)
+            fresh = g.bit_generator.state   # counter 0, empty buffer
+        else:
+            fresh["state"]["key"] = key
+            g.bit_generator.state = fresh
+        yield g
 
 
 def ball_uniform(rng: np.random.Generator, n: int, dim: int, radius: float) -> np.ndarray:

@@ -18,14 +18,14 @@ that consumes the batches is ``oclopt.harness.run_protocol_step``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
 
 from . import rng as rngmod
-from .rng import ball_uniform, substream
+from .rng import BLOCK, ball_uniform, substream
 
 
 class HorizonError(ValueError):
@@ -219,41 +219,80 @@ class StreamSpec:
         if self.kind == "rotating-gaussian" and self.d_in < 2:
             raise ValueError("rotating-gaussian needs d_in >= 2")
 
-    def __hash__(self):   # hashed once: forward transfer looks a spec up per batch
-        return self._hash
-    _hash = cached_property(lambda self: hash(tuple(getattr(self, f.name) for f in fields(self))))
+    # purpose -> {block index: (inputs, labels)}: the blocks served last
+    _held = cached_property(lambda self: {})
 
 
-def _generate(spec: StreamSpec, t: int, purpose: int) -> StreamBatch:
-    g = substream(spec.seed, purpose, t)
-    n = spec.batch_size
+def _fill(spec: StreamSpec, purpose: int, b: int) -> tuple:
+    """(inputs, labels) of the steps of block ``b`` that lie in the horizon,
+    stacked per step and read-only. Each step draws from its own substream in
+    the per-step order (labels, then normals; a quadratic step draws its ball);
+    the class means, scaling and add run once per block."""
+    first = b * BLOCK + 1
+    ts = np.arange(first, min(first + BLOCK, spec.horizon + 1))
+    draws = rngmod.step_streams(spec.seed, purpose, first, first + len(ts))
+    n, d = spec.batch_size, spec.d_in
     if spec.kind == "drifting-quadratic":
         q = spec.quadratic
-        obs = q.center(t)[None, :] + ball_uniform(g, n, q.dim, q.noise_radius)
-        return StreamBatch(t=t, inputs=obs, labels=obs.copy())
-    if spec.kind == "rotating-gaussian":
-        r = spec.rotating
-        labels = g.integers(0, r.n_classes, size=n)
-        means = r.mean(np.arange(r.n_classes), t, spec.d_in)
-        inputs = means.take(labels, axis=0) + r.noise_std * g.standard_normal((n, spec.d_in))
-        return StreamBatch(t=t, inputs=inputs, labels=labels)
-    p = spec.piecewise
-    active = p.active_classes(t)
-    labels = active[g.integers(0, len(active), size=n)]
-    means = p.class_means(spec.seed, spec.d_in)
-    inputs = means.take(labels, axis=0) + p.noise_std * g.standard_normal((n, spec.d_in))
-    return StreamBatch(t=t, inputs=inputs, labels=labels)
+        inputs = np.stack([ball_uniform(g, n, q.dim, q.noise_radius) for g in draws])
+        inputs += q.center(ts)[:, None, :]
+        labels = inputs
+    else:
+        c = spec.rotating or spec.piecewise
+        width = c.n_classes if spec.rotating else c.classes_per_task
+        labels, inputs = np.empty((len(ts), n), dtype=np.int64), np.empty((len(ts), n, d))
+        for i, g in enumerate(draws):
+            labels[i] = g.integers(0, width, size=n)
+            g.standard_normal(out=inputs[i])
+        if spec.rotating:
+            means = c.mean(np.arange(width), ts[:, None], d).reshape(-1, d)
+            rows = labels + width * np.arange(len(ts))[:, None]
+        else:
+            labels = (labels + c.classes_per_task * c.task_index(ts)[:, None]) % c.n_classes
+            means, rows = c.class_means(spec.seed, d), labels
+        inputs *= c.noise_std
+        inputs += means.take(rows, axis=0)
+    inputs.setflags(write=False)
+    labels.setflags(write=False)
+    return inputs, labels
+
+
+def _blocks(spec: StreamSpec, purpose: int, lo: int, hi: int) -> dict:
+    """{b: block b} for blocks lo..hi of a purpose, each built on first read.
+    A spec keeps, per purpose, only the blocks of its latest read."""
+    held = spec._held.get(purpose, {})
+    if not (lo in held and hi in held and len(held) == hi - lo + 1):
+        held = spec._held[purpose] = {b: held[b] if b in held else _fill(spec, purpose, b)
+                                        for b in range(lo, hi + 1)}
+    return held
+
+
+def _batch(spec: StreamSpec, purpose: int, t: int) -> StreamBatch:
+    if not (1 <= t <= spec.horizon):
+        raise HorizonError(f"step {t} outside [1, {spec.horizon}]")
+    b, i = divmod(t - 1, BLOCK)
+    inputs, labels = _blocks(spec, purpose, b, b)[b]
+    return StreamBatch(t=t, inputs=inputs[i], labels=labels[i])
 
 
 def next_batch(spec: StreamSpec, t: int) -> StreamBatch:
-    """The t-th training batch. Deterministic in (spec.seed, t)."""
-    if not (1 <= t <= spec.horizon):
-        raise HorizonError(f"step {t} outside [1, {spec.horizon}]")
-    return _generate(spec, t, rngmod.STREAM)
+    """The t-th training batch, read-only. Deterministic in (spec.seed, t)."""
+    return _batch(spec, rngmod.STREAM, t)
 
 
 def eval_batch(spec: StreamSpec, t: int) -> StreamBatch:
-    """An evaluation batch for step t: same distribution, draws never used in training."""
-    if not (1 <= t <= spec.horizon):
-        raise HorizonError(f"step {t} outside [1, {spec.horizon}]")
-    return _generate(spec, t, rngmod.EVAL)
+    """An evaluation batch for step t: same distribution, draws never used in
+    training. Read-only."""
+    return _batch(spec, rngmod.EVAL, t)
+
+
+def eval_window(spec: StreamSpec, first: int, last: int) -> tuple:
+    """(inputs, labels) of the evaluation batches of steps first..last, joined
+    in step order from slices of the blocks that hold them."""
+    if not (1 <= first <= last <= spec.horizon):
+        raise HorizonError(f"steps {first}..{last} outside [1, {spec.horizon}]")
+    held = _blocks(spec, rngmod.EVAL, (first - 1) // BLOCK, (last - 1) // BLOCK)
+    rows = [slice(max(first - 1 - b * BLOCK, 0), last - b * BLOCK) for b in held]
+    inputs, labels = (np.concatenate([block[i][r] for block, r in zip(held.values(), rows)])
+                      for i in (0, 1))
+    return inputs.reshape(-1, *inputs.shape[2:]), labels.reshape(-1, *labels.shape[2:])

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from oclopt.rng import HOLDOUT, ball_uniform, substream
+
 
 def unfolded_ma_coefficients(gammas: np.ndarray) -> np.ndarray:
     """Coefficients of theta_0..theta_k in the unrolled MA recursion.
@@ -53,3 +55,41 @@ def retained_rows(holdout, t):
     xs, ys, arrival = stored_items(holdout)
     keep = arrival <= t
     return xs[keep], ys[keep]
+
+
+def step_batch(spec, t, purpose):
+    """(inputs, labels) of step t drawn on its own from ``substream(seed,
+    purpose, t)``, as streams drew batches before blocks of steps: the
+    reference for served batches."""
+    g = substream(spec.seed, purpose, t)
+    n = spec.batch_size
+    if spec.kind == "drifting-quadratic":
+        q = spec.quadratic
+        obs = q.center(t)[None, :] + ball_uniform(g, n, q.dim, q.noise_radius)
+        return obs, obs.copy()
+    if spec.kind == "rotating-gaussian":
+        r = spec.rotating
+        labels = g.integers(0, r.n_classes, size=n)
+        means = r.mean(np.arange(r.n_classes), t, spec.d_in)
+        return means.take(labels, axis=0) + r.noise_std * g.standard_normal((n, spec.d_in)), labels
+    p = spec.piecewise
+    active = p.active_classes(t)
+    labels = active[g.integers(0, len(active), size=n)]
+    means = p.class_means(spec.seed, spec.d_in)
+    return means.take(labels, axis=0) + p.noise_std * g.standard_normal((n, spec.d_in)), labels
+
+
+def step_window(spec, first, last, purpose):
+    """Per-step batches of steps first..last, joined in step order."""
+    steps = [step_batch(spec, t, purpose) for t in range(first, last + 1)]
+    return np.concatenate([x for x, _ in steps]), np.concatenate([y for _, y in steps])
+
+
+def step_coins(seed, t, n):
+    """Holdout routing coins of step t drawn on their own."""
+    return substream(seed, HOLDOUT, t).random(n)
+
+
+def prefix_mean(step_ahead: dict, t: int) -> float:
+    """Learning efficacy by walking a {j: perf} dict over j = 1..t."""
+    return float(np.mean([step_ahead[j] for j in range(1, t + 1)]))

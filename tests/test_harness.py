@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oclopt import harness
+from oclopt import rng as rngmod
 from oclopt.cli import main as cli_main
 from oclopt.harness import (ConfigError, PRESET_NAMES, apply_overrides,
                             config_from_dict, config_to_dict, expand_variants,
@@ -240,6 +241,17 @@ class TestRunExperiment:
                 assert t > 1 or run.pool.size == 0
         assert 0 < run.k < 30 * cfg.iters_per_step
 
+    def test_generators_are_built_per_block_not_per_step(self, monkeypatch):
+        # a count, unlike a timing, does not move with host noise: per-step
+        # construction would build about three generators per step
+        built, philox = [], np.random.Philox
+        monkeypatch.setattr(rngmod.np.random, "Philox",
+                            lambda *a, **kw: built.append(1) or philox(*a, **kw))
+        run_experiment(apply_overrides(preset("main-comparison"), {"stream.horizon": 300}))
+        blocks = -(-300 // rngmod.BLOCK)
+        # stream, eval and coin blocks, plus the init, validation and replay generators
+        assert 0 < len(built) <= 3 * blocks + 4
+
 
 class TestComputeAccounting:
     @pytest.mark.parametrize("averaging,n_models", [("none", 0), ("ema", 1), ("ama", 2)])
@@ -309,7 +321,8 @@ class TestCli:
             "optimizer.k_v=0", "optimizer.k_w=0", "eval_every=0", "stream.horizon=0",
             "stream.batch_size=0", "replay.capacity=0", "replay.holdout_fraction=1.0",
             "schedule.k_r=0", "schedule.beta_lr=0", "schedule.alpha0=0",
-            "stream.n_classes=1", "stream.d_in=1", "model.weight_decay=-1")),
+            "stream.n_classes=1", "stream.d_in=1", "model.weight_decay=-1",
+            "model.hidden=0", "model.hidden=-1")),
         *(pytest.param("objective-comparison", o, id=o) for o in (
             "stream.d_in=0", "stream.classes_per_task=0", "stream.classes_per_task=5",
             "stream.task_length=0", "model.kind=mlp-1-hidden model.hidden=0")),

@@ -1,7 +1,11 @@
 """Metric definitions against enumeration oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oclopt import metrics
 from oclopt.datapool import DataPool, EmptyPoolError
@@ -10,7 +14,7 @@ from oclopt.metrics import (MetricError, MetricLedger, RunningMean, forward_tran
 from oclopt.model import ModelSpec, init_params, predict
 from oclopt.rng import substream
 from oclopt.stream import RotatingGaussianSpec, StreamSpec, eval_batch
-from tests.oracles import retained_rows
+from tests.oracles import prefix_mean, retained_rows
 
 
 def softmax_spec():
@@ -55,6 +59,28 @@ class TestLearningEfficacy:
         ledger.record_step_ahead(1, 0.5)
         with pytest.raises(MetricError):
             ledger.learning_efficacy(3)
+
+    # records arrive in any order and may leave gaps; the mean is taken over
+    # the same float64 sequence, so it equals the dict walk bit for bit
+    @settings(max_examples=100, deadline=None)
+    @given(perfs=st.lists(st.floats(-1e6, 1e6) | st.sampled_from([0.0, 1.0]), min_size=1,
+                          max_size=300), data=st.data())
+    def test_prefix_mean_equals_the_dict_walk(self, perfs, data):
+        order = data.draw(st.permutations(range(1, len(perfs) + 1)), label="order")
+        kept = order[:data.draw(st.integers(1, len(order)), label="kept")]
+        ledger, records = MetricLedger(), {}
+        for j in kept:
+            ledger.record_step_ahead(j, perfs[j - 1])
+            records[j] = perfs[j - 1]
+        for t in range(0, len(perfs) + 2):
+            if all(j in records for j in range(1, t + 1)):
+                with np.errstate(invalid="ignore"), warnings.catch_warnings():
+                    warnings.simplefilter("ignore")   # t = 0: the mean of nothing
+                    got, want = ledger.learning_efficacy(t), prefix_mean(records, t)
+                assert np.array(got).tobytes() == np.array(want).tobytes()
+            else:
+                with pytest.raises(MetricError):
+                    ledger.learning_efficacy(t)
 
     def test_prefix_mean_increment_bound(self):
         rng = np.random.default_rng(1)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oclopt.rng import substream
+from oclopt.rng import step_streams, substream
 
 
 def reference(seed, *path):
@@ -48,3 +48,16 @@ def test_other_paths_equal_seedsequence(path):
 def test_negative_values_raise(seed, path):
     with pytest.raises(ValueError):
         substream(seed, *path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=seeds, purpose=st.integers(0, 8),
+       first=st.sampled_from([0, 1, 1020, 2**32 - 3]) | st.integers(0, 2**32 - 1),
+       count=st.integers(1, 12))
+def test_step_streams_start_where_substream_starts(seed, purpose, first, count):
+    # the block crossing 2**32 leaves the key table for substream's own path
+    for t, g in zip(range(first, first + count), step_streams(seed, purpose, first,
+                                                              first + count)):
+        np.testing.assert_equal(g.bit_generator.state,
+                                substream(seed, purpose, t).bit_generator.state)
+        assert g.random(3).tobytes() == reference(seed, purpose, t).random(3).tobytes()

@@ -9,10 +9,12 @@ from oclopt import rng as rngmod
 from oclopt.datapool import DataPool, sample_pure_replay
 from oclopt.harness import (PRESET_NAMES, ProtocolError, build_stream_spec,
                             expand_variants, preset, run_protocol_step)
-from oclopt.rng import substream
+from oclopt.rng import BLOCK, substream
 from oclopt.stream import (DriftingQuadraticSpec, HorizonError, PiecewiseTaskSpec,
-                           RotatingGaussianSpec, StreamSpec, eval_batch, next_batch)
-from tests.oracles import grad_at, record_ids, stored_items
+                           RotatingGaussianSpec, StreamSpec, eval_batch, eval_window,
+                           next_batch)
+from tests.oracles import (grad_at, record_ids, step_batch, step_coins, step_window,
+                           stored_items)
 
 
 def rotation_matrix(angle: float) -> np.ndarray:
@@ -137,6 +139,42 @@ class TestNextBatch:
             batch = next_batch(spec, t)
             dev = np.linalg.norm(batch.inputs - q.center(t), axis=1)
             assert np.all(dev <= 0.4 + 1e-12)
+
+
+def same(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestServedDraws:
+    """Batches, forward-transfer windows and routing coins served from blocks
+    of steps equal the same draws made one step at a time."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(make=st.sampled_from([quad_spec, rotating_spec, piecewise_spec]),
+           seed=st.sampled_from([0, 2**32, 2**64 - 1]) | st.integers(0, 2**40),
+           horizon=st.integers(1, 2 * BLOCK + 2), classes=st.sampled_from([2, 3, 4, 16]),
+           data=st.data())
+    def test_served_draws_equal_per_step_draws(self, make, seed, horizon, classes, data):
+        kw = {quad_spec: {"noise": 0.4, "v": (0.01, -0.02)},
+              rotating_spec: {"n_classes": classes},
+              piecewise_spec: {"n_classes": classes,
+                               "cpt": data.draw(st.integers(1, classes), label="cpt")}}[make]
+        spec = make(horizon=horizon, seed=seed, **kw)
+        edges = [t for t in (1, BLOCK, BLOCK + 1, 2 * BLOCK, horizon) if t <= horizon]
+        t = data.draw(st.sampled_from(edges) | st.integers(1, horizon), label="t")
+        first = data.draw(st.integers(max(1, t - BLOCK - 2), t), label="first")
+        for serve, purpose in ((next_batch, rngmod.STREAM), (eval_batch, rngmod.EVAL)):
+            batch, (inputs, labels) = serve(spec, t), step_batch(spec, t, purpose)
+            assert batch.t == t and same(batch.inputs, inputs) and same(batch.labels, labels)
+            assert not (batch.inputs.flags.writeable or batch.labels.flags.writeable)
+        window = eval_window(spec, first, t)
+        assert all(map(same, window, step_window(spec, first, t, rngmod.EVAL)))
+        assert same(eval_batch(spec, first).inputs, step_batch(spec, first, rngmod.EVAL)[0])
+        pool = DataPool(seed=seed)
+        for step in (first, t):
+            coins = pool.routing_coins(step, spec.batch_size)
+            assert same(coins, step_coins(seed, step, spec.batch_size))
+            assert not coins.flags.writeable
 
 
 class TestDriftConstants:
