@@ -14,9 +14,11 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from .harness import (ConfigError, PRESET_NAMES, apply_overrides, expand_variants,
-                      load_config, preset, run_with_companions, save_config,
-                      verify_bounds_from_config)
+import yaml
+
+from .harness import (ConfigError, PRESET_NAMES, apply_overrides, config_to_dict,
+                      expand_variants, load_config, preset, run_with_companions,
+                      save_config, verify_bounds_from_config)
 from .model import DivergenceError
 
 EXIT_OK = 0
@@ -25,15 +27,20 @@ EXIT_DIVERGED = 3
 EXIT_BOUND_FAILED = 4
 
 
-def _parse_override(raw: str):
-    key, _, value = raw.partition("=")
-    if not _:
-        raise ConfigError(f"override {raw!r} is not of the form key=value")
-    try:
-        value = json.loads(value)
-    except json.JSONDecodeError:
-        pass  # keep as string
-    return key, value
+def _overridden(config, raw=()):
+    """The config with each KEY=VALUE in raw applied; a value that parses as
+    JSON is taken as JSON, any other as a string."""
+    overrides = {}
+    for item in raw:
+        key, sep, value = item.partition("=")
+        if not sep:
+            raise ConfigError(f"override {item!r} is not of the form key=value")
+        try:
+            value = json.loads(value)
+        except json.JSONDecodeError:
+            pass  # keep as string
+        overrides[key] = value
+    return apply_overrides(config, overrides)
 
 
 def _run_config(config, out_root: Path) -> int:
@@ -57,35 +64,25 @@ def _run_config(config, out_root: Path) -> int:
     return status
 
 
+def _run_file(path, overrides=(), out=None) -> int:
+    config = _overridden(load_config(path), overrides)
+    return _run_config(config, Path(out or config.out_dir or f"runs/{config.name}"))
+
+
 def cmd_run(args) -> int:
-    config = load_config(args.config)
-    if args.override:
-        config = apply_overrides(config, dict(_parse_override(o) for o in args.override))
-    out_root = Path(args.out or config.out_dir or f"runs/{config.name}")
-    return _run_config(config, out_root)
+    return _run_file(args.config, args.override, args.out)
 
 
 def cmd_preset(args) -> int:
-    config = preset(args.name)
-    if args.override:
-        config = apply_overrides(config, dict(_parse_override(o) for o in args.override))
+    config = _overridden(preset(args.name), args.override)
     if args.out:
         save_config(config, args.out)
         print(f"wrote {args.out}")
     else:
-        import yaml
-
-        from .harness import config_to_dict
         print(yaml.safe_dump(config_to_dict(config), sort_keys=True), end="")
     if args.run:
         return _run_config(config, Path(f"runs/{config.name}"))
     return EXIT_OK
-
-
-def _sweep_one(path: str) -> int:
-    config = load_config(path)
-    out_root = Path(config.out_dir or f"runs/{config.name}")
-    return _run_config(config, out_root)
 
 
 def cmd_sweep(args) -> int:
@@ -94,17 +91,16 @@ def cmd_sweep(args) -> int:
         print("no configs matched", file=sys.stderr)
         return EXIT_CONFIG
     if args.workers <= 1:
-        codes = [_sweep_one(p) for p in paths]
+        codes = [_run_file(p) for p in paths]
     else:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            codes = list(pool.map(_sweep_one, paths))
+            codes = list(pool.map(_run_file, paths))
     return max(codes)
 
 
 def cmd_verify_bounds(args) -> int:
-    config = load_config(args.config) if args.config else preset("theory-verify")
-    if args.override:
-        config = apply_overrides(config, dict(_parse_override(o) for o in args.override))
+    config = _overridden(load_config(args.config) if args.config else preset("theory-verify"),
+                         args.override)
     reports = verify_bounds_from_config(config)
     failed = False
     out = Path(args.out) if args.out else None

@@ -195,13 +195,10 @@ def apply_overrides(config: ExperimentConfig, overrides: dict) -> ExperimentConf
     """Apply dotted-key overrides (e.g. {'schedule.kind': 'rwp'}) to a copy."""
     d = config_to_dict(config)
     for key, value in overrides.items():
-        node = d
-        parts = key.split(".")
-        for p in parts[:-1]:
-            if p not in node:
-                raise ConfigError(f"unknown override path {key!r}")
-            node = node[p]
-        if parts[-1] not in node:
+        node, parts = d, key.split(".")
+        for p in parts[:-1]:   # a path through a leaf or a null block is unknown too
+            node = node.get(p) if isinstance(node, dict) else None
+        if not isinstance(node, dict) or parts[-1] not in node:
             raise ConfigError(f"unknown override key {key!r}")
         node[parts[-1]] = value
     return config_from_dict(d)
@@ -336,6 +333,11 @@ class Run:
                 (o.averaging not in AVERAGING, f"unknown averaging mode {o.averaging!r}"),
                 (s.kind == "malr" and o.averaging == "none",
                  "malr needs a moving-average model for the sigma signal"),
+                # with no holdout every validation fold is skipped
+                (r.holdout_fraction == 0 and (s.kind in ("rwp", "malr")
+                                              or (o.averaging == "ama" and o.adapt)),
+                 "rwp, malr and adaptive ama read validation, which needs "
+                 "replay.holdout_fraction > 0"),
                 (s.kind == "cyclic" and stream_kind != "piecewise-task",
                  "cyclic schedule requires a task-aware (piecewise) stream"),
                 (s.kind == "trace" and not s.lr_trace, "trace schedule requires lr_trace"),
@@ -565,9 +567,9 @@ def run_with_companions(config: ExperimentConfig, seed: Optional[int] = None,
         ema_cfg = apply_overrides(config, {
             "optimizer.averaging": "ema",
             "schedule.kind": "trace",
+            "schedule.lr_trace": [float(a) for a in results["main"].lr_trace],
             "companion": None,
         })
-        ema_cfg.schedule.lr_trace = [float(a) for a in results["main"].lr_trace]
         ema_out = base_dir / "ema-replay" if base_dir else None
         results["ema-replay"] = run_experiment(ema_cfg, seed=seed, out_dir=ema_out)
     return results
@@ -575,222 +577,96 @@ def run_with_companions(config: ExperimentConfig, seed: Optional[int] = None,
 
 # -- presets ---------------------------------------------------------------------
 
-PRESET_NAMES = ("main-comparison", "malr-ablation", "ama-vs-ema", "batch-size",
-                "buffer-size", "objective-comparison", "adam-base", "task-cyclic",
-                "theory-verify")
-
 # Interval scaling: the paper-scale intervals (K_W=10000, K_R=60000 over tens
 # of millions of iterations) shrink proportionally at desk scale. Presets keep
 # K_M=10 and use K_V=10, K_W in the 200-400 range (20-40 validation folds per
 # adaptation window) and K_R ~= 2-5% of the total iteration count.
 
+# slow mean rotation; retention validation declines once the swept arc
+# outgrows any fixed boundary, which drives plateau-based annealing
+_ROTATING = {"stream.horizon": 900, "stream.angular_velocity": 0.004, "stream.noise_std": 0.6,
+             "optimizer.k_v": 10, "optimizer.k_w": 300, "schedule.alpha0": 0.05,
+             "schedule.k_r": 40, "iters_per_step": 2, "eval_every": 100, "val_batch_size": 64}
+# every task introduces fresh classes, so an over-annealed rate never
+# recovers the later tasks; K_W spans 40 validation folds so the sigma
+# estimate stays smooth enough for C3 to gate reliably
+_TASKS = {"stream.kind": "piecewise-task", "stream.d_in": 6, "stream.n_classes": 16,
+          "stream.horizon": 800, "stream.mean_scale": 2.2, "stream.noise_std": 1.0,
+          "optimizer.k_v": 10, "optimizer.k_w": 400, "schedule.alpha0": 0.08,
+          "schedule.k_r": 40, "iters_per_step": 2, "eval_every": 200, "val_batch_size": 128}
+# tasks cycle, so the future window (one full cycle) rewards retention
+_CYCLE = {"stream.kind": "piecewise-task", "stream.d_in": 4, "stream.n_classes": 4,
+          "stream.task_length": 50, "stream.horizon": 400, "stream.mean_scale": 2.0,
+          "stream.noise_std": 1.2, "optimizer.k_v": 10, "optimizer.k_w": 200,
+          "schedule.kind": "constant", "eval_every": 50, "val_batch_size": 64,
+          "ft_k1": 40, "ft_k2": 140}
+# the base optimizer alone, annealed on plateaus of the validation loss
+_PLAIN_RWP = {"optimizer.averaging": "none", "schedule.kind": "rwp", "schedule.metric": "loss"}
+
+PRESETS = {
+    "main-comparison": {**_ROTATING, "variants": [
+        ["ama-malr", {}],
+        ["ama-rwp", {"schedule.kind": "rwp", "schedule.metric": "loss"}],
+        ["sgd-rwp", _PLAIN_RWP],
+        ["ama-clr", {"schedule.kind": "constant"}],
+        ["sgd-clr", {"optimizer.averaging": "none", "schedule.kind": "constant"}]]},
+    "malr-ablation": {**_TASKS, "variants": [
+        ["malr", {}],
+        ["no-c2", {"schedule.use_c2": False}],
+        ["no-c3", {"schedule.use_c3": False}],
+        ["rwp", {"schedule.use_c2": False, "schedule.use_c3": False}]]},
+    "ama-vs-ema": {**_ROTATING, "companion": "ema-replay"},
+    # heavy-parallelism trade: larger minibatches take proportionally fewer
+    # iterations per step at a proportionally larger rate
+    "batch-size": {**_CYCLE, "stream.batch_size": 64, "schedule.alpha0": 0.06,
+                   "replay.batch_size": 16, "iters_per_step": 8, "variants": [
+        ["m16", {"replay.batch_size": 16, "iters_per_step": 8, "schedule.alpha0": 0.06}],
+        ["m64", {"replay.batch_size": 64, "iters_per_step": 2, "schedule.alpha0": 0.3}],
+        ["m128", {"replay.batch_size": 128, "iters_per_step": 1, "schedule.alpha0": 0.6}]]},
+    # same task stream as the ablation; capacities sweep three decades
+    "buffer-size": {**_TASKS, "variants": [
+        ["cap-100", {"replay.capacity": 100}],
+        ["cap-1000", {"replay.capacity": 1000}],
+        ["cap-10000", {"replay.capacity": 10000}]]},
+    # pure replay doubles the minibatch so gradient steps per image match
+    "objective-comparison": {**_CYCLE, "schedule.alpha0": 0.05, "replay.batch_size": 64,
+                             "variants": [
+        ["pure-p1", {"replay.mode": "pure", "replay.batch_size": 64, "iters_per_step": 1}],
+        ["pure-p5", {"replay.mode": "pure", "replay.batch_size": 64, "iters_per_step": 5}],
+        ["mixed-p1", {"replay.mode": "mixed", "replay.batch_size": 32, "iters_per_step": 1}],
+        ["mixed-p5", {"replay.mode": "mixed", "replay.batch_size": 32, "iters_per_step": 5}]]},
+    "adam-base": {**_ROTATING, "optimizer.base": "adam", "schedule.alpha0": 0.002,
+                  "variants": [["adam-ama-malr", {}], ["adam-rwp", _PLAIN_RWP]]},
+    "task-cyclic": {**_TASKS, "stream.n_classes": 10, "stream.horizon": 1000,
+                    "eval_every": 100, "variants": [
+        ["ama-malr", {}],
+        ["sgd-cyclic", {"optimizer.averaging": "none", "schedule.kind": "cyclic"}],
+        ["sgd-rwp", _PLAIN_RWP]]},
+    "theory-verify": {
+        "stream.kind": "drifting-quadratic", "stream.d_in": 4, "stream.mu": 0.25,
+        "stream.center0": [2.0, -1.0, 1.0, 0.5], "stream.velocity": [0.0] * 4,
+        "stream.batch_size": 1, "stream.horizon": 4000, "model.kind": "quadratic-probe",
+        "model.loss": "quadratic", "model.weight_decay": 0.0,
+        "schedule.kind": "constant", "schedule.alpha0": 0.2,
+        "theory": {"k_max": 2000, "n_seeds": 24, "alpha0": 0.2, "halve_every": 250,
+                   "configs": [
+            ["stationary-constant", {"velocity": 0.0, "schedule": "constant"}],
+            ["stationary-invsqrt", {"velocity": 0.0, "schedule": "invsqrt"}],
+            ["drift-constant", {"velocity": 0.002, "schedule": "constant"}],
+            ["drift-invsqrt", {"velocity": 0.002, "schedule": "invsqrt"}],
+            ["drift-halving", {"velocity": 0.002, "schedule": "halving"}],
+            ["fast-drift-constant", {"velocity": 0.01, "schedule": "constant"}],
+            ["fast-drift-halving", {"velocity": 0.01, "schedule": "halving"}]]}},
+}
+PRESET_NAMES = tuple(PRESETS)
+
 
 def preset(name: str) -> ExperimentConfig:
-    """Desk-scale configs mirroring the structure of the headline experiments."""
-    if name == "theory-verify":
-        cfg = ExperimentConfig(
-            name=name,
-            stream=StreamConfig(kind="drifting-quadratic", d_in=4, mu=0.25,
-                                l_smooth=1.0, center0=[2.0, -1.0, 1.0, 0.5],
-                                velocity=[0.0] * 4, noise_radius=0.5,
-                                batch_size=1, horizon=4000),
-            model=ModelConfig(kind="quadratic-probe", loss="quadratic",
-                              weight_decay=0.0),
-            schedule=ScheduleConfig(kind="constant", alpha0=0.2),
-        )
-        cfg.theory = {
-            "k_max": 2000,
-            "n_seeds": 24,
-            "alpha0": 0.2,
-            "halve_every": 250,
-            "configs": [
-                ["stationary-constant", {"velocity": 0.0, "schedule": "constant"}],
-                ["stationary-invsqrt", {"velocity": 0.0, "schedule": "invsqrt"}],
-                ["drift-constant", {"velocity": 0.002, "schedule": "constant"}],
-                ["drift-invsqrt", {"velocity": 0.002, "schedule": "invsqrt"}],
-                ["drift-halving", {"velocity": 0.002, "schedule": "halving"}],
-                ["fast-drift-constant", {"velocity": 0.01, "schedule": "constant"}],
-                ["fast-drift-halving", {"velocity": 0.01, "schedule": "halving"}],
-            ],
-        }
-        return cfg
-
-    if name in ("main-comparison", "adam-base"):
-        # slow mean rotation; retention validation declines once the swept arc
-        # outgrows any fixed boundary, which drives plateau-based annealing
-        alpha0 = 0.05 if name == "main-comparison" else 0.002
-        cfg = ExperimentConfig(
-            name=name,
-            stream=StreamConfig(kind="rotating-gaussian", d_in=2, n_classes=2,
-                                batch_size=32, horizon=900,
-                                angular_velocity=0.004, mean_radius=2.0,
-                                noise_std=0.6),
-            optimizer=OptimizerConfig(base="sgd" if name == "main-comparison" else "adam",
-                                      averaging="ama", k_m=10, k_v=10, k_w=300),
-            schedule=ScheduleConfig(kind="malr", alpha0=alpha0, k_r=40),
-            replay=ReplayConfig(mode="pure", batch_size=32),
-            iters_per_step=2,
-            eval_every=100,
-            val_batch_size=64,
-        )
-        if name == "main-comparison":
-            cfg.variants = [
-                ["ama-malr", {}],
-                ["ama-rwp", {"schedule.kind": "rwp", "schedule.metric": "loss"}],
-                ["sgd-rwp", {"optimizer.averaging": "none", "schedule.kind": "rwp",
-                             "schedule.metric": "loss"}],
-                ["ama-clr", {"schedule.kind": "constant"}],
-                ["sgd-clr", {"optimizer.averaging": "none", "schedule.kind": "constant"}],
-            ]
-        else:
-            cfg.variants = [
-                ["adam-ama-malr", {}],
-                ["adam-rwp", {"optimizer.averaging": "none", "schedule.kind": "rwp",
-                              "schedule.metric": "loss"}],
-            ]
-        return cfg
-
-    if name == "malr-ablation":
-        # every task introduces fresh classes, so an over-annealed rate never
-        # recovers the later tasks; K_W spans 40 validation folds so the sigma
-        # estimate stays smooth enough for C3 to gate reliably
-        cfg = ExperimentConfig(
-            name=name,
-            stream=StreamConfig(kind="piecewise-task", d_in=6, n_classes=16,
-                                classes_per_task=2, task_length=100,
-                                batch_size=32, horizon=800, mean_scale=2.2,
-                                noise_std=1.0),
-            optimizer=OptimizerConfig(averaging="ama", k_m=10, k_v=10, k_w=400),
-            schedule=ScheduleConfig(kind="malr", alpha0=0.08, k_r=40),
-            replay=ReplayConfig(mode="pure", batch_size=32),
-            iters_per_step=2,
-            eval_every=200,
-            val_batch_size=128,
-        )
-        cfg.variants = [
-            ["malr", {}],
-            ["no-c2", {"schedule.use_c2": False}],
-            ["no-c3", {"schedule.use_c3": False}],
-            ["rwp", {"schedule.use_c2": False, "schedule.use_c3": False}],
-        ]
-        return cfg
-
-    if name == "ama-vs-ema":
-        return ExperimentConfig(
-            name=name,
-            stream=StreamConfig(kind="rotating-gaussian", d_in=2, n_classes=2,
-                                batch_size=32, horizon=900,
-                                angular_velocity=0.004, noise_std=0.6),
-            optimizer=OptimizerConfig(averaging="ama", k_m=10, k_v=10, k_w=300),
-            schedule=ScheduleConfig(kind="malr", alpha0=0.05, k_r=40),
-            iters_per_step=2,
-            eval_every=100,
-            val_batch_size=64,
-            companion="ema-replay",
-        )
-
-    if name == "batch-size":
-        # heavy-parallelism trade: larger minibatches take proportionally fewer
-        # iterations per step at a proportionally larger rate
-        cfg = ExperimentConfig(
-            name=name,
-            stream=StreamConfig(kind="piecewise-task", d_in=4, n_classes=4,
-                                classes_per_task=2, task_length=50,
-                                batch_size=64, horizon=400, mean_scale=2.0,
-                                noise_std=1.2),
-            optimizer=OptimizerConfig(averaging="ama", k_m=10, k_v=10, k_w=200),
-            schedule=ScheduleConfig(kind="constant", alpha0=0.06),
-            iters_per_step=8,
-            replay=ReplayConfig(mode="pure", batch_size=16),
-            eval_every=50,
-            val_batch_size=64,
-            ft_k1=40,
-            ft_k2=140,
-        )
-        cfg.variants = [
-            ["m16", {"replay.batch_size": 16, "iters_per_step": 8,
-                     "schedule.alpha0": 0.06}],
-            ["m64", {"replay.batch_size": 64, "iters_per_step": 2,
-                     "schedule.alpha0": 0.3}],
-            ["m128", {"replay.batch_size": 128, "iters_per_step": 1,
-                      "schedule.alpha0": 0.6}],
-        ]
-        return cfg
-
-    if name == "buffer-size":
-        # same task stream as the ablation; capacities sweep three decades
-        cfg = ExperimentConfig(
-            name=name,
-            stream=StreamConfig(kind="piecewise-task", d_in=6, n_classes=16,
-                                classes_per_task=2, task_length=100,
-                                batch_size=32, horizon=800, mean_scale=2.2,
-                                noise_std=1.0),
-            optimizer=OptimizerConfig(averaging="ama", k_m=10, k_v=10, k_w=400),
-            schedule=ScheduleConfig(kind="malr", alpha0=0.08, k_r=40),
-            replay=ReplayConfig(mode="pure", batch_size=32, capacity=None),
-            iters_per_step=2,
-            eval_every=200,
-            val_batch_size=128,
-        )
-        cfg.variants = [
-            ["cap-100", {"replay.capacity": 100}],
-            ["cap-1000", {"replay.capacity": 1000}],
-            ["cap-10000", {"replay.capacity": 10000}],
-        ]
-        return cfg
-
-    if name == "objective-comparison":
-        # tasks cycle, so the future window (one full cycle) rewards retention;
-        # pure replay doubles the minibatch so gradient steps per image match
-        cfg = ExperimentConfig(
-            name=name,
-            stream=StreamConfig(kind="piecewise-task", d_in=4, n_classes=4,
-                                classes_per_task=2, task_length=50,
-                                batch_size=32, horizon=400, mean_scale=2.0,
-                                noise_std=1.2),
-            optimizer=OptimizerConfig(averaging="ama", k_m=10, k_v=10, k_w=200),
-            schedule=ScheduleConfig(kind="constant", alpha0=0.05),
-            iters_per_step=1,
-            replay=ReplayConfig(mode="pure", batch_size=64),
-            eval_every=50,
-            val_batch_size=64,
-            ft_k1=40,
-            ft_k2=140,
-        )
-        cfg.variants = [
-            ["pure-p1", {"replay.mode": "pure", "replay.batch_size": 64,
-                         "iters_per_step": 1}],
-            ["pure-p5", {"replay.mode": "pure", "replay.batch_size": 64,
-                         "iters_per_step": 5}],
-            ["mixed-p1", {"replay.mode": "mixed", "replay.batch_size": 32,
-                          "iters_per_step": 1}],
-            ["mixed-p5", {"replay.mode": "mixed", "replay.batch_size": 32,
-                          "iters_per_step": 5}],
-        ]
-        return cfg
-
-    if name == "task-cyclic":
-        cfg = ExperimentConfig(
-            name=name,
-            stream=StreamConfig(kind="piecewise-task", d_in=6, n_classes=10,
-                                classes_per_task=2, task_length=100,
-                                batch_size=32, horizon=1000, mean_scale=2.2,
-                                noise_std=1.0),
-            optimizer=OptimizerConfig(averaging="ama", k_m=10, k_v=10, k_w=400),
-            schedule=ScheduleConfig(kind="malr", alpha0=0.08, k_r=40),
-            iters_per_step=2,
-            eval_every=100,
-            val_batch_size=128,
-        )
-        cfg.variants = [
-            ["ama-malr", {}],
-            ["sgd-cyclic", {"optimizer.averaging": "none", "schedule.kind": "cyclic"}],
-            ["sgd-rwp", {"optimizer.averaging": "none", "schedule.kind": "rwp",
-                         "schedule.metric": "loss"}],
-        ]
-        return cfg
-
-    raise ConfigError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    """A desk-scale config mirroring the structure of one headline experiment:
+    its PRESETS table of dotted-key overrides applied to the config defaults."""
+    if name not in PRESETS:
+        raise ConfigError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    return apply_overrides(ExperimentConfig(name=name), PRESETS[name])
 
 
 def expand_variants(config: ExperimentConfig):

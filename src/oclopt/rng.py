@@ -4,9 +4,9 @@ Every source of randomness in the package is a Philox4x64-10 counter-based
 generator keyed by (seed, purpose, *indices) through numpy's SeedSequence.
 Substreams are independent and random-access: the batch at time step t can
 be regenerated without replaying steps 1..t-1, and the same (seed, path)
-yields the identical stream on any platform. Per-step keys are read from a
-cached table of 1 024-step blocks that equals SeedSequence's keys, and
-``step_streams`` re-keys one generator per step of a block of steps.
+yields the identical stream on any platform. ``step_streams`` builds one
+generator per block of steps and re-keys it for each step from a cached table
+of 1 024-step key blocks that equals SeedSequence's keys.
 """
 
 from __future__ import annotations
@@ -51,14 +51,6 @@ def _key_block(seed: int, purpose: int, block: int) -> np.ndarray:
     return keys
 
 
-class _Key(np.random.bit_generator.ISeedSequence):   # hands Philox a precomputed key
-    def __init__(self, key: np.ndarray):
-        self.key = key
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.key
-
-
 def _step_key(seed, purpose, t) -> np.ndarray | None:
     """The table's Philox key of (seed, purpose, t); None outside the table."""
     if seed >= 0 and 0 <= t < 1 << 32:
@@ -69,15 +61,10 @@ def _step_key(seed, purpose, t) -> np.ndarray | None:
 def substream(seed: int, *path: int) -> np.random.Generator:
     """Return an independent Generator for the given (seed, path).
 
-    Paths ``(purpose, t)`` with 0 <= t < 2**32 read their key from a block table.
-
     Args:
         seed: experiment-level 64-bit seed.
         path: purpose tag plus optional indices (e.g. time step).
     """
-    key = _step_key(seed, *path) if len(path) == 2 else None
-    if key is not None:
-        return np.random.Generator(np.random.Philox(_Key(key)))
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
     return np.random.Generator(np.random.Philox(ss))
 
@@ -86,10 +73,10 @@ def step_streams(seed: int, purpose: int, first: int, stop: int):
     """Yield, for t = first .. stop - 1, a Generator in the state
     ``substream(seed, purpose, t)`` starts in.
 
-    Steps in the key table share one Generator, re-keyed before each yield
-    (setting a state costs about a quarter of building a generator), so
-    finish a step's draws before taking the next. Other steps get
-    ``substream``'s own generator.
+    The first step gets ``substream``'s own generator, and later steps in
+    the key table re-key it before each yield (setting a state costs about a
+    twentieth of building a generator), so finish a step's draws before
+    taking the next. Steps outside the table get ``substream``'s own generator.
     """
     g = None
     for t in range(first, stop):

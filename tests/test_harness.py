@@ -1,20 +1,22 @@
 """Experiment runner determinism, config round-trips, presets, and the CLI."""
 
+import hashlib
 import json
 import warnings
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oclopt import harness
 from oclopt import rng as rngmod
 from oclopt.cli import main as cli_main
-from oclopt.harness import (ConfigError, PRESET_NAMES, apply_overrides,
-                            config_from_dict, config_to_dict, expand_variants,
-                            load_config, preset, run_experiment, run_from_manifest,
-                            run_with_companions, save_config,
+from oclopt.harness import (AVERAGING, ConfigError, ExperimentConfig, PRESET_NAMES,
+                            apply_overrides, config_from_dict, config_to_dict,
+                            expand_variants, load_config, preset, run_experiment,
+                            run_from_manifest, run_with_companions, save_config,
                             verify_bounds_from_config)
 from oclopt.model import DivergenceError
 from tests.oracles import record_ids, stored_items
@@ -31,6 +33,27 @@ def tiny_config(**overrides):
     if overrides:
         cfg = apply_overrides(cfg, overrides)
     return cfg
+
+
+# sha256 of each preset's sorted YAML, recorded before the presets became
+# override tables. The golden artifacts run presets at another horizon and
+# expand their variants, so they pin neither the horizon nor the variant list.
+PRESET_SHA256 = {
+    "main-comparison": "cb32e3f3527b79348be1816a44104b448a282766ad4a85061b85be1bb5bd365c",
+    "malr-ablation": "312a27bbf7a6e6f1a1673494f47f7822f276801e1de313620a11ff0f7cf572eb",
+    "ama-vs-ema": "4fbd38a46f7046427fa56405e565343bc646ebe825859d7df29275dc7606bf41",
+    "batch-size": "f9429ca925aeda7e5baf929128ea98b90337f0b2ed7bd116267b0a3a6b281708",
+    "buffer-size": "4e0b05d07894e651977f3bf7079de40d6c592cdd2690d23d1f5374bb37b20cd7",
+    "objective-comparison": "48ecb063b0bed44d9e9b72d737e40825d4919c09b204be8eab2524e6620d73e0",
+    "adam-base": "437469f64b54305390eb58fa5ab35ec663d31241b4cc5545eb5b5293943aa3f1",
+    "task-cyclic": "9d70d747c357be83bdb52c5f361db5becc570b1b82a1ffec86a94ab1eda3fb7a",
+    "theory-verify": "3ee8db0a0c6538fb0686f7dc6ed109ac2e8e24c1ae211e327de4bd211139089c",
+}
+
+
+def preset_sha256(cfg) -> str:
+    return hashlib.sha256(yaml.safe_dump(config_to_dict(cfg), sort_keys=True)
+                          .encode()).hexdigest()
 
 
 class TestConfig:
@@ -58,9 +81,10 @@ class TestConfig:
         assert cfg.replay.capacity is None and cfg.ft_k1 is None
 
     def test_override_paths_validated(self):
-        cfg = tiny_config()
-        with pytest.raises(ConfigError):
-            apply_overrides(cfg, {"schedule.nope": 1})
+        # a leaf (stream.horizon) and a null block (theory) have no keys below them
+        for key in ("schedule.nope", "nope.kind", "stream.horizon.x", "theory.k_max"):
+            with pytest.raises(ConfigError, match="unknown override key"):
+                apply_overrides(tiny_config(), {key: 1})
 
     def test_validation_catches_inconsistencies(self):
         cfg = tiny_config()
@@ -82,6 +106,46 @@ class TestConfig:
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
             preset("does-not-exist")
+
+    def test_preset_names_keep_their_order(self):
+        assert PRESET_NAMES == tuple(PRESET_SHA256)
+
+    @pytest.mark.parametrize("name", PRESET_SHA256)
+    def test_preset_tables_are_pinned(self, name):
+        cfg = preset(name)
+        assert preset_sha256(cfg) == PRESET_SHA256[name]
+        # a returned config shares no list or dict with the preset tables
+        if cfg.variants:
+            cfg.variants[-1][1]["stream.horizon"] = 7
+            cfg.variants.reverse()
+        if cfg.theory:
+            cfg.theory["configs"].pop()
+        cfg.stream.center0.append(9.0)
+        assert preset_sha256(preset(name)) == PRESET_SHA256[name]
+
+    @pytest.mark.parametrize("name,overrides,legal", [
+        pytest.param("main-comparison", {}, False, id="ama-malr"),
+        pytest.param("main-comparison", {"optimizer.averaging": "none",
+                                         "schedule.kind": "rwp"}, False, id="sgd-rwp"),
+        pytest.param("main-comparison", {"schedule.kind": "constant"}, False, id="ama-clr"),
+        pytest.param("main-comparison", {"schedule.kind": "constant",
+                                         "optimizer.adapt": False}, True, id="fixed-ama-clr"),
+        pytest.param("main-comparison", {"schedule.kind": "constant",
+                                         "optimizer.averaging": "ema"}, True, id="ema-clr"),
+        pytest.param("main-comparison", {"schedule.kind": "trace", "schedule.lr_trace": [0.05],
+                                         "optimizer.averaging": "none"}, True, id="sgd-trace"),
+        pytest.param("task-cyclic", {"schedule.kind": "cyclic", "optimizer.averaging": "ema"},
+                     True, id="ema-cyclic")])
+    def test_no_holdout_is_a_config_error_for_rwp_malr_and_adaptive_ama(self, name, overrides,
+                                                                     legal):
+        cfg = apply_overrides(preset(name), {"variants": None, "stream.horizon": 20,
+                                             "replay.holdout_fraction": 0.0, **overrides})
+        if not legal:
+            with pytest.raises(ConfigError, match="holdout_fraction > 0"):
+                cfg.validate()
+            return
+        res = run_experiment(cfg.validate())
+        assert res.ama.skipped_validations == len(res.lr_trace) // cfg.optimizer.k_v > 0
 
 
 class TestRunExperiment:
@@ -514,3 +578,67 @@ class TestValidationBuildsTheRun:
                 run_experiment(cfg)
             except DivergenceError:
                 pass
+
+
+# (stream kind, model kind) pairs a run accepts
+STREAM_MODELS = (("rotating-gaussian", "linear-softmax"), ("rotating-gaussian", "mlp-1-hidden"),
+                 ("piecewise-task", "linear-softmax"), ("piecewise-task", "mlp-1-hidden"),
+                 ("drifting-quadratic", "quadratic-probe"))
+
+
+@st.composite
+def small_configs(draw):
+    """A valid config of at most 40 steps over the kinds a run combines."""
+    stream_kind, model_kind = draw(st.sampled_from(STREAM_MODELS))
+    averaging = draw(st.sampled_from(AVERAGING))
+    kinds = ["constant", "rwp", "trace"] + ["malr"] * (averaging != "none") + [
+        "cyclic"] * (stream_kind == "piecewise-task")
+    return apply_overrides(ExperimentConfig(), {
+        "seeds": [draw(st.integers(0, 99))],
+        "stream.kind": stream_kind, "model.kind": model_kind,
+        "stream.horizon": draw(st.integers(1, 40)),
+        "stream.batch_size": draw(st.integers(1, 6)),
+        "stream.n_classes": draw(st.integers(2, 4)),
+        "stream.task_length": draw(st.integers(1, 8)),
+        "replay.mode": draw(st.sampled_from(["pure", "mixed"])),
+        "replay.batch_size": 2 * draw(st.integers(1, 4)),
+        "replay.window": draw(st.none() | st.integers(1, 8)),
+        "replay.capacity": draw(st.none() | st.integers(1, 30)),
+        "replay.holdout_fraction": draw(st.sampled_from([0.05, 0.2, 0.5])),
+        "optimizer.base": draw(st.sampled_from(["sgd", "adam"])),
+        "optimizer.averaging": averaging,
+        "optimizer.k_m": draw(st.integers(1, 4)), "optimizer.k_v": draw(st.integers(1, 4)),
+        "optimizer.k_w": draw(st.integers(1, 16)),
+        "schedule.kind": draw(st.sampled_from(kinds)),
+        "schedule.k_r": draw(st.integers(1, 8)),
+        "schedule.lr_trace": draw(st.lists(st.sampled_from([0.01, 0.05]), min_size=1,
+                                           max_size=4)),
+        "iters_per_step": draw(st.integers(0, 3)),
+        "eval_every": draw(st.integers(1, 12)),
+    })
+
+
+class TestRunInvariants:
+    @settings(max_examples=60, deadline=None)
+    @given(cfg=small_configs())
+    def test_a_run_keeps_its_counts(self, cfg):
+        run, horizon, p = harness.Run(cfg, cfg.seeds[0]), cfg.stream.horizon, cfg.iters_per_step
+        revealed = iterations = 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in range(1, horizon + 1):
+                if not run.step(t):
+                    return   # diverged: the step's counts are rolled back in part
+                revealed += cfg.stream.batch_size
+                # a pure-replay step with an empty training pool runs nothing
+                iterations += p if cfg.replay.mode == "mixed" or run.pool.size else 0
+        k, o, avg = run.k, cfg.optimizer, run.averager
+        assert len(run.lr_trace) == k == iterations
+        e = cfg.eval_every
+        assert [row[0] for row in run.metric_rows] == sorted({*range(e, horizon + 1, e),
+                                                               horizon})
+        m = len(avg.ma)   # criterion 11's closed form
+        assert (run.costs.forward, run.costs.grad, run.costs.update) == (
+            k + (m + 1) * (k // o.k_v - avg.skipped_validations), k, k + m * (k // o.k_m))
+        assert run.pool.seen_count + run.holdout.seen_count == revealed
+        if cfg.replay.capacity is None:
+            assert run.pool.size + run.holdout.size == revealed
