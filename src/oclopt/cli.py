@@ -17,8 +17,9 @@ from pathlib import Path
 import yaml
 
 from .harness import (ConfigError, PRESET_NAMES, apply_overrides, config_to_dict,
-                      expand_variants, load_config, preset, run_with_companions,
-                      save_config, verify_bounds_from_config)
+                      expand_variants, last_values, load_config, preset,
+                      run_with_companions, save_config, verify_bounds_from_config,
+                      write_csv)
 from .model import DivergenceError
 
 EXIT_OK = 0
@@ -81,7 +82,7 @@ def cmd_preset(args) -> int:
     else:
         print(yaml.safe_dump(config_to_dict(config), sort_keys=True), end="")
     if args.run:
-        return _run_config(config, Path(f"runs/{config.name}"))
+        return _run_config(config, Path(config.out_dir or f"runs/{config.name}"))
     return EXIT_OK
 
 
@@ -115,12 +116,8 @@ def cmd_verify_bounds(args) -> int:
                   f"T1={c.t1:.6g} T2={c.t2:.6g} T3={c.t3:.6g} rhs={c.rhs:.6g} "
                   f"{'ok' if c.holds else 'FAIL'}")
         if out:
-            with open(out / f"{label}.csv", "w", newline="") as f:
-                w = csv.writer(f)
-                w.writerow(("k", "lhs", "lhs_se", "t1", "t2", "t3", "rhs",
-                            "rhs_se", "holds"))
-                for row in report.rows():
-                    w.writerow([repr(v) if isinstance(v, float) else v for v in row])
+            write_csv(out / f"{label}.csv", ("k", "lhs", "lhs_se", "t1", "t2", "t3", "rhs",
+                                             "rhs_se", "holds"), report.rows())
         failed = failed or not report.all_hold
     return EXIT_BOUND_FAILED if failed else EXIT_OK
 
@@ -129,26 +126,16 @@ def cmd_report(args) -> int:
     rows = []
     for path in sorted(Path(args.run_dir).rglob("metrics.csv")):
         with open(path) as f:
-            data = list(csv.DictReader(f))
-        if not data:
-            continue
-        final = {}
-        for rec in data:
-            for key in ("p_le", "p_ir", "p_ft", "alpha"):
-                v = float(rec[key])
-                if not math.isnan(v):
-                    final[key] = v
-        rows.append((str(path.parent.relative_to(args.run_dir)), final))
+            data = list(csv.reader(f))[1:]   # below the METRIC_COLUMNS header
+        if data:
+            rows.append((str(path.parent.relative_to(args.run_dir)), last_values(data)))
     if not rows:
         print("no runs found", file=sys.stderr)
         return EXIT_CONFIG
     print(f"{'run':40s} {'p_le':>8s} {'p_ir':>8s} {'p_ft':>8s} {'alpha':>10s}")
     for name, final in rows:
-        print(f"{name:40s} "
-              f"{final.get('p_le', float('nan')):8.4f} "
-              f"{final.get('p_ir', float('nan')):8.4f} "
-              f"{final.get('p_ft', float('nan')):8.4f} "
-              f"{final.get('alpha', float('nan')):10.3e}")
+        print(f"{name:40s} {final['p_le']:8.4f} {final['p_ir']:8.4f} "
+              f"{final['p_ft']:8.4f} {final['alpha']:10.3e}")
     return EXIT_OK
 
 

@@ -189,7 +189,7 @@ class DataPool:
                 vars(self).pop(name, None)
 
 
-def update(pool: DataPool, holdout: Optional[DataPool], batch: StreamBatch):
+def update(pool: DataPool, holdout: DataPool, batch: StreamBatch):
     """Integrate one revealed batch: route each datum to holdout or training pool.
 
     Routing coins are drawn from the (seed, HOLDOUT, t) substream (see
@@ -199,15 +199,14 @@ def update(pool: DataPool, holdout: Optional[DataPool], batch: StreamBatch):
     t, n, xs, ys = batch.t, batch.n, batch.inputs, batch.labels
     if t <= pool.last_step:
         raise ValueError(f"step {t} does not exceed last integrated step {pool.last_step}")
-    base = pool.seen_count + (holdout.seen_count if holdout is not None else 0)
+    base = pool.seen_count + holdout.seen_count
     rids = np.arange(base, base + n, dtype=np.int64)
     to_holdout = None
-    if holdout is not None and holdout.holdout_fraction > 0.0:
+    if holdout.holdout_fraction > 0.0:
         to_holdout = pool.routing_coins(t, n) < holdout.holdout_fraction
     if to_holdout is None or not to_holdout.any():
         pool.offer(xs, ys, t, rids)
-        if holdout is not None:
-            holdout.offer(xs[:0], ys[:0], t, rids[:0])
+        holdout.offer(xs[:0], ys[:0], t, rids[:0])
         return
     hold, keep = to_holdout.nonzero()[0], (~to_holdout).nonzero()[0]
     pool.offer(xs.take(keep, 0), ys.take(keep, 0), t, rids.take(keep))

@@ -7,8 +7,8 @@ it: reveal a batch, record pre-update predictions, integrate the batch into
 the training/holdout pools, then draw the step's replay minibatches in
 one call and run ``iters_per_step`` optimizer iterations on them.
 Moving-average, online validation, and learning-rate events fire on their
-global-iteration intervals. Everything is deterministic per seed; rerunning a manifest
-reproduces the CSVs byte for byte.
+global-iteration intervals. Everything is deterministic per seed; rerunning the
+``config.yaml`` of a run directory reproduces its artifacts byte for byte.
 """
 
 from __future__ import annotations
@@ -254,18 +254,23 @@ class RunResult:
     ama: Optional[AmaState] = None   # the averager (0, 1 or 2 MA models)
 
     def final_metrics(self) -> dict:
-        last = {}
-        for row in self.metric_rows:
-            for name, val in zip(("p_le", "p_ir", "p_ft"), row[2:5]):
-                if not math.isnan(val):
-                    last[name] = val
-        last["alpha"] = self.lr_trace[-1] if self.lr_trace else float("nan")
-        return last
+        return last_values(self.metric_rows)
 
 
 METRIC_COLUMNS = ("t", "k", "p_le", "p_ir", "p_ft", "alpha", "sigma",
                   "gamma_ma1", "gamma_ma2", "i_best")
 SCHEDULE_COLUMNS = ("k", "alpha", "sigma", "val_perf", "conditions")
+
+
+def last_values(rows) -> dict:
+    """The last non-NaN p_le, p_ir, p_ft and alpha over metric rows (tuples,
+    or the string rows of a metrics.csv), NaN where a column has none."""
+    last = dict.fromkeys(METRIC_COLUMNS[2:6], float("nan"))
+    for row in rows:
+        for name, val in zip(METRIC_COLUMNS[2:6], map(float, row[2:6])):
+            if not math.isnan(val):
+                last[name] = val
+    return last
 
 
 def run_protocol_step(run, t: int):
@@ -334,10 +339,8 @@ class Run:
                 (s.kind == "malr" and o.averaging == "none",
                  "malr needs a moving-average model for the sigma signal"),
                 # with no holdout every validation fold is skipped
-                (r.holdout_fraction == 0 and (s.kind in ("rwp", "malr")
-                                              or (o.averaging == "ama" and o.adapt)),
-                 "rwp, malr and adaptive ama read validation, which needs "
-                 "replay.holdout_fraction > 0"),
+                (r.holdout_fraction == 0 and (s.kind in ("rwp", "malr") or o.averaging == "ama"),
+                 "rwp, malr and ama read validation, which needs replay.holdout_fraction > 0"),
                 (s.kind == "cyclic" and stream_kind != "piecewise-task",
                  "cyclic schedule requires a task-aware (piecewise) stream"),
                 (s.kind == "trace" and not s.lr_trace, "trace schedule requires lr_trace"),
@@ -525,7 +528,7 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path, columns, rows):
+def write_csv(path, columns, rows):
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(columns)
@@ -536,8 +539,8 @@ def _write_csv(path, columns, rows):
 def write_artifacts(result: RunResult, out_dir) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "metrics.csv", METRIC_COLUMNS, result.metric_rows)
-    _write_csv(out / "schedule.csv", SCHEDULE_COLUMNS, result.schedule_rows)
+    write_csv(out / "metrics.csv", METRIC_COLUMNS, result.metric_rows)
+    write_csv(out / "schedule.csv", SCHEDULE_COLUMNS, result.schedule_rows)
     save_config(result.config, out / "config.yaml")
     save_optimizer(out / "checkpoint.npz", result.base, result.ama)
     manifest = {
@@ -548,12 +551,6 @@ def write_artifacts(result: RunResult, out_dir) -> dict:
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
     return manifest
-
-
-def run_from_manifest(path, out_dir=None) -> RunResult:
-    manifest = json.loads(Path(path).read_text())
-    config = config_from_dict(manifest["config"])
-    return run_experiment(config, seed=manifest["seed"], out_dir=out_dir)
 
 
 def run_with_companions(config: ExperimentConfig, seed: Optional[int] = None,

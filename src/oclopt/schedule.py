@@ -23,14 +23,15 @@ import math
 from dataclasses import dataclass
 
 _NEG_INF = float("-inf")
+_TOL = 1e-6  # absolute tolerance of an improvement, to absorb float noise
 
 
 @dataclass
 class ScheduleState:
     """State shared by the plateau-based controllers.
 
-    Improvement is strict, with an absolute tolerance ``tol`` to absorb float
-    noise. ``use_c2``/``use_c3`` turn individual MALR conditions off for
+    Improvement is strict, beyond the absolute tolerance ``_TOL``.
+    ``use_c2``/``use_c3`` turn individual MALR conditions off for
     ablations; rwp ignores them. Counters are measured in iterations even
     though updates typically arrive only at validation-refresh events.
     """
@@ -41,7 +42,6 @@ class ScheduleState:
     beta_lr: float = 0.5
     k_r: int = 60000
     epsilon: float = 0.03
-    tol: float = 1e-6
     use_c2: bool = True
     use_c3: bool = True
     best_val: float = _NEG_INF
@@ -70,13 +70,13 @@ def init_schedule(kind: str, alpha0: float, beta_lr: float = 0.5, k_r: int = 600
 
 
 def _track_val(state: ScheduleState, val_perf: float, k: int):
-    if val_perf > state.best_val + state.tol:
+    if val_perf > state.best_val + _TOL:
         state.best_val = val_perf
         state.last_val_improve_k = k
 
 
 def _track_sigma(state: ScheduleState, sigma_k: float, k: int):
-    if sigma_k > state.best_sigma + state.tol:
+    if sigma_k > state.best_sigma + _TOL:
         state.best_sigma = sigma_k
         state.last_sigma_increase_k = k
 

@@ -169,11 +169,6 @@ class PiecewiseTaskSpec:
     def task_index(self, t: int) -> int:
         return (t - 1) // self.task_length
 
-    def active_classes(self, t: int) -> np.ndarray:
-        j = self.task_index(t)
-        base = j * self.classes_per_task
-        return (base + np.arange(self.classes_per_task)) % self.n_classes
-
     def class_means(self, seed: int, d_in: int) -> np.ndarray:
         """The (n_classes, d_in) mean table; cached and read-only."""
         return _class_means(self, seed, d_in)
@@ -267,28 +262,19 @@ def _blocks(spec: StreamSpec, purpose: int, lo: int, hi: int) -> dict:
     return held
 
 
-def _batch(spec: StreamSpec, purpose: int, t: int) -> StreamBatch:
+def next_batch(spec: StreamSpec, t: int) -> StreamBatch:
+    """The t-th training batch, read-only. Deterministic in (spec.seed, t)."""
     if not (1 <= t <= spec.horizon):
         raise HorizonError(f"step {t} outside [1, {spec.horizon}]")
     b, i = divmod(t - 1, BLOCK)
-    inputs, labels = _blocks(spec, purpose, b, b)[b]
+    inputs, labels = _blocks(spec, rngmod.STREAM, b, b)[b]
     return StreamBatch(t=t, inputs=inputs[i], labels=labels[i])
-
-
-def next_batch(spec: StreamSpec, t: int) -> StreamBatch:
-    """The t-th training batch, read-only. Deterministic in (spec.seed, t)."""
-    return _batch(spec, rngmod.STREAM, t)
-
-
-def eval_batch(spec: StreamSpec, t: int) -> StreamBatch:
-    """An evaluation batch for step t: same distribution, draws never used in
-    training. Read-only."""
-    return _batch(spec, rngmod.EVAL, t)
 
 
 def eval_window(spec: StreamSpec, first: int, last: int) -> tuple:
     """(inputs, labels) of the evaluation batches of steps first..last, joined
-    in step order from slices of the blocks that hold them."""
+    in step order from slices of the blocks that hold them: same distribution
+    as training batches, from draws never used in training."""
     if not (1 <= first <= last <= spec.horizon):
         raise HorizonError(f"steps {first}..{last} outside [1, {spec.horizon}]")
     held = _blocks(spec, rngmod.EVAL, (first - 1) // BLOCK, (last - 1) // BLOCK)

@@ -1,7 +1,11 @@
 """Reference implementations the tests check the program against."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 
+from oclopt.harness import config_from_dict, run_experiment
 from oclopt.rng import HOLDOUT, ball_uniform, substream
 
 
@@ -73,7 +77,8 @@ def step_batch(spec, t, purpose):
         means = r.mean(np.arange(r.n_classes), t, spec.d_in)
         return means.take(labels, axis=0) + r.noise_std * g.standard_normal((n, spec.d_in)), labels
     p = spec.piecewise
-    active = p.active_classes(t)
+    first = p.task_index(t) * p.classes_per_task   # task j's classes, mod n_classes
+    active = (first + np.arange(p.classes_per_task)) % p.n_classes
     labels = active[g.integers(0, len(active), size=n)]
     means = p.class_means(spec.seed, spec.d_in)
     return means.take(labels, axis=0) + p.noise_std * g.standard_normal((n, spec.d_in)), labels
@@ -93,3 +98,10 @@ def step_coins(seed, t, n):
 def prefix_mean(step_ahead: dict, t: int) -> float:
     """Learning efficacy by walking a {j: perf} dict over j = 1..t."""
     return float(np.mean([step_ahead[j] for j in range(1, t + 1)]))
+
+
+def run_from_manifest(path, out_dir=None):
+    """Rerun the run a ``manifest.json`` records: its config and its seed."""
+    manifest = json.loads(Path(path).read_text())
+    config = config_from_dict(manifest["config"])
+    return run_experiment(config, seed=manifest["seed"], out_dir=out_dir)

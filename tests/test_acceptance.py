@@ -12,14 +12,13 @@ from scipy import stats
 
 from oclopt.datapool import DataPool, Minibatch
 from oclopt.harness import (apply_overrides, expand_variants, preset,
-                            run_experiment, run_from_manifest,
-                            verify_bounds_from_config)
+                            run_experiment, verify_bounds_from_config)
 from oclopt.model import ModelSpec, loss_and_grad, validation_performance
 from oclopt.optim import (ama_step, best_ma, init_averager, init_sgd, ma_update,
                           sgd_step)
 from oclopt.rng import ball_uniform, substream
 from oclopt.stream import DriftingQuadraticSpec
-from tests.oracles import stored_items, unfolded_ma_coefficients
+from tests.oracles import run_from_manifest, stored_items, unfolded_ma_coefficients
 from tests.test_model import fd_gradient, grad_agreement, random_model_and_batch
 
 SEEDS_20 = list(range(20))

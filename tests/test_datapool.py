@@ -37,7 +37,7 @@ class TestReservoir:
     def test_unlimited_pool_keeps_everything(self):
         pool = DataPool(capacity=None, seed=0)
         for t in range(1, 11):
-            update(pool, None, make_batch(t))
+            update(pool, DataPool(), make_batch(t))
         assert pool.size == pool.seen_count == 100
 
     def test_capacity_clamp(self):
@@ -104,9 +104,9 @@ class TestHoldoutRouting:
 
     def test_out_of_order_step_rejected(self):
         pool = DataPool(seed=0)
-        update(pool, None, make_batch(5))
+        update(pool, DataPool(), make_batch(5))
         with pytest.raises(ValueError):
-            update(pool, None, make_batch(5))
+            update(pool, DataPool(), make_batch(5))
 
     def test_offer_rejects_a_step_below_the_last(self):
         pool = DataPool(seed=0)
@@ -375,14 +375,14 @@ class TestCheckpoint:
         # an unlimited pool outgrows its storage, a capped one evicts
         pool = DataPool(capacity=capacity, seed=3)
         for t in range(1, 4):
-            update(pool, None, make_batch(t))
+            update(pool, DataPool(), make_batch(t))
         for t in range(4, 7):
             pool.checkpoint()
-            update(pool, None, make_batch(t))
+            update(pool, DataPool(), make_batch(t))
         before = self.state(pool)
         ckpt = pool.checkpoint()
         for t in range(7, 20):
-            update(pool, None, make_batch(t))
+            update(pool, DataPool(), make_batch(t))
         pool.restore(ckpt)
         np.testing.assert_equal(self.state(pool), before)
 
@@ -472,7 +472,7 @@ class TestCheckpoint:
 
     def test_only_latest_checkpoint_restores(self):
         pool = DataPool(seed=0)
-        update(pool, None, make_batch(1))
+        update(pool, DataPool(), make_batch(1))
         older = pool.checkpoint()
         pool.checkpoint()
         with pytest.raises(ValueError, match="latest checkpoint"):

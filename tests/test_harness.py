@@ -16,10 +16,9 @@ from oclopt.cli import main as cli_main
 from oclopt.harness import (AVERAGING, ConfigError, ExperimentConfig, PRESET_NAMES,
                             apply_overrides, config_from_dict, config_to_dict,
                             expand_variants, load_config, preset, run_experiment,
-                            run_from_manifest, run_with_companions, save_config,
-                            verify_bounds_from_config)
+                            run_with_companions, save_config, verify_bounds_from_config)
 from oclopt.model import DivergenceError
-from tests.oracles import record_ids, stored_items
+from tests.oracles import record_ids, run_from_manifest, stored_items
 
 
 def tiny_config(**overrides):
@@ -49,6 +48,35 @@ PRESET_SHA256 = {
     "task-cyclic": "9d70d747c357be83bdb52c5f361db5becc570b1b82a1ffec86a94ab1eda3fb7a",
     "theory-verify": "3ee8db0a0c6538fb0686f7dc6ed109ac2e8e24c1ae211e327de4bd211139089c",
 }
+
+
+# sha256 of each CSV `oclopt verify-bounds --override theory.k_max=150` writes
+# (24 seeds), recorded before the bounds writer moved onto the artifact writer
+BOUNDS_CSV_SHA256 = {
+    "stationary-constant": "0efd5dc570fee69c1b96a8e0605232545c6915903379937de5c6741d8829cefa",
+    "stationary-invsqrt": "25dc5fcc531794798c13238e562e6b2b797f80899c07653fcde9dd3e9c72321e",
+    "drift-constant": "491784fd8f8d8c51099ae4dfc5b9c883eb0b7c554e84a95433049456b1c6a94c",
+    "drift-invsqrt": "818ac5012cfacc684de0f801ef72e1f437b187ad1e89fa20d2083a64f2d3e2c0",
+    "drift-halving": "491784fd8f8d8c51099ae4dfc5b9c883eb0b7c554e84a95433049456b1c6a94c",
+    "fast-drift-constant": "b73b7e43b40b6a2ae79512eace3903ce46a47d356bd54ca1d189555f53f02507",
+    "fast-drift-halving": "b73b7e43b40b6a2ae79512eace3903ce46a47d356bd54ca1d189555f53f02507",
+}
+
+# `oclopt report` stdout over REPORT_RUN, recorded before the report and
+# RunResult.final_metrics shared one last-value helper
+REPORT_RUN = {"seeds": [5, 6], "companion": "ema-replay",
+              "variants": [["malr", {}], ["rwp", {"schedule.kind": "rwp", "schedule.k_r": 10}]]}
+REPORT_STDOUT = """\
+run                                          p_le     p_ir     p_ft      alpha
+malr/seed5/ema-replay                      0.7567   1.0000   1.0000  5.000e-02
+malr/seed5/main                            0.9486   1.0000   1.0000  5.000e-02
+malr/seed6/ema-replay                      0.9838   0.9917   0.9928  5.000e-02
+malr/seed6/main                            0.9917   1.0000   1.0000  5.000e-02
+rwp/seed5/ema-replay                       0.7496   1.0000   1.0000  1.221e-05
+rwp/seed5/main                             0.9486   1.0000   1.0000  1.221e-05
+rwp/seed6/ema-replay                       0.9826   0.9835   0.9880  1.221e-05
+rwp/seed6/main                             0.9917   1.0000   1.0000  1.221e-05
+"""
 
 
 def preset_sha256(cfg) -> str:
@@ -129,7 +157,7 @@ class TestConfig:
                                          "schedule.kind": "rwp"}, False, id="sgd-rwp"),
         pytest.param("main-comparison", {"schedule.kind": "constant"}, False, id="ama-clr"),
         pytest.param("main-comparison", {"schedule.kind": "constant",
-                                         "optimizer.adapt": False}, True, id="fixed-ama-clr"),
+                                         "optimizer.adapt": False}, False, id="fixed-ama-clr"),
         pytest.param("main-comparison", {"schedule.kind": "constant",
                                          "optimizer.averaging": "ema"}, True, id="ema-clr"),
         pytest.param("main-comparison", {"schedule.kind": "trace", "schedule.lr_trace": [0.05],
@@ -183,12 +211,13 @@ class TestRunExperiment:
                    (tmp_path / "b" / name).read_bytes(), name
 
     def test_manifest_replay_reproduces_csvs(self, tmp_path):
-        cfg = tiny_config()
-        run_experiment(cfg, seed=4, out_dir=tmp_path / "orig")
-        run_from_manifest(tmp_path / "orig" / "manifest.json",
-                          out_dir=tmp_path / "replay")
-        assert (tmp_path / "orig" / "metrics.csv").read_bytes() == \
-               (tmp_path / "replay" / "metrics.csv").read_bytes()
+        # a run directory replays through the CLI from its config.yaml
+        run_experiment(tiny_config(), seed=5, out_dir=tmp_path / "orig")
+        assert cli_main(["run", str(tmp_path / "orig" / "config.yaml"),
+                         "--out", str(tmp_path / "replay")]) == 0
+        replay = tmp_path / "replay" / "base" / "seed5" / "main"
+        for name in ("metrics.csv", "schedule.csv", "config.yaml", "manifest.json"):
+            assert (tmp_path / "orig" / name).read_bytes() == (replay / name).read_bytes(), name
 
     def test_manifest_seed_is_checked(self, tmp_path):
         run_experiment(tiny_config(), seed=4, out_dir=tmp_path / "orig")
@@ -355,16 +384,22 @@ class TestTheoryConfig:
 
 class TestCli:
     def test_run_and_report(self, tmp_path, capsys):
-        cfg = tiny_config()
         cfg_path = tmp_path / "cfg.yaml"
-        save_config(cfg, cfg_path)
-        code = cli_main(["run", str(cfg_path), "--out", str(tmp_path / "runs")])
+        save_config(tiny_config(**REPORT_RUN), cfg_path)
+        assert cli_main(["run", str(cfg_path), "--out", str(tmp_path / "runs")]) == 0
+        capsys.readouterr()
+        assert cli_main(["report", str(tmp_path / "runs")]) == 0
+        assert capsys.readouterr().out == REPORT_STDOUT
+
+    def test_preset_run_writes_under_out_dir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "elsewhere"
+        code = cli_main(["preset", "main-comparison", "--override", f"out_dir={out}",
+                         "--override", "variants=null", "--override", "stream.horizon=5",
+                         "--run"])
         assert code == 0
-        assert (tmp_path / "runs" / "base" / "seed5" / "main" / "metrics.csv").exists()
-        code = cli_main(["report", str(tmp_path / "runs")])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "p_ir" in out
+        assert (out / "base" / "seed0" / "main" / "metrics.csv").exists()
+        assert not (tmp_path / "runs").exists()
 
     def test_preset_emits_yaml(self, tmp_path):
         out = tmp_path / "p.yaml"
@@ -452,11 +487,11 @@ class TestCli:
         assert code == 3
 
     def test_verify_bounds_cli(self, tmp_path):
-        code = cli_main(["verify-bounds", "--override", "theory.k_max=150",
-                         "--override", "theory.n_seeds=4",
-                         "--out", str(tmp_path / "bounds")])
-        assert code == 0
-        assert (tmp_path / "bounds" / "drift-constant.csv").exists()
+        out = tmp_path / "bounds"
+        assert cli_main(["verify-bounds", "--override", "theory.k_max=150",
+                         "--out", str(out)]) == 0
+        assert {p.stem: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in out.glob("*.csv")} == BOUNDS_CSV_SHA256
 
 
 class TestBatchSizeAblation:
@@ -497,8 +532,7 @@ class TestCliSweepAndBoundFailure:
                               stationary=True)
         failing.checkpoints.append(BoundCheckpoint(
             k=1, lhs=2.0, lhs_se=0.0, t1=0.5, t2=0.0, t3=0.0, rhs=0.5,
-            rhs_se=0.0, holds=False, denom_growth=1.0, t2_ratio=0.0,
-            t3_ratio=0.0))
+            rhs_se=0.0, holds=False))
         monkeypatch.setattr(climod, "verify_bounds_from_config",
                             lambda cfg: [("fake", failing)])
         assert cli_main(["verify-bounds"]) == 4

@@ -13,7 +13,7 @@ from oclopt.metrics import (MetricError, MetricLedger, RunningMean, forward_tran
                             information_retention)
 from oclopt.model import ModelSpec, init_params, predict
 from oclopt.rng import substream
-from oclopt.stream import RotatingGaussianSpec, StreamSpec, eval_batch
+from oclopt.stream import RotatingGaussianSpec, StreamSpec, eval_window
 from tests.oracles import prefix_mean, retained_rows
 
 
@@ -195,9 +195,9 @@ class TestForwardTransfer:
         stream = rotating_stream(omega=0.02)
         t, k1, k2 = 5, 3, 4
         got = forward_transfer(spec, theta, stream, t, k1, k2)
-        batches = [eval_batch(stream, t + k1), eval_batch(stream, t + k2)]
-        xs = np.concatenate([b.inputs for b in batches])
-        ys = np.concatenate([b.labels for b in batches])
+        batches = [eval_window(stream, t + k1, t + k1), eval_window(stream, t + k2, t + k2)]
+        xs = np.concatenate([x for x, _ in batches])
+        ys = np.concatenate([y for _, y in batches])
         preds = predict(spec, theta, xs)
         assert got == float(np.mean(preds == ys))
 

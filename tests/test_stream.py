@@ -11,8 +11,7 @@ from oclopt.harness import (PRESET_NAMES, ProtocolError, build_stream_spec,
                             expand_variants, preset, run_protocol_step)
 from oclopt.rng import BLOCK, substream
 from oclopt.stream import (DriftingQuadraticSpec, HorizonError, PiecewiseTaskSpec,
-                           RotatingGaussianSpec, StreamSpec, eval_batch, eval_window,
-                           next_batch)
+                           RotatingGaussianSpec, StreamSpec, eval_window, next_batch)
 from tests.oracles import (grad_at, record_ids, step_batch, step_coins, step_window,
                            stored_items)
 
@@ -110,18 +109,16 @@ class TestNextBatch:
 
     def test_eval_batch_differs_from_training_batch(self):
         spec = rotating_spec()
-        assert not np.array_equal(next_batch(spec, 3).inputs, eval_batch(spec, 3).inputs)
+        assert not np.array_equal(next_batch(spec, 3).inputs, eval_window(spec, 3, 3)[0])
 
     def test_piecewise_active_classes_switch_and_cycle(self):
         spec = piecewise_spec(task_length=10, n_classes=6, cpt=2)
-        pw = spec.piecewise
-        assert list(pw.active_classes(1)) == [0, 1]
-        assert list(pw.active_classes(10)) == [0, 1]
-        assert list(pw.active_classes(11)) == [2, 3]
-        assert list(pw.active_classes(21)) == [4, 5]
-        assert list(pw.active_classes(31)) == [0, 1]  # cycles mod n_classes
-        batch = next_batch(spec, 15)
-        assert set(np.unique(batch.labels)) <= {2, 3}
+        served = {t: set(next_batch(spec, t).labels.tolist()) for t in (1, 10, 11, 21, 31)}
+        assert served[1] == {0, 1}
+        assert served[10] == {0, 1}
+        assert served[11] == {2, 3}
+        assert served[21] == {4, 5}
+        assert served[31] == {0, 1}  # cycles mod n_classes
 
     def test_piecewise_class_means_are_one_read_only_draw(self):
         pw = piecewise_spec(n_classes=6).piecewise
@@ -163,13 +160,13 @@ class TestServedDraws:
         edges = [t for t in (1, BLOCK, BLOCK + 1, 2 * BLOCK, horizon) if t <= horizon]
         t = data.draw(st.sampled_from(edges) | st.integers(1, horizon), label="t")
         first = data.draw(st.integers(max(1, t - BLOCK - 2), t), label="first")
-        for serve, purpose in ((next_batch, rngmod.STREAM), (eval_batch, rngmod.EVAL)):
-            batch, (inputs, labels) = serve(spec, t), step_batch(spec, t, purpose)
-            assert batch.t == t and same(batch.inputs, inputs) and same(batch.labels, labels)
-            assert not (batch.inputs.flags.writeable or batch.labels.flags.writeable)
+        batch, (inputs, labels) = next_batch(spec, t), step_batch(spec, t, rngmod.STREAM)
+        assert batch.t == t and same(batch.inputs, inputs) and same(batch.labels, labels)
+        assert not (batch.inputs.flags.writeable or batch.labels.flags.writeable)
+        assert all(map(same, eval_window(spec, t, t), step_batch(spec, t, rngmod.EVAL)))
         window = eval_window(spec, first, t)
         assert all(map(same, window, step_window(spec, first, t, rngmod.EVAL)))
-        assert same(eval_batch(spec, first).inputs, step_batch(spec, first, rngmod.EVAL)[0])
+        assert same(eval_window(spec, first, first)[0], step_batch(spec, first, rngmod.EVAL)[0])
         pool = DataPool(seed=seed)
         for step in (first, t):
             coins = pool.routing_coins(step, spec.batch_size)
