@@ -17,8 +17,8 @@ from pathlib import Path
 import yaml
 
 from .harness import (ConfigError, PRESET_NAMES, apply_overrides, config_to_dict,
-                      expand_variants, last_values, load_config, preset,
-                      run_with_companions, save_config, verify_bounds_from_config,
+                      expand_variants, identical_bound_configs, last_values, load_config,
+                      preset, run_with_companions, save_config, verify_bounds_from_config,
                       write_csv)
 from .model import DivergenceError
 
@@ -103,6 +103,9 @@ def cmd_verify_bounds(args) -> int:
     config = _overridden(load_config(args.config) if args.config else preset("theory-verify"),
                          args.override)
     reports = verify_bounds_from_config(config)
+    for earlier, later in identical_bound_configs(config):
+        print(f"note: {later} has the drift and rates of {earlier}, so its results "
+              "are identical", file=sys.stderr)
     failed = False
     out = Path(args.out) if args.out else None
     if out:

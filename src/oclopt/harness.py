@@ -4,8 +4,9 @@ schedules, and metrics together.
 An experiment executes the online protocol for the configured horizon. One
 ``Run`` holds a seed's state, and ``run_protocol_step`` executes one step on
 it: reveal a batch, record pre-update predictions, integrate the batch into
-the training/holdout pools, then draw the step's replay minibatches in
-one call and run ``iters_per_step`` optimizer iterations on them.
+the training/holdout pools, then take the step's replay minibatches and run
+``iters_per_step`` optimizer iterations on them. Pool draws are planned once
+per block of steps (see ``oclopt.datapool``).
 Moving-average, online validation, and learning-rate events fire on their
 global-iteration intervals. Everything is deterministic per seed; rerunning the
 ``config.yaml`` of a run directory reproduces its artifacts byte for byte.
@@ -34,7 +35,7 @@ from .model import (DivergenceError, ModelSpec, Workspace, check_batch, init_par
                     loss_and_grad, predict, step_ahead_performance, validation_performance)
 from .optim import (AmaState, CostCounter, adam_step, ama_step, best_ma, init_adam,
                     init_averager, init_sgd, save_optimizer, sgd_step)
-from .rng import substream
+from .rng import BLOCK, substream
 from .schedule import cyclic_lr, init_schedule, malr_update, rwp_update
 from .stream import (DriftingQuadraticSpec, PiecewiseTaskSpec, RotatingGaussianSpec,
                      StreamSpec)
@@ -172,6 +173,9 @@ def _build(cls, block: dict, where: str):
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
+    if not isinstance(d, dict):
+        raise ConfigError("a config is a mapping of keys to values, got "
+                          + ("nothing" if d is None else type(d).__name__))
     d = copymod.deepcopy(d)
     parts = {name: _build(cls, d.pop(name, {}), name)
              for name, cls in (("stream", StreamConfig), ("model", ModelConfig),
@@ -195,7 +199,7 @@ def apply_overrides(config: ExperimentConfig, overrides: dict) -> ExperimentConf
     """Apply dotted-key overrides (e.g. {'schedule.kind': 'rwp'}) to a copy."""
     d = config_to_dict(config)
     for key, value in overrides.items():
-        node, parts = d, key.split(".")
+        node, parts = d, str(key).split(".")
         for p in parts[:-1]:   # a path through a leaf or a null block is unknown too
             node = node.get(p) if isinstance(node, dict) else None
         if not isinstance(node, dict) or parts[-1] not in node:
@@ -278,11 +282,19 @@ def run_protocol_step(run, t: int):
 
     In order: (1) sample the batch, (2) ask ``run.predict`` for every datum
     before labels are revealed, (3) integrate the batch into ``run.pool`` and
-    ``run.holdout``, (4) call ``run.update``. If the update raises, both
-    pools (items, counters, generators and ``last_step``) are rolled back and
-    the step is not counted. Nothing else is rolled back: the run's changes
-    from iterations completed before the failure (optimizer, averager,
-    schedule, compute costs and the learning-rate trace) stay applied.
+    ``run.holdout``, (4) call ``run.update``. At the first step of a block of
+    ``BLOCK`` steps, (3) plans both pools' offers for the whole block and a
+    planned replay draw in (4) plans the block's replay draws; every other
+    step applies its slice of those plans and makes no pool-side draw
+    (mixed replay from a pool that evicts plans one step at a time).
+
+    If the update raises, both pools' items, counters and ``last_step`` are
+    rolled back and the step is not counted. Draws are not rolled back: the
+    plans stay, so a retried step, the block's first included, reuses the
+    plan made from the same pool state. Nothing else is rolled back: the
+    run's changes from iterations completed before the failure (optimizer,
+    averager, schedule, compute costs and the learning-rate trace) stay
+    applied.
 
     ``run`` is anything with ``stream_spec``, ``pool``, ``holdout``,
     ``predict`` and ``update``. Returns (predictions, batch); predictions
@@ -394,6 +406,7 @@ class Run:
         self.schedule_rows = []
         self.lr_trace = []
         self.val_rng = substream(seed, rngmod.VALIDATION)
+        self.checked_block = None   # the stream block check_batch last passed
         self.task_iters = (config.stream.task_length * config.iters_per_step
                            if stream_kind == "piecewise-task" else 0)
 
@@ -427,20 +440,25 @@ class Run:
         return predict(self.model_spec, self.inference_params(), inputs)
 
     def update(self, t: int, batch):
-        """Draw the step's replay minibatches as one block, then run one
-        iteration on each. A pure-replay step with an empty training pool
-        (every datum so far went to the holdout) runs no iterations."""
+        """Take the step's replay minibatches from the pool's plan for the
+        block, then run one iteration on each. A pure-replay step with an
+        empty training pool (every datum so far went to the holdout) runs no
+        iterations. Replay rows are rows of served stream blocks, so each
+        block is checked against the model once, at its first replay."""
         p, r = self.config.iters_per_step, self.config.replay
         if p == 0 or (r.mode == "pure" and self.pool.size == 0):
             return
+        if self.checked_block != (t - 1) // BLOCK:
+            check_batch(self.model_spec, Minibatch(*stream.training_block(self.stream_spec, t)))
+            self.checked_block = (t - 1) // BLOCK
         m = r.batch_size
         if r.mode == "pure":
-            block = sample_pure_replay(self.pool, m, count=p)
+            rows = sample_pure_replay(self.pool, m, count=p, block=True)
         else:
-            block = sample_mixed_replay(self.pool, batch, m, window=r.window, count=p)
-        check_batch(self.model_spec, block)
+            rows = sample_mixed_replay(self.pool, batch, m, window=r.window, count=p,
+                                       block=True)
         for i in range(0, p * m, m):
-            self.iterate(Minibatch(block.inputs[i:i + m], block.labels[i:i + m]))
+            self.iterate(Minibatch(rows.inputs[i:i + m], rows.labels[i:i + m]))
 
     def iterate(self, mb):
         """One optimizer iteration on a replay minibatch: base step, averager,
@@ -671,8 +689,12 @@ def expand_variants(config: ExperimentConfig):
     if not config.variants:
         yield "base", config
         return
-    for label, overrides in config.variants:
-        out = apply_overrides(config, dict(overrides))
+    for entry in config.variants if isinstance(config.variants, list) else [config.variants]:
+        if not (isinstance(entry, (list, tuple)) and len(entry) == 2
+                and isinstance(entry[1], dict)):
+            raise ConfigError(f"a variant is [label, {{key: value}}], got {entry!r}")
+        label, overrides = entry
+        out = apply_overrides(config, overrides)
         out.variants = None
         out.name = f"{config.name}/{label}"
         yield label, out
@@ -680,18 +702,14 @@ def expand_variants(config: ExperimentConfig):
 
 # -- theory-verify plumbing --------------------------------------------------------
 
-def verify_bounds_from_config(config: ExperimentConfig) -> list:
-    """Run every (schedule, drift) combination of a theory-verify config.
-
-    Returns [(label, BoundReport), ...].
-    """
+def _bound_setups(config: ExperimentConfig) -> list:
+    """[(label, drifting quadratic, rates alpha_1 .. alpha_{k_max+2})] of every
+    (schedule, drift) combination of a theory-verify config."""
     if not config.theory:
         raise ConfigError("config has no theory block; use the theory-verify preset")
     th = config.theory
     s = config.stream
-    k_max = int(th["k_max"])
-    n_alphas = k_max + 2
-    reports = []
+    setups = []
     for label, params in th["configs"]:
         v = float(params["velocity"])
         quad = DriftingQuadraticSpec(
@@ -699,9 +717,32 @@ def verify_bounds_from_config(config: ExperimentConfig) -> list:
             velocity=tuple(v * np.ones(s.d_in) / np.sqrt(s.d_in)),
             noise_radius=s.noise_radius)
         alphas = make_rate_schedule(params["schedule"], float(th["alpha0"]),
-                                    n_alphas, halve_every=int(th.get("halve_every", 250)))
-        report = verify_bound(quad, alphas, k_max, n_seeds=int(th["n_seeds"]),
-                              base_seed=config.seeds[0])
-        reports.append((label, report))
-    return reports
+                                    int(th["k_max"]) + 2,
+                                    halve_every=int(th.get("halve_every", 250)))
+        setups.append((label, quad, alphas))
+    return setups
 
+
+def verify_bounds_from_config(config: ExperimentConfig) -> list:
+    """Run every (schedule, drift) combination of a theory-verify config.
+
+    Returns [(label, BoundReport), ...].
+    """
+    setups, th = _bound_setups(config), config.theory
+    return [(label, verify_bound(quad, alphas, int(th["k_max"]), n_seeds=int(th["n_seeds"]),
+                                 base_seed=config.seeds[0]))
+            for label, quad, alphas in setups]
+
+
+def identical_bound_configs(config: ExperimentConfig) -> list:
+    """[(earlier label, later label)] of the combinations whose drift and rate
+    sequence over the checked horizon are identical, so their results are too
+    (for example a halving schedule that never halves before k_max)."""
+    first, pairs = {}, []
+    for label, quad, alphas in _bound_setups(config):
+        key = (quad, alphas.tobytes())
+        if key in first:
+            pairs.append((first[key], label))
+        else:
+            first[key] = label
+    return pairs

@@ -271,6 +271,14 @@ def next_batch(spec: StreamSpec, t: int) -> StreamBatch:
     return StreamBatch(t=t, inputs=inputs[i], labels=labels[i])
 
 
+def training_block(spec: StreamSpec, t: int) -> tuple:
+    """(inputs, labels) of every training batch of the block holding step t,
+    joined in step order: read-only views of the served block."""
+    b = (t - 1) // BLOCK
+    inputs, labels = _blocks(spec, rngmod.STREAM, b, b)[b]
+    return inputs.reshape(-1, *inputs.shape[2:]), labels.reshape(-1, *labels.shape[2:])
+
+
 def eval_window(spec: StreamSpec, first: int, last: int) -> tuple:
     """(inputs, labels) of the evaluation batches of steps first..last, joined
     in step order from slices of the blocks that hold them: same distribution

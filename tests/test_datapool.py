@@ -12,9 +12,10 @@ from scipy import stats
 from oclopt import rng as rngmod
 from oclopt.datapool import (DataPool, EmptyPoolError, sample_mixed_replay,
                              sample_pure_replay, update)
-from oclopt.rng import substream
-from oclopt.stream import StreamBatch
-from tests.oracles import consecutive_draws, record_ids, stored_items
+from oclopt.harness import ExperimentConfig, Run, apply_overrides, run_protocol_step
+from oclopt.rng import BLOCK, substream
+from oclopt.stream import StreamBatch, next_batch
+from tests.oracles import consecutive_draws, record_ids, step_coins, stored_items
 
 
 def offer_items(pool, n, t=1, d=2, start_rid=0):
@@ -349,22 +350,27 @@ class ReferencePool:
         self.seen_count += n
 
 
+def same_items(pool, ref):
+    """A pool stores what a ReferencePool stores, slot for slot and dtype for dtype."""
+    assert (pool.size, pool.seen_count) == (ref.size, ref.seen_count)
+    if pool.size:
+        for a, b in ((pool._xs, ref.xs), (pool._ys, ref.ys),
+                     (pool._arrival, ref.arrival), (pool._rid, ref.rid)):
+            assert a.dtype == b.dtype
+            assert a[: pool.size].tobytes() == b[: ref.size].tobytes()
+
+
 class TestCheckpoint:
+    # items and counters; restore leaves draws, plans and generators alone
     @staticmethod
     def state(pool):
         stored = () if pool.size == 0 else tuple(
             a[: pool.size].tobytes() for a in (pool._xs, pool._ys, pool._arrival, pool._rid))
-        return (pool.size, pool.seen_count, pool.last_step, stored,
-                pool._reservoir_rng.bit_generator.state, pool._replay_rng.bit_generator.state)
+        return (pool.size, pool.seen_count, pool.last_step, stored)
 
     @staticmethod
     def assert_matches_reference(pool, ref):
-        assert (pool.size, pool.seen_count) == (ref.size, ref.seen_count)
-        if pool.size:
-            for a, b in ((pool._xs, ref.xs), (pool._ys, ref.ys),
-                         (pool._arrival, ref.arrival), (pool._rid, ref.rid)):
-                assert a.dtype == b.dtype
-                assert a[: pool.size].tobytes() == b[: ref.size].tobytes()
+        same_items(pool, ref)
         np.testing.assert_equal(pool._reservoir_rng.bit_generator.state,
                                 ref.reservoir_rng.bit_generator.state)
         np.testing.assert_equal(pool._replay_rng.bit_generator.state,
@@ -372,24 +378,28 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("capacity", [None, 25])
     def test_restore_undoes_growth_and_eviction(self, capacity):
-        # an unlimited pool outgrows its storage, a capped one evicts
+        # an unlimited pool outgrows its storage, a capped one evicts; every
+        # step lies in the block planned at step 1, so the plan stays too
         pool = DataPool(capacity=capacity, seed=3)
         for t in range(1, 4):
             update(pool, DataPool(), make_batch(t))
         for t in range(4, 7):
             pool.checkpoint()
             update(pool, DataPool(), make_batch(t))
-        before = self.state(pool)
+        before, plan = self.state(pool), pool._offers
         ckpt = pool.checkpoint()
         for t in range(7, 20):
             update(pool, DataPool(), make_batch(t))
         pool.restore(ckpt)
         np.testing.assert_equal(self.state(pool), before)
+        assert pool._offers is plan
 
     # An unlimited pool outgrows its storage, a capped one evicts. Offers of
     # the first half of the steps before the checkpoint run with no undo log,
     # the rest each open one; replay draws after the checkpoint move the
-    # replay generator, which restore must reset too.
+    # replay generator, which restore leaves alone. Offering the undone steps
+    # again reuses their reservoir draws: the pool matches the reference,
+    # which offered them once.
     @settings(max_examples=150, deadline=None)
     @given(capacity=st.none() | st.integers(1, 50), seed=st.integers(0, 2**16),
            sizes=st.lists(st.integers(0, 40), max_size=20),
@@ -421,6 +431,10 @@ class TestCheckpoint:
         np.testing.assert_equal(self.state(pool), before)
         pool.restore(ckpt)
         np.testing.assert_equal(self.state(pool), before)
+        for t, n in enumerate(sizes[split:], start=split + 1):
+            xs, ys = make_items(t, n=n)
+            pool.offer(xs, ys, t, pool.seen_count + np.arange(n, dtype=np.int64))
+        self.assert_matches_reference(pool, ref)
 
     @pytest.mark.parametrize("capacity", [1, 2])
     def test_repeated_slot_keeps_the_later_item(self, capacity):
@@ -450,25 +464,26 @@ class TestCheckpoint:
         self.assert_matches_reference(pool, ref)
         pool.restore(ckpt)
         np.testing.assert_equal(self.state(pool), before)
+        xs, ys = make_items(2, n=8)
+        pool.offer(xs, ys, 2, pool.seen_count + np.arange(8, dtype=np.int64))
+        self.assert_matches_reference(pool, ref)
 
-    def test_restore_drops_generators_built_after_the_checkpoint(self):
-        # the checkpoint precedes every draw, so neither generator exists
-        # yet; a replay draw and an eviction build both, restore drops them
+    def test_restore_then_retry_reuses_the_draws(self):
+        # the checkpoint precedes every draw; a replay draw and an eviction
+        # build both generators, restore leaves them and the drawn slots
         pool, fresh = DataPool(capacity=5, seed=4), DataPool(capacity=5, seed=4)
         offer_items(pool, 5)
         offer_items(fresh, 5)
         ckpt = pool.checkpoint()
         sample_pure_replay(pool, 3)
         offer_items(pool, 4, t=2, start_rid=5)
+        drawn = pool._reservoir_rng.bit_generator.state
         pool.restore(ckpt)
-        for name in ("_reservoir_rng", "_replay_rng"):
-            np.testing.assert_equal(getattr(pool, name).bit_generator.state,
-                                    getattr(fresh, name).bit_generator.state)
-        assert sample_pure_replay(pool, 3).inputs.tobytes() == \
-            sample_pure_replay(fresh, 3).inputs.tobytes()
+        np.testing.assert_equal(self.state(pool), self.state(fresh))
         offer_items(pool, 4, t=2, start_rid=5)
         offer_items(fresh, 4, t=2, start_rid=5)
         np.testing.assert_equal(self.state(pool), self.state(fresh))
+        np.testing.assert_equal(pool._reservoir_rng.bit_generator.state, drawn)
 
     def test_only_latest_checkpoint_restores(self):
         pool = DataPool(seed=0)
@@ -478,3 +493,82 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="latest checkpoint"):
             pool.restore(older)
 
+
+def generator_states(pool):
+    """The states of the generators a pool has built."""
+    return {name: repr(g.bit_generator.state) for name, g in vars(pool).items()
+            if isinstance(g, np.random.Generator)}
+
+
+class TestPlannedSteps:
+    # Protocol steps take their pool draws from plans made once per block of
+    # steps. At every step both pools must equal per-item references fed the
+    # same routed items, and the replay rows must equal per-call draws from a
+    # twin pool fed one offer at a time. One step at a block start and one
+    # mid-block fail once after their draws; the retry reuses the plans.
+    @settings(max_examples=25, deadline=None)
+    @given(capacity=st.none() | st.integers(1, 300),
+           holdout_fraction=st.sampled_from([0.0, 0.1, 0.5]),
+           mixed=st.booleans(), window=st.none() | st.integers(0, 40),
+           iters=st.integers(0, 5), n=st.integers(1, 6), seed=st.integers(0, 2**16),
+           horizon=st.sampled_from([257, 513, 600]) | st.integers(1, 600),
+           data=st.data())
+    def test_planned_steps_equal_per_call_draws(self, capacity, holdout_fraction, mixed,
+                                                window, iters, n, seed, horizon, data):
+        m = 4
+        cfg = apply_overrides(ExperimentConfig(), {
+            "stream.horizon": horizon, "stream.batch_size": n, "iters_per_step": iters,
+            "replay.mode": "mixed" if mixed else "pure", "replay.batch_size": m,
+            "replay.window": window, "replay.capacity": capacity,
+            "replay.holdout_fraction": holdout_fraction,
+            "schedule.kind": "constant", "optimizer.averaging": "none"})
+        run, rows = Run(cfg, seed), []
+        run.predict, run.iterate = (lambda inputs: None), rows.append
+        fail = {data.draw(st.sampled_from([t for t in (1, BLOCK + 1, 2 * BLOCK + 1)
+                                           if t <= horizon]), label="block start")}
+        mid = data.draw(st.integers(1, horizon), label="mid-block")
+        fail |= {mid} if (mid - 1) % BLOCK else set()
+        learner_update = run.update
+
+        def update(t, batch):
+            learner_update(t, batch)
+            if t in fail:
+                fail.discard(t)
+                raise RuntimeError("boom")
+
+        run.update = update
+        ref, ref_hold = (ReferencePool(cap, seed, room=horizon * n) for cap in (capacity, None))
+        twin = DataPool(capacity=capacity, seed=seed)
+        for t in range(1, horizon + 1):
+            if t in fail:
+                with pytest.raises(RuntimeError, match="boom"):
+                    run_protocol_step(run, t)
+                same_items(run.pool, ref)
+                same_items(run.holdout, ref_hold)
+                plans = (run.pool._offers, run.holdout._offers, run.pool._replay)
+                drawn = [generator_states(pool) for pool in (run.pool, run.holdout)]
+                rows.clear()
+                run_protocol_step(run, t)
+                assert plans == (run.pool._offers, run.holdout._offers, run.pool._replay)
+                assert drawn == [generator_states(pool) for pool in (run.pool, run.holdout)]
+            else:
+                run_protocol_step(run, t)
+            batch = next_batch(run.stream_spec, t)
+            hold = step_coins(seed, t, n) < holdout_fraction
+            rids = ref.seen_count + ref_hold.seen_count + np.arange(n, dtype=np.int64)
+            for pool, keep in ((ref, ~hold), (ref_hold, hold), (twin, ~hold)):
+                pool.offer(batch.inputs[keep], batch.labels[keep], t, rids[keep])
+            same_items(run.pool, ref)
+            same_items(run.holdout, ref_hold)
+            same_items(twin, ref)
+            if iters == 0 or not (mixed or twin.size):
+                assert rows == []
+                continue
+            if mixed:
+                xs, ys = consecutive_draws(sample_mixed_replay, iters, twin, batch, m,
+                                           window=window)
+            else:
+                xs, ys = consecutive_draws(sample_pure_replay, iters, twin, m)
+            assert np.concatenate([mb.inputs for mb in rows]).tobytes() == xs.tobytes()
+            assert np.concatenate([mb.labels for mb in rows]).tobytes() == ys.tobytes()
+            rows.clear()

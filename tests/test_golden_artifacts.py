@@ -6,11 +6,13 @@ sha256 of ``metrics.csv``, ``schedule.csv``, ``config.yaml`` and
 preset variant, including the ``ema-replay`` companion, plus configurations
 no preset runs (``EXTRA``): MALR driven by an EMA signal, AMA with weight
 adaptation off, the MLP model, zero iterations per step, windowed and capped
-mixed replay, a run that diverges mid-step, Adam with EMA at a constant
-rate, and ``theory-verify`` run as an experiment.
+mixed replay (also across three 256-step blocks), a run that diverges
+mid-step, Adam with EMA at a constant rate, ``theory-verify`` run as an
+experiment, and a MALR run whose rate is cut with all three conditions on.
 
-The preset digests were recorded before the averaging refactor and the
-other ``EXTRA`` digests before replay draws were joined per step; none is
+The preset digests were recorded before the averaging refactor, the other
+``EXTRA`` digests before replay draws were joined per step, and the last two
+before pool draws were planned per block of steps; none is
 ever re-recorded: a change that alters any byte of these artifacts fails
 here. ``python tests/test_golden_artifacts.py`` prints the digests the
 current code produces, for comparison by hand.
@@ -55,6 +57,12 @@ EXTRA = (
      {"optimizer.base": "adam", "optimizer.averaging": "ema", "schedule.kind": "constant",
       "schedule.alpha0": 0.002, "companion": None}),
     ("theory-verify/run", "theory-verify", "base", {}),
+    # capped mixed replay across three 256-step block boundaries
+    ("objective-comparison/mixed-p5-window-capped-long", "objective-comparison", "mixed-p5",
+     {"replay.window": 20, "replay.capacity": 200, "stream.horizon": 900}),
+    # MALR cuts with C1, C2 and C3 all holding: twice on seed 0, once on seed 1
+    ("malr-ablation/malr-cutting", "malr-ablation", "malr",
+     {"schedule.alpha0": 3.0, "schedule.epsilon": 0.01}),
 )
 
 
@@ -100,7 +108,7 @@ def test_artifacts_match_golden_digests(case_id, tmp_path):
 
 def test_golden_file_covers_every_case():
     golden = json.loads(GOLDEN.read_text())
-    assert len(golden) == 72
+    assert len(golden) == 76
     assert {k.rsplit("/", 2)[0] for k in golden} == set(cases())
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import sys
 import warnings
 
 import numpy as np
@@ -15,8 +16,9 @@ from oclopt import rng as rngmod
 from oclopt.cli import main as cli_main
 from oclopt.harness import (AVERAGING, ConfigError, ExperimentConfig, PRESET_NAMES,
                             apply_overrides, config_from_dict, config_to_dict,
-                            expand_variants, load_config, preset, run_experiment,
-                            run_with_companions, save_config, verify_bounds_from_config)
+                            expand_variants, identical_bound_configs, load_config, preset,
+                            run_experiment, run_with_companions, save_config,
+                            verify_bounds_from_config)
 from oclopt.model import DivergenceError
 from tests.oracles import record_ids, run_from_manifest, stored_items
 
@@ -295,8 +297,9 @@ class TestRunExperiment:
 
     def test_divergence_mid_step_keeps_completed_iterations(self):
         # alpha0=1e6 diverges at iteration 77, the second of step 16's five:
-        # iteration 76 stays applied, while both pools and the replay
-        # generator roll back to their state after step 15
+        # iteration 76 stays applied, while both pools roll back to their
+        # state after step 15 and the replay generator, drawn only at block
+        # starts, stays where it was
         cfg = apply_overrides(dict(expand_variants(preset("objective-comparison")))["mixed-p5"],
                               {"stream.horizon": 300, "schedule.alpha0": 1e6})
         run = harness.Run(cfg, 0)
@@ -333,6 +336,44 @@ class TestRunExperiment:
                 assert run.k == k + (cfg.iters_per_step if run.pool.size else 0)
                 assert t > 1 or run.pool.size == 0
         assert 0 < run.k < 30 * cfg.iters_per_step
+
+    def test_pool_draws_come_only_at_block_starts(self):
+        # a noise-free work count: inside run_protocol_step, count the calls on
+        # the pools' generators (swapped for a subclass whose draw methods are
+        # Python frames, which a profile hook sees) and the np.unique calls
+        class Counted(np.random.Generator):
+            def integers(self, *args, **kwargs):
+                return super().integers(*args, **kwargs)
+
+            def random(self, *args, **kwargs):
+                return super().random(*args, **kwargs)
+
+        cfg = dict(expand_variants(apply_overrides(preset("buffer-size"),
+                                                   {"stream.horizon": 600})))["cap-100"]
+        run = harness.Run(cfg, 0)
+        for pool in (run.pool, run.holdout):
+            for name in ("_reservoir_rng", "_replay_rng"):
+                setattr(pool, name, Counted(getattr(pool, name).bit_generator))
+        step = harness.run_protocol_step.__code__
+        counted = {Counted.integers.__code__, Counted.random.__code__,
+                   np.unique.__wrapped__.__code__}
+        calls, steps = {}, []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is step:
+                steps.append(frame.f_locals["t"])
+            elif event == "call" and steps and frame.f_code in counted:
+                calls[steps[-1]] = calls.get(steps[-1], 0) + 1
+            elif event == "return" and frame.f_code is step:
+                steps.pop()
+
+        sys.setprofile(profile)
+        try:
+            for t in range(1, 601):
+                assert run.step(t)
+        finally:
+            sys.setprofile(None)
+        assert sorted(calls) == [1, rngmod.BLOCK + 1, 2 * rngmod.BLOCK + 1]
 
     def test_generators_are_built_per_block_not_per_step(self, monkeypatch):
         # a count, unlike a timing, does not move with host noise: per-step
@@ -411,6 +452,23 @@ class TestCli:
         bad = tmp_path / "bad.yaml"
         bad.write_text("stream: {kind: nope}\n")
         assert cli_main(["run", str(bad)]) == 2
+
+    # a file that holds no mapping, and variants that are not [label, {table}]
+    @pytest.mark.parametrize("text,message", [
+        ("", "a config is a mapping of keys to values, got nothing"),
+        ("- 1\n", "a config is a mapping of keys to values, got list"),
+        ("variants: [[a]]\n", "a variant is [label, {key: value}], got ['a']"),
+        ("variants: [[a, {iters_per_step: 2}], b]\n", "a variant is [label, {key: value}], got 'b'"),
+        ("variants: 5\n", "a variant is [label, {key: value}], got 5"),
+        ("variants: [[a, {1: 2}]]\n", "unknown override key 1")],
+        ids=["empty", "list", "variant-without-table", "variant-not-a-pair",
+             "variants-not-a-list", "key-not-a-string"])
+    def test_malformed_file_is_a_config_error(self, text, message, tmp_path, capsys):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(text)
+        assert cli_main(["run", str(path), "--out", str(tmp_path / "runs")]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "runs").exists()
 
     # main-comparison streams rotating Gaussians under malr; the piecewise
     # keys need a piecewise-task preset. Space separates several overrides.
@@ -492,6 +550,18 @@ class TestCli:
                          "--out", str(out)]) == 0
         assert {p.stem: hashlib.sha256(p.read_bytes()).hexdigest()
                 for p in out.glob("*.csv")} == BOUNDS_CSV_SHA256
+
+    def test_verify_bounds_names_identical_configurations(self, capsys):
+        # halve_every is 250, so below k_max=250 a halving schedule never
+        # halves and repeats the constant one at the same drift
+        assert identical_bound_configs(preset("theory-verify")) == []
+        assert cli_main(["verify-bounds", "--override", "theory.k_max=150",
+                         "--override", "theory.n_seeds=2"]) == 0
+        assert capsys.readouterr().err == (
+            "note: drift-halving has the drift and rates of drift-constant, so its "
+            "results are identical\n"
+            "note: fast-drift-halving has the drift and rates of fast-drift-constant, so "
+            "its results are identical\n")
 
 
 class TestBatchSizeAblation:

@@ -230,9 +230,15 @@ class _FakeRun:
 
 
 def pool_state(pool):
+    """Items, counters, and the offer plan's entries for the steps taken:
+    restore rolls back the first two and leaves draws and plans alone."""
     stored = stored_items(pool) + (record_ids(pool),) if pool.size else ()
-    return (pool.size, pool.seen_count, pool.last_step, [a.tobytes() for a in stored],
-            pool._reservoir_rng.bit_generator.state, pool._replay_rng.bit_generator.state)
+    plan, taken = pool._offers, ()
+    if plan is not None and pool.last_step >= plan.first:
+        k = pool.last_step - plan.first + 1
+        taken = (plan.counts[:k], plan.seen[:k + 1], plan.fill[:k],
+                 plan.slots[:plan.at[k]], plan.src[:plan.at[k]])
+    return (pool.size, pool.seen_count, pool.last_step, [a.tobytes() for a in stored], taken)
 
 
 class TestProtocol:
