@@ -3,6 +3,9 @@
 The training pool stores every offered item up to ``capacity``; beyond that it
 runs reservoir sampling (algorithm R), so after any prefix of insertions each
 offered item is present with probability min(1, capacity / seen_count).
+Every capacity is finite: an unlimited pool is offered no more items than its
+capacity (a run gives its pools the stream's ``horizon * batch_size``). Storage
+is reserved once, and the OS commits it as rows are written (see ``DataPool``).
 
 New data is routed per datum: with probability ``holdout_fraction`` an item
 goes to the holdout pool (online information-retention validation set), else
@@ -27,6 +30,8 @@ drew with.
 
 from __future__ import annotations
 
+import math
+import mmap
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional
@@ -48,6 +53,14 @@ class Minibatch:
 
     inputs: np.ndarray
     labels: np.ndarray
+
+
+def _reserve(shape: tuple, dtype) -> np.ndarray:
+    """An array on its own private anonymous mapping, bypassing numpy's
+    allocator: the OS commits each page when it is first written."""
+    count = math.prod(shape)
+    buf = mmap.mmap(-1, max(count * np.dtype(dtype).itemsize, 1), flags=mmap.MAP_PRIVATE)
+    return np.frombuffer(buf, dtype, count).reshape(shape)
 
 
 class _Offers(NamedTuple):
@@ -81,26 +94,21 @@ class DataPool:
     """Capacity-limited item store with reservoir eviction.
 
     Items are kept in parallel arrays (features, labels, arrival step, record
-    id). ``capacity=None`` means unlimited. ``seed`` pins the reservoir and
-    replay randomness; holdout routing is keyed off the same seed.
+    id) of ``capacity`` rows, an integer >= 1 (unlimited: more rows than will
+    be offered), reserved once and committed by the OS as rows are written.
+    ``seed`` pins the reservoir and replay randomness; holdout routing is
+    keyed off the same seed.
     """
 
-    def __init__(self, capacity: Optional[int] = None, seed: int = 0,
-                 holdout_fraction: float = 0.0):
-        if capacity is not None and capacity < 1:
-            raise ValueError("capacity must be >= 1 or None")
+    def __init__(self, capacity: int, seed: int = 0, holdout_fraction: float = 0.0):
+        # type() rather than isinstance(): a bool is not a capacity
+        if type(capacity) is not int or capacity < 1:
+            raise ValueError(f"capacity must be an integer >= 1, got {capacity!r}")
         if not (0.0 <= holdout_fraction < 1.0):
             raise ValueError("holdout_fraction must be in [0, 1)")
-        self.capacity = capacity
-        self.seed = seed
-        self.holdout_fraction = holdout_fraction
-        self.size = 0
-        self.seen_count = 0
-        self.last_step = 0
-        self._xs: Optional[np.ndarray] = None
-        self._ys: Optional[np.ndarray] = None
-        self._arrival: Optional[np.ndarray] = None
-        self._rid: Optional[np.ndarray] = None
+        self.capacity, self.seed, self.holdout_fraction = capacity, seed, holdout_fraction
+        self.size = self.seen_count = self.last_step = 0
+        self._xs = self._ys = self._arrival = self._rid = None   # reserved at the first item
         self._undo: Optional[list] = None   # rows overwritten since checkpoint()
         self._ckpt_id = 0
         self._rewind: Optional[int] = None  # seen_count of the latest checkpoint
@@ -147,21 +155,6 @@ class DataPool:
 
     # -- storage ------------------------------------------------------------
 
-    def _ensure_storage(self, xs: np.ndarray, ys: np.ndarray, extra: int):
-        if self._xs is None:
-            alloc = self.capacity if self.capacity is not None else max(64, extra)
-            self._xs = np.empty((alloc,) + xs.shape[1:], dtype=np.float64)
-            self._ys = np.empty((alloc,) + ys.shape[1:], dtype=ys.dtype)
-            self._arrival = np.empty(alloc, dtype=np.int64)
-            self._rid = np.empty(alloc, dtype=np.int64)
-        elif self.capacity is None and self.size + extra > len(self._xs):
-            alloc = max(2 * len(self._xs), self.size + extra)
-            for name in ("_xs", "_ys", "_arrival", "_rid"):
-                old = getattr(self, name)
-                new = np.empty((alloc,) + old.shape[1:], dtype=old.dtype)
-                new[: self.size] = old[: self.size]
-                setattr(self, name, new)
-
     def _slot_draws(self, lo: int, hi: int) -> np.ndarray:
         """Reservoir slots of the items with global index lo .. hi - 1 (all at
         or past capacity): item i draws j ~ Uniform{0..i}. Each index is drawn
@@ -183,20 +176,16 @@ class DataPool:
         self._offers = None   # free the old plan first
         seen = self.seen_count + np.concatenate(([0], np.cumsum(counts)))
         cap = self.capacity
-        if cap is None:
-            fill, step = counts, np.empty(0, dtype=np.int64)
-            slots = src = step
-        else:
-            fill = np.clip(cap - seen[:-1], 0, counts)
-            items = np.arange(max(seen[0], cap), seen[-1])
-            drawn = self._slot_draws(items[0], seen[-1]) if len(items) else items
-            hit = (drawn < cap).nonzero()[0]
-            step = seen.searchsorted(items.take(hit), "right") - 1
-            # unique over the reversed (step, slot) keys finds each key's last draw
-            key, last = np.unique((step * cap + drawn.take(hit))[::-1], return_index=True)
-            hit = hit[::-1].take(last)
-            step, slots = np.divmod(key, cap)
-            src = items.take(hit) - seen.take(step)
+        fill = np.clip(cap - seen[:-1], 0, counts)
+        items = np.arange(max(seen[0], cap), seen[-1])
+        drawn = self._slot_draws(items[0], seen[-1]) if len(items) else items
+        hit = (drawn < cap).nonzero()[0]
+        step = seen.searchsorted(items.take(hit), "right") - 1
+        # unique over the reversed (step, slot) keys finds each key's last draw
+        key, last = np.unique((step * cap + drawn.take(hit))[::-1], return_index=True)
+        hit = hit[::-1].take(last)
+        step, slots = np.divmod(key, cap)
+        src = items.take(hit) - seen.take(step)
         at = step.searchsorted(np.arange(len(counts) + 1))
         # per-step scalars as lists: a step reads them as Python ints
         self._offers = _Offers(first, counts.tolist(), seen.tolist(), fill.tolist(),
@@ -240,7 +229,11 @@ class DataPool:
         plan = self._offers
         fill = plan.fill[k]
         if fill:
-            self._ensure_storage(xs, ys, fill)
+            if self._xs is None:   # the first stored items fix the row shapes
+                cap = (self.capacity,)
+                self._xs = _reserve(cap + xs.shape[1:], np.float64)
+                self._ys = _reserve(cap + ys.shape[1:], ys.dtype)
+                self._arrival, self._rid = _reserve(cap, np.int64), _reserve(cap, np.int64)
             new = slice(self.size, self.size + fill)
             self._xs[new], self._ys[new] = xs[:fill], ys[:fill]
             self._arrival[new], self._rid[new] = t, rids[:fill]
@@ -360,8 +353,7 @@ def sample_pure_replay(pool: DataPool, m: int,
         if found is None:
             return np.array([pool.size])
         plan, k = found
-        seen = plan.seen[k + 1:]
-        return seen if pool.capacity is None else np.minimum(seen, pool.capacity)
+        return np.minimum(plan.seen[k + 1:], pool.capacity)
 
     def draw(bounds):
         # a bound of 1 draws without consuming the generator

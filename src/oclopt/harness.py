@@ -107,7 +107,7 @@ class ReplayConfig:
     mode: str = "pure"         # pure | mixed
     batch_size: int = 32
     window: Optional[int] = None   # mixed-replay history window; None = full
-    capacity: Optional[int] = None # None = unlimited pool
+    capacity: Optional[int] = None # None = unlimited: the stream's horizon * batch_size
     holdout_fraction: float = 0.05
 
 
@@ -191,7 +191,7 @@ def save_config(config: ExperimentConfig, path):
 def load_config(path) -> ExperimentConfig:
     try:
         return config_from_dict(yaml.safe_load(Path(path).read_text()))
-    except (TypeError, yaml.YAMLError) as e:
+    except (OSError, TypeError, yaml.YAMLError) as e:   # OSError: a file it cannot read
         raise ConfigError(str(e)) from e
 
 
@@ -376,9 +376,9 @@ class Run:
             self.seed = seed
             self.stream_spec = build_stream_spec(config, seed)
             self.model_spec = build_model_spec(config, self.stream_spec)
-            self.pool = DataPool(capacity=r.capacity, seed=seed)
-            self.holdout = DataPool(capacity=None, seed=seed,
-                                    holdout_fraction=r.holdout_fraction)
+            items = horizon * config.stream.batch_size   # no pool is offered more
+            self.pool = DataPool(items if r.capacity is None else r.capacity, seed=seed)
+            self.holdout = DataPool(items, seed=seed, holdout_fraction=r.holdout_fraction)
             theta = init_params(self.model_spec, substream(seed, rngmod.INIT))
             self.work = Workspace(self.model_spec, theta)   # the base optimizer's theta
             if o.base == "sgd":
@@ -685,15 +685,23 @@ def preset(name: str) -> ExperimentConfig:
 
 
 def expand_variants(config: ExperimentConfig):
-    """Yield (label, concrete config) pairs for a config and its variants."""
+    """Yield (label, concrete config) pairs for a config and its variants. A
+    label names the variant's output directory, so labels are unique names."""
     if not config.variants:
         yield "base", config
         return
+    labels = set()
     for entry in config.variants if isinstance(config.variants, list) else [config.variants]:
         if not (isinstance(entry, (list, tuple)) and len(entry) == 2
                 and isinstance(entry[1], dict)):
             raise ConfigError(f"a variant is [label, {{key: value}}], got {entry!r}")
         label, overrides = entry
+        if not isinstance(label, str) or label in ("", ".", "..") or {"/", "\\"} & set(label):
+            raise ConfigError(f"a variant label is a non-empty name with no path separator, "
+                              f"got {label!r}")
+        if label in labels:
+            raise ConfigError(f"variant label {label!r} is used twice")
+        labels.add(label)
         out = apply_overrides(config, overrides)
         out.variants = None
         out.name = f"{config.name}/{label}"
@@ -707,31 +715,31 @@ def _bound_setups(config: ExperimentConfig) -> list:
     (schedule, drift) combination of a theory-verify config."""
     if not config.theory:
         raise ConfigError("config has no theory block; use the theory-verify preset")
-    th = config.theory
-    s = config.stream
-    setups = []
-    for label, params in th["configs"]:
-        v = float(params["velocity"])
-        quad = DriftingQuadraticSpec(
-            dim=s.d_in, mu=s.mu, l_smooth=s.l_smooth, center0=tuple(s.center0),
-            velocity=tuple(v * np.ones(s.d_in) / np.sqrt(s.d_in)),
-            noise_radius=s.noise_radius)
-        alphas = make_rate_schedule(params["schedule"], float(th["alpha0"]),
-                                    int(th["k_max"]) + 2,
-                                    halve_every=int(th.get("halve_every", 250)))
-        setups.append((label, quad, alphas))
-    return setups
+    th, s = config.theory, config.stream
+    try:
+        if int(th["k_max"]) < 1:
+            raise ValueError(f"k_max must be >= 1, got {th['k_max']!r}")
+        return [(label, DriftingQuadraticSpec(
+                    dim=s.d_in, mu=s.mu, l_smooth=s.l_smooth, center0=tuple(s.center0),
+                    velocity=tuple(float(p["velocity"]) * np.ones(s.d_in) / np.sqrt(s.d_in)),
+                    noise_radius=s.noise_radius),
+                 make_rate_schedule(p["schedule"], float(th["alpha0"]), int(th["k_max"]) + 2,
+                                    halve_every=int(th.get("halve_every", 250))))
+                for label, p in th["configs"]]
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"theory: {e}") from e
 
 
 def verify_bounds_from_config(config: ExperimentConfig) -> list:
-    """Run every (schedule, drift) combination of a theory-verify config.
-
-    Returns [(label, BoundReport), ...].
-    """
+    """[(label, BoundReport)] of every (schedule, drift) combination of a
+    theory-verify config."""
     setups, th = _bound_setups(config), config.theory
-    return [(label, verify_bound(quad, alphas, int(th["k_max"]), n_seeds=int(th["n_seeds"]),
-                                 base_seed=config.seeds[0]))
-            for label, quad, alphas in setups]
+    try:   # verify_bound checks n_seeds and the rates before it simulates
+        return [(label, verify_bound(quad, alphas, int(th["k_max"]), n_seeds=int(th["n_seeds"]),
+                                     base_seed=config.seeds[0]))
+                for label, quad, alphas in setups]
+    except (TypeError, ValueError) as e:   # AssumptionError is a ValueError
+        raise ConfigError(f"theory: {e}") from e
 
 
 def identical_bound_configs(config: ExperimentConfig) -> list:

@@ -33,6 +33,10 @@ def grad_at(quad, theta: np.ndarray, t) -> np.ndarray:
     return quad.eigenvalues() * (theta - quad.center(t))
 
 
+# a pool capacity larger than any test offers: a pool with it never evicts
+ROOM = 10_000
+
+
 def record_ids(pool) -> np.ndarray:
     """Record ids of the items a ``DataPool`` stores, in slot order."""
     return np.array([], dtype=np.int64) if pool._rid is None else pool._rid[: pool.size].copy()

@@ -9,13 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from oclopt import datapool
 from oclopt import rng as rngmod
 from oclopt.datapool import (DataPool, EmptyPoolError, sample_mixed_replay,
                              sample_pure_replay, update)
-from oclopt.harness import ExperimentConfig, Run, apply_overrides, run_protocol_step
+from oclopt.harness import (ExperimentConfig, Run, apply_overrides, expand_variants, preset,
+                            run_protocol_step)
 from oclopt.rng import BLOCK, substream
 from oclopt.stream import StreamBatch, next_batch
-from tests.oracles import consecutive_draws, record_ids, step_coins, stored_items
+from tests.oracles import ROOM, consecutive_draws, record_ids, step_coins, stored_items
 
 
 def offer_items(pool, n, t=1, d=2, start_rid=0):
@@ -34,11 +36,43 @@ def make_batch(t, n=10, d=2, seed=0):
     return StreamBatch(t=t, inputs=inputs, labels=labels)
 
 
+class TestStorage:
+    @pytest.mark.parametrize("capacity", [None, True, 1.0, 2.5, 0, -1])
+    def test_capacity_is_an_integer_of_at_least_one(self, capacity):
+        with pytest.raises(ValueError, match="capacity must be an integer >= 1"):
+            DataPool(capacity)
+
+    def test_each_pool_reserves_its_arrays_once(self, monkeypatch):
+        # the unlimited training pool and the holdout each reserve their four
+        # arrays for the stream's item bound at their first item; no array is
+        # replaced as the pools grow
+        reserve, reserved = datapool._reserve, []
+
+        def counted(shape, dtype):
+            reserved.append(reserve(shape, dtype))
+            return reserved[-1]
+
+        monkeypatch.setattr(datapool, "_reserve", counted)
+        cfg = dict(expand_variants(preset("main-comparison")))["ama-malr"]
+        cfg = apply_overrides(cfg, {"stream.horizon": 600})
+        assert cfg.replay.capacity is None
+        run = Run(cfg, 0)
+        for t in range(1, 601):
+            assert run.step(t)
+        arrays = [getattr(pool, name) for pool in (run.pool, run.holdout)
+                  for name in ("_xs", "_ys", "_arrival", "_rid")]
+        assert len(reserved) == 8
+        assert all(any(a is r for r in reserved) for a in arrays)
+        assert {len(a) for a in reserved} == {600 * cfg.stream.batch_size}
+        assert run.pool.size + run.holdout.size == 600 * cfg.stream.batch_size
+
+
 class TestReservoir:
     def test_unlimited_pool_keeps_everything(self):
-        pool = DataPool(capacity=None, seed=0)
+        # a capacity of exactly the items offered is never exceeded
+        pool = DataPool(capacity=100, seed=0)
         for t in range(1, 11):
-            update(pool, DataPool(), make_batch(t))
+            update(pool, DataPool(ROOM), make_batch(t))
         assert pool.size == pool.seen_count == 100
 
     def test_capacity_clamp(self):
@@ -88,8 +122,8 @@ class TestReservoir:
 
 class TestHoldoutRouting:
     def test_disjoint_record_ids(self):
-        pool = DataPool(seed=3)
-        holdout = DataPool(seed=3, holdout_fraction=0.2)
+        pool = DataPool(ROOM, seed=3)
+        holdout = DataPool(ROOM, seed=3, holdout_fraction=0.2)
         for t in range(1, 30):
             update(pool, holdout, make_batch(t, n=20))
         train_ids = set(record_ids(pool))
@@ -98,19 +132,19 @@ class TestHoldoutRouting:
         assert len(train_ids) + len(hold_ids) == 29 * 20
 
     def test_zero_fraction_routes_everything_to_training(self):
-        pool = DataPool(seed=3)
-        holdout = DataPool(seed=3, holdout_fraction=0.0)
+        pool = DataPool(ROOM, seed=3)
+        holdout = DataPool(ROOM, seed=3, holdout_fraction=0.0)
         update(pool, holdout, make_batch(1))
         assert holdout.size == 0 and pool.size == 10
 
     def test_out_of_order_step_rejected(self):
-        pool = DataPool(seed=0)
-        update(pool, DataPool(), make_batch(5))
+        pool = DataPool(ROOM, seed=0)
+        update(pool, DataPool(ROOM), make_batch(5))
         with pytest.raises(ValueError):
-            update(pool, DataPool(), make_batch(5))
+            update(pool, DataPool(ROOM), make_batch(5))
 
     def test_offer_rejects_a_step_below_the_last(self):
-        pool = DataPool(seed=0)
+        pool = DataPool(ROOM, seed=0)
         offer_items(pool, 3, t=4)
         offer_items(pool, 2, t=4, start_rid=3)   # equal steps are allowed
         with pytest.raises(ValueError, match="below last offered step"):
@@ -120,7 +154,7 @@ class TestHoldoutRouting:
 
 class TestPureReplay:
     def test_singleton_pool_repeats(self):
-        pool = DataPool(seed=0)
+        pool = DataPool(ROOM, seed=0)
         offer_items(pool, 1)
         mb = sample_pure_replay(pool, 6)
         assert np.all(mb.labels == mb.labels[0])
@@ -128,11 +162,11 @@ class TestPureReplay:
 
     def test_empty_pool_raises(self):
         with pytest.raises(EmptyPoolError):
-            sample_pure_replay(DataPool(seed=0), 4)
+            sample_pure_replay(DataPool(ROOM, seed=0), 4)
 
     def test_uniform_over_items_chi_square(self):
         # frequency per originating step converges to n_t / sum(n_t)
-        pool = DataPool(seed=5)
+        pool = DataPool(ROOM, seed=5)
         sizes = {1: 10, 2: 30, 3: 60}
         rid = 0
         for t, n in sizes.items():
@@ -149,7 +183,7 @@ class TestPureReplay:
 
     def test_marginal_total_variation(self):
         # empirical item distribution within 0.02 TV of uniform at 1e5 draws
-        pool = DataPool(seed=9)
+        pool = DataPool(ROOM, seed=9)
         offer_items(pool, 100)
         draws = 100_000
         mb = sample_pure_replay(pool, draws)
@@ -159,7 +193,7 @@ class TestPureReplay:
 
     def test_full_capacity_equals_unlimited(self):
         limited = DataPool(capacity=100, seed=4)
-        unlimited = DataPool(capacity=None, seed=4)
+        unlimited = DataPool(capacity=ROOM, seed=4)
         offer_items(limited, 100)
         offer_items(unlimited, 100)
         a = sample_pure_replay(limited, 50)
@@ -169,7 +203,7 @@ class TestPureReplay:
 
 class TestMixedReplay:
     def test_no_history_falls_back_to_current(self):
-        pool = DataPool(seed=0)
+        pool = DataPool(ROOM, seed=0)
         current = make_batch(1)
         mb = sample_mixed_replay(pool, current, 8)
         assert len(mb.inputs) == 8
@@ -177,12 +211,12 @@ class TestMixedReplay:
         assert all(any(np.array_equal(x, c) for c in current.inputs) for x in mb.inputs)
 
     def test_odd_batch_size_rejected(self):
-        pool = DataPool(seed=0)
+        pool = DataPool(ROOM, seed=0)
         with pytest.raises(ValueError):
             sample_mixed_replay(pool, make_batch(1), 7)
 
     def test_half_and_half_counts_exact(self):
-        pool = DataPool(seed=1)
+        pool = DataPool(ROOM, seed=1)
         for t in range(1, 5):
             xs = np.full((10, 1), float(t))
             pool.offer(xs, np.full(10, t, dtype=np.int64), t,
@@ -195,7 +229,7 @@ class TestMixedReplay:
             assert (mb.labels < 5).sum() == 5
 
     def test_window_restricts_history(self):
-        pool = DataPool(seed=1)
+        pool = DataPool(ROOM, seed=1)
         for t in range(1, 5):
             xs = np.full((10, 1), float(t))
             pool.offer(xs, np.full(10, t, dtype=np.int64), t,
@@ -207,7 +241,7 @@ class TestMixedReplay:
         assert set(np.unique(hist)) <= {3, 4}
 
     def test_full_window_covers_all_past(self):
-        pool = DataPool(seed=2)
+        pool = DataPool(ROOM, seed=2)
         for t in range(1, 4):
             xs = np.full((5, 1), float(t))
             pool.offer(xs, np.full(5, t, dtype=np.int64), t,
@@ -243,10 +277,11 @@ def scan_mixed_replay(pool, current, m, window, g):
 
 class TestMixedReplayMatchesScan:
     # Offers at non-decreasing steps (gap 0 repeats a step) into unlimited
-    # pools, whose arrivals stay sorted, and capped ones, which may evict; a
+    # pools (a capacity of the most items the offers hold), whose arrivals
+    # stay sorted, and capped ones, which may evict; a
     # draw after every offer, then a rollback of the last offers and a draw.
     @settings(max_examples=150, deadline=None)
-    @given(capacity=st.none() | st.integers(1, 50), seed=st.integers(0, 2**16),
+    @given(capacity=st.integers(1, 50) | st.just(15 * 20), seed=st.integers(0, 2**16),
            offers=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 20)), max_size=15),
            n_undone=st.integers(0, 15), data=st.data())
     def test_draws_equal_the_scan(self, capacity, seed, offers, n_undone, data):
@@ -282,11 +317,11 @@ class TestMixedReplayMatchesScan:
 
 class TestJoinedDraws:
     # One call with count=p must equal p consecutive count=1 calls on an
-    # identical pool: unlimited and capped pools (which evict past their
-    # capacity), windowed draws, and the fallback when the window holds
+    # identical pool: unlimited pools (a capacity no offers reach) and capped
+    # ones (which evict past their capacity), windowed draws, and the fallback when the window holds
     # nothing (an empty pool at t=1, or a window past every stored item).
     @settings(max_examples=150, deadline=None)
-    @given(capacity=st.none() | st.integers(1, 30), seed=st.integers(0, 2**16),
+    @given(capacity=st.integers(1, 30) | st.just(8 * 12), seed=st.integers(0, 2**16),
            sizes=st.lists(st.integers(0, 12), max_size=8), mixed=st.booleans(),
            half=st.integers(1, 6), count=st.integers(1, 6),
            window=st.none() | st.integers(0, 4), n_current=st.integers(1, 5))
@@ -378,30 +413,32 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("capacity", [None, 25])
     def test_restore_undoes_growth_and_eviction(self, capacity):
-        # an unlimited pool outgrows its storage, a capped one evicts; every
-        # step lies in the block planned at step 1, so the plan stays too
-        pool = DataPool(capacity=capacity, seed=3)
+        # an unlimited pool (None: a capacity no offer reaches) only appends,
+        # a capped one evicts; every step lies in the block planned at step 1,
+        # so the plan stays too
+        pool = DataPool(capacity=ROOM if capacity is None else capacity, seed=3)
         for t in range(1, 4):
-            update(pool, DataPool(), make_batch(t))
+            update(pool, DataPool(ROOM), make_batch(t))
         for t in range(4, 7):
             pool.checkpoint()
-            update(pool, DataPool(), make_batch(t))
+            update(pool, DataPool(ROOM), make_batch(t))
         before, plan = self.state(pool), pool._offers
         ckpt = pool.checkpoint()
         for t in range(7, 20):
-            update(pool, DataPool(), make_batch(t))
+            update(pool, DataPool(ROOM), make_batch(t))
         pool.restore(ckpt)
         np.testing.assert_equal(self.state(pool), before)
         assert pool._offers is plan
 
-    # An unlimited pool outgrows its storage, a capped one evicts. Offers of
+    # An unlimited pool (a capacity no offers reach) only appends, a capped
+    # one evicts. Offers of
     # the first half of the steps before the checkpoint run with no undo log,
     # the rest each open one; replay draws after the checkpoint move the
     # replay generator, which restore leaves alone. Offering the undone steps
     # again reuses their reservoir draws: the pool matches the reference,
     # which offered them once.
     @settings(max_examples=150, deadline=None)
-    @given(capacity=st.none() | st.integers(1, 50), seed=st.integers(0, 2**16),
+    @given(capacity=st.integers(1, 50) | st.just(20 * 40), seed=st.integers(0, 2**16),
            sizes=st.lists(st.integers(0, 40), max_size=20),
            n_undone=st.integers(0, 20))
     def test_offer_matches_reference_and_restore_undoes_it(self, capacity, seed, sizes,
@@ -486,8 +523,8 @@ class TestCheckpoint:
         np.testing.assert_equal(pool._reservoir_rng.bit_generator.state, drawn)
 
     def test_only_latest_checkpoint_restores(self):
-        pool = DataPool(seed=0)
-        update(pool, DataPool(), make_batch(1))
+        pool = DataPool(ROOM, seed=0)
+        update(pool, DataPool(ROOM), make_batch(1))
         older = pool.checkpoint()
         pool.checkpoint()
         with pytest.raises(ValueError, match="latest checkpoint"):
@@ -507,7 +544,7 @@ class TestPlannedSteps:
     # twin pool fed one offer at a time. One step at a block start and one
     # mid-block fail once after their draws; the retry reuses the plans.
     @settings(max_examples=25, deadline=None)
-    @given(capacity=st.none() | st.integers(1, 300),
+    @given(capacity=st.integers(1, 300) | st.just(600 * 6),
            holdout_fraction=st.sampled_from([0.0, 0.1, 0.5]),
            mixed=st.booleans(), window=st.none() | st.integers(0, 40),
            iters=st.integers(0, 5), n=st.integers(1, 6), seed=st.integers(0, 2**16),

@@ -2,8 +2,12 @@
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -453,16 +457,23 @@ class TestCli:
         bad.write_text("stream: {kind: nope}\n")
         assert cli_main(["run", str(bad)]) == 2
 
-    # a file that holds no mapping, and variants that are not [label, {table}]
+    # a file that holds no mapping, variants that are not [label, {table}], and
+    # labels that cannot name one output directory each
     @pytest.mark.parametrize("text,message", [
         ("", "a config is a mapping of keys to values, got nothing"),
         ("- 1\n", "a config is a mapping of keys to values, got list"),
         ("variants: [[a]]\n", "a variant is [label, {key: value}], got ['a']"),
         ("variants: [[a, {iters_per_step: 2}], b]\n", "a variant is [label, {key: value}], got 'b'"),
         ("variants: 5\n", "a variant is [label, {key: value}], got 5"),
-        ("variants: [[a, {1: 2}]]\n", "unknown override key 1")],
+        ("variants: [[a, {1: 2}]]\n", "unknown override key 1"),
+        ("variants: [[a, {schedule.alpha0: 0.01}], [a, {schedule.alpha0: 0.05}]]\n",
+         "variant label 'a' is used twice"),
+        *((f"variants: [[{label}, {{}}]]\n", "a variant label is a non-empty name with no "
+           f"path separator, got {shown}") for label, shown in (
+            ("''", "''"), ("a/b", "'a/b'"), ("'..'", "'..'"), ("1", "1")))],
         ids=["empty", "list", "variant-without-table", "variant-not-a-pair",
-             "variants-not-a-list", "key-not-a-string"])
+             "variants-not-a-list", "key-not-a-string", "duplicate-label", "empty-label",
+             "label-with-separator", "label-dot-dot", "label-not-a-string"])
     def test_malformed_file_is_a_config_error(self, text, message, tmp_path, capsys):
         path = tmp_path / "cfg.yaml"
         path.write_text(text)
@@ -498,6 +509,26 @@ class TestCli:
         code = cli_main(args + ["--run"])
         assert code == 2
         assert "config error: " in capsys.readouterr().err
+
+    # inputs that once ended in a traceback and exit 1, run in a fresh process
+    # so that stderr holds everything a user would see
+    @pytest.mark.parametrize("args", [
+        ["verify-bounds", "--override", "theory.k_max=x"],
+        ["verify-bounds", "--override", "theory.k_max=-5"],
+        ["verify-bounds", "--override", "theory.n_seeds=1"],
+        ["verify-bounds", "--override", "theory.alpha0=3"],
+        ["run", "missing.yaml"],
+        ["verify-bounds", "missing.yaml"]],
+        ids=["k_max=x", "k_max=-5", "n_seeds=1", "alpha0=3", "run-missing-file",
+             "verify-bounds-missing-file"])
+    def test_unusable_input_exits_2_without_a_traceback(self, args, tmp_path):
+        src = Path(harness.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-m", "oclopt.cli", *args], cwd=tmp_path,
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("config error: ")
+        assert "Traceback" not in proc.stderr
 
     def test_every_variant_is_validated_before_the_first_run(self, tmp_path, monkeypatch,
                                                              capsys):
@@ -697,17 +728,19 @@ def small_configs(draw):
     averaging = draw(st.sampled_from(AVERAGING))
     kinds = ["constant", "rwp", "trace"] + ["malr"] * (averaging != "none") + [
         "cyclic"] * (stream_kind == "piecewise-task")
+    horizon, batch_size = draw(st.integers(1, 40)), draw(st.integers(1, 6))
+    items = horizon * batch_size   # a capacity of at least this never evicts
     return apply_overrides(ExperimentConfig(), {
         "seeds": [draw(st.integers(0, 99))],
         "stream.kind": stream_kind, "model.kind": model_kind,
-        "stream.horizon": draw(st.integers(1, 40)),
-        "stream.batch_size": draw(st.integers(1, 6)),
+        "stream.horizon": horizon,
+        "stream.batch_size": batch_size,
         "stream.n_classes": draw(st.integers(2, 4)),
         "stream.task_length": draw(st.integers(1, 8)),
         "replay.mode": draw(st.sampled_from(["pure", "mixed"])),
         "replay.batch_size": 2 * draw(st.integers(1, 4)),
         "replay.window": draw(st.none() | st.integers(1, 8)),
-        "replay.capacity": draw(st.none() | st.integers(1, 30)),
+        "replay.capacity": draw(st.integers(1, 30) | st.integers(items, items + 30)),
         "replay.holdout_fraction": draw(st.sampled_from([0.05, 0.2, 0.5])),
         "optimizer.base": draw(st.sampled_from(["sgd", "adam"])),
         "optimizer.averaging": averaging,
@@ -744,5 +777,19 @@ class TestRunInvariants:
         assert (run.costs.forward, run.costs.grad, run.costs.update) == (
             k + (m + 1) * (k // o.k_v - avg.skipped_validations), k, k + m * (k // o.k_m))
         assert run.pool.seen_count + run.holdout.seen_count == revealed
-        if cfg.replay.capacity is None:
+        if cfg.replay.capacity >= horizon * cfg.stream.batch_size:
             assert run.pool.size + run.holdout.size == revealed
+
+    # an unlimited pool is a pool of the stream's item bound, which it never
+    # reaches, so algorithm R never draws and the artifacts are the same bytes
+    @settings(max_examples=20, deadline=None)
+    @given(cfg=small_configs())
+    def test_unlimited_writes_what_the_item_bound_writes(self, cfg):
+        written = []
+        with tempfile.TemporaryDirectory() as tmp:
+            for capacity in (None, cfg.stream.horizon * cfg.stream.batch_size):
+                out = Path(tmp) / str(capacity)
+                run_experiment(apply_overrides(cfg, {"replay.capacity": capacity}), out_dir=out)
+                written.append([(out / name).read_bytes()
+                                for name in ("metrics.csv", "schedule.csv")])
+        assert written[0] == written[1]

@@ -14,7 +14,7 @@ from oclopt.metrics import (MetricError, MetricLedger, RunningMean, forward_tran
 from oclopt.model import ModelSpec, init_params, predict
 from oclopt.rng import substream
 from oclopt.stream import RotatingGaussianSpec, StreamSpec, eval_window
-from tests.oracles import prefix_mean, retained_rows
+from tests.oracles import ROOM, prefix_mean, retained_rows
 
 
 def softmax_spec():
@@ -115,7 +115,7 @@ class TestInformationRetention:
         spec = softmax_spec()
         theta = np.zeros(spec.n_params)
         spec.block(theta, "b")[:] = np.array([10.0, 0.0])
-        holdout = DataPool(seed=0)
+        holdout = DataPool(ROOM, seed=0)
         xs = np.random.default_rng(0).standard_normal((10, 2))
         holdout.offer(xs, np.zeros(10, dtype=np.int64), 1, np.arange(10, dtype=np.int64))
         assert information_retention(spec, theta, holdout, 1) == 1.0
@@ -123,7 +123,7 @@ class TestInformationRetention:
     def test_enumeration_of_ten_items(self):
         spec = softmax_spec()
         theta = init_params(spec, substream(9, 6))
-        holdout = DataPool(seed=0)
+        holdout = DataPool(ROOM, seed=0)
         rng = np.random.default_rng(5)
         xs = rng.standard_normal((10, 2))
         ys = rng.integers(0, 2, 10)
@@ -136,7 +136,7 @@ class TestInformationRetention:
         spec = softmax_spec()
         theta = np.zeros(spec.n_params)
         spec.block(theta, "b")[:] = np.array([10.0, 0.0])
-        holdout = DataPool(seed=0)
+        holdout = DataPool(ROOM, seed=0)
         holdout.offer(np.zeros((5, 2)), np.zeros(5, dtype=np.int64), 1,
                       np.arange(5, dtype=np.int64))
         holdout.offer(np.zeros((5, 2)), np.ones(5, dtype=np.int64), 2,
@@ -148,12 +148,12 @@ class TestInformationRetention:
         spec = softmax_spec()
         theta = np.zeros(spec.n_params)
         with pytest.raises(EmptyPoolError):
-            information_retention(spec, theta, DataPool(seed=0), 1)
+            information_retention(spec, theta, DataPool(ROOM, seed=0), 1)
 
     # an unlimited holdout is read as a prefix of its slots, a capped one
     # that has evicted through a mask; either way the scored rows, in order,
     # are those of copying every item and masking arrival <= t
-    @pytest.mark.parametrize("capacity", [None, 12], ids=["unlimited", "capped"])
+    @pytest.mark.parametrize("capacity", [ROOM, 12], ids=["unlimited", "capped"])
     def test_scores_the_copy_and_mask_rows(self, capacity, monkeypatch):
         spec = softmax_spec()
         holdout = DataPool(capacity=capacity, seed=7)
@@ -162,7 +162,7 @@ class TestInformationRetention:
             n = int(rng.integers(0, 6))
             holdout.offer(rng.standard_normal((n, 2)), rng.integers(0, 2, n), t,
                           holdout.seen_count + np.arange(n, dtype=np.int64))
-        assert (holdout.size < holdout.seen_count) == (capacity is not None)
+        assert (holdout.size < holdout.seen_count) == (capacity != ROOM)
         monkeypatch.setattr(metrics, "validation_performance",
                             lambda spec, theta, batch: (batch.inputs.tobytes(),
                                                         batch.labels.tobytes()))
@@ -226,8 +226,8 @@ class TestRetentionInvariants:
         stream = rotating_stream(omega=0.0, horizon=200, seed=4)
         spec = softmax_spec()
         theta = init_params(spec, substream(8, 6))
-        pool = DataPool(seed=4)
-        holdout = DataPool(seed=4, holdout_fraction=0.3)
+        pool = DataPool(ROOM, seed=4)
+        holdout = DataPool(ROOM, seed=4, holdout_fraction=0.3)
         values = []
         for t in range(1, 201):
             pool_update(pool, holdout, next_batch(stream, t))
@@ -245,9 +245,9 @@ class TestRetentionInvariants:
         spec = softmax_spec()
         theta = init_params(spec, substream(8, 6))
         values = []
-        for capacity in (None, 64, 8):
+        for capacity in (ROOM, 64, 8):
             pool = DataPool(capacity=capacity, seed=9)
-            holdout = DataPool(seed=9, holdout_fraction=0.2)
+            holdout = DataPool(ROOM, seed=9, holdout_fraction=0.2)
             for t in range(1, 51):
                 pool_update(pool, holdout, next_batch(stream, t))
             values.append(information_retention(spec, theta, holdout, 50))

@@ -12,7 +12,7 @@ from oclopt.harness import (PRESET_NAMES, ProtocolError, build_stream_spec,
 from oclopt.rng import BLOCK, substream
 from oclopt.stream import (DriftingQuadraticSpec, HorizonError, PiecewiseTaskSpec,
                            RotatingGaussianSpec, StreamSpec, eval_window, next_batch)
-from tests.oracles import (grad_at, record_ids, step_batch, step_coins, step_window,
+from tests.oracles import (ROOM, grad_at, record_ids, step_batch, step_coins, step_window,
                            stored_items)
 
 
@@ -167,7 +167,7 @@ class TestServedDraws:
         window = eval_window(spec, first, t)
         assert all(map(same, window, step_window(spec, first, t, rngmod.EVAL)))
         assert same(eval_window(spec, first, first)[0], step_batch(spec, first, rngmod.EVAL)[0])
-        pool = DataPool(seed=seed)
+        pool = DataPool(ROOM, seed=seed)
         for step in (first, t):
             coins = pool.routing_coins(step, spec.batch_size)
             assert same(coins, step_coins(seed, step, spec.batch_size))
@@ -211,10 +211,10 @@ class _FakeRun:
     holdout pool, plus a learner that predicts zeros and whose update draws a
     replay minibatch, then raises while ``fail_at`` equals the step."""
 
-    def __init__(self, holdout_fraction=0.05, seed=5, capacity=None):
+    def __init__(self, holdout_fraction=0.05, seed=5, capacity=ROOM):
         self.stream_spec = rotating_spec(seed=seed)
-        self.pool = DataPool(capacity=capacity, seed=seed)
-        self.holdout = DataPool(seed=seed, holdout_fraction=holdout_fraction)
+        self.pool = DataPool(capacity, seed=seed)
+        self.holdout = DataPool(ROOM, seed=seed, holdout_fraction=holdout_fraction)
         self.fail_at = None
         self.updates = []
 
@@ -264,7 +264,7 @@ class TestProtocol:
 
     # each step routes 7 items to the training pool and 1 to the holdout, so
     # with capacity 8 the failed step overwrites slots of step 1's items
-    @pytest.mark.parametrize("capacity", [None, 8], ids=["unlimited", "capped"])
+    @pytest.mark.parametrize("capacity", [ROOM, 8], ids=["unlimited", "capped"])
     def test_failed_update_rolls_back_pools(self, capacity):
         run, clean = (_FakeRun(holdout_fraction=0.2, capacity=capacity)
                       for _ in range(2))
@@ -286,9 +286,10 @@ class TestProtocol:
         assert run.updates == clean.updates == [1, 2]
 
     # each step offers 8 items; a capped pool overwrites slots of earlier
-    # steps' items, so the undo log of the failed step is exercised
+    # steps' items, so the undo log of the failed step is exercised, and a
+    # capacity of 48 holds every item of 6 steps, so that pool never evicts
     @settings(max_examples=100, deadline=None)
-    @given(capacity=st.none() | st.integers(1, 16),
+    @given(capacity=st.integers(1, 16) | st.just(6 * 8),
            holdout_fraction=st.floats(0.0, 0.5), fail_at=st.integers(1, 6),
            failures=st.integers(1, 2))
     def test_failed_update_at_any_step_rolls_back_pools(self, capacity, holdout_fraction,
