@@ -13,26 +13,26 @@ it is offered to the training pool. Routing coins come from a random-access
 substream keyed by the arrival step, so the routing of any step can be
 re-enumerated independently.
 
-Every pool-side draw is planned. A planner takes a range of steps and makes
-all of the range's reservoir draws, or all of its replay draws, in one
-generator call; each step then applies its slice of the plan's flat arrays.
-``update`` plans both pools' offers, and ``block=True`` replay draws plan the
-pool's replay, for the rest of a ``BLOCK``-step block at its first step, so
-the block's other steps make no generator call (except mixed replay from a
-pool that evicts: its window changes with each eviction, so it plans one
-step at a time). A direct ``offer`` or replay
-call is the same planner over a range of one call. Planned draws equal draws
-made one call at a time: reservoir draws come one per evicting item in offer
-order and are kept by item index until no checkpoint can rewind past them,
-and a replay plan serves a step only if the step's bounds are the ones it
-drew with.
+Every pool-side draw and row copy is planned. At the first step of a block
+of ``BLOCK`` steps (those inside the horizon) ``update`` plans both pools'
+offers: every reservoir draw in one generator call, and every appended row
+stored at once (rows past ``size`` are invisible: every reader stops there).
+A planned replay draw (``block=True``) draws the rest of the block in one
+call and gathers its rows with one take per array, up to the next step whose
+offers overwrite a stored item, which gathers again; ``sample_folds`` plans
+validation minibatches alike. So a step that starts no block and overwrites
+nothing draws nothing and copies no row: ``offer`` moves counters, and the
+samplers hand out views. A direct ``offer`` or replay call is the same
+planner over one call. Planned draws equal draws made one call at a time:
+reservoir draws come one per evicting item in offer order, kept by item index
+until no checkpoint can rewind past them, and a replay plan serves a step
+only while the pool stands where the plan was made to find it.
 """
 
 from __future__ import annotations
 
 import math
 import mmap
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional
 
@@ -40,15 +40,14 @@ import numpy as np
 
 from . import rng as rngmod
 from .rng import BLOCK, step_streams, substream
-from .stream import StreamBatch
+from .stream import StreamBatch, training_block
 
 
 class EmptyPoolError(RuntimeError):
     """Sampling from a pool with no stored items."""
 
 
-@dataclass(frozen=True)
-class Minibatch:
+class Minibatch(NamedTuple):
     """A sampled training minibatch (inputs + labels, no step identity)."""
 
     inputs: np.ndarray
@@ -68,7 +67,12 @@ class _Offers(NamedTuple):
 
     Step i appends its first ``fill[i]`` items and writes its item ``src[w]``
     to slot ``slots[w]`` for w in ``at[i]:at[i + 1]``: one write per slot,
-    the step's last item drawn to it, in slot order."""
+    the step's last item drawn to it, in slot order. Rows read after step i
+    stay put through step ``calm[i] - 1``, the last before one that writes.
+    ``items``, the range's (inputs, labels, record ids) in offer order, were
+    gathered from the served stream ``block`` (joined in step order) and
+    their appended rows stored when the plan was made; without them each
+    step's offer brings its items."""
 
     first: int
     counts: list
@@ -77,17 +81,24 @@ class _Offers(NamedTuple):
     at: list
     slots: np.ndarray
     src: np.ndarray
+    calm: list
+    items: Optional[tuple] = None
+    block: Optional[tuple] = None
 
 
 class _Replay(NamedTuple):
-    """Planned replay draws of steps ``first`` .. ``first + len(bound) - 1``:
+    """Planned replay draws of steps ``first`` .. ``first + len(bound) - 1``,
+    made under ``key`` from the offer plan ``source`` (None: one call):
     ``idx[i]`` was drawn for step ``first + i`` with bound ``bound[i]`` (the
-    pool size, or the history window's item count), under ``key``."""
+    pool size, or the history window's item count). ``windows`` locates the
+    history windows of mixed replay (see ``_windows``)."""
 
     key: tuple
+    source: Optional[_Offers]
     first: int
     bound: np.ndarray
     idx: np.ndarray
+    windows: object = None
 
 
 class DataPool:
@@ -112,10 +123,12 @@ class DataPool:
         self._undo: Optional[list] = None   # rows overwritten since checkpoint()
         self._ckpt_id = 0
         self._rewind: Optional[int] = None  # seen_count of the latest checkpoint
-        self._coins = (None, None, None)    # (block, n, coins) of the latest read
-        self._routes = (None, None)         # ((block, n, fraction), routes) of the latest
+        self._coins = (None, None)          # ((block, n, steps), coins) of the latest read
+        self._routes = (None, None)         # ((block, n, fraction, steps), routes) of the latest
         self._offers: Optional[_Offers] = None
         self._replay: Optional[_Replay] = None
+        self._served = (None, 0, 0, None, None)   # (replay plan, lo, hi, inputs, labels)
+        self._buffers = {}                  # purpose -> (shape, (inputs, labels) buffers)
         # reservoir slots drawn for the items with global index start, start + 1, ...
         self._draws = (capacity, np.empty(0, dtype=np.int64))
 
@@ -123,34 +136,37 @@ class DataPool:
     _reservoir_rng = cached_property(lambda self: substream(self.seed, rngmod.RESERVOIR))
     _replay_rng = cached_property(lambda self: substream(self.seed, rngmod.REPLAY))
 
-    def routing_coins(self, t: int, n: int) -> np.ndarray:
-        """``substream(seed, HOLDOUT, t).random(n)``, read-only, from a block of
-        ``BLOCK`` steps drawn at once; only the latest block is kept. Blocks
-        start at the steps a stream's blocks start at, so both fill on one step."""
+    def routing_coins(self, t: int, n: int, steps: int = BLOCK) -> np.ndarray:
+        """``substream(seed, HOLDOUT, t).random(n)``, read-only, from the first
+        ``steps`` steps of the block holding t, drawn at once; only the latest
+        block is kept. Blocks start at the steps a stream's blocks start at, so
+        both fill on one step."""
         b, i = divmod(t - 1, BLOCK)
-        if self._coins[:2] != (b, n):
-            coins = np.empty((BLOCK, n))
+        if self._coins[0] != (b, n, steps):
+            coins = np.empty((steps, n))
             for row, g in zip(coins, step_streams(self.seed, rngmod.HOLDOUT, b * BLOCK + 1,
-                                                  (b + 1) * BLOCK + 1)):
+                                                  b * BLOCK + 1 + steps)):
                 g.random(out=row)
             coins.setflags(write=False)
-            self._coins = (b, n, coins)
-        return self._coins[2][i]
+            self._coins = ((b, n, steps), coins)
+        return self._coins[1][i]
 
-    def _split(self, t: int, n: int, fraction: float) -> tuple:
-        """((rows, at) for this pool, (rows, at) for the holdout) over the block
-        holding step t: block step i offers rows[at[i]:at[i + 1]] of its batch."""
+    def _split(self, t: int, n: int, fraction: float, steps: int) -> tuple:
+        """((rows, at) for this pool, (rows, at) for the holdout) over the
+        first ``steps`` steps of the block holding step t: block step i offers
+        rows[at[i]:at[i + 1]] of the block's batches joined in step order (row
+        i * n + r is row r of step i)."""
         b = (t - 1) // BLOCK
-        if self._routes[0] != (b, n, fraction):
+        if self._routes[0] != (b, n, fraction, steps):
             self._routes = (None, None)   # free the old block's routes first
             if fraction > 0.0:
-                self.routing_coins(t, n)
-                hold = self._coins[2] < fraction
+                self.routing_coins(t, n, steps)
+                hold = self._coins[1] < fraction
             else:
-                hold = np.zeros((BLOCK, n), dtype=bool)
-            routes = tuple((np.flatnonzero(mask) % n, [0] + np.cumsum(mask.sum(1)).tolist())
+                hold = np.zeros((steps, n), dtype=bool)
+            routes = tuple((np.flatnonzero(mask), [0] + np.cumsum(mask.sum(1)).tolist())
                            for mask in (~hold, hold))
-            self._routes = ((b, n, fraction), routes)
+            self._routes = ((b, n, fraction, steps), routes)
         return self._routes[1]
 
     # -- storage ------------------------------------------------------------
@@ -168,14 +184,18 @@ class DataPool:
             self._draws = (start := keep, drawn)
         return drawn[lo - start:hi - start]
 
-    def _plan_offers(self, first: int, counts: np.ndarray):
+    def _plan_offers(self, first: int, counts: np.ndarray, block=None, rows=None, base=0):
         """Plan the offers of ``counts[i]`` items at step ``first + i`` from the
         current state: every reservoir draw of the range at once, and, per
         step, algorithm R's writes (item i survives at slot j iff j <
-        capacity; a slot drawn twice in one step keeps the later item)."""
+        capacity; a slot drawn twice in one step keeps the later item). Given
+        the served ``block`` and the range's ``rows`` of it (record id: row +
+        ``base``), gather the items and store every row the range appends."""
         self._offers = None   # free the old plan first
+        gathered = None if block is None else (block[0].take(rows, 0), block[1].take(rows, 0),
+                                               rows + base)
         seen = self.seen_count + np.concatenate(([0], np.cumsum(counts)))
-        cap = self.capacity
+        cap, n_steps = self.capacity, len(counts)
         fill = np.clip(cap - seen[:-1], 0, counts)
         items = np.arange(max(seen[0], cap), seen[-1])
         drawn = self._slot_draws(items[0], seen[-1]) if len(items) else items
@@ -186,10 +206,31 @@ class DataPool:
         hit = hit[::-1].take(last)
         step, slots = np.divmod(key, cap)
         src = items.take(hit) - seen.take(step)
-        at = step.searchsorted(np.arange(len(counts) + 1))
+        at = step.searchsorted(np.arange(n_steps + 1))
+        writes = np.flatnonzero(np.diff(at))
+        calm = np.append(writes, n_steps)[writes.searchsorted(np.arange(n_steps), "right")]
         # per-step scalars as lists: a step reads them as Python ints
         self._offers = _Offers(first, counts.tolist(), seen.tolist(), fill.tolist(),
-                               at.tolist(), slots, src)
+                               at.tolist(), slots, src, calm.tolist(), gathered, block)
+        if gathered is not None:
+            self._append(0, n_steps, gathered)
+
+    def _append(self, k0: int, k1: int, items: tuple):
+        """Store the items the offer plan's steps k0 .. k1 - 1 append: the
+        first ones of ``items``, those steps' (inputs, labels, record ids) in
+        offer order. Until the pool fills, an item's slot is its offer index."""
+        plan, cap = self._offers, self.capacity
+        lo, hi = min(plan.seen[k0], cap), min(plan.seen[k1], cap)
+        if hi == lo:
+            return
+        xs, ys, rids = items
+        if self._xs is None:   # the first stored items fix the row shapes
+            self._xs = _reserve((cap,) + xs.shape[1:], np.float64)
+            self._ys = _reserve((cap,) + ys.shape[1:], ys.dtype)
+            self._arrival, self._rid = _reserve((cap,), np.int64), _reserve((cap,), np.int64)
+        new, step = slice(lo, hi), np.searchsorted(plan.seen, np.arange(lo, hi), "right")
+        self._xs[new], self._ys[new], self._rid[new] = xs[:hi - lo], ys[:hi - lo], rids[:hi - lo]
+        self._arrival[new] = step + (plan.first - 1)
 
     def _step(self, t: int, n: int) -> Optional[int]:
         """Step t's index in the offer plan if the plan offers n items then,
@@ -215,10 +256,14 @@ class DataPool:
         """Offer a block of items; reservoir-evict past capacity.
 
         Applies step t's entry of the offer plan, first planning a range of
-        this one call if no plan holds one for the current state. Steps must
-        not decrease (an equal step is allowed: the holdout's empty offers
-        reuse it), so a pool that has never dropped or overwritten an item
-        stores its arrivals in non-decreasing order.
+        this one call if no plan holds one for the current state. The step's
+        appended rows are stored already if the plan was made with its items
+        (``update`` given the stream), else they are stored now; then
+        the step writes the slots its items overwrite, logging the old rows
+        while a checkpoint is open, and moves the counters. Steps must not
+        decrease (an equal step is allowed: the holdout's empty offers reuse
+        it), so a pool that has never dropped or overwritten an item stores
+        its arrivals in non-decreasing order.
         """
         if t < self.last_step:
             raise ValueError(f"step {t} is below last offered step {self.last_step}")
@@ -227,17 +272,8 @@ class DataPool:
             self._plan_offers(t, np.array([len(xs)]))
             k = 0
         plan = self._offers
-        fill = plan.fill[k]
-        if fill:
-            if self._xs is None:   # the first stored items fix the row shapes
-                cap = (self.capacity,)
-                self._xs = _reserve(cap + xs.shape[1:], np.float64)
-                self._ys = _reserve(cap + ys.shape[1:], ys.dtype)
-                self._arrival, self._rid = _reserve(cap, np.int64), _reserve(cap, np.int64)
-            new = slice(self.size, self.size + fill)
-            self._xs[new], self._ys[new] = xs[:fill], ys[:fill]
-            self._arrival[new], self._rid[new] = t, rids[:fill]
-            self.size += fill
+        if plan.items is None:
+            self._append(k, k + 1, (xs, ys, rids))
         a, b = plan.at[k], plan.at[k + 1]
         if b > a:
             j, src = plan.slots[a:b], plan.src[a:b]
@@ -246,6 +282,7 @@ class DataPool:
                                    self._arrival.take(j), self._rid.take(j)))
             self._xs[j], self._ys[j] = xs.take(src, 0), ys.take(src, 0)
             self._arrival[j], self._rid[j] = t, rids.take(src)
+        self.size += plan.fill[k]
         self.seen_count = plan.seen[k + 1]
         self.last_step = t
 
@@ -263,6 +300,29 @@ class DataPool:
             return slice(*arrival.searchsorted((first, last + 1)))
         return np.flatnonzero((arrival >= first) & (arrival <= last))
 
+    def _rows(self, purpose: str, n: int, width: int, xs: np.ndarray, ys: np.ndarray):
+        """(inputs, labels) arrays of n x ``width`` rows like those of xs and
+        ys: views of the pool's buffers for ``purpose``, made anew only to
+        grow or to change shape."""
+        shape = (width, xs.shape[1:], ys.shape[1:], ys.dtype)
+        have, buf = self._buffers.get(purpose, (None, None))
+        if have != shape or len(buf[0]) < n:
+            buf = tuple(np.empty((n, width) + a.shape[1:], a.dtype) for a in (xs, ys))
+            self._buffers[purpose] = (shape, buf)
+        return buf[0][:n], buf[1][:n]
+
+    def _gather(self, purpose: str, idx: np.ndarray):
+        """The stored rows at the (n, width) slots ``idx``, by one take per
+        array into the ``purpose`` buffers (for one row of slots, a buffer
+        would save no allocation worth its upkeep)."""
+        if len(idx) == 1:
+            return self._xs.take(idx, 0), self._ys.take(idx, 0)
+        xs, ys = self._rows(purpose, *idx.shape, self._xs, self._ys)
+        # the indices are in range; mode "raise" would gather into a temporary first
+        self._xs.take(idx, 0, out=xs, mode="wrap")
+        self._ys.take(idx, 0, out=ys, mode="wrap")
+        return xs, ys
+
     # -- checkpoint / restore (atomic protocol steps) -------------------------
 
     def checkpoint(self) -> dict:
@@ -270,10 +330,11 @@ class DataPool:
 
         The checkpoint holds the counters only, not items and no generator
         state: until the next checkpoint, each evicting ``offer`` logs one
-        entry of the old rows it overwrites, and items appended past ``size``
-        need no entry. Draws are never rolled back; they stay in their plans,
-        so steps offered again after a restore reuse them. Only the latest
-        checkpoint of a pool can be restored.
+        entry of the old rows it overwrites, and rows stored past ``size``
+        need no entry. Draws are never rolled back; they stay in their plans
+        with the rows gathered for them, so steps offered again after a
+        restore reuse them. Only the latest checkpoint of a pool can be
+        restored.
         """
         self._ckpt_id += 1
         self._undo = []
@@ -293,42 +354,76 @@ class DataPool:
         self.size, self.seen_count, self.last_step = ckpt["size"], ckpt["seen"], ckpt["last_step"]
 
 
-def update(pool: DataPool, holdout: DataPool, batch: StreamBatch):
+def update(pool: DataPool, holdout: DataPool, batch: StreamBatch, spec=None):
     """Integrate one revealed batch: route each datum to holdout or training pool.
 
     Routing coins are drawn from the (seed, HOLDOUT, t) substream (see
     ``DataPool.routing_coins``), so the split of any step is re-enumerable.
-    Record ids continue the global offer sequence across both pools. At the
-    first step of a block each pool plans its offers for the whole block,
-    unless a retried step finds the plan already made.
+    Record ids continue the global offer sequence across both pools. A step
+    that no offer plan holds plans each pool's offers for the rest of its
+    block; a retried step finds the plan already made. Given ``spec``, the
+    stream the batch was served from, the plan covers the block's steps
+    inside the horizon, gathers their items from the served block
+    (``stream.training_block``) and stores the rows they append at once,
+    and each step offers views of its items. Without it each step offers
+    copies of its own rows.
     """
-    t, n, xs, ys = batch.t, batch.n, batch.inputs, batch.labels
+    t, n = batch.t, batch.n
     if t <= pool.last_step:
         raise ValueError(f"step {t} does not exceed last integrated step {pool.last_step}")
-    base = pool.seen_count + holdout.seen_count
     i = (t - 1) % BLOCK
-    for target, (rows, at) in zip((pool, holdout), pool._split(t, n, holdout.holdout_fraction)):
-        if i == 0 and target._step(t, at[1]) is None:
-            target._plan_offers(t, np.diff(at))
-        r = rows[at[i]:at[i + 1]]
-        target.offer(xs.take(r, 0), ys.take(r, 0), t, r + base)
+    steps = BLOCK if spec is None else min(BLOCK, spec.horizon - (t - 1 - i))
+    base = pool.seen_count + holdout.seen_count - i * n   # record id of the block's first row
+    for target, (rows, at) in zip((pool, holdout),
+                                  pool._split(t, n, holdout.holdout_fraction, steps)):
+        k = target._step(t, at[i + 1] - at[i])
+        if k is None:
+            block = None if spec is None else training_block(spec, t)
+            target._plan_offers(t, np.diff(at[i:]), block, rows[at[i]:], base)
+            k = 0
+        plan = target._offers
+        if plan.items is None:
+            r = rows[at[i]:at[i + 1]]
+            target.offer(batch.inputs.take(r - i * n, 0), batch.labels.take(r - i * n, 0), t,
+                         r + base)
+        else:
+            a, b = plan.seen[k] - plan.seen[0], plan.seen[k + 1] - plan.seen[0]
+            target.offer(plan.items[0][a:b], plan.items[1][a:b], t, plan.items[2][a:b])
 
 
-def _replay_draws(pool: DataPool, key: tuple, t: int, bound: int, block: bool, ahead, draw):
-    """Step t's replay draws. A block call serves them from the pool's replay
-    plan if the plan drew step t under ``key`` with this bound, else plans
-    the steps ``ahead()`` bounds from t on (just t without an offer plan);
-    ``draw(bounds)`` makes every draw of a plan in one call."""
-    plan = pool._replay if block else None
-    if (plan is None or plan.key != key or not 0 <= t - plan.first < len(plan.bound)
-            or plan.bound[t - plan.first] != bound):
-        if block:
-            pool._replay = None   # free the old plan before drawing the new one
-        bounds = ahead() if block else np.array([bound])
-        plan = _Replay(key, t, bounds, draw(bounds))
-        if block:
-            pool._replay = plan
-    return plan.idx[t - plan.first]
+def steady_sizes(pool: DataPool) -> np.ndarray:
+    """The pool's size after each step from its last step through the last
+    one before its offer plan next overwrites a stored item (just the last
+    step without a plan): the steps over which rows read now stay put."""
+    found = pool._ahead(pool.last_step)
+    if found is None:
+        return np.array([pool.size])
+    plan, k = found
+    return np.minimum(plan.seen[k + 1:plan.calm[k] + 1], pool.capacity)
+
+
+def _replayed(pool: DataPool, key: tuple, t: int, make, gather) -> Minibatch:
+    """Step t's rows of the pool's replay plan, as views. The plan serves if
+    it was made under ``key`` from the offer plan the pool stands at after
+    step t and holds step t; else ``make(offer plan, step t's index)`` draws
+    the one that replaces it (``make(None, 0)`` without an offer plan). A
+    step not gathered yet gathers, by ``gather(plan, lo, hi)``, its rows and
+    those of the plan's later steps up to the next one whose offers
+    overwrite a stored item."""
+    found, plan = pool._ahead(t), pool._replay
+    if (plan is None or plan.key != key or found is None or plan.source is not found[0]
+            or not 0 <= t - plan.first < len(plan.bound)):
+        pool._replay = None   # free the old plan before drawing the new one
+        plan = pool._replay = make(*(found or (None, 0)))
+    i = t - plan.first
+    served, lo, hi, xs, ys = pool._served
+    if served is not plan or not lo <= i < hi:
+        lo, hi = i, len(plan.bound)
+        if found is not None:
+            hi = min(hi, i + found[0].calm[found[1]] - found[1])
+        xs, ys = gather(plan, lo, hi)
+        pool._served = (plan, lo, hi, xs, ys)
+    return Minibatch(xs[i - lo], ys[i - lo])
 
 
 def sample_pure_replay(pool: DataPool, m: int,
@@ -339,50 +434,52 @@ def sample_pure_replay(pool: DataPool, m: int,
     are the i-th minibatch. One joined draw equals ``count`` consecutive
     draws of m, row for row, and leaves the generator in the same state.
 
-    ``block=True`` serves the rows from the pool's replay plan, made at the
-    first such call of an offer plan's range with one draw for each step's
-    pool size (a step with an empty pool draws nothing), from the pool's own
-    generator.
+    ``block=True`` serves views of the rows of the pool's replay plan, made
+    at the first such call of an offer plan's range with one draw for each
+    step's pool size, from the pool's own generator, and gathered as
+    ``_replayed`` says.
     """
     if pool.size == 0:
         raise EmptyPoolError("cannot sample from an empty pool")
     g = pool._replay_rng if rng is None else rng
-
-    def ahead():
-        found = pool._ahead(pool.last_step)
-        if found is None:
-            return np.array([pool.size])
-        plan, k = found
-        return np.minimum(plan.seen[k + 1:], pool.capacity)
+    width = count * m
 
     def draw(bounds):
         # a bound of 1 draws without consuming the generator
-        return g.integers(0, np.maximum(bounds, 1)[:, None], size=(len(bounds), count * m))
+        return g.integers(0, np.maximum(bounds, 1)[:, None], size=(len(bounds), width))
 
-    idx = _replay_draws(pool, ("pure", m, count), pool.last_step, pool.size, block, ahead, draw)
-    return Minibatch(inputs=pool._xs.take(idx, 0), labels=pool._ys.take(idx, 0))
+    if not block:
+        idx = draw(np.array([pool.size]))[0]
+        return Minibatch(inputs=pool._xs.take(idx, 0), labels=pool._ys.take(idx, 0))
+
+    def make(source, k):
+        bounds = (np.array([pool.size]) if source is None
+                  else np.minimum(source.seen[k + 1:], pool.capacity))
+        return _Replay(("pure", m, count), source, pool.last_step, bounds, draw(bounds))
+
+    def gather(plan, lo, hi):
+        return pool._gather("replay", plan.idx[lo:hi])
+
+    return _replayed(pool, ("pure", m, count), pool.last_step, make, gather)
 
 
-def _window_counts(pool: DataPool, window: Optional[int]) -> np.ndarray:
-    """Stored items inside the history window of each step t' from the pool's
-    last step t to the end of its offer plan, after the step's offers: the
-    items stored now plus those the plan's later steps append. Just step t
-    without a plan, or when a later step evicts, which changes what the
-    window holds: such a pool plans its replay one step at a time."""
-    t = pool.last_step
-    plan, k = pool._ahead(t) or (None, 0)
-    n_steps = 1 if plan is None or plan.at[-1] > plan.at[k + 1] else len(plan.counts) - k
-    steps = t + np.arange(n_steps)
-    lo = np.ones(n_steps, dtype=np.int64) if window is None else steps - window
-    arrival = np.empty(0, dtype=np.int64) if pool.size == 0 else pool._arrival[: pool.size]
-    if pool.size != pool.seen_count:   # only a pool that never evicted keeps them sorted
-        arrival = np.sort(arrival)
-    counts = arrival.searchsorted(steps) - arrival.searchsorted(lo)
-    if n_steps > 1:
-        # items appended at steps t + 1 .. t' - 1 that lie inside the window
-        born = np.concatenate(([0, 0], np.cumsum(plan.fill[k + 1:])))
-        counts += born[:-1] - born[np.minimum(np.clip(lo - t, 1, None), np.arange(n_steps))]
-    return counts
+def _windows(pool: DataPool, steps: np.ndarray, window: Optional[int], size: int) -> tuple:
+    """(item counts, windows) of the history windows [t - window, t - 1]
+    (window=None: [1, t - 1]) of the given steps, over the first ``size``
+    slots, for steps between which the pool overwrites no stored item. A
+    pool that has never dropped or overwritten an item keeps its arrivals
+    sorted, including the rows its offer plan has stored ahead, so windows
+    are the first slots of runs (binary search); otherwise the pool stays
+    full and unchanged, and windows are slot arrays (an O(size) scan each)."""
+    lo = np.ones_like(steps) if window is None else steps - window
+    if size == 0:
+        return np.zeros(len(steps), dtype=np.int64), np.zeros(len(steps), dtype=np.int64)
+    if pool.size == pool.seen_count:
+        arrival = pool._arrival[:size]
+        first = arrival.searchsorted(lo)
+        return arrival.searchsorted(steps) - first, first
+    slots = [pool.slots_between(a, b - 1) for a, b in zip(lo, steps)]
+    return np.array([len(s) for s in slots]), slots
 
 
 def sample_mixed_replay(pool: DataPool, current: StreamBatch, m: int,
@@ -393,43 +490,77 @@ def sample_mixed_replay(pool: DataPool, current: StreamBatch, m: int,
     The history half draws uniformly from stored items with arrival step in
     [t - window, t - 1]; window=None means t-1 (full coverage). If the window
     holds nothing (e.g. t=1), the whole minibatch falls back to current data.
-    The window is found once per call (see ``DataPool.slots_between``).
 
     ``count`` minibatches come as one block of ``count * m`` rows: rows
     [i*m, (i+1)*m) are the i-th minibatch, current half first. They are drawn
     by one call whose bounds repeat [current, history] ``count`` times, so
     the block equals ``count`` consecutive calls with ``count=1``, row for
     row, and leaves the replay generator in the same state. ``block=True``
-    serves them from the pool's replay plan, drawn at the first such call of
-    an offer plan's range with each step's window count, for current batches
-    of the same size; a pool that evicts later in the range plans one step
-    at a time (see ``_window_counts``).
+    serves views of the rows of the pool's replay plan, drawn and gathered at
+    the first such call of an offer plan's range for the steps up to the next
+    one whose offers overwrite a stored item (see ``_windows``), with current
+    halves taken from the served stream block of the offer plan: ``current``
+    must be the batch ``update`` integrated last. Without a served block the
+    plan holds one step.
     """
     if m % 2 != 0:
         raise ValueError("mixed replay needs an even minibatch size")
-    t, n, half = current.t, current.n, m // 2
-    b = (t - 1) if window is None else window
-    slots = pool.slots_between(t - b, t - 1)
-    scanned = not isinstance(slots, slice)
-    lo, hi = (0, len(slots)) if scanned else (slots.start, slots.stop)
+    t, n, half, width = current.t, current.n, m // 2, count * m
+    key = ("mixed", m, count, window, n)
 
-    def ahead():
-        return _window_counts(pool, window) if t == pool.last_step else np.array([hi - lo])
-
-    def draw(bounds):
+    def make(source, k):
+        if source is None or source.block is None:
+            n_steps, size = 1, pool.size
+        else:
+            n_steps = source.calm[k] - k
+            size = min(source.seen[k + n_steps], pool.capacity)
+        bounds, windows = _windows(pool, t + np.arange(n_steps), window, size)
         # per step and minibatch: the current half, then the history half
         # (all current when the window is empty)
-        high = np.stack((np.full(len(bounds), n), np.where(bounds > 0, bounds, n)), 1)
-        return pool._replay_rng.integers(0, high[:, None, :, None],
-                                         size=(len(bounds), count, 2, half))
+        high = np.stack((np.full(n_steps, n), np.where(bounds > 0, bounds, n)), 1)
+        idx = pool._replay_rng.integers(0, high[:, None, :, None],
+                                        size=(n_steps, count, 2, half))
+        return _Replay(key, source, t, bounds, idx, windows)
 
-    idx = _replay_draws(pool, ("mixed", m, count, window, n), t, hi - lo, block, ahead, draw)
-    if hi <= lo:
-        idx = idx.reshape(-1)
-        return Minibatch(current.inputs.take(idx, 0), current.labels.take(idx, 0))
-    cur, hist = idx[:, 0], idx[:, 1]
-    hist = slots.take(hist) if scanned else hist + lo
-    inputs = np.concatenate((current.inputs.take(cur, 0), pool._xs.take(hist, 0)), 1)
-    labels = np.concatenate((current.labels.take(cur, 0), pool._ys.take(hist, 0)), 1)
-    return Minibatch(inputs=inputs.reshape(count * m, *inputs.shape[2:]),
-                     labels=labels.reshape(count * m, *labels.shape[2:]))
+    def gather(plan, lo, hi, fresh=False):
+        # current rows come from the served block, or from the current batch
+        served = plan.source is not None and plan.source.block is not None
+        cur_x, cur_y = plan.source.block if served else (current.inputs, current.labels)
+        steps = np.arange(lo, hi) + ((plan.first - 1) % BLOCK if served else 0)
+        xs, ys = ((np.empty((hi - lo, width) + a.shape[1:], a.dtype) for a in (cur_x, cur_y))
+                  if fresh else pool._rows("replay", hi - lo, width, cur_x, cur_y))
+        cur, hist = plan.idx[lo:hi, :, 0] + n * steps[:, None, None], plan.idx[lo:hi, :, 1]
+        full, windows = plan.bound[lo:hi] > 0, plan.windows[lo:hi]
+        if isinstance(windows, list):   # an empty window draws all current rows
+            hist = [w.take(h) if f else h + n * s for w, h, f, s in zip(windows, hist, full, steps)]
+        else:
+            hist = hist + np.where(full, windows, n * steps)[:, None, None]
+        for out, cur_src, pool_src in ((xs, cur_x, pool._xs), (ys, cur_y, pool._ys)):
+            out = out.reshape(hi - lo, count, 2, half, *out.shape[2:])
+            out[:, :, 0] = cur_src.take(cur, 0)
+            if full.all():
+                out[:, :, 1] = pool_src.take(hist, 0)
+            else:
+                for i, h in enumerate(hist):
+                    out[i, :, 1] = (pool_src if full[i] else cur_src).take(h, 0)
+        return xs, ys
+
+    if not block:
+        xs, ys = gather(make(None, 0), 0, 1, fresh=True)
+        return Minibatch(inputs=xs[0], labels=ys[0])
+    return _replayed(pool, key, t, make, gather)
+
+
+def sample_folds(pool: DataPool, m: int, rng: np.random.Generator, bounds: np.ndarray):
+    """(inputs, labels) of one minibatch of m items per bound, shaped
+    (len(bounds), m, ...): fold i's items are uniform with replacement over
+    the first ``bounds[i]`` stored items, which must stay put until it is
+    served (see ``steady_sizes``). One generator call draws every fold, equal
+    to one ``sample_pure_replay(pool, m, rng=rng)`` call per fold in order; a
+    bound of 0 (a skipped fold) draws nothing. One take per array gathers the
+    rows into buffers the pool keeps. None if every bound is 0."""
+    if not bounds.any():
+        return None
+    # a bound of 1 draws without consuming the generator
+    return pool._gather("folds", rng.integers(0, np.maximum(bounds, 1)[:, None],
+                                              size=(len(bounds), m)))

@@ -5,8 +5,8 @@ An experiment executes the online protocol for the configured horizon. One
 ``Run`` holds a seed's state, and ``run_protocol_step`` executes one step on
 it: reveal a batch, record pre-update predictions, integrate the batch into
 the training/holdout pools, then take the step's replay minibatches and run
-``iters_per_step`` optimizer iterations on them. Pool draws are planned once
-per block of steps (see ``oclopt.datapool``).
+``iters_per_step`` optimizer iterations on them. Pool draws and row copies
+are planned once per block of steps (see ``oclopt.datapool``).
 Moving-average, online validation, and learning-rate events fire on their
 global-iteration intervals. Everything is deterministic per seed; rerunning the
 ``config.yaml`` of a run directory reproduces its artifacts byte for byte.
@@ -28,8 +28,8 @@ import yaml
 
 from . import __version__, datapool, stream
 from . import rng as rngmod
-from .datapool import (DataPool, EmptyPoolError, Minibatch, sample_mixed_replay,
-                       sample_pure_replay)
+from .datapool import (DataPool, EmptyPoolError, Minibatch, sample_folds, sample_mixed_replay,
+                       sample_pure_replay, steady_sizes)
 from .metrics import MetricLedger, forward_transfer, information_retention
 from .model import (DivergenceError, ModelSpec, Workspace, check_batch, init_params,
                     loss_and_grad, predict, step_ahead_performance, validation_performance)
@@ -283,10 +283,13 @@ def run_protocol_step(run, t: int):
     In order: (1) sample the batch, (2) ask ``run.predict`` for every datum
     before labels are revealed, (3) integrate the batch into ``run.pool`` and
     ``run.holdout``, (4) call ``run.update``. At the first step of a block of
-    ``BLOCK`` steps, (3) plans both pools' offers for the whole block and a
-    planned replay draw in (4) plans the block's replay draws; every other
-    step applies its slice of those plans and makes no pool-side draw
-    (mixed replay from a pool that evicts plans one step at a time).
+    ``BLOCK`` steps (those inside the horizon), (3) plans both pools' offers
+    and stores every row the block appends, and (4) draws the block's replay
+    minibatches and validation folds and gathers their rows. Every other
+    step moves pool counters and is served views of gathered rows: it
+    writes, gathers and draws nothing, unless its offers overwrite stored
+    items (a capped pool), which it writes, and from which on its replay
+    rows are gathered, and mixed replay drawn, again.
 
     If the update raises, both pools' items, counters and ``last_step`` are
     rolled back and the step is not counted. Draws are not rolled back: the
@@ -305,7 +308,7 @@ def run_protocol_step(run, t: int):
     batch = stream.next_batch(run.stream_spec, t)
     predictions = run.predict(batch.inputs)
     pool_ckpt, hold_ckpt = run.pool.checkpoint(), run.holdout.checkpoint()
-    datapool.update(run.pool, run.holdout, batch)
+    datapool.update(run.pool, run.holdout, batch, run.stream_spec)
     try:
         run.update(t, batch)
     except Exception:
@@ -406,6 +409,7 @@ class Run:
         self.schedule_rows = []
         self.lr_trace = []
         self.val_rng = substream(seed, rngmod.VALIDATION)
+        self.folds = (0, 0, (), None)   # (step planned at, first fold, bounds, rows)
         self.checked_block = None   # the stream block check_batch last passed
         self.task_iters = (config.stream.task_length * config.iters_per_step
                            if stream_kind == "piecewise-task" else 0)
@@ -425,9 +429,32 @@ class Run:
         # trace replay: clamp to the recorded horizon
         return s.lr_trace[min(k - 1, len(s.lr_trace) - 1)]
 
+    def plan_folds(self, t: int):
+        """Plan the validation minibatches of the folds the run reaches from
+        step t on while the holdout's rows stay put (see ``steady_sizes``):
+        one bound per fold, the holdout's size at the fold's step."""
+        p, k_v = self.config.iters_per_step, self.averager.k_v
+        sizes = steady_sizes(self.holdout)
+        iters = np.full(len(sizes), p)
+        if self.config.replay.mode == "pure":   # a pool past its steady steps holds items
+            pool_sizes = steady_sizes(self.pool)[:len(sizes)]
+            iters[:len(pool_sizes)] *= pool_sizes > 0
+        done = self.k + np.cumsum(iters)
+        folds = np.arange(self.k // k_v + 1, done[-1] // k_v + 1)
+        bounds = sizes[done.searchsorted(folds * k_v)]
+        self.folds = (t, self.k // k_v + 1, bounds,
+                      sample_folds(self.holdout, self.val_batch_size, self.val_rng, bounds))
+
     def sample_validation(self):
-        if self.holdout.size == 0:
+        """The validation minibatch of the fold at iteration k, None while the
+        holdout is empty (the fold is skipped): from the fold plan if it drew
+        the fold with the holdout's current size, else drawn on its own."""
+        size, (_, first, bounds, rows) = self.holdout.size, self.folds
+        i = self.k // self.averager.k_v - first
+        if size == 0:
             return None
+        if 0 <= i < len(bounds) and bounds[i] == size:
+            return Minibatch(rows[0][i], rows[1][i])
         return sample_pure_replay(self.holdout, self.val_batch_size, rng=self.val_rng)
 
     def evaluate(self, params, batch) -> float:
@@ -444,8 +471,12 @@ class Run:
         block, then run one iteration on each. A pure-replay step with an
         empty training pool (every datum so far went to the holdout) runs no
         iterations. Replay rows are rows of served stream blocks, so each
-        block is checked against the model once, at its first replay."""
+        block is checked against the model once, at its first replay. The
+        first step of a block plans the block's validation folds, unless a
+        retried step finds them planned."""
         p, r = self.config.iters_per_step, self.config.replay
+        if p and (t - 1) % BLOCK == 0 and self.folds[0] != t:
+            self.plan_folds(t)
         if p == 0 or (r.mode == "pure" and self.pool.size == 0):
             return
         if self.checked_block != (t - 1) // BLOCK:
@@ -726,6 +757,8 @@ def _bound_setups(config: ExperimentConfig) -> list:
                  make_rate_schedule(p["schedule"], float(th["alpha0"]), int(th["k_max"]) + 2,
                                     halve_every=int(th.get("halve_every", 250))))
                 for label, p in th["configs"]]
+    except KeyError as e:
+        raise ConfigError(f"theory: missing key {e}") from e
     except (TypeError, ValueError) as e:
         raise ConfigError(f"theory: {e}") from e
 
@@ -734,6 +767,8 @@ def verify_bounds_from_config(config: ExperimentConfig) -> list:
     """[(label, BoundReport)] of every (schedule, drift) combination of a
     theory-verify config."""
     setups, th = _bound_setups(config), config.theory
+    if not isinstance(config.seeds, (list, tuple)) or not config.seeds:
+        raise ConfigError("seeds must list at least one seed")
     try:   # verify_bound checks n_seeds and the rates before it simulates
         return [(label, verify_bound(quad, alphas, int(th["k_max"]), n_seeds=int(th["n_seeds"]),
                                      base_seed=config.seeds[0]))

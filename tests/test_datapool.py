@@ -5,7 +5,7 @@ import copy
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -538,13 +538,18 @@ def generator_states(pool):
 
 
 class TestPlannedSteps:
-    # Protocol steps take their pool draws from plans made once per block of
-    # steps. At every step both pools must equal per-item references fed the
-    # same routed items, and the replay rows must equal per-call draws from a
-    # twin pool fed one offer at a time. One step at a block start and one
-    # mid-block fail once after their draws; the retry reuses the plans.
+    # Protocol steps take their pool draws and rows from plans made once per
+    # block of steps. At every step both pools must equal per-item references
+    # fed the same routed items, and the replay rows served to the step must
+    # equal per-call draws from a twin pool fed one offer at a time. Pools
+    # that never evict (a capacity of every item), that evict from the first
+    # blocks, and that first evict partway through a later block (capacities
+    # of one to four blocks of steps) take their rows from gathers that stop
+    # at each step whose offers overwrite a stored item. One step at a block
+    # start and one mid-block fail once after their draws; the retry reuses
+    # the plans and is served the rows the failed attempt was served.
     @settings(max_examples=25, deadline=None)
-    @given(capacity=st.integers(1, 300) | st.just(600 * 6),
+    @given(capacity=st.integers(1, 300) | st.integers(BLOCK, 4 * BLOCK) | st.just(600 * 6),
            holdout_fraction=st.sampled_from([0.0, 0.1, 0.5]),
            mixed=st.booleans(), window=st.none() | st.integers(0, 40),
            iters=st.integers(0, 5), n=st.integers(1, 6), seed=st.integers(0, 2**16),
@@ -584,10 +589,12 @@ class TestPlannedSteps:
                 same_items(run.holdout, ref_hold)
                 plans = (run.pool._offers, run.holdout._offers, run.pool._replay)
                 drawn = [generator_states(pool) for pool in (run.pool, run.holdout)]
+                served = [(mb.inputs.tobytes(), mb.labels.tobytes()) for mb in rows]
                 rows.clear()
                 run_protocol_step(run, t)
                 assert plans == (run.pool._offers, run.holdout._offers, run.pool._replay)
                 assert drawn == [generator_states(pool) for pool in (run.pool, run.holdout)]
+                assert served == [(mb.inputs.tobytes(), mb.labels.tobytes()) for mb in rows]
             else:
                 run_protocol_step(run, t)
             batch = next_batch(run.stream_spec, t)
@@ -609,3 +616,54 @@ class TestPlannedSteps:
             assert np.concatenate([mb.inputs for mb in rows]).tobytes() == xs.tobytes()
             assert np.concatenate([mb.labels for mb in rows]).tobytes() == ys.tobytes()
             rows.clear()
+
+
+class TestPlannedFolds:
+    # Runs draw their validation minibatches once per block of steps, with
+    # one bound per fold. Every fold must get what one
+    # sample_pure_replay(holdout, m, rng) call per fold gives, at the same
+    # holdout state, from a generator keyed like the run's; a skipped fold
+    # (an empty holdout) draws nothing. A sparse holdout skips the first
+    # folds, and one datum per step leaves some early pure-replay steps with
+    # an empty training pool, which run no iterations. The plans stop at the
+    # horizon, so both generators end in the same state. Seed 1 routes the
+    # datum of steps 1-3 to a holdout of fraction 0.5; seed 3 routes none to a
+    # holdout of fraction 0.01 until step 131.
+    @example(mixed=False, holdout_fraction=0.5, iters=2, k_v=1, n=1, capacity=2400, seed=1,
+             horizon=300)
+    @example(mixed=False, holdout_fraction=0.01, iters=3, k_v=4, n=1, capacity=50, seed=3,
+             horizon=600)
+    @example(mixed=True, holdout_fraction=0.01, iters=1, k_v=3, n=1, capacity=2400, seed=3,
+             horizon=257)
+    @settings(max_examples=25, deadline=None)
+    @given(mixed=st.booleans(), holdout_fraction=st.sampled_from([0.01, 0.1, 0.5]),
+           iters=st.integers(1, 5), k_v=st.integers(1, 7), n=st.integers(1, 4),
+           capacity=st.integers(1, 300) | st.just(600 * 4), seed=st.integers(0, 2**16),
+           horizon=st.sampled_from([256, 257, 600]) | st.integers(1, 600))
+    def test_planned_folds_equal_per_call_draws(self, mixed, holdout_fraction, iters, k_v, n,
+                                                capacity, seed, horizon):
+        m = 3
+        cfg = apply_overrides(ExperimentConfig(), {
+            "stream.horizon": horizon, "stream.batch_size": n, "iters_per_step": iters,
+            "replay.mode": "mixed" if mixed else "pure", "replay.batch_size": 4,
+            "replay.capacity": capacity, "replay.holdout_fraction": holdout_fraction,
+            "val_batch_size": m, "optimizer.k_v": k_v, "schedule.kind": "constant",
+            "optimizer.averaging": "none"})
+        run, g, folds = Run(cfg, seed), substream(seed, rngmod.VALIDATION), []
+
+        def iterate(mb):
+            run.k += 1
+            if run.k % k_v == 0:
+                got = run.sample_validation()
+                want = sample_pure_replay(run.holdout, m, rng=g) if run.holdout.size else None
+                folds.append(want is None)
+                assert (got is None) == (want is None)
+                if want is not None:
+                    assert got.inputs.tobytes() == want.inputs.tobytes()
+                    assert got.labels.tobytes() == want.labels.tobytes()
+
+        run.predict, run.iterate = (lambda inputs: None), iterate
+        for t in range(1, horizon + 1):
+            run_protocol_step(run, t)
+        assert len(folds) == run.k // k_v
+        np.testing.assert_equal(run.val_rng.bit_generator.state, g.bit_generator.state)

@@ -8,14 +8,17 @@ no preset runs (``EXTRA``): MALR driven by an EMA signal, AMA with weight
 adaptation off, the MLP model, zero iterations per step, windowed and capped
 mixed replay (also across three 256-step blocks), a run that diverges
 mid-step, Adam with EMA at a constant rate, ``theory-verify`` run as an
-experiment, and a MALR run whose rate is cut with all three conditions on.
+experiment, a MALR run whose rate is cut with all three conditions on, a
+capped pool that first evicts partway through a block, and a holdout so
+sparse that early validation folds are skipped.
 
 The preset digests were recorded before the averaging refactor, the other
-``EXTRA`` digests before replay draws were joined per step, and the last two
-before pool draws were planned per block of steps; none is
-ever re-recorded: a change that alters any byte of these artifacts fails
-here. ``python tests/test_golden_artifacts.py`` prints the digests the
-current code produces, for comparison by hand.
+``EXTRA`` digests before replay draws were joined per step, the next two
+before pool draws were planned per block of steps, and the last two before
+pool rows were gathered per block; none is ever re-recorded: a change that
+alters any byte of these artifacts fails here. ``python
+tests/test_golden_artifacts.py`` prints the digests the current code
+produces, for comparison by hand.
 """
 
 import hashlib
@@ -63,6 +66,13 @@ EXTRA = (
     # MALR cuts with C1, C2 and C3 all holding: twice on seed 0, once on seed 1
     ("malr-ablation/malr-cutting", "malr-ablation", "malr",
      {"schedule.alpha0": 3.0, "schedule.epsilon": 0.01}),
+    # the training pool first evicts at step 330, partway through block 2
+    ("buffer-size/cap-10000-evicts-mid-block", "buffer-size", "cap-10000",
+     {"stream.horizon": 600}),
+    # the holdout is still empty at the first validation folds: 2 of 60 are
+    # skipped on seed 0, 8 on seed 1
+    ("main-comparison/ama-malr-sparse-holdout", "main-comparison", "ama-malr",
+     {"replay.holdout_fraction": 0.002}),
 )
 
 
@@ -108,7 +118,7 @@ def test_artifacts_match_golden_digests(case_id, tmp_path):
 
 def test_golden_file_covers_every_case():
     golden = json.loads(GOLDEN.read_text())
-    assert len(golden) == 76
+    assert len(golden) == 80
     assert {k.rsplit("/", 2)[0] for k in golden} == set(cases())
 
 

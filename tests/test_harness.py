@@ -379,6 +379,71 @@ class TestRunExperiment:
             sys.setprofile(None)
         assert sorted(calls) == [1, rngmod.BLOCK + 1, 2 * rngmod.BLOCK + 1]
 
+    @pytest.mark.parametrize("name,label", [("objective-comparison", "mixed-p5"),
+                                            ("main-comparison", "ama-malr")])
+    def test_regular_steps_draw_no_validation_and_gather_no_pool_rows(self, name, label):
+        # a noise-free work count: inside run_protocol_step, count the calls on
+        # the validation generator (swapped for a subclass whose draw methods
+        # are Python frames) and the takes whose source is a pool's storage
+        # (C calls, which a profile hook sees with the array they are bound to)
+        class Counted(np.random.Generator):
+            def integers(self, *args, **kwargs):
+                return super().integers(*args, **kwargs)
+
+            def random(self, *args, **kwargs):
+                return super().random(*args, **kwargs)
+
+        cfg = dict(expand_variants(apply_overrides(preset(name),
+                                                   {"stream.horizon": 600})))[label]
+        run = harness.Run(cfg, 0)
+        run.val_rng = Counted(run.val_rng.bit_generator)
+        step = harness.run_protocol_step.__code__
+        counted = {Counted.integers.__code__, Counted.random.__code__}
+        calls, steps = {}, []
+
+        def storage():
+            return [a for pool in (run.pool, run.holdout) for a in (pool._xs, pool._ys)
+                    if a is not None]
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is step:
+                steps.append(frame.f_locals["t"])
+            elif event == "return" and frame.f_code is step:
+                steps.pop()
+            elif steps and ((event == "call" and frame.f_code in counted)
+                            or (event == "c_call" and getattr(arg, "__name__", "") == "take"
+                                and any(getattr(arg, "__self__", None) is a
+                                        for a in storage()))):
+                calls[steps[-1]] = calls.get(steps[-1], 0) + 1
+
+        sys.setprofile(profile)
+        try:
+            for t in range(1, 601):
+                assert run.step(t)
+        finally:
+            sys.setprofile(None)
+        assert sorted(calls) == [1, rngmod.BLOCK + 1, 2 * rngmod.BLOCK + 1]
+
+    @pytest.mark.parametrize("name,label,horizon", [("buffer-size", "cap-100", 800),
+                                                    ("objective-comparison", "mixed-p5", 600),
+                                                    ("main-comparison", "ama-malr", 300)])
+    def test_the_last_block_plans_only_the_steps_in_the_horizon(self, name, label, horizon):
+        # the block holding the horizon plans its coins, offers, replay and
+        # validation folds for its steps inside the horizon, not a full block
+        cfg = dict(expand_variants(apply_overrides(preset(name),
+                                                   {"stream.horizon": horizon})))[label]
+        run = harness.Run(cfg, 0)
+        for t in range(1, horizon + 1):
+            assert run.step(t)
+        last = horizon - (horizon - 1) // rngmod.BLOCK * rngmod.BLOCK
+        n = cfg.stream.batch_size
+        assert run.pool._coins[0] == ((horizon - 1) // rngmod.BLOCK, n, last)
+        assert run.pool._coins[1].shape == (last, n)
+        assert len(run.pool._offers.counts) == len(run.holdout._offers.counts) == last
+        assert run.pool._replay.first + len(run.pool._replay.bound) - 1 == horizon
+        _, first, bounds, _ = run.folds
+        assert first + len(bounds) - 1 == horizon * cfg.iters_per_step // cfg.optimizer.k_v
+
     def test_generators_are_built_per_block_not_per_step(self, monkeypatch):
         # a count, unlike a timing, does not move with host noise: per-step
         # construction would build about three generators per step
@@ -518,9 +583,12 @@ class TestCli:
         ["verify-bounds", "--override", "theory.n_seeds=1"],
         ["verify-bounds", "--override", "theory.alpha0=3"],
         ["run", "missing.yaml"],
-        ["verify-bounds", "missing.yaml"]],
+        ["verify-bounds", "missing.yaml"],
+        ["verify-bounds", "--override", 'theory.configs=[["a",{"velocity":0}]]'],
+        ["verify-bounds", "--override", 'theory.configs=[["a",{"schedule":"constant"}]]'],
+        ["verify-bounds", "--override", "seeds=[]"]],
         ids=["k_max=x", "k_max=-5", "n_seeds=1", "alpha0=3", "run-missing-file",
-             "verify-bounds-missing-file"])
+             "verify-bounds-missing-file", "no-schedule", "no-velocity", "no-seeds"])
     def test_unusable_input_exits_2_without_a_traceback(self, args, tmp_path):
         src = Path(harness.__file__).resolve().parents[1]
         proc = subprocess.run([sys.executable, "-m", "oclopt.cli", *args], cwd=tmp_path,
