@@ -17,16 +17,15 @@ Every pool-side draw and row copy is planned. At the first step of a block
 of ``BLOCK`` steps (those inside the horizon) ``update`` plans both pools'
 offers: every reservoir draw in one generator call, and every appended row
 stored at once (rows past ``size`` are invisible: every reader stops there).
-A planned replay draw (``block=True``) draws the rest of the block in one
-call and gathers its rows with one take per array, up to the next step whose
-offers overwrite a stored item, which gathers again; ``sample_folds`` plans
-validation minibatches alike. So a step that starts no block and overwrites
-nothing draws nothing and copies no row: ``offer`` moves counters, and the
-samplers hand out views. A direct ``offer`` or replay call is the same
-planner over one call. Planned draws equal draws made one call at a time:
-reservoir draws come one per evicting item in offer order, kept by item index
-until no checkpoint can rewind past them, and a replay plan serves a step
-only while the pool stands where the plan was made to find it.
+A replay draw draws the rest of the block in one call and gathers its rows
+with one take per array, up to the next step whose offers overwrite a stored
+item, which gathers again; ``sample_folds`` plans validation minibatches
+alike. So a step that starts no block and overwrites nothing draws nothing
+and copies no row: ``offer`` moves counters, and the samplers hand out views.
+A direct ``offer`` is the same planner over one call. Planned draws equal
+draws made one call at a time: reservoir draws come one per evicting item in
+offer order, each item's once, and a replay plan serves a step only while
+the pool stands where the plan was made to find it.
 """
 
 from __future__ import annotations
@@ -88,13 +87,13 @@ class _Offers(NamedTuple):
 
 class _Replay(NamedTuple):
     """Planned replay draws of steps ``first`` .. ``first + len(bound) - 1``,
-    made under ``key`` from the offer plan ``source`` (None: one call):
+    made under ``key`` from the offer plan ``source``:
     ``idx[i]`` was drawn for step ``first + i`` with bound ``bound[i]`` (the
     pool size, or the history window's item count). ``windows`` locates the
     history windows of mixed replay (see ``_windows``)."""
 
     key: tuple
-    source: Optional[_Offers]
+    source: _Offers
     first: int
     bound: np.ndarray
     idx: np.ndarray
@@ -120,17 +119,12 @@ class DataPool:
         self.capacity, self.seed, self.holdout_fraction = capacity, seed, holdout_fraction
         self.size = self.seen_count = self.last_step = 0
         self._xs = self._ys = self._arrival = self._rid = None   # reserved at the first item
-        self._undo: Optional[list] = None   # rows overwritten since checkpoint()
-        self._ckpt_id = 0
-        self._rewind: Optional[int] = None  # seen_count of the latest checkpoint
         self._coins = (None, None)          # ((block, n, steps), coins) of the latest read
         self._routes = (None, None)         # ((block, n, fraction, steps), routes) of the latest
         self._offers: Optional[_Offers] = None
         self._replay: Optional[_Replay] = None
         self._served = (None, 0, 0, None, None)   # (replay plan, lo, hi, inputs, labels)
         self._buffers = {}                  # purpose -> (shape, (inputs, labels) buffers)
-        # reservoir slots drawn for the items with global index start, start + 1, ...
-        self._draws = (capacity, np.empty(0, dtype=np.int64))
 
     # each built on its first draw
     _reservoir_rng = cached_property(lambda self: substream(self.seed, rngmod.RESERVOIR))
@@ -171,23 +165,11 @@ class DataPool:
 
     # -- storage ------------------------------------------------------------
 
-    def _slot_draws(self, lo: int, hi: int) -> np.ndarray:
-        """Reservoir slots of the items with global index lo .. hi - 1 (all at
-        or past capacity): item i draws j ~ Uniform{0..i}. Each index is drawn
-        once, in order, and kept until no checkpoint can rewind past it."""
-        start, drawn = self._draws
-        end = start + len(drawn)
-        if hi > end:
-            new = self._reservoir_rng.integers(0, np.arange(end, hi) + 1)
-            keep = lo if self._rewind is None else min(lo, max(self._rewind, start))
-            drawn = np.concatenate((drawn[keep - start:], new))
-            self._draws = (start := keep, drawn)
-        return drawn[lo - start:hi - start]
-
     def _plan_offers(self, first: int, counts: np.ndarray, block=None, rows=None, base=0):
         """Plan the offers of ``counts[i]`` items at step ``first + i`` from the
-        current state: every reservoir draw of the range at once, and, per
-        step, algorithm R's writes (item i survives at slot j iff j <
+        current state: every reservoir draw of the range at once (the item
+        with global index i past capacity draws slot j ~ Uniform{0..i}), and,
+        per step, algorithm R's writes (item i survives at slot j iff j <
         capacity; a slot drawn twice in one step keeps the later item). Given
         the served ``block`` and the range's ``rows`` of it (record id: row +
         ``base``), gather the items and store every row the range appends."""
@@ -198,7 +180,7 @@ class DataPool:
         cap, n_steps = self.capacity, len(counts)
         fill = np.clip(cap - seen[:-1], 0, counts)
         items = np.arange(max(seen[0], cap), seen[-1])
-        drawn = self._slot_draws(items[0], seen[-1]) if len(items) else items
+        drawn = self._reservoir_rng.integers(0, items + 1) if len(items) else items
         hit = (drawn < cap).nonzero()[0]
         step = seen.searchsorted(items.take(hit), "right") - 1
         # unique over the reversed (step, slot) keys finds each key's last draw
@@ -258,12 +240,11 @@ class DataPool:
         Applies step t's entry of the offer plan, first planning a range of
         this one call if no plan holds one for the current state. The step's
         appended rows are stored already if the plan was made with its items
-        (``update`` given the stream), else they are stored now; then
-        the step writes the slots its items overwrite, logging the old rows
-        while a checkpoint is open, and moves the counters. Steps must not
-        decrease (an equal step is allowed: the holdout's empty offers reuse
-        it), so a pool that has never dropped or overwritten an item stores
-        its arrivals in non-decreasing order.
+        (``update`` given the stream), else they are stored now; then the
+        step writes the slots its items overwrite and moves the counters.
+        Steps must not decrease (an equal step is allowed: the holdout's
+        empty offers reuse it), so a pool that has never dropped or
+        overwritten an item stores its arrivals in non-decreasing order.
         """
         if t < self.last_step:
             raise ValueError(f"step {t} is below last offered step {self.last_step}")
@@ -277,9 +258,6 @@ class DataPool:
         a, b = plan.at[k], plan.at[k + 1]
         if b > a:
             j, src = plan.slots[a:b], plan.src[a:b]
-            if self._undo is not None:
-                self._undo.append((j, self._xs.take(j, 0), self._ys.take(j, 0),
-                                   self._arrival.take(j), self._rid.take(j)))
             self._xs[j], self._ys[j] = xs.take(src, 0), ys.take(src, 0)
             self._arrival[j], self._rid[j] = t, rids.take(src)
         self.size += plan.fill[k]
@@ -323,36 +301,6 @@ class DataPool:
         self._ys.take(idx, 0, out=ys, mode="wrap")
         return xs, ys
 
-    # -- checkpoint / restore (atomic protocol steps) -------------------------
-
-    def checkpoint(self) -> dict:
-        """Mark the state ``restore`` returns to and open an undo log.
-
-        The checkpoint holds the counters only, not items and no generator
-        state: until the next checkpoint, each evicting ``offer`` logs one
-        entry of the old rows it overwrites, and rows stored past ``size``
-        need no entry. Draws are never rolled back; they stay in their plans
-        with the rows gathered for them, so steps offered again after a
-        restore reuse them. Only the latest checkpoint of a pool can be
-        restored.
-        """
-        self._ckpt_id += 1
-        self._undo = []
-        self._rewind = self.seen_count
-        return {"id": self._ckpt_id, "size": self.size, "seen": self.seen_count,
-                "last_step": self.last_step}
-
-    def restore(self, ckpt: dict):
-        """Write the logged rows back newest first and reset the counters;
-        O(slots overwritten). Plans and generators are left as they are: a
-        retried step finds its plan. Idempotent."""
-        if ckpt["id"] != self._ckpt_id:
-            raise ValueError("only the latest checkpoint of a pool can be restored")
-        for j, x, y, arrival, rid in reversed(self._undo):
-            self._xs[j], self._ys[j], self._arrival[j], self._rid[j] = x, y, arrival, rid
-        self._undo.clear()
-        self.size, self.seen_count, self.last_step = ckpt["size"], ckpt["seen"], ckpt["last_step"]
-
 
 def update(pool: DataPool, holdout: DataPool, batch: StreamBatch, spec=None):
     """Integrate one revealed batch: route each datum to holdout or training pool.
@@ -360,13 +308,12 @@ def update(pool: DataPool, holdout: DataPool, batch: StreamBatch, spec=None):
     Routing coins are drawn from the (seed, HOLDOUT, t) substream (see
     ``DataPool.routing_coins``), so the split of any step is re-enumerable.
     Record ids continue the global offer sequence across both pools. A step
-    that no offer plan holds plans each pool's offers for the rest of its
-    block; a retried step finds the plan already made. Given ``spec``, the
-    stream the batch was served from, the plan covers the block's steps
-    inside the horizon, gathers their items from the served block
-    (``stream.training_block``) and stores the rows they append at once,
-    and each step offers views of its items. Without it each step offers
-    copies of its own rows.
+    that no offer plan holds (a block's first) plans each pool's offers for
+    the rest of its block. Given ``spec``, the stream the batch was served
+    from, the plan covers the block's steps inside the horizon, gathers
+    their items from the served block (``stream.training_block``) and
+    stores the rows they append at once, and each step offers views of its
+    items. Without it each step offers copies of its own rows.
     """
     t, n = batch.t, batch.n
     if t <= pool.last_step:
@@ -392,75 +339,63 @@ def update(pool: DataPool, holdout: DataPool, batch: StreamBatch, spec=None):
 
 
 def steady_sizes(pool: DataPool) -> np.ndarray:
-    """The pool's size after each step from its last step through the last
-    one before its offer plan next overwrites a stored item (just the last
-    step without a plan): the steps over which rows read now stay put."""
-    found = pool._ahead(pool.last_step)
-    if found is None:
-        return np.array([pool.size])
-    plan, k = found
+    """The pool's size after each step from its last offered step through
+    the last one before its offer plan next overwrites a stored item: the
+    steps over which rows read now stay put."""
+    plan, k = pool._ahead(pool.last_step)
     return np.minimum(plan.seen[k + 1:plan.calm[k] + 1], pool.capacity)
 
 
 def _replayed(pool: DataPool, key: tuple, t: int, make, gather) -> Minibatch:
-    """Step t's rows of the pool's replay plan, as views. The plan serves if
-    it was made under ``key`` from the offer plan the pool stands at after
-    step t and holds step t; else ``make(offer plan, step t's index)`` draws
-    the one that replaces it (``make(None, 0)`` without an offer plan). A
+    """Step t's rows of the pool's replay plan, as views; step t must be the
+    pool's last offered step. The plan serves if it was made under ``key``
+    from the offer plan the pool stands at and holds step t; else
+    ``make(offer plan, step t's index)`` draws the one that replaces it. A
     step not gathered yet gathers, by ``gather(plan, lo, hi)``, its rows and
     those of the plan's later steps up to the next one whose offers
     overwrite a stored item."""
-    found, plan = pool._ahead(t), pool._replay
-    if (plan is None or plan.key != key or found is None or plan.source is not found[0]
+    found = pool._ahead(t)
+    if found is None:
+        raise ValueError(f"replay at step {t} needs the pool to stand at that step's offers "
+                         f"(last offered step {pool.last_step})")
+    source, k = found
+    plan = pool._replay
+    if (plan is None or plan.key != key or plan.source is not source
             or not 0 <= t - plan.first < len(plan.bound)):
         pool._replay = None   # free the old plan before drawing the new one
-        plan = pool._replay = make(*(found or (None, 0)))
+        plan = pool._replay = make(source, k)
     i = t - plan.first
     served, lo, hi, xs, ys = pool._served
     if served is not plan or not lo <= i < hi:
-        lo, hi = i, len(plan.bound)
-        if found is not None:
-            hi = min(hi, i + found[0].calm[found[1]] - found[1])
+        lo, hi = i, min(len(plan.bound), i + source.calm[k] - k)
         xs, ys = gather(plan, lo, hi)
         pool._served = (plan, lo, hi, xs, ys)
     return Minibatch(xs[i - lo], ys[i - lo])
 
 
-def sample_pure_replay(pool: DataPool, m: int,
-                       rng: Optional[np.random.Generator] = None,
-                       count: int = 1, block: bool = False) -> Minibatch:
+def sample_pure_replay(pool: DataPool, m: int, count: int = 1) -> Minibatch:
     """``count`` minibatches of m items, uniform with replacement over
     everything stored, as one block of ``count * m`` rows: rows [i*m, (i+1)*m)
     are the i-th minibatch. One joined draw equals ``count`` consecutive
     draws of m, row for row, and leaves the generator in the same state.
 
-    ``block=True`` serves views of the rows of the pool's replay plan, made
-    at the first such call of an offer plan's range with one draw for each
-    step's pool size, from the pool's own generator, and gathered as
-    ``_replayed`` says.
+    Serves views of the rows of the pool's replay plan, made at the first
+    call of an offer plan's range with one draw for each step's pool size,
+    from the pool's own generator, and gathered as ``_replayed`` says.
     """
     if pool.size == 0:
         raise EmptyPoolError("cannot sample from an empty pool")
-    g = pool._replay_rng if rng is None else rng
-    width = count * m
-
-    def draw(bounds):
-        # a bound of 1 draws without consuming the generator
-        return g.integers(0, np.maximum(bounds, 1)[:, None], size=(len(bounds), width))
-
-    if not block:
-        idx = draw(np.array([pool.size]))[0]
-        return Minibatch(inputs=pool._xs.take(idx, 0), labels=pool._ys.take(idx, 0))
+    key = ("pure", m, count)
 
     def make(source, k):
-        bounds = (np.array([pool.size]) if source is None
-                  else np.minimum(source.seen[k + 1:], pool.capacity))
-        return _Replay(("pure", m, count), source, pool.last_step, bounds, draw(bounds))
+        bounds = np.minimum(source.seen[k + 1:], pool.capacity)
+        idx = pool._replay_rng.integers(0, bounds[:, None], size=(len(bounds), count * m))
+        return _Replay(key, source, pool.last_step, bounds, idx)
 
     def gather(plan, lo, hi):
         return pool._gather("replay", plan.idx[lo:hi])
 
-    return _replayed(pool, ("pure", m, count), pool.last_step, make, gather)
+    return _replayed(pool, key, pool.last_step, make, gather)
 
 
 def _windows(pool: DataPool, steps: np.ndarray, window: Optional[int], size: int) -> tuple:
@@ -483,8 +418,7 @@ def _windows(pool: DataPool, steps: np.ndarray, window: Optional[int], size: int
 
 
 def sample_mixed_replay(pool: DataPool, current: StreamBatch, m: int,
-                        window: Optional[int] = None, count: int = 1,
-                        block: bool = False) -> Minibatch:
+                        window: Optional[int] = None, count: int = 1) -> Minibatch:
     """Half the minibatch from the current step, half uniform from the history window.
 
     The history half draws uniformly from stored items with arrival step in
@@ -495,13 +429,14 @@ def sample_mixed_replay(pool: DataPool, current: StreamBatch, m: int,
     [i*m, (i+1)*m) are the i-th minibatch, current half first. They are drawn
     by one call whose bounds repeat [current, history] ``count`` times, so
     the block equals ``count`` consecutive calls with ``count=1``, row for
-    row, and leaves the replay generator in the same state. ``block=True``
-    serves views of the rows of the pool's replay plan, drawn and gathered at
-    the first such call of an offer plan's range for the steps up to the next
-    one whose offers overwrite a stored item (see ``_windows``), with current
-    halves taken from the served stream block of the offer plan: ``current``
-    must be the batch ``update`` integrated last. Without a served block the
-    plan holds one step.
+    row, and leaves the replay generator in the same state. Serves views of
+    the rows of the pool's replay plan, drawn and gathered at the first call
+    of an offer plan's range for the steps up to the next one whose offers
+    overwrite a stored item (see ``_windows``), with current halves taken
+    from the served stream block of the offer plan: ``current`` must be the
+    batch the pool was offered last. Without a served block (a direct
+    ``offer``) the plan holds one step and its current halves come from
+    ``current``.
     """
     if m % 2 != 0:
         raise ValueError("mixed replay needs an even minibatch size")
@@ -509,7 +444,7 @@ def sample_mixed_replay(pool: DataPool, current: StreamBatch, m: int,
     key = ("mixed", m, count, window, n)
 
     def make(source, k):
-        if source is None or source.block is None:
+        if source.block is None:
             n_steps, size = 1, pool.size
         else:
             n_steps = source.calm[k] - k
@@ -522,13 +457,12 @@ def sample_mixed_replay(pool: DataPool, current: StreamBatch, m: int,
                                         size=(n_steps, count, 2, half))
         return _Replay(key, source, t, bounds, idx, windows)
 
-    def gather(plan, lo, hi, fresh=False):
+    def gather(plan, lo, hi):
         # current rows come from the served block, or from the current batch
-        served = plan.source is not None and plan.source.block is not None
+        served = plan.source.block is not None
         cur_x, cur_y = plan.source.block if served else (current.inputs, current.labels)
         steps = np.arange(lo, hi) + ((plan.first - 1) % BLOCK if served else 0)
-        xs, ys = ((np.empty((hi - lo, width) + a.shape[1:], a.dtype) for a in (cur_x, cur_y))
-                  if fresh else pool._rows("replay", hi - lo, width, cur_x, cur_y))
+        xs, ys = pool._rows("replay", hi - lo, width, cur_x, cur_y)
         cur, hist = plan.idx[lo:hi, :, 0] + n * steps[:, None, None], plan.idx[lo:hi, :, 1]
         full, windows = plan.bound[lo:hi] > 0, plan.windows[lo:hi]
         if isinstance(windows, list):   # an empty window draws all current rows
@@ -545,9 +479,6 @@ def sample_mixed_replay(pool: DataPool, current: StreamBatch, m: int,
                     out[i, :, 1] = (pool_src if full[i] else cur_src).take(h, 0)
         return xs, ys
 
-    if not block:
-        xs, ys = gather(make(None, 0), 0, 1, fresh=True)
-        return Minibatch(inputs=xs[0], labels=ys[0])
     return _replayed(pool, key, t, make, gather)
 
 
@@ -556,7 +487,7 @@ def sample_folds(pool: DataPool, m: int, rng: np.random.Generator, bounds: np.nd
     (len(bounds), m, ...): fold i's items are uniform with replacement over
     the first ``bounds[i]`` stored items, which must stay put until it is
     served (see ``steady_sizes``). One generator call draws every fold, equal
-    to one ``sample_pure_replay(pool, m, rng=rng)`` call per fold in order; a
+    to one ``rng.integers(0, bound, size=m)`` call per fold in order; a
     bound of 0 (a skipped fold) draws nothing. One take per array gathers the
     rows into buffers the pool keeps. None if every bound is 0."""
     if not bounds.any():

@@ -291,13 +291,10 @@ def run_protocol_step(run, t: int):
     items (a capped pool), which it writes, and from which on its replay
     rows are gathered, and mixed replay drawn, again.
 
-    If the update raises, both pools' items, counters and ``last_step`` are
-    rolled back and the step is not counted. Draws are not rolled back: the
-    plans stay, so a retried step, the block's first included, reuses the
-    plan made from the same pool state. Nothing else is rolled back: the
-    run's changes from iterations completed before the failure (optimizer,
-    averager, schedule, compute costs and the learning-rate trace) stay
-    applied.
+    A step that raises ends the run: nothing is rolled back. The pools keep
+    the step's offers (their ``last_step`` is t, so the step cannot be run
+    again), and the optimizer, averager, schedule, compute costs and
+    learning-rate trace keep the iterations completed before the failure.
 
     ``run`` is anything with ``stream_spec``, ``pool``, ``holdout``,
     ``predict`` and ``update``. Returns (predictions, batch); predictions
@@ -307,14 +304,8 @@ def run_protocol_step(run, t: int):
         raise ProtocolError(f"expected step {run.pool.last_step + 1}, got {t}")
     batch = stream.next_batch(run.stream_spec, t)
     predictions = run.predict(batch.inputs)
-    pool_ckpt, hold_ckpt = run.pool.checkpoint(), run.holdout.checkpoint()
     datapool.update(run.pool, run.holdout, batch, run.stream_spec)
-    try:
-        run.update(t, batch)
-    except Exception:
-        run.pool.restore(pool_ckpt)
-        run.holdout.restore(hold_ckpt)
-        raise
+    run.update(t, batch)
     return predictions, batch
 
 
@@ -409,7 +400,7 @@ class Run:
         self.schedule_rows = []
         self.lr_trace = []
         self.val_rng = substream(seed, rngmod.VALIDATION)
-        self.folds = (0, 0, (), None)   # (step planned at, first fold, bounds, rows)
+        self.folds = (0, (), None)   # (first fold, bounds, rows)
         self.checked_block = None   # the stream block check_batch last passed
         self.task_iters = (config.stream.task_length * config.iters_per_step
                            if stream_kind == "piecewise-task" else 0)
@@ -429,10 +420,11 @@ class Run:
         # trace replay: clamp to the recorded horizon
         return s.lr_trace[min(k - 1, len(s.lr_trace) - 1)]
 
-    def plan_folds(self, t: int):
+    def plan_folds(self):
         """Plan the validation minibatches of the folds the run reaches from
-        step t on while the holdout's rows stay put (see ``steady_sizes``):
-        one bound per fold, the holdout's size at the fold's step."""
+        the current step on while the holdout's rows stay put (see
+        ``steady_sizes``): one bound per fold, the holdout's size at the
+        fold's step."""
         p, k_v = self.config.iters_per_step, self.averager.k_v
         sizes = steady_sizes(self.holdout)
         iters = np.full(len(sizes), p)
@@ -442,20 +434,21 @@ class Run:
         done = self.k + np.cumsum(iters)
         folds = np.arange(self.k // k_v + 1, done[-1] // k_v + 1)
         bounds = sizes[done.searchsorted(folds * k_v)]
-        self.folds = (t, self.k // k_v + 1, bounds,
+        self.folds = (self.k // k_v + 1, bounds,
                       sample_folds(self.holdout, self.val_batch_size, self.val_rng, bounds))
 
     def sample_validation(self):
         """The validation minibatch of the fold at iteration k, None while the
         holdout is empty (the fold is skipped): from the fold plan if it drew
         the fold with the holdout's current size, else drawn on its own."""
-        size, (_, first, bounds, rows) = self.holdout.size, self.folds
+        size, (first, bounds, rows) = self.holdout.size, self.folds
         i = self.k // self.averager.k_v - first
         if size == 0:
             return None
-        if 0 <= i < len(bounds) and bounds[i] == size:
-            return Minibatch(rows[0][i], rows[1][i])
-        return sample_pure_replay(self.holdout, self.val_batch_size, rng=self.val_rng)
+        if not (0 <= i < len(bounds) and bounds[i] == size):
+            rows = sample_folds(self.holdout, self.val_batch_size, self.val_rng, np.array([size]))
+            i = 0
+        return Minibatch(rows[0][i], rows[1][i])
 
     def evaluate(self, params, batch) -> float:
         # the schedule/validation signal orientation is configurable; the
@@ -472,11 +465,10 @@ class Run:
         empty training pool (every datum so far went to the holdout) runs no
         iterations. Replay rows are rows of served stream blocks, so each
         block is checked against the model once, at its first replay. The
-        first step of a block plans the block's validation folds, unless a
-        retried step finds them planned."""
+        first step of a block plans the block's validation folds."""
         p, r = self.config.iters_per_step, self.config.replay
-        if p and (t - 1) % BLOCK == 0 and self.folds[0] != t:
-            self.plan_folds(t)
+        if p and (t - 1) % BLOCK == 0:
+            self.plan_folds()
         if p == 0 or (r.mode == "pure" and self.pool.size == 0):
             return
         if self.checked_block != (t - 1) // BLOCK:
@@ -484,10 +476,9 @@ class Run:
             self.checked_block = (t - 1) // BLOCK
         m = r.batch_size
         if r.mode == "pure":
-            rows = sample_pure_replay(self.pool, m, count=p, block=True)
+            rows = sample_pure_replay(self.pool, m, count=p)
         else:
-            rows = sample_mixed_replay(self.pool, batch, m, window=r.window, count=p,
-                                       block=True)
+            rows = sample_mixed_replay(self.pool, batch, m, window=r.window, count=p)
         for i in range(0, p * m, m):
             self.iterate(Minibatch(rows.inputs[i:i + m], rows.labels[i:i + m]))
 

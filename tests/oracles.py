@@ -49,12 +49,38 @@ def stored_items(pool):
     return pool._xs[:n].copy(), pool._ys[:n].copy(), pool._arrival[:n].copy()
 
 
+def per_call_pure_replay(pool, m, g):
+    """m items uniform with replacement over a ``DataPool``'s stored items,
+    drawn from g on their own: the reference for pure replay and folds."""
+    idx = g.integers(0, pool.size, size=m)
+    return pool._xs[idx], pool._ys[idx]
+
+
+def scan_mixed_replay(pool, current, m, window, g):
+    """The mixed draw with the eligible history found by a scan of every
+    stored arrival: the oracle for sample_mixed_replay."""
+    t = current.t
+    b = (t - 1) if window is None else window
+    if pool.size > 0:
+        arr = pool._arrival[: pool.size]
+        eligible = np.flatnonzero((arr >= t - b) & (arr <= t - 1))
+    else:
+        eligible = np.array([], dtype=np.int64)
+    if len(eligible) == 0:
+        idx_cur = g.integers(0, current.n, size=m)
+        return current.inputs[idx_cur], current.labels[idx_cur]
+    half = m // 2
+    idx_cur = g.integers(0, current.n, size=half)
+    idx_hist = eligible[g.integers(0, len(eligible), size=half)]
+    return (np.concatenate([current.inputs[idx_cur], pool._xs[idx_hist]]),
+            np.concatenate([current.labels[idx_cur], pool._ys[idx_hist]]))
+
+
 def consecutive_draws(sample, count, *args, **kwargs):
-    """(inputs, labels) of ``count`` consecutive ``count=1`` calls of a replay
-    sampler, stacked in call order: the reference for one joined draw."""
+    """(inputs, labels) of ``count`` consecutive calls of a per-call reference
+    draw, stacked in call order: the reference for one joined draw."""
     draws = [sample(*args, **kwargs) for _ in range(count)]
-    return (np.concatenate([d.inputs for d in draws]),
-            np.concatenate([d.labels for d in draws]))
+    return np.concatenate([d[0] for d in draws]), np.concatenate([d[1] for d in draws])
 
 
 def retained_rows(holdout, t):

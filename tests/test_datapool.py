@@ -1,5 +1,5 @@
 """Reservoir behavior, replay sampling distributions, holdout disjointness,
-and checkpoint rollback."""
+and planned draws against per-call references."""
 
 import copy
 
@@ -17,7 +17,8 @@ from oclopt.harness import (ExperimentConfig, Run, apply_overrides, expand_varia
                             run_protocol_step)
 from oclopt.rng import BLOCK, substream
 from oclopt.stream import StreamBatch, next_batch
-from tests.oracles import ROOM, consecutive_draws, record_ids, step_coins, stored_items
+from tests.oracles import (ROOM, consecutive_draws, per_call_pure_replay, record_ids,
+                           scan_mixed_replay, step_coins, stored_items)
 
 
 def offer_items(pool, n, t=1, d=2, start_rid=0):
@@ -205,6 +206,7 @@ class TestMixedReplay:
     def test_no_history_falls_back_to_current(self):
         pool = DataPool(ROOM, seed=0)
         current = make_batch(1)
+        offer_items(pool, 0, t=1)
         mb = sample_mixed_replay(pool, current, 8)
         assert len(mb.inputs) == 8
         # every item comes from the current batch
@@ -221,12 +223,13 @@ class TestMixedReplay:
             xs = np.full((10, 1), float(t))
             pool.offer(xs, np.full(10, t, dtype=np.int64), t,
                        (t - 1) * 10 + np.arange(10, dtype=np.int64))
+        offer_items(pool, 0, t=5)
         current = StreamBatch(t=5, inputs=np.full((10, 1), 5.0),
                               labels=np.full(10, 5, dtype=np.int64))
-        for _ in range(200):
-            mb = sample_mixed_replay(pool, current, 10)
-            assert (mb.labels == 5).sum() == 5
-            assert (mb.labels < 5).sum() == 5
+        # 200 minibatches, equal to 200 calls with count=1 (TestJoinedDraws)
+        labels = sample_mixed_replay(pool, current, 10, count=200).labels.reshape(200, 10)
+        assert ((labels == 5).sum(1) == 5).all()
+        assert ((labels < 5).sum(1) == 5).all()
 
     def test_window_restricts_history(self):
         pool = DataPool(ROOM, seed=1)
@@ -234,6 +237,7 @@ class TestMixedReplay:
             xs = np.full((10, 1), float(t))
             pool.offer(xs, np.full(10, t, dtype=np.int64), t,
                        (t - 1) * 10 + np.arange(10, dtype=np.int64))
+        offer_items(pool, 0, t=5)
         current = StreamBatch(t=5, inputs=np.full((4, 1), 5.0),
                               labels=np.full(4, 5, dtype=np.int64))
         mb = sample_mixed_replay(pool, current, 40, window=2)
@@ -246,49 +250,33 @@ class TestMixedReplay:
             xs = np.full((5, 1), float(t))
             pool.offer(xs, np.full(5, t, dtype=np.int64), t,
                        (t - 1) * 5 + np.arange(5, dtype=np.int64))
+        offer_items(pool, 0, t=4)
         current = StreamBatch(t=4, inputs=np.full((5, 1), 4.0),
                               labels=np.full(5, 4, dtype=np.int64))
-        seen = set()
-        for _ in range(100):
-            mb = sample_mixed_replay(pool, current, 6)
-            seen |= set(np.unique(mb.labels[mb.labels != 4]))
-        assert seen == {1, 2, 3}
+        mb = sample_mixed_replay(pool, current, 6, count=100)
+        assert set(np.unique(mb.labels[mb.labels != 4])) == {1, 2, 3}
 
-
-def scan_mixed_replay(pool, current, m, window, g):
-    """The mixed draw with the eligible history found by a scan of every
-    stored arrival: the oracle for sample_mixed_replay."""
-    t = current.t
-    b = (t - 1) if window is None else window
-    if pool.size > 0:
-        arr = pool._arrival[: pool.size]
-        eligible = np.flatnonzero((arr >= t - b) & (arr <= t - 1))
-    else:
-        eligible = np.array([], dtype=np.int64)
-    if len(eligible) == 0:
-        idx_cur = g.integers(0, current.n, size=m)
-        return current.inputs[idx_cur], current.labels[idx_cur]
-    half = m // 2
-    idx_cur = g.integers(0, current.n, size=half)
-    idx_hist = eligible[g.integers(0, len(eligible), size=half)]
-    return (np.concatenate([current.inputs[idx_cur], pool._xs[idx_hist]]),
-            np.concatenate([current.labels[idx_cur], pool._ys[idx_hist]]))
+    def test_current_must_be_the_last_offered_step(self):
+        pool = DataPool(ROOM, seed=0)
+        offer_items(pool, 4, t=1)
+        with pytest.raises(ValueError, match="last offered step 1"):
+            sample_mixed_replay(pool, make_batch(2), 4)
 
 
 class TestMixedReplayMatchesScan:
     # Offers at non-decreasing steps (gap 0 repeats a step) into unlimited
     # pools (a capacity of the most items the offers hold), whose arrivals
-    # stay sorted, and capped ones, which may evict; a
-    # draw after every offer, then a rollback of the last offers and a draw.
+    # stay sorted, and capped ones, which may evict; a draw at the step of
+    # every offer that moves the pool.
     @settings(max_examples=150, deadline=None)
     @given(capacity=st.integers(1, 50) | st.just(15 * 20), seed=st.integers(0, 2**16),
            offers=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 20)), max_size=15),
-           n_undone=st.integers(0, 15), data=st.data())
-    def test_draws_equal_the_scan(self, capacity, seed, offers, n_undone, data):
+           data=st.data())
+    def test_draws_equal_the_scan(self, capacity, seed, offers, data):
         pool = DataPool(capacity=capacity, seed=seed)
 
         def draw():
-            t = pool.last_step + data.draw(st.integers(0, 2), label="ahead")
+            t = pool.last_step
             current = make_batch(t, n=data.draw(st.integers(1, 5), label="n_current"),
                                  seed=seed)
             window = data.draw(st.none() | st.integers(0, t + 3), label="window")
@@ -301,25 +289,23 @@ class TestMixedReplayMatchesScan:
             np.testing.assert_equal(pool._replay_rng.bit_generator.state,
                                     g.bit_generator.state)
 
-        split = max(len(offers) - n_undone, 0)
         t = 0
         for i, (gap, n) in enumerate(offers):
-            if i == split:
-                ckpt = pool.checkpoint()
             t += gap
             xs, ys = make_items(t, n=n, seed=seed)
             pool.offer(xs, ys, t, pool.seen_count + np.arange(n, dtype=np.int64))
-            draw()
-        if split < len(offers):
-            pool.restore(ckpt)
-            draw()
+            # an empty offer at the same step leaves the pool where the last
+            # draw found it, so a draw there would be served that plan's rows
+            if i == 0 or gap or n:
+                draw()
 
 
 class TestJoinedDraws:
-    # One call with count=p must equal p consecutive count=1 calls on an
-    # identical pool: unlimited pools (a capacity no offers reach) and capped
-    # ones (which evict past their capacity), windowed draws, and the fallback when the window holds
-    # nothing (an empty pool at t=1, or a window past every stored item).
+    # One call with count=p must equal p consecutive per-call reference
+    # draws: unlimited pools (a capacity no offers reach) and capped ones
+    # (which evict past their capacity), windowed draws, and the fallback
+    # when the window holds nothing (an empty pool at t=1, or a window past
+    # every stored item). Mixed replay draws at a step that offers nothing.
     @settings(max_examples=150, deadline=None)
     @given(capacity=st.integers(1, 30) | st.just(8 * 12), seed=st.integers(0, 2**16),
            sizes=st.lists(st.integers(0, 12), max_size=8), mixed=st.booleans(),
@@ -333,20 +319,19 @@ class TestJoinedDraws:
             pool.offer(xs, ys, t, pool.seen_count + np.arange(n, dtype=np.int64))
         if not mixed and pool.size == 0:
             return
-        twin = copy.deepcopy(pool)
+        g = copy.deepcopy(pool._replay_rng)
         m = 2 * half
         if mixed:
             current = make_batch(len(sizes) + 1, n=n_current, seed=seed)
+            offer_items(pool, 0, t=current.t)
             block = sample_mixed_replay(pool, current, m, window=window, count=count)
-            xs, ys = consecutive_draws(sample_mixed_replay, count, twin, current, m,
-                                       window=window)
+            xs, ys = consecutive_draws(scan_mixed_replay, count, pool, current, m, window, g)
         else:
             block = sample_pure_replay(pool, m, count=count)
-            xs, ys = consecutive_draws(sample_pure_replay, count, twin, m)
+            xs, ys = consecutive_draws(per_call_pure_replay, count, pool, m, g)
         assert block.inputs.tobytes() == xs.tobytes()
         assert block.labels.tobytes() == ys.tobytes()
-        np.testing.assert_equal(pool._replay_rng.bit_generator.state,
-                                twin._replay_rng.bit_generator.state)
+        np.testing.assert_equal(pool._replay_rng.bit_generator.state, g.bit_generator.state)
 
 
 class ReferencePool:
@@ -395,14 +380,9 @@ def same_items(pool, ref):
             assert a[: pool.size].tobytes() == b[: ref.size].tobytes()
 
 
-class TestCheckpoint:
-    # items and counters; restore leaves draws, plans and generators alone
-    @staticmethod
-    def state(pool):
-        stored = () if pool.size == 0 else tuple(
-            a[: pool.size].tobytes() for a in (pool._xs, pool._ys, pool._arrival, pool._rid))
-        return (pool.size, pool.seen_count, pool.last_step, stored)
-
+class TestOffer:
+    # the pool matches the per-item reference after every offer, generators
+    # included
     @staticmethod
     def assert_matches_reference(pool, ref):
         same_items(pool, ref)
@@ -411,67 +391,20 @@ class TestCheckpoint:
         np.testing.assert_equal(pool._replay_rng.bit_generator.state,
                                 ref.replay_rng.bit_generator.state)
 
-    @pytest.mark.parametrize("capacity", [None, 25])
-    def test_restore_undoes_growth_and_eviction(self, capacity):
-        # an unlimited pool (None: a capacity no offer reaches) only appends,
-        # a capped one evicts; every step lies in the block planned at step 1,
-        # so the plan stays too
-        pool = DataPool(capacity=ROOM if capacity is None else capacity, seed=3)
-        for t in range(1, 4):
-            update(pool, DataPool(ROOM), make_batch(t))
-        for t in range(4, 7):
-            pool.checkpoint()
-            update(pool, DataPool(ROOM), make_batch(t))
-        before, plan = self.state(pool), pool._offers
-        ckpt = pool.checkpoint()
-        for t in range(7, 20):
-            update(pool, DataPool(ROOM), make_batch(t))
-        pool.restore(ckpt)
-        np.testing.assert_equal(self.state(pool), before)
-        assert pool._offers is plan
-
-    # An unlimited pool (a capacity no offers reach) only appends, a capped
-    # one evicts. Offers of
-    # the first half of the steps before the checkpoint run with no undo log,
-    # the rest each open one; replay draws after the checkpoint move the
-    # replay generator, which restore leaves alone. Offering the undone steps
-    # again reuses their reservoir draws: the pool matches the reference,
-    # which offered them once.
+    # an unlimited pool (a capacity no offers reach) only appends, a capped
+    # one evicts
     @settings(max_examples=150, deadline=None)
     @given(capacity=st.integers(1, 50) | st.just(20 * 40), seed=st.integers(0, 2**16),
-           sizes=st.lists(st.integers(0, 40), max_size=20),
-           n_undone=st.integers(0, 20))
-    def test_offer_matches_reference_and_restore_undoes_it(self, capacity, seed, sizes,
-                                                           n_undone):
+           sizes=st.lists(st.integers(0, 40), max_size=20))
+    def test_offer_matches_reference(self, capacity, seed, sizes):
         pool = DataPool(capacity=capacity, seed=seed)
         ref = ReferencePool(capacity, seed, room=max(sum(sizes), 1))
-        split = max(len(sizes) - n_undone, 0)
-
-        def offer(t, n):
+        for t, n in enumerate(sizes, start=1):
             xs, ys = make_items(t, n=n)
             rids = pool.seen_count + np.arange(n, dtype=np.int64)
             pool.offer(xs, ys, t, rids)
             ref.offer(xs, ys, t, rids)
             self.assert_matches_reference(pool, ref)
-
-        for t, n in enumerate(sizes[:split], start=1):
-            if t > split // 2:
-                pool.checkpoint()
-            offer(t, n)
-        before = self.state(pool)
-        ckpt = pool.checkpoint()
-        for t, n in enumerate(sizes[split:], start=split + 1):
-            offer(t, n)
-            pool._replay_rng.random()
-            ref.replay_rng.random()
-        pool.restore(ckpt)
-        np.testing.assert_equal(self.state(pool), before)
-        pool.restore(ckpt)
-        np.testing.assert_equal(self.state(pool), before)
-        for t, n in enumerate(sizes[split:], start=split + 1):
-            xs, ys = make_items(t, n=n)
-            pool.offer(xs, ys, t, pool.seen_count + np.arange(n, dtype=np.int64))
-        self.assert_matches_reference(pool, ref)
 
     @pytest.mark.parametrize("capacity", [1, 2])
     def test_repeated_slot_keeps_the_later_item(self, capacity):
@@ -488,75 +421,32 @@ class TestCheckpoint:
             pytest.fail("no seed draws a kept slot twice")
         pool = DataPool(capacity=capacity, seed=seed)
         ref = ReferencePool(capacity, seed, room=capacity)
-
-        def offer(t, n):
+        for t, n in ((1, capacity), (2, 8)):
             xs, ys = make_items(t, n=n)
             rids = pool.seen_count + np.arange(n, dtype=np.int64)
             pool.offer(xs, ys, t, rids)
             ref.offer(xs, ys, t, rids)
-
-        offer(1, capacity)
-        before, ckpt = self.state(pool), pool.checkpoint()
-        offer(2, 8)
         self.assert_matches_reference(pool, ref)
-        pool.restore(ckpt)
-        np.testing.assert_equal(self.state(pool), before)
-        xs, ys = make_items(2, n=8)
-        pool.offer(xs, ys, 2, pool.seen_count + np.arange(8, dtype=np.int64))
-        self.assert_matches_reference(pool, ref)
-
-    def test_restore_then_retry_reuses_the_draws(self):
-        # the checkpoint precedes every draw; a replay draw and an eviction
-        # build both generators, restore leaves them and the drawn slots
-        pool, fresh = DataPool(capacity=5, seed=4), DataPool(capacity=5, seed=4)
-        offer_items(pool, 5)
-        offer_items(fresh, 5)
-        ckpt = pool.checkpoint()
-        sample_pure_replay(pool, 3)
-        offer_items(pool, 4, t=2, start_rid=5)
-        drawn = pool._reservoir_rng.bit_generator.state
-        pool.restore(ckpt)
-        np.testing.assert_equal(self.state(pool), self.state(fresh))
-        offer_items(pool, 4, t=2, start_rid=5)
-        offer_items(fresh, 4, t=2, start_rid=5)
-        np.testing.assert_equal(self.state(pool), self.state(fresh))
-        np.testing.assert_equal(pool._reservoir_rng.bit_generator.state, drawn)
-
-    def test_only_latest_checkpoint_restores(self):
-        pool = DataPool(ROOM, seed=0)
-        update(pool, DataPool(ROOM), make_batch(1))
-        older = pool.checkpoint()
-        pool.checkpoint()
-        with pytest.raises(ValueError, match="latest checkpoint"):
-            pool.restore(older)
-
-
-def generator_states(pool):
-    """The states of the generators a pool has built."""
-    return {name: repr(g.bit_generator.state) for name, g in vars(pool).items()
-            if isinstance(g, np.random.Generator)}
 
 
 class TestPlannedSteps:
     # Protocol steps take their pool draws and rows from plans made once per
     # block of steps. At every step both pools must equal per-item references
     # fed the same routed items, and the replay rows served to the step must
-    # equal per-call draws from a twin pool fed one offer at a time. Pools
-    # that never evict (a capacity of every item), that evict from the first
-    # blocks, and that first evict partway through a later block (capacities
-    # of one to four blocks of steps) take their rows from gathers that stop
-    # at each step whose offers overwrite a stored item. One step at a block
-    # start and one mid-block fail once after their draws; the retry reuses
-    # the plans and is served the rows the failed attempt was served.
+    # equal per-call reference draws over a twin pool fed one offer at a
+    # time, from a generator keyed like the pool's. Pools that never evict (a
+    # capacity of every item), that evict from the first blocks, and that
+    # first evict partway through a later block (capacities of one to four
+    # blocks of steps) take their rows from gathers that stop at each step
+    # whose offers overwrite a stored item.
     @settings(max_examples=25, deadline=None)
     @given(capacity=st.integers(1, 300) | st.integers(BLOCK, 4 * BLOCK) | st.just(600 * 6),
            holdout_fraction=st.sampled_from([0.0, 0.1, 0.5]),
            mixed=st.booleans(), window=st.none() | st.integers(0, 40),
            iters=st.integers(0, 5), n=st.integers(1, 6), seed=st.integers(0, 2**16),
-           horizon=st.sampled_from([257, 513, 600]) | st.integers(1, 600),
-           data=st.data())
+           horizon=st.sampled_from([257, 513, 600]) | st.integers(1, 600))
     def test_planned_steps_equal_per_call_draws(self, capacity, holdout_fraction, mixed,
-                                                window, iters, n, seed, horizon, data):
+                                                window, iters, n, seed, horizon):
         m = 4
         cfg = apply_overrides(ExperimentConfig(), {
             "stream.horizon": horizon, "stream.batch_size": n, "iters_per_step": iters,
@@ -566,37 +456,10 @@ class TestPlannedSteps:
             "schedule.kind": "constant", "optimizer.averaging": "none"})
         run, rows = Run(cfg, seed), []
         run.predict, run.iterate = (lambda inputs: None), rows.append
-        fail = {data.draw(st.sampled_from([t for t in (1, BLOCK + 1, 2 * BLOCK + 1)
-                                           if t <= horizon]), label="block start")}
-        mid = data.draw(st.integers(1, horizon), label="mid-block")
-        fail |= {mid} if (mid - 1) % BLOCK else set()
-        learner_update = run.update
-
-        def update(t, batch):
-            learner_update(t, batch)
-            if t in fail:
-                fail.discard(t)
-                raise RuntimeError("boom")
-
-        run.update = update
         ref, ref_hold = (ReferencePool(cap, seed, room=horizon * n) for cap in (capacity, None))
-        twin = DataPool(capacity=capacity, seed=seed)
+        twin, g = DataPool(capacity=capacity, seed=seed), substream(seed, rngmod.REPLAY)
         for t in range(1, horizon + 1):
-            if t in fail:
-                with pytest.raises(RuntimeError, match="boom"):
-                    run_protocol_step(run, t)
-                same_items(run.pool, ref)
-                same_items(run.holdout, ref_hold)
-                plans = (run.pool._offers, run.holdout._offers, run.pool._replay)
-                drawn = [generator_states(pool) for pool in (run.pool, run.holdout)]
-                served = [(mb.inputs.tobytes(), mb.labels.tobytes()) for mb in rows]
-                rows.clear()
-                run_protocol_step(run, t)
-                assert plans == (run.pool._offers, run.holdout._offers, run.pool._replay)
-                assert drawn == [generator_states(pool) for pool in (run.pool, run.holdout)]
-                assert served == [(mb.inputs.tobytes(), mb.labels.tobytes()) for mb in rows]
-            else:
-                run_protocol_step(run, t)
+            run_protocol_step(run, t)
             batch = next_batch(run.stream_spec, t)
             hold = step_coins(seed, t, n) < holdout_fraction
             rids = ref.seen_count + ref_hold.seen_count + np.arange(n, dtype=np.int64)
@@ -609,10 +472,9 @@ class TestPlannedSteps:
                 assert rows == []
                 continue
             if mixed:
-                xs, ys = consecutive_draws(sample_mixed_replay, iters, twin, batch, m,
-                                           window=window)
+                xs, ys = consecutive_draws(scan_mixed_replay, iters, twin, batch, m, window, g)
             else:
-                xs, ys = consecutive_draws(sample_pure_replay, iters, twin, m)
+                xs, ys = consecutive_draws(per_call_pure_replay, iters, twin, m, g)
             assert np.concatenate([mb.inputs for mb in rows]).tobytes() == xs.tobytes()
             assert np.concatenate([mb.labels for mb in rows]).tobytes() == ys.tobytes()
             rows.clear()
@@ -621,7 +483,7 @@ class TestPlannedSteps:
 class TestPlannedFolds:
     # Runs draw their validation minibatches once per block of steps, with
     # one bound per fold. Every fold must get what one
-    # sample_pure_replay(holdout, m, rng) call per fold gives, at the same
+    # per_call_pure_replay(holdout, m, g) call per fold gives, at the same
     # holdout state, from a generator keyed like the run's; a skipped fold
     # (an empty holdout) draws nothing. A sparse holdout skips the first
     # folds, and one datum per step leaves some early pure-replay steps with
@@ -655,12 +517,12 @@ class TestPlannedFolds:
             run.k += 1
             if run.k % k_v == 0:
                 got = run.sample_validation()
-                want = sample_pure_replay(run.holdout, m, rng=g) if run.holdout.size else None
+                want = per_call_pure_replay(run.holdout, m, g) if run.holdout.size else None
                 folds.append(want is None)
                 assert (got is None) == (want is None)
                 if want is not None:
-                    assert got.inputs.tobytes() == want.inputs.tobytes()
-                    assert got.labels.tobytes() == want.labels.tobytes()
+                    assert got.inputs.tobytes() == want[0].tobytes()
+                    assert got.labels.tobytes() == want[1].tobytes()
 
         run.predict, run.iterate = (lambda inputs: None), iterate
         for t in range(1, horizon + 1):

@@ -301,14 +301,17 @@ class TestRunExperiment:
 
     def test_divergence_mid_step_keeps_completed_iterations(self):
         # alpha0=1e6 diverges at iteration 77, the second of step 16's five:
-        # iteration 76 stays applied, while both pools roll back to their
-        # state after step 15 and the replay generator, drawn only at block
-        # starts, stays where it was
-        cfg = apply_overrides(dict(expand_variants(preset("objective-comparison")))["mixed-p5"],
-                              {"stream.horizon": 300, "schedule.alpha0": 1e6})
-        run = harness.Run(cfg, 0)
+        # iteration 76 stays applied, both pools keep step 16's offers (what
+        # they hold does not depend on the learning rate, so a run at the
+        # preset's rate is the reference), and the replay generator, drawn
+        # only at block starts, stays where it was
+        name = "mixed-p5"
+        ok = apply_overrides(dict(expand_variants(preset("objective-comparison")))[name],
+                             {"stream.horizon": 300})
+        cfg = apply_overrides(ok, {"schedule.alpha0": 1e6})
+        run, clean = harness.Run(cfg, 0), harness.Run(ok, 0)
 
-        def pools():
+        def pools(run):
             return [(pool.size, pool.seen_count, pool.last_step,
                      [a.tobytes() for a in stored_items(pool) + (record_ids(pool),)])
                     for pool in (run.pool, run.holdout)]
@@ -316,12 +319,37 @@ class TestRunExperiment:
         with np.errstate(over="ignore", invalid="ignore"):
             for t in range(1, 16):
                 assert run.step(t)
-            before, replay_state = pools(), run.pool._replay_rng.bit_generator.state
+            replay_state = run.pool._replay_rng.bit_generator.state
             assert not run.step(16)
+            for t in range(1, 17):
+                assert clean.step(t)
         assert run.diverged
         assert len(run.lr_trace) == 76
-        assert pools() == before
+        assert run.pool.last_step == run.holdout.last_step == 16
+        assert pools(run) == pools(clean)
         np.testing.assert_equal(run.pool._replay_rng.bit_generator.state, replay_state)
+
+    def test_a_divergence_ends_the_run_and_its_artifacts_are_written(self, tmp_path,
+                                                                     monkeypatch):
+        # the run takes no step after the one whose update diverges, and
+        # still writes its artifacts, which hold the steps before it
+        cfg = apply_overrides(dict(expand_variants(preset("objective-comparison")))["mixed-p5"],
+                              {"stream.horizon": 300, "schedule.alpha0": 1e6,
+                               "eval_every": 5})
+        steps = []
+
+        class CountingRun(harness.Run):
+            def step(self, t):
+                steps.append(t)
+                return super().step(t)
+
+        monkeypatch.setattr(harness, "Run", CountingRun)
+        res = run_experiment(cfg, seed=0, out_dir=tmp_path)
+        assert res.diverged and steps == list(range(1, 17))
+        assert json.loads((tmp_path / "manifest.json").read_text())["status"] == "diverged"
+        assert (tmp_path / "checkpoint.npz").is_file()
+        rows = (tmp_path / "metrics.csv").read_text().splitlines()[1:]
+        assert [int(row.split(",")[0]) for row in rows] == [5, 10, 15]
 
     @pytest.mark.parametrize("name,label,seed", [("main-comparison", "ama-malr", 26),
                                                  ("theory-verify", "base", 26),
@@ -441,7 +469,7 @@ class TestRunExperiment:
         assert run.pool._coins[1].shape == (last, n)
         assert len(run.pool._offers.counts) == len(run.holdout._offers.counts) == last
         assert run.pool._replay.first + len(run.pool._replay.bound) - 1 == horizon
-        _, first, bounds, _ = run.folds
+        first, bounds, _ = run.folds
         assert first + len(bounds) - 1 == horizon * cfg.iters_per_step // cfg.optimizer.k_v
 
     def test_generators_are_built_per_block_not_per_step(self, monkeypatch):
