@@ -36,7 +36,7 @@ from .model import (DivergenceError, ModelSpec, Workspace, check_batch, init_par
 from .optim import (AmaState, CostCounter, adam_step, ama_step, best_ma, init_adam,
                     init_averager, init_sgd, save_optimizer, sgd_step)
 from .rng import BLOCK, substream
-from .schedule import cyclic_lr, init_schedule, malr_update, rwp_update
+from .schedule import controller
 from .stream import (DriftingQuadraticSpec, PiecewiseTaskSpec, RotatingGaussianSpec,
                      StreamSpec)
 from .theory import BoundReport, make_rate_schedule, verify_bound
@@ -314,9 +314,11 @@ class Run:
 
     Building a run validates a config for one seed: the constructor checks
     the seed and the kinds and pairings only the harness knows, and reports
-    whatever the constructors it calls reject as a ConfigError. ``step(t)``
-    executes protocol step t through ``run_protocol_step``, which calls back
-    ``predict`` and ``update``, then records the step's metrics.
+    whatever the constructors it calls reject as a ConfigError. One rate
+    controller, ``rate`` (see ``oclopt.schedule``), sets every iteration's
+    rate. ``step(t)`` executes protocol step t through ``run_protocol_step``,
+    which calls back ``predict`` and ``update``, then records the step's
+    metrics.
     """
 
     def __init__(self, config: ExperimentConfig, seed: int):
@@ -328,7 +330,6 @@ class Run:
                                    else config.val_batch_size)
             self.ft_k1 = config.ft_k1 if config.ft_k1 is not None else max(1, horizon // 10)
             self.ft_k2 = config.ft_k2 if config.ft_k2 is not None else max(2, horizon // 4)
-            rates = s.lr_trace if s.kind == "trace" and s.lr_trace else [s.alpha0]
             # the kinds, pairings and values only the harness resolves; every
             # other range check sits in the constructor that owns the value
             errors = [message for bad, message in (
@@ -338,8 +339,6 @@ class Run:
                 (r.mode not in ("pure", "mixed"), f"unknown replay mode {r.mode!r}"),
                 (r.mode == "mixed" and r.batch_size % 2 != 0,
                  "mixed replay needs an even batch size"),
-                (s.kind not in ("constant", "rwp", "malr", "cyclic", "trace"),
-                 f"unknown schedule kind {s.kind!r}"),
                 (s.metric not in ("accuracy", "loss"), f"unknown schedule metric {s.metric!r}"),
                 (o.averaging not in AVERAGING, f"unknown averaging mode {o.averaging!r}"),
                 (s.kind == "malr" and o.averaging == "none",
@@ -349,7 +348,6 @@ class Run:
                  "rwp, malr and ama read validation, which needs replay.holdout_fraction > 0"),
                 (s.kind == "cyclic" and stream_kind != "piecewise-task",
                  "cyclic schedule requires a task-aware (piecewise) stream"),
-                (s.kind == "trace" and not s.lr_trace, "trace schedule requires lr_trace"),
                 (o.base not in ("sgd", "adam"), f"unknown base optimizer {o.base!r}"),
                 (config.model.hidden < 1, "model.hidden must be >= 1"),
                 (model_kind == "quadratic-probe" and stream_kind != "drifting-quadratic",
@@ -361,10 +359,10 @@ class Run:
                 (r.batch_size < 1, "replay.batch_size must be >= 1"),
                 (self.val_batch_size < 1, "val_batch_size must be >= 1 or null"),
                 (not self.ft_k2 > self.ft_k1 >= 1,
-                 "the forward-transfer window needs ft_k2 > ft_k1 >= 1"),
-                (min(rates) <= 0, "the learning rate must be positive")) if bad]
+                 "the forward-transfer window needs ft_k2 > ft_k1 >= 1")) if bad]
             if errors:
                 raise ValueError("; ".join(errors))
+            self.rate = controller(s, config.stream.task_length * config.iters_per_step)
 
             self.config = config
             self.seed = seed
@@ -385,11 +383,6 @@ class Run:
             self.averager = init_averager(theta, n_models, gamma0=o.gamma0, delta=o.delta,
                                           k_m=o.k_m, k_v=o.k_v, k_w=o.k_w,
                                           adapt=o.adapt or n_models < 2)
-            self.sched = None
-            if s.kind in ("rwp", "malr"):
-                self.sched = init_schedule(s.kind, s.alpha0, beta_lr=s.beta_lr, k_r=s.k_r,
-                                           epsilon=s.epsilon, use_c2=s.use_c2,
-                                           use_c3=s.use_c3)
         except (TypeError, ValueError) as e:
             raise ConfigError(str(e)) from e
         self.k = 0
@@ -402,23 +395,9 @@ class Run:
         self.val_rng = substream(seed, rngmod.VALIDATION)
         self.folds = (0, (), None)   # (first fold, bounds, rows)
         self.checked_block = None   # the stream block check_batch last passed
-        self.task_iters = (config.stream.task_length * config.iters_per_step
-                           if stream_kind == "piecewise-task" else 0)
 
     def inference_params(self):
         return best_ma(self.averager) if self.averager.ma else self.base.theta
-
-    def alpha(self, k: int) -> float:
-        s = self.config.schedule
-        if self.sched is not None:
-            return self.sched.alpha
-        if s.kind == "constant":
-            return s.alpha0
-        if s.kind == "cyclic":
-            return max(cyclic_lr(s.alpha0, (k - 1) % self.task_iters, self.task_iters),
-                       1e-12 * s.alpha0)
-        # trace replay: clamp to the recorded horizon
-        return s.lr_trace[min(k - 1, len(s.lr_trace) - 1)]
 
     def plan_folds(self):
         """Plan the validation minibatches of the folds the run reaches from
@@ -483,10 +462,12 @@ class Run:
             self.iterate(Minibatch(rows.inputs[i:i + m], rows.labels[i:i + m]))
 
     def iterate(self, mb):
-        """One optimizer iteration on a replay minibatch: base step, averager,
-        schedule."""
+        """One optimizer iteration on a replay minibatch: the base step at the
+        controller's rate, then the averager. At a validation fold whose window
+        is non-empty, the controller observes the fold, and a row it returns
+        goes to ``schedule_rows``."""
         k = self.k + 1
-        alpha = self.alpha(k)
+        alpha = self.rate.alpha(k)
         loss, grad = loss_and_grad(self.model_spec, self.base.theta, mb, work=self.work)
         self.costs.forward += 1
         self.costs.grad += 1
@@ -501,14 +482,10 @@ class Run:
         self.lr_trace.append(alpha)
         avg = ama_step(self.averager, self.base.theta, k, self.sample_validation,
                        self.evaluate, self.costs)
-        if self.sched is not None and k % avg.k_v == 0 and avg.n > 0:
-            val_perf, sig = avg.best_perf(), avg.sigma()
-            if self.sched.kind == "rwp":
-                rwp_update(self.sched, val_perf, k)
-            else:
-                malr_update(self.sched, val_perf, sig, k)
-            mask = sum(1 << i for i, c in enumerate(self.sched.last_conditions) if c)
-            self.schedule_rows.append((k, self.sched.alpha, sig, val_perf, mask))
+        if k % avg.k_v == 0 and avg.n > 0:   # a fold scored a non-empty window
+            row = self.rate.observe(k, avg.best_perf(), avg.sigma())
+            if row is not None:
+                self.schedule_rows.append(row)
 
     def step(self, t: int) -> bool:
         """Run protocol step t and record its metrics; False once diverged."""

@@ -1,123 +1,140 @@
-"""Learning-rate controllers: reduce-when-plateau, MALR, and the cyclic cosine rate.
+"""Learning-rate controllers: one per run, built from a config's ``schedule``
+block by ``controller``.
 
-Reduce-when-plateau (rwp) halves the rate (factor ``beta_lr``) when the
-validation signal has not improved for ``k_r`` iterations. MALR adds two
-conditions computed from the gap ``sigma_k`` between the moving-average model
-and the SGD model on the same validation signal:
+A controller gives the rate of iteration k, ``alpha(k)``, and is shown every
+validation fold the run scores through ``observe(k, val_perf, sigma)``, which
+returns the fold's ``schedule.csv`` row ``(k, alpha, sigma, val_perf,
+conditions)``, or None. Constant, cyclic and trace rates read no validation:
+they observe nothing and write no row.
+
+Reduce-when-plateau (rwp) and MALR share one plateau rule. It cuts the rate
+by the factor ``beta_lr`` on conditions computed from the validation signal
+and from the gap ``sigma_k`` between the moving-average model and the SGD
+model on the same signal:
 
 * C1: validation performance has not improved for k_r iterations.
 * C2: sigma has not increased for k_r iterations.
 * C3: sigma exceeds the threshold ``epsilon``.
 
-The rate is reduced only when every enabled condition holds. C3 bounds the
-rate away from zero once the MA advantage vanishes, which is exactly the
-regime where further reduction stops being useful.
+rwp computes C1 alone and cuts when it holds. MALR computes all three and
+cuts when C1 and every enabled extra condition (``use_c2``, ``use_c3``) hold.
+C3 bounds the rate away from zero once the MA advantage vanishes, which is
+exactly the regime where further reduction stops being useful. A row's
+``conditions`` is the bitmask C1 + 2·C2 + 4·C3, so rwp's reads 1 or 0.
 
-Both controllers are pure functions of the observation trace: feed them the
-same (value, iteration) sequence and they make the same decisions.
+Every controller is a pure function of its observations: fed the same
+(k, val_perf, sigma) sequence, it gives the same rates and rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
 
 _NEG_INF = float("-inf")
 _TOL = 1e-6  # absolute tolerance of an improvement, to absorb float noise
 
 
-@dataclass
-class ScheduleState:
-    """State shared by the plateau-based controllers.
+def _number(name: str, value, positive=True):
+    # a bool is not a number here
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or positive and value <= 0):
+        raise ValueError(f"{name} must be a finite {'positive ' * positive}number, got {value!r}")
+    return value
 
-    Improvement is strict, beyond the absolute tolerance ``_TOL``.
-    ``use_c2``/``use_c3`` turn individual MALR conditions off for
-    ablations; rwp ignores them. Counters are measured in iterations even
-    though updates typically arrive only at validation-refresh events.
+
+class Constant:
+    """alpha0 at every iteration. The rates that read no validation derive
+    from it."""
+
+    def __init__(self, s, period: int):
+        self.alpha0, self.period = _number("schedule.alpha0", s.alpha0), period
+
+    def alpha(self, k: int) -> float:
+        return self.alpha0
+
+    def observe(self, k: int, val_perf: float, sigma: float):
+        """A rate that reads no validation writes no schedule row."""
+        return None
+
+
+class Cyclic(Constant):
+    """Cosine rate restarted every ``period`` iterations (one task): alpha0
+    at a task's first iteration, decaying toward 0, floored at 1e-12·alpha0."""
+
+    def alpha(self, k: int) -> float:
+        j, T = (k - 1) % self.period, self.period
+        return max(0.5 * self.alpha0 * (1.0 + math.cos(math.pi * j / T)), 1e-12 * self.alpha0)
+
+
+class Trace(Constant):
+    """A recorded rate per iteration (``lr_trace``), held at its last entry
+    past the end."""
+
+    def __init__(self, s, period: int):
+        if not isinstance(s.lr_trace, list) or not s.lr_trace:
+            raise ValueError("trace schedule requires lr_trace, a list of rates")
+        self.trace = [_number("a schedule.lr_trace entry", a) for a in s.lr_trace]
+        self.last = len(self.trace) - 1
+
+    def alpha(self, k: int) -> float:
+        return self.trace[min(k - 1, self.last)]
+
+
+class Plateau:
+    """rwp and MALR: the rate cut by ``beta_lr`` on plateaus (see the module
+    docstring).
+
+    Improvement is strict, beyond the absolute tolerance ``_TOL``. A cut
+    restarts both plateaus at the cut's observation. Counters are measured in
+    iterations, though observations arrive only at validation folds.
     """
 
-    kind: str                 # rwp | malr
-    alpha: float
-    alpha0: float
-    beta_lr: float = 0.5
-    k_r: int = 60000
-    epsilon: float = 0.03
-    use_c2: bool = True
-    use_c3: bool = True
-    best_val: float = _NEG_INF
-    best_sigma: float = _NEG_INF
-    last_val_improve_k: int = 0
-    last_sigma_increase_k: int = 0
-    n_cuts: int = 0
-    last_conditions: tuple = (False, False, False)
-
-    def __post_init__(self):
-        if self.alpha <= 0.0 or self.alpha0 <= 0.0:
-            raise ValueError("learning rates must be positive")
-        if not (0.0 < self.beta_lr < 1.0):
+    def __init__(self, s, period: int):
+        self.current = _number("schedule.alpha0", s.alpha0)
+        self.beta_lr, self.k_r = s.beta_lr, s.k_r
+        if not 0.0 < self.beta_lr < 1.0:
             raise ValueError("beta_lr must lie in (0, 1)")
         if self.k_r < 1:
             raise ValueError("k_r must be >= 1")
+        self.malr = s.kind == "malr"   # computes C2 and C3
+        if self.malr:
+            self.epsilon = _number("schedule.epsilon", s.epsilon, positive=False)
+            self.use_c2, self.use_c3 = s.use_c2, s.use_c3
+        self.best_val = self.best_sigma = _NEG_INF
+        self.val_k = self.sigma_k = 0   # iteration of the last improvement
+        self.n_cuts = 0
+
+    def alpha(self, k: int) -> float:
+        return self.current
+
+    def observe(self, k: int, val_perf: float, sigma: float) -> tuple:
+        if val_perf > self.best_val + _TOL:
+            self.best_val, self.val_k = val_perf, k
+        cut = c1 = k - self.val_k >= self.k_r
+        c2 = c3 = False
+        if self.malr:
+            if sigma > self.best_sigma + _TOL:
+                self.best_sigma, self.sigma_k = sigma, k
+            c2 = k - self.sigma_k >= self.k_r
+            c3 = sigma > self.epsilon
+            cut = c1 and (c2 or not self.use_c2) and (c3 or not self.use_c3)
+        if cut:
+            self.current *= self.beta_lr
+            self.best_val, self.best_sigma = val_perf, sigma
+            self.val_k = self.sigma_k = k
+            self.n_cuts += 1
+        return k, self.current, sigma, val_perf, c1 + 2 * c2 + 4 * c3
 
 
-def init_schedule(kind: str, alpha0: float, beta_lr: float = 0.5, k_r: int = 60000,
-                  epsilon: float = 0.03, use_c2: bool = True,
-                  use_c3: bool = True) -> ScheduleState:
-    if kind not in ("rwp", "malr"):
-        raise ValueError(f"unknown schedule kind {kind!r}")
-    return ScheduleState(kind=kind, alpha=alpha0, alpha0=alpha0, beta_lr=beta_lr,
-                         k_r=k_r, epsilon=epsilon, use_c2=use_c2, use_c3=use_c3)
+_KINDS = {"constant": Constant, "cyclic": Cyclic, "trace": Trace, "rwp": Plateau,
+          "malr": Plateau}
 
 
-def _track_val(state: ScheduleState, val_perf: float, k: int):
-    if val_perf > state.best_val + _TOL:
-        state.best_val = val_perf
-        state.last_val_improve_k = k
-
-
-def _track_sigma(state: ScheduleState, sigma_k: float, k: int):
-    if sigma_k > state.best_sigma + _TOL:
-        state.best_sigma = sigma_k
-        state.last_sigma_increase_k = k
-
-
-def _cut(state: ScheduleState, val_perf: float, sigma_k: float, k: int):
-    state.alpha *= state.beta_lr
-    state.best_val = val_perf
-    state.best_sigma = sigma_k
-    state.last_val_improve_k = k
-    state.last_sigma_increase_k = k
-    state.n_cuts += 1
-
-
-def rwp_update(state: ScheduleState, val_perf: float, k: int) -> ScheduleState:
-    """Reduce-when-plateau: cut once val_perf stalls for k_r iterations."""
-    _track_val(state, val_perf, k)
-    c1 = k - state.last_val_improve_k >= state.k_r
-    state.last_conditions = (c1, False, False)
-    if c1:
-        _cut(state, val_perf, _NEG_INF, k)
-    return state
-
-
-def malr_update(state: ScheduleState, val_perf: float, sigma_k: float,
-                k: int) -> ScheduleState:
-    """MALR: cut only when C1 and every enabled extra condition hold at k."""
-    _track_val(state, val_perf, k)
-    _track_sigma(state, sigma_k, k)
-    c1 = k - state.last_val_improve_k >= state.k_r
-    c2 = k - state.last_sigma_increase_k >= state.k_r
-    c3 = sigma_k > state.epsilon
-    state.last_conditions = (c1, c2, c3)
-    if c1 and (c2 or not state.use_c2) and (c3 or not state.use_c3):
-        _cut(state, val_perf, sigma_k, k)
-    return state
-
-
-def cyclic_lr(alpha0: float, k_within_task: int, task_length: int) -> float:
-    """Cosine rate within one task: alpha0 at the boundary, decaying to 0."""
-    if task_length < 1:
-        raise ValueError("cyclic schedule requires a known task length")
-    if not (0 <= k_within_task < task_length):
-        raise ValueError(f"k_within_task {k_within_task} outside [0, {task_length})")
-    return 0.5 * alpha0 * (1.0 + math.cos(math.pi * k_within_task / task_length))
+def controller(s, period: int):
+    """The rate controller of a ``schedule`` block. ``period`` is the length
+    of a task in iterations, which only ``cyclic`` reads. Raises ValueError
+    on a kind or value the schedule cannot use."""
+    if s.kind not in _KINDS:
+        raise ValueError(f"unknown schedule kind {s.kind!r}")
+    return _KINDS[s.kind](s, period)

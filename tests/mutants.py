@@ -1,0 +1,105 @@
+"""Mutants of the program that the tests must kill, and their runner.
+
+    python tests/mutants.py [NAME ...]
+
+Each mutant names a file under ``src/``, an exact snippet of it, the
+snippet's replacement and the tests that should catch the change. The runner
+first runs every listed test on an unmutated copy of the checkout. Then, for
+each mutant (all of them, or those named), it copies the checkout to a
+temporary directory, applies the mutant, runs the mutant's tests there with
+``pytest -x`` and prints killed or survived with the time taken. It exits 1
+if a mutant survives, or if its snippet no longer occurs exactly once in its
+file, so the list stays current. pytest does not collect this file.
+
+A change to a path listed here adds its mutants.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SCHEDULE = "src/oclopt/schedule.py"
+RATE_TESTS = ("tests/test_schedule.py", "tests/test_golden_artifacts.py")
+BAD_RATE_TESTS = ("tests/test_harness.py::TestCli::test_out_of_range_value_is_a_config_error",)
+
+# name -> (file, snippet, replacement, tests)
+MUTANTS = {
+    "malr-ignores-c2": (
+        SCHEDULE, "(c2 or not self.use_c2)", "(True or not self.use_c2)", RATE_TESTS),
+    "rwp-reports-c2-c3": (
+        SCHEDULE, "        c2 = c3 = False\n", "        c2 = c3 = True\n", RATE_TESTS),
+    "cut-keeps-old-best": (
+        SCHEDULE, "            self.best_val, self.best_sigma = val_perf, sigma\n",
+        "            self.best_sigma = sigma\n", RATE_TESTS),
+    "cyclic-phase-k-mod-t": (
+        SCHEDULE, "j, T = (k - 1) % self.period, self.period",
+        "j, T = k % self.period, self.period", RATE_TESTS),
+    "cyclic-no-floor": (
+        SCHEDULE, "return max(0.5 * self.alpha0 * (1.0 + math.cos(math.pi * j / T)), "
+                  "1e-12 * self.alpha0)",
+        "return 0.5 * self.alpha0 * (1.0 + math.cos(math.pi * j / T))", RATE_TESTS),
+    "trace-wraps": (
+        SCHEDULE, "self.trace[min(k - 1, self.last)]", "self.trace[(k - 1) % (self.last + 1)]",
+        RATE_TESTS),
+    "rates-need-not-be-finite": (
+        SCHEDULE, "            or not math.isfinite(value) or positive and value <= 0):",
+        "            or positive and value <= 0):", BAD_RATE_TESTS),
+}
+
+
+def copy_checkout(dest: Path) -> Path:
+    shutil.copytree(ROOT, dest, ignore=shutil.ignore_patterns(
+        ".git", "__pycache__", ".pytest_cache", ".hypothesis", "runs", ".perfbench_out"))
+    return dest
+
+
+def run_tests(checkout: Path, tests) -> int:
+    """pytest's exit code for the tests, run with -x against checkout's src/."""
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+        cwd=checkout, env={**os.environ, "PYTHONPATH": str(checkout / "src")},
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+
+
+def run_mutant(name: str, tmp: Path) -> str:
+    """killed, survived, stale (the snippet does not occur exactly once) or
+    error (pytest could not run the tests)."""
+    path, snippet, replacement, tests = MUTANTS[name]
+    checkout = copy_checkout(tmp / name)
+    source = checkout / path
+    text = source.read_text()
+    if text.count(snippet) != 1:
+        return "stale"
+    source.write_text(text.replace(snippet, replacement))
+    return {0: "survived", 1: "killed"}.get(run_tests(checkout, tests), "error")
+
+
+def main(argv) -> int:
+    names = argv or list(MUTANTS)
+    unknown = set(names) - set(MUTANTS)
+    if unknown:
+        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        tests = sorted({t for name in names for t in MUTANTS[name][3]})
+        if run_tests(copy_checkout(Path(tmp) / "unmutated"), tests) != 0:
+            print("the tests fail without a mutant; fix them first", file=sys.stderr)
+            return 1
+        outcomes = []
+        for name in names:
+            start = time.perf_counter()
+            outcome = run_mutant(name, Path(tmp))
+            outcomes.append(outcome)
+            print(f"{outcome:9s}{name:28s}{time.perf_counter() - start:7.1f} s", flush=True)
+    print(f"{outcomes.count('killed')} of {len(names)} mutants killed")
+    return 0 if outcomes.count("killed") == len(names) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -592,7 +592,12 @@ class TestCli:
         pytest.param("adam-base", "optimizer.beta1=1.0", id="optimizer.beta1=1.0"),
         *(pytest.param("main-comparison", o, id=o) for o in (
             "optimizer.delta=0.5", "schedule.kind=constant schedule.alpha0=0",
-            "ft_k1=0", "val_batch_size=-1", "stream.horizon=1.5", "optimizer.delta=x"))])
+            "ft_k1=0", "val_batch_size=-1", "stream.horizon=1.5", "optimizer.delta=x")),
+        # a rate that is not a finite positive number, and a C3 threshold no
+        # sigma can pass
+        *(pytest.param("main-comparison", o, id=o) for o in (
+            "schedule.alpha0=NaN", "schedule.alpha0=Infinity", "schedule.alpha0=true",
+            "schedule.kind=trace schedule.lr_trace=[0.05,NaN]", "schedule.epsilon=NaN"))])
     def test_out_of_range_value_is_a_config_error(self, name, override, tmp_path,
                                                   monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)   # a run that got past validation writes runs/ here
