@@ -61,8 +61,8 @@ class StreamConfig:
     # drifting-quadratic
     mu: float = 0.5
     l_smooth: float = 1.0
-    center0: list = field(default_factory=lambda: [1.0, 1.0])
-    velocity: list = field(default_factory=lambda: [0.0, 0.0])
+    center0: list[float] = field(default_factory=lambda: [1.0, 1.0])
+    velocity: list[float] = field(default_factory=lambda: [0.0, 0.0])
     noise_radius: float = 0.5
     # rotating-gaussian
     n_classes: int = 2
@@ -159,16 +159,21 @@ def config_to_dict(config: ExperimentConfig) -> dict:
 
 
 def _build(cls, block: dict, where: str):
-    """cls(**block), rejecting unknown keys and non-integers for int fields."""
+    """cls(**block), rejecting unknown keys and values their field's type does not take."""
     fields = {f.name: f.type for f in dataclasses.fields(cls)}
     unknown = set(block) - set(fields)
     if unknown:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
     for key, value in block.items():
-        # type() rather than isinstance(): a bool is not an integer here
-        if (fields[key] in ("int", "Optional[int]") and type(value) is not int
-                and not (value is None and fields[key] == "Optional[int]")):
-            raise ConfigError(f"{where} key {key} must be an integer, got {value!r}")
+        # type() rather than isinstance(): a bool is neither an integer nor a number here
+        kind = fields[key]
+        types = {"int": (int,), "Optional[int]": (int, type(None)), "float": (int, float),
+                 "list[float]": (list,)}.get(kind, (type(value),))
+        items = value if kind == "list[float]" and type(value) is list else ()
+        if type(value) not in types or any(type(v) not in (int, float) for v in items):
+            what = ("an integer" if "int" in kind else "a number" if kind == "float"
+                    else "a list of numbers")
+            raise ConfigError(f"{where} key {key} must be {what}, got {value!r}")
     return cls(**block)
 
 

@@ -15,15 +15,16 @@ shape ``(spec.n_params,)``. ``ModelSpec.layout`` names the blocks of that
 vector, and ``spec.block(theta, name)`` is a reshaped view into it.
 
 Losses are mean per-example loss plus 0.5 * weight_decay * ||theta||^2, and
-gradients are exact. Models carry no running statistics, so averaged copies of
-parameters need no recomputation of any kind.
+gradients are exact. Training, prediction and validation share one ``forward``
+and one loss per kind; validation runs no gradient and drops the decay term.
+Models carry no running statistics, so averaged parameters need no recomputing.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -113,9 +114,8 @@ def init_params(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
 
 
 def check_batch(spec: ModelSpec, batch) -> np.ndarray:
-    """The batch's inputs as floats, once they are checked to be non-empty
-    and as wide as the model's input, with one label in range per row for a
-    classifier."""
+    """The batch's inputs as floats, once checked: non-empty, as wide as the
+    model, and one label in range (a classifier) or target row (the probe) per row."""
     x = np.asarray(batch.inputs, dtype=float)
     if len(x) == 0:
         raise ValueError("minibatch must be non-empty")
@@ -126,16 +126,17 @@ def check_batch(spec: ModelSpec, batch) -> np.ndarray:
     if spec.classification and (y.shape != (len(x),) or np.minimum.reduce(y) < 0
                                 or np.maximum.reduce(y) >= spec.n_classes):
         raise ValueError(f"a classifier needs one label in [0, {spec.n_classes}) per row")
+    if not spec.classification and y.shape != x.shape:
+        raise ValueError(f"a quadratic probe needs one target of dimension {spec.dim} per row")
     return x
 
 
 class Workspace:
     """Buffers and views that ``loss_and_grad`` reuses across calls on one
-    parameter array: the gradient, the blocks of theta and of the gradient,
-    and, sized to the minibatch, the logits, the MLP's hidden layer and the
-    flat offset of each logits row. The gradient a call returns is the
-    workspace's buffer, which the next call on the same workspace overwrites.
-    """
+    parameter array: the gradient, the blocks of theta and of the gradient (the
+    output layer's also as a pair), and, sized to the minibatch, the logits, the
+    MLP's hidden layer and each logits row's flat offset. A call returns the
+    gradient buffer, which the next call overwrites."""
 
     def __init__(self, spec: ModelSpec, theta: np.ndarray):
         if theta.shape != (spec.n_params,):
@@ -143,14 +144,61 @@ class Workspace:
         self.spec, self.theta, self.grad = spec, theta, np.empty_like(theta)
         self.blocks = {name: spec.block(theta, name) for name in spec.layout}
         self.grad_blocks = {name: spec.block(self.grad, name) for name in spec.layout}
-        self.rows = 0
+        self.rows, self.hidden = 0, None
+        out = list(spec.layout)[-2:]   # a classifier's output layer: its last two blocks
+        self.out = tuple(self.blocks[name] for name in out)
+        self.grad_out = tuple(self.grad_blocks[name] for name in out)
 
     def fit_rows(self, n: int):
-        if n != self.rows:
-            c, hidden = self.spec.n_classes, (n, self.spec.hidden)
-            self.rows, self.logits, self.row_offsets = n, np.empty((n, c)), np.arange(n) * c
-            if self.spec.kind == "mlp-1-hidden":
-                self.hidden, self.dh = np.empty(hidden), np.empty(hidden)
+        c, hidden = self.spec.n_classes, (n, self.spec.hidden)
+        self.rows, self.logits, self.row_offsets = n, np.empty((n, c)), np.arange(n) * c
+        if self.spec.kind == "mlp-1-hidden":
+            self.hidden, self.dh = np.empty(hidden), np.empty(hidden)
+
+
+def forward(spec: ModelSpec, theta: np.ndarray, x: np.ndarray, work: Workspace | None = None):
+    """A classifier's features (x, or the MLP's tanh layer) and logits, in the
+    buffers of ``work`` if given; blocks are read singly, as a comprehension costs more."""
+    mlp = spec.kind == "mlp-1-hidden"
+    if work is None:
+        hidden = logits = None
+        w, b = spec.block(theta, "w2" if mlp else "w"), spec.block(theta, "b2" if mlp else "b")
+        if mlp:
+            w1, b1 = spec.block(theta, "w1"), spec.block(theta, "b1")
+    else:
+        if len(x) != work.rows:
+            work.fit_rows(len(x))
+        hidden, logits, (w, b) = work.hidden, work.logits, work.out
+        if mlp:
+            w1, b1 = work.blocks["w1"], work.blocks["b1"]
+    feats = x
+    if mlp:
+        feats = np.matmul(x, w1.T, out=hidden)
+        feats += b1
+        np.tanh(feats, out=feats)
+    z = np.matmul(feats, w.T, out=logits)
+    z += b
+    return feats, z
+
+
+def _cross_entropy(p: np.ndarray, label_at: np.ndarray) -> float:
+    """Mean cross-entropy of the logits p at the flat indices label_at, one
+    per row; p becomes the loss gradient in the logits, in place."""
+    p -= np.maximum.reduce(p, axis=1, keepdims=True)
+    np.exp(p, out=p)
+    p /= np.add.reduce(p, axis=1, keepdims=True)
+    picked = p.take(label_at)
+    logs = np.maximum(picked, 1e-300)
+    loss = -float(np.add.reduce(np.log(logs, out=logs))) / len(p)
+    picked -= 1.0
+    p.put(label_at, picked)
+    p /= len(p)
+    return loss
+
+
+def _quadratic(spec: ModelSpec, d: np.ndarray) -> float:
+    """Mean quadratic loss of the residual rows d under the probe's curvature."""
+    return 0.5 * float(np.mean(np.sum(d * d * np.asarray(spec.curvature), axis=1)))
 
 
 def loss_and_grad(spec: ModelSpec, theta: np.ndarray, batch, work: Workspace | None = None):
@@ -164,118 +212,64 @@ def loss_and_grad(spec: ModelSpec, theta: np.ndarray, batch, work: Workspace | N
     Without ``work`` the call checks the batch and runs on a throwaway
     workspace, so the gradient is a fresh array. With ``work``, a
     ``Workspace`` built for this spec and theta, the caller has checked the
-    batch (``check_batch``) and the gradient is the workspace's buffer.
+    batch's arrays (``check_batch``) and the gradient is the workspace's buffer.
     """
     if work is None:
-        work, x = Workspace(spec, theta), check_batch(spec, batch)
+        work, x, y = Workspace(spec, theta), check_batch(spec, batch), np.asarray(batch.labels)
     elif work.spec is spec and work.theta is theta:
-        x = batch.inputs
+        x, y = batch.inputs, batch.labels
     else:
         raise ValueError("the workspace was built for another spec or parameter array")
-    y, grad, n = np.asarray(batch.labels), work.grad, len(x)
 
     if spec.kind == "quadratic-probe":
-        a = np.asarray(spec.curvature)
-        d = theta[None, :] - y
-        loss = 0.5 * float(np.mean(np.sum(d * d * a[None, :], axis=1)))
-        grad[:] = a * (theta - y.mean(axis=0))
+        loss = _quadratic(spec, theta - y)
+        work.grad[:] = np.asarray(spec.curvature) * (theta - y.mean(axis=0))
     else:
-        work.fit_rows(n)
-        mlp = spec.kind == "mlp-1-hidden"
-        out_w, out_b = ("w2", "b2") if mlp else ("w", "b")
-        w, feats = work.blocks[out_w], x
-        if mlp:
-            feats = np.matmul(x, work.blocks["w1"].T, out=work.hidden)
-            feats += work.blocks["b1"]
-            np.tanh(feats, out=feats)
-        # softmax in place; p then becomes dz, the loss gradient in the logits
-        p = np.matmul(feats, w.T, out=work.logits)
-        p += work.blocks[out_b]
-        p -= np.maximum.reduce(p, axis=1, keepdims=True)
-        np.exp(p, out=p)
-        p /= np.add.reduce(p, axis=1, keepdims=True)
-        label_at = work.row_offsets + y
-        picked = p.take(label_at)
-        loss = -float(np.add.reduce(np.log(np.maximum(picked, 1e-300))) / n)
-        picked -= 1.0
-        p.put(label_at, picked)
-        p /= n
-        np.matmul(p.T, feats, out=work.grad_blocks[out_w])
-        np.add.reduce(p, axis=0, out=work.grad_blocks[out_b])
-        if mlp:
-            dh = np.matmul(p, w, out=work.dh)
+        feats, p = forward(spec, theta, x, work)
+        loss = _cross_entropy(p, work.row_offsets + y)   # p is now dz
+        grad_w, grad_b = work.grad_out
+        np.matmul(p.T, feats, out=grad_w)
+        np.add.reduce(p, axis=0, out=grad_b)
+        if spec.kind == "mlp-1-hidden":
+            dh = np.matmul(p, work.out[0], out=work.dh)
             dh *= 1.0 - feats * feats
             np.matmul(dh.T, x, out=work.grad_blocks["w1"])
             np.add.reduce(dh, axis=0, out=work.grad_blocks["b1"])
 
     if spec.weight_decay > 0.0:
         loss += 0.5 * spec.weight_decay * float(theta @ theta)
-        grad += spec.weight_decay * theta
-    return loss, grad
-
-
-def logits(spec: ModelSpec, theta: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-    x = np.asarray(inputs, dtype=float)
-    if spec.kind == "linear-softmax":
-        return x @ spec.block(theta, "w").T + spec.block(theta, "b")[None, :]
-    if spec.kind == "mlp-1-hidden":
-        h = np.tanh(x @ spec.block(theta, "w1").T + spec.block(theta, "b1")[None, :])
-        return h @ spec.block(theta, "w2").T + spec.block(theta, "b2")[None, :]
-    raise ValueError("logits are defined for classification models only")
+        work.grad += spec.weight_decay * theta
+    return loss, work.grad
 
 
 def predict(spec: ModelSpec, theta: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-    """Labels for classification (argmax, ties to the lowest class index);
-    the parameter vector replicated per datum for the quadratic probe."""
+    """Labels for classification (argmax of the logits, ties to the lowest
+    class index); the parameter vector replicated per datum for the probe."""
     if spec.kind == "quadratic-probe":
         return np.tile(theta, (len(inputs), 1))
-    return logits(spec, theta, inputs).argmax(axis=1)
-
-
-def accuracy(spec: ModelSpec, theta: np.ndarray, batch) -> float:
-    """Fraction of argmax-correct predictions. Classification only."""
-    if not spec.classification:
-        raise ValueError("accuracy is undefined for regression models; use loss-based metrics")
-    if len(batch.inputs) == 0:
-        raise ValueError("dataset must be non-empty")
-    correct = predict(spec, theta, batch.inputs) == np.asarray(batch.labels)
-    return float(np.count_nonzero(correct) / correct.size)
-
-
-@lru_cache(maxsize=64)
-def _without_decay(spec: ModelSpec) -> ModelSpec:
-    return ModelSpec(kind=spec.kind, loss=spec.loss, weight_decay=0.0, dim=spec.dim,
-                     curvature=spec.curvature, d_in=spec.d_in,
-                     n_classes=spec.n_classes, hidden=spec.hidden)
-
-
-def data_loss(spec: ModelSpec, theta: np.ndarray, batch) -> float:
-    """Mean per-example loss without the weight-decay term (an evaluation metric)."""
-    loss, _ = loss_and_grad(_without_decay(spec), theta, batch)
-    return loss
+    return forward(spec, theta, np.asarray(inputs, dtype=float))[1].argmax(axis=1)
 
 
 def validation_performance(spec: ModelSpec, theta: np.ndarray, batch,
                            metric: str = "accuracy") -> float:
-    """Higher-is-better validation signal.
-
-    Classification: accuracy, or negative loss when metric='loss'. Regression
-    models always use negative loss so comparisons stay maximizations.
-    """
+    """Higher-is-better validation signal from a forward pass: a classifier's
+    accuracy, or the negative loss without the weight-decay term for
+    metric='loss' and always for the quadratic probe."""
     if spec.classification and metric == "accuracy":
-        return accuracy(spec, theta, batch)
-    return -data_loss(spec, theta, batch)
+        if len(batch.inputs) == 0:
+            raise ValueError("dataset must be non-empty")
+        return step_ahead_performance(spec, predict(spec, theta, batch.inputs), batch)
+    x, y = check_batch(spec, batch), np.asarray(batch.labels)
+    if not spec.classification:
+        return -_quadratic(spec, theta - y)
+    _, p = forward(spec, theta, x)
+    return -_cross_entropy(p, np.arange(len(x)) * spec.n_classes + y)
 
 
 def step_ahead_performance(spec: ModelSpec, predictions: np.ndarray, batch) -> float:
-    """Score step-2 predictions once labels are revealed.
-
-    Classification: accuracy of the predicted labels. Quadratic probe:
-    negative mean quadratic loss of the predicted vectors.
-    """
+    """Score step-2 predictions once labels are revealed: a classifier's
+    accuracy, or the quadratic probe's negative mean quadratic loss."""
     y = np.asarray(batch.labels)
     if spec.classification:
         return float(np.count_nonzero(predictions == y) / y.size)
-    a = np.asarray(spec.curvature)
-    d = predictions - y
-    return -0.5 * float(np.mean(np.sum(d * d * a[None, :], axis=1)))
+    return -_quadratic(spec, predictions - y)

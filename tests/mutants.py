@@ -24,9 +24,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+HARNESS = "src/oclopt/harness.py"
 SCHEDULE = "src/oclopt/schedule.py"
 RATE_TESTS = ("tests/test_schedule.py", "tests/test_golden_artifacts.py")
-BAD_RATE_TESTS = ("tests/test_harness.py::TestCli::test_out_of_range_value_is_a_config_error",)
+BAD_CONFIG_TESTS = ("tests/test_harness.py::TestCli::test_out_of_range_value_is_a_config_error",)
+MODEL = "src/oclopt/model.py"
+MODEL_TESTS = ("tests/test_model.py",)
 
 # name -> (file, snippet, replacement, tests)
 MUTANTS = {
@@ -49,7 +52,32 @@ MUTANTS = {
         RATE_TESTS),
     "rates-need-not-be-finite": (
         SCHEDULE, "            or not math.isfinite(value) or positive and value <= 0):",
-        "            or positive and value <= 0):", BAD_RATE_TESTS),
+        "            or positive and value <= 0):", BAD_CONFIG_TESTS),
+    "float-fields-unchecked": (HARNESS, '"float": (int, float),', "", BAD_CONFIG_TESTS),
+    "bool-is-a-number": (
+        HARNESS, "any(type(v) not in (int, float) for v in items)",
+        "any(not isinstance(v, (int, float)) for v in items)", BAD_CONFIG_TESTS),
+    "loss-score-keeps-decay": (
+        MODEL, "    return -_cross_entropy(p, np.arange(len(x)) * spec.n_classes + y)\n",
+        "    return -(_cross_entropy(p, np.arange(len(x)) * spec.n_classes + y)\n"
+        "             + 0.5 * spec.weight_decay * float(theta @ theta))\n", MODEL_TESTS),
+    "probe-score-keeps-decay": (
+        MODEL, "        return -_quadratic(spec, theta - y)\n",
+        "        return -_quadratic(spec, theta - y)"
+        " - 0.5 * spec.weight_decay * float(theta @ theta)\n", MODEL_TESTS),
+    "forward-drops-b1": (MODEL, "        feats += b1\n", "", MODEL_TESTS),
+    "forward-drops-output-bias": (MODEL, "    z += b\n", "", MODEL_TESTS),
+    "quadratic-drops-half": (
+        MODEL, "return 0.5 * float(np.mean(", "return float(np.mean(", MODEL_TESTS),
+    "quadratic-targets-unchecked": (
+        MODEL, "    if not spec.classification and y.shape != x.shape:\n", "    if False:\n",
+        MODEL_TESTS),
+    "loss-score-skips-check": (
+        MODEL, "    x, y = check_batch(spec, batch), np.asarray(batch.labels)\n",
+        "    x, y = np.asarray(batch.inputs, dtype=float), np.asarray(batch.labels)\n",
+        MODEL_TESTS),
+    "accuracy-takes-empty-batch": (
+        MODEL, "        if len(batch.inputs) == 0:\n", "        if False:\n", MODEL_TESTS),
 }
 
 

@@ -281,3 +281,107 @@ class ReferenceRate:
             malr_update(self.sched, val_perf, sig, k)
         mask = sum(1 << i for i, c in enumerate(self.sched.last_conditions) if c)
         return (k, self.sched.alpha, sig, val_perf, mask)
+
+
+# -- the model's evaluation paths before they shared one forward ---------------
+
+def frozen_loss_and_grad(spec, theta, batch):
+    """The kernel before softmax and gradient writes went in place: the oracle
+    the in-place kernel must match bit for bit."""
+    def softmax(z):
+        z = z - z.max(axis=1, keepdims=True)
+        e = np.exp(z)
+        return e / e.sum(axis=1, keepdims=True)
+
+    x = np.asarray(batch.inputs, dtype=float)
+    y = np.asarray(batch.labels)
+    n = len(x)
+    grad = np.zeros_like(theta)
+    if spec.kind == "quadratic-probe":
+        a = np.asarray(spec.curvature)
+        d = theta[None, :] - y
+        loss = 0.5 * float(np.mean(np.sum(d * d * a[None, :], axis=1)))
+        grad[:] = a * (theta - y.mean(axis=0))
+    elif spec.kind == "linear-softmax":
+        w, b = spec.block(theta, "w"), spec.block(theta, "b")
+        p = softmax(x @ w.T + b[None, :])
+        loss = float(-np.mean(np.log(np.maximum(p[np.arange(n), y], 1e-300))))
+        dz = p.copy()
+        dz[np.arange(n), y] -= 1.0
+        dz /= n
+        spec.block(grad, "w")[:] = dz.T @ x
+        spec.block(grad, "b")[:] = dz.sum(axis=0)
+    else:
+        w1, b1 = spec.block(theta, "w1"), spec.block(theta, "b1")
+        w2, b2 = spec.block(theta, "w2"), spec.block(theta, "b2")
+        h = np.tanh(x @ w1.T + b1[None, :])
+        p = softmax(h @ w2.T + b2[None, :])
+        loss = float(-np.mean(np.log(np.maximum(p[np.arange(n), y], 1e-300))))
+        dz = p.copy()
+        dz[np.arange(n), y] -= 1.0
+        dz /= n
+        spec.block(grad, "w2")[:] = dz.T @ h
+        spec.block(grad, "b2")[:] = dz.sum(axis=0)
+        dh = (dz @ w2) * (1.0 - h * h)
+        spec.block(grad, "w1")[:] = dh.T @ x
+        spec.block(grad, "b1")[:] = dh.sum(axis=0)
+    if spec.weight_decay > 0.0:
+        loss += 0.5 * spec.weight_decay * float(theta @ theta)
+        grad += spec.weight_decay * theta
+    return loss, grad
+
+
+def frozen_logits(spec, theta: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+    x = np.asarray(inputs, dtype=float)
+    if spec.kind == "linear-softmax":
+        return x @ spec.block(theta, "w").T + spec.block(theta, "b")[None, :]
+    if spec.kind == "mlp-1-hidden":
+        h = np.tanh(x @ spec.block(theta, "w1").T + spec.block(theta, "b1")[None, :])
+        return h @ spec.block(theta, "w2").T + spec.block(theta, "b2")[None, :]
+    raise ValueError("logits are defined for classification models only")
+
+
+def frozen_predict(spec, theta: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+    """Labels for classification (argmax, ties to the lowest class index);
+    the parameter vector replicated per datum for the quadratic probe."""
+    if spec.kind == "quadratic-probe":
+        return np.tile(theta, (len(inputs), 1))
+    return frozen_logits(spec, theta, inputs).argmax(axis=1)
+
+
+def frozen_accuracy(spec, theta: np.ndarray, batch) -> float:
+    """Fraction of argmax-correct predictions. Classification only."""
+    if not spec.classification:
+        raise ValueError("accuracy is undefined for regression models; use loss-based metrics")
+    if len(batch.inputs) == 0:
+        raise ValueError("dataset must be non-empty")
+    correct = frozen_predict(spec, theta, batch.inputs) == np.asarray(batch.labels)
+    return float(np.count_nonzero(correct) / correct.size)
+
+
+def _without_decay(spec):
+    return type(spec)(kind=spec.kind, loss=spec.loss, weight_decay=0.0, dim=spec.dim,
+                      curvature=spec.curvature, d_in=spec.d_in,
+                      n_classes=spec.n_classes, hidden=spec.hidden)
+
+
+def frozen_data_loss(spec, theta: np.ndarray, batch) -> float:
+    """Mean per-example loss without the weight-decay term (an evaluation metric)."""
+    loss, _ = frozen_loss_and_grad(_without_decay(spec), theta, batch)
+    return loss
+
+
+def frozen_validation_performance(spec, theta: np.ndarray, batch,
+                                  metric: str = "accuracy") -> float:
+    if spec.classification and metric == "accuracy":
+        return frozen_accuracy(spec, theta, batch)
+    return -frozen_data_loss(spec, theta, batch)
+
+
+def frozen_step_ahead_performance(spec, predictions: np.ndarray, batch) -> float:
+    y = np.asarray(batch.labels)
+    if spec.classification:
+        return float(np.count_nonzero(predictions == y) / y.size)
+    a = np.asarray(spec.curvature)
+    d = predictions - y
+    return -0.5 * float(np.mean(np.sum(d * d * a[None, :], axis=1)))

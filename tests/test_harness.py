@@ -597,7 +597,16 @@ class TestCli:
         # sigma can pass
         *(pytest.param("main-comparison", o, id=o) for o in (
             "schedule.alpha0=NaN", "schedule.alpha0=Infinity", "schedule.alpha0=true",
-            "schedule.kind=trace schedule.lr_trace=[0.05,NaN]", "schedule.epsilon=NaN"))])
+            "schedule.kind=trace schedule.lr_trace=[0.05,NaN]", "schedule.epsilon=NaN")),
+        # a float field takes an int or a float that is not a bool, and
+        # center0/velocity take lists of such numbers
+        *(pytest.param("main-comparison", o, id=o) for o in (
+            "optimizer.momentum=abc", "optimizer.momentum=null", "optimizer.adam_eps=x",
+            "optimizer.beta1=x", "stream.noise_std=x", "stream.mean_radius=x")),
+        pytest.param("objective-comparison", "stream.mean_scale=x", id="stream.mean_scale=x"),
+        *(pytest.param("theory-verify", o, id=o) for o in (
+            'stream.center0=["a",1,1,1]', "stream.center0=[true,1,1,1]",
+            "stream.velocity=0"))])
     def test_out_of_range_value_is_a_config_error(self, name, override, tmp_path,
                                                   monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)   # a run that got past validation writes runs/ here

@@ -1,5 +1,8 @@
-"""Loss/gradient correctness against finite differences, accuracy contracts,
-and the analytic assumption witnesses."""
+"""Loss/gradient correctness against finite differences, the kernel and the
+scores against their frozen copies, accuracy contracts, and the analytic
+assumption witnesses."""
+
+import math
 
 import numpy as np
 import pytest
@@ -7,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oclopt.datapool import Minibatch
-from oclopt.model import (ModelSpec, Workspace, accuracy, init_params, logits, loss_and_grad,
-                          predict, validation_performance)
+from oclopt.model import (ModelSpec, Workspace, init_params, loss_and_grad, predict,
+                          step_ahead_performance, validation_performance)
+from tests.oracles import (frozen_loss_and_grad, frozen_predict, frozen_step_ahead_performance,
+                           frozen_validation_performance)
 
 
 def fd_gradient(spec, theta, batch, h=1e-5):
@@ -112,6 +117,28 @@ class TestGradients:
         with pytest.raises(ValueError, match="label"):
             loss_and_grad(spec, np.zeros(spec.n_params), batch)
 
+    @pytest.mark.parametrize("targets", [(4,), (4, 1), (3, 4), (4, 4, 1)])
+    def test_quadratic_targets_must_be_one_row_of_dim_per_row(self, targets):
+        spec = ModelSpec(kind="quadratic-probe", loss="quadratic", dim=4,
+                         curvature=(1.0,) * 4)
+        batch = Minibatch(np.zeros((4, 4)), np.ones(targets))
+        with pytest.raises(ValueError, match="target"):
+            loss_and_grad(spec, np.zeros(4), batch)
+
+    @pytest.mark.parametrize("kind", ["quadratic-probe", "linear-softmax", "mlp-1-hidden"])
+    def test_loss_score_checks_the_batch(self, kind):
+        if kind == "quadratic-probe":
+            spec = ModelSpec(kind=kind, loss="quadratic", dim=2, curvature=(1.0, 1.0))
+            bad = [Minibatch(np.zeros((4, 2)), np.zeros(2)),
+                   Minibatch(np.zeros((4, 3)), np.zeros((4, 3)))]
+        else:
+            spec = ModelSpec(kind=kind, loss="cross-entropy", d_in=2, n_classes=3, hidden=2)
+            bad = [Minibatch(np.zeros((4, 2)), np.array([0, 1, 3, 0])),
+                   Minibatch(np.zeros((4, 3)), np.zeros(4, dtype=int))]
+        for batch in bad:
+            with pytest.raises(ValueError):
+                validation_performance(spec, np.zeros(spec.n_params), batch, metric="loss")
+
     def test_workspace_serves_only_its_parameter_array(self):
         spec = ModelSpec(kind="linear-softmax", loss="cross-entropy", d_in=2,
                          n_classes=2)
@@ -138,52 +165,6 @@ class TestGradients:
         singles = [loss_and_grad(spec, theta, Minibatch(xs[i:i + 1], ys[i:i + 1]))[1]
                    for i in range(16)]
         assert np.allclose(np.mean(singles, axis=0), full, atol=1e-12)
-
-
-def frozen_loss_and_grad(spec, theta, batch):
-    """The kernel before softmax and gradient writes went in place: the oracle
-    the in-place kernel must match bit for bit."""
-    def softmax(z):
-        z = z - z.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        return e / e.sum(axis=1, keepdims=True)
-
-    x = np.asarray(batch.inputs, dtype=float)
-    y = np.asarray(batch.labels)
-    n = len(x)
-    grad = np.zeros_like(theta)
-    if spec.kind == "quadratic-probe":
-        a = np.asarray(spec.curvature)
-        d = theta[None, :] - y
-        loss = 0.5 * float(np.mean(np.sum(d * d * a[None, :], axis=1)))
-        grad[:] = a * (theta - y.mean(axis=0))
-    elif spec.kind == "linear-softmax":
-        w, b = spec.block(theta, "w"), spec.block(theta, "b")
-        p = softmax(x @ w.T + b[None, :])
-        loss = float(-np.mean(np.log(np.maximum(p[np.arange(n), y], 1e-300))))
-        dz = p.copy()
-        dz[np.arange(n), y] -= 1.0
-        dz /= n
-        spec.block(grad, "w")[:] = dz.T @ x
-        spec.block(grad, "b")[:] = dz.sum(axis=0)
-    else:
-        w1, b1 = spec.block(theta, "w1"), spec.block(theta, "b1")
-        w2, b2 = spec.block(theta, "w2"), spec.block(theta, "b2")
-        h = np.tanh(x @ w1.T + b1[None, :])
-        p = softmax(h @ w2.T + b2[None, :])
-        loss = float(-np.mean(np.log(np.maximum(p[np.arange(n), y], 1e-300))))
-        dz = p.copy()
-        dz[np.arange(n), y] -= 1.0
-        dz /= n
-        spec.block(grad, "w2")[:] = dz.T @ h
-        spec.block(grad, "b2")[:] = dz.sum(axis=0)
-        dh = (dz @ w2) * (1.0 - h * h)
-        spec.block(grad, "w1")[:] = dh.T @ x
-        spec.block(grad, "b1")[:] = dh.sum(axis=0)
-    if spec.weight_decay > 0.0:
-        loss += 0.5 * spec.weight_decay * float(theta @ theta)
-        grad += spec.weight_decay * theta
-    return loss, grad
 
 
 class TestKernelMatchesFrozen:
@@ -220,6 +201,43 @@ class TestKernelMatchesFrozen:
         assert work_grad is work.grad and grad is not work.grad
 
 
+def same(got, want) -> bool:
+    return got == want or (math.isnan(got) and math.isnan(want))
+
+
+class TestScoresMatchFrozen:
+    # the evaluation paths against their copies from before they shared the
+    # kernel's forward; scales up to 1e200 overflow the logits, so NaN must
+    # match NaN. No golden case scores an MLP by loss: this property covers it
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(["quadratic-probe", "linear-softmax", "mlp-1-hidden"]),
+           wd=st.sampled_from([0.0, 0.3]), n=st.integers(1, 2048), d_in=st.integers(1, 6),
+           n_classes=st.integers(2, 16), hidden=st.integers(1, 16),
+           log_scale=st.floats(-3.0, 200.0), seed=st.integers(0, 2**32 - 1))
+    def test_scores_equal_the_frozen_copies(self, kind, wd, n, d_in, n_classes, hidden,
+                                            log_scale, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "quadratic-probe":
+            spec = ModelSpec(kind=kind, loss="quadratic", weight_decay=wd, dim=d_in,
+                             curvature=tuple(rng.uniform(0.2, 2.0, d_in)))
+            labels = rng.standard_normal((n, d_in))
+        else:
+            spec = ModelSpec(kind=kind, loss="cross-entropy", weight_decay=wd, d_in=d_in,
+                             n_classes=n_classes, hidden=hidden)
+            labels = rng.integers(0, n_classes, n)
+        batch = Minibatch(rng.standard_normal((n, d_in)), labels)
+        theta = 10.0 ** log_scale * rng.standard_normal(spec.n_params)
+        with np.errstate(all="ignore"):
+            preds = predict(spec, theta, batch.inputs)
+            want_preds = frozen_predict(spec, theta, batch.inputs)
+            assert np.array_equal(preds, want_preds)
+            assert same(step_ahead_performance(spec, preds, batch),
+                        frozen_step_ahead_performance(spec, want_preds, batch))
+            for metric in ("accuracy", "loss"):
+                assert same(validation_performance(spec, theta, batch, metric),
+                            frozen_validation_performance(spec, theta, batch, metric))
+
+
 class TestAccuracy:
     def spec(self):
         return ModelSpec(kind="linear-softmax", loss="cross-entropy", d_in=2,
@@ -231,7 +249,7 @@ class TestAccuracy:
         spec.block(theta, "w")[:] = np.array([[5.0, 0.0], [-5.0, 0.0]])
         xs = np.array([[1.0, 0.0], [-1.0, 0.0], [2.0, 1.0]])
         ys = np.array([0, 1, 0])
-        assert accuracy(spec, theta, Minibatch(xs, ys)) == 1.0
+        assert validation_performance(spec, theta, Minibatch(xs, ys)) == 1.0
 
     def test_tie_breaks_toward_lowest_class(self):
         # zero params tie all logits; predictions are class 0 everywhere
@@ -239,7 +257,7 @@ class TestAccuracy:
         theta = np.zeros(spec.n_params)
         xs = np.random.default_rng(0).standard_normal((10, 2))
         ys = np.array([0] * 6 + [1] * 4)
-        assert accuracy(spec, theta, Minibatch(xs, ys)) == 0.6
+        assert validation_performance(spec, theta, Minibatch(xs, ys)) == 0.6
 
     def test_matches_enumerated_prediction_table(self):
         rng = np.random.default_rng(12)
@@ -255,14 +273,24 @@ class TestAccuracy:
             scores = [float(w[c] @ xs[i]) + float(b[c]) for c in range(4)]
             best = max(range(4), key=lambda c: (scores[c], -c))
             correct += int(best == ys[i])
-        assert accuracy(spec, theta, Minibatch(xs, ys)) == correct / 20
+        assert validation_performance(spec, theta, Minibatch(xs, ys)) == correct / 20
 
-    def test_regression_model_rejected(self):
+    def test_regression_model_is_scored_by_loss(self):
+        # a quadratic probe has no accuracy: either metric is the negative
+        # mean quadratic loss, 0.5 * mean(sum(a * (theta - y)^2))
         spec = ModelSpec(kind="quadratic-probe", loss="quadratic", dim=2,
-                         curvature=(1.0, 1.0))
-        theta = np.zeros(2)
-        with pytest.raises(ValueError):
-            accuracy(spec, theta, Minibatch(np.zeros((2, 2)), np.zeros((2, 2))))
+                         curvature=(1.0, 3.0), weight_decay=0.5)
+        batch = Minibatch(np.zeros((2, 2)), np.array([[1.0, 0.0], [0.0, 2.0]]))
+        theta = np.array([1.0, 0.0])   # the decay term would add 0.25
+        for metric in ("accuracy", "loss"):
+            assert validation_performance(spec, theta, batch, metric) == -3.25
+
+    @pytest.mark.parametrize("metric", ["accuracy", "loss"])
+    def test_empty_batch_raises(self, metric):
+        spec = self.spec()
+        with pytest.raises(ValueError, match="non-empty"):
+            validation_performance(spec, np.zeros(spec.n_params),
+                                   Minibatch(np.zeros((0, 2)), np.zeros(0, dtype=int)), metric)
 
     def test_validation_performance_orientation(self):
         spec = ModelSpec(kind="quadratic-probe", loss="quadratic", dim=2,
