@@ -22,10 +22,10 @@ with one take per array, up to the next step whose offers overwrite a stored
 item, which gathers again; ``sample_folds`` plans validation minibatches
 alike. So a step that starts no block and overwrites nothing draws nothing
 and copies no row: ``offer`` moves counters, and the samplers hand out views.
-A direct ``offer`` is the same planner over one call. Planned draws equal
-draws made one call at a time: reservoir draws come one per evicting item in
-offer order, each item's once, and a replay plan serves a step only while
-the pool stands where the plan was made to find it.
+``update`` is the only way rows enter a pool. Planned draws equal draws made
+one call at a time: reservoir draws come one per evicting item in offer
+order, each item's once, and a replay plan serves a step only while the pool
+stands where the plan was made to find it.
 """
 
 from __future__ import annotations
@@ -70,8 +70,7 @@ class _Offers(NamedTuple):
     stay put through step ``calm[i] - 1``, the last before one that writes.
     ``items``, the range's (inputs, labels, record ids) in offer order, were
     gathered from the served stream ``block`` (joined in step order) and
-    their appended rows stored when the plan was made; without them each
-    step's offer brings its items."""
+    their appended rows stored when the plan was made."""
 
     first: int
     counts: list
@@ -81,8 +80,8 @@ class _Offers(NamedTuple):
     slots: np.ndarray
     src: np.ndarray
     calm: list
-    items: Optional[tuple] = None
-    block: Optional[tuple] = None
+    items: tuple
+    block: tuple
 
 
 class _Replay(NamedTuple):
@@ -165,17 +164,18 @@ class DataPool:
 
     # -- storage ------------------------------------------------------------
 
-    def _plan_offers(self, first: int, counts: np.ndarray, block=None, rows=None, base=0):
+    def _plan_offers(self, first: int, counts: np.ndarray, block: tuple, rows: np.ndarray,
+                     base: int):
         """Plan the offers of ``counts[i]`` items at step ``first + i`` from the
         current state: every reservoir draw of the range at once (the item
         with global index i past capacity draws slot j ~ Uniform{0..i}), and,
         per step, algorithm R's writes (item i survives at slot j iff j <
-        capacity; a slot drawn twice in one step keeps the later item). Given
-        the served ``block`` and the range's ``rows`` of it (record id: row +
-        ``base``), gather the items and store every row the range appends."""
+        capacity; a slot drawn twice in one step keeps the later item). The
+        items are the range's ``rows`` of the served ``block`` (record id: row
+        + ``base``); store every row the range appends (until the pool fills,
+        an item's slot is its offer index)."""
         self._offers = None   # free the old plan first
-        gathered = None if block is None else (block[0].take(rows, 0), block[1].take(rows, 0),
-                                               rows + base)
+        gathered = block[0].take(rows, 0), block[1].take(rows, 0), rows + base
         seen = self.seen_count + np.concatenate(([0], np.cumsum(counts)))
         cap, n_steps = self.capacity, len(counts)
         fill = np.clip(cap - seen[:-1], 0, counts)
@@ -194,25 +194,16 @@ class DataPool:
         # per-step scalars as lists: a step reads them as Python ints
         self._offers = _Offers(first, counts.tolist(), seen.tolist(), fill.tolist(),
                                at.tolist(), slots, src, calm.tolist(), gathered, block)
-        if gathered is not None:
-            self._append(0, n_steps, gathered)
-
-    def _append(self, k0: int, k1: int, items: tuple):
-        """Store the items the offer plan's steps k0 .. k1 - 1 append: the
-        first ones of ``items``, those steps' (inputs, labels, record ids) in
-        offer order. Until the pool fills, an item's slot is its offer index."""
-        plan, cap = self._offers, self.capacity
-        lo, hi = min(plan.seen[k0], cap), min(plan.seen[k1], cap)
-        if hi == lo:
-            return
-        xs, ys, rids = items
-        if self._xs is None:   # the first stored items fix the row shapes
-            self._xs = _reserve((cap,) + xs.shape[1:], np.float64)
-            self._ys = _reserve((cap,) + ys.shape[1:], ys.dtype)
-            self._arrival, self._rid = _reserve((cap,), np.int64), _reserve((cap,), np.int64)
-        new, step = slice(lo, hi), np.searchsorted(plan.seen, np.arange(lo, hi), "right")
-        self._xs[new], self._ys[new], self._rid[new] = xs[:hi - lo], ys[:hi - lo], rids[:hi - lo]
-        self._arrival[new] = step + (plan.first - 1)
+        lo, hi = min(seen[0], cap), min(seen[-1], cap)
+        if hi > lo:
+            xs, ys, rids = gathered
+            if self._xs is None:   # the first stored items fix the row shapes
+                self._xs = _reserve((cap,) + xs.shape[1:], np.float64)
+                self._ys = _reserve((cap,) + ys.shape[1:], ys.dtype)
+                self._arrival, self._rid = _reserve((cap,), np.int64), _reserve((cap,), np.int64)
+            new, m = slice(lo, hi), hi - lo
+            self._xs[new], self._ys[new], self._rid[new] = xs[:m], ys[:m], rids[:m]
+            self._arrival[new] = seen.searchsorted(np.arange(lo, hi), "right") + (first - 1)
 
     def _step(self, t: int, n: int) -> Optional[int]:
         """Step t's index in the offer plan if the plan offers n items then,
@@ -235,26 +226,12 @@ class DataPool:
         return None
 
     def offer(self, xs: np.ndarray, ys: np.ndarray, t: int, rids: np.ndarray):
-        """Offer a block of items; reservoir-evict past capacity.
-
-        Applies step t's entry of the offer plan, first planning a range of
-        this one call if no plan holds one for the current state. The step's
-        appended rows are stored already if the plan was made with its items
-        (``update`` given the stream), else they are stored now; then the
-        step writes the slots its items overwrite and moves the counters.
-        Steps must not decrease (an equal step is allowed: the holdout's
-        empty offers reuse it), so a pool that has never dropped or
-        overwritten an item stores its arrivals in non-decreasing order.
-        """
-        if t < self.last_step:
-            raise ValueError(f"step {t} is below last offered step {self.last_step}")
-        k = self._step(t, len(xs))
-        if k is None:
-            self._plan_offers(t, np.array([len(xs)]))
-            k = 0
+        """Offer step t's items, gathered by the offer plan that holds the
+        step (see ``update``); reservoir-evict past capacity. The step's
+        appended rows are stored already: write the slots its items overwrite
+        and move the counters."""
         plan = self._offers
-        if plan.items is None:
-            self._append(k, k + 1, (xs, ys, rids))
+        k = t - plan.first
         a, b = plan.at[k], plan.at[k + 1]
         if b > a:
             j, src = plan.slots[a:b], plan.src[a:b]
@@ -302,40 +279,35 @@ class DataPool:
         return xs, ys
 
 
-def update(pool: DataPool, holdout: DataPool, batch: StreamBatch, spec=None):
+def update(pool: DataPool, holdout: DataPool, batch: StreamBatch, spec):
     """Integrate one revealed batch: route each datum to holdout or training pool.
 
     Routing coins are drawn from the (seed, HOLDOUT, t) substream (see
     ``DataPool.routing_coins``), so the split of any step is re-enumerable.
-    Record ids continue the global offer sequence across both pools. A step
-    that no offer plan holds (a block's first) plans each pool's offers for
-    the rest of its block. Given ``spec``, the stream the batch was served
-    from, the plan covers the block's steps inside the horizon, gathers
-    their items from the served block (``stream.training_block``) and
-    stores the rows they append at once, and each step offers views of its
-    items. Without it each step offers copies of its own rows.
+    Record ids continue the global offer sequence across both pools. Steps
+    must increase, so a pool that has never dropped or overwritten an item
+    stores its arrivals in order. A step that no offer plan holds (a
+    block's first) plans each pool's offers for the block's steps inside
+    the horizon of ``spec``, the stream the batch was served from: it
+    gathers their items from the served block (``stream.training_block``)
+    and stores the rows they append at once. Each step offers views of its
+    items.
     """
     t, n = batch.t, batch.n
     if t <= pool.last_step:
         raise ValueError(f"step {t} does not exceed last integrated step {pool.last_step}")
     i = (t - 1) % BLOCK
-    steps = BLOCK if spec is None else min(BLOCK, spec.horizon - (t - 1 - i))
+    steps = min(BLOCK, spec.horizon - (t - 1 - i))
     base = pool.seen_count + holdout.seen_count - i * n   # record id of the block's first row
     for target, (rows, at) in zip((pool, holdout),
                                   pool._split(t, n, holdout.holdout_fraction, steps)):
         k = target._step(t, at[i + 1] - at[i])
         if k is None:
-            block = None if spec is None else training_block(spec, t)
-            target._plan_offers(t, np.diff(at[i:]), block, rows[at[i]:], base)
+            target._plan_offers(t, np.diff(at[i:]), training_block(spec, t), rows[at[i]:], base)
             k = 0
         plan = target._offers
-        if plan.items is None:
-            r = rows[at[i]:at[i + 1]]
-            target.offer(batch.inputs.take(r - i * n, 0), batch.labels.take(r - i * n, 0), t,
-                         r + base)
-        else:
-            a, b = plan.seen[k] - plan.seen[0], plan.seen[k + 1] - plan.seen[0]
-            target.offer(plan.items[0][a:b], plan.items[1][a:b], t, plan.items[2][a:b])
+        a, b = plan.seen[k] - plan.seen[0], plan.seen[k + 1] - plan.seen[0]
+        target.offer(plan.items[0][a:b], plan.items[1][a:b], t, plan.items[2][a:b])
 
 
 def steady_sizes(pool: DataPool) -> np.ndarray:
@@ -434,9 +406,7 @@ def sample_mixed_replay(pool: DataPool, current: StreamBatch, m: int,
     of an offer plan's range for the steps up to the next one whose offers
     overwrite a stored item (see ``_windows``), with current halves taken
     from the served stream block of the offer plan: ``current`` must be the
-    batch the pool was offered last. Without a served block (a direct
-    ``offer``) the plan holds one step and its current halves come from
-    ``current``.
+    batch the pool was offered last.
     """
     if m % 2 != 0:
         raise ValueError("mixed replay needs an even minibatch size")
@@ -444,11 +414,8 @@ def sample_mixed_replay(pool: DataPool, current: StreamBatch, m: int,
     key = ("mixed", m, count, window, n)
 
     def make(source, k):
-        if source.block is None:
-            n_steps, size = 1, pool.size
-        else:
-            n_steps = source.calm[k] - k
-            size = min(source.seen[k + n_steps], pool.capacity)
+        n_steps = source.calm[k] - k
+        size = min(source.seen[k + n_steps], pool.capacity)
         bounds, windows = _windows(pool, t + np.arange(n_steps), window, size)
         # per step and minibatch: the current half, then the history half
         # (all current when the window is empty)
@@ -458,10 +425,8 @@ def sample_mixed_replay(pool: DataPool, current: StreamBatch, m: int,
         return _Replay(key, source, t, bounds, idx, windows)
 
     def gather(plan, lo, hi):
-        # current rows come from the served block, or from the current batch
-        served = plan.source.block is not None
-        cur_x, cur_y = plan.source.block if served else (current.inputs, current.labels)
-        steps = np.arange(lo, hi) + ((plan.first - 1) % BLOCK if served else 0)
+        cur_x, cur_y = plan.source.block   # current rows come from the served block
+        steps = np.arange(lo, hi) + (plan.first - 1) % BLOCK
         xs, ys = pool._rows("replay", hi - lo, width, cur_x, cur_y)
         cur, hist = plan.idx[lo:hi, :, 0] + n * steps[:, None, None], plan.idx[lo:hi, :, 1]
         full, windows = plan.bound[lo:hi] > 0, plan.windows[lo:hi]

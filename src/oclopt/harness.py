@@ -422,16 +422,17 @@ class Run:
                       sample_folds(self.holdout, self.val_batch_size, self.val_rng, bounds))
 
     def sample_validation(self):
-        """The validation minibatch of the fold at iteration k, None while the
-        holdout is empty (the fold is skipped): from the fold plan if it drew
-        the fold with the holdout's current size, else drawn on its own."""
+        """The validation minibatch of the fold at iteration k, from the fold
+        plan; None while the holdout is empty (the fold is skipped). A fold
+        that the plan did not draw at the holdout's current size is an
+        internal error: drawing it now would shift every later fold."""
         size, (first, bounds, rows) = self.holdout.size, self.folds
         i = self.k // self.averager.k_v - first
         if size == 0:
             return None
         if not (0 <= i < len(bounds) and bounds[i] == size):
-            rows = sample_folds(self.holdout, self.val_batch_size, self.val_rng, np.array([size]))
-            i = 0
+            raise RuntimeError(f"internal error: fold {i + first} at holdout size {size} "
+                               "is not in the fold plan")
         return Minibatch(rows[0][i], rows[1][i])
 
     def evaluate(self, params, batch) -> float:

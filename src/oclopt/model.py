@@ -255,11 +255,10 @@ def validation_performance(spec: ModelSpec, theta: np.ndarray, batch,
     """Higher-is-better validation signal from a forward pass: a classifier's
     accuracy, or the negative loss without the weight-decay term for
     metric='loss' and always for the quadratic probe."""
+    x = check_batch(spec, batch)
     if spec.classification and metric == "accuracy":
-        if len(batch.inputs) == 0:
-            raise ValueError("dataset must be non-empty")
-        return step_ahead_performance(spec, predict(spec, theta, batch.inputs), batch)
-    x, y = check_batch(spec, batch), np.asarray(batch.labels)
+        return step_ahead_performance(spec, predict(spec, theta, x), batch)
+    y = np.asarray(batch.labels)
     if not spec.classification:
         return -_quadratic(spec, theta - y)
     _, p = forward(spec, theta, x)

@@ -7,7 +7,9 @@ snippet's replacement and the tests that should catch the change. The runner
 first runs every listed test on an unmutated copy of the checkout. Then, for
 each mutant (all of them, or those named), it copies the checkout to a
 temporary directory, applies the mutant, runs the mutant's tests there with
-``pytest -x`` and prints killed or survived with the time taken. It exits 1
+``pytest -x`` under the ``mutants`` hypothesis profile (``tests/conftest.py``:
+no shrinking, since a killing example need not be minimal) and prints killed
+or survived with the time taken. It exits 1
 if a mutant survives, or if its snippet no longer occurs exactly once in its
 file, so the list stays current. pytest does not collect this file.
 
@@ -30,6 +32,14 @@ RATE_TESTS = ("tests/test_schedule.py", "tests/test_golden_artifacts.py")
 BAD_CONFIG_TESTS = ("tests/test_harness.py::TestCli::test_out_of_range_value_is_a_config_error",)
 MODEL = "src/oclopt/model.py"
 MODEL_TESTS = ("tests/test_model.py",)
+DATAPOOL = "src/oclopt/datapool.py"
+OFFER_TESTS = ("tests/test_datapool.py::TestOffer",)
+STEP_TESTS = ("tests/test_datapool.py::TestPlannedSteps",)
+MIXED_TESTS = ("tests/test_datapool.py::TestMixedReplayMatchesScan",)
+FOLD_TESTS = ("tests/test_datapool.py::TestPlannedFolds",)
+ACCURACY_CHECK = ('    x = check_batch(spec, batch)\n'
+                  '    if spec.classification and metric == "accuracy":\n'
+                  '        return step_ahead_performance(spec, predict(spec, theta, x), batch)\n')
 
 # name -> (file, snippet, replacement, tests)
 MUTANTS = {
@@ -73,11 +83,30 @@ MUTANTS = {
         MODEL, "    if not spec.classification and y.shape != x.shape:\n", "    if False:\n",
         MODEL_TESTS),
     "loss-score-skips-check": (
-        MODEL, "    x, y = check_batch(spec, batch), np.asarray(batch.labels)\n",
-        "    x, y = np.asarray(batch.inputs, dtype=float), np.asarray(batch.labels)\n",
-        MODEL_TESTS),
-    "accuracy-takes-empty-batch": (
-        MODEL, "        if len(batch.inputs) == 0:\n", "        if False:\n", MODEL_TESTS),
+        MODEL, ACCURACY_CHECK,
+        '    if spec.classification and metric == "accuracy":\n'
+        "        return step_ahead_performance(\n"
+        "            spec, predict(spec, theta, check_batch(spec, batch)), batch)\n"
+        "    x = np.asarray(batch.inputs, dtype=float)\n", MODEL_TESTS),
+    "accuracy-skips-check": (
+        MODEL, ACCURACY_CHECK,
+        '    if spec.classification and metric == "accuracy":\n'
+        "        return step_ahead_performance(spec, predict(spec, theta, batch.inputs), batch)\n"
+        "    x = check_batch(spec, batch)\n", MODEL_TESTS),
+    "reservoir-draws-below-own-index": (
+        DATAPOOL, "integers(0, items + 1)", "integers(0, items)", OFFER_TESTS),
+    "replay-gathers-past-overwrite": (
+        DATAPOOL, "lo, hi = i, min(len(plan.bound), i + source.calm[k] - k)",
+        "lo, hi = i, len(plan.bound)", STEP_TESTS),
+    "mixed-current-rows-off-block": (
+        DATAPOOL, "steps = np.arange(lo, hi) + (plan.first - 1) % BLOCK",
+        "steps = np.arange(lo, hi)", MIXED_TESTS),
+    "last-block-past-horizon": (
+        DATAPOOL, "steps = min(BLOCK, spec.horizon - (t - 1 - i))",
+        "steps = min(BLOCK, spec.horizon + 1 - (t - 1 - i))", STEP_TESTS),
+    "fold-plan-drops-last-fold": (
+        HARNESS, "folds = np.arange(self.k // k_v + 1, done[-1] // k_v + 1)",
+        "folds = np.arange(self.k // k_v + 1, done[-1] // k_v)", FOLD_TESTS),
 }
 
 
@@ -90,7 +119,8 @@ def copy_checkout(dest: Path) -> Path:
 def run_tests(checkout: Path, tests) -> int:
     """pytest's exit code for the tests, run with -x against checkout's src/."""
     return subprocess.run(
-        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+         "--hypothesis-profile=mutants", *tests],
         cwd=checkout, env={**os.environ, "PYTHONPATH": str(checkout / "src")},
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
 
@@ -124,7 +154,7 @@ def main(argv) -> int:
             start = time.perf_counter()
             outcome = run_mutant(name, Path(tmp))
             outcomes.append(outcome)
-            print(f"{outcome:9s}{name:28s}{time.perf_counter() - start:7.1f} s", flush=True)
+            print(f"{outcome:9s}{name:34s}{time.perf_counter() - start:7.1f} s", flush=True)
     print(f"{outcomes.count('killed')} of {len(names)} mutants killed")
     return 0 if outcomes.count("killed") == len(names) else 1
 

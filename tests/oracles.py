@@ -1,4 +1,5 @@
-"""Reference implementations the tests check the program against."""
+"""Reference implementations the tests check the program against, and the
+helpers that feed and read the program's pools."""
 
 import json
 import math
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from oclopt.harness import config_from_dict, run_experiment
-from oclopt.rng import HOLDOUT, ball_uniform, substream
+from oclopt.rng import BLOCK, HOLDOUT, REPLAY, RESERVOIR, ball_uniform, substream
 
 
 def unfolded_ma_coefficients(gammas: np.ndarray) -> np.ndarray:
@@ -49,6 +50,70 @@ def stored_items(pool):
     stores, in slot order."""
     n = pool.size
     return pool._xs[:n].copy(), pool._ys[:n].copy(), pool._arrival[:n].copy()
+
+
+class ReferencePool:
+    """Per-item Algorithm R, one array write per item: the oracle for offer.
+    It stores its items under a ``DataPool``'s names, so the readers here
+    read either."""
+
+    def __init__(self, capacity, seed, room, d=2):
+        self.capacity, self.size, self.seen_count = capacity, 0, 0
+        self._xs = np.empty((room, d))
+        self._ys = np.empty(room, dtype=np.int64)
+        self._arrival = np.empty(room, dtype=np.int64)
+        self._rid = np.empty(room, dtype=np.int64)
+        self.reservoir_rng = substream(seed, RESERVOIR)
+        self.replay_rng = substream(seed, REPLAY)
+
+    def offer(self, xs, ys, t, rids):
+        n = len(xs)
+        if n == 0:
+            return
+        cap = self.capacity if self.capacity is not None else self.seen_count + n
+        fill = min(max(cap - self.seen_count, 0), n)
+        for i in range(fill):
+            self._xs[self.size] = xs[i]
+            self._ys[self.size] = ys[i]
+            self._arrival[self.size] = t
+            self._rid[self.size] = rids[i]
+            self.size += 1
+        if fill < n:
+            idx = self.seen_count + np.arange(fill, n)
+            slots = self.reservoir_rng.integers(0, idx + 1)
+            for i, j in zip(range(fill, n), slots):
+                if j < cap:
+                    self._xs[j] = xs[i]
+                    self._ys[j] = ys[i]
+                    self._arrival[j] = t
+                    self._rid[j] = rids[i]
+        self.seen_count += n
+
+
+def same_items(pool, ref):
+    """A pool stores what a ReferencePool stores, slot for slot and dtype for dtype."""
+    assert (pool.size, pool.seen_count) == (ref.size, ref.seen_count)
+    if pool.size:
+        for name in ("_xs", "_ys", "_arrival", "_rid"):
+            a, b = getattr(pool, name), getattr(ref, name)
+            assert a.dtype == b.dtype
+            assert a[: pool.size].tobytes() == b[: ref.size].tobytes()
+
+
+def offer_step(pool, t, xs, ys, keep=None):
+    """Offer the rows of (xs, ys) that the mask ``keep`` selects (all by
+    default) to a ``DataPool`` at step t, as ``datapool.update`` does: the
+    rows laid out at step t's offset of a block, as ``stream.training_block``
+    serves them, and the kept ones planned by the same ``_plan_offers``
+    call. Row r gets record id ``pool.seen_count + r``. Returns the kept
+    rows' record ids."""
+    i, n = (t - 1) % BLOCK, len(xs)
+    block = tuple(np.concatenate((np.zeros((i * n,) + a.shape[1:], a.dtype), a)) for a in (xs, ys))
+    rows = i * n + np.flatnonzero(np.ones(n, bool) if keep is None else keep)
+    pool._plan_offers(t, np.array([len(rows)]), block, rows, pool.seen_count - i * n)
+    kept_xs, kept_ys, rids = pool._offers.items
+    pool.offer(kept_xs, kept_ys, t, rids)
+    return rids
 
 
 def per_call_pure_replay(pool, m, g):

@@ -18,7 +18,7 @@ from oclopt.optim import (ama_step, best_ma, init_averager, init_sgd, ma_update,
                           sgd_step)
 from oclopt.rng import ball_uniform, substream
 from oclopt.stream import DriftingQuadraticSpec
-from tests.oracles import run_from_manifest, stored_items, unfolded_ma_coefficients
+from tests.oracles import offer_step, run_from_manifest, stored_items, unfolded_ma_coefficients
 from tests.test_model import fd_gradient, grad_agreement, random_model_and_batch
 
 SEEDS_20 = list(range(20))
@@ -272,9 +272,7 @@ def test_criterion_09_reservoir_and_buffer_sweep():
     counts = np.zeros(n_items)
     for s in range(trials):
         pool = DataPool(capacity=cap, seed=50_000 + s)
-        xs = np.zeros((n_items, 1))
-        pool.offer(xs, np.arange(n_items, dtype=np.int64), 1,
-                   np.arange(n_items, dtype=np.int64))
+        offer_step(pool, 1, np.zeros((n_items, 1)), np.arange(n_items, dtype=np.int64))
         _, ys, _ = stored_items(pool)
         counts[ys] += 1
     expected = trials * cap / n_items

@@ -16,15 +16,21 @@ from oclopt.datapool import (DataPool, EmptyPoolError, sample_mixed_replay,
 from oclopt.harness import (ExperimentConfig, Run, apply_overrides, expand_variants, preset,
                             run_protocol_step)
 from oclopt.rng import BLOCK, substream
-from oclopt.stream import StreamBatch, next_batch
-from tests.oracles import (ROOM, consecutive_draws, per_call_pure_replay, record_ids,
-                           scan_mixed_replay, step_coins, stored_items)
+from oclopt.stream import RotatingGaussianSpec, StreamBatch, StreamSpec, next_batch
+from tests.oracles import (ROOM, ReferencePool, consecutive_draws, offer_step,
+                           per_call_pure_replay, record_ids, same_items, scan_mixed_replay,
+                           step_coins, stored_items)
 
 
-def offer_items(pool, n, t=1, d=2, start_rid=0):
+def offer_items(pool, n, t=1, d=2):
     xs = np.arange(n * d, dtype=float).reshape(n, d) + 1000 * t
-    ys = np.arange(n, dtype=np.int64)
-    pool.offer(xs, ys, t, start_rid + np.arange(n, dtype=np.int64))
+    offer_step(pool, t, xs, np.arange(n, dtype=np.int64))
+
+
+def offer_none_of(pool, current):
+    """Offer the pool none of the current batch's rows (all held out), so
+    that it stands at the batch's step for a mixed draw."""
+    offer_step(pool, current.t, current.inputs, current.labels, np.zeros(current.n, bool))
 
 
 def make_items(t, n=10, d=2, seed=0):
@@ -35,6 +41,17 @@ def make_items(t, n=10, d=2, seed=0):
 def make_batch(t, n=10, d=2, seed=0):
     inputs, labels = make_items(t, n, d, seed)
     return StreamBatch(t=t, inputs=inputs, labels=labels)
+
+
+def small_stream(n=10, horizon=30, seed=0):
+    rot = RotatingGaussianSpec(n_classes=3, mean_radius=2.0, angular_velocity=0.01,
+                               noise_std=0.4)
+    return StreamSpec(kind="rotating-gaussian", d_in=2, batch_size=n, horizon=horizon,
+                      seed=seed, rotating=rot)
+
+
+def update_step(pool, holdout, spec, t):
+    update(pool, holdout, next_batch(spec, t), spec)
 
 
 class TestStorage:
@@ -71,9 +88,9 @@ class TestStorage:
 class TestReservoir:
     def test_unlimited_pool_keeps_everything(self):
         # a capacity of exactly the items offered is never exceeded
-        pool = DataPool(capacity=100, seed=0)
+        pool, spec = DataPool(capacity=100, seed=0), small_stream(horizon=10)
         for t in range(1, 11):
-            update(pool, DataPool(ROOM), make_batch(t))
+            update_step(pool, DataPool(ROOM), spec, t)
         assert pool.size == pool.seen_count == 100
 
     def test_capacity_clamp(self):
@@ -86,7 +103,7 @@ class TestReservoir:
         pool = DataPool(capacity=20, seed=1)
         offer_items(pool, 12)
         assert pool.size == 12
-        offer_items(pool, 30, t=2, start_rid=12)
+        offer_items(pool, 30, t=2)
         assert pool.size == 20
 
     def test_inclusion_probability_monte_carlo(self):
@@ -125,8 +142,9 @@ class TestHoldoutRouting:
     def test_disjoint_record_ids(self):
         pool = DataPool(ROOM, seed=3)
         holdout = DataPool(ROOM, seed=3, holdout_fraction=0.2)
+        spec = small_stream(n=20, horizon=29, seed=3)
         for t in range(1, 30):
-            update(pool, holdout, make_batch(t, n=20))
+            update_step(pool, holdout, spec, t)
         train_ids = set(record_ids(pool))
         hold_ids = set(record_ids(holdout))
         assert train_ids.isdisjoint(hold_ids)
@@ -135,22 +153,14 @@ class TestHoldoutRouting:
     def test_zero_fraction_routes_everything_to_training(self):
         pool = DataPool(ROOM, seed=3)
         holdout = DataPool(ROOM, seed=3, holdout_fraction=0.0)
-        update(pool, holdout, make_batch(1))
+        update_step(pool, holdout, small_stream(), 1)
         assert holdout.size == 0 and pool.size == 10
 
     def test_out_of_order_step_rejected(self):
-        pool = DataPool(ROOM, seed=0)
-        update(pool, DataPool(ROOM), make_batch(5))
+        pool, spec = DataPool(ROOM, seed=0), small_stream()
+        update_step(pool, DataPool(ROOM), spec, 5)
         with pytest.raises(ValueError):
-            update(pool, DataPool(ROOM), make_batch(5))
-
-    def test_offer_rejects_a_step_below_the_last(self):
-        pool = DataPool(ROOM, seed=0)
-        offer_items(pool, 3, t=4)
-        offer_items(pool, 2, t=4, start_rid=3)   # equal steps are allowed
-        with pytest.raises(ValueError, match="below last offered step"):
-            offer_items(pool, 1, t=3, start_rid=5)
-        assert (pool.seen_count, pool.last_step) == (5, 4)
+            update_step(pool, DataPool(ROOM), spec, 5)
 
 
 class TestPureReplay:
@@ -169,12 +179,8 @@ class TestPureReplay:
         # frequency per originating step converges to n_t / sum(n_t)
         pool = DataPool(ROOM, seed=5)
         sizes = {1: 10, 2: 30, 3: 60}
-        rid = 0
         for t, n in sizes.items():
-            xs = np.full((n, 1), float(t))
-            pool.offer(xs, np.full(n, t, dtype=np.int64), t,
-                       rid + np.arange(n, dtype=np.int64))
-            rid += n
+            offer_step(pool, t, np.full((n, 1), float(t)), np.full(n, t, dtype=np.int64))
         draws = 10_000
         mb = sample_pure_replay(pool, draws)
         counts = np.array([(mb.labels == t).sum() for t in sizes])
@@ -206,7 +212,7 @@ class TestMixedReplay:
     def test_no_history_falls_back_to_current(self):
         pool = DataPool(ROOM, seed=0)
         current = make_batch(1)
-        offer_items(pool, 0, t=1)
+        offer_none_of(pool, current)
         mb = sample_mixed_replay(pool, current, 8)
         assert len(mb.inputs) == 8
         # every item comes from the current batch
@@ -220,12 +226,10 @@ class TestMixedReplay:
     def test_half_and_half_counts_exact(self):
         pool = DataPool(ROOM, seed=1)
         for t in range(1, 5):
-            xs = np.full((10, 1), float(t))
-            pool.offer(xs, np.full(10, t, dtype=np.int64), t,
-                       (t - 1) * 10 + np.arange(10, dtype=np.int64))
-        offer_items(pool, 0, t=5)
+            offer_step(pool, t, np.full((10, 1), float(t)), np.full(10, t, dtype=np.int64))
         current = StreamBatch(t=5, inputs=np.full((10, 1), 5.0),
                               labels=np.full(10, 5, dtype=np.int64))
+        offer_none_of(pool, current)
         # 200 minibatches, equal to 200 calls with count=1 (TestJoinedDraws)
         labels = sample_mixed_replay(pool, current, 10, count=200).labels.reshape(200, 10)
         assert ((labels == 5).sum(1) == 5).all()
@@ -234,12 +238,10 @@ class TestMixedReplay:
     def test_window_restricts_history(self):
         pool = DataPool(ROOM, seed=1)
         for t in range(1, 5):
-            xs = np.full((10, 1), float(t))
-            pool.offer(xs, np.full(10, t, dtype=np.int64), t,
-                       (t - 1) * 10 + np.arange(10, dtype=np.int64))
-        offer_items(pool, 0, t=5)
+            offer_step(pool, t, np.full((10, 1), float(t)), np.full(10, t, dtype=np.int64))
         current = StreamBatch(t=5, inputs=np.full((4, 1), 5.0),
                               labels=np.full(4, 5, dtype=np.int64))
+        offer_none_of(pool, current)
         mb = sample_mixed_replay(pool, current, 40, window=2)
         hist = mb.labels[mb.labels != 5]
         assert set(np.unique(hist)) <= {3, 4}
@@ -247,12 +249,10 @@ class TestMixedReplay:
     def test_full_window_covers_all_past(self):
         pool = DataPool(ROOM, seed=2)
         for t in range(1, 4):
-            xs = np.full((5, 1), float(t))
-            pool.offer(xs, np.full(5, t, dtype=np.int64), t,
-                       (t - 1) * 5 + np.arange(5, dtype=np.int64))
-        offer_items(pool, 0, t=4)
+            offer_step(pool, t, np.full((5, 1), float(t)), np.full(5, t, dtype=np.int64))
         current = StreamBatch(t=4, inputs=np.full((5, 1), 4.0),
                               labels=np.full(5, 4, dtype=np.int64))
+        offer_none_of(pool, current)
         mb = sample_mixed_replay(pool, current, 6, count=100)
         assert set(np.unique(mb.labels[mb.labels != 4])) == {1, 2, 3}
 
@@ -264,21 +264,23 @@ class TestMixedReplay:
 
 
 class TestMixedReplayMatchesScan:
-    # Offers at non-decreasing steps (gap 0 repeats a step) into unlimited
-    # pools (a capacity of the most items the offers hold), whose arrivals
-    # stay sorted, and capped ones, which may evict; a draw at the step of
-    # every offer that moves the pool.
+    # Offers of a random subset of each step's batch (the rest held out) at
+    # increasing steps into unlimited pools (a capacity of the most items the
+    # offers hold), whose arrivals stay sorted, and capped ones, which may
+    # evict; a draw at the step of every offer, with that step's batch as
+    # the current one.
     @settings(max_examples=150, deadline=None)
     @given(capacity=st.integers(1, 50) | st.just(15 * 20), seed=st.integers(0, 2**16),
-           offers=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 20)), max_size=15),
+           offers=st.lists(st.tuples(st.integers(1, 2), st.integers(1, 20)), max_size=15),
            data=st.data())
     def test_draws_equal_the_scan(self, capacity, seed, offers, data):
         pool = DataPool(capacity=capacity, seed=seed)
-
-        def draw():
-            t = pool.last_step
-            current = make_batch(t, n=data.draw(st.integers(1, 5), label="n_current"),
-                                 seed=seed)
+        t = 0
+        for gap, n in offers:
+            t += gap
+            current = make_batch(t, n=n, seed=seed)
+            keep = data.draw(st.lists(st.booleans(), min_size=n, max_size=n), label="keep")
+            offer_step(pool, t, current.inputs, current.labels, keep)
             window = data.draw(st.none() | st.integers(0, t + 3), label="window")
             m = data.draw(st.sampled_from([2, 4, 8]), label="m")
             g = copy.deepcopy(pool._replay_rng)
@@ -288,16 +290,6 @@ class TestMixedReplayMatchesScan:
             assert mb.labels.tobytes() == ys.tobytes()
             np.testing.assert_equal(pool._replay_rng.bit_generator.state,
                                     g.bit_generator.state)
-
-        t = 0
-        for i, (gap, n) in enumerate(offers):
-            t += gap
-            xs, ys = make_items(t, n=n, seed=seed)
-            pool.offer(xs, ys, t, pool.seen_count + np.arange(n, dtype=np.int64))
-            # an empty offer at the same step leaves the pool where the last
-            # draw found it, so a draw there would be served that plan's rows
-            if i == 0 or gap or n:
-                draw()
 
 
 class TestJoinedDraws:
@@ -315,15 +307,14 @@ class TestJoinedDraws:
                                                   count, window, n_current):
         pool = DataPool(capacity=capacity, seed=seed)
         for t, n in enumerate(sizes, start=1):
-            xs, ys = make_items(t, n=n, seed=seed)
-            pool.offer(xs, ys, t, pool.seen_count + np.arange(n, dtype=np.int64))
+            offer_step(pool, t, *make_items(t, n=n, seed=seed))
         if not mixed and pool.size == 0:
             return
         g = copy.deepcopy(pool._replay_rng)
         m = 2 * half
         if mixed:
             current = make_batch(len(sizes) + 1, n=n_current, seed=seed)
-            offer_items(pool, 0, t=current.t)
+            offer_none_of(pool, current)
             block = sample_mixed_replay(pool, current, m, window=window, count=count)
             xs, ys = consecutive_draws(scan_mixed_replay, count, pool, current, m, window, g)
         else:
@@ -332,52 +323,6 @@ class TestJoinedDraws:
         assert block.inputs.tobytes() == xs.tobytes()
         assert block.labels.tobytes() == ys.tobytes()
         np.testing.assert_equal(pool._replay_rng.bit_generator.state, g.bit_generator.state)
-
-
-class ReferencePool:
-    """Per-item Algorithm R, one array write per item: the oracle for offer."""
-
-    def __init__(self, capacity, seed, room, d=2):
-        self.capacity, self.size, self.seen_count = capacity, 0, 0
-        self.xs = np.empty((room, d))
-        self.ys = np.empty(room, dtype=np.int64)
-        self.arrival = np.empty(room, dtype=np.int64)
-        self.rid = np.empty(room, dtype=np.int64)
-        self.reservoir_rng = substream(seed, rngmod.RESERVOIR)
-        self.replay_rng = substream(seed, rngmod.REPLAY)
-
-    def offer(self, xs, ys, t, rids):
-        n = len(xs)
-        if n == 0:
-            return
-        cap = self.capacity if self.capacity is not None else self.seen_count + n
-        fill = min(max(cap - self.seen_count, 0), n)
-        for i in range(fill):
-            self.xs[self.size] = xs[i]
-            self.ys[self.size] = ys[i]
-            self.arrival[self.size] = t
-            self.rid[self.size] = rids[i]
-            self.size += 1
-        if fill < n:
-            idx = self.seen_count + np.arange(fill, n)
-            slots = self.reservoir_rng.integers(0, idx + 1)
-            for i, j in zip(range(fill, n), slots):
-                if j < cap:
-                    self.xs[j] = xs[i]
-                    self.ys[j] = ys[i]
-                    self.arrival[j] = t
-                    self.rid[j] = rids[i]
-        self.seen_count += n
-
-
-def same_items(pool, ref):
-    """A pool stores what a ReferencePool stores, slot for slot and dtype for dtype."""
-    assert (pool.size, pool.seen_count) == (ref.size, ref.seen_count)
-    if pool.size:
-        for a, b in ((pool._xs, ref.xs), (pool._ys, ref.ys),
-                     (pool._arrival, ref.arrival), (pool._rid, ref.rid)):
-            assert a.dtype == b.dtype
-            assert a[: pool.size].tobytes() == b[: ref.size].tobytes()
 
 
 class TestOffer:
@@ -401,9 +346,7 @@ class TestOffer:
         ref = ReferencePool(capacity, seed, room=max(sum(sizes), 1))
         for t, n in enumerate(sizes, start=1):
             xs, ys = make_items(t, n=n)
-            rids = pool.seen_count + np.arange(n, dtype=np.int64)
-            pool.offer(xs, ys, t, rids)
-            ref.offer(xs, ys, t, rids)
+            ref.offer(xs, ys, t, offer_step(pool, t, xs, ys))
             self.assert_matches_reference(pool, ref)
 
     @pytest.mark.parametrize("capacity", [1, 2])
@@ -423,9 +366,7 @@ class TestOffer:
         ref = ReferencePool(capacity, seed, room=capacity)
         for t, n in ((1, capacity), (2, 8)):
             xs, ys = make_items(t, n=n)
-            rids = pool.seen_count + np.arange(n, dtype=np.int64)
-            pool.offer(xs, ys, t, rids)
-            ref.offer(xs, ys, t, rids)
+            ref.offer(xs, ys, t, offer_step(pool, t, xs, ys))
         self.assert_matches_reference(pool, ref)
 
 
@@ -433,8 +374,8 @@ class TestPlannedSteps:
     # Protocol steps take their pool draws and rows from plans made once per
     # block of steps. At every step both pools must equal per-item references
     # fed the same routed items, and the replay rows served to the step must
-    # equal per-call reference draws over a twin pool fed one offer at a
-    # time, from a generator keyed like the pool's. Pools that never evict (a
+    # equal per-call reference draws over the training pool's reference,
+    # from a generator keyed like the pool's. Pools that never evict (a
     # capacity of every item), that evict from the first blocks, and that
     # first evict partway through a later block (capacities of one to four
     # blocks of steps) take their rows from gathers that stop at each step
@@ -457,24 +398,23 @@ class TestPlannedSteps:
         run, rows = Run(cfg, seed), []
         run.predict, run.iterate = (lambda inputs: None), rows.append
         ref, ref_hold = (ReferencePool(cap, seed, room=horizon * n) for cap in (capacity, None))
-        twin, g = DataPool(capacity=capacity, seed=seed), substream(seed, rngmod.REPLAY)
+        g = substream(seed, rngmod.REPLAY)
         for t in range(1, horizon + 1):
             run_protocol_step(run, t)
             batch = next_batch(run.stream_spec, t)
             hold = step_coins(seed, t, n) < holdout_fraction
             rids = ref.seen_count + ref_hold.seen_count + np.arange(n, dtype=np.int64)
-            for pool, keep in ((ref, ~hold), (ref_hold, hold), (twin, ~hold)):
+            for pool, keep in ((ref, ~hold), (ref_hold, hold)):
                 pool.offer(batch.inputs[keep], batch.labels[keep], t, rids[keep])
             same_items(run.pool, ref)
             same_items(run.holdout, ref_hold)
-            same_items(twin, ref)
-            if iters == 0 or not (mixed or twin.size):
+            if iters == 0 or not (mixed or ref.size):
                 assert rows == []
                 continue
             if mixed:
-                xs, ys = consecutive_draws(scan_mixed_replay, iters, twin, batch, m, window, g)
+                xs, ys = consecutive_draws(scan_mixed_replay, iters, ref, batch, m, window, g)
             else:
-                xs, ys = consecutive_draws(per_call_pure_replay, iters, twin, m, g)
+                xs, ys = consecutive_draws(per_call_pure_replay, iters, ref, m, g)
             assert np.concatenate([mb.inputs for mb in rows]).tobytes() == xs.tobytes()
             assert np.concatenate([mb.labels for mb in rows]).tobytes() == ys.tobytes()
             rows.clear()
@@ -529,3 +469,18 @@ class TestPlannedFolds:
             run_protocol_step(run, t)
         assert len(folds) == run.k // k_v
         np.testing.assert_equal(run.val_rng.bit_generator.state, g.bit_generator.state)
+
+    def test_a_fold_missing_from_the_plan_raises(self):
+        # drawing the fold on its own would shift every later fold's rows
+        cfg = apply_overrides(ExperimentConfig(), {
+            "stream.horizon": 20, "replay.holdout_fraction": 0.5, "schedule.kind": "constant"})
+        run = Run(cfg, 0)
+        for t in range(1, 11):
+            assert run.step(t)
+        assert run.holdout.size > 0
+        state = run.val_rng.bit_generator.state
+        first, bounds, rows = run.folds
+        run.folds = (first, bounds[:0], rows)
+        with pytest.raises(RuntimeError, match="not in the fold plan"):
+            run.sample_validation()
+        np.testing.assert_equal(run.val_rng.bit_generator.state, state)

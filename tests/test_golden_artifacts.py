@@ -19,6 +19,11 @@ pool rows were gathered per block; none is ever re-recorded: a change that
 alters any byte of these artifacts fails here. ``python
 tests/test_golden_artifacts.py`` prints the digests the current code
 produces, for comparison by hand.
+
+``test_every_preset_matches_the_digest_table`` runs
+``artifact_digests.py --check``: every preset variant at its own horizon,
+seeds 0-2, ``checkpoint.npz`` included, against ``preset_digests.txt``,
+which is never re-recorded either.
 """
 
 import hashlib
@@ -120,6 +125,11 @@ def test_golden_file_covers_every_case():
     golden = json.loads(GOLDEN.read_text())
     assert len(golden) == 80
     assert {k.rsplit("/", 2)[0] for k in golden} == set(cases())
+
+
+def test_every_preset_matches_the_digest_table():
+    from tests.artifact_digests import check
+    assert check() is None
 
 
 if __name__ == "__main__":

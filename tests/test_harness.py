@@ -866,6 +866,8 @@ def small_configs(draw):
 
 
 class TestRunInvariants:
+    # a fold missing from the run's fold plan raises, so every run here also
+    # shows that each validation fold is served from the plan
     @settings(max_examples=60, deadline=None)
     @given(cfg=small_configs())
     def test_a_run_keeps_its_counts(self, cfg):

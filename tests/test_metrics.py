@@ -14,7 +14,7 @@ from oclopt.metrics import (MetricError, MetricLedger, RunningMean, forward_tran
 from oclopt.model import ModelSpec, init_params, predict
 from oclopt.rng import substream
 from oclopt.stream import RotatingGaussianSpec, StreamSpec, eval_window
-from tests.oracles import ROOM, prefix_mean, retained_rows
+from tests.oracles import ROOM, offer_step, prefix_mean, retained_rows
 
 
 def softmax_spec():
@@ -117,7 +117,7 @@ class TestInformationRetention:
         spec.block(theta, "b")[:] = np.array([10.0, 0.0])
         holdout = DataPool(ROOM, seed=0)
         xs = np.random.default_rng(0).standard_normal((10, 2))
-        holdout.offer(xs, np.zeros(10, dtype=np.int64), 1, np.arange(10, dtype=np.int64))
+        offer_step(holdout, 1, xs, np.zeros(10, dtype=np.int64))
         assert information_retention(spec, theta, holdout, 1) == 1.0
 
     def test_enumeration_of_ten_items(self):
@@ -127,7 +127,7 @@ class TestInformationRetention:
         rng = np.random.default_rng(5)
         xs = rng.standard_normal((10, 2))
         ys = rng.integers(0, 2, 10)
-        holdout.offer(xs, ys, 1, np.arange(10, dtype=np.int64))
+        offer_step(holdout, 1, xs, ys)
         preds = predict(spec, theta, xs)
         expected = float(np.mean(preds == ys))
         assert information_retention(spec, theta, holdout, 1) == expected
@@ -137,10 +137,8 @@ class TestInformationRetention:
         theta = np.zeros(spec.n_params)
         spec.block(theta, "b")[:] = np.array([10.0, 0.0])
         holdout = DataPool(ROOM, seed=0)
-        holdout.offer(np.zeros((5, 2)), np.zeros(5, dtype=np.int64), 1,
-                      np.arange(5, dtype=np.int64))
-        holdout.offer(np.zeros((5, 2)), np.ones(5, dtype=np.int64), 2,
-                      5 + np.arange(5, dtype=np.int64))
+        offer_step(holdout, 1, np.zeros((5, 2)), np.zeros(5, dtype=np.int64))
+        offer_step(holdout, 2, np.zeros((5, 2)), np.ones(5, dtype=np.int64))
         assert information_retention(spec, theta, holdout, 1) == 1.0
         assert information_retention(spec, theta, holdout, 2) == 0.5
 
@@ -160,8 +158,7 @@ class TestInformationRetention:
         rng = np.random.default_rng(11)
         for t in range(1, 9):
             n = int(rng.integers(0, 6))
-            holdout.offer(rng.standard_normal((n, 2)), rng.integers(0, 2, n), t,
-                          holdout.seen_count + np.arange(n, dtype=np.int64))
+            offer_step(holdout, t, rng.standard_normal((n, 2)), rng.integers(0, 2, n))
         assert (holdout.size < holdout.seen_count) == (capacity != ROOM)
         monkeypatch.setattr(metrics, "validation_performance",
                             lambda spec, theta, batch: (batch.inputs.tobytes(),
@@ -230,7 +227,7 @@ class TestRetentionInvariants:
         holdout = DataPool(ROOM, seed=4, holdout_fraction=0.3)
         values = []
         for t in range(1, 201):
-            pool_update(pool, holdout, next_batch(stream, t))
+            pool_update(pool, holdout, next_batch(stream, t), stream)
             if t % 40 == 0:
                 values.append(information_retention(spec, theta, holdout, t))
         assert max(values) - min(values) < 0.05
@@ -249,6 +246,6 @@ class TestRetentionInvariants:
             pool = DataPool(capacity=capacity, seed=9)
             holdout = DataPool(ROOM, seed=9, holdout_fraction=0.2)
             for t in range(1, 51):
-                pool_update(pool, holdout, next_batch(stream, t))
+                pool_update(pool, holdout, next_batch(stream, t), stream)
             values.append(information_retention(spec, theta, holdout, 50))
         assert values[0] == values[1] == values[2]

@@ -134,10 +134,13 @@ class TestGradients:
         else:
             spec = ModelSpec(kind=kind, loss="cross-entropy", d_in=2, n_classes=3, hidden=2)
             bad = [Minibatch(np.zeros((4, 2)), np.array([0, 1, 3, 0])),
+                   Minibatch(np.zeros((4, 2)), np.zeros((4, 1), int)),
                    Minibatch(np.zeros((4, 3)), np.zeros(4, dtype=int))]
+        # a classifier's accuracy is checked as its loss score is
         for batch in bad:
-            with pytest.raises(ValueError):
-                validation_performance(spec, np.zeros(spec.n_params), batch, metric="loss")
+            for metric in ("accuracy", "loss"):
+                with pytest.raises(ValueError):
+                    validation_performance(spec, np.zeros(spec.n_params), batch, metric)
 
     def test_workspace_serves_only_its_parameter_array(self):
         spec = ModelSpec(kind="linear-softmax", loss="cross-entropy", d_in=2,
