@@ -14,18 +14,19 @@ substream keyed by the arrival step, so the routing of any step can be
 re-enumerated independently.
 
 Every pool-side draw and row copy is planned. At the first step of a block
-of ``BLOCK`` steps (those inside the horizon) ``update`` plans both pools'
-offers: every reservoir draw in one generator call, and every appended row
-stored at once (rows past ``size`` are invisible: every reader stops there).
-A replay draw draws the rest of the block in one call and gathers its rows
-with one take per array, up to the next step whose offers overwrite a stored
-item, which gathers again; ``sample_folds`` plans validation minibatches
-alike. So a step that starts no block and overwrites nothing draws nothing
-and copies no row: ``offer`` moves counters, and the samplers hand out views.
-``update`` is the only way rows enter a pool. Planned draws equal draws made
-one call at a time: reservoir draws come one per evicting item in offer
-order, each item's once, and a replay plan serves a step only while the pool
-stands where the plan was made to find it.
+of ``BLOCK`` steps (those inside the horizon) ``update`` draws the block's
+routing coins, which no pool keeps, and plans both pools' offers: every
+reservoir draw in one generator call, and every appended row stored at once
+(rows past ``size`` are invisible: every reader stops there). A replay draw
+draws the rest of the block in one call and gathers its rows with one take
+per array, up to the next step whose offers overwrite a stored item, which
+gathers again; ``sample_folds`` plans validation minibatches alike. So a
+step that starts no block and overwrites nothing draws nothing and copies no
+row: ``offer`` moves counters, and the samplers hand out views. ``update``
+is the only way rows enter a pool. Planned draws equal draws made one call
+at a time: reservoir draws come one per evicting item in offer order, each
+item's once, and a replay plan serves a step only while the pool stands
+where the plan was made to find it.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .rng import BLOCK, step_streams, substream
-from .stream import StreamBatch, training_block
+from .stream import training_block
 
 
 class EmptyPoolError(RuntimeError):
@@ -83,6 +84,11 @@ class _Offers(NamedTuple):
     items: tuple
     block: tuple
 
+    @property
+    def n(self) -> int:
+        """Items per step of the served block, which ends at the plan's last step."""
+        return len(self.block[1]) // ((self.first - 1) % BLOCK + len(self.counts))
+
 
 class _Replay(NamedTuple):
     """Planned replay draws of steps ``first`` .. ``first + len(bound) - 1``,
@@ -105,8 +111,7 @@ class DataPool:
     Items are kept in parallel arrays (features, labels, arrival step, record
     id) of ``capacity`` rows, an integer >= 1 (unlimited: more rows than will
     be offered), reserved once and committed by the OS as rows are written.
-    ``seed`` pins the reservoir and replay randomness; holdout routing is
-    keyed off the same seed.
+    ``seed`` pins the reservoir and replay randomness.
     """
 
     def __init__(self, capacity: int, seed: int = 0, holdout_fraction: float = 0.0):
@@ -118,8 +123,6 @@ class DataPool:
         self.capacity, self.seed, self.holdout_fraction = capacity, seed, holdout_fraction
         self.size = self.seen_count = self.last_step = 0
         self._xs = self._ys = self._arrival = self._rid = None   # reserved at the first item
-        self._coins = (None, None)          # ((block, n, steps), coins) of the latest read
-        self._routes = (None, None)         # ((block, n, fraction, steps), routes) of the latest
         self._offers: Optional[_Offers] = None
         self._replay: Optional[_Replay] = None
         self._served = (None, 0, 0, None, None)   # (replay plan, lo, hi, inputs, labels)
@@ -128,39 +131,6 @@ class DataPool:
     # each built on its first draw
     _reservoir_rng = cached_property(lambda self: substream(self.seed, rngmod.RESERVOIR))
     _replay_rng = cached_property(lambda self: substream(self.seed, rngmod.REPLAY))
-
-    def routing_coins(self, t: int, n: int, steps: int = BLOCK) -> np.ndarray:
-        """``substream(seed, HOLDOUT, t).random(n)``, read-only, from the first
-        ``steps`` steps of the block holding t, drawn at once; only the latest
-        block is kept. Blocks start at the steps a stream's blocks start at, so
-        both fill on one step."""
-        b, i = divmod(t - 1, BLOCK)
-        if self._coins[0] != (b, n, steps):
-            coins = np.empty((steps, n))
-            for row, g in zip(coins, step_streams(self.seed, rngmod.HOLDOUT, b * BLOCK + 1,
-                                                  b * BLOCK + 1 + steps)):
-                g.random(out=row)
-            coins.setflags(write=False)
-            self._coins = ((b, n, steps), coins)
-        return self._coins[1][i]
-
-    def _split(self, t: int, n: int, fraction: float, steps: int) -> tuple:
-        """((rows, at) for this pool, (rows, at) for the holdout) over the
-        first ``steps`` steps of the block holding step t: block step i offers
-        rows[at[i]:at[i + 1]] of the block's batches joined in step order (row
-        i * n + r is row r of step i)."""
-        b = (t - 1) // BLOCK
-        if self._routes[0] != (b, n, fraction, steps):
-            self._routes = (None, None)   # free the old block's routes first
-            if fraction > 0.0:
-                self.routing_coins(t, n, steps)
-                hold = self._coins[1] < fraction
-            else:
-                hold = np.zeros((steps, n), dtype=bool)
-            routes = tuple((np.flatnonzero(mask), [0] + np.cumsum(mask.sum(1)).tolist())
-                           for mask in (~hold, hold))
-            self._routes = ((b, n, fraction, steps), routes)
-        return self._routes[1]
 
     # -- storage ------------------------------------------------------------
 
@@ -205,23 +175,19 @@ class DataPool:
             self._xs[new], self._ys[new], self._rid[new] = xs[:m], ys[:m], rids[:m]
             self._arrival[new] = seen.searchsorted(np.arange(lo, hi), "right") + (first - 1)
 
-    def _step(self, t: int, n: int) -> Optional[int]:
-        """Step t's index in the offer plan if the plan offers n items then,
-        from the current state; else None."""
+    def _holds(self, t: int) -> bool:
+        """Whether the offer plan holds step t from the current state."""
         plan = self._offers
-        if plan is not None and 0 <= t - plan.first < len(plan.counts):
-            k = t - plan.first
-            if plan.seen[k] == self.seen_count and plan.counts[k] == n:
-                return k
-        return None
+        return (plan is not None and 0 <= t - plan.first < len(plan.counts)
+                and plan.seen[t - plan.first] == self.seen_count)
 
-    def _ahead(self, t: int):
-        """(offer plan, step t's index) if the plan's step t is the last step
-        offered; else None."""
+    def _ahead(self):
+        """(offer plan, the last offered step's index) if the plan holds that
+        step and the pool stands after its offers; else None."""
         plan = self._offers
-        if plan is not None and t == self.last_step and 0 <= t - plan.first < len(plan.counts):
-            k = t - plan.first
-            if plan.seen[k + 1] == self.seen_count:
+        if plan is not None:
+            k = self.last_step - plan.first
+            if 0 <= k < len(plan.counts) and plan.seen[k + 1] == self.seen_count:
                 return plan, k
         return None
 
@@ -279,33 +245,41 @@ class DataPool:
         return xs, ys
 
 
-def update(pool: DataPool, holdout: DataPool, batch: StreamBatch, spec):
-    """Integrate one revealed batch: route each datum to holdout or training pool.
+def update(pool: DataPool, holdout: DataPool, spec, t: int):
+    """Integrate step t of the stream ``spec``: route each datum of the
+    step's batch to the holdout or the training pool.
 
-    Routing coins are drawn from the (seed, HOLDOUT, t) substream (see
-    ``DataPool.routing_coins``), so the split of any step is re-enumerable.
-    Record ids continue the global offer sequence across both pools. Steps
-    must increase, so a pool that has never dropped or overwritten an item
-    stores its arrivals in order. A step that no offer plan holds (a
-    block's first) plans each pool's offers for the block's steps inside
-    the horizon of ``spec``, the stream the batch was served from: it
+    A datum goes to the holdout iff its routing coin, drawn from the (seed,
+    HOLDOUT, t) substream of the stream's seed, is below the holdout's
+    fraction, so the split of any step is re-enumerable. Record ids continue
+    the global offer sequence across both pools. Steps must increase, so a
+    pool that has never dropped or overwritten an item stores its arrivals in
+    order. At a step that a pool's offer plan does not hold (a block's
+    first), the coins of the block's steps from t on inside the horizon are
+    drawn at once, and each such pool plans its offers for those steps: it
     gathers their items from the served block (``stream.training_block``)
     and stores the rows they append at once. Each step offers views of its
     items.
     """
-    t, n = batch.t, batch.n
     if t <= pool.last_step:
         raise ValueError(f"step {t} does not exceed last integrated step {pool.last_step}")
-    i = (t - 1) % BLOCK
-    steps = min(BLOCK, spec.horizon - (t - 1 - i))
-    base = pool.seen_count + holdout.seen_count - i * n   # record id of the block's first row
-    for target, (rows, at) in zip((pool, holdout),
-                                  pool._split(t, n, holdout.holdout_fraction, steps)):
-        k = target._step(t, at[i + 1] - at[i])
-        if k is None:
-            target._plan_offers(t, np.diff(at[i:]), training_block(spec, t), rows[at[i]:], base)
-            k = 0
+    if not (pool._holds(t) and holdout._holds(t)):
+        i, n = (t - 1) % BLOCK, spec.batch_size
+        stop = min(t - i + BLOCK, spec.horizon + 1)
+        hold = np.zeros((stop - t, n), dtype=bool)
+        if holdout.holdout_fraction > 0.0:
+            coins = np.empty((stop - t, n))
+            for row, g in zip(coins, step_streams(spec.seed, rngmod.HOLDOUT, t, stop)):
+                g.random(out=row)
+            hold = coins < holdout.holdout_fraction
+        base = pool.seen_count + holdout.seen_count - i * n   # record id of the block's first row
+        for target, mask in ((pool, ~hold), (holdout, hold)):
+            if not target._holds(t):   # row i * n + r of the block is row r of step i
+                target._plan_offers(t, mask.sum(1), training_block(spec, t),
+                                    np.flatnonzero(mask) + i * n, base)
+    for target in (pool, holdout):
         plan = target._offers
+        k = t - plan.first
         a, b = plan.seen[k] - plan.seen[0], plan.seen[k + 1] - plan.seen[0]
         target.offer(plan.items[0][a:b], plan.items[1][a:b], t, plan.items[2][a:b])
 
@@ -314,22 +288,20 @@ def steady_sizes(pool: DataPool) -> np.ndarray:
     """The pool's size after each step from its last offered step through
     the last one before its offer plan next overwrites a stored item: the
     steps over which rows read now stay put."""
-    plan, k = pool._ahead(pool.last_step)
+    plan, k = pool._ahead()
     return np.minimum(plan.seen[k + 1:plan.calm[k] + 1], pool.capacity)
 
 
-def _replayed(pool: DataPool, key: tuple, t: int, make, gather) -> Minibatch:
-    """Step t's rows of the pool's replay plan, as views; step t must be the
-    pool's last offered step. The plan serves if it was made under ``key``
-    from the offer plan the pool stands at and holds step t; else
-    ``make(offer plan, step t's index)`` draws the one that replaces it. A
-    step not gathered yet gathers, by ``gather(plan, lo, hi)``, its rows and
-    those of the plan's later steps up to the next one whose offers
-    overwrite a stored item."""
-    found = pool._ahead(t)
+def _replayed(pool: DataPool, key: tuple, make, gather) -> Minibatch:
+    """The rows of the pool's replay plan for its last offered step t, as
+    views. The plan serves if it was made under ``key`` from the offer plan
+    the pool stands at and holds step t; else ``make(offer plan, step t's
+    index)`` draws the one that replaces it. A step not gathered yet
+    gathers, by ``gather(plan, lo, hi)``, its rows and those of the plan's
+    later steps up to the next one whose offers overwrite a stored item."""
+    t, found = pool.last_step, pool._ahead()
     if found is None:
-        raise ValueError(f"replay at step {t} needs the pool to stand at that step's offers "
-                         f"(last offered step {pool.last_step})")
+        raise ValueError(f"replay needs the offers of the pool's last offered step {t}")
     source, k = found
     plan = pool._replay
     if (plan is None or plan.key != key or plan.source is not source
@@ -367,7 +339,7 @@ def sample_pure_replay(pool: DataPool, m: int, count: int = 1) -> Minibatch:
     def gather(plan, lo, hi):
         return pool._gather("replay", plan.idx[lo:hi])
 
-    return _replayed(pool, key, pool.last_step, make, gather)
+    return _replayed(pool, key, make, gather)
 
 
 def _windows(pool: DataPool, steps: np.ndarray, window: Optional[int], size: int) -> tuple:
@@ -389,10 +361,12 @@ def _windows(pool: DataPool, steps: np.ndarray, window: Optional[int], size: int
     return np.array([len(s) for s in slots]), slots
 
 
-def sample_mixed_replay(pool: DataPool, current: StreamBatch, m: int,
-                        window: Optional[int] = None, count: int = 1) -> Minibatch:
+def sample_mixed_replay(pool: DataPool, m: int, window: Optional[int] = None,
+                        count: int = 1) -> Minibatch:
     """Half the minibatch from the current step, half uniform from the history window.
 
+    The current step t is the pool's last offered step, and its batch the
+    step's rows of the served stream block of the offer plan that holds it.
     The history half draws uniformly from stored items with arrival step in
     [t - window, t - 1]; window=None means t-1 (full coverage). If the window
     holds nothing (e.g. t=1), the whole minibatch falls back to current data.
@@ -404,17 +378,15 @@ def sample_mixed_replay(pool: DataPool, current: StreamBatch, m: int,
     row, and leaves the replay generator in the same state. Serves views of
     the rows of the pool's replay plan, drawn and gathered at the first call
     of an offer plan's range for the steps up to the next one whose offers
-    overwrite a stored item (see ``_windows``), with current halves taken
-    from the served stream block of the offer plan: ``current`` must be the
-    batch the pool was offered last.
+    overwrite a stored item (see ``_windows``).
     """
     if m % 2 != 0:
         raise ValueError("mixed replay needs an even minibatch size")
-    t, n, half, width = current.t, current.n, m // 2, count * m
-    key = ("mixed", m, count, window, n)
+    t, half, width = pool.last_step, m // 2, count * m
+    key = ("mixed", m, count, window)
 
     def make(source, k):
-        n_steps = source.calm[k] - k
+        n, n_steps = source.n, source.calm[k] - k
         size = min(source.seen[k + n_steps], pool.capacity)
         bounds, windows = _windows(pool, t + np.arange(n_steps), window, size)
         # per step and minibatch: the current half, then the history half
@@ -425,7 +397,7 @@ def sample_mixed_replay(pool: DataPool, current: StreamBatch, m: int,
         return _Replay(key, source, t, bounds, idx, windows)
 
     def gather(plan, lo, hi):
-        cur_x, cur_y = plan.source.block   # current rows come from the served block
+        (cur_x, cur_y), n = plan.source.block, plan.source.n   # current rows: the served block
         steps = np.arange(lo, hi) + (plan.first - 1) % BLOCK
         xs, ys = pool._rows("replay", hi - lo, width, cur_x, cur_y)
         cur, hist = plan.idx[lo:hi, :, 0] + n * steps[:, None, None], plan.idx[lo:hi, :, 1]
@@ -444,7 +416,7 @@ def sample_mixed_replay(pool: DataPool, current: StreamBatch, m: int,
                     out[i, :, 1] = (pool_src if full[i] else cur_src).take(h, 0)
         return xs, ys
 
-    return _replayed(pool, key, t, make, gather)
+    return _replayed(pool, key, make, gather)
 
 
 def sample_folds(pool: DataPool, m: int, rng: np.random.Generator, bounds: np.ndarray):

@@ -158,15 +158,17 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     return dataclasses.asdict(config)
 
 
-def _build(cls, block: dict, where: str):
-    """cls(**block), rejecting unknown keys and values their field's type does not take."""
-    fields = {f.name: f.type for f in dataclasses.fields(cls)}
-    unknown = set(block) - set(fields)
+def _check(block, kinds: dict, where: str):
+    """Reject a block that is no mapping, its keys that ``kinds`` (key ->
+    annotation) does not name, and values their key's annotation does not take."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be a mapping of keys to values, got {block!r}")
+    unknown = set(block) - set(kinds)
     if unknown:
-        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown {where} keys: {sorted(unknown, key=str)}")
     for key, value in block.items():
         # type() rather than isinstance(): a bool is neither an integer nor a number here
-        kind = fields[key]
+        kind = kinds[key]
         types = {"int": (int,), "Optional[int]": (int, type(None)), "float": (int, float),
                  "list[float]": (list,)}.get(kind, (type(value),))
         items = value if kind == "list[float]" and type(value) is list else ()
@@ -174,6 +176,11 @@ def _build(cls, block: dict, where: str):
             what = ("an integer" if "int" in kind else "a number" if kind == "float"
                     else "a list of numbers")
             raise ConfigError(f"{where} key {key} must be {what}, got {value!r}")
+
+
+def _build(cls, block: dict, where: str):
+    """cls(**block), rejecting unknown keys and values their field's type does not take."""
+    _check(block, {f.name: f.type for f in dataclasses.fields(cls)}, where)
     return cls(**block)
 
 
@@ -287,14 +294,15 @@ def run_protocol_step(run, t: int):
 
     In order: (1) sample the batch, (2) ask ``run.predict`` for every datum
     before labels are revealed, (3) integrate the batch into ``run.pool`` and
-    ``run.holdout``, (4) call ``run.update``. At the first step of a block of
-    ``BLOCK`` steps (those inside the horizon), (3) plans both pools' offers
-    and stores every row the block appends, and (4) draws the block's replay
-    minibatches and validation folds and gathers their rows. Every other
-    step moves pool counters and is served views of gathered rows: it
-    writes, gathers and draws nothing, unless its offers overwrite stored
-    items (a capped pool), which it writes, and from which on its replay
-    rows are gathered, and mixed replay drawn, again.
+    ``run.holdout``, (4) call ``run.update(t)``. At the first step of a block
+    of ``BLOCK`` steps (those inside the horizon), (3) draws the block's
+    routing coins, plans both pools' offers and stores every row the block
+    appends, and (4) draws the block's replay minibatches and validation
+    folds and gathers their rows. Every other step moves pool counters and
+    is served views of gathered rows: it writes, gathers and draws nothing,
+    unless its offers overwrite stored items (a capped pool), which it
+    writes, and from which on its replay rows are gathered, and mixed replay
+    drawn, again.
 
     A step that raises ends the run: nothing is rolled back. The pools keep
     the step's offers (their ``last_step`` is t, so the step cannot be run
@@ -309,8 +317,8 @@ def run_protocol_step(run, t: int):
         raise ProtocolError(f"expected step {run.pool.last_step + 1}, got {t}")
     batch = stream.next_batch(run.stream_spec, t)
     predictions = run.predict(batch.inputs)
-    datapool.update(run.pool, run.holdout, batch, run.stream_spec)
-    run.update(t, batch)
+    datapool.update(run.pool, run.holdout, run.stream_spec, t)
+    run.update(t)
     return predictions, batch
 
 
@@ -354,6 +362,8 @@ class Run:
                 (s.kind == "cyclic" and stream_kind != "piecewise-task",
                  "cyclic schedule requires a task-aware (piecewise) stream"),
                 (o.base not in ("sgd", "adam"), f"unknown base optimizer {o.base!r}"),
+                (config.companion not in (None, "ema-replay"),
+                 f"unknown companion {config.companion!r}"),
                 (config.model.hidden < 1, "model.hidden must be >= 1"),
                 (model_kind == "quadratic-probe" and stream_kind != "drifting-quadratic",
                  "quadratic-probe model requires the drifting-quadratic stream"),
@@ -444,7 +454,7 @@ class Run:
     def predict(self, inputs):
         return predict(self.model_spec, self.inference_params(), inputs)
 
-    def update(self, t: int, batch):
+    def update(self, t: int):
         """Take the step's replay minibatches from the pool's plan for the
         block, then run one iteration on each. A pure-replay step with an
         empty training pool (every datum so far went to the holdout) runs no
@@ -463,7 +473,7 @@ class Run:
         if r.mode == "pure":
             rows = sample_pure_replay(self.pool, m, count=p)
         else:
-            rows = sample_mixed_replay(self.pool, batch, m, window=r.window, count=p)
+            rows = sample_mixed_replay(self.pool, m, window=r.window, count=p)
         for i in range(0, p * m, m):
             self.iterate(Minibatch(rows.inputs[i:i + m], rows.labels[i:i + m]))
 
@@ -689,24 +699,32 @@ def preset(name: str) -> ExperimentConfig:
     return apply_overrides(ExperimentConfig(name=name), PRESETS[name])
 
 
+def _labelled(entries, what: str) -> list:
+    """[(label, table)] of [label, {key: value}] entries (one entry that is
+    no list stands for itself). A label names an output file or directory,
+    so labels are unique non-empty names with no path separator."""
+    out = {}
+    for entry in entries if isinstance(entries, list) else [entries]:
+        if not (isinstance(entry, (list, tuple)) and len(entry) == 2
+                and isinstance(entry[1], dict)):
+            raise ConfigError(f"a {what} is [label, {{key: value}}], got {entry!r}")
+        label, table = entry
+        if not isinstance(label, str) or label in ("", ".", "..") or {"/", "\\"} & set(label):
+            raise ConfigError(f"a {what} label is a non-empty name with no path separator, "
+                              f"got {label!r}")
+        if label in out:
+            raise ConfigError(f"{what} label {label!r} is used twice")
+        out[label] = table
+    return list(out.items())
+
+
 def expand_variants(config: ExperimentConfig):
     """Yield (label, concrete config) pairs for a config and its variants. A
     label names the variant's output directory, so labels are unique names."""
     if not config.variants:
         yield "base", config
         return
-    labels = set()
-    for entry in config.variants if isinstance(config.variants, list) else [config.variants]:
-        if not (isinstance(entry, (list, tuple)) and len(entry) == 2
-                and isinstance(entry[1], dict)):
-            raise ConfigError(f"a variant is [label, {{key: value}}], got {entry!r}")
-        label, overrides = entry
-        if not isinstance(label, str) or label in ("", ".", "..") or {"/", "\\"} & set(label):
-            raise ConfigError(f"a variant label is a non-empty name with no path separator, "
-                              f"got {label!r}")
-        if label in labels:
-            raise ConfigError(f"variant label {label!r} is used twice")
-        labels.add(label)
+    for label, overrides in _labelled(config.variants, "variant"):
         out = apply_overrides(config, overrides)
         out.variants = None
         out.name = f"{config.name}/{label}"
@@ -721,16 +739,22 @@ def _bound_setups(config: ExperimentConfig) -> list:
     if not config.theory:
         raise ConfigError("config has no theory block; use the theory-verify preset")
     th, s = config.theory, config.stream
+    # the block and its configs' tables are checked as config blocks are
+    _check(th, {"k_max": "int", "n_seeds": "int", "alpha0": "float", "halve_every": "int",
+                "configs": "list"}, "theory")
     try:
-        if int(th["k_max"]) < 1:
+        setups = _labelled(th["configs"], "config")
+        for label, p in setups:
+            _check(p, {"velocity": "float", "schedule": "str"}, f"config {label!r}")
+        if th["k_max"] < 1:
             raise ValueError(f"k_max must be >= 1, got {th['k_max']!r}")
         return [(label, DriftingQuadraticSpec(
                     dim=s.d_in, mu=s.mu, l_smooth=s.l_smooth, center0=tuple(s.center0),
-                    velocity=tuple(float(p["velocity"]) * np.ones(s.d_in) / np.sqrt(s.d_in)),
+                    velocity=tuple(p["velocity"] * np.ones(s.d_in) / np.sqrt(s.d_in)),
                     noise_radius=s.noise_radius),
-                 make_rate_schedule(p["schedule"], float(th["alpha0"]), int(th["k_max"]) + 2,
-                                    halve_every=int(th.get("halve_every", 250))))
-                for label, p in th["configs"]]
+                 make_rate_schedule(p["schedule"], th["alpha0"], th["k_max"] + 2,
+                                    halve_every=th.get("halve_every", 250)))
+                for label, p in setups]
     except KeyError as e:
         raise ConfigError(f"theory: missing key {e}") from e
     except (TypeError, ValueError) as e:
@@ -744,9 +768,11 @@ def verify_bounds_from_config(config: ExperimentConfig) -> list:
     if not isinstance(config.seeds, (list, tuple)) or not config.seeds:
         raise ConfigError("seeds must list at least one seed")
     try:   # verify_bound checks n_seeds and the rates before it simulates
-        return [(label, verify_bound(quad, alphas, int(th["k_max"]), n_seeds=int(th["n_seeds"]),
+        return [(label, verify_bound(quad, alphas, th["k_max"], n_seeds=th["n_seeds"],
                                      base_seed=config.seeds[0]))
                 for label, quad, alphas in setups]
+    except KeyError as e:
+        raise ConfigError(f"theory: missing key {e}") from e
     except (TypeError, ValueError) as e:   # AssumptionError is a ValueError
         raise ConfigError(f"theory: {e}") from e
 

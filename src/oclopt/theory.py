@@ -223,7 +223,7 @@ def make_rate_schedule(kind: str, alpha0: float, n: int,
     """
     k = np.arange(1, n + 1, dtype=float)
     if kind == "constant":
-        return np.full(n, alpha0)
+        return np.full(n, alpha0, dtype=float)
     if kind == "invsqrt":
         return alpha0 / np.sqrt(k)
     if kind == "halving":

@@ -14,7 +14,8 @@ leaves every artifact byte-identical.
 ``--check`` compares the lines, in order, with ``preset_digests.txt`` next
 to this file. It exits 1 at the first line that differs, naming the preset,
 variant, seed, run and artifact, and 0 when every line matches. pytest does
-not collect this file; ``test_golden_artifacts.py`` runs the check.
+not collect this file; ``test_golden_artifacts.py`` runs the check and
+hashes its own cases with ``run_digests``.
 """
 
 import hashlib
@@ -23,25 +24,38 @@ import tempfile
 from itertools import zip_longest
 from pathlib import Path
 
-from oclopt.harness import PRESET_NAMES, expand_variants, preset, run_with_companions
+from oclopt.harness import (PRESET_NAMES, expand_variants, preset, run_experiment,
+                            run_with_companions)
 
 ARTIFACTS = ("metrics.csv", "schedule.csv", "config.yaml", "manifest.json", "checkpoint.npz")
 SEEDS = (0, 1, 2)
 TABLE = Path(__file__).resolve().parent / "preset_digests.txt"
 
 
+def run_digests(cfg, seed: int, out: Path, companions: bool = True,
+                artifacts=ARTIFACTS) -> dict:
+    """{run: {artifact: sha256}} of one seed of a config, its runs written
+    under ``out``: the main run and its companions, or the main run alone."""
+    if companions:
+        runs = list(run_with_companions(cfg, seed=seed, out_dir=out))
+    else:
+        run_experiment(cfg, seed, out / "main")
+        runs = ["main"]
+    return {run: {name: hashlib.sha256((out / run / name).read_bytes()).hexdigest()
+                  for name in artifacts} for run in runs}
+
+
 def lines():
-    """The digest lines, in table order, each as soon as its run is written."""
+    """The digest lines, in table order, each seed's as soon as its runs are
+    written."""
     with tempfile.TemporaryDirectory() as tmp:
         for name in PRESET_NAMES:
             for label, cfg in expand_variants(preset(name)):
                 for seed in SEEDS:
                     case = f"{name}/{label}/seed{seed}"
-                    out = Path(tmp) / case
-                    for run in run_with_companions(cfg, seed=seed, out_dir=out):
-                        for artifact in ARTIFACTS:
-                            digest = hashlib.sha256((out / run / artifact).read_bytes())
-                            yield f"{case}/{run}/{artifact} {digest.hexdigest()}"
+                    for run, found in run_digests(cfg, seed, Path(tmp) / case).items():
+                        for artifact, digest in found.items():
+                            yield f"{case}/{run}/{artifact} {digest}"
 
 
 def _named(line) -> str:

@@ -37,6 +37,8 @@ OFFER_TESTS = ("tests/test_datapool.py::TestOffer",)
 STEP_TESTS = ("tests/test_datapool.py::TestPlannedSteps",)
 MIXED_TESTS = ("tests/test_datapool.py::TestMixedReplayMatchesScan",)
 FOLD_TESTS = ("tests/test_datapool.py::TestPlannedFolds",)
+STREAM = "src/oclopt/stream.py"
+SERVED_TESTS = ("tests/test_stream.py::TestServedDraws",)
 ACCURACY_CHECK = ('    x = check_batch(spec, batch)\n'
                   '    if spec.classification and metric == "accuracy":\n'
                   '        return step_ahead_performance(spec, predict(spec, theta, x), batch)\n')
@@ -102,8 +104,17 @@ MUTANTS = {
         DATAPOOL, "steps = np.arange(lo, hi) + (plan.first - 1) % BLOCK",
         "steps = np.arange(lo, hi)", MIXED_TESTS),
     "last-block-past-horizon": (
-        DATAPOOL, "steps = min(BLOCK, spec.horizon - (t - 1 - i))",
-        "steps = min(BLOCK, spec.horizon + 1 - (t - 1 - i))", STEP_TESTS),
+        DATAPOOL, "stop = min(t - i + BLOCK, spec.horizon + 1)",
+        "stop = min(t - i + BLOCK, spec.horizon + 2)", STEP_TESTS),
+    "coins-from-next-step": (
+        DATAPOOL, "step_streams(spec.seed, rngmod.HOLDOUT, t, stop)",
+        "step_streams(spec.seed, rngmod.HOLDOUT, t + 1, stop + 1)", SERVED_TESTS),
+    "routes-by-training-fraction": (
+        DATAPOOL, "hold = coins < holdout.holdout_fraction",
+        "hold = coins < pool.holdout_fraction", SERVED_TESTS),
+    "stream-block-one-step-late": (
+        STREAM, "step_streams(spec.seed, purpose, first, first + len(ts))",
+        "step_streams(spec.seed, purpose, first + 1, first + 1 + len(ts))", SERVED_TESTS),
     "fold-plan-drops-last-fold": (
         HARNESS, "folds = np.arange(self.k // k_v + 1, done[-1] // k_v + 1)",
         "folds = np.arange(self.k // k_v + 1, done[-1] // k_v)", FOLD_TESTS),

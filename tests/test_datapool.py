@@ -50,10 +50,6 @@ def small_stream(n=10, horizon=30, seed=0):
                       seed=seed, rotating=rot)
 
 
-def update_step(pool, holdout, spec, t):
-    update(pool, holdout, next_batch(spec, t), spec)
-
-
 class TestStorage:
     @pytest.mark.parametrize("capacity", [None, True, 1.0, 2.5, 0, -1])
     def test_capacity_is_an_integer_of_at_least_one(self, capacity):
@@ -90,7 +86,7 @@ class TestReservoir:
         # a capacity of exactly the items offered is never exceeded
         pool, spec = DataPool(capacity=100, seed=0), small_stream(horizon=10)
         for t in range(1, 11):
-            update_step(pool, DataPool(ROOM), spec, t)
+            update(pool, DataPool(ROOM), spec, t)
         assert pool.size == pool.seen_count == 100
 
     def test_capacity_clamp(self):
@@ -144,7 +140,7 @@ class TestHoldoutRouting:
         holdout = DataPool(ROOM, seed=3, holdout_fraction=0.2)
         spec = small_stream(n=20, horizon=29, seed=3)
         for t in range(1, 30):
-            update_step(pool, holdout, spec, t)
+            update(pool, holdout, spec, t)
         train_ids = set(record_ids(pool))
         hold_ids = set(record_ids(holdout))
         assert train_ids.isdisjoint(hold_ids)
@@ -153,14 +149,14 @@ class TestHoldoutRouting:
     def test_zero_fraction_routes_everything_to_training(self):
         pool = DataPool(ROOM, seed=3)
         holdout = DataPool(ROOM, seed=3, holdout_fraction=0.0)
-        update_step(pool, holdout, small_stream(), 1)
+        update(pool, holdout, small_stream(), 1)
         assert holdout.size == 0 and pool.size == 10
 
     def test_out_of_order_step_rejected(self):
         pool, spec = DataPool(ROOM, seed=0), small_stream()
-        update_step(pool, DataPool(ROOM), spec, 5)
+        update(pool, DataPool(ROOM), spec, 5)
         with pytest.raises(ValueError):
-            update_step(pool, DataPool(ROOM), spec, 5)
+            update(pool, DataPool(ROOM), spec, 5)
 
 
 class TestPureReplay:
@@ -213,7 +209,7 @@ class TestMixedReplay:
         pool = DataPool(ROOM, seed=0)
         current = make_batch(1)
         offer_none_of(pool, current)
-        mb = sample_mixed_replay(pool, current, 8)
+        mb = sample_mixed_replay(pool, 8)
         assert len(mb.inputs) == 8
         # every item comes from the current batch
         assert all(any(np.array_equal(x, c) for c in current.inputs) for x in mb.inputs)
@@ -221,7 +217,7 @@ class TestMixedReplay:
     def test_odd_batch_size_rejected(self):
         pool = DataPool(ROOM, seed=0)
         with pytest.raises(ValueError):
-            sample_mixed_replay(pool, make_batch(1), 7)
+            sample_mixed_replay(pool, 7)
 
     def test_half_and_half_counts_exact(self):
         pool = DataPool(ROOM, seed=1)
@@ -231,7 +227,7 @@ class TestMixedReplay:
                               labels=np.full(10, 5, dtype=np.int64))
         offer_none_of(pool, current)
         # 200 minibatches, equal to 200 calls with count=1 (TestJoinedDraws)
-        labels = sample_mixed_replay(pool, current, 10, count=200).labels.reshape(200, 10)
+        labels = sample_mixed_replay(pool, 10, count=200).labels.reshape(200, 10)
         assert ((labels == 5).sum(1) == 5).all()
         assert ((labels < 5).sum(1) == 5).all()
 
@@ -242,7 +238,7 @@ class TestMixedReplay:
         current = StreamBatch(t=5, inputs=np.full((4, 1), 5.0),
                               labels=np.full(4, 5, dtype=np.int64))
         offer_none_of(pool, current)
-        mb = sample_mixed_replay(pool, current, 40, window=2)
+        mb = sample_mixed_replay(pool, 40, window=2)
         hist = mb.labels[mb.labels != 5]
         assert set(np.unique(hist)) <= {3, 4}
 
@@ -253,14 +249,14 @@ class TestMixedReplay:
         current = StreamBatch(t=4, inputs=np.full((5, 1), 4.0),
                               labels=np.full(5, 4, dtype=np.int64))
         offer_none_of(pool, current)
-        mb = sample_mixed_replay(pool, current, 6, count=100)
+        mb = sample_mixed_replay(pool, 6, count=100)
         assert set(np.unique(mb.labels[mb.labels != 4])) == {1, 2, 3}
 
-    def test_current_must_be_the_last_offered_step(self):
-        pool = DataPool(ROOM, seed=0)
-        offer_items(pool, 4, t=1)
-        with pytest.raises(ValueError, match="last offered step 1"):
-            sample_mixed_replay(pool, make_batch(2), 4)
+    def test_a_pool_offered_nothing_raises(self):
+        # the current step is the pool's last offered step, and a pool that
+        # was never offered a step has no current batch
+        with pytest.raises(ValueError, match="last offered step 0"):
+            sample_mixed_replay(DataPool(ROOM, seed=0), 4)
 
 
 class TestMixedReplayMatchesScan:
@@ -284,7 +280,7 @@ class TestMixedReplayMatchesScan:
             window = data.draw(st.none() | st.integers(0, t + 3), label="window")
             m = data.draw(st.sampled_from([2, 4, 8]), label="m")
             g = copy.deepcopy(pool._replay_rng)
-            mb = sample_mixed_replay(pool, current, m, window=window)
+            mb = sample_mixed_replay(pool, m, window=window)
             xs, ys = scan_mixed_replay(pool, current, m, window, g)
             assert mb.inputs.tobytes() == xs.tobytes()
             assert mb.labels.tobytes() == ys.tobytes()
@@ -315,7 +311,7 @@ class TestJoinedDraws:
         if mixed:
             current = make_batch(len(sizes) + 1, n=n_current, seed=seed)
             offer_none_of(pool, current)
-            block = sample_mixed_replay(pool, current, m, window=window, count=count)
+            block = sample_mixed_replay(pool, m, window=window, count=count)
             xs, ys = consecutive_draws(scan_mixed_replay, count, pool, current, m, window, g)
         else:
             block = sample_pure_replay(pool, m, count=count)

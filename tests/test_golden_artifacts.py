@@ -26,7 +26,6 @@ seeds 0-2, ``checkpoint.npz`` included, against ``preset_digests.txt``,
 which is never re-recorded either.
 """
 
-import hashlib
 import json
 import sys
 import tempfile
@@ -34,8 +33,8 @@ from pathlib import Path
 
 import pytest
 
-from oclopt.harness import (apply_overrides, expand_variants, preset, run_experiment,
-                            run_with_companions)
+from artifact_digests import check, run_digests
+from oclopt.harness import apply_overrides, expand_variants, preset
 
 GOLDEN = Path(__file__).with_name("golden_artifacts.json")
 ARTIFACTS = ("metrics.csv", "schedule.csv", "config.yaml", "manifest.json")
@@ -98,19 +97,9 @@ def cases() -> dict:
 def digests(case_id: str, out_dir: Path) -> dict:
     """'<case>/seed<s>/<run>' -> {artifact: sha256} for both seeds of a case."""
     cfg, companions = cases()[case_id]
-    out = {}
-    for seed in SEEDS:
-        seed_dir = out_dir / f"seed{seed}"
-        if companions:
-            runs = list(run_with_companions(cfg, seed=seed, out_dir=seed_dir))
-        else:
-            run_experiment(cfg, seed, seed_dir / "main")
-            runs = ["main"]
-        for run in runs:
-            out[f"{case_id}/seed{seed}/{run}"] = {
-                name: hashlib.sha256((seed_dir / run / name).read_bytes()).hexdigest()
-                for name in ARTIFACTS}
-    return out
+    return {f"{case_id}/seed{seed}/{run}": found for seed in SEEDS
+            for run, found in run_digests(cfg, seed, out_dir / f"seed{seed}", companions,
+                                          ARTIFACTS).items()}
 
 
 @pytest.mark.parametrize("case_id", sorted(cases()))
@@ -128,7 +117,6 @@ def test_golden_file_covers_every_case():
 
 
 def test_every_preset_matches_the_digest_table():
-    from tests.artifact_digests import check
     assert check() is None
 
 

@@ -15,7 +15,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oclopt import harness
+from oclopt import datapool, harness
 from oclopt import rng as rngmod
 from oclopt.cli import main as cli_main
 from oclopt.harness import (AVERAGING, ConfigError, ExperimentConfig, PRESET_NAMES,
@@ -369,10 +369,11 @@ class TestRunExperiment:
                 assert t > 1 or run.pool.size == 0
         assert 0 < run.k < 30 * cfg.iters_per_step
 
-    def test_pool_draws_come_only_at_block_starts(self):
+    def test_pool_draws_come_only_at_block_starts(self, monkeypatch):
         # a noise-free work count: inside run_protocol_step, count the calls on
-        # the pools' generators (swapped for a subclass whose draw methods are
-        # Python frames, which a profile hook sees) and the np.unique calls
+        # the pools' generators and on the routing coins' step generators
+        # (swapped for a subclass whose draw methods are Python frames, which
+        # a profile hook sees) and the np.unique calls
         class Counted(np.random.Generator):
             def integers(self, *args, **kwargs):
                 return super().integers(*args, **kwargs)
@@ -386,16 +387,24 @@ class TestRunExperiment:
         for pool in (run.pool, run.holdout):
             for name in ("_reservoir_rng", "_replay_rng"):
                 setattr(pool, name, Counted(getattr(pool, name).bit_generator))
+        step_streams = datapool.step_streams
+
+        def counted_streams(*args):   # the coins are the only random() draws
+            return (Counted(g.bit_generator) for g in step_streams(*args))
+
+        monkeypatch.setattr(datapool, "step_streams", counted_streams)
         step = harness.run_protocol_step.__code__
         counted = {Counted.integers.__code__, Counted.random.__code__,
                    np.unique.__wrapped__.__code__}
-        calls, steps = {}, []
+        calls, coins, steps = {}, {}, []
 
         def profile(frame, event, arg):
             if event == "call" and frame.f_code is step:
                 steps.append(frame.f_locals["t"])
             elif event == "call" and steps and frame.f_code in counted:
                 calls[steps[-1]] = calls.get(steps[-1], 0) + 1
+                if frame.f_code is Counted.random.__code__:
+                    coins[steps[-1]] = coins.get(steps[-1], 0) + 1
             elif event == "return" and frame.f_code is step:
                 steps.pop()
 
@@ -406,6 +415,9 @@ class TestRunExperiment:
         finally:
             sys.setprofile(None)
         assert sorted(calls) == [1, rngmod.BLOCK + 1, 2 * rngmod.BLOCK + 1]
+        # one coin draw per step in the horizon, each at its block's start
+        assert coins == {1: rngmod.BLOCK, rngmod.BLOCK + 1: rngmod.BLOCK,
+                         2 * rngmod.BLOCK + 1: 600 - 2 * rngmod.BLOCK}
 
     @pytest.mark.parametrize("name,label", [("objective-comparison", "mixed-p5"),
                                             ("main-comparison", "ama-malr")])
@@ -456,17 +468,15 @@ class TestRunExperiment:
                                                     ("objective-comparison", "mixed-p5", 600),
                                                     ("main-comparison", "ama-malr", 300)])
     def test_the_last_block_plans_only_the_steps_in_the_horizon(self, name, label, horizon):
-        # the block holding the horizon plans its coins, offers, replay and
-        # validation folds for its steps inside the horizon, not a full block
+        # the block holding the horizon draws its coins and plans its offers,
+        # replay and validation folds for its steps inside the horizon, not a
+        # full block
         cfg = dict(expand_variants(apply_overrides(preset(name),
                                                    {"stream.horizon": horizon})))[label]
         run = harness.Run(cfg, 0)
         for t in range(1, horizon + 1):
             assert run.step(t)
         last = horizon - (horizon - 1) // rngmod.BLOCK * rngmod.BLOCK
-        n = cfg.stream.batch_size
-        assert run.pool._coins[0] == ((horizon - 1) // rngmod.BLOCK, n, last)
-        assert run.pool._coins[1].shape == (last, n)
         assert len(run.pool._offers.counts) == len(run.holdout._offers.counts) == last
         assert run.pool._replay.first + len(run.pool._replay.bound) - 1 == horizon
         first, bounds, _ = run.folds
@@ -606,7 +616,10 @@ class TestCli:
         pytest.param("objective-comparison", "stream.mean_scale=x", id="stream.mean_scale=x"),
         *(pytest.param("theory-verify", o, id=o) for o in (
             'stream.center0=["a",1,1,1]', "stream.center0=[true,1,1,1]",
-            "stream.velocity=0"))])
+            "stream.velocity=0")),
+        # a companion no run knows, and a config block that is no mapping
+        *(pytest.param("main-comparison", o, id=o) for o in (
+            "companion=ema-replay-typo", "stream=5"))])
     def test_out_of_range_value_is_a_config_error(self, name, override, tmp_path,
                                                   monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)   # a run that got past validation writes runs/ here
@@ -628,9 +641,28 @@ class TestCli:
         ["verify-bounds", "missing.yaml"],
         ["verify-bounds", "--override", 'theory.configs=[["a",{"velocity":0}]]'],
         ["verify-bounds", "--override", 'theory.configs=[["a",{"schedule":"constant"}]]'],
-        ["verify-bounds", "--override", "seeds=[]"]],
+        ["verify-bounds", "--override", "seeds=[]"],
+        # theory values are checked as config fields are, not cast
+        *(["verify-bounds", "--override", o] for o in (
+            "theory.k_max=20.9", "theory.k_max=true", 'theory.k_max="20"',
+            'theory.configs=[["a",{"velocity":"0.002","schedule":"constant"}]]',
+            'theory.configs=[["a",{"velocity":true,"schedule":"constant"}]]',
+            'theory.configs=[["a",{"velocity":0,"schedule":"constant","typo":1}]]',
+            'theory={"k_max":20,"n_seeds":2,"alpha0":0.2,"typo":1,'
+            '"configs":[["a",{"velocity":0,"schedule":"constant"}]]}',
+            'theory={"k_max":20,"alpha0":0.2,'
+            '"configs":[["a",{"velocity":0,"schedule":"constant"}]]}')),
+        # a label names the CSV that --out gets, as a variant label names a directory
+        *(["verify-bounds", "--out", "out", "--override", f"theory.configs={entries}"]
+          for entries in ('[["../escaped",{"velocity":0,"schedule":"constant"}]]',
+                          '[[1,{"velocity":0,"schedule":"constant"}]]',
+                          '[["a",{"velocity":0,"schedule":"constant"}],'
+                          '["a",{"velocity":0.01,"schedule":"constant"}]]'))],
         ids=["k_max=x", "k_max=-5", "n_seeds=1", "alpha0=3", "run-missing-file",
-             "verify-bounds-missing-file", "no-schedule", "no-velocity", "no-seeds"])
+             "verify-bounds-missing-file", "no-schedule", "no-velocity", "no-seeds",
+             "k_max=20.9", "k_max=true", "k_max-string", "velocity-string", "velocity-bool",
+             "unknown-config-key", "unknown-theory-key", "no-n_seeds", "label-escapes-out",
+             "label-not-a-string", "label-twice"])
     def test_unusable_input_exits_2_without_a_traceback(self, args, tmp_path):
         src = Path(harness.__file__).resolve().parents[1]
         proc = subprocess.run([sys.executable, "-m", "oclopt.cli", *args], cwd=tmp_path,
@@ -639,6 +671,7 @@ class TestCli:
         assert proc.returncode == 2
         assert proc.stderr.startswith("config error: ")
         assert "Traceback" not in proc.stderr
+        assert not list(tmp_path.rglob("*.csv"))
 
     def test_every_variant_is_validated_before_the_first_run(self, tmp_path, monkeypatch,
                                                              capsys):

@@ -218,7 +218,6 @@ class TestRetentionInvariants:
         # frozen model, zero-drift stream: P_IR is stable in t up to sampling
         # noise in the accumulating holdout
         from oclopt.datapool import update as pool_update
-        from oclopt.stream import next_batch
 
         stream = rotating_stream(omega=0.0, horizon=200, seed=4)
         spec = softmax_spec()
@@ -227,7 +226,7 @@ class TestRetentionInvariants:
         holdout = DataPool(ROOM, seed=4, holdout_fraction=0.3)
         values = []
         for t in range(1, 201):
-            pool_update(pool, holdout, next_batch(stream, t), stream)
+            pool_update(pool, holdout, stream, t)
             if t % 40 == 0:
                 values.append(information_retention(spec, theta, holdout, t))
         assert max(values) - min(values) < 0.05
@@ -236,7 +235,6 @@ class TestRetentionInvariants:
         # the holdout route never touches the training pool, so retention of a
         # fixed model is identical whatever the training capacity
         from oclopt.datapool import update as pool_update
-        from oclopt.stream import next_batch
 
         stream = rotating_stream(omega=0.01, horizon=50, seed=9)
         spec = softmax_spec()
@@ -246,6 +244,6 @@ class TestRetentionInvariants:
             pool = DataPool(capacity=capacity, seed=9)
             holdout = DataPool(ROOM, seed=9, holdout_fraction=0.2)
             for t in range(1, 51):
-                pool_update(pool, holdout, next_batch(stream, t), stream)
+                pool_update(pool, holdout, stream, t)
             values.append(information_retention(spec, theta, holdout, 50))
         assert values[0] == values[1] == values[2]

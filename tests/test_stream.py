@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oclopt import rng as rngmod
-from oclopt.datapool import DataPool, sample_pure_replay
+from oclopt.datapool import DataPool, sample_pure_replay, update
 from oclopt.harness import (PRESET_NAMES, ProtocolError, build_stream_spec,
                             expand_variants, preset, run_protocol_step)
 from oclopt.rng import BLOCK, substream
 from oclopt.stream import (DriftingQuadraticSpec, HorizonError, PiecewiseTaskSpec,
                            RotatingGaussianSpec, StreamSpec, eval_window, next_batch)
-from tests.oracles import ROOM, grad_at, step_batch, step_coins, step_window
+from tests.oracles import (ROOM, grad_at, step_batch, step_coins, step_window,
+                           stored_items)
 
 
 def rotation_matrix(angle: float) -> np.ndarray:
@@ -166,11 +167,20 @@ class TestServedDraws:
         window = eval_window(spec, first, t)
         assert all(map(same, window, step_window(spec, first, t, rngmod.EVAL)))
         assert same(eval_window(spec, first, first)[0], step_batch(spec, first, rngmod.EVAL)[0])
-        pool = DataPool(ROOM, seed=seed)
-        for step in (first, t):
-            coins = pool.routing_coins(step, spec.batch_size)
-            assert same(coins, step_coins(seed, step, spec.batch_size))
-            assert not coins.flags.writeable
+        # coins are drawn when a step's offers are planned: here for the steps
+        # from first on, then from t on unless the plan made at first holds t
+        pool, holdout = DataPool(ROOM, seed=seed), DataPool(ROOM, seed=seed, holdout_fraction=0.5)
+        for step in sorted({first, t}):
+            update(pool, holdout, spec, step)
+            hold = step_coins(seed, step, spec.batch_size) < 0.5
+            rows = step_batch(spec, step, rngmod.STREAM)
+            for target, keep in ((pool, ~hold), (holdout, hold)):
+                if not target.size:   # storage is reserved at the first stored item
+                    assert not keep.any()
+                    continue
+                xs, ys, arrival = stored_items(target)
+                assert same(xs[arrival == step], rows[0][keep])
+                assert same(ys[arrival == step], rows[1][keep])
 
 
 class TestDriftConstants:
@@ -220,7 +230,7 @@ class _FakeRun:
     def predict(self, inputs):
         return np.zeros(len(inputs), dtype=np.int64)
 
-    def update(self, t, batch):
+    def update(self, t):
         if self.pool.size:
             sample_pure_replay(self.pool, 4)
         if self.fail_at == t:
