@@ -20,13 +20,14 @@ reservoir draw in one generator call, and every appended row stored at once
 (rows past ``size`` are invisible: every reader stops there). A replay draw
 draws the rest of the block in one call and gathers its rows with one take
 per array, up to the next step whose offers overwrite a stored item, which
-gathers again; ``sample_folds`` plans validation minibatches alike. So a
-step that starts no block and overwrites nothing draws nothing and copies no
-row: ``offer`` moves counters, and the samplers hand out views. ``update``
-is the only way rows enter a pool. Planned draws equal draws made one call
-at a time: reservoir draws come one per evicting item in offer order, each
-item's once, and a replay plan serves a step only while the pool stands
-where the plan was made to find it.
+gathers again; ``sample_folds`` plans validation minibatches alike. The
+block's later steps are ``Served``: each draws nothing, ``advance`` moves
+the pools by their plans and writes only the slots a step overwrites, and
+gathered rows are read by index. ``update`` is the only way rows enter a
+pool (``advance`` follows its plans). Planned draws equal draws made one
+call at a time: reservoir draws come one per evicting item in offer order,
+each item's once, and a replay plan serves a step only while the pool
+stands where the plan was made to find it.
 """
 
 from __future__ import annotations
@@ -40,7 +41,10 @@ import numpy as np
 
 from . import rng as rngmod
 from .rng import BLOCK, step_streams, substream
-from .stream import training_block
+from .stream import HorizonError, training_block
+
+
+GATHER_STEPS = 32   # steps per chunk of a mixed-replay gather
 
 
 class EmptyPoolError(RuntimeError):
@@ -70,8 +74,8 @@ class _Offers(NamedTuple):
     the step's last item drawn to it, in slot order. Rows read after step i
     stay put through step ``calm[i] - 1``, the last before one that writes.
     ``items``, the range's (inputs, labels, record ids) in offer order, were
-    gathered from the served stream ``block`` (joined in step order) and
-    their appended rows stored when the plan was made."""
+    gathered from ``block``, the range's stream batches stacked per step,
+    and their appended rows stored when the plan was made."""
 
     first: int
     counts: list
@@ -84,10 +88,21 @@ class _Offers(NamedTuple):
     items: tuple
     block: tuple
 
-    @property
-    def n(self) -> int:
-        """Items per step of the served block, which ends at the plan's last step."""
-        return len(self.block[1]) // ((self.first - 1) % BLOCK + len(self.counts))
+
+class Served(NamedTuple):
+    """The steps before ``stop`` of the offer plans ``update`` followed: step
+    t's batch is row ``t - first`` of ``inputs`` and ``labels``, and
+    ``advance`` takes step t's offers into each (pool, offer plan) of
+    ``offers``."""
+
+    first: int
+    stop: int
+    inputs: Optional[np.ndarray]
+    labels: Optional[np.ndarray]
+    offers: tuple
+
+
+UNSERVED = Served(0, 0, None, None, ())   # serves no step
 
 
 class _Replay(NamedTuple):
@@ -125,7 +140,7 @@ class DataPool:
         self._xs = self._ys = self._arrival = self._rid = None   # reserved at the first item
         self._offers: Optional[_Offers] = None
         self._replay: Optional[_Replay] = None
-        self._served = (None, 0, 0, None, None)   # (replay plan, lo, hi, inputs, labels)
+        self.gathered = (0, (), ())   # (first step, inputs, labels) of the last replay gather
         self._buffers = {}                  # purpose -> (shape, (inputs, labels) buffers)
 
     # each built on its first draw
@@ -141,11 +156,11 @@ class DataPool:
         with global index i past capacity draws slot j ~ Uniform{0..i}), and,
         per step, algorithm R's writes (item i survives at slot j iff j <
         capacity; a slot drawn twice in one step keeps the later item). The
-        items are the range's ``rows`` of the served ``block`` (record id: row
-        + ``base``); store every row the range appends (until the pool fills,
-        an item's slot is its offer index)."""
+        items are the ``rows`` of ``block``'s batches joined in step order
+        (record id: row + ``base``); store every row the range appends (until
+        the pool fills, an item's slot is its offer index)."""
         self._offers = None   # free the old plan first
-        gathered = block[0].take(rows, 0), block[1].take(rows, 0), rows + base
+        gathered = tuple(a.reshape(-1, *a.shape[2:]).take(rows, 0) for a in block) + (rows + base,)
         seen = self.seen_count + np.concatenate(([0], np.cumsum(counts)))
         cap, n_steps = self.capacity, len(counts)
         fill = np.clip(cap - seen[:-1], 0, counts)
@@ -193,7 +208,7 @@ class DataPool:
 
     def offer(self, xs: np.ndarray, ys: np.ndarray, t: int, rids: np.ndarray):
         """Offer step t's items, gathered by the offer plan that holds the
-        step (see ``update``); reservoir-evict past capacity. The step's
+        step (see ``advance``); reservoir-evict past capacity. The step's
         appended rows are stored already: write the slots its items overwrite
         and move the counters."""
         plan = self._offers
@@ -245,7 +260,7 @@ class DataPool:
         return xs, ys
 
 
-def update(pool: DataPool, holdout: DataPool, spec, t: int):
+def update(pool: DataPool, holdout: DataPool, spec, t: int) -> Served:
     """Integrate step t of the stream ``spec``: route each datum of the
     step's batch to the holdout or the training pool.
 
@@ -257,12 +272,14 @@ def update(pool: DataPool, holdout: DataPool, spec, t: int):
     order. At a step that a pool's offer plan does not hold (a block's
     first), the coins of the block's steps from t on inside the horizon are
     drawn at once, and each such pool plans its offers for those steps: it
-    gathers their items from the served block (``stream.training_block``)
-    and stores the rows they append at once. Each step offers views of its
-    items.
+    gathers their items from the served stream block (``stream.training_block``)
+    and stores the rows they append at once. Step t is taken as ``advance``
+    takes a step, and the returned ``Served`` serves the plans' later steps.
     """
     if t <= pool.last_step:
         raise ValueError(f"step {t} does not exceed last integrated step {pool.last_step}")
+    if t > spec.horizon:
+        raise HorizonError(f"step {t} outside [1, {spec.horizon}]")
     if not (pool._holds(t) and holdout._holds(t)):
         i, n = (t - 1) % BLOCK, spec.batch_size
         stop = min(t - i + BLOCK, spec.horizon + 1)
@@ -272,16 +289,31 @@ def update(pool: DataPool, holdout: DataPool, spec, t: int):
             for row, g in zip(coins, step_streams(spec.seed, rngmod.HOLDOUT, t, stop)):
                 g.random(out=row)
             hold = coins < holdout.holdout_fraction
-        base = pool.seen_count + holdout.seen_count - i * n   # record id of the block's first row
+        base = pool.seen_count + holdout.seen_count   # record id of step t's first row
         for target, mask in ((pool, ~hold), (holdout, hold)):
-            if not target._holds(t):   # row i * n + r of the block is row r of step i
+            if not target._holds(t):   # row j * n + r of the steps is row r of step t + j
                 target._plan_offers(t, mask.sum(1), training_block(spec, t),
-                                    np.flatnonzero(mask) + i * n, base)
-    for target in (pool, holdout):
-        plan = target._offers
+                                    np.flatnonzero(mask), base)
+    ours, theirs = pool._offers, holdout._offers
+    stop = min(ours.first + len(ours.counts), theirs.first + len(theirs.counts))
+    served = Served(ours.first, stop, *ours.block, ((pool, ours), (holdout, theirs)))
+    advance(served, t)
+    return served
+
+
+def advance(served: Served, t: int):
+    """Integrate step t of ``served``. Its appended rows are stored, so a
+    pool moves by its offer plan's counters, unless its offers overwrite
+    stored items, which ``DataPool.offer`` writes."""
+    for pool, plan in served.offers:
         k = t - plan.first
-        a, b = plan.seen[k] - plan.seen[0], plan.seen[k + 1] - plan.seen[0]
-        target.offer(plan.items[0][a:b], plan.items[1][a:b], t, plan.items[2][a:b])
+        if plan.at[k] < plan.at[k + 1]:
+            a, b = plan.seen[k] - plan.seen[0], plan.seen[k + 1] - plan.seen[0]
+            pool.offer(plan.items[0][a:b], plan.items[1][a:b], t, plan.items[2][a:b])
+        else:
+            pool.size += plan.fill[k]
+            pool.seen_count = plan.seen[k + 1]
+            pool.last_step = t
 
 
 def steady_sizes(pool: DataPool) -> np.ndarray:
@@ -296,9 +328,9 @@ def _replayed(pool: DataPool, key: tuple, make, gather) -> Minibatch:
     """The rows of the pool's replay plan for its last offered step t, as
     views. The plan serves if it was made under ``key`` from the offer plan
     the pool stands at and holds step t; else ``make(offer plan, step t's
-    index)`` draws the one that replaces it. A step not gathered yet
-    gathers, by ``gather(plan, lo, hi)``, its rows and those of the plan's
-    later steps up to the next one whose offers overwrite a stored item."""
+    index)`` draws the one that replaces it. ``gather(plan, lo, hi)``
+    gathers the rows of step t and of the plan's later steps up to the next
+    one whose offers overwrite a stored item, into ``pool.gathered``."""
     t, found = pool.last_step, pool._ahead()
     if found is None:
         raise ValueError(f"replay needs the offers of the pool's last offered step {t}")
@@ -309,12 +341,9 @@ def _replayed(pool: DataPool, key: tuple, make, gather) -> Minibatch:
         pool._replay = None   # free the old plan before drawing the new one
         plan = pool._replay = make(source, k)
     i = t - plan.first
-    served, lo, hi, xs, ys = pool._served
-    if served is not plan or not lo <= i < hi:
-        lo, hi = i, min(len(plan.bound), i + source.calm[k] - k)
-        xs, ys = gather(plan, lo, hi)
-        pool._served = (plan, lo, hi, xs, ys)
-    return Minibatch(xs[i - lo], ys[i - lo])
+    xs, ys = gather(plan, i, min(len(plan.bound), i + source.calm[k] - k))
+    pool.gathered = (t, xs, ys)
+    return Minibatch(xs[0], ys[0])
 
 
 def sample_pure_replay(pool: DataPool, m: int, count: int = 1) -> Minibatch:
@@ -382,11 +411,11 @@ def sample_mixed_replay(pool: DataPool, m: int, window: Optional[int] = None,
     """
     if m % 2 != 0:
         raise ValueError("mixed replay needs an even minibatch size")
-    t, half, width = pool.last_step, m // 2, count * m
+    t, half = pool.last_step, m // 2
     key = ("mixed", m, count, window)
 
     def make(source, k):
-        n, n_steps = source.n, source.calm[k] - k
+        n, n_steps = source.block[1].shape[1], source.calm[k] - k
         size = min(source.seen[k + n_steps], pool.capacity)
         bounds, windows = _windows(pool, t + np.arange(n_steps), window, size)
         # per step and minibatch: the current half, then the history half
@@ -397,23 +426,28 @@ def sample_mixed_replay(pool: DataPool, m: int, window: Optional[int] = None,
         return _Replay(key, source, t, bounds, idx, windows)
 
     def gather(plan, lo, hi):
-        (cur_x, cur_y), n = plan.source.block, plan.source.n   # current rows: the served block
-        steps = np.arange(lo, hi) + (plan.first - 1) % BLOCK
-        xs, ys = pool._rows("replay", hi - lo, width, cur_x, cur_y)
-        cur, hist = plan.idx[lo:hi, :, 0] + n * steps[:, None, None], plan.idx[lo:hi, :, 1]
-        full, windows = plan.bound[lo:hi] > 0, plan.windows[lo:hi]
-        if isinstance(windows, list):   # an empty window draws all current rows
-            hist = [w.take(h) if f else h + n * s for w, h, f, s in zip(windows, hist, full, steps)]
-        else:
-            hist = hist + np.where(full, windows, n * steps)[:, None, None]
-        for out, cur_src, pool_src in ((xs, cur_x, pool._xs), (ys, cur_y, pool._ys)):
-            out = out.reshape(hi - lo, count, 2, half, *out.shape[2:])
-            out[:, :, 0] = cur_src.take(cur, 0)
-            if full.all():
-                out[:, :, 1] = pool_src.take(hist, 0)
+        # current rows: the offer plan's stream batches, joined in step order
+        cur_x, cur_y = (a.reshape(-1, *a.shape[2:]) for a in plan.source.block)
+        n = plan.source.block[1].shape[1]
+        xs, ys = pool._rows("replay", hi - lo, count * m, cur_x, cur_y)
+        for a in range(lo, hi, GATHER_STEPS):   # the takes' temporaries hold one chunk
+            b = min(a + GATHER_STEPS, hi)
+            steps = np.arange(a, b) + (plan.first - plan.source.first)
+            cur, hist = plan.idx[a:b, :, 0] + n * steps[:, None, None], plan.idx[a:b, :, 1]
+            full, windows = plan.bound[a:b] > 0, plan.windows[a:b]
+            if isinstance(windows, list):   # an empty window draws all current rows
+                hist = [w.take(h) if f else h + n * s
+                        for w, h, f, s in zip(windows, hist, full, steps)]
             else:
-                for i, h in enumerate(hist):
-                    out[i, :, 1] = (pool_src if full[i] else cur_src).take(h, 0)
+                hist = hist + np.where(full, windows, n * steps)[:, None, None]
+            for out, cur_src, pool_src in ((xs, cur_x, pool._xs), (ys, cur_y, pool._ys)):
+                out = out[a - lo:b - lo].reshape(b - a, count, 2, half, *out.shape[2:])
+                out[:, :, 0] = cur_src.take(cur, 0)
+                if full.all():
+                    out[:, :, 1] = pool_src.take(hist, 0)
+                else:
+                    for i, h in enumerate(hist):
+                        out[i, :, 1] = (pool_src if full[i] else cur_src).take(h, 0)
         return xs, ys
 
     return _replayed(pool, key, make, gather)

@@ -28,8 +28,8 @@ import yaml
 
 from . import __version__, datapool, stream
 from . import rng as rngmod
-from .datapool import (DataPool, EmptyPoolError, Minibatch, sample_folds, sample_mixed_replay,
-                       sample_pure_replay, steady_sizes)
+from .datapool import (UNSERVED, DataPool, EmptyPoolError, Minibatch, sample_folds,
+                       sample_mixed_replay, sample_pure_replay, steady_sizes)
 from .metrics import MetricLedger, forward_transfer, information_retention
 from .model import (DivergenceError, ModelSpec, Workspace, check_batch, init_params,
                     loss_and_grad, predict, step_ahead_performance, validation_performance)
@@ -38,7 +38,7 @@ from .optim import (AmaState, CostCounter, adam_step, ama_step, best_ma, init_ad
 from .rng import BLOCK, substream
 from .schedule import controller
 from .stream import (DriftingQuadraticSpec, PiecewiseTaskSpec, RotatingGaussianSpec,
-                     StreamSpec)
+                     StreamBatch, StreamSpec)
 from .theory import BoundReport, make_rate_schedule, verify_bound
 
 
@@ -294,15 +294,14 @@ def run_protocol_step(run, t: int):
 
     In order: (1) sample the batch, (2) ask ``run.predict`` for every datum
     before labels are revealed, (3) integrate the batch into ``run.pool`` and
-    ``run.holdout``, (4) call ``run.update(t)``. At the first step of a block
-    of ``BLOCK`` steps (those inside the horizon), (3) draws the block's
-    routing coins, plans both pools' offers and stores every row the block
-    appends, and (4) draws the block's replay minibatches and validation
-    folds and gathers their rows. Every other step moves pool counters and
-    is served views of gathered rows: it writes, gathers and draws nothing,
-    unless its offers overwrite stored items (a capped pool), which it
-    writes, and from which on its replay rows are gathered, and mixed replay
-    drawn, again.
+    ``run.holdout``, (4) call ``run.update(t)``. A block's first step plans
+    the block's pool draws and row copies (see ``oclopt.datapool``) and
+    leaves in ``run.served`` the block's later steps. Each is served by
+    index: its batch is a row of the served stream block, (3) moves the
+    pools by their offer plans and (4) takes gathered replay rows. Such a
+    step draws nothing; one whose offers overwrite stored items (a capped
+    pool) writes those slots, and from it on replay rows are gathered, and
+    mixed replay drawn, again.
 
     A step that raises ends the run: nothing is rolled back. The pools keep
     the step's offers (their ``last_step`` is t, so the step cannot be run
@@ -310,14 +309,22 @@ def run_protocol_step(run, t: int):
     learning-rate trace keep the iterations completed before the failure.
 
     ``run`` is anything with ``stream_spec``, ``pool``, ``holdout``,
-    ``predict`` and ``update``. Returns (predictions, batch); predictions
-    come from the pre-update parameters.
+    ``served`` (``datapool.UNSERVED`` before the first step), ``predict``
+    and ``update``. Returns (predictions, batch); predictions come from the
+    pre-update parameters.
     """
-    if t != run.pool.last_step + 1:
-        raise ProtocolError(f"expected step {run.pool.last_step + 1}, got {t}")
-    batch = stream.next_batch(run.stream_spec, t)
-    predictions = run.predict(batch.inputs)
-    datapool.update(run.pool, run.holdout, run.stream_spec, t)
+    pool, served = run.pool, run.served
+    if t != pool.last_step + 1:
+        raise ProtocolError(f"expected step {pool.last_step + 1}, got {t}")
+    if t < served.stop:
+        i = t - served.first
+        batch = StreamBatch(t, served.inputs[i], served.labels[i])
+        predictions = run.predict(batch.inputs)
+        datapool.advance(served, t)
+    else:
+        batch = stream.next_batch(run.stream_spec, t)
+        predictions = run.predict(batch.inputs)
+        run.served = datapool.update(pool, run.holdout, run.stream_spec, t)
     run.update(t)
     return predictions, batch
 
@@ -409,7 +416,7 @@ class Run:
         self.lr_trace = []
         self.val_rng = substream(seed, rngmod.VALIDATION)
         self.folds = (0, (), None)   # (first fold, bounds, rows)
-        self.checked_block = None   # the stream block check_batch last passed
+        self.served = UNSERVED      # the block's steps served by index
 
     def inference_params(self):
         return best_ma(self.averager) if self.averager.ma else self.base.theta
@@ -455,27 +462,31 @@ class Run:
         return predict(self.model_spec, self.inference_params(), inputs)
 
     def update(self, t: int):
-        """Take the step's replay minibatches from the pool's plan for the
-        block, then run one iteration on each. A pure-replay step with an
-        empty training pool (every datum so far went to the holdout) runs no
-        iterations. Replay rows are rows of served stream blocks, so each
-        block is checked against the model once, at its first replay. The
-        first step of a block plans the block's validation folds."""
+        """Run one iteration on each of the step's replay minibatches: taken
+        by index from the rows the pool gathered at an earlier step, or else
+        drawn from the pool's plan for the block, which gathers them for the
+        steps up to the next one whose offers overwrite a stored item. A
+        pure-replay step with an empty training pool (every datum so far went
+        to the holdout) runs no iterations. The first step of a block checks
+        the served stream block, whose rows replay serves, against the model
+        and plans the block's validation folds."""
         p, r = self.config.iters_per_step, self.config.replay
         if p and (t - 1) % BLOCK == 0:
+            block = stream.training_block(self.stream_spec, t)
+            check_batch(self.model_spec, Minibatch(*(a.reshape(-1, *a.shape[2:]) for a in block)))
             self.plan_folds()
-        if p == 0 or (r.mode == "pure" and self.pool.size == 0):
-            return
-        if self.checked_block != (t - 1) // BLOCK:
-            check_batch(self.model_spec, Minibatch(*stream.training_block(self.stream_spec, t)))
-            self.checked_block = (t - 1) // BLOCK
-        m = r.batch_size
-        if r.mode == "pure":
-            rows = sample_pure_replay(self.pool, m, count=p)
-        else:
-            rows = sample_mixed_replay(self.pool, m, window=r.window, count=p)
+        first, xs, ys = self.pool.gathered
+        if not 0 <= t - first < len(xs):
+            if p == 0 or (r.mode == "pure" and self.pool.size == 0):
+                return
+            if r.mode == "pure":
+                sample_pure_replay(self.pool, r.batch_size, count=p)
+            else:
+                sample_mixed_replay(self.pool, r.batch_size, window=r.window, count=p)
+            first, xs, ys = self.pool.gathered
+        x, y, m = xs[t - first], ys[t - first], r.batch_size
         for i in range(0, p * m, m):
-            self.iterate(Minibatch(rows.inputs[i:i + m], rows.labels[i:i + m]))
+            self.iterate(Minibatch(x[i:i + m], y[i:i + m]))
 
     def iterate(self, mb):
         """One optimizer iteration on a replay minibatch: the base step at the

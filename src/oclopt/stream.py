@@ -218,11 +218,25 @@ class StreamSpec:
     _held = cached_property(lambda self: {})
 
 
+def _labels(words: np.ndarray, width: int, n: int) -> tuple:
+    """(labels, rejected) of rows of raw 64-bit words: n labels in [0, width)
+    per row, as ``integers(0, width, size=n)`` makes them from the row's
+    words, low half first, by Lemire's method; ``rejected[i]`` marks a row in
+    which that method rejects a half and draws again."""
+    halves = words.astype("<u8", copy=False).view("<u4")[:, :n]   # each word's low half first
+    scaled = halves * np.uint64(width)
+    rejected = ((scaled & 0xFFFFFFFF) < (2**32 - width) % width).any(axis=1)
+    scaled >>= 32
+    return scaled.view(np.int64), rejected
+
+
 def _fill(spec: StreamSpec, purpose: int, b: int) -> tuple:
     """(inputs, labels) of the steps of block ``b`` that lie in the horizon,
     stacked per step and read-only. Each step draws from its own substream in
     the per-step order (labels, then normals; a quadratic step draws its ball);
-    the class means, scaling and add run once per block."""
+    a step takes its labels' raw words, which ``_labels`` scales once per
+    block, and a step whose words reject draws again as ``integers`` does.
+    The class means, scaling and add run once per block."""
     first = b * BLOCK + 1
     ts = np.arange(first, min(first + BLOCK, spec.horizon + 1))
     draws = rngmod.step_streams(spec.seed, purpose, first, first + len(ts))
@@ -235,8 +249,15 @@ def _fill(spec: StreamSpec, purpose: int, b: int) -> tuple:
     else:
         c = spec.rotating or spec.piecewise
         width = c.n_classes if spec.rotating else c.classes_per_task
-        labels, inputs = np.empty((len(ts), n), dtype=np.int64), np.empty((len(ts), n, d))
+        inputs = np.empty((len(ts), n, d))
+        words = np.zeros((len(ts), (n + 1) // 2), dtype=np.uint64)
         for i, g in enumerate(draws):
+            if width > 1:   # integers() draws nothing for one class
+                words[i] = g.bit_generator.random_raw(words.shape[1])
+            g.standard_normal(out=inputs[i])
+        labels, rejected = _labels(words, width, n)
+        for i in np.flatnonzero(rejected):
+            g = substream(spec.seed, purpose, int(ts[i]))
             labels[i] = g.integers(0, width, size=n)
             g.standard_normal(out=inputs[i])
         if spec.rotating:
@@ -272,11 +293,11 @@ def next_batch(spec: StreamSpec, t: int) -> StreamBatch:
 
 
 def training_block(spec: StreamSpec, t: int) -> tuple:
-    """(inputs, labels) of every training batch of the block holding step t,
-    joined in step order: read-only views of the served block."""
-    b = (t - 1) // BLOCK
+    """(inputs, labels) of the training batches of step t and the later steps
+    of its block, stacked per step: read-only views of the served block."""
+    b, i = divmod(t - 1, BLOCK)
     inputs, labels = _blocks(spec, rngmod.STREAM, b, b)[b]
-    return inputs.reshape(-1, *inputs.shape[2:]), labels.reshape(-1, *labels.shape[2:])
+    return inputs[i:], labels[i:]
 
 
 def eval_window(spec: StreamSpec, first: int, last: int) -> tuple:

@@ -35,10 +35,12 @@ MODEL_TESTS = ("tests/test_model.py",)
 DATAPOOL = "src/oclopt/datapool.py"
 OFFER_TESTS = ("tests/test_datapool.py::TestOffer",)
 STEP_TESTS = ("tests/test_datapool.py::TestPlannedSteps",)
-MIXED_TESTS = ("tests/test_datapool.py::TestMixedReplayMatchesScan",)
 FOLD_TESTS = ("tests/test_datapool.py::TestPlannedFolds",)
 STREAM = "src/oclopt/stream.py"
 SERVED_TESTS = ("tests/test_stream.py::TestServedDraws",)
+LABEL_TESTS = ("tests/test_stream.py::TestBlockLabels",)
+SERVED_STEP_TESTS = ("tests/test_harness.py::TestServedSteps",
+                     "tests/test_stream.py::TestProtocol")
 ACCURACY_CHECK = ('    x = check_batch(spec, batch)\n'
                   '    if spec.classification and metric == "accuracy":\n'
                   '        return step_ahead_performance(spec, predict(spec, theta, x), batch)\n')
@@ -98,11 +100,11 @@ MUTANTS = {
     "reservoir-draws-below-own-index": (
         DATAPOOL, "integers(0, items + 1)", "integers(0, items)", OFFER_TESTS),
     "replay-gathers-past-overwrite": (
-        DATAPOOL, "lo, hi = i, min(len(plan.bound), i + source.calm[k] - k)",
-        "lo, hi = i, len(plan.bound)", STEP_TESTS),
-    "mixed-current-rows-off-block": (
-        DATAPOOL, "steps = np.arange(lo, hi) + (plan.first - 1) % BLOCK",
-        "steps = np.arange(lo, hi)", MIXED_TESTS),
+        DATAPOOL, "gather(plan, i, min(len(plan.bound), i + source.calm[k] - k))",
+        "gather(plan, i, len(plan.bound))", SERVED_STEP_TESTS[:1] + STEP_TESTS),
+    "mixed-current-rows-off-plan": (
+        DATAPOOL, "steps = np.arange(a, b) + (plan.first - plan.source.first)",
+        "steps = np.arange(a, b)", STEP_TESTS),
     "last-block-past-horizon": (
         DATAPOOL, "stop = min(t - i + BLOCK, spec.horizon + 1)",
         "stop = min(t - i + BLOCK, spec.horizon + 2)", STEP_TESTS),
@@ -115,6 +117,18 @@ MUTANTS = {
     "stream-block-one-step-late": (
         STREAM, "step_streams(spec.seed, purpose, first, first + len(ts))",
         "step_streams(spec.seed, purpose, first + 1, first + 1 + len(ts))", SERVED_TESTS),
+    "label-words-high-half-first": (
+        STREAM, 'words.astype("<u8", copy=False).view("<u4")',
+        'words.astype(">u8").view(">u4")', LABEL_TESTS),
+    "rejected-labels-kept": (
+        STREAM, "        for i in np.flatnonzero(rejected):\n",
+        "        for i in np.flatnonzero(rejected)[:0]:\n", LABEL_TESTS),
+    "served-step-reads-next-row": (
+        HARNESS, "        i = t - served.first\n", "        i = t + 1 - served.first\n",
+        SERVED_STEP_TESTS),
+    "advance-moves-by-last-steps-fill": (
+        DATAPOOL, "pool.size += plan.fill[k]", "pool.size += plan.fill[k - 1]",
+        SERVED_STEP_TESTS),
     "fold-plan-drops-last-fold": (
         HARNESS, "folds = np.arange(self.k // k_v + 1, done[-1] // k_v + 1)",
         "folds = np.arange(self.k // k_v + 1, done[-1] // k_v)", FOLD_TESTS),

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from oclopt.harness import config_from_dict, run_experiment
-from oclopt.rng import BLOCK, HOLDOUT, REPLAY, RESERVOIR, ball_uniform, substream
+from oclopt.rng import HOLDOUT, REPLAY, RESERVOIR, ball_uniform, substream
 
 
 def unfolded_ma_coefficients(gammas: np.ndarray) -> np.ndarray:
@@ -103,14 +103,11 @@ def same_items(pool, ref):
 def offer_step(pool, t, xs, ys, keep=None):
     """Offer the rows of (xs, ys) that the mask ``keep`` selects (all by
     default) to a ``DataPool`` at step t, as ``datapool.update`` does: the
-    rows laid out at step t's offset of a block, as ``stream.training_block``
-    serves them, and the kept ones planned by the same ``_plan_offers``
-    call. Row r gets record id ``pool.seen_count + r``. Returns the kept
-    rows' record ids."""
-    i, n = (t - 1) % BLOCK, len(xs)
-    block = tuple(np.concatenate((np.zeros((i * n,) + a.shape[1:], a.dtype), a)) for a in (xs, ys))
-    rows = i * n + np.flatnonzero(np.ones(n, bool) if keep is None else keep)
-    pool._plan_offers(t, np.array([len(rows)]), block, rows, pool.seen_count - i * n)
+    rows stacked as one step, as ``stream.training_block`` serves steps, and
+    the kept ones planned by the same ``_plan_offers`` call. Row r gets
+    record id ``pool.seen_count + r``. Returns the kept rows' record ids."""
+    rows = np.flatnonzero(np.ones(len(xs), bool) if keep is None else keep)
+    pool._plan_offers(t, np.array([len(rows)]), (xs[None], ys[None]), rows, pool.seen_count)
     kept_xs, kept_ys, rids = pool._offers.items
     pool.offer(kept_xs, kept_ys, t, rids)
     return rids

@@ -16,7 +16,7 @@ from oclopt.datapool import (DataPool, EmptyPoolError, sample_mixed_replay,
 from oclopt.harness import (ExperimentConfig, Run, apply_overrides, expand_variants, preset,
                             run_protocol_step)
 from oclopt.rng import BLOCK, substream
-from oclopt.stream import RotatingGaussianSpec, StreamBatch, StreamSpec, next_batch
+from oclopt.stream import HorizonError, RotatingGaussianSpec, StreamBatch, StreamSpec, next_batch
 from tests.oracles import (ROOM, ReferencePool, consecutive_draws, offer_step,
                            per_call_pure_replay, record_ids, same_items, scan_mixed_replay,
                            step_coins, stored_items)
@@ -157,6 +157,18 @@ class TestHoldoutRouting:
         update(pool, DataPool(ROOM), spec, 5)
         with pytest.raises(ValueError):
             update(pool, DataPool(ROOM), spec, 5)
+
+    def test_a_step_past_the_horizon_raises_horizon_error(self):
+        # fresh pools, and pools that took every step of the stream
+        spec = small_stream(horizon=5)
+        with pytest.raises(HorizonError, match="step 6 outside"):
+            update(DataPool(ROOM), DataPool(ROOM, holdout_fraction=0.2), spec, 6)
+        pool, holdout = DataPool(ROOM), DataPool(ROOM, holdout_fraction=0.2)
+        for t in range(1, 6):
+            update(pool, holdout, spec, t)
+        with pytest.raises(HorizonError, match="step 6 outside"):
+            update(pool, holdout, spec, 6)
+        assert pool.last_step == holdout.last_step == 5
 
 
 class TestPureReplay:
@@ -375,7 +387,13 @@ class TestPlannedSteps:
     # capacity of every item), that evict from the first blocks, and that
     # first evict partway through a later block (capacities of one to four
     # blocks of steps) take their rows from gathers that stop at each step
-    # whose offers overwrite a stored item.
+    # whose offers overwrite a stored item. The examples draw pure and mixed
+    # replay from a pool that overwrites at some steps of a block but not
+    # at others, which a step served by index from a gather must tell apart.
+    @example(capacity=60, holdout_fraction=0.1, mixed=True, window=None, iters=2, n=4, seed=3,
+             horizon=300)
+    @example(capacity=60, holdout_fraction=0.1, mixed=False, window=None, iters=2, n=4, seed=3,
+             horizon=300)
     @settings(max_examples=25, deadline=None)
     @given(capacity=st.integers(1, 300) | st.integers(BLOCK, 4 * BLOCK) | st.just(600 * 6),
            holdout_fraction=st.sampled_from([0.0, 0.1, 0.5]),

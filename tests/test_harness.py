@@ -464,6 +464,41 @@ class TestRunExperiment:
             sys.setprofile(None)
         assert sorted(calls) == [1, rngmod.BLOCK + 1, 2 * rngmod.BLOCK + 1]
 
+    def test_a_regular_step_makes_few_python_calls(self):
+        # a noise-free work count: the Python-level calls inside
+        # run_protocol_step, not counting those inside Run.iterate, of each
+        # step that starts no block (the unlimited pool overwrites nothing).
+        # Served by index, such a step makes 15 calls (two of them to
+        # Run.iterate); through the stream, the pools' offers and the replay
+        # samplers it made 25.
+        cfg = dict(expand_variants(apply_overrides(preset("main-comparison"),
+                                                   {"stream.horizon": 600})))["ama-malr"]
+        run = harness.Run(cfg, 0)
+        step, iterate = harness.run_protocol_step.__code__, harness.Run.iterate.__code__
+        calls, steps, inside = {}, [], []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is step:
+                steps.append(frame.f_locals["t"])
+            elif event == "return" and frame.f_code is step:
+                steps.pop()
+            elif event == "call" and steps:
+                if not inside:
+                    calls[steps[-1]] = calls.get(steps[-1], 0) + 1
+                if frame.f_code is iterate:
+                    inside.append(frame)
+            elif event == "return" and inside and frame is inside[-1]:
+                inside.pop()
+
+        sys.setprofile(profile)
+        try:
+            for t in range(1, 601):
+                assert run.step(t)
+        finally:
+            sys.setprofile(None)
+        regular = [calls[t] for t in range(1, 601) if (t - 1) % rngmod.BLOCK]
+        assert len(regular) == 597 and max(regular) <= 15
+
     @pytest.mark.parametrize("name,label,horizon", [("buffer-size", "cap-100", 800),
                                                     ("objective-comparison", "mixed-p5", 600),
                                                     ("main-comparison", "ama-malr", 300)])
@@ -492,6 +527,69 @@ class TestRunExperiment:
         blocks = -(-300 // rngmod.BLOCK)
         # stream, eval and coin blocks, plus the init, validation and replay generators
         assert 0 < len(built) <= 3 * blocks + 4
+
+
+class TestServedSteps:
+    """A step served by index into its block's plans equals the same step
+    taken through ``datapool.update`` and the replay samplers."""
+
+    @pytest.mark.parametrize("name,label", [("main-comparison", "ama-malr"),
+                                            ("buffer-size", "cap-100"),
+                                            ("buffer-size", "cap-10000"),
+                                            ("objective-comparison", "mixed-p5"),
+                                            ("theory-verify", "base")])
+    def test_served_steps_equal_the_full_path(self, name, label):
+        # the reference run forgets its served steps and gathered replay rows
+        # before every step, so every step goes through datapool.update and a
+        # replay sampler; the capped pools overwrite at some steps and not at
+        # others (cap-10000 from partway through the second block)
+        cfg = dict(expand_variants(apply_overrides(preset(name),
+                                                   {"stream.horizon": 600})))[label]
+        served, full = harness.Run(cfg, 0), harness.Run(cfg, 0)
+        by_index = 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in range(1, 601):
+                by_index += t < served.served.stop
+                full.served, full.pool.gathered = datapool.UNSERVED, (0, (), ())
+                assert served.step(t) and full.step(t)
+                for a, b in ((served.pool, full.pool), (served.holdout, full.holdout)):
+                    assert ((a.size, a.seen_count, a.last_step)
+                            == (b.size, b.seen_count, b.last_step))
+                assert served.k == full.k
+                assert served.base.theta.tobytes() == full.base.theta.tobytes()
+        assert by_index == 600 - 3   # every step but the blocks' first
+        assert served.ledger.step_ahead == full.ledger.step_ahead
+        for field in ("metric_rows", "schedule_rows", "lr_trace"):
+            assert repr(getattr(served, field)) == repr(getattr(full, field)), field
+
+    def test_a_served_step_checks_the_order_and_ends_the_run_when_it_raises(self):
+        # the protocol's guarantees hold on a step served by index: steps
+        # come in order, and a step that raises keeps its pool moves
+        cfg = dict(expand_variants(apply_overrides(preset("main-comparison"),
+                                                   {"stream.horizon": 300})))["ama-malr"]
+        run = harness.Run(cfg, 0)
+        assert run.step(1) and run.step(2)
+        assert 3 < run.served.stop
+        with pytest.raises(harness.ProtocolError, match="expected step 3, got 4"):
+            harness.run_protocol_step(run, 4)
+        run.iterate = lambda mb: 1 / 0
+        with pytest.raises(ZeroDivisionError):
+            run.step(3)
+        assert run.pool.last_step == run.holdout.last_step == 3
+        with pytest.raises(harness.ProtocolError, match="expected step 4, got 3"):
+            harness.run_protocol_step(run, 3)
+
+    def test_predictions_come_before_the_step_moves_the_pools(self):
+        # a served step asks for predictions while the pools still stand
+        # after the step before
+        cfg = dict(expand_variants(apply_overrides(preset("main-comparison"),
+                                                   {"stream.horizon": 300})))["ama-malr"]
+        run, seen = harness.Run(cfg, 0), []
+        predict = run.predict
+        run.predict = lambda inputs: seen.append(run.pool.last_step) or predict(inputs)
+        for t in range(1, 301):
+            assert run.step(t)
+        assert seen == list(range(300))
 
 
 class TestComputeAccounting:

@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oclopt import rng as rngmod
-from oclopt.datapool import DataPool, sample_pure_replay, update
+from oclopt import stream as stream_module
+from oclopt.datapool import UNSERVED, DataPool, sample_pure_replay, update
 from oclopt.harness import (PRESET_NAMES, ProtocolError, build_stream_spec,
                             expand_variants, preset, run_protocol_step)
 from oclopt.rng import BLOCK, substream
 from oclopt.stream import (DriftingQuadraticSpec, HorizonError, PiecewiseTaskSpec,
-                           RotatingGaussianSpec, StreamSpec, eval_window, next_batch)
+                           RotatingGaussianSpec, StreamSpec, _labels, eval_window, next_batch)
 from tests.oracles import (ROOM, grad_at, step_batch, step_coins, step_window,
                            stored_items)
 
@@ -36,10 +37,10 @@ def rotating_spec(omega=0.05, horizon=100, seed=3, n_classes=2, batch=8):
                       horizon=horizon, seed=seed, rotating=rot)
 
 
-def piecewise_spec(horizon=60, seed=11, task_length=10, n_classes=6, cpt=2):
+def piecewise_spec(horizon=60, seed=11, task_length=10, n_classes=6, cpt=2, batch=8):
     pw = PiecewiseTaskSpec(n_classes=n_classes, classes_per_task=cpt,
                            task_length=task_length, mean_scale=3.0, noise_std=0.2)
-    return StreamSpec(kind="piecewise-task", d_in=3, batch_size=8,
+    return StreamSpec(kind="piecewise-task", d_in=3, batch_size=batch,
                       horizon=horizon, seed=seed, piecewise=pw)
 
 
@@ -150,13 +151,15 @@ class TestServedDraws:
     @given(make=st.sampled_from([quad_spec, rotating_spec, piecewise_spec]),
            seed=st.sampled_from([0, 2**32, 2**64 - 1]) | st.integers(0, 2**40),
            horizon=st.integers(1, 2 * BLOCK + 2), classes=st.sampled_from([2, 3, 4, 16]),
-           data=st.data())
-    def test_served_draws_equal_per_step_draws(self, make, seed, horizon, classes, data):
+           batch=st.sampled_from([1, 3, 8]) | st.integers(1, 33), data=st.data())
+    def test_served_draws_equal_per_step_draws(self, make, seed, horizon, classes, batch,
+                                               data):
+        # odd batch sizes leave half of a step's last label word unused
         kw = {quad_spec: {"noise": 0.4, "v": (0.01, -0.02)},
               rotating_spec: {"n_classes": classes},
               piecewise_spec: {"n_classes": classes,
                                "cpt": data.draw(st.integers(1, classes), label="cpt")}}[make]
-        spec = make(horizon=horizon, seed=seed, **kw)
+        spec = make(horizon=horizon, seed=seed, batch=batch, **kw)
         edges = [t for t in (1, BLOCK, BLOCK + 1, 2 * BLOCK, horizon) if t <= horizon]
         t = data.draw(st.sampled_from(edges) | st.integers(1, horizon), label="t")
         first = data.draw(st.integers(max(1, t - BLOCK - 2), t), label="first")
@@ -181,6 +184,54 @@ class TestServedDraws:
                 xs, ys, arrival = stored_items(target)
                 assert same(xs[arrival == step], rows[0][keep])
                 assert same(ys[arrival == step], rows[1][keep])
+
+
+class TestBlockLabels:
+    """A block's labels come from each step's raw words, scaled by Lemire's
+    method once per block; a step whose words reject draws again as
+    ``Generator.integers`` does."""
+
+    @pytest.mark.parametrize("width", [2, 3, 5, 16, 1000])
+    @pytest.mark.parametrize("n", [1, 2, 7, 32])
+    def test_labels_of_raw_words_equal_integers(self, width, n):
+        g = substream(4, rngmod.STREAM, width + n)
+        raw = np.random.Generator(np.random.Philox())
+        raw.bit_generator.state = g.bit_generator.state
+        labels, rejected = _labels(raw.bit_generator.random_raw((n + 1) // 2)[None], width, n)
+        assert not rejected[0]
+        assert same(labels[0], g.integers(0, width, size=n))
+        # the draws that follow the labels start at the same word
+        assert raw.bit_generator.random_raw() == g.bit_generator.random_raw()
+
+    @pytest.mark.parametrize("width", [3, 5, 7, 2**31 + 1])
+    def test_a_word_half_below_the_threshold_rejects(self, width):
+        # Lemire rejects a draw u whose u * width mod 2**32 falls below
+        # (2**32 - width) % width: u = 0 always does for such widths
+        threshold = (2**32 - width) % width
+        assert threshold > 0
+        words = np.array([[1 << 32, 5], [7 << 32, 0], [3 | 3 << 32, 9 | 9 << 32]], np.uint64)
+        labels, rejected = _labels(words, width, 3)
+        # row 0's draws are 0, 1, 5; row 1's 0, 7, 0; row 2's 3, 3, 9
+        assert rejected.tolist() == [True, True, False]
+        assert labels.tolist()[2] == [(3 * width) >> 32, (3 * width) >> 32, (9 * width) >> 32]
+        # a step of one label leaves its word's high half unused
+        assert not _labels(np.array([[3]], np.uint64), width, 1)[1][0]
+
+    @pytest.mark.parametrize("make", [rotating_spec, piecewise_spec])
+    def test_rejected_steps_draw_as_integers_does(self, make, monkeypatch):
+        # force rejections, whose labels are not the ones integers() draws:
+        # those steps are drawn again on their own, so the block still equals
+        # per-step draws, and the other steps keep theirs
+        def rejecting(words, width, n):
+            labels, rejected = _labels(words, width, n)
+            labels[::3], rejected[::3] = -1, True
+            return labels, rejected
+
+        spec = make(horizon=40, seed=9, batch=5)
+        monkeypatch.setattr(stream_module, "_labels", rejecting)
+        for t in (1, 2, 3, 4, 40):
+            batch = next_batch(spec, t)
+            assert all(map(same, (batch.inputs, batch.labels), step_batch(spec, t, rngmod.STREAM)))
 
 
 class TestDriftConstants:
@@ -224,6 +275,7 @@ class _FakeRun:
         self.stream_spec = rotating_spec(seed=seed)
         self.pool = DataPool(ROOM, seed=seed)
         self.holdout = DataPool(ROOM, seed=seed, holdout_fraction=holdout_fraction)
+        self.served = UNSERVED
         self.fail_at = None
         self.updates = []
 
