@@ -20,9 +20,9 @@ reservoir draw in one generator call, and every appended row stored at once
 (rows past ``size`` are invisible: every reader stops there). A replay draw
 draws the rest of the block in one call and gathers its rows with one take
 per array, up to the next step whose offers overwrite a stored item, which
-gathers again; ``sample_folds`` plans validation minibatches alike. The
-block's later steps are ``Served``: each draws nothing, ``advance`` moves
-the pools by their plans and writes only the slots a step overwrites, and
+gathers again; ``sample_folds`` plans validation minibatches alike. Every
+step of the block, its first included, is ``Served``: ``advance`` moves the
+pools by their plans and writes only the slots a step overwrites, and
 gathered rows are read by index. ``update`` is the only way rows enter a
 pool (``advance`` follows its plans). Planned draws equal draws made one
 call at a time: reservoir draws come one per evicting item in offer order,
@@ -90,8 +90,8 @@ class _Offers(NamedTuple):
 
 
 class Served(NamedTuple):
-    """The steps before ``stop`` of the offer plans ``update`` followed: step
-    t's batch is row ``t - first`` of ``inputs`` and ``labels``, and
+    """The steps ``first`` .. ``stop - 1`` of the offer plans ``update`` made:
+    step t's batch is row ``t - first`` of ``inputs`` and ``labels``, and
     ``advance`` takes step t's offers into each (pool, offer plan) of
     ``offers``."""
 
@@ -190,12 +190,6 @@ class DataPool:
             self._xs[new], self._ys[new], self._rid[new] = xs[:m], ys[:m], rids[:m]
             self._arrival[new] = seen.searchsorted(np.arange(lo, hi), "right") + (first - 1)
 
-    def _holds(self, t: int) -> bool:
-        """Whether the offer plan holds step t from the current state."""
-        plan = self._offers
-        return (plan is not None and 0 <= t - plan.first < len(plan.counts)
-                and plan.seen[t - plan.first] == self.seen_count)
-
     def _ahead(self):
         """(offer plan, the last offered step's index) if the plan holds that
         step and the pool stands after its offers; else None."""
@@ -261,44 +255,38 @@ class DataPool:
 
 
 def update(pool: DataPool, holdout: DataPool, spec, t: int) -> Served:
-    """Integrate step t of the stream ``spec``: route each datum of the
-    step's batch to the holdout or the training pool.
+    """Plan the offers of step t of the stream ``spec`` and of the later steps
+    of its block inside the horizon: route each datum of those steps' batches
+    to the holdout or the training pool, and return the ``Served`` steps.
 
     A datum goes to the holdout iff its routing coin, drawn from the (seed,
     HOLDOUT, t) substream of the stream's seed, is below the holdout's
-    fraction, so the split of any step is re-enumerable. Record ids continue
-    the global offer sequence across both pools. Steps must increase, so a
-    pool that has never dropped or overwritten an item stores its arrivals in
-    order. At a step that a pool's offer plan does not hold (a block's
-    first), the coins of the block's steps from t on inside the horizon are
-    drawn at once, and each such pool plans its offers for those steps: it
-    gathers their items from the served stream block (``stream.training_block``)
-    and stores the rows they append at once. Step t is taken as ``advance``
-    takes a step, and the returned ``Served`` serves the plans' later steps.
+    fraction, so the split of any step is re-enumerable; the steps' coins are
+    drawn at once. Record ids continue the global offer sequence across both
+    pools. Each pool plans its offers of the steps: it gathers their items
+    from the served stream block (``stream.training_block``) and stores the
+    rows they append at once. No pool moves: ``advance`` takes each step.
+    Steps must increase, so a pool that has never dropped or overwritten an
+    item stores its arrivals in order.
     """
     if t <= pool.last_step:
         raise ValueError(f"step {t} does not exceed last integrated step {pool.last_step}")
     if t > spec.horizon:
         raise HorizonError(f"step {t} outside [1, {spec.horizon}]")
-    if not (pool._holds(t) and holdout._holds(t)):
-        i, n = (t - 1) % BLOCK, spec.batch_size
-        stop = min(t - i + BLOCK, spec.horizon + 1)
-        hold = np.zeros((stop - t, n), dtype=bool)
-        if holdout.holdout_fraction > 0.0:
-            coins = np.empty((stop - t, n))
-            for row, g in zip(coins, step_streams(spec.seed, rngmod.HOLDOUT, t, stop)):
-                g.random(out=row)
-            hold = coins < holdout.holdout_fraction
-        base = pool.seen_count + holdout.seen_count   # record id of step t's first row
-        for target, mask in ((pool, ~hold), (holdout, hold)):
-            if not target._holds(t):   # row j * n + r of the steps is row r of step t + j
-                target._plan_offers(t, mask.sum(1), training_block(spec, t),
-                                    np.flatnonzero(mask), base)
-    ours, theirs = pool._offers, holdout._offers
-    stop = min(ours.first + len(ours.counts), theirs.first + len(theirs.counts))
-    served = Served(ours.first, stop, *ours.block, ((pool, ours), (holdout, theirs)))
-    advance(served, t)
-    return served
+    i, n = (t - 1) % BLOCK, spec.batch_size
+    stop = min(t - i + BLOCK, spec.horizon + 1)
+    hold = np.zeros((stop - t, n), dtype=bool)
+    if holdout.holdout_fraction > 0.0:
+        coins = np.empty((stop - t, n))
+        for row, g in zip(coins, step_streams(spec.seed, rngmod.HOLDOUT, t, stop)):
+            g.random(out=row)
+        hold = coins < holdout.holdout_fraction
+    block = training_block(spec, t)
+    base = pool.seen_count + holdout.seen_count   # record id of step t's first row
+    for target, mask in ((pool, ~hold), (holdout, hold)):
+        # row j * n + r of the steps is row r of step t + j
+        target._plan_offers(t, mask.sum(1), block, np.flatnonzero(mask), base)
+    return Served(t, stop, *block, ((pool, pool._offers), (holdout, holdout._offers)))
 
 
 def advance(served: Served, t: int):

@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 import yaml
 
-from . import __version__, datapool, stream
+from . import __version__, datapool
 from . import rng as rngmod
 from .datapool import (UNSERVED, DataPool, EmptyPoolError, Minibatch, sample_folds,
                        sample_mixed_replay, sample_pure_replay, steady_sizes)
@@ -35,10 +35,9 @@ from .model import (DivergenceError, ModelSpec, Workspace, check_batch, init_par
                     loss_and_grad, predict, step_ahead_performance, validation_performance)
 from .optim import (AmaState, CostCounter, adam_step, ama_step, best_ma, init_adam,
                     init_averager, init_sgd, save_optimizer, sgd_step)
-from .rng import BLOCK, substream
+from .rng import substream
 from .schedule import controller
-from .stream import (DriftingQuadraticSpec, PiecewiseTaskSpec, RotatingGaussianSpec,
-                     StreamBatch, StreamSpec)
+from .stream import DriftingQuadraticSpec, PiecewiseTaskSpec, RotatingGaussianSpec, StreamSpec
 from .theory import BoundReport, make_rate_schedule, verify_bound
 
 
@@ -167,14 +166,17 @@ def _check(block, kinds: dict, where: str):
     if unknown:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown, key=str)}")
     for key, value in block.items():
-        # type() rather than isinstance(): a bool is neither an integer nor a number here
+        # type() rather than isinstance(): a bool is neither an integer nor a number
+        # here, and a string or a number is no bool
         kind = kinds[key]
-        types = {"int": (int,), "Optional[int]": (int, type(None)), "float": (int, float),
-                 "list[float]": (list,)}.get(kind, (type(value),))
+        types, what = {
+            "int": ((int,), "an integer"), "Optional[int]": ((int, type(None)), "an integer"),
+            "float": ((int, float), "a number"), "list[float]": ((list,), "a list of numbers"),
+            "bool": ((bool,), "true or false"), "str": ((str,), "a string"),
+            "Optional[str]": ((str, type(None)), "a string or null"),
+        }.get(kind, ((type(value),), ""))
         items = value if kind == "list[float]" and type(value) is list else ()
         if type(value) not in types or any(type(v) not in (int, float) for v in items):
-            what = ("an integer" if "int" in kind else "a number" if kind == "float"
-                    else "a list of numbers")
             raise ConfigError(f"{where} key {key} must be {what}, got {value!r}")
 
 
@@ -292,16 +294,16 @@ def last_values(rows) -> dict:
 def run_protocol_step(run, t: int):
     """Execute step t of the online protocol on a run.
 
-    In order: (1) sample the batch, (2) ask ``run.predict`` for every datum
-    before labels are revealed, (3) integrate the batch into ``run.pool`` and
-    ``run.holdout``, (4) call ``run.update(t)``. A block's first step plans
-    the block's pool draws and row copies (see ``oclopt.datapool``) and
-    leaves in ``run.served`` the block's later steps. Each is served by
-    index: its batch is a row of the served stream block, (3) moves the
-    pools by their offer plans and (4) takes gathered replay rows. Such a
-    step draws nothing; one whose offers overwrite stored items (a capped
-    pool) writes those slots, and from it on replay rows are gathered, and
-    mixed replay drawn, again.
+    A block's first step (one at or past ``run.served.stop``) plans the
+    block's pool offers (``datapool.update``) and keeps them in
+    ``run.served``. Then every step is served by index, in order: (1) its
+    batch is its row of the served stream block, (2) ``run.predict`` scores
+    every datum before labels are revealed, (3) ``datapool.advance`` moves
+    ``run.pool`` and ``run.holdout`` by their offer plans, (4)
+    ``run.update(t)`` runs the iterations. A step draws nothing outside a
+    block's first, except where a capped pool's offers overwrite stored
+    items: it writes those slots, and from it on replay rows are gathered,
+    and mixed replay drawn, again (see ``oclopt.datapool``).
 
     A step that raises ends the run: nothing is rolled back. The pools keep
     the step's offers (their ``last_step`` is t, so the step cannot be run
@@ -316,15 +318,12 @@ def run_protocol_step(run, t: int):
     pool, served = run.pool, run.served
     if t != pool.last_step + 1:
         raise ProtocolError(f"expected step {pool.last_step + 1}, got {t}")
-    if t < served.stop:
-        i = t - served.first
-        batch = StreamBatch(t, served.inputs[i], served.labels[i])
-        predictions = run.predict(batch.inputs)
-        datapool.advance(served, t)
-    else:
-        batch = stream.next_batch(run.stream_spec, t)
-        predictions = run.predict(batch.inputs)
-        run.served = datapool.update(pool, run.holdout, run.stream_spec, t)
+    if t >= served.stop:
+        served = run.served = datapool.update(pool, run.holdout, run.stream_spec, t)
+    i = t - served.first
+    batch = Minibatch(served.inputs[i], served.labels[i])
+    predictions = run.predict(batch.inputs)
+    datapool.advance(served, t)
     run.update(t)
     return predictions, batch
 
@@ -468,12 +467,12 @@ class Run:
         steps up to the next one whose offers overwrite a stored item. A
         pure-replay step with an empty training pool (every datum so far went
         to the holdout) runs no iterations. The first step of a block checks
-        the served stream block, whose rows replay serves, against the model
-        and plans the block's validation folds."""
-        p, r = self.config.iters_per_step, self.config.replay
-        if p and (t - 1) % BLOCK == 0:
-            block = stream.training_block(self.stream_spec, t)
-            check_batch(self.model_spec, Minibatch(*(a.reshape(-1, *a.shape[2:]) for a in block)))
+        the served rows, which replay serves, against the model and plans the
+        block's validation folds."""
+        p, r, served = self.config.iters_per_step, self.config.replay, self.served
+        if p and t == served.first:
+            rows = (a.reshape(-1, *a.shape[2:]) for a in (served.inputs, served.labels))
+            check_batch(self.model_spec, Minibatch(*rows))
             self.plan_folds()
         first, xs, ys = self.pool.gathered
         if not 0 <= t - first < len(xs):

@@ -115,7 +115,8 @@ def init_params(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
 
 def check_batch(spec: ModelSpec, batch) -> np.ndarray:
     """The batch's inputs as floats, once checked: non-empty, as wide as the
-    model, and one label in range (a classifier) or target row (the probe) per row."""
+    model, and one integer label in range (a classifier) or target row (the probe)
+    per row."""
     x = np.asarray(batch.inputs, dtype=float)
     if len(x) == 0:
         raise ValueError("minibatch must be non-empty")
@@ -123,9 +124,14 @@ def check_batch(spec: ModelSpec, batch) -> np.ndarray:
     if x.shape[1] != expected:
         raise ValueError(f"input dimension {x.shape[1]} != model dimension {expected}")
     y = np.asarray(batch.labels)
-    if spec.classification and (y.shape != (len(x),) or np.minimum.reduce(y) < 0
-                                or np.maximum.reduce(y) >= spec.n_classes):
-        raise ValueError(f"a classifier needs one label in [0, {spec.n_classes}) per row")
+    if spec.classification:
+        # viewed unsigned, a negative label is 2**bits or more: past every
+        # non-negative label of its dtype, so one reduction finds both bad kinds
+        bits = 8 * y.itemsize - (y.dtype.kind == "i")
+        if (y.dtype.kind not in "iu" or y.shape != (len(x),)
+                or np.maximum.reduce(y.view(f"u{y.itemsize}")) >= min(spec.n_classes, 1 << bits)):
+            raise ValueError(f"a classifier needs one integer label in [0, {spec.n_classes}) "
+                             "per row")
     if not spec.classification and y.shape != x.shape:
         raise ValueError(f"a quadratic probe needs one target of dimension {spec.dim} per row")
     return x

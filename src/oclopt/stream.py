@@ -12,8 +12,10 @@ Three stream families with analytically known drift:
   count).
 
 Batch generation is pure and random-access: batch t depends only on
-(seed, t), so streams can be replayed or sampled out of order. The protocol
-that consumes the batches is ``oclopt.harness.run_protocol_step``.
+(seed, t), so streams can be replayed or sampled out of order. Training
+batches are read a block of steps at a time (``training_block``), when
+``oclopt.datapool.update`` plans the block; ``oclopt.harness.run_protocol_step``
+serves them step by step.
 """
 
 from __future__ import annotations
@@ -30,25 +32,6 @@ from .rng import BLOCK, ball_uniform, substream
 
 class HorizonError(ValueError):
     """Requested time step lies outside [1, horizon]."""
-
-
-@dataclass(frozen=True)
-class StreamBatch:
-    """One time step's revealed data: inputs plus (eventually revealed) labels."""
-
-    t: int
-    inputs: np.ndarray   # (n, d_in)
-    labels: np.ndarray   # (n,) int for classification, (n, d) float for regression
-
-    def __post_init__(self):
-        if len(self.inputs) != len(self.labels):
-            raise ValueError("inputs and labels must have equal length")
-        if len(self.inputs) < 1:
-            raise ValueError("batch must contain at least one datum")
-
-    @property
-    def n(self) -> int:
-        return len(self.inputs)
 
 
 @dataclass(frozen=True)
@@ -281,15 +264,6 @@ def _blocks(spec: StreamSpec, purpose: int, lo: int, hi: int) -> dict:
         held = spec._held[purpose] = {b: held[b] if b in held else _fill(spec, purpose, b)
                                         for b in range(lo, hi + 1)}
     return held
-
-
-def next_batch(spec: StreamSpec, t: int) -> StreamBatch:
-    """The t-th training batch, read-only. Deterministic in (spec.seed, t)."""
-    if not (1 <= t <= spec.horizon):
-        raise HorizonError(f"step {t} outside [1, {spec.horizon}]")
-    b, i = divmod(t - 1, BLOCK)
-    inputs, labels = _blocks(spec, rngmod.STREAM, b, b)[b]
-    return StreamBatch(t=t, inputs=inputs[i], labels=labels[i])
 
 
 def training_block(spec: StreamSpec, t: int) -> tuple:

@@ -67,7 +67,11 @@ MUTANTS = {
     "rates-need-not-be-finite": (
         SCHEDULE, "            or not math.isfinite(value) or positive and value <= 0):",
         "            or positive and value <= 0):", BAD_CONFIG_TESTS),
-    "float-fields-unchecked": (HARNESS, '"float": (int, float),', "", BAD_CONFIG_TESTS),
+    "float-fields-unchecked": (
+        HARNESS, '"float": ((int, float), "a number"),', "", BAD_CONFIG_TESTS),
+    "bool-fields-take-any-value": (
+        HARNESS, '"bool": ((bool,), "true or false"),', "", BAD_CONFIG_TESTS),
+    "str-fields-take-any-value": (HARNESS, '"str": ((str,), "a string"),', "", BAD_CONFIG_TESTS),
     "bool-is-a-number": (
         HARNESS, "any(type(v) not in (int, float) for v in items)",
         "any(not isinstance(v, (int, float)) for v in items)", BAD_CONFIG_TESTS),
@@ -97,6 +101,9 @@ MUTANTS = {
         '    if spec.classification and metric == "accuracy":\n'
         "        return step_ahead_performance(spec, predict(spec, theta, batch.inputs), batch)\n"
         "    x = check_batch(spec, batch)\n", MODEL_TESTS),
+    "label-bound-counts-the-sign-bit": (
+        MODEL, 'bits = 8 * y.itemsize - (y.dtype.kind == "i")', "bits = 8 * y.itemsize",
+        MODEL_TESTS),
     "reservoir-draws-below-own-index": (
         DATAPOOL, "integers(0, items + 1)", "integers(0, items)", OFFER_TESTS),
     "replay-gathers-past-overwrite": (
@@ -124,11 +131,14 @@ MUTANTS = {
         STREAM, "        for i in np.flatnonzero(rejected):\n",
         "        for i in np.flatnonzero(rejected)[:0]:\n", LABEL_TESTS),
     "served-step-reads-next-row": (
-        HARNESS, "        i = t - served.first\n", "        i = t + 1 - served.first\n",
+        HARNESS, "    i = t - served.first\n", "    i = t + 1 - served.first\n",
         SERVED_STEP_TESTS),
     "advance-moves-by-last-steps-fill": (
         DATAPOOL, "pool.size += plan.fill[k]", "pool.size += plan.fill[k - 1]",
-        SERVED_STEP_TESTS),
+        SERVED_STEP_TESTS + STEP_TESTS),
+    "block-starts-one-step-late": (
+        HARNESS, "if p and t == served.first:", "if p and t == served.first + 1:",
+        SERVED_STEP_TESTS + FOLD_TESTS),
     "fold-plan-drops-last-fold": (
         HARNESS, "folds = np.arange(self.k // k_v + 1, done[-1] // k_v + 1)",
         "folds = np.arange(self.k // k_v + 1, done[-1] // k_v)", FOLD_TESTS),

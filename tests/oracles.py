@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
+from oclopt.datapool import UNSERVED, advance, update
 from oclopt.harness import config_from_dict, run_experiment
 from oclopt.rng import HOLDOUT, REPLAY, RESERVOIR, ball_uniform, substream
 
@@ -113,6 +114,18 @@ def offer_step(pool, t, xs, ys, keep=None):
     return rids
 
 
+def integrate(pool, holdout, spec, t, served=UNSERVED):
+    """Take step t of the stream ``spec`` into the pools as
+    ``run_protocol_step`` does: at a block's first step (one at or past
+    ``served.stop``) plan the block's offers with ``datapool.update``, then
+    advance the pools by the step's. Returns the served steps, which the
+    next step takes back as ``served``."""
+    if t >= served.stop:
+        served = update(pool, holdout, spec, t)
+    advance(served, t)
+    return served
+
+
 def per_call_pure_replay(pool, m, g):
     """m items uniform with replacement over a ``DataPool``'s stored items,
     drawn from g on their own: the reference for pure replay and folds."""
@@ -120,10 +133,10 @@ def per_call_pure_replay(pool, m, g):
     return pool._xs[idx], pool._ys[idx]
 
 
-def scan_mixed_replay(pool, current, m, window, g):
-    """The mixed draw with the eligible history found by a scan of every
-    stored arrival: the oracle for sample_mixed_replay."""
-    t = current.t
+def scan_mixed_replay(pool, t, current, m, window, g):
+    """The mixed draw at step t, whose batch is the ``Minibatch`` current,
+    with the eligible history found by a scan of every stored arrival: the
+    oracle for sample_mixed_replay."""
     b = (t - 1) if window is None else window
     if pool.size > 0:
         arr = pool._arrival[: pool.size]
@@ -131,10 +144,10 @@ def scan_mixed_replay(pool, current, m, window, g):
     else:
         eligible = np.array([], dtype=np.int64)
     if len(eligible) == 0:
-        idx_cur = g.integers(0, current.n, size=m)
+        idx_cur = g.integers(0, len(current.labels), size=m)
         return current.inputs[idx_cur], current.labels[idx_cur]
     half = m // 2
-    idx_cur = g.integers(0, current.n, size=half)
+    idx_cur = g.integers(0, len(current.labels), size=half)
     idx_hist = eligible[g.integers(0, len(eligible), size=half)]
     return (np.concatenate([current.inputs[idx_cur], pool._xs[idx_hist]]),
             np.concatenate([current.labels[idx_cur], pool._ys[idx_hist]]))
@@ -447,3 +460,21 @@ def frozen_step_ahead_performance(spec, predictions: np.ndarray, batch) -> float
     a = np.asarray(spec.curvature)
     d = predictions - y
     return -0.5 * float(np.mean(np.sum(d * d * a[None, :], axis=1)))
+
+
+def frozen_check_batch(spec, batch) -> np.ndarray:
+    """The batch check with two label reductions, a minimum and a maximum:
+    the oracle for the one-reduction label check on integer labels."""
+    x = np.asarray(batch.inputs, dtype=float)
+    if len(x) == 0:
+        raise ValueError("minibatch must be non-empty")
+    expected = spec.dim if spec.kind == "quadratic-probe" else spec.d_in
+    if x.shape[1] != expected:
+        raise ValueError(f"input dimension {x.shape[1]} != model dimension {expected}")
+    y = np.asarray(batch.labels)
+    if spec.classification and (y.shape != (len(x),) or np.minimum.reduce(y) < 0
+                                or np.maximum.reduce(y) >= spec.n_classes):
+        raise ValueError(f"a classifier needs one label in [0, {spec.n_classes}) per row")
+    if not spec.classification and y.shape != x.shape:
+        raise ValueError(f"a quadratic probe needs one target of dimension {spec.dim} per row")
+    return x

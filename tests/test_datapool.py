@@ -11,15 +11,15 @@ from scipy import stats
 
 from oclopt import datapool
 from oclopt import rng as rngmod
-from oclopt.datapool import (DataPool, EmptyPoolError, sample_mixed_replay,
+from oclopt.datapool import (DataPool, EmptyPoolError, Minibatch, sample_mixed_replay,
                              sample_pure_replay, update)
 from oclopt.harness import (ExperimentConfig, Run, apply_overrides, expand_variants, preset,
                             run_protocol_step)
 from oclopt.rng import BLOCK, substream
-from oclopt.stream import HorizonError, RotatingGaussianSpec, StreamBatch, StreamSpec, next_batch
-from tests.oracles import (ROOM, ReferencePool, consecutive_draws, offer_step,
+from oclopt.stream import HorizonError, RotatingGaussianSpec, StreamSpec
+from tests.oracles import (ROOM, ReferencePool, consecutive_draws, integrate, offer_step,
                            per_call_pure_replay, record_ids, same_items, scan_mixed_replay,
-                           step_coins, stored_items)
+                           step_batch, step_coins, stored_items)
 
 
 def offer_items(pool, n, t=1, d=2):
@@ -27,10 +27,10 @@ def offer_items(pool, n, t=1, d=2):
     offer_step(pool, t, xs, np.arange(n, dtype=np.int64))
 
 
-def offer_none_of(pool, current):
-    """Offer the pool none of the current batch's rows (all held out), so
-    that it stands at the batch's step for a mixed draw."""
-    offer_step(pool, current.t, current.inputs, current.labels, np.zeros(current.n, bool))
+def offer_none_of(pool, t, current):
+    """Offer the pool none of the rows of step t's batch ``current`` (all
+    held out), so that it stands at the step for a mixed draw."""
+    offer_step(pool, t, current.inputs, current.labels, np.zeros(len(current.labels), bool))
 
 
 def make_items(t, n=10, d=2, seed=0):
@@ -39,8 +39,7 @@ def make_items(t, n=10, d=2, seed=0):
 
 
 def make_batch(t, n=10, d=2, seed=0):
-    inputs, labels = make_items(t, n, d, seed)
-    return StreamBatch(t=t, inputs=inputs, labels=labels)
+    return Minibatch(*make_items(t, n, d, seed))
 
 
 def small_stream(n=10, horizon=30, seed=0):
@@ -84,9 +83,10 @@ class TestStorage:
 class TestReservoir:
     def test_unlimited_pool_keeps_everything(self):
         # a capacity of exactly the items offered is never exceeded
-        pool, spec = DataPool(capacity=100, seed=0), small_stream(horizon=10)
+        pool, holdout = DataPool(capacity=100, seed=0), DataPool(ROOM)
+        spec, served = small_stream(horizon=10), datapool.UNSERVED
         for t in range(1, 11):
-            update(pool, DataPool(ROOM), spec, t)
+            served = integrate(pool, holdout, spec, t, served)
         assert pool.size == pool.seen_count == 100
 
     def test_capacity_clamp(self):
@@ -138,9 +138,9 @@ class TestHoldoutRouting:
     def test_disjoint_record_ids(self):
         pool = DataPool(ROOM, seed=3)
         holdout = DataPool(ROOM, seed=3, holdout_fraction=0.2)
-        spec = small_stream(n=20, horizon=29, seed=3)
+        spec, served = small_stream(n=20, horizon=29, seed=3), datapool.UNSERVED
         for t in range(1, 30):
-            update(pool, holdout, spec, t)
+            served = integrate(pool, holdout, spec, t, served)
         train_ids = set(record_ids(pool))
         hold_ids = set(record_ids(holdout))
         assert train_ids.isdisjoint(hold_ids)
@@ -149,14 +149,14 @@ class TestHoldoutRouting:
     def test_zero_fraction_routes_everything_to_training(self):
         pool = DataPool(ROOM, seed=3)
         holdout = DataPool(ROOM, seed=3, holdout_fraction=0.0)
-        update(pool, holdout, small_stream(), 1)
+        integrate(pool, holdout, small_stream(), 1)
         assert holdout.size == 0 and pool.size == 10
 
     def test_out_of_order_step_rejected(self):
-        pool, spec = DataPool(ROOM, seed=0), small_stream()
-        update(pool, DataPool(ROOM), spec, 5)
+        pool, holdout, spec = DataPool(ROOM, seed=0), DataPool(ROOM), small_stream()
+        integrate(pool, holdout, spec, 5)
         with pytest.raises(ValueError):
-            update(pool, DataPool(ROOM), spec, 5)
+            update(pool, holdout, spec, 5)
 
     def test_a_step_past_the_horizon_raises_horizon_error(self):
         # fresh pools, and pools that took every step of the stream
@@ -164,8 +164,9 @@ class TestHoldoutRouting:
         with pytest.raises(HorizonError, match="step 6 outside"):
             update(DataPool(ROOM), DataPool(ROOM, holdout_fraction=0.2), spec, 6)
         pool, holdout = DataPool(ROOM), DataPool(ROOM, holdout_fraction=0.2)
+        served = datapool.UNSERVED
         for t in range(1, 6):
-            update(pool, holdout, spec, t)
+            served = integrate(pool, holdout, spec, t, served)
         with pytest.raises(HorizonError, match="step 6 outside"):
             update(pool, holdout, spec, 6)
         assert pool.last_step == holdout.last_step == 5
@@ -220,7 +221,7 @@ class TestMixedReplay:
     def test_no_history_falls_back_to_current(self):
         pool = DataPool(ROOM, seed=0)
         current = make_batch(1)
-        offer_none_of(pool, current)
+        offer_none_of(pool, 1, current)
         mb = sample_mixed_replay(pool, 8)
         assert len(mb.inputs) == 8
         # every item comes from the current batch
@@ -235,9 +236,8 @@ class TestMixedReplay:
         pool = DataPool(ROOM, seed=1)
         for t in range(1, 5):
             offer_step(pool, t, np.full((10, 1), float(t)), np.full(10, t, dtype=np.int64))
-        current = StreamBatch(t=5, inputs=np.full((10, 1), 5.0),
-                              labels=np.full(10, 5, dtype=np.int64))
-        offer_none_of(pool, current)
+        current = Minibatch(np.full((10, 1), 5.0), np.full(10, 5, dtype=np.int64))
+        offer_none_of(pool, 5, current)
         # 200 minibatches, equal to 200 calls with count=1 (TestJoinedDraws)
         labels = sample_mixed_replay(pool, 10, count=200).labels.reshape(200, 10)
         assert ((labels == 5).sum(1) == 5).all()
@@ -247,9 +247,8 @@ class TestMixedReplay:
         pool = DataPool(ROOM, seed=1)
         for t in range(1, 5):
             offer_step(pool, t, np.full((10, 1), float(t)), np.full(10, t, dtype=np.int64))
-        current = StreamBatch(t=5, inputs=np.full((4, 1), 5.0),
-                              labels=np.full(4, 5, dtype=np.int64))
-        offer_none_of(pool, current)
+        current = Minibatch(np.full((4, 1), 5.0), np.full(4, 5, dtype=np.int64))
+        offer_none_of(pool, 5, current)
         mb = sample_mixed_replay(pool, 40, window=2)
         hist = mb.labels[mb.labels != 5]
         assert set(np.unique(hist)) <= {3, 4}
@@ -258,9 +257,8 @@ class TestMixedReplay:
         pool = DataPool(ROOM, seed=2)
         for t in range(1, 4):
             offer_step(pool, t, np.full((5, 1), float(t)), np.full(5, t, dtype=np.int64))
-        current = StreamBatch(t=4, inputs=np.full((5, 1), 4.0),
-                              labels=np.full(5, 4, dtype=np.int64))
-        offer_none_of(pool, current)
+        current = Minibatch(np.full((5, 1), 4.0), np.full(5, 4, dtype=np.int64))
+        offer_none_of(pool, 4, current)
         mb = sample_mixed_replay(pool, 6, count=100)
         assert set(np.unique(mb.labels[mb.labels != 4])) == {1, 2, 3}
 
@@ -293,7 +291,7 @@ class TestMixedReplayMatchesScan:
             m = data.draw(st.sampled_from([2, 4, 8]), label="m")
             g = copy.deepcopy(pool._replay_rng)
             mb = sample_mixed_replay(pool, m, window=window)
-            xs, ys = scan_mixed_replay(pool, current, m, window, g)
+            xs, ys = scan_mixed_replay(pool, t, current, m, window, g)
             assert mb.inputs.tobytes() == xs.tobytes()
             assert mb.labels.tobytes() == ys.tobytes()
             np.testing.assert_equal(pool._replay_rng.bit_generator.state,
@@ -321,10 +319,11 @@ class TestJoinedDraws:
         g = copy.deepcopy(pool._replay_rng)
         m = 2 * half
         if mixed:
-            current = make_batch(len(sizes) + 1, n=n_current, seed=seed)
-            offer_none_of(pool, current)
+            t = len(sizes) + 1
+            current = make_batch(t, n=n_current, seed=seed)
+            offer_none_of(pool, t, current)
             block = sample_mixed_replay(pool, m, window=window, count=count)
-            xs, ys = consecutive_draws(scan_mixed_replay, count, pool, current, m, window, g)
+            xs, ys = consecutive_draws(scan_mixed_replay, count, pool, t, current, m, window, g)
         else:
             block = sample_pure_replay(pool, m, count=count)
             xs, ys = consecutive_draws(per_call_pure_replay, count, pool, m, g)
@@ -415,7 +414,7 @@ class TestPlannedSteps:
         g = substream(seed, rngmod.REPLAY)
         for t in range(1, horizon + 1):
             run_protocol_step(run, t)
-            batch = next_batch(run.stream_spec, t)
+            batch = Minibatch(*step_batch(run.stream_spec, t, rngmod.STREAM))
             hold = step_coins(seed, t, n) < holdout_fraction
             rids = ref.seen_count + ref_hold.seen_count + np.arange(n, dtype=np.int64)
             for pool, keep in ((ref, ~hold), (ref_hold, hold)):
@@ -426,7 +425,7 @@ class TestPlannedSteps:
                 assert rows == []
                 continue
             if mixed:
-                xs, ys = consecutive_draws(scan_mixed_replay, iters, ref, batch, m, window, g)
+                xs, ys = consecutive_draws(scan_mixed_replay, iters, ref, t, batch, m, window, g)
             else:
                 xs, ys = consecutive_draws(per_call_pure_replay, iters, ref, m, g)
             assert np.concatenate([mb.inputs for mb in rows]).tobytes() == xs.tobytes()

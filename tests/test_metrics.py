@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oclopt import metrics
-from oclopt.datapool import DataPool, EmptyPoolError
+from oclopt.datapool import UNSERVED, DataPool, EmptyPoolError
 from oclopt.metrics import (MetricError, MetricLedger, RunningMean, forward_transfer,
                             information_retention)
 from oclopt.model import ModelSpec, init_params, predict
 from oclopt.rng import substream
 from oclopt.stream import RotatingGaussianSpec, StreamSpec, eval_window
-from tests.oracles import ROOM, offer_step, prefix_mean, retained_rows
+from tests.oracles import ROOM, integrate, offer_step, prefix_mean, retained_rows
 
 
 def softmax_spec():
@@ -217,16 +217,14 @@ class TestRetentionInvariants:
     def test_stationary_retention_has_no_trend(self):
         # frozen model, zero-drift stream: P_IR is stable in t up to sampling
         # noise in the accumulating holdout
-        from oclopt.datapool import update as pool_update
-
         stream = rotating_stream(omega=0.0, horizon=200, seed=4)
         spec = softmax_spec()
         theta = init_params(spec, substream(8, 6))
         pool = DataPool(ROOM, seed=4)
         holdout = DataPool(ROOM, seed=4, holdout_fraction=0.3)
-        values = []
+        values, served = [], UNSERVED
         for t in range(1, 201):
-            pool_update(pool, holdout, stream, t)
+            served = integrate(pool, holdout, stream, t, served)
             if t % 40 == 0:
                 values.append(information_retention(spec, theta, holdout, t))
         assert max(values) - min(values) < 0.05
@@ -234,8 +232,6 @@ class TestRetentionInvariants:
     def test_retention_independent_of_training_capacity(self):
         # the holdout route never touches the training pool, so retention of a
         # fixed model is identical whatever the training capacity
-        from oclopt.datapool import update as pool_update
-
         stream = rotating_stream(omega=0.01, horizon=50, seed=9)
         spec = softmax_spec()
         theta = init_params(spec, substream(8, 6))
@@ -243,7 +239,8 @@ class TestRetentionInvariants:
         for capacity in (ROOM, 64, 8):
             pool = DataPool(capacity=capacity, seed=9)
             holdout = DataPool(ROOM, seed=9, holdout_fraction=0.2)
+            served = UNSERVED
             for t in range(1, 51):
-                pool_update(pool, holdout, stream, t)
+                served = integrate(pool, holdout, stream, t, served)
             values.append(information_retention(spec, theta, holdout, 50))
         assert values[0] == values[1] == values[2]

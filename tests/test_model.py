@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oclopt.datapool import Minibatch
-from oclopt.model import (ModelSpec, Workspace, init_params, loss_and_grad, predict,
-                          step_ahead_performance, validation_performance)
-from tests.oracles import (frozen_loss_and_grad, frozen_predict, frozen_step_ahead_performance,
-                           frozen_validation_performance)
+from oclopt.model import (ModelSpec, Workspace, check_batch, init_params, loss_and_grad,
+                          predict, step_ahead_performance, validation_performance)
+from tests.oracles import (frozen_check_batch, frozen_loss_and_grad, frozen_predict,
+                           frozen_step_ahead_performance, frozen_validation_performance)
 
 
 def fd_gradient(spec, theta, batch, h=1e-5):
@@ -241,6 +241,35 @@ class TestScoresMatchFrozen:
                             frozen_validation_performance(spec, theta, batch, metric))
 
 
+def accepts(check, spec, batch) -> bool:
+    try:
+        check(spec, batch)
+    except ValueError:
+        return False
+    return True
+
+
+class TestLabelCheckMatchesFrozen:
+    # one reduction over the labels viewed unsigned must accept and reject
+    # what a minimum and a maximum did, for every integer dtype: negative
+    # labels, labels at or past the class count, and class counts past the
+    # largest label a narrow dtype holds
+    @settings(max_examples=400, deadline=None)
+    @given(dtype=st.sampled_from([np.int8, np.int16, np.int32, np.int64,
+                                  np.uint8, np.uint16, np.uint32, np.uint64]),
+           n_classes=st.integers(2, 20) | st.sampled_from([127, 128, 129, 255, 256, 257]),
+           data=st.data())
+    def test_label_check_equals_the_frozen_check(self, dtype, n_classes, data):
+        info = np.iinfo(dtype)
+        near = st.integers(max(info.min, -3), min(info.max, n_classes + 2))
+        labels = data.draw(st.lists(near | st.integers(info.min, info.max),
+                                    min_size=1, max_size=6), label="labels")
+        spec = ModelSpec(kind="linear-softmax", loss="cross-entropy", d_in=2,
+                         n_classes=n_classes)
+        batch = Minibatch(np.zeros((len(labels), 2)), np.array(labels, dtype=dtype))
+        assert accepts(check_batch, spec, batch) == accepts(frozen_check_batch, spec, batch)
+
+
 class TestAccuracy:
     def spec(self):
         return ModelSpec(kind="linear-softmax", loss="cross-entropy", d_in=2,
@@ -346,8 +375,9 @@ class TestNoiseWitness:
         # quadratic stream: single-observation gradients deviate from the
         # batch-mean gradient by at most l_smooth * noise_radius * 2 (each
         # observation is within noise_radius of the center)
-        from oclopt.stream import DriftingQuadraticSpec, StreamSpec, next_batch
-        from tests.oracles import grad_at
+        from oclopt.rng import STREAM
+        from oclopt.stream import DriftingQuadraticSpec, StreamSpec
+        from tests.oracles import grad_at, step_batch
 
         quad = DriftingQuadraticSpec(dim=3, mu=0.4, l_smooth=1.2,
                                      center0=(1.0, 0.0, -1.0),
@@ -358,11 +388,11 @@ class TestNoiseWitness:
                          curvature=tuple(quad.eigenvalues()))
         rng = np.random.default_rng(0)
         theta = rng.standard_normal(3)
-        batch = next_batch(stream, 1)
+        batch = Minibatch(*step_batch(stream, 1, STREAM))
         # true gradient of the per-step objective at the noiseless center
         true_grad = grad_at(quad, theta, 1)
         rho = quad.noise_bound()
-        for i in range(batch.n):
+        for i in range(len(batch.inputs)):
             single = Minibatch(batch.inputs[i:i + 1], batch.labels[i:i + 1])
             _, g = loss_and_grad(spec, theta, single)
             assert np.linalg.norm(g - true_grad) <= rho + 1e-12

@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 
 from oclopt import rng as rngmod
 from oclopt import stream as stream_module
-from oclopt.datapool import UNSERVED, DataPool, sample_pure_replay, update
+from oclopt.datapool import UNSERVED, DataPool, Minibatch, sample_pure_replay
 from oclopt.harness import (PRESET_NAMES, ProtocolError, build_stream_spec,
                             expand_variants, preset, run_protocol_step)
 from oclopt.rng import BLOCK, substream
 from oclopt.stream import (DriftingQuadraticSpec, HorizonError, PiecewiseTaskSpec,
-                           RotatingGaussianSpec, StreamSpec, _labels, eval_window, next_batch)
-from tests.oracles import (ROOM, grad_at, step_batch, step_coins, step_window,
+                           RotatingGaussianSpec, StreamSpec, _labels, eval_window,
+                           training_block)
+from tests.oracles import (ROOM, grad_at, integrate, step_batch, step_coins, step_window,
                            stored_items)
 
 
@@ -44,17 +45,26 @@ def piecewise_spec(horizon=60, seed=11, task_length=10, n_classes=6, cpt=2, batc
                       horizon=horizon, seed=seed, piecewise=pw)
 
 
+def batch_at(spec, t):
+    """Step t's training batch as runs are served it: the first row of
+    ``training_block(spec, t)``."""
+    inputs, labels = training_block(spec, t)
+    return Minibatch(inputs[0], labels[0])
+
+
 class TestNextBatch:
+    """A step's training batch, read as runs are served it (``batch_at``)."""
+
     def test_determinism_same_seed(self):
         spec = rotating_spec()
-        a, b = next_batch(spec, 1), next_batch(spec, 1)
+        a, b = batch_at(spec, 1), batch_at(spec, 1)
         assert np.array_equal(a.inputs, b.inputs)
         assert np.array_equal(a.labels, b.labels)
 
     def test_random_access_matches_sequential(self):
         spec = rotating_spec()
-        sequential = [next_batch(spec, t) for t in range(1, 6)]
-        assert np.array_equal(next_batch(spec, 4).inputs, sequential[3].inputs)
+        sequential = [batch_at(spec, t) for t in range(1, 6)]
+        assert np.array_equal(batch_at(spec, 4).inputs, sequential[3].inputs)
 
     def test_zero_drift_is_stationary(self):
         spec = quad_spec(v=(0.0, 0.0))
@@ -102,19 +112,24 @@ class TestNextBatch:
                 assert np.array_equal(table, scalar_table(rot, t, spec.d_in)), (spec, t)
 
     def test_horizon_exceeded(self):
-        spec = rotating_spec(horizon=10)
+        # a step past the horizon is refused when its block would be planned,
+        # and step 0 is refused before any step
+        run = _FakeRun()
+        run.stream_spec = rotating_spec(horizon=10)
+        with pytest.raises(ProtocolError):
+            run_protocol_step(run, 0)
+        for t in range(1, 11):
+            run_protocol_step(run, t)
         with pytest.raises(HorizonError):
-            next_batch(spec, 11)
-        with pytest.raises(HorizonError):
-            next_batch(spec, 0)
+            run_protocol_step(run, 11)
 
     def test_eval_batch_differs_from_training_batch(self):
         spec = rotating_spec()
-        assert not np.array_equal(next_batch(spec, 3).inputs, eval_window(spec, 3, 3)[0])
+        assert not np.array_equal(batch_at(spec, 3).inputs, eval_window(spec, 3, 3)[0])
 
     def test_piecewise_active_classes_switch_and_cycle(self):
         spec = piecewise_spec(task_length=10, n_classes=6, cpt=2)
-        served = {t: set(next_batch(spec, t).labels.tolist()) for t in (1, 10, 11, 21, 31)}
+        served = {t: set(batch_at(spec, t).labels.tolist()) for t in (1, 10, 11, 21, 31)}
         assert served[1] == {0, 1}
         assert served[10] == {0, 1}
         assert served[11] == {2, 3}
@@ -134,7 +149,7 @@ class TestNextBatch:
         spec = quad_spec(noise=0.4, batch=64)
         q = spec.quadratic
         for t in (1, 9):
-            batch = next_batch(spec, t)
+            batch = batch_at(spec, t)
             dev = np.linalg.norm(batch.inputs - q.center(t), axis=1)
             assert np.all(dev <= 0.4 + 1e-12)
 
@@ -163,18 +178,18 @@ class TestServedDraws:
         edges = [t for t in (1, BLOCK, BLOCK + 1, 2 * BLOCK, horizon) if t <= horizon]
         t = data.draw(st.sampled_from(edges) | st.integers(1, horizon), label="t")
         first = data.draw(st.integers(max(1, t - BLOCK - 2), t), label="first")
-        batch, (inputs, labels) = next_batch(spec, t), step_batch(spec, t, rngmod.STREAM)
-        assert batch.t == t and same(batch.inputs, inputs) and same(batch.labels, labels)
+        batch, (inputs, labels) = batch_at(spec, t), step_batch(spec, t, rngmod.STREAM)
+        assert same(batch.inputs, inputs) and same(batch.labels, labels)
         assert not (batch.inputs.flags.writeable or batch.labels.flags.writeable)
         assert all(map(same, eval_window(spec, t, t), step_batch(spec, t, rngmod.EVAL)))
         window = eval_window(spec, first, t)
         assert all(map(same, window, step_window(spec, first, t, rngmod.EVAL)))
         assert same(eval_window(spec, first, first)[0], step_batch(spec, first, rngmod.EVAL)[0])
-        # coins are drawn when a step's offers are planned: here for the steps
-        # from first on, then from t on unless the plan made at first holds t
+        # coins are drawn when offers are planned: here for the steps from
+        # first on, then for those from t on
         pool, holdout = DataPool(ROOM, seed=seed), DataPool(ROOM, seed=seed, holdout_fraction=0.5)
         for step in sorted({first, t}):
-            update(pool, holdout, spec, step)
+            integrate(pool, holdout, spec, step)
             hold = step_coins(seed, step, spec.batch_size) < 0.5
             rows = step_batch(spec, step, rngmod.STREAM)
             for target, keep in ((pool, ~hold), (holdout, hold)):
@@ -230,7 +245,7 @@ class TestBlockLabels:
         spec = make(horizon=40, seed=9, batch=5)
         monkeypatch.setattr(stream_module, "_labels", rejecting)
         for t in (1, 2, 3, 4, 40):
-            batch = next_batch(spec, t)
+            batch = batch_at(spec, t)
             assert all(map(same, (batch.inputs, batch.labels), step_batch(spec, t, rngmod.STREAM)))
 
 
