@@ -124,6 +124,24 @@ class ScheduleConfig:
 
 
 @dataclass
+class TheoryConfig:
+    k_max: int
+    n_seeds: int
+    alpha0: float
+    configs: list              # [[label, {velocity: speed, schedule: rate kind}], ...]
+    halve_every: int = 250
+
+    def __post_init__(self):
+        if not self.configs:
+            raise ConfigError("theory.configs must list at least one config")
+        for label, p in _labelled(self.configs, "config"):
+            _check(p, {"velocity": "float", "schedule": "str"}, f"config {label!r}",
+                   required=("velocity", "schedule"))
+        if self.k_max < 1:
+            raise ConfigError(f"theory.k_max must be >= 1, got {self.k_max}")
+
+
+@dataclass
 class ExperimentConfig:
     name: str = "experiment"
     seeds: list = field(default_factory=lambda: [0])
@@ -140,8 +158,7 @@ class ExperimentConfig:
     out_dir: Optional[str] = None
     companion: Optional[str] = None       # e.g. ema-replay
     variants: Optional[list] = None       # [[label, {dotted.key: value}], ...]
-    # theory-verify presets only
-    theory: Optional[dict] = None
+    theory: Optional[TheoryConfig] = None  # the bound check (theory-verify presets)
 
     def validate(self):
         """Build every seed's run; the run's constructor owns every other
@@ -157,14 +174,17 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     return dataclasses.asdict(config)
 
 
-def _check(block, kinds: dict, where: str):
-    """Reject a block that is no mapping, its keys that ``kinds`` (key ->
-    annotation) does not name, and values their key's annotation does not take."""
+def _check(block, kinds: dict, where: str, required=()):
+    """Reject a block that is no mapping, keys ``kinds`` (key -> annotation) does not
+    name, ``required`` keys it lacks and values their key's annotation does not take."""
     if not isinstance(block, dict):
         raise ConfigError(f"{where} must be a mapping of keys to values, got {block!r}")
     unknown = set(block) - set(kinds)
     if unknown:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown, key=str)}")
+    missing = [key for key in required if key not in block]
+    if missing:
+        raise ConfigError(f"missing {where} keys: {missing}")
     for key, value in block.items():
         # type() rather than isinstance(): a bool is neither an integer nor a number
         # here, and a string or a number is no bool
@@ -181,8 +201,10 @@ def _check(block, kinds: dict, where: str):
 
 
 def _build(cls, block: dict, where: str):
-    """cls(**block), rejecting unknown keys and values their field's type does not take."""
-    _check(block, {f.name: f.type for f in dataclasses.fields(cls)}, where)
+    """cls(**block), rejecting unknown or missing keys and values of the wrong type."""
+    fields = dataclasses.fields(cls)
+    _check(block, {f.name: f.type for f in fields}, where, [
+        f.name for f in fields if f.default is f.default_factory is dataclasses.MISSING])
     return cls(**block)
 
 
@@ -195,6 +217,8 @@ def config_from_dict(d: dict) -> ExperimentConfig:
              for name, cls in (("stream", StreamConfig), ("model", ModelConfig),
                                ("optimizer", OptimizerConfig), ("replay", ReplayConfig),
                                ("schedule", ScheduleConfig))}
+    if d.get("theory") is not None:
+        parts["theory"] = _build(TheoryConfig, d.pop("theory"), "theory")
     return _build(ExperimentConfig, {**d, **parts}, "top-level")
 
 
@@ -745,45 +769,26 @@ def expand_variants(config: ExperimentConfig):
 
 def _bound_setups(config: ExperimentConfig) -> list:
     """[(label, drifting quadratic, rates alpha_1 .. alpha_{k_max+2})] of every
-    (schedule, drift) combination of a theory-verify config."""
-    if not config.theory:
-        raise ConfigError("config has no theory block; use the theory-verify preset")
-    th, s = config.theory, config.stream
-    # the block and its configs' tables are checked as config blocks are
-    _check(th, {"k_max": "int", "n_seeds": "int", "alpha0": "float", "halve_every": "int",
-                "configs": "list"}, "theory")
-    try:
-        setups = _labelled(th["configs"], "config")
-        for label, p in setups:
-            _check(p, {"velocity": "float", "schedule": "str"}, f"config {label!r}")
-        if th["k_max"] < 1:
-            raise ValueError(f"k_max must be >= 1, got {th['k_max']!r}")
-        return [(label, DriftingQuadraticSpec(
-                    dim=s.d_in, mu=s.mu, l_smooth=s.l_smooth, center0=tuple(s.center0),
-                    velocity=tuple(p["velocity"] * np.ones(s.d_in) / np.sqrt(s.d_in)),
-                    noise_radius=s.noise_radius),
-                 make_rate_schedule(p["schedule"], th["alpha0"], th["k_max"] + 2,
-                                    halve_every=th.get("halve_every", 250)))
-                for label, p in setups]
-    except KeyError as e:
-        raise ConfigError(f"theory: missing key {e}") from e
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"theory: {e}") from e
+    (schedule, drift) combination of a theory-verify config: the run's quadratic
+    at each config's drift speed, spread evenly over its axes."""
+    th, d = config.theory, config.stream.d_in
+    if th is None or config.stream.kind != "drifting-quadratic":
+        raise ValueError("needs this block and a drifting-quadratic stream, as in theory-verify")
+    q = build_stream_spec(config, config.seeds[0]).quadratic
+    return [(label, dataclasses.replace(q, velocity=tuple(np.full(d, p["velocity"]) / np.sqrt(d))),
+             make_rate_schedule(p["schedule"], th.alpha0, th.k_max + 2, th.halve_every))
+            for label, p in _labelled(th.configs, "config")]
 
 
 def verify_bounds_from_config(config: ExperimentConfig) -> list:
     """[(label, BoundReport)] of every (schedule, drift) combination of a
-    theory-verify config."""
-    setups, th = _bound_setups(config), config.theory
-    if not isinstance(config.seeds, (list, tuple)) or not config.seeds:
-        raise ConfigError("seeds must list at least one seed")
-    try:   # verify_bound checks n_seeds and the rates before it simulates
-        return [(label, verify_bound(quad, alphas, th["k_max"], n_seeds=th["n_seeds"],
+    theory-verify config, which must validate as a run first."""
+    th = config.validate().theory
+    try:   # make_rate_schedule checks the rate kind, verify_bound n_seeds and the rates
+        return [(label, verify_bound(quad, alphas, th.k_max, n_seeds=th.n_seeds,
                                      base_seed=config.seeds[0]))
-                for label, quad, alphas in setups]
-    except KeyError as e:
-        raise ConfigError(f"theory: missing key {e}") from e
-    except (TypeError, ValueError) as e:   # AssumptionError is a ValueError
+                for label, quad, alphas in _bound_setups(config)]
+    except ValueError as e:   # AssumptionError is a ValueError
         raise ConfigError(f"theory: {e}") from e
 
 
@@ -791,11 +796,6 @@ def identical_bound_configs(config: ExperimentConfig) -> list:
     """[(earlier label, later label)] of the combinations whose drift and rate
     sequence over the checked horizon are identical, so their results are too
     (for example a halving schedule that never halves before k_max)."""
-    first, pairs = {}, []
-    for label, quad, alphas in _bound_setups(config):
-        key = (quad, alphas.tobytes())
-        if key in first:
-            pairs.append((first[key], label))
-        else:
-            first[key] = label
-    return pairs
+    keys = [(label, (quad, alphas.tobytes())) for label, quad, alphas in _bound_setups(config)]
+    first = {key: label for label, key in reversed(keys)}   # the earliest label of each key
+    return [(first[key], label) for label, key in keys if first[key] != label]

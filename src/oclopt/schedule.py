@@ -119,7 +119,7 @@ class Plateau:
             c2 = k - self.sigma_k >= self.k_r
             c3 = sigma > self.epsilon
             cut = c1 and (c2 or not self.use_c2) and (c3 or not self.use_c3)
-        if cut:
+        if cut and self.current * self.beta_lr > 0.0:   # a cut never reaches a rate of 0
             self.current *= self.beta_lr
             self.best_val, self.best_sigma = val_perf, sigma
             self.val_k = self.sigma_k = k

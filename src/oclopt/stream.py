@@ -73,9 +73,10 @@ class DriftingQuadraticSpec:
             return c0 + v * float(t)
         return c0[None, :] + v[None, :] * t[:, None]
 
-    def loss_at(self, theta: np.ndarray, t: int) -> float:
+    def loss_at(self, theta: np.ndarray, t: int) -> np.ndarray:
+        """The loss at step t of theta, or of each row of theta."""
         d = theta - self.center(t)
-        return 0.5 * float(d @ (self.eigenvalues() * d))
+        return 0.5 * np.sum(d * d * self.eigenvalues(), axis=-1)
 
     def lipschitz(self) -> float:
         return self.l_smooth

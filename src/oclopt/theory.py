@@ -163,8 +163,7 @@ def simulate_sgd_trajectories(quad: DriftingQuadraticSpec, alphas: np.ndarray,
         g_stoch = grad_true + a_eig[None, :] * noise[:, j, :]
         theta = theta - alphas[j] * g_stoch
         max_norm = np.maximum(max_norm, np.linalg.norm(theta, axis=1))
-        diff = theta - quad.center(j + 2)[None, :]
-        lookahead[:, j] = 0.5 * np.sum(diff * diff * a_eig[None, :], axis=1)
+        lookahead[:, j] = quad.loss_at(theta, j + 2)
     return grad_sq, lookahead, max_norm
 
 
@@ -186,7 +185,7 @@ def verify_bound(quad: DriftingQuadraticSpec, alphas: Sequence[float], k_max: in
     stationary = not np.any(np.asarray(quad.velocity))
     grad_sq, lookahead, max_norm = simulate_sgd_trajectories(
         quad, alphas, k_max, n_seeds, base_seed)
-    initial_loss = quad.loss_at(np.zeros(quad.dim), 1)
+    initial_loss = float(quad.loss_at(np.zeros(quad.dim), 1))
     chis = None if stationary else np.asarray(quad.chi(np.arange(1, k_max + 2), radius))
     mean_grad = grad_sq.mean(axis=0)
     sd_grad = grad_sq.std(axis=0, ddof=1)

@@ -30,6 +30,9 @@ HARNESS = "src/oclopt/harness.py"
 SCHEDULE = "src/oclopt/schedule.py"
 RATE_TESTS = ("tests/test_schedule.py", "tests/test_golden_artifacts.py")
 BAD_CONFIG_TESTS = ("tests/test_harness.py::TestCli::test_out_of_range_value_is_a_config_error",)
+SEED_TESTS = ("tests/test_harness.py::TestCli::test_every_seed_must_be_a_non_negative_integer",)
+OPTIM = "src/oclopt/optim.py"
+AVERAGER_TESTS = ("tests/test_optim.py::TestAmaStep",)
 MODEL = "src/oclopt/model.py"
 MODEL_TESTS = ("tests/test_model.py",)
 DATAPOOL = "src/oclopt/datapool.py"
@@ -142,6 +145,22 @@ MUTANTS = {
     "fold-plan-drops-last-fold": (
         HARNESS, "folds = np.arange(self.k // k_v + 1, done[-1] // k_v + 1)",
         "folds = np.arange(self.k // k_v + 1, done[-1] // k_v)", FOLD_TESTS),
+    "fold-plan-counts-empty-pool-steps": (
+        HARNESS, "            iters[:len(pool_sizes)] *= pool_sizes > 0\n", "", FOLD_TESTS),
+    "arrival-ahead-one-step-late": (
+        DATAPOOL, '"right") + (first - 1)', '"right") + first', STEP_TESTS),
+    "mixed-draws-past-overwrite": (
+        DATAPOOL, "n, n_steps = source.block[1].shape[1], source.calm[k] - k",
+        "n, n_steps = source.block[1].shape[1], len(source.counts) - k", STEP_TESTS),
+    "theory-block-not-built": (
+        HARNESS, '        parts["theory"] = _build(TheoryConfig, d.pop("theory"), "theory")\n',
+        "        pass\n", BAD_CONFIG_TESTS),
+    "verify-bounds-skips-validation": (
+        HARNESS, "th = config.validate().theory", "th = config.theory", SEED_TESTS),
+    "delta-below-one-accepted": (
+        OPTIM, "if self.delta < 1.0:", "if self.delta <= 0.0:", AVERAGER_TESTS),
+    "plateau-cut-reaches-zero": (
+        SCHEDULE, "if cut and self.current * self.beta_lr > 0.0:", "if cut:", RATE_TESTS),
 }
 
 

@@ -136,7 +136,7 @@ def test_criterion_04_theorem_bounds():
         all(c.t3 == 0.0 for c in rep.checkpoints) and rep.all_hold
         for rep in stationary)
     n_cfg = len(reports)
-    n_seeds = cfg.theory["n_seeds"]
+    n_seeds = cfg.theory.n_seeds
     report(4, all_hold and stationary_two_term and n_cfg >= 6 and n_seeds >= 20
            and elapsed < 300.0,
            f"bound holds within 2 se at every checkpoint for {n_cfg} "

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oclopt import datapool, harness
@@ -165,7 +165,7 @@ class TestConfig:
             cfg.variants[-1][1]["stream.horizon"] = 7
             cfg.variants.reverse()
         if cfg.theory:
-            cfg.theory["configs"].pop()
+            cfg.theory.configs.pop()
         cfg.stream.center0.append(9.0)
         assert preset_sha256(preset(name)) == PRESET_SHA256[name]
 
@@ -599,13 +599,13 @@ class TestComputeAccounting:
 class TestTheoryConfig:
     def test_theory_preset_has_at_least_six_configs(self):
         cfg = preset("theory-verify")
-        assert len(cfg.theory["configs"]) >= 6
+        assert len(cfg.theory.configs) >= 6
 
     def test_verify_bounds_small(self):
         cfg = preset("theory-verify")
-        cfg.theory["k_max"] = 200
-        cfg.theory["n_seeds"] = 6
-        cfg.theory["configs"] = cfg.theory["configs"][:2]
+        cfg.theory.k_max = 200
+        cfg.theory.n_seeds = 6
+        cfg.theory.configs = cfg.theory.configs[:2]
         reports = verify_bounds_from_config(cfg)
         assert len(reports) == 2
         assert all(rep.all_hold for _, rep in reports)
@@ -682,7 +682,8 @@ class TestCli:
             "stream.mu=0", "stream.d_in=3", "stream.noise_radius=-1")),
         pytest.param("adam-base", "optimizer.beta1=1.0", id="optimizer.beta1=1.0"),
         *(pytest.param("main-comparison", o, id=o) for o in (
-            "optimizer.delta=0.5", "schedule.kind=constant schedule.alpha0=0",
+            "optimizer.delta=0.5", "optimizer.delta=0.5 optimizer.gamma0=0.4",
+            "schedule.kind=constant schedule.alpha0=0",
             "ft_k1=0", "val_batch_size=-1", "stream.horizon=1.5", "optimizer.delta=x")),
         # a rate that is not a finite positive number, and a C3 threshold no
         # sigma can pass
@@ -698,6 +699,9 @@ class TestCli:
         *(pytest.param("theory-verify", o, id=o) for o in (
             'stream.center0=["a",1,1,1]', "stream.center0=[true,1,1,1]",
             "stream.velocity=0")),
+        # the theory block is checked at load, by every command
+        *(pytest.param("theory-verify", o, id=o) for o in (
+            'theory.k_max="x"', 'theory.configs=[["a",{"velocity":0}]]', "theory.configs=[]")),
         # a companion no run knows, and a config block that is no mapping
         *(pytest.param("main-comparison", o, id=o) for o in (
             "companion=ema-replay-typo", "stream=5")),
@@ -728,6 +732,10 @@ class TestCli:
         ["verify-bounds", "--override", 'theory.configs=[["a",{"velocity":0}]]'],
         ["verify-bounds", "--override", 'theory.configs=[["a",{"schedule":"constant"}]]'],
         ["verify-bounds", "--override", "seeds=[]"],
+        ["verify-bounds", "--override", "theory.configs=[]"],
+        # the bound check runs on the run's drifting quadratic
+        ["verify-bounds", "--override", "stream.kind=rotating-gaussian", "--override",
+         "model.kind=linear-softmax", "--override", "model.loss=cross-entropy"],
         # theory values are checked as config fields are, not cast
         *(["verify-bounds", "--override", o] for o in (
             "theory.k_max=20.9", "theory.k_max=true", 'theory.k_max="20"',
@@ -746,6 +754,7 @@ class TestCli:
                           '["a",{"velocity":0.01,"schedule":"constant"}]]'))],
         ids=["k_max=x", "k_max=-5", "n_seeds=1", "alpha0=3", "run-missing-file",
              "verify-bounds-missing-file", "no-schedule", "no-velocity", "no-seeds",
+             "no-configs", "rotating-stream",
              "k_max=20.9", "k_max=true", "k_max-string", "velocity-string", "velocity-bool",
              "unknown-config-key", "unknown-theory-key", "no-n_seeds", "label-escapes-out",
              "label-not-a-string", "label-twice"])
@@ -775,17 +784,35 @@ class TestCli:
         assert code == 2
         assert "at least one seed" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("seeds", ["[0,-1]", "[0,true]", "[0,1.5]", '[0,\"1\"]'])
-    def test_every_seed_must_be_a_non_negative_integer(self, seeds, tmp_path,
+    @pytest.mark.parametrize("command,seeds", [
+        *(pytest.param("preset", s, id=s) for s in ("[0,-1]", "[0,true]", "[0,1.5]", '[0,"1"]')),
+        *(pytest.param("verify-bounds", s, id=f"verify-bounds-{s}")
+          for s in ("[1.5]", "[true]", "[-1]"))])
+    def test_every_seed_must_be_a_non_negative_integer(self, command, seeds, tmp_path,
                                                         monkeypatch, capsys):
         # every seed's run is built during validation, so a bad later seed
-        # stops the sweep before any run writes output
+        # stops the sweep before any run writes output; verify-bounds
+        # validates its config as a run
         monkeypatch.chdir(tmp_path)
-        code = cli_main(["preset", "main-comparison", "--override", "stream.horizon=30",
-                         "--override", f"seeds={seeds}", "--run"])
+        args = {"preset": ["preset", "main-comparison", "--override", "stream.horizon=30",
+                           "--run"],
+                "verify-bounds": ["verify-bounds", "--out", "runs", "--override",
+                                  "theory.k_max=20", "--override", "theory.n_seeds=2"]}
+        code = cli_main(args[command] + ["--override", f"seeds={seeds}"])
         assert code == 2
         assert "seeds must be non-negative integers" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
+
+    def test_a_plateau_cut_never_reaches_a_rate_of_0(self, tmp_path, monkeypatch):
+        # 0.05 * 1e-100 ** 4 underflows to 0.0, a rate no optimizer step takes
+        monkeypatch.chdir(tmp_path)
+        overrides = {"variants": None, "schedule.kind": "rwp", "schedule.k_r": 1,
+                     "schedule.beta_lr": 1e-100, "stream.horizon": 300}
+        args = [a for key, value in overrides.items()
+                for a in ("--override", f"{key}={json.dumps(value)}")]
+        assert cli_main(["preset", "main-comparison", *args, "--run"]) == 0
+        lr_trace = run_experiment(apply_overrides(preset("main-comparison"), overrides)).lr_trace
+        assert min(lr_trace) > 0 and lr_trace[-1] < 1e-300
 
     def test_unknown_schedule_metric_is_a_config_error(self):
         with pytest.raises(ConfigError, match="unknown schedule metric 'acuracy'"):
@@ -942,6 +969,76 @@ class TestValidationBuildsTheRun:
                 run_experiment(cfg)
             except DivergenceError:
                 pass
+
+
+# every key of the config schema, each block's own key included, with its
+# value in a preset, and the string values the config's kinds and modes take
+SCHEMA = {key: value for name in ("theory-verify", "main-comparison")
+          for block, tree in config_to_dict(preset(name)).items()
+          for key, value in [(block, tree)] + [(f"{block}.{k}", v) for k, v in
+                                               (tree.items() if isinstance(tree, dict) else ())]}
+WORDS = ("constant", "rwp", "malr", "cyclic", "trace", "invsqrt", "halving", "sgd", "adam",
+         "none", "ema", "ama", "pure", "mixed", "accuracy", "loss", "drifting-quadratic",
+         "rotating-gaussian", "piecewise-task", "quadratic-probe", "linear-softmax",
+         "mlp-1-hidden", "cross-entropy", "quadratic", "ema-replay", "a", "b")
+# integers stay small, so that no example asks for a large allocation
+NUMBERS = st.integers(-3, 64) | st.floats()
+SCALARS = st.none() | st.booleans() | NUMBERS | st.sampled_from(WORDS)
+# [[label, {key: value}], ...] as variants and theory.configs take them
+ENTRIES = st.lists(st.tuples(st.sampled_from(("a", "b")), st.dictionaries(
+    st.sampled_from(("velocity", "schedule", *SCHEMA)), SCALARS, max_size=2)).map(list),
+    max_size=2)
+VALUES = st.recursive(SCALARS | ENTRIES, lambda inner: st.lists(inner, max_size=3)
+                      | st.dictionaries(st.sampled_from(WORDS + tuple(SCHEMA)), inner,
+                                        max_size=3), max_leaves=6)
+
+
+def overrides_of(key):
+    """(key, value): a value of the type the key's preset value has, or any
+    JSON value."""
+    typed = {bool: st.booleans(), int: st.integers(-3, 64), float: NUMBERS,
+             str: st.sampled_from(WORDS), list: st.lists(NUMBERS, max_size=5) | ENTRIES,
+             type(None): st.integers(-3, 64) | st.sampled_from(WORDS) | ENTRIES}
+    return st.tuples(st.just(key), typed.get(type(SCHEMA.get(key)), VALUES) | VALUES)
+
+
+# the keys that set a run's or the bound check's length, and their largest value
+LENGTHS = {"stream.horizon": 30, "theory.k_max": 20, "theory.n_seeds": 4}
+
+
+class TestCliInputs:
+    @settings(max_examples=80, deadline=None)
+    @given(command=st.sampled_from(("run", "preset", "verify-bounds")),
+           name=st.sampled_from(PRESET_NAMES), flag=st.booleans(),
+           overrides=st.lists(st.sampled_from([*SCHEMA, "nope", "stream.nope"]).flatmap(
+               overrides_of), max_size=3))
+    @example(command="preset", name="main-comparison", flag=True, overrides=[
+        ("variants", None), ("schedule.kind", "rwp"), ("schedule.k_r", 1),
+        ("schedule.beta_lr", 1e-100)]).via("a plateau cut that reached a rate of 0")
+    def test_any_override_exits_with_a_known_code(self, command, name, flag, overrides):
+        # run and verify-bounds read the preset from a file (verify-bounds
+        # from its built-in one unless flag), preset runs it if flag; the
+        # lengths are set first, and a random override keeps them small
+        name = "theory-verify" if command == "verify-bounds" else name
+        short = [(k, v) for k, v in LENGTHS.items()
+                 if name == "theory-verify" or k == "stream.horizon"]
+        short += [(k, min(v, LENGTHS[k]) if k in LENGTHS and type(v) is int else v)
+                  for k, v in overrides]
+        args = [a for k, v in short for a in ("--override", f"{k}={json.dumps(v)}")]
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(), \
+                np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")
+            os.chdir(tmp)
+            try:
+                save_config(preset(name), "config.yaml")
+                argv = {"run": ["run", "config.yaml", "--out", "out"],
+                        "preset": ["preset", name] + ["--run"] * flag,
+                        "verify-bounds": ["verify-bounds"] + ["config.yaml"] * flag}
+                code = cli_main(argv[command] + args)
+            finally:
+                os.chdir(cwd)
+        assert code in (0, 2, 3, 4)
 
 
 # (stream kind, model kind) pairs a run accepts

@@ -2,6 +2,7 @@
 checkpoint round-trips."""
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -165,10 +166,18 @@ class TestAmaStep:
 
     # checked before gamma0 / delta, and with no MA model to carry gamma0
     @pytest.mark.parametrize("n_models,kwargs", [(2, {"delta": 0.0}), (0, {"gamma0": 1.5}),
-                                                 (0, {"gamma0": -0.1})])
+                                                 (0, {"gamma0": -0.1}),
+                                                 (2, {"delta": 0.5, "gamma0": 0.4})])
     def test_bad_weight_parameters_rejected(self, n_models, kwargs):
         with pytest.raises(ValueError, match="need gamma0 in"):
             init_averager(pv(1.0), n_models, **kwargs)
+
+    def test_delta_below_one_is_rejected(self):
+        # with delta = 0.5 a down-move takes weights 0.45 and 0.9 to 0.9 and
+        # 1.8, which the next MA update rejects
+        state = init_averager(pv(1.0), 2, gamma0=0.45, delta=1.0)
+        with pytest.raises(ValueError, match="delta must be >= 1"):
+            dataclasses.replace(state, gammas=[0.45, 0.9], delta=0.5)
 
     @pytest.mark.parametrize("interval", ["k_m", "k_v", "k_w"])
     def test_intervals_below_one_rejected(self, interval):

@@ -74,6 +74,13 @@ class TestRwp:
         assert all(b <= a for a, b in zip(alphas, alphas[1:]))
         assert st.alpha(k) == 0.5 ** st.n_cuts
 
+    def test_a_cut_that_would_reach_zero_is_skipped(self):
+        # a fourth cut by 1e-100 underflows to 0.0, a rate no step can take
+        st = rate("rwp", alpha0=0.05, k_r=1, beta_lr=1e-100)
+        for k in range(1, 10):
+            st.observe(k, 0.0, NAN)
+        assert st.n_cuts == 3 and 0 < st.alpha(k) < 1e-300
+
 
 class TestMalr:
     def test_c3_vetoes_under_threshold(self):
