@@ -24,10 +24,10 @@ gathers again; ``sample_folds`` plans validation minibatches alike. Every
 step of the block, its first included, is ``Served``: ``advance`` moves the
 pools by their plans and writes only the slots a step overwrites, and
 gathered rows are read by index. ``update`` is the only way rows enter a
-pool (``advance`` follows its plans). Planned draws equal draws made one
-call at a time: reservoir draws come one per evicting item in offer order,
-each item's once, and a replay plan serves a step only while the pool
-stands where the plan was made to find it.
+pool, and ``advance``, following its plans, the only way one moves. Planned
+draws equal draws made one call at a time: reservoir draws come one per
+evicting item in offer order, each item's once, and a replay plan serves a
+step only while the pool stands where the plan was made to find it.
 """
 
 from __future__ import annotations
@@ -73,9 +73,9 @@ class _Offers(NamedTuple):
     to slot ``slots[w]`` for w in ``at[i]:at[i + 1]``: one write per slot,
     the step's last item drawn to it, in slot order. Rows read after step i
     stay put through step ``calm[i] - 1``, the last before one that writes.
-    ``items``, the range's (inputs, labels, record ids) in offer order, were
-    gathered from ``block``, the range's stream batches stacked per step,
-    and their appended rows stored when the plan was made."""
+    ``items``, the range's (inputs, labels) in offer order, were gathered
+    from ``block``, the range's stream batches stacked per step, and their
+    appended rows stored when the plan was made."""
 
     first: int
     counts: list
@@ -123,9 +123,9 @@ class _Replay(NamedTuple):
 class DataPool:
     """Capacity-limited item store with reservoir eviction.
 
-    Items are kept in parallel arrays (features, labels, arrival step, record
-    id) of ``capacity`` rows, an integer >= 1 (unlimited: more rows than will
-    be offered), reserved once and committed by the OS as rows are written.
+    Items are kept in parallel arrays (features, labels, arrival step) of
+    ``capacity`` rows, an integer >= 1 (unlimited: more rows than will be
+    offered), reserved once and committed by the OS as rows are written.
     ``seed`` pins the reservoir and replay randomness.
     """
 
@@ -137,7 +137,7 @@ class DataPool:
             raise ValueError("holdout_fraction must be in [0, 1)")
         self.capacity, self.seed, self.holdout_fraction = capacity, seed, holdout_fraction
         self.size = self.seen_count = self.last_step = 0
-        self._xs = self._ys = self._arrival = self._rid = None   # reserved at the first item
+        self._xs = self._ys = self._arrival = None   # reserved at the first item
         self._offers: Optional[_Offers] = None
         self._replay: Optional[_Replay] = None
         self.gathered = (0, (), ())   # (first step, inputs, labels) of the last replay gather
@@ -149,18 +149,17 @@ class DataPool:
 
     # -- storage ------------------------------------------------------------
 
-    def _plan_offers(self, first: int, counts: np.ndarray, block: tuple, rows: np.ndarray,
-                     base: int):
+    def _plan_offers(self, first: int, counts: np.ndarray, block: tuple, rows: np.ndarray):
         """Plan the offers of ``counts[i]`` items at step ``first + i`` from the
         current state: every reservoir draw of the range at once (the item
         with global index i past capacity draws slot j ~ Uniform{0..i}), and,
         per step, algorithm R's writes (item i survives at slot j iff j <
         capacity; a slot drawn twice in one step keeps the later item). The
-        items are the ``rows`` of ``block``'s batches joined in step order
-        (record id: row + ``base``); store every row the range appends (until
-        the pool fills, an item's slot is its offer index)."""
+        items are the ``rows`` of ``block``'s batches joined in step order;
+        store every row the range appends (until the pool fills, an item's
+        slot is its offer index)."""
         self._offers = None   # free the old plan first
-        gathered = tuple(a.reshape(-1, *a.shape[2:]).take(rows, 0) for a in block) + (rows + base,)
+        gathered = tuple(a.reshape(-1, *a.shape[2:]).take(rows, 0) for a in block)
         seen = self.seen_count + np.concatenate(([0], np.cumsum(counts)))
         cap, n_steps = self.capacity, len(counts)
         fill = np.clip(cap - seen[:-1], 0, counts)
@@ -181,13 +180,13 @@ class DataPool:
                                at.tolist(), slots, src, calm.tolist(), gathered, block)
         lo, hi = min(seen[0], cap), min(seen[-1], cap)
         if hi > lo:
-            xs, ys, rids = gathered
+            xs, ys = gathered
             if self._xs is None:   # the first stored items fix the row shapes
                 self._xs = _reserve((cap,) + xs.shape[1:], np.float64)
                 self._ys = _reserve((cap,) + ys.shape[1:], ys.dtype)
-                self._arrival, self._rid = _reserve((cap,), np.int64), _reserve((cap,), np.int64)
+                self._arrival = _reserve((cap,), np.int64)
             new, m = slice(lo, hi), hi - lo
-            self._xs[new], self._ys[new], self._rid[new] = xs[:m], ys[:m], rids[:m]
+            self._xs[new], self._ys[new] = xs[:m], ys[:m]
             self._arrival[new] = seen.searchsorted(np.arange(lo, hi), "right") + (first - 1)
 
     def _ahead(self):
@@ -199,22 +198,6 @@ class DataPool:
             if 0 <= k < len(plan.counts) and plan.seen[k + 1] == self.seen_count:
                 return plan, k
         return None
-
-    def offer(self, xs: np.ndarray, ys: np.ndarray, t: int, rids: np.ndarray):
-        """Offer step t's items, gathered by the offer plan that holds the
-        step (see ``advance``); reservoir-evict past capacity. The step's
-        appended rows are stored already: write the slots its items overwrite
-        and move the counters."""
-        plan = self._offers
-        k = t - plan.first
-        a, b = plan.at[k], plan.at[k + 1]
-        if b > a:
-            j, src = plan.slots[a:b], plan.src[a:b]
-            self._xs[j], self._ys[j] = xs.take(src, 0), ys.take(src, 0)
-            self._arrival[j], self._rid[j] = t, rids.take(src)
-        self.size += plan.fill[k]
-        self.seen_count = plan.seen[k + 1]
-        self.last_step = t
 
     # -- views --------------------------------------------------------------
 
@@ -262,10 +245,9 @@ def update(pool: DataPool, holdout: DataPool, spec, t: int) -> Served:
     A datum goes to the holdout iff its routing coin, drawn from the (seed,
     HOLDOUT, t) substream of the stream's seed, is below the holdout's
     fraction, so the split of any step is re-enumerable; the steps' coins are
-    drawn at once. Record ids continue the global offer sequence across both
-    pools. Each pool plans its offers of the steps: it gathers their items
-    from the served stream block (``stream.training_block``) and stores the
-    rows they append at once. No pool moves: ``advance`` takes each step.
+    drawn at once. Each pool plans its offers of the steps: it gathers their
+    items from the served stream block (``stream.training_block``) and stores
+    the rows they append at once. No pool moves: ``advance`` takes each step.
     Steps must increase, so a pool that has never dropped or overwritten an
     item stores its arrivals in order.
     """
@@ -282,26 +264,27 @@ def update(pool: DataPool, holdout: DataPool, spec, t: int) -> Served:
             g.random(out=row)
         hold = coins < holdout.holdout_fraction
     block = training_block(spec, t)
-    base = pool.seen_count + holdout.seen_count   # record id of step t's first row
     for target, mask in ((pool, ~hold), (holdout, hold)):
         # row j * n + r of the steps is row r of step t + j
-        target._plan_offers(t, mask.sum(1), block, np.flatnonzero(mask), base)
+        target._plan_offers(t, mask.sum(1), block, np.flatnonzero(mask))
     return Served(t, stop, *block, ((pool, pool._offers), (holdout, holdout._offers)))
 
 
 def advance(served: Served, t: int):
-    """Integrate step t of ``served``. Its appended rows are stored, so a
-    pool moves by its offer plan's counters, unless its offers overwrite
-    stored items, which ``DataPool.offer`` writes."""
+    """Integrate step t of ``served`` into each pool: the one way a pool
+    moves. The step's appended rows are stored already, so a pool writes
+    only the slots its offers overwrite (reservoir eviction past capacity),
+    then moves by its offer plan's counters."""
     for pool, plan in served.offers:
         k = t - plan.first
-        if plan.at[k] < plan.at[k + 1]:
-            a, b = plan.seen[k] - plan.seen[0], plan.seen[k + 1] - plan.seen[0]
-            pool.offer(plan.items[0][a:b], plan.items[1][a:b], t, plan.items[2][a:b])
-        else:
-            pool.size += plan.fill[k]
-            pool.seen_count = plan.seen[k + 1]
-            pool.last_step = t
+        a, b = plan.at[k], plan.at[k + 1]
+        if a < b:
+            j, src = plan.slots[a:b], plan.src[a:b] + (plan.seen[k] - plan.seen[0])
+            pool._xs[j], pool._ys[j] = plan.items[0].take(src, 0), plan.items[1].take(src, 0)
+            pool._arrival[j] = t
+        pool.size += plan.fill[k]
+        pool.seen_count = plan.seen[k + 1]
+        pool.last_step = t
 
 
 def steady_sizes(pool: DataPool) -> np.ndarray:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from oclopt.datapool import UNSERVED, advance, update
+from oclopt.datapool import UNSERVED, Served, advance, update
 from oclopt.harness import config_from_dict, run_experiment
 from oclopt.rng import HOLDOUT, REPLAY, RESERVOIR, ball_uniform, substream
 
@@ -41,11 +41,6 @@ def grad_at(quad, theta: np.ndarray, t) -> np.ndarray:
 ROOM = 10_000
 
 
-def record_ids(pool) -> np.ndarray:
-    """Record ids of the items a ``DataPool`` stores, in slot order."""
-    return np.array([], dtype=np.int64) if pool._rid is None else pool._rid[: pool.size].copy()
-
-
 def stored_items(pool):
     """(inputs, labels, arrival steps) copies of the items a ``DataPool``
     stores, in slot order."""
@@ -63,11 +58,10 @@ class ReferencePool:
         self._xs = np.empty((room, d))
         self._ys = np.empty(room, dtype=np.int64)
         self._arrival = np.empty(room, dtype=np.int64)
-        self._rid = np.empty(room, dtype=np.int64)
         self.reservoir_rng = substream(seed, RESERVOIR)
         self.replay_rng = substream(seed, REPLAY)
 
-    def offer(self, xs, ys, t, rids):
+    def offer(self, xs, ys, t):
         n = len(xs)
         if n == 0:
             return
@@ -77,7 +71,6 @@ class ReferencePool:
             self._xs[self.size] = xs[i]
             self._ys[self.size] = ys[i]
             self._arrival[self.size] = t
-            self._rid[self.size] = rids[i]
             self.size += 1
         if fill < n:
             idx = self.seen_count + np.arange(fill, n)
@@ -87,7 +80,6 @@ class ReferencePool:
                     self._xs[j] = xs[i]
                     self._ys[j] = ys[i]
                     self._arrival[j] = t
-                    self._rid[j] = rids[i]
         self.seen_count += n
 
 
@@ -95,7 +87,7 @@ def same_items(pool, ref):
     """A pool stores what a ReferencePool stores, slot for slot and dtype for dtype."""
     assert (pool.size, pool.seen_count) == (ref.size, ref.seen_count)
     if pool.size:
-        for name in ("_xs", "_ys", "_arrival", "_rid"):
+        for name in ("_xs", "_ys", "_arrival"):
             a, b = getattr(pool, name), getattr(ref, name)
             assert a.dtype == b.dtype
             assert a[: pool.size].tobytes() == b[: ref.size].tobytes()
@@ -105,13 +97,11 @@ def offer_step(pool, t, xs, ys, keep=None):
     """Offer the rows of (xs, ys) that the mask ``keep`` selects (all by
     default) to a ``DataPool`` at step t, as ``datapool.update`` does: the
     rows stacked as one step, as ``stream.training_block`` serves steps, and
-    the kept ones planned by the same ``_plan_offers`` call. Row r gets
-    record id ``pool.seen_count + r``. Returns the kept rows' record ids."""
+    the kept ones planned by the same ``_plan_offers`` call, then taken by
+    ``datapool.advance``."""
     rows = np.flatnonzero(np.ones(len(xs), bool) if keep is None else keep)
-    pool._plan_offers(t, np.array([len(rows)]), (xs[None], ys[None]), rows, pool.seen_count)
-    kept_xs, kept_ys, rids = pool._offers.items
-    pool.offer(kept_xs, kept_ys, t, rids)
-    return rids
+    pool._plan_offers(t, np.array([len(rows)]), (xs[None], ys[None]), rows)
+    advance(Served(t, t + 1, xs[None], ys[None], ((pool, pool._offers),)), t)
 
 
 def integrate(pool, holdout, spec, t, served=UNSERVED):

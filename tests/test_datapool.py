@@ -18,7 +18,7 @@ from oclopt.harness import (ExperimentConfig, Run, apply_overrides, expand_varia
 from oclopt.rng import BLOCK, substream
 from oclopt.stream import HorizonError, RotatingGaussianSpec, StreamSpec
 from tests.oracles import (ROOM, ReferencePool, consecutive_draws, integrate, offer_step,
-                           per_call_pure_replay, record_ids, same_items, scan_mixed_replay,
+                           per_call_pure_replay, same_items, scan_mixed_replay,
                            step_batch, step_coins, stored_items)
 
 
@@ -56,7 +56,7 @@ class TestStorage:
             DataPool(capacity)
 
     def test_each_pool_reserves_its_arrays_once(self, monkeypatch):
-        # the unlimited training pool and the holdout each reserve their four
+        # the unlimited training pool and the holdout each reserve their three
         # arrays for the stream's item bound at their first item; no array is
         # replaced as the pools grow
         reserve, reserved = datapool._reserve, []
@@ -73,8 +73,8 @@ class TestStorage:
         for t in range(1, 601):
             assert run.step(t)
         arrays = [getattr(pool, name) for pool in (run.pool, run.holdout)
-                  for name in ("_xs", "_ys", "_arrival", "_rid")]
-        assert len(reserved) == 8
+                  for name in ("_xs", "_ys", "_arrival")]
+        assert len(reserved) == 6
         assert all(any(a is r for r in reserved) for a in arrays)
         assert {len(a) for a in reserved} == {600 * cfg.stream.batch_size}
         assert run.pool.size + run.holdout.size == 600 * cfg.stream.batch_size
@@ -135,16 +135,17 @@ class TestReservoir:
 
 
 class TestHoldoutRouting:
-    def test_disjoint_record_ids(self):
+    def test_disjoint_items(self):
+        # features are continuous draws, so a stored row's bytes name its item
         pool = DataPool(ROOM, seed=3)
         holdout = DataPool(ROOM, seed=3, holdout_fraction=0.2)
         spec, served = small_stream(n=20, horizon=29, seed=3), datapool.UNSERVED
         for t in range(1, 30):
             served = integrate(pool, holdout, spec, t, served)
-        train_ids = set(record_ids(pool))
-        hold_ids = set(record_ids(holdout))
-        assert train_ids.isdisjoint(hold_ids)
-        assert len(train_ids) + len(hold_ids) == 29 * 20
+        train_items, hold_items = ({row.tobytes() for row in stored_items(p)[0]}
+                                   for p in (pool, holdout))
+        assert train_items.isdisjoint(hold_items)
+        assert len(train_items) + len(hold_items) == 29 * 20
 
     def test_zero_fraction_routes_everything_to_training(self):
         pool = DataPool(ROOM, seed=3)
@@ -353,7 +354,8 @@ class TestOffer:
         ref = ReferencePool(capacity, seed, room=max(sum(sizes), 1))
         for t, n in enumerate(sizes, start=1):
             xs, ys = make_items(t, n=n)
-            ref.offer(xs, ys, t, offer_step(pool, t, xs, ys))
+            offer_step(pool, t, xs, ys)
+            ref.offer(xs, ys, t)
             self.assert_matches_reference(pool, ref)
 
     @pytest.mark.parametrize("capacity", [1, 2])
@@ -373,7 +375,8 @@ class TestOffer:
         ref = ReferencePool(capacity, seed, room=capacity)
         for t, n in ((1, capacity), (2, 8)):
             xs, ys = make_items(t, n=n)
-            ref.offer(xs, ys, t, offer_step(pool, t, xs, ys))
+            offer_step(pool, t, xs, ys)
+            ref.offer(xs, ys, t)
         self.assert_matches_reference(pool, ref)
 
 
@@ -416,9 +419,8 @@ class TestPlannedSteps:
             run_protocol_step(run, t)
             batch = Minibatch(*step_batch(run.stream_spec, t, rngmod.STREAM))
             hold = step_coins(seed, t, n) < holdout_fraction
-            rids = ref.seen_count + ref_hold.seen_count + np.arange(n, dtype=np.int64)
             for pool, keep in ((ref, ~hold), (ref_hold, hold)):
-                pool.offer(batch.inputs[keep], batch.labels[keep], t, rids[keep])
+                pool.offer(batch.inputs[keep], batch.labels[keep], t)
             same_items(run.pool, ref)
             same_items(run.holdout, ref_hold)
             if iters == 0 or not (mixed or ref.size):

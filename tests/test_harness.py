@@ -24,7 +24,7 @@ from oclopt.harness import (AVERAGING, ConfigError, ExperimentConfig, PRESET_NAM
                             run_experiment, run_with_companions, save_config,
                             verify_bounds_from_config)
 from oclopt.model import DivergenceError
-from tests.oracles import record_ids, run_from_manifest, stored_items
+from tests.oracles import run_from_manifest, stored_items
 
 
 def tiny_config(**overrides):
@@ -325,7 +325,7 @@ class TestRunExperiment:
 
         def pools(run):
             return [(pool.size, pool.seen_count, pool.last_step,
-                     [a.tobytes() for a in stored_items(pool) + (record_ids(pool),)])
+                     [a.tobytes() for a in stored_items(pool)])
                     for pool in (run.pool, run.holdout)]
 
         with np.errstate(over="ignore", invalid="ignore"):
