@@ -1,6 +1,7 @@
 """Command-line interface for running experiments and bound verification.
 
-Exit codes: 0 ok, 2 config error, 3 divergence, 4 bound-verification failure.
+Exit codes: 0 ok, 2 config error (an unusable input or output path, or a
+malformed metrics.csv, included), 3 divergence, 4 bound-verification failure.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ from pathlib import Path
 
 import yaml
 
-from .harness import (ConfigError, PRESET_NAMES, apply_overrides, config_to_dict,
-                      expand_variants, identical_bound_configs, last_values, load_config,
-                      preset, run_with_companions, save_config, verify_bounds_from_config,
-                      write_csv)
+from .harness import (ConfigError, METRIC_COLUMNS, PRESET_NAMES, apply_overrides,
+                      config_to_dict, expand_variants, identical_bound_configs, last_values,
+                      load_config, preset, run_with_companions, save_config,
+                      verify_bounds_from_config, write_csv)
 from .model import DivergenceError
 
 EXIT_OK = 0
@@ -44,10 +45,17 @@ def _overridden(config, raw=()):
     return apply_overrides(config, overrides)
 
 
-def _run_config(config, out_root: Path) -> int:
+def _job(config, out=None) -> tuple:
+    """(the config's (label, concrete config) variants, every one validated,
+    and the root of their output directories)."""
     variants = list(expand_variants(config))
-    for _, concrete in variants:   # no variant runs unless every one is valid
+    for _, concrete in variants:
         concrete.validate()
+    return variants, Path(out or config.out_dir or f"runs/{config.name}")
+
+
+def _run_job(variants, out_root: Path) -> int:
+    out_root.mkdir(parents=True, exist_ok=True)   # an unusable root fails before any run
     status = EXIT_OK
     for label, concrete in variants:
         for seed in concrete.seeds:
@@ -65,13 +73,8 @@ def _run_config(config, out_root: Path) -> int:
     return status
 
 
-def _run_file(path, overrides=(), out=None) -> int:
-    config = _overridden(load_config(path), overrides)
-    return _run_config(config, Path(out or config.out_dir or f"runs/{config.name}"))
-
-
 def cmd_run(args) -> int:
-    return _run_file(args.config, args.override, args.out)
+    return _run_job(*_job(_overridden(load_config(args.config), args.override), args.out))
 
 
 def cmd_preset(args) -> int:
@@ -82,7 +85,7 @@ def cmd_preset(args) -> int:
     else:
         print(yaml.safe_dump(config_to_dict(config), sort_keys=True), end="")
     if args.run:
-        return _run_config(config, Path(config.out_dir or f"runs/{config.name}"))
+        return _run_job(*_job(config))
     return EXIT_OK
 
 
@@ -91,11 +94,17 @@ def cmd_sweep(args) -> int:
     if not paths:
         print("no configs matched", file=sys.stderr)
         return EXIT_CONFIG
+    jobs = []   # no config runs unless every one is valid
+    for path in paths:
+        try:
+            jobs.append(_job(load_config(path)))
+        except ConfigError as e:
+            raise ConfigError(f"{path}: {e}") from e
     if args.workers <= 1:
-        codes = [_run_file(p) for p in paths]
+        codes = [_run_job(*job) for job in jobs]
     else:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            codes = list(pool.map(_run_file, paths))
+            codes = list(pool.map(_run_job, *zip(*jobs)))
     return max(codes)
 
 
@@ -125,11 +134,30 @@ def cmd_verify_bounds(args) -> int:
     return EXIT_BOUND_FAILED if failed else EXIT_OK
 
 
+def _metric_rows(path) -> list:
+    """The rows of a metrics.csv below its METRIC_COLUMNS header, as floats;
+    a ConfigError naming the line of a wrong header or row."""
+    with open(path, newline="") as f:
+        data = list(csv.reader(f))
+    if data[:1] != [list(METRIC_COLUMNS)]:
+        raise ConfigError(f"{path} line 1: the header is not {','.join(METRIC_COLUMNS)}")
+    rows = []
+    for line, row in enumerate(data[1:], start=2):
+        try:
+            values = [float(v) for v in row]
+        except ValueError:
+            values = []
+        if len(values) != len(METRIC_COLUMNS):
+            raise ConfigError(f"{path} line {line}: expected {len(METRIC_COLUMNS)} "
+                              f"numbers, got {','.join(row)}")
+        rows.append(values)
+    return rows
+
+
 def cmd_report(args) -> int:
     rows = []
     for path in sorted(Path(args.run_dir).rglob("metrics.csv")):
-        with open(path) as f:
-            data = list(csv.reader(f))[1:]   # below the METRIC_COLUMNS header
+        data = _metric_rows(path)
         if data:
             rows.append((str(path.parent.relative_to(args.run_dir)), last_values(data)))
     if not rows:
@@ -189,6 +217,11 @@ def main(argv=None) -> int:
     except DivergenceError as e:
         print(f"diverged: {e}", file=sys.stderr)
         return EXIT_DIVERGED
+    except OSError as e:
+        if e.filename is None:   # no path to blame
+            raise
+        print(f"cannot use {e.filename}: {e.strerror}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

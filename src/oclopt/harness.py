@@ -137,8 +137,13 @@ class TheoryConfig:
         for label, p in _labelled(self.configs, "config"):
             _check(p, {"velocity": "float", "schedule": "str"}, f"config {label!r}",
                    required=("velocity", "schedule"))
-        if self.k_max < 1:
-            raise ConfigError(f"theory.k_max must be >= 1, got {self.k_max}")
+            try:   # the rate kind, and halve_every for a halving one
+                make_rate_schedule(p["schedule"], self.alpha0, 1, self.halve_every)
+            except ValueError as e:
+                raise ConfigError(f"theory config {label!r}: {e}") from e
+        if self.k_max < 1 or self.n_seeds < 2:
+            raise ConfigError(f"theory needs k_max >= 1 and n_seeds >= 2, got "
+                              f"{self.k_max} and {self.n_seeds}")
 
 
 @dataclass
@@ -305,8 +310,8 @@ SCHEDULE_COLUMNS = ("k", "alpha", "sigma", "val_perf", "conditions")
 
 
 def last_values(rows) -> dict:
-    """The last non-NaN p_le, p_ir, p_ft and alpha over metric rows (tuples,
-    or the string rows of a metrics.csv), NaN where a column has none."""
+    """The last non-NaN p_le, p_ir, p_ft and alpha over metric rows (a run's,
+    or those read back from a metrics.csv), NaN where a column has none."""
     last = dict.fromkeys(METRIC_COLUMNS[2:6], float("nan"))
     for row in rows:
         for name, val in zip(METRIC_COLUMNS[2:6], map(float, row[2:6])):
@@ -784,7 +789,7 @@ def verify_bounds_from_config(config: ExperimentConfig) -> list:
     """[(label, BoundReport)] of every (schedule, drift) combination of a
     theory-verify config, which must validate as a run first."""
     th = config.validate().theory
-    try:   # make_rate_schedule checks the rate kind, verify_bound n_seeds and the rates
+    try:   # verify_bound checks the rates against the quadratic
         return [(label, verify_bound(quad, alphas, th.k_max, n_seeds=th.n_seeds,
                                      base_seed=config.seeds[0]))
                 for label, quad, alphas in _bound_setups(config)]

@@ -16,7 +16,7 @@ streams substitute negative loss so all comparisons stay maximizations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,33 +46,33 @@ class RunningMean:
         self.n = 0
 
 
-@dataclass
 class MetricLedger:
-    """Append-only per-step records backing the metric computations."""
+    """Append-only per-step records backing the metric computations: record
+    j, the performance of theta_j on batch j + 1, is made after record j - 1."""
 
-    step_ahead: dict = field(default_factory=dict)   # j -> perf of theta_j on batch j+1
-    # step_ahead[1..n] up to the first missing record, in a float64 buffer
-    # that doubles when full
-    _prefix: np.ndarray = field(default_factory=lambda: np.empty(64), init=False,
-                                repr=False, compare=False)
-    _n: int = field(default=0, init=False, repr=False, compare=False)
+    def __init__(self):
+        self._records, self._n = np.empty(64), 0   # a float64 buffer, doubled when full
+
+    @property
+    def step_ahead(self) -> np.ndarray:
+        """The records made so far, read-only: record j at index j - 1."""
+        view = self._records[:self._n]
+        view.flags.writeable = False
+        return view
 
     def record_step_ahead(self, j: int, perf: float):
-        if j in self.step_ahead:
-            raise MetricError(f"step-ahead record {j} already exists")
-        self.step_ahead[j] = perf
-        while self._n + 1 in self.step_ahead:
-            if self._n == len(self._prefix):
-                self._prefix = np.concatenate((self._prefix, np.empty(self._n)))
-            self._prefix[self._n] = self.step_ahead[self._n + 1]
-            self._n += 1
+        if j != self._n + 1:
+            raise MetricError(f"step-ahead record {j} is not the next one, {self._n + 1}")
+        if self._n == len(self._records):
+            self._records = np.concatenate((self._records, np.empty(self._n)))
+        self._records[self._n] = perf
+        self._n += 1
 
     def learning_efficacy(self, t: int) -> float:
         """Prefix mean over j = 1..t of step-(j+1) performance under theta_j."""
         if t > self._n:
-            missing = [j for j in range(1, t + 1) if j not in self.step_ahead]
-            raise MetricError(f"missing step-ahead records for steps {missing[:5]}")
-        return float(np.mean(self._prefix[:max(t, 0)]))
+            raise MetricError(f"missing step-ahead records for steps {self._n + 1}..{t}")
+        return float(np.mean(self.step_ahead[:max(t, 0)]))
 
 
 def information_retention(spec: ModelSpec, theta: np.ndarray, holdout: DataPool,

@@ -40,6 +40,8 @@ OFFER_TESTS = ("tests/test_datapool.py::TestOffer",)
 STEP_TESTS = ("tests/test_datapool.py::TestPlannedSteps",)
 FOLD_TESTS = ("tests/test_datapool.py::TestPlannedFolds",)
 STREAM = "src/oclopt/stream.py"
+CLI = "src/oclopt/cli.py"
+METRICS = "src/oclopt/metrics.py"
 SERVED_TESTS = ("tests/test_stream.py::TestServedDraws",)
 LABEL_TESTS = ("tests/test_stream.py::TestBlockLabels",)
 SERVED_STEP_TESTS = ("tests/test_harness.py::TestServedSteps",
@@ -161,6 +163,28 @@ MUTANTS = {
         OPTIM, "if self.delta < 1.0:", "if self.delta <= 0.0:", AVERAGER_TESTS),
     "plateau-cut-reaches-zero": (
         SCHEDULE, "if cut and self.current * self.beta_lr > 0.0:", "if cut:", RATE_TESTS),
+    "overwrite-reads-from-block-start": (
+        DATAPOOL, "plan.src[a:b] + (plan.seen[k] - plan.seen[0])", "plan.src[a:b]", STEP_TESTS),
+    "overwrite-keeps-old-arrival": (DATAPOOL, "            pool._arrival[j] = t\n", "",
+                                    OFFER_TESTS),
+    "theory-schedule-unchecked": (
+        HARNESS, 'make_rate_schedule(p["schedule"], self.alpha0, 1, self.halve_every)', "pass",
+        BAD_CONFIG_TESTS),
+    "sweep-validates-as-it-runs": (
+        CLI, "    jobs = []   # no config runs unless every one is valid\n"
+             "    for path in paths:\n"
+             "        try:\n"
+             "            jobs.append(_job(load_config(path)))\n"
+             "        except ConfigError as e:\n"
+             '            raise ConfigError(f"{path}: {e}") from e\n',
+        "    jobs = (_job(load_config(path)) for path in paths)\n",
+        ("tests/test_harness.py::TestCliSweepAndBoundFailure",)),
+    "report-header-unchecked": (
+        CLI, "    if data[:1] != [list(METRIC_COLUMNS)]:", "    if False:",
+        ("tests/test_harness.py::TestCli::test_report_rejects_a_malformed_metrics_file",)),
+    "ledger-order-unchecked": (
+        METRICS, "        if j != self._n + 1:", "        if j < 1:",
+        ("tests/test_metrics.py::TestLearningEfficacy",)),
 }
 
 

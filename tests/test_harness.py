@@ -15,11 +15,12 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oclopt import cli as climod
 from oclopt import datapool, harness
 from oclopt import rng as rngmod
 from oclopt.cli import main as cli_main
-from oclopt.harness import (AVERAGING, ConfigError, ExperimentConfig, PRESET_NAMES,
-                            apply_overrides, config_from_dict, config_to_dict,
+from oclopt.harness import (AVERAGING, METRIC_COLUMNS, ConfigError, ExperimentConfig,
+                            PRESET_NAMES, apply_overrides, config_from_dict, config_to_dict,
                             expand_variants, identical_bound_configs, load_config, preset,
                             run_experiment, run_with_companions, save_config,
                             verify_bounds_from_config)
@@ -699,9 +700,12 @@ class TestCli:
         *(pytest.param("theory-verify", o, id=o) for o in (
             'stream.center0=["a",1,1,1]', "stream.center0=[true,1,1,1]",
             "stream.velocity=0")),
-        # the theory block is checked at load, by every command
+        # the theory block is checked at load, by every command: its rate
+        # kinds, a halving rate's halve_every and its seed count included
         *(pytest.param("theory-verify", o, id=o) for o in (
-            'theory.k_max="x"', 'theory.configs=[["a",{"velocity":0}]]', "theory.configs=[]")),
+            'theory.k_max="x"', 'theory.configs=[["a",{"velocity":0}]]', "theory.configs=[]",
+            'theory.configs=[["x",{"velocity":0.0,"schedule":"bogus"}]]',
+            "theory.halve_every=0", "theory.n_seeds=1")),
         # a companion no run knows, and a config block that is no mapping
         *(pytest.param("main-comparison", o, id=o) for o in (
             "companion=ema-replay-typo", "stream=5")),
@@ -814,6 +818,35 @@ class TestCli:
         lr_trace = run_experiment(apply_overrides(preset("main-comparison"), overrides)).lr_trace
         assert min(lr_trace) > 0 and lr_trace[-1] < 1e-300
 
+    # an output path that cannot be made ends in one line of stderr naming
+    # it and exit 2; run finds it before its first run
+    @pytest.mark.parametrize("args", [
+        ["run", "cfg.yaml", "--out", "afile"],
+        ["verify-bounds", "--override", "theory.k_max=8", "--override", "theory.n_seeds=2",
+         "--out", "afile"],
+        ["preset", "main-comparison", "--out", "afile/x.yaml"]],
+        ids=["run", "verify-bounds", "preset"])
+    def test_an_unusable_output_path_exits_2(self, args, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        save_config(tiny_config(), tmp_path / "cfg.yaml")
+        (tmp_path / "afile").touch()
+        monkeypatch.setattr(climod, "run_with_companions", None)   # no run may start
+        assert cli_main(args) == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith("cannot use afile")
+
+    # report reads only files headed by METRIC_COLUMNS whose rows hold 10 numbers
+    @pytest.mark.parametrize("text,line", [
+        (",".join(METRIC_COLUMNS) + "\n20,20,abc,1,1,0.05,0,0,0,0\n", 2),
+        ("garbage\n1,2,3,4,5,6\n", 1),
+        (",".join(METRIC_COLUMNS) + "\n20,20,1,1,1,0.05,0,0,0,0\n1,2,3,4,5,6\n", 3),
+        ("", 1)], ids=["not-a-number", "wrong-header", "short-row", "empty"])
+    def test_report_rejects_a_malformed_metrics_file(self, text, line, tmp_path, capsys):
+        path = tmp_path / "runs" / "a" / "metrics.csv"
+        path.parent.mkdir(parents=True)
+        path.write_text(text)
+        assert cli_main(["report", str(tmp_path / "runs")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {path} line {line}: ")
+
     def test_unknown_schedule_metric_is_a_config_error(self):
         with pytest.raises(ConfigError, match="unknown schedule metric 'acuracy'"):
             tiny_config(**{"schedule.metric": "acuracy"}).validate()
@@ -881,8 +914,19 @@ class TestCliSweepAndBoundFailure:
         assert (tmp_path / "out0" / "base" / "seed5" / "main" / "metrics.csv").exists()
         assert (tmp_path / "out1" / "base" / "seed5" / "main" / "metrics.csv").exists()
 
+    def test_sweep_validates_every_config_before_the_first_run(self, tmp_path, monkeypatch,
+                                                               capsys):
+        monkeypatch.chdir(tmp_path)
+        for name in "abc":
+            cfg = tiny_config(**({"seeds": []} if name == "b" else {}))
+            cfg.out_dir = f"out-{name}"
+            save_config(cfg, tmp_path / f"{name}.yaml")
+        assert cli_main(["sweep", "*.yaml"]) == 2
+        assert capsys.readouterr().err == ("config error: b.yaml: seeds must list at least "
+                                           "one seed\n")
+        assert not list(tmp_path.glob("out-*"))
+
     def test_bound_violation_exit_code(self, monkeypatch):
-        from oclopt import cli as climod
         from oclopt.theory import BoundCheckpoint, BoundReport
 
         failing = BoundReport(n_seeds=2, lipschitz=1.0, rho=0.0, radius=1.0,

@@ -60,20 +60,20 @@ class TestLearningEfficacy:
         with pytest.raises(MetricError):
             ledger.learning_efficacy(3)
 
-    # records arrive in any order and may leave gaps; the mean is taken over
-    # the same float64 sequence, so it equals the dict walk bit for bit
+    # records arrive in order; the mean is taken over the same float64
+    # sequence, so it equals the dict walk bit for bit
     @settings(max_examples=100, deadline=None)
     @given(perfs=st.lists(st.floats(-1e6, 1e6) | st.sampled_from([0.0, 1.0]), min_size=1,
                           max_size=300), data=st.data())
     def test_prefix_mean_equals_the_dict_walk(self, perfs, data):
-        order = data.draw(st.permutations(range(1, len(perfs) + 1)), label="order")
-        kept = order[:data.draw(st.integers(1, len(order)), label="kept")]
+        n = data.draw(st.integers(1, len(perfs)), label="kept")
         ledger, records = MetricLedger(), {}
-        for j in kept:
+        for j in range(1, n + 1):
             ledger.record_step_ahead(j, perfs[j - 1])
             records[j] = perfs[j - 1]
+        assert ledger.step_ahead.tobytes() == np.array(perfs[:n]).tobytes()
         for t in range(0, len(perfs) + 2):
-            if all(j in records for j in range(1, t + 1)):
+            if t <= n:
                 with np.errstate(invalid="ignore"), warnings.catch_warnings():
                     warnings.simplefilter("ignore")   # t = 0: the mean of nothing
                     got, want = ledger.learning_efficacy(t), prefix_mean(records, t)
@@ -81,6 +81,25 @@ class TestLearningEfficacy:
             else:
                 with pytest.raises(MetricError):
                     ledger.learning_efficacy(t)
+
+    # a run records j = t - 1 at every step t >= 2; any other record is refused
+    # and leaves the ledger as it was
+    @pytest.mark.parametrize("made,refused", [([1, 2], 2), ([1, 2], 4), ([], 2)],
+                             ids=["duplicate", "gap", "out-of-order"])
+    def test_a_record_that_is_not_the_next_raises(self, made, refused):
+        ledger = MetricLedger()
+        for j in made:
+            ledger.record_step_ahead(j, float(j))
+        with pytest.raises(MetricError, match=f"step-ahead record {refused} is not the next"):
+            ledger.record_step_ahead(refused, 0.0)
+        assert ledger.step_ahead.tolist() == [float(j) for j in made]
+
+    def test_step_ahead_is_read_only(self):
+        ledger = MetricLedger()
+        ledger.record_step_ahead(1, 0.5)
+        with pytest.raises(ValueError):
+            ledger.step_ahead[0] = 1.0
+        assert ledger.learning_efficacy(1) == 0.5
 
     def test_prefix_mean_increment_bound(self):
         rng = np.random.default_rng(1)

@@ -1,12 +1,19 @@
-"""The program carries no names that only tests reach.
+"""The program carries no names that only tests reach, and the benchmark's
+tracer names what the program has.
 
 Every module-level function and class in ``src/oclopt``, and every
 non-dunder method of such a class, must be named somewhere in ``src/``
 outside its own definition (decorators and body included). Mentions in
 strings and comments do not count.
+
+``perfbench/worker.py`` wraps program attributes by name and skips those
+that are gone, so a rename would silently empty a per-layer metric. Its
+names are read from its source, not imported, and every one that no longer
+resolves must be listed in ``STALE``.
 """
 
 import ast
+import importlib
 import io
 import tokenize
 from collections import defaultdict
@@ -52,3 +59,49 @@ def unused_names() -> set:
 
 def test_every_src_name_is_used_in_src():
     assert unused_names() == set(ALLOWED)
+
+
+WORKER = SRC.parent.parent / "perfbench" / "worker.py"
+
+# owner.attr -> why perfbench/worker.py traces it although the program has it no more
+STALE = {
+    "harness.ema_step": "EMA is AMA with delta=1 and adaptation off, taken by ama_step",
+    "harness.malr_update": "a rate schedule is a schedule.Plateau the run observes",
+    "harness.rwp_update": "a rate schedule is a schedule.Plateau the run observes",
+    "metrics.eval_batch": "forward transfer reads stream.eval_window",
+    "stream.next_batch": "a step takes its row of the block stream.training_block serves",
+    "datapool.DataPool.checkpoint": "a step that raises ends the run: no pool is rolled back",
+    "datapool.DataPool.restore": "a step that raises ends the run: no pool is rolled back",
+    "datapool.DataPool.offer": "datapool.advance writes the slots a step overwrites",
+}
+
+
+def traced_names() -> list:
+    """(owner expression, attribute) of every name the tracer wraps: each of
+    ``HARNESS_NAMES`` on ``harness``, and each tuple ``install_tracer``
+    adds to ``targets``. Owners are modules of oclopt and their attributes."""
+    names = []
+    for node in ast.walk(ast.parse(WORKER.read_text())):
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "HARNESS_NAMES" for t in node.targets):
+            names += [("harness", attr) for attr, _ in ast.literal_eval(node.value)]
+        elif isinstance(node, ast.AugAssign) and getattr(node.target, "id", None) == "targets":
+            names += [(ast.unparse(owner), ast.literal_eval(attr))
+                      for owner, attr, *_ in (t.elts for t in node.value.elts)]
+    return names
+
+
+def resolve(owner: str):
+    module, *path = owner.split(".")
+    obj = importlib.import_module(f"oclopt.{module}")
+    for attr in path:
+        obj = getattr(obj, attr)
+    return obj
+
+
+def test_every_name_the_tracer_wraps_resolves_or_is_listed_stale():
+    names = traced_names()
+    assert ("harness", "run_protocol_step") in names and ("datapool", "update") in names
+    owners = {owner: resolve(owner) for owner, _ in names}   # every owner resolves
+    assert {f"{owner}.{attr}" for owner, attr in names
+            if not hasattr(owners[owner], attr)} == set(STALE)
