@@ -79,13 +79,14 @@ def cmd_run(args) -> int:
 
 def cmd_preset(args) -> int:
     config = _overridden(preset(args.name), args.override)
+    job = _job(config)   # nothing is written or printed that run would reject
     if args.out:
         save_config(config, args.out)
         print(f"wrote {args.out}")
     else:
         print(yaml.safe_dump(config_to_dict(config), sort_keys=True), end="")
     if args.run:
-        return _run_job(*_job(config))
+        return _run_job(*job)
     return EXIT_OK
 
 
@@ -110,15 +111,15 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify_bounds(args) -> int:
     config = _overridden(load_config(args.config) if args.config else preset("theory-verify"),
-                         args.override)
+                         args.override).validate()
+    out = Path(args.out) if args.out else None
+    if out:   # a bad config or an unusable path fails before the check runs
+        out.mkdir(parents=True, exist_ok=True)
     reports = verify_bounds_from_config(config)
     for earlier, later in identical_bound_configs(config):
         print(f"note: {later} has the drift and rates of {earlier}, so its results "
               "are identical", file=sys.stderr)
     failed = False
-    out = Path(args.out) if args.out else None
-    if out:
-        out.mkdir(parents=True, exist_ok=True)
     for label, report in reports:
         verdict = "HOLDS" if report.all_hold else "VIOLATED"
         print(f"{label}: {verdict} (L={report.lipschitz:.3g} rho={report.rho:.3g} "

@@ -31,8 +31,8 @@ from . import rng as rngmod
 from .datapool import (UNSERVED, DataPool, EmptyPoolError, Minibatch, sample_folds,
                        sample_mixed_replay, sample_pure_replay, steady_sizes)
 from .metrics import MetricLedger, forward_transfer, information_retention
-from .model import (DivergenceError, ModelSpec, Workspace, check_batch, init_params,
-                    loss_and_grad, predict, step_ahead_performance, validation_performance)
+from .model import (DivergenceError, ModelSpec, Workspace, check_batch, gradient, init_params,
+                    predict, step_ahead_performance, validation_performance)
 from .optim import (AmaState, CostCounter, adam_step, ama_step, best_ma, init_adam,
                     init_averager, init_sgd, save_optimizer, sgd_step)
 from .rng import substream
@@ -422,17 +422,20 @@ class Run:
             self.pool = DataPool(items if r.capacity is None else r.capacity, seed=seed)
             self.holdout = DataPool(items, seed=seed, holdout_fraction=r.holdout_fraction)
             theta = init_params(self.model_spec, substream(seed, rngmod.INIT))
-            self.work = Workspace(self.model_spec, theta)   # the base optimizer's theta
-            if o.base == "sgd":
-                self.base = init_sgd(theta, beta=o.momentum)
-            else:
-                self.base = init_adam(theta, beta1=o.beta1, beta2=o.beta2, eps=o.adam_eps)
             n_models = AVERAGING.index(o.averaging)
             # EMA and plain SGD have no weights to adapt, but their validation
             # window still resets every k_w iterations
             self.averager = init_averager(theta, n_models, gamma0=o.gamma0, delta=o.delta,
                                           k_m=o.k_m, k_v=o.k_v, k_w=o.k_w,
                                           adapt=o.adapt or n_models < 2)
+            theta = self.averager.sgd   # the base optimizer steps the models' last row
+            self.work = Workspace(self.model_spec, theta)
+            if o.base == "sgd":
+                self.base = init_sgd(theta, beta=o.momentum)
+            else:
+                self.base = init_adam(theta, beta1=o.beta1, beta2=o.beta2, eps=o.adam_eps)
+            # each model's views and prediction buffers, apart from training's
+            self.predictors = [Workspace(self.model_spec, row) for row in self.averager.models]
         except (TypeError, ValueError) as e:
             raise ConfigError(str(e)) from e
         self.k = 0
@@ -445,9 +448,6 @@ class Run:
         self.val_rng = substream(seed, rngmod.VALIDATION)
         self.folds = (0, (), None)   # (first fold, bounds, rows)
         self.served = UNSERVED      # the block's steps served by index
-
-    def inference_params(self):
-        return best_ma(self.averager) if self.averager.ma else self.base.theta
 
     def plan_folds(self):
         """Plan the validation minibatches of the folds the run reaches from
@@ -480,14 +480,15 @@ class Run:
                                "is not in the fold plan")
         return Minibatch(rows[0][i], rows[1][i])
 
-    def evaluate(self, params, batch) -> float:
+    def evaluate(self, models, batch) -> list:
         # the schedule/validation signal orientation is configurable; the
         # stream metrics always use the natural metric for the model family
-        return validation_performance(self.model_spec, params, batch,
+        return validation_performance(self.model_spec, models, batch,
                                       metric=self.config.schedule.metric)
 
     def predict(self, inputs):
-        return predict(self.model_spec, self.inference_params(), inputs)
+        work = self.predictors[self.averager.i_best - 1]   # best_ma's row
+        return predict(self.model_spec, work.theta, inputs, work)
 
     def update(self, t: int):
         """Run one iteration on each of the step's replay minibatches: taken
@@ -523,11 +524,9 @@ class Run:
         goes to ``schedule_rows``."""
         k = self.k + 1
         alpha = self.rate.alpha(k)
-        loss, grad = loss_and_grad(self.model_spec, self.base.theta, mb, work=self.work)
         self.costs.forward += 1
         self.costs.grad += 1
-        if not math.isfinite(loss):
-            raise DivergenceError(f"non-finite loss at iteration {k}")
+        grad = gradient(self.model_spec, self.base.theta, mb, work=self.work)
         if self.config.optimizer.base == "sgd":
             sgd_step(self.base, grad, alpha)
         else:
@@ -535,8 +534,7 @@ class Run:
         self.costs.update += 1
         self.k = k
         self.lr_trace.append(alpha)
-        avg = ama_step(self.averager, self.base.theta, k, self.sample_validation,
-                       self.evaluate, self.costs)
+        avg = ama_step(self.averager, k, self.sample_validation, self.evaluate, self.costs)
         if k % avg.k_v == 0 and avg.n > 0:   # a fold scored a non-empty window
             row = self.rate.observe(k, avg.best_perf(), avg.sigma())
             if row is not None:
@@ -556,12 +554,12 @@ class Run:
         if t % self.config.eval_every == 0 or t == horizon:
             p_le = self.ledger.learning_efficacy(t - 1) if t >= 2 else float("nan")
             try:
-                p_ir = information_retention(self.model_spec, self.inference_params(),
+                p_ir = information_retention(self.model_spec, best_ma(self.averager),
                                              self.holdout, t)
             except EmptyPoolError:
                 p_ir = float("nan")
             if t + self.ft_k2 <= horizon:
-                p_ft = forward_transfer(self.model_spec, self.inference_params(),
+                p_ft = forward_transfer(self.model_spec, best_ma(self.averager),
                                         self.stream_spec, t, self.ft_k1, self.ft_k2)
             else:
                 p_ft = float("nan")

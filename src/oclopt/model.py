@@ -11,13 +11,15 @@ framework:
   Lipschitz-style assumptions stay globally valid.
 
 Parameters, gradients and averaged models are plain flat float64 arrays of
-shape ``(spec.n_params,)``. ``ModelSpec.layout`` names the blocks of that
-vector, and ``spec.block(theta, name)`` is a reshaped view into it.
+shape ``(spec.n_params,)``, and a stack of M models is ``(M, n_params)``.
+``ModelSpec.layout`` names the blocks of that vector, and
+``spec.block(theta, name)`` is a reshaped view into it (per row of a stack).
 
 Losses are mean per-example loss plus 0.5 * weight_decay * ||theta||^2, and
-gradients are exact. Training, prediction and validation share one ``forward``
-and one loss per kind; validation runs no gradient and drops the decay term.
-Models carry no running statistics, so averaged parameters need no recomputing.
+training computes only their exact gradient. Training, prediction and
+validation share one ``forward``; validation scores a stack in one pass and
+drops the decay term. Models carry no running statistics, so averaged
+parameters need no recomputing.
 """
 
 from __future__ import annotations
@@ -95,9 +97,9 @@ class ModelSpec:
         return next(reversed(self.layout.values()))[0].stop
 
     def block(self, theta: np.ndarray, name: str) -> np.ndarray:
-        """View of the named block of a flat parameter array (shares its memory)."""
+        """View of the named block of a parameter array, per row of a stack (shares memory)."""
         where, shape = self.layout[name]
-        return theta[where].reshape(shape)
+        return theta[..., where].reshape(theta.shape[:-1] + shape)
 
 
 def init_params(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
@@ -138,22 +140,19 @@ def check_batch(spec: ModelSpec, batch) -> np.ndarray:
 
 
 class Workspace:
-    """Buffers and views that ``loss_and_grad`` reuses across calls on one
-    parameter array: the gradient, the blocks of theta and of the gradient (the
-    output layer's also as a pair), and, sized to the minibatch, the logits, the
-    MLP's hidden layer and each logits row's flat offset. A call returns the
-    gradient buffer, which the next call overwrites."""
+    """Buffers and views that ``gradient`` and ``predict`` reuse across calls on
+    one parameter array: the gradient and its blocks (the output layer's also as
+    a pair), ``forward``'s views of theta, and, sized to the minibatch, the logits,
+    the MLP's hidden layer and each logits row's flat offset. ``gradient``
+    returns the gradient buffer, which the next call overwrites."""
 
     def __init__(self, spec: ModelSpec, theta: np.ndarray):
         if theta.shape != (spec.n_params,):
             raise ValueError(f"parameter shape {theta.shape} != expected ({spec.n_params},)")
         self.spec, self.theta, self.grad = spec, theta, np.empty_like(theta)
-        self.blocks = {name: spec.block(theta, name) for name in spec.layout}
         self.grad_blocks = {name: spec.block(self.grad, name) for name in spec.layout}
-        self.rows, self.hidden = 0, None
-        out = list(spec.layout)[-2:]   # a classifier's output layer: its last two blocks
-        self.out = tuple(self.blocks[name] for name in out)
-        self.grad_out = tuple(self.grad_blocks[name] for name in out)
+        self.views, self.rows, self.hidden = _forward_views(spec, theta), 0, None
+        self.grad_out = tuple(self.grad_blocks.values())[-2:]   # a classifier's output layer
 
     def fit_rows(self, n: int):
         c, hidden = self.spec.n_classes, (n, self.spec.hidden)
@@ -162,63 +161,64 @@ class Workspace:
             self.hidden, self.dh = np.empty(hidden), np.empty(hidden)
 
 
+def _forward_views(spec: ModelSpec, theta: np.ndarray) -> tuple:
+    """The blocks as ``forward`` reads them: weights transposed, biases as rows."""
+    return tuple(spec.block(theta, name).swapaxes(-1, -2) if name[0] == "w"
+                 else spec.block(theta, name)[..., None, :] for name in spec.layout)
+
+
 def forward(spec: ModelSpec, theta: np.ndarray, x: np.ndarray, work: Workspace | None = None):
-    """A classifier's features (x, or the MLP's tanh layer) and logits, in the
-    buffers of ``work`` if given; blocks are read singly, as a comprehension costs more."""
-    mlp = spec.kind == "mlp-1-hidden"
+    """A classifier's features (x, or the MLP's tanh layer) and logits, through ``work``
+    if given; for a stack (M, P), on a leading model axis, each bit-equal to its own call."""
     if work is None:
         hidden = logits = None
-        w, b = spec.block(theta, "w2" if mlp else "w"), spec.block(theta, "b2" if mlp else "b")
-        if mlp:
-            w1, b1 = spec.block(theta, "w1"), spec.block(theta, "b1")
+        views = _forward_views(spec, theta)
     else:
         if len(x) != work.rows:
             work.fit_rows(len(x))
-        hidden, logits, (w, b) = work.hidden, work.logits, work.out
-        if mlp:
-            w1, b1 = work.blocks["w1"], work.blocks["b1"]
+        hidden, logits, views = work.hidden, work.logits, work.views
     feats = x
-    if mlp:
-        feats = np.matmul(x, w1.T, out=hidden)
-        feats += b1
+    if len(views) == 4:   # the MLP's tanh layer
+        feats = np.matmul(x, views[0], out=hidden)
+        feats += views[1]
         np.tanh(feats, out=feats)
-    z = np.matmul(feats, w.T, out=logits)
-    z += b
+    z = np.matmul(feats, views[-2], out=logits)
+    z += views[-1]
     return feats, z
 
 
-def _cross_entropy(p: np.ndarray, label_at: np.ndarray) -> float:
-    """Mean cross-entropy of the logits p at the flat indices label_at, one
-    per row; p becomes the loss gradient in the logits, in place."""
-    p -= np.maximum.reduce(p, axis=1, keepdims=True)
+def _softmax(p: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The softmax of the logits p along their last axis, in place; rows holds
+    each row's flat offset. argmax finds a row's max faster than a reduction,
+    and whether it picks 0.0 or -0.0, exp(z - max) is the same."""
+    p -= p.take(rows + p.argmax(axis=-1))[..., None]
     np.exp(p, out=p)
-    p /= np.add.reduce(p, axis=1, keepdims=True)
-    picked = p.take(label_at)
-    logs = np.maximum(picked, 1e-300)
-    loss = -float(np.add.reduce(np.log(logs, out=logs))) / len(p)
-    picked -= 1.0
-    p.put(label_at, picked)
-    p /= len(p)
-    return loss
+    p /= np.add.reduce(p, axis=-1, keepdims=True)
+    return p
 
 
-def _quadratic(spec: ModelSpec, d: np.ndarray) -> float:
-    """Mean quadratic loss of the residual rows d under the probe's curvature."""
-    return 0.5 * float(np.mean(np.sum(d * d * np.asarray(spec.curvature), axis=1)))
+def _quadratic(spec: ModelSpec, d: np.ndarray):
+    """Mean quadratic loss of the residual rows d under the probe's curvature (per model)."""
+    return 0.5 * np.mean(np.sum(d * d * np.asarray(spec.curvature), axis=-1), axis=-1)
 
 
-def loss_and_grad(spec: ModelSpec, theta: np.ndarray, batch, work: Workspace | None = None):
-    """Mean per-example loss plus the L2 penalty, and its exact gradient.
+def gradient(spec: ModelSpec, theta: np.ndarray, batch, work: Workspace | None = None):
+    """The exact gradient of the mean per-example loss plus the L2 penalty.
 
-    Deterministic in (theta, batch). Non-finite results are returned as-is;
-    callers treat them as a divergence signal. A direct call gets numpy's
-    default floating-point warnings; ``run_experiment`` silences overflow and
-    invalid-value warnings once around a whole run.
+    Deterministic in (theta, batch). Raises DivergenceError where the loss is
+    not finite and returns a non-finite gradient as-is, for the base step to
+    reject: together, "loss or gradient not finite", with no classifier loss.
+    Its data term, -mean(log(max(p[y], 1e-300))), is at most 690.8 and not
+    finite only if some p[y] is NaN; then that row's softmax sum, so the whole
+    row of p, and so the output bias's gradient, a sum over rows, are NaN. A
+    finite data term and a finite decay term cannot overflow, so only the
+    decay term is checked. The probe checks its whole loss.
 
-    Without ``work`` the call checks the batch and runs on a throwaway
-    workspace, so the gradient is a fresh array. With ``work``, a
-    ``Workspace`` built for this spec and theta, the caller has checked the
-    batch's arrays (``check_batch``) and the gradient is the workspace's buffer.
+    A direct call gets numpy's default floating-point warnings; ``run_experiment``
+    silences overflow and invalid-value warnings around a whole run. Without
+    ``work`` the call checks the batch and the gradient is a fresh array. With
+    ``work``, a ``Workspace`` built for this spec and theta, the caller has
+    checked the batch's arrays (``check_batch``) and gets the workspace's buffer.
     """
     if work is None:
         work, x, y = Workspace(spec, theta), check_batch(spec, batch), np.asarray(batch.labels)
@@ -227,48 +227,63 @@ def loss_and_grad(spec: ModelSpec, theta: np.ndarray, batch, work: Workspace | N
     else:
         raise ValueError("the workspace was built for another spec or parameter array")
 
+    decay = spec.weight_decay
+    penalty = 0.5 * decay * float(theta @ theta) if decay > 0.0 else 0.0
     if spec.kind == "quadratic-probe":
-        loss = _quadratic(spec, theta - y)
+        if not math.isfinite(_quadratic(spec, theta - y) + penalty):
+            raise DivergenceError("non-finite loss")
         work.grad[:] = np.asarray(spec.curvature) * (theta - y.mean(axis=0))
     else:
+        if not math.isfinite(penalty):
+            raise DivergenceError("non-finite weight-decay term")
         feats, p = forward(spec, theta, x, work)
-        loss = _cross_entropy(p, work.row_offsets + y)   # p is now dz
+        label_at = work.row_offsets + y
+        picked = _softmax(p, work.row_offsets).take(label_at)
+        picked -= 1.0
+        p.put(label_at, picked)
+        p /= len(p)   # p is now the loss gradient in the logits
         grad_w, grad_b = work.grad_out
         np.matmul(p.T, feats, out=grad_w)
         np.add.reduce(p, axis=0, out=grad_b)
         if spec.kind == "mlp-1-hidden":
-            dh = np.matmul(p, work.out[0], out=work.dh)
+            dh = np.matmul(p, work.views[2].T, out=work.dh)
             dh *= 1.0 - feats * feats
             np.matmul(dh.T, x, out=work.grad_blocks["w1"])
             np.add.reduce(dh, axis=0, out=work.grad_blocks["b1"])
 
-    if spec.weight_decay > 0.0:
-        loss += 0.5 * spec.weight_decay * float(theta @ theta)
-        work.grad += spec.weight_decay * theta
-    return loss, work.grad
+    if decay > 0.0:
+        work.grad += decay * theta
+    return work.grad
 
 
-def predict(spec: ModelSpec, theta: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+def predict(spec: ModelSpec, theta: np.ndarray, inputs: np.ndarray,
+            work: Workspace | None = None) -> np.ndarray:
     """Labels for classification (argmax of the logits, ties to the lowest
-    class index); the parameter vector replicated per datum for the probe."""
+    class index), through ``work``, a ``Workspace`` for theta, if given; the
+    parameter vector replicated per datum for the probe."""
     if spec.kind == "quadratic-probe":
         return np.tile(theta, (len(inputs), 1))
-    return forward(spec, theta, np.asarray(inputs, dtype=float))[1].argmax(axis=1)
+    return forward(spec, theta, np.asarray(inputs, dtype=float), work)[1].argmax(axis=-1)
 
 
 def validation_performance(spec: ModelSpec, theta: np.ndarray, batch,
-                           metric: str = "accuracy") -> float:
+                           metric: str = "accuracy"):
     """Higher-is-better validation signal from a forward pass: a classifier's
     accuracy, or the negative loss without the weight-decay term for
-    metric='loss' and always for the quadratic probe."""
-    x = check_batch(spec, batch)
-    if spec.classification and metric == "accuracy":
-        return step_ahead_performance(spec, predict(spec, theta, x), batch)
-    y = np.asarray(batch.labels)
+    metric='loss' and always for the quadratic probe. A float; for a stack
+    (M, P), one pass and M floats, each its row's own score bit for bit."""
+    x, y = check_batch(spec, batch), np.asarray(batch.labels)
     if not spec.classification:
-        return -_quadratic(spec, theta - y)
-    _, p = forward(spec, theta, x)
-    return -_cross_entropy(p, np.arange(len(x)) * spec.n_classes + y)
+        score = -_quadratic(spec, theta[..., None, :] - y)
+    elif metric == "accuracy":
+        hits = forward(spec, theta, x)[1].argmax(axis=-1) == y
+        score = np.count_nonzero(hits, axis=-1) / len(x)
+    else:
+        p = forward(spec, theta, x)[1]
+        rows = np.arange(0, p.size, spec.n_classes).reshape(p.shape[:-1])
+        picked = _softmax(p, rows).take(rows + y)
+        score = np.add.reduce(np.log(np.maximum(picked, 1e-300)), axis=-1) / len(x)
+    return score.tolist()   # Python floats: a numpy scalar's repr would reach the CSVs
 
 
 def step_ahead_performance(spec: ModelSpec, predictions: np.ndarray, batch) -> float:
@@ -277,4 +292,4 @@ def step_ahead_performance(spec: ModelSpec, predictions: np.ndarray, batch) -> f
     y = np.asarray(batch.labels)
     if spec.classification:
         return float(np.count_nonzero(predictions == y) / y.size)
-    return -_quadratic(spec, predictions - y)
+    return -float(_quadratic(spec, predictions - y))

@@ -129,10 +129,12 @@ def adam_step(state: AdamState, grad, lr: float) -> AdamState:
 
 # -- moving averages ----------------------------------------------------------
 
-def ma_update(ma: np.ndarray, gamma: float, theta: np.ndarray) -> np.ndarray:
-    """Elementwise convex combination ma <- gamma * ma + (1 - gamma) * theta."""
-    if not (0.0 <= gamma <= 1.0):
-        raise ValueError(f"MA weight must lie in [0, 1], got {gamma}")
+def ma_update(ma: np.ndarray, gamma, theta: np.ndarray) -> np.ndarray:
+    """Elementwise convex combination ma <- gamma * ma + (1 - gamma) * theta, in
+    one pass for a stack of models (n, P) with one weight each in gamma."""
+    gamma = np.asarray(gamma, dtype=float)[..., None]
+    if not all(0.0 <= g <= 1.0 for g in gamma.ravel().tolist()):
+        raise ValueError(f"MA weight must lie in [0, 1], got {gamma.ravel().tolist()}")
     ma *= gamma
     ma += (1.0 - gamma) * theta
     return ma
@@ -142,19 +144,21 @@ def ma_update(ma: np.ndarray, gamma: float, theta: np.ndarray) -> np.ndarray:
 class AmaState:
     """The moving-average family: 0, 1 or 2 MA models of the SGD iterates.
 
-    Two models are the adaptive variant (AMA): weights a factor ``delta``
+    ``models`` holds the MA models (``ma``) and the SGD iterate (``sgd``, which
+    the base optimizer steps) as rows of one array, scored by a fold in one
+    call. Two models are the adaptive variant (AMA): weights a factor ``delta``
     apart, adapted by population search. One model is a fixed-weight EMA,
     and no model is plain SGD, which still keeps the online validation mean.
     ``val`` holds one running validation mean per MA model and ``val_sgd``
     the SGD model's; they fold every k_v iterations on a shared minibatch and
     reset every k_w iterations. i_best (1-based) selects the MA model used
-    for inference and for the sigma signal.
+    for inference and for the sigma signal (with no MA model, the SGD iterate).
 
     With ``adapt`` off the k_w window event never fires: no reset and no
     weight move, so a 2-model averager with delta=1 reproduces EMA exactly.
     """
 
-    ma: list
+    models: np.ndarray
     gammas: list
     val: list
     val_sgd: RunningMean
@@ -167,7 +171,7 @@ class AmaState:
     skipped_validations: int = 0
 
     def __post_init__(self):
-        if not (len(self.ma) == len(self.gammas) == len(self.val) <= 2):
+        if not (len(self.models) - 1 == len(self.gammas) == len(self.val) <= 2):
             raise ValueError("need one weight and one validation mean per MA model, "
                              "at most two models")
         for g in self.gammas:
@@ -177,6 +181,7 @@ class AmaState:
             raise ValueError(f"delta must be >= 1, got {self.delta}")
         if min(self.k_m, self.k_v, self.k_w) < 1:
             raise ValueError("k_m, k_v and k_w must be >= 1")
+        self.ma, self.sgd = self.models[:-1], self.models[-1]   # views of the rows
 
     @property
     def n(self) -> int:
@@ -185,18 +190,18 @@ class AmaState:
 
     def best_perf(self) -> float:
         """Running validation performance of the selected model (SGD if none)."""
-        return self.val[self.i_best - 1].mean if self.ma else self.val_sgd.mean
+        return self.val[self.i_best - 1].mean if self.val else self.val_sgd.mean
 
     def sigma(self) -> float:
         """Validation-performance gap between the best MA model and the SGD model."""
-        return self.best_perf() - self.val_sgd.mean if self.ma else float("nan")
+        return self.best_perf() - self.val_sgd.mean if self.val else float("nan")
 
     def search_columns(self) -> tuple:
         """(sigma, gamma_ma1, gamma_ma2, i_best) of the two-model weight search.
 
         Averagers without a search report (nan, nan, nan, 0).
         """
-        if len(self.ma) < 2:
+        if len(self.gammas) < 2:
             return float("nan"), float("nan"), float("nan"), 0
         return self.sigma(), self.gammas[0], self.gammas[1], self.i_best
 
@@ -204,50 +209,46 @@ class AmaState:
 def init_averager(theta0: np.ndarray, n_models: int, gamma0: float = 0.99,
                   delta: float = 5.0, k_m: int = 10, k_v: int = 20, k_w: int = 10000,
                   adapt: bool = True) -> AmaState:
-    """n_models copies of theta0 with weights gamma0, gamma0 / delta."""
+    """n_models copies of theta0 with weights gamma0, gamma0 / delta, then its copy ``sgd``."""
     if not (0.0 <= gamma0 <= 1.0 and delta >= 1.0):
         raise ValueError("need gamma0 in [0, 1] and delta >= 1")
-    return AmaState(ma=[theta0.copy() for _ in range(n_models)],
+    return AmaState(models=np.tile(theta0, (n_models + 1, 1)),
                     gammas=[gamma0 / delta ** i for i in range(n_models)],
                     val=[RunningMean() for _ in range(n_models)], val_sgd=RunningMean(),
                     delta=delta, k_m=k_m, k_v=k_v, k_w=k_w, adapt=adapt)
 
 
-def ama_step(state: AmaState, sgd_theta: np.ndarray, k: int,
-             sample_validation: Callable[[], object],
-             evaluate: Callable[[np.ndarray, object], float],
+def ama_step(state: AmaState, k: int, sample_validation: Callable[[], object],
+             evaluate: Callable[[np.ndarray, object], list],
              costs: Optional[CostCounter] = None) -> AmaState:
     """One iteration of the moving-average bookkeeping after an SGD step.
 
     Args:
-        state: averager, mutated in place.
-        sgd_theta: the SGD model after update iteration k.
+        state: averager, mutated in place; ``sgd`` is the model after iteration k.
         k: global update iteration (1-based).
         sample_validation: returns a holdout minibatch, or None when no
             holdout data exists yet (the validation fold is then skipped and
             counted in ``skipped_validations``).
-        evaluate: higher-is-better performance of parameters on a minibatch.
+        evaluate: higher-is-better performance of each row of a stack on a minibatch.
         costs: optional compute accounting.
     """
     if k < 1:
         raise ValueError("iteration counter is 1-based")
-    if k % state.k_m == 0:
-        for ma, gamma in zip(state.ma, state.gammas):
-            ma_update(ma, gamma, sgd_theta)
+    if k % state.k_m == 0 and state.gammas:
+        ma_update(state.ma, state.gammas, state.sgd)
         if costs is not None:
-            costs.update += len(state.ma)
+            costs.update += len(state.gammas)
     if k % state.k_v == 0:
         batch = sample_validation()
         if batch is None:
             state.skipped_validations += 1
             log.warning("no holdout data at validation iteration %d; fold skipped", k)
         else:
-            for ma, acc in zip(state.ma, state.val):
-                acc.fold(evaluate(ma, batch))
-            state.val_sgd.fold(evaluate(sgd_theta, batch))
+            for acc, score in zip(state.val + [state.val_sgd], evaluate(state.models, batch)):
+                acc.fold(score)
             if costs is not None:
-                costs.forward += len(state.ma) + 1
-            if len(state.ma) == 2:
+                costs.forward += len(state.models)
+            if len(state.val) == 2:
                 acc1, acc2 = state.val[0].mean, state.val[1].mean
                 if acc1 > acc2:
                     state.i_best = 1
@@ -257,7 +258,7 @@ def ama_step(state: AmaState, sgd_theta: np.ndarray, k: int,
     if state.adapt and k % state.k_w == 0:
         for acc in state.val + [state.val_sgd]:
             acc.reset()
-        if len(state.ma) == 2:
+        if len(state.gammas) == 2:
             # copy the better model over the other, move both weights by delta
             (ma1, ma2), (g1, g2) = state.ma, state.gammas
             if state.i_best == 1:
@@ -273,8 +274,8 @@ def ama_step(state: AmaState, sgd_theta: np.ndarray, k: int,
 
 
 def best_ma(state: AmaState) -> np.ndarray:
-    """The MA model currently selected for inference."""
-    return state.ma[state.i_best - 1]
+    """The MA model currently selected for inference; with none, the SGD iterate."""
+    return state.models[state.i_best - 1]
 
 
 # -- checkpointing -------------------------------------------------------------
@@ -311,25 +312,27 @@ def save_optimizer(path, base, ma=None):
 
 
 def load_optimizer(path):
-    """Restore (base_state, averager) saved by save_optimizer."""
+    """Restore (base_state, averager) saved by save_optimizer; theta is the averager's sgd."""
     with np.load(path, allow_pickle=False) as z:
         kind = str(z["base_kind"])
+        models = np.vstack([z["ma_models"], z["base_theta"]]) if "ma_models" in z else None
+        theta = z["base_theta"].copy() if models is None else models[-1]
         if kind == "sgd":
             beta, lr = z["base_scalars"]
-            base = SgdState(theta=z["base_theta"].copy(),
+            base = SgdState(theta=theta,
                             momentum=z["base_momentum"].copy(), beta=float(beta),
                             lr=float(lr))
         else:
             b1, b2, eps, step, lr = z["base_scalars"]
-            base = AdamState(theta=z["base_theta"].copy(),
+            base = AdamState(theta=theta,
                              m=z["base_m"].copy(), v=z["base_v"].copy(),
                              beta1=float(b1), beta2=float(b2), eps=float(eps),
                              step=int(step), lr=float(lr))
         ma = None
-        if "ma_models" in z:
+        if models is not None:
             delta, k_m, k_v, k_w, n, i_best, adapt, skipped = z["ma_scalars"]
             means = [RunningMean(float(m), int(n)) for m in z["ma_means"]]
-            ma = AmaState(ma=[v.copy() for v in z["ma_models"]],
+            ma = AmaState(models=models,
                           gammas=[float(g) for g in z["ma_gammas"]],
                           val=means[:-1], val_sgd=means[-1], delta=float(delta),
                           k_m=int(k_m), k_v=int(k_v), k_w=int(k_w), i_best=int(i_best),

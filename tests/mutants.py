@@ -30,7 +30,8 @@ HARNESS = "src/oclopt/harness.py"
 SCHEDULE = "src/oclopt/schedule.py"
 RATE_TESTS = ("tests/test_schedule.py", "tests/test_golden_artifacts.py")
 BAD_CONFIG_TESTS = ("tests/test_harness.py::TestCli::test_out_of_range_value_is_a_config_error",)
-SEED_TESTS = ("tests/test_harness.py::TestCli::test_every_seed_must_be_a_non_negative_integer",)
+SEED_TESTS = ("tests/test_harness.py::TestCli::test_every_seed_must_be_a_non_negative_integer",
+              "tests/test_harness.py::TestTheoryConfig::test_verify_bounds_validates_its_config")
 OPTIM = "src/oclopt/optim.py"
 AVERAGER_TESTS = ("tests/test_optim.py::TestAmaStep",)
 MODEL = "src/oclopt/model.py"
@@ -46,9 +47,10 @@ SERVED_TESTS = ("tests/test_stream.py::TestServedDraws",)
 LABEL_TESTS = ("tests/test_stream.py::TestBlockLabels",)
 SERVED_STEP_TESTS = ("tests/test_harness.py::TestServedSteps",
                      "tests/test_stream.py::TestProtocol")
-ACCURACY_CHECK = ('    x = check_batch(spec, batch)\n'
-                  '    if spec.classification and metric == "accuracy":\n'
-                  '        return step_ahead_performance(spec, predict(spec, theta, x), batch)\n')
+SCORE_CHECK = "    x, y = check_batch(spec, batch), np.asarray(batch.labels)\n"
+UNCHECKED = "    x, y = np.asarray(batch.inputs, dtype=float), np.asarray(batch.labels)\n"
+STACK_DECAY = " - 0.5 * spec.weight_decay * np.add.reduce(theta * theta, axis=-1)"
+LOSS_SCORE = "        score = np.add.reduce(np.log(np.maximum(picked, 1e-300)), axis=-1) / len(x)"
 
 # name -> (file, snippet, replacement, tests)
 MUTANTS = {
@@ -80,32 +82,35 @@ MUTANTS = {
     "bool-is-a-number": (
         HARNESS, "any(type(v) not in (int, float) for v in items)",
         "any(not isinstance(v, (int, float)) for v in items)", BAD_CONFIG_TESTS),
-    "loss-score-keeps-decay": (
-        MODEL, "    return -_cross_entropy(p, np.arange(len(x)) * spec.n_classes + y)\n",
-        "    return -(_cross_entropy(p, np.arange(len(x)) * spec.n_classes + y)\n"
-        "             + 0.5 * spec.weight_decay * float(theta @ theta))\n", MODEL_TESTS),
+    "loss-score-keeps-decay": (MODEL, LOSS_SCORE, LOSS_SCORE + STACK_DECAY, MODEL_TESTS),
     "probe-score-keeps-decay": (
-        MODEL, "        return -_quadratic(spec, theta - y)\n",
-        "        return -_quadratic(spec, theta - y)"
-        " - 0.5 * spec.weight_decay * float(theta @ theta)\n", MODEL_TESTS),
-    "forward-drops-b1": (MODEL, "        feats += b1\n", "", MODEL_TESTS),
-    "forward-drops-output-bias": (MODEL, "    z += b\n", "", MODEL_TESTS),
+        MODEL, "        score = -_quadratic(spec, theta[..., None, :] - y)",
+        "        score = -_quadratic(spec, theta[..., None, :] - y)" + STACK_DECAY, MODEL_TESTS),
+    "forward-drops-b1": (MODEL, "        feats += views[1]\n", "", MODEL_TESTS),
+    "forward-drops-output-bias": (MODEL, "    z += views[-1]\n", "", MODEL_TESTS),
+    "stacked-bias-on-wrong-axis": (
+        MODEL, "else spec.block(theta, name)[..., None, :]", "else spec.block(theta, name)[None]",
+        MODEL_TESTS),
+    "softmax-shifts-by-the-first-logit": (
+        MODEL, "p.take(rows + p.argmax(axis=-1))", "p.take(rows)", MODEL_TESTS),
+    "decay-check-dropped": (
+        MODEL, "        if not math.isfinite(penalty):\n", "        if False:\n", MODEL_TESTS),
+    "probe-loss-check-dropped": (
+        MODEL, "        if not math.isfinite(_quadratic(spec, theta - y) + penalty):\n",
+        "        if False:\n", MODEL_TESTS),
     "quadratic-drops-half": (
-        MODEL, "return 0.5 * float(np.mean(", "return float(np.mean(", MODEL_TESTS),
+        MODEL, "return 0.5 * np.mean(", "return np.mean(", MODEL_TESTS),
     "quadratic-targets-unchecked": (
         MODEL, "    if not spec.classification and y.shape != x.shape:\n", "    if False:\n",
         MODEL_TESTS),
     "loss-score-skips-check": (
-        MODEL, ACCURACY_CHECK,
-        '    if spec.classification and metric == "accuracy":\n'
-        "        return step_ahead_performance(\n"
-        "            spec, predict(spec, theta, check_batch(spec, batch)), batch)\n"
-        "    x = np.asarray(batch.inputs, dtype=float)\n", MODEL_TESTS),
+        MODEL, SCORE_CHECK,
+        UNCHECKED + '    if metric == "accuracy":\n        check_batch(spec, batch)\n',
+        MODEL_TESTS),
     "accuracy-skips-check": (
-        MODEL, ACCURACY_CHECK,
-        '    if spec.classification and metric == "accuracy":\n'
-        "        return step_ahead_performance(spec, predict(spec, theta, batch.inputs), batch)\n"
-        "    x = check_batch(spec, batch)\n", MODEL_TESTS),
+        MODEL, SCORE_CHECK,
+        UNCHECKED + '    if metric != "accuracy":\n        check_batch(spec, batch)\n',
+        MODEL_TESTS),
     "label-bound-counts-the-sign-bit": (
         MODEL, 'bits = 8 * y.itemsize - (y.dtype.kind == "i")', "bits = 8 * y.itemsize",
         MODEL_TESTS),
@@ -161,6 +166,15 @@ MUTANTS = {
         HARNESS, "th = config.validate().theory", "th = config.theory", SEED_TESTS),
     "delta-below-one-accepted": (
         OPTIM, "if self.delta < 1.0:", "if self.delta <= 0.0:", AVERAGER_TESTS),
+    "fold-scores-the-sgd-row-for-every-model": (
+        OPTIM, "evaluate(state.models, batch)",
+        "evaluate(state.models[[-1] * len(state.models)], batch)", AVERAGER_TESTS),
+    "ma-update-takes-the-other-rows-weight": (
+        OPTIM, "ma_update(state.ma, state.gammas, state.sgd)",
+        "ma_update(state.ma, state.gammas[::-1], state.sgd)", AVERAGER_TESTS),
+    "predict-reads-the-sgd-row": (
+        HARNESS, "work = self.predictors[self.averager.i_best - 1]", "work = self.predictors[-1]",
+        ("tests/test_golden_artifacts.py",)),
     "plateau-cut-reaches-zero": (
         SCHEDULE, "if cut and self.current * self.beta_lr > 0.0:", "if cut:", RATE_TESTS),
     "overwrite-reads-from-block-start": (
@@ -179,6 +193,16 @@ MUTANTS = {
              '            raise ConfigError(f"{path}: {e}") from e\n',
         "    jobs = (_job(load_config(path)) for path in paths)\n",
         ("tests/test_harness.py::TestCliSweepAndBoundFailure",)),
+    "preset-emits-before-validating": (
+        CLI, "    job = _job(config)   # nothing is written or printed that run would reject\n",
+        "    job = None\n",
+        ("tests/test_harness.py::TestCli::test_preset_emits_no_config_that_run_rejects",)),
+    "verify-bounds-makes-out-after-its-check": (
+        CLI, "        out.mkdir(parents=True, exist_ok=True)\n"
+             "    reports = verify_bounds_from_config(config)\n",
+        "        pass\n    reports = verify_bounds_from_config(config)\n"
+        "    if out:\n        out.mkdir(parents=True, exist_ok=True)\n",
+        ("tests/test_harness.py::TestCli::test_an_unusable_output_path_exits_2",)),
     "report-header-unchecked": (
         CLI, "    if data[:1] != [list(METRIC_COLUMNS)]:", "    if False:",
         ("tests/test_harness.py::TestCli::test_report_rejects_a_malformed_metrics_file",)),

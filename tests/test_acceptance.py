@@ -13,7 +13,7 @@ from scipy import stats
 from oclopt.datapool import DataPool, Minibatch
 from oclopt.harness import (apply_overrides, expand_variants, preset,
                             run_experiment, verify_bounds_from_config)
-from oclopt.model import ModelSpec, loss_and_grad, validation_performance
+from oclopt.model import ModelSpec, gradient, validation_performance
 from oclopt.optim import (ama_step, best_ma, init_averager, init_sgd, ma_update,
                           sgd_step)
 from oclopt.rng import ball_uniform, substream
@@ -57,7 +57,7 @@ def test_criterion_01_gradient_oracle():
     worst = 0.0
     for _ in range(100):
         spec, theta, batch = random_model_and_batch(rng)
-        _, grad = loss_and_grad(spec, theta, batch)
+        grad = gradient(spec, theta, batch)
         numeric = fd_gradient(spec, theta, batch)
         worst = max(worst, grad_agreement(grad, numeric))
     elapsed = time.perf_counter() - t0
@@ -98,13 +98,13 @@ def test_criterion_03_reduction_identities():
 
     def trajectory(make_ma, gamma_steps=400):
         loc = np.random.default_rng(3)
-        sgd = init_sgd(loc.standard_normal(3), beta=0.9)
-        ma_state = make_ma(sgd.theta)
+        ma_state = make_ma(loc.standard_normal(3))
+        sgd = init_sgd(ma_state.sgd, beta=0.9)
         out = []
         for k in range(1, gamma_steps + 1):
             g = 0.7 * (sgd.theta - target) + 0.2 * loc.standard_normal(3)
             sgd_step(sgd, g, lr=0.05)
-            ama_step(ma_state, sgd.theta, k, lambda: "b", lambda p, b: 0.0)
+            ama_step(ma_state, k, lambda: "b", lambda p, b: [0.0] * len(p))
             out.append(ma_state.ma[0].copy())
         return np.array(out)
 
@@ -114,12 +114,12 @@ def test_criterion_03_reduction_identities():
     ama_is_ema = np.array_equal(ema_traj, ama_traj)
 
     loc = np.random.default_rng(5)
-    sgd = init_sgd(loc.standard_normal(3), beta=0.0)
-    ema0 = init_averager(sgd.theta, 1, 0.0, k_m=1)
+    ema0 = init_averager(loc.standard_normal(3), 1, 0.0, k_m=1)
+    sgd = init_sgd(ema0.sgd, beta=0.0)
     tracks = True
     for k in range(1, 300):
         sgd_step(sgd, loc.standard_normal(3), lr=0.03)
-        ama_step(ema0, sgd.theta, k, lambda: "b", lambda p, b: 0.0)
+        ama_step(ema0, k, lambda: "b", lambda p, b: [0.0] * len(p))
         tracks = tracks and np.array_equal(ema0.ma[0], sgd.theta)
     report(3, ama_is_ema and tracks,
            "delta=1/no-adapt AMA equals EMA bit-for-bit; gamma=0 EMA equals SGD")
@@ -189,21 +189,18 @@ def _quad_sim(seed, n_iters, alpha_fn, k_w=10**9):
                                  noise_radius=1.0)
     spec = ModelSpec(kind="quadratic-probe", loss="quadratic", dim=d,
                      curvature=tuple(quad.eigenvalues()))
-    theta = np.zeros(d)
-    sgd = init_sgd(theta, beta=0.0)
-    ama = init_averager(theta, 2, k_m=2, k_v=4, k_w=k_w)
+    ama = init_averager(np.zeros(d), 2, k_m=2, k_v=4, k_w=k_w)
+    sgd = init_sgd(ama.sgd, beta=0.0)
     g_noise = substream(seed, 7)
     g_val = substream(seed, 5)
     ks, sigmas, d_sgd, d_ma = [], [], [], []
     for k in range(1, n_iters + 1):
         obs = quad.center(k) + ball_uniform(g_noise, 1, d, 1.0)[0]
         mb = Minibatch(obs[None, :], obs[None, :])
-        _, grad = loss_and_grad(spec, sgd.theta, mb)
-        sgd_step(sgd, grad, alpha_fn(k))
+        sgd_step(sgd, gradient(spec, sgd.theta, mb), alpha_fn(k))
         val_obs = quad.center(k) + ball_uniform(g_val, 8, d, 1.0)
         vb = Minibatch(val_obs, val_obs)
-        ama_step(ama, sgd.theta, k, lambda: vb,
-                 lambda p, b: validation_performance(spec, p, b))
+        ama_step(ama, k, lambda: vb, lambda p, b: validation_performance(spec, p, b))
         if k % 4 == 0:
             ks.append(k)
             sigmas.append(ama.sigma())

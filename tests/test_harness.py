@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oclopt import cli as climod
-from oclopt import datapool, harness
+from oclopt import datapool, harness, model, optim
 from oclopt import rng as rngmod
 from oclopt.cli import main as cli_main
 from oclopt.harness import (AVERAGING, METRIC_COLUMNS, ConfigError, ExperimentConfig,
@@ -481,9 +481,11 @@ class TestRunExperiment:
         # a noise-free work count: the Python-level calls inside
         # run_protocol_step, not counting those inside Run.iterate, of each
         # step that starts no block (the unlimited pool overwrites nothing).
-        # Served by index, such a step makes 14 calls (two of them to
-        # Run.iterate); through the stream, the pools' offers and the replay
-        # samplers it made 25.
+        # Served by index, with each model's prediction views kept, such a
+        # step makes 10 calls (two of them to Run.iterate), and 11 where a
+        # model predicts for the first time and sizes its buffers. Slicing the
+        # inference model's blocks on every step it made 14, and through the
+        # stream, the pools' offers and the replay samplers 25.
         cfg = dict(expand_variants(apply_overrides(preset("main-comparison"),
                                                    {"stream.horizon": 600})))["ama-malr"]
         run = harness.Run(cfg, 0)
@@ -510,7 +512,38 @@ class TestRunExperiment:
         finally:
             sys.setprofile(None)
         regular = [calls[t] for t in range(1, 601) if (t - 1) % rngmod.BLOCK]
-        assert len(regular) == 597 and max(regular) <= 14
+        assert len(regular) == 597 and max(regular) <= 11
+
+    @pytest.mark.parametrize("averaging", AVERAGING)
+    def test_a_fold_checks_and_forwards_its_batch_once(self, averaging):
+        # a validation fold scores the MA models and the SGD model as one
+        # stack: one batch check and one forward pass, not one per model
+        cfg = dict(expand_variants(apply_overrides(
+            preset("main-comparison"),
+            {"stream.horizon": 60, "optimizer.averaging": averaging})))["ama-clr"]
+        run = harness.Run(cfg, 0)
+        fold, counted = optim.ama_step.__code__, (model.check_batch.__code__,
+                                                  model.forward.__code__)
+        calls, inside = [], []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is fold:
+                inside.append(frame)
+                calls.append([0, 0])   # [check_batch, forward] calls in this ama_step
+            elif event == "return" and frame.f_code is fold:
+                inside.pop()
+            elif event == "call" and inside and frame.f_code in counted:
+                calls[-1][counted.index(frame.f_code)] += 1
+
+        sys.setprofile(profile)
+        try:
+            for t in range(1, 61):
+                assert run.step(t)
+        finally:
+            sys.setprofile(None)
+        folds = [c for c in calls if c != [0, 0]]
+        assert len(folds) == run.k // run.averager.k_v - run.averager.skipped_validations > 0
+        assert all(c == [1, 1] for c in folds)
 
     @pytest.mark.parametrize("name,label,horizon", [("buffer-size", "cap-100", 800),
                                                     ("objective-comparison", "mixed-p5", 600),
@@ -610,6 +643,14 @@ class TestTheoryConfig:
         reports = verify_bounds_from_config(cfg)
         assert len(reports) == 2
         assert all(rep.all_hold for _, rep in reports)
+
+    @pytest.mark.parametrize("seeds", [[], [-1]], ids=["none", "negative"])
+    def test_verify_bounds_validates_its_config(self, seeds):
+        # the command validates before it makes its output directory; the
+        # function validates too, for every other caller
+        cfg = apply_overrides(preset("theory-verify"), {"theory.k_max": 20, "seeds": seeds})
+        with pytest.raises(ConfigError, match="seed"):
+            verify_bounds_from_config(cfg)
 
 
 class TestCli:
@@ -819,7 +860,8 @@ class TestCli:
         assert min(lr_trace) > 0 and lr_trace[-1] < 1e-300
 
     # an output path that cannot be made ends in one line of stderr naming
-    # it and exit 2; run finds it before its first run
+    # it and exit 2, and nothing else is printed: run finds it before its
+    # first run, verify-bounds before its check
     @pytest.mark.parametrize("args", [
         ["run", "cfg.yaml", "--out", "afile"],
         ["verify-bounds", "--override", "theory.k_max=8", "--override", "theory.n_seeds=2",
@@ -831,8 +873,23 @@ class TestCli:
         save_config(tiny_config(), tmp_path / "cfg.yaml")
         (tmp_path / "afile").touch()
         monkeypatch.setattr(climod, "run_with_companions", None)   # no run may start
+        monkeypatch.setattr(climod, "verify_bounds_from_config", None)   # nor any check
         assert cli_main(args) == 2
-        assert capsys.readouterr().err.splitlines()[-1].startswith("cannot use afile")
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert [line[:16] for line in captured.err.splitlines()] == ["cannot use afile"]
+
+    # preset writes or prints a config only once run would accept it
+    @pytest.mark.parametrize("override", ["replay.batch_size=0", "seeds=[]"])
+    @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+    def test_preset_emits_no_config_that_run_rejects(self, override, to_file, tmp_path,
+                                                     capsys):
+        path = tmp_path / "s.yaml"
+        args = ["preset", "main-comparison", "--override", override]
+        assert cli_main(args + (["--out", str(path)] if to_file else [])) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("config error: ")
+        assert not path.exists()
 
     # report reads only files headed by METRIC_COLUMNS whose rows hold 10 numbers
     @pytest.mark.parametrize("text,line", [

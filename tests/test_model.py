@@ -1,31 +1,33 @@
-"""Loss/gradient correctness against finite differences, the kernel and the
-scores against their frozen copies, accuracy contracts, and the analytic
-assumption witnesses."""
+"""Gradient correctness against finite differences, the kernel, its
+divergence rule and the scores (one model or a stack) against their frozen
+copies, accuracy contracts, and the analytic assumption witnesses."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oclopt.datapool import Minibatch
-from oclopt.model import (ModelSpec, Workspace, check_batch, init_params, loss_and_grad,
-                          predict, step_ahead_performance, validation_performance)
+from oclopt.model import (DivergenceError, ModelSpec, Workspace, check_batch, gradient,
+                          init_params, predict, step_ahead_performance,
+                          validation_performance)
 from tests.oracles import (frozen_check_batch, frozen_loss_and_grad, frozen_predict,
                            frozen_step_ahead_performance, frozen_validation_performance)
 
 
 def fd_gradient(spec, theta, batch, h=1e-5):
-    """Central-difference gradient, the independent oracle."""
+    """Central-difference gradient of the frozen kernel's loss, the independent
+    oracle."""
     grad = np.zeros_like(theta)
     for i in range(theta.size):
         up = theta.copy()
         dn = theta.copy()
         up[i] += h
         dn[i] -= h
-        lu, _ = loss_and_grad(spec, up, batch)
-        ld, _ = loss_and_grad(spec, dn, batch)
+        lu, _ = frozen_loss_and_grad(spec, up, batch)
+        ld, _ = frozen_loss_and_grad(spec, dn, batch)
         grad[i] = (lu - ld) / (2 * h)
     return grad
 
@@ -62,8 +64,8 @@ class TestGradients:
         target = np.array([1.0, -2.0, 0.5])
         theta = target.copy()
         batch = Minibatch(np.tile(target, (4, 1)), np.tile(target, (4, 1)))
-        loss, grad = loss_and_grad(spec, theta, batch)
-        assert loss == 0.0
+        grad = gradient(spec, theta, batch)
+        assert validation_performance(spec, theta, batch, "loss") == 0.0
         assert np.allclose(grad, 0.0)
 
     def test_softmax_zero_params_gives_ln2(self):
@@ -72,8 +74,7 @@ class TestGradients:
         theta = np.zeros(spec.n_params)
         batch = Minibatch(np.random.default_rng(0).standard_normal((6, 3)),
                           np.array([0, 1, 0, 1, 1, 0]))
-        loss, _ = loss_and_grad(spec, theta, batch)
-        assert np.isclose(loss, np.log(2.0))
+        assert np.isclose(validation_performance(spec, theta, batch, "loss"), -np.log(2.0))
 
     def test_mlp_matches_finite_differences(self):
         rng = np.random.default_rng(42)
@@ -81,7 +82,7 @@ class TestGradients:
                          n_classes=3, hidden=5, weight_decay=1e-3)
         theta = init_params(spec, rng)
         batch = Minibatch(rng.standard_normal((8, 3)), rng.integers(0, 3, 8))
-        _, grad = loss_and_grad(spec, theta, batch)
+        grad = gradient(spec, theta, batch)
         numeric = fd_gradient(spec, theta, batch)
         assert grad_agreement(grad, numeric) < 1e-6
 
@@ -89,7 +90,7 @@ class TestGradients:
         rng = np.random.default_rng(7)
         for _ in range(30):
             spec, theta, batch = random_model_and_batch(rng)
-            _, grad = loss_and_grad(spec, theta, batch)
+            grad = gradient(spec, theta, batch)
             numeric = fd_gradient(spec, theta, batch)
             assert grad_agreement(grad, numeric) < 1e-6, spec.kind
 
@@ -99,7 +100,7 @@ class TestGradients:
         theta = np.zeros(spec.n_params)
         bad = Minibatch(np.zeros((4, 5)), np.zeros(4, dtype=int))
         with pytest.raises(ValueError):
-            loss_and_grad(spec, theta, bad)
+            gradient(spec, theta, bad)
 
     @pytest.mark.parametrize("shape", [(5,), (7,), (1, 6), (6, 1)])
     def test_parameters_must_be_flat_of_n_params(self, shape):
@@ -107,7 +108,7 @@ class TestGradients:
                          n_classes=2)
         batch = Minibatch(np.zeros((4, 2)), np.zeros(4, dtype=int))
         with pytest.raises(ValueError, match="parameter shape"):
-            loss_and_grad(spec, np.zeros(shape), batch)
+            gradient(spec, np.zeros(shape), batch)
 
     @pytest.mark.parametrize("labels", [[0, 1, 3, 0], [0, -1, 2, 0], [0, 1, 2]])
     def test_labels_must_be_one_class_in_range_per_row(self, labels):
@@ -115,7 +116,7 @@ class TestGradients:
                          n_classes=3)
         batch = Minibatch(np.zeros((4, 2)), np.array(labels))
         with pytest.raises(ValueError, match="label"):
-            loss_and_grad(spec, np.zeros(spec.n_params), batch)
+            gradient(spec, np.zeros(spec.n_params), batch)
 
     @pytest.mark.parametrize("targets", [(4,), (4, 1), (3, 4), (4, 4, 1)])
     def test_quadratic_targets_must_be_one_row_of_dim_per_row(self, targets):
@@ -123,7 +124,7 @@ class TestGradients:
                          curvature=(1.0,) * 4)
         batch = Minibatch(np.zeros((4, 4)), np.ones(targets))
         with pytest.raises(ValueError, match="target"):
-            loss_and_grad(spec, np.zeros(4), batch)
+            gradient(spec, np.zeros(4), batch)
 
     @pytest.mark.parametrize("kind", ["quadratic-probe", "linear-softmax", "mlp-1-hidden"])
     def test_loss_score_checks_the_batch(self, kind):
@@ -148,14 +149,14 @@ class TestGradients:
         theta = np.zeros(spec.n_params)
         batch = Minibatch(np.zeros((4, 2)), np.zeros(4, dtype=int))
         with pytest.raises(ValueError, match="workspace"):
-            loss_and_grad(spec, theta.copy(), batch, work=Workspace(spec, theta))
+            gradient(spec, theta.copy(), batch, work=Workspace(spec, theta))
 
     def test_empty_batch_raises(self):
         spec = ModelSpec(kind="linear-softmax", loss="cross-entropy", d_in=2,
                          n_classes=2)
         theta = np.zeros(spec.n_params)
         with pytest.raises(ValueError):
-            loss_and_grad(spec, theta, Minibatch(np.zeros((0, 2)), np.zeros(0, dtype=int)))
+            gradient(spec, theta, Minibatch(np.zeros((0, 2)), np.zeros(0, dtype=int)))
 
     def test_unbiased_minibatch_gradients(self):
         # mean of single-item gradients equals the full-pool gradient
@@ -164,44 +165,94 @@ class TestGradients:
                          n_classes=3, weight_decay=1e-3)
         theta = init_params(spec, rng)
         xs, ys = rng.standard_normal((16, 2)), rng.integers(0, 3, 16)
-        _, full = loss_and_grad(spec, theta, Minibatch(xs, ys))
-        singles = [loss_and_grad(spec, theta, Minibatch(xs[i:i + 1], ys[i:i + 1]))[1]
+        full = gradient(spec, theta, Minibatch(xs, ys))
+        singles = [gradient(spec, theta, Minibatch(xs[i:i + 1], ys[i:i + 1]))
                    for i in range(16)]
         assert np.allclose(np.mean(singles, axis=0), full, atol=1e-12)
 
 
+def random_spec_and_labels(rng, kind, wd, n, d_in, n_classes, hidden):
+    if kind == "quadratic-probe":
+        spec = ModelSpec(kind=kind, loss="quadratic", weight_decay=wd, dim=d_in,
+                         curvature=tuple(rng.uniform(0.2, 2.0, d_in)))
+        return spec, rng.standard_normal((n, d_in))
+    spec = ModelSpec(kind=kind, loss="cross-entropy", weight_decay=wd, d_in=d_in,
+                     n_classes=n_classes, hidden=hidden)
+    return spec, rng.integers(0, n_classes, n)
+
+
+def diverges(call) -> bool:
+    """Whether a training kernel call diverges: it raises DivergenceError or
+    its gradient, which the base step then rejects, is not all finite."""
+    try:
+        grad = call()
+    except DivergenceError:
+        return True
+    return not np.all(np.isfinite(grad))
+
+
+KINDS = st.sampled_from(["quadratic-probe", "linear-softmax", "mlp-1-hidden"])
+
+
 class TestKernelMatchesFrozen:
-    # scales up to 1e200 overflow the logits and the decay term, so both
-    # kernels return non-finite values there, which must agree too
+    # scales up to 1e200 overflow the logits and the decay term; where the
+    # kernel does not raise, its gradient, non-finite or not, must equal the
+    # frozen kernel's, and where it raises the frozen loss is not finite
     @settings(max_examples=300, deadline=None)
-    @given(kind=st.sampled_from(["quadratic-probe", "linear-softmax", "mlp-1-hidden"]),
-           wd=st.sampled_from([0.0, 1e-4, 0.3]), n=st.integers(1, 64),
+    @given(kind=KINDS, wd=st.sampled_from([0.0, 1e-4, 0.3]), n=st.integers(1, 64),
            d_in=st.integers(1, 6), n_classes=st.integers(2, 16), hidden=st.integers(1, 16),
            log_scale=st.floats(-3.0, 200.0), seed=st.integers(0, 2**32 - 1))
-    def test_loss_and_grad_equal_the_frozen_kernel(self, kind, wd, n, d_in, n_classes,
-                                                    hidden, log_scale, seed):
+    def test_gradient_equals_the_frozen_kernel(self, kind, wd, n, d_in, n_classes, hidden,
+                                               log_scale, seed):
         rng = np.random.default_rng(seed)
-        if kind == "quadratic-probe":
-            spec = ModelSpec(kind=kind, loss="quadratic", weight_decay=wd, dim=d_in,
-                             curvature=tuple(rng.uniform(0.2, 2.0, d_in)))
-            labels = rng.standard_normal((n, d_in))
-        else:
-            spec = ModelSpec(kind=kind, loss="cross-entropy", weight_decay=wd, d_in=d_in,
-                             n_classes=n_classes, hidden=hidden)
-            labels = rng.integers(0, n_classes, n)
+        spec, labels = random_spec_and_labels(rng, kind, wd, n, d_in, n_classes, hidden)
         batch = Minibatch(rng.standard_normal((n, d_in)), labels)
         theta = 10.0 ** log_scale * rng.standard_normal(spec.n_params)
         # a run's workspace has served other calls, of this size or another
         work = Workspace(spec, theta)
         with np.errstate(all="ignore"):
-            loss_and_grad(spec, theta, Minibatch(batch.inputs[:1], labels[:1]), work=work)
-            loss, grad = loss_and_grad(spec, theta, batch)
-            work_loss, work_grad = loss_and_grad(spec, theta, batch, work=work)
             want_loss, want_grad = frozen_loss_and_grad(spec, theta, batch)
-        for got_loss, got_grad in ((loss, grad), (work_loss, work_grad)):
-            assert got_loss == want_loss or (np.isnan(got_loss) and np.isnan(want_loss))
-            assert np.array_equal(got_grad, want_grad, equal_nan=True)
+            try:
+                gradient(spec, theta, Minibatch(batch.inputs[:1], labels[:1]), work=work)
+                grad = gradient(spec, theta, batch)
+                work_grad = gradient(spec, theta, batch, work=work)
+            except DivergenceError:
+                assert not np.isfinite(want_loss)
+                return
+        for got in (grad, work_grad):
+            assert np.array_equal(got, want_grad, equal_nan=True)
         assert work_grad is work.grad and grad is not work.grad
+
+    # theta entries up to 1e160 overflow the decay term, inputs up to 1e300
+    # the logits: the kernel diverges exactly where the frozen kernel's loss
+    # or gradient is not finite, which is where a run used to stop. The
+    # examples overflow the decay term (or the probe's loss) alone, with a
+    # finite gradient
+    @settings(max_examples=300, deadline=None)
+    @example(kind="linear-softmax", wd=0.3, n=4, d_in=2, n_classes=3, hidden=2,
+             log_scale=160.0, log_inputs=0.0, seed=0)
+    @example(kind="mlp-1-hidden", wd=1e-4, n=4, d_in=2, n_classes=3, hidden=2,
+             log_scale=160.0, log_inputs=0.0, seed=0)
+    @example(kind="quadratic-probe", wd=0.0, n=4, d_in=2, n_classes=3, hidden=2,
+             log_scale=160.0, log_inputs=0.0, seed=0)
+    @given(kind=KINDS, wd=st.sampled_from([0.0, 1e-4, 0.3]), n=st.integers(1, 32),
+           d_in=st.integers(1, 6), n_classes=st.integers(2, 16), hidden=st.integers(1, 16),
+           log_scale=st.floats(-3.0, 160.0), log_inputs=st.floats(-3.0, 300.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_gradient_diverges_where_the_frozen_kernel_does(
+            self, kind, wd, n, d_in, n_classes, hidden, log_scale, log_inputs, seed):
+        rng = np.random.default_rng(seed)
+        spec, labels = random_spec_and_labels(rng, kind, wd, n, d_in, n_classes, hidden)
+        batch = Minibatch(10.0 ** log_inputs * rng.standard_normal((n, d_in)), labels)
+        theta = 10.0 ** log_scale * rng.standard_normal(spec.n_params)
+        work = Workspace(spec, theta)
+        with np.errstate(all="ignore"):
+            want_loss, want_grad = frozen_loss_and_grad(spec, theta, batch)
+            want = not (np.isfinite(want_loss) and np.all(np.isfinite(want_grad)))
+            assert diverges(lambda: gradient(spec, theta, batch)) == want
+            assert diverges(lambda: gradient(spec, theta, batch, work=work)) == want
+        if not want:
+            assert np.array_equal(work.grad, want_grad)
 
 
 def same(got, want) -> bool:
@@ -239,6 +290,30 @@ class TestScoresMatchFrozen:
             for metric in ("accuracy", "loss"):
                 assert same(validation_performance(spec, theta, batch, metric),
                             frozen_validation_performance(spec, theta, batch, metric))
+
+
+    # a stack of models is scored in one pass: each row's score equals the
+    # frozen copy's for that row alone, bit for bit, as a Python float; rows
+    # take scales of their own, so some overflow while others do not
+    @settings(max_examples=300, deadline=None)
+    @given(kind=KINDS, wd=st.sampled_from([0.0, 0.3]), m=st.sampled_from([1, 2, 3]),
+           n=st.integers(1, 256), d_in=st.integers(1, 6), n_classes=st.integers(2, 16),
+           hidden=st.integers(1, 16), log_scale=st.floats(-3.0, 200.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_a_stack_scores_as_its_rows(self, kind, wd, m, n, d_in, n_classes, hidden,
+                                        log_scale, seed):
+        rng = np.random.default_rng(seed)
+        spec, labels = random_spec_and_labels(rng, kind, wd, n, d_in, n_classes, hidden)
+        batch = Minibatch(rng.standard_normal((n, d_in)), labels)
+        scales = 10.0 ** rng.uniform(-3.0, log_scale, (m, 1))
+        stack = scales * rng.standard_normal((m, spec.n_params))
+        with np.errstate(all="ignore"):
+            for metric in ("accuracy", "loss"):
+                got = validation_performance(spec, stack, batch, metric)
+                want = [frozen_validation_performance(spec, row, batch, metric)
+                        for row in stack]
+                assert type(got) is list and all(type(v) is float for v in got)
+                assert len(got) == m and all(map(same, got, want))
 
 
 def accepts(check, spec, batch) -> bool:
@@ -394,5 +469,5 @@ class TestNoiseWitness:
         rho = quad.noise_bound()
         for i in range(len(batch.inputs)):
             single = Minibatch(batch.inputs[i:i + 1], batch.labels[i:i + 1])
-            _, g = loss_and_grad(spec, theta, single)
+            g = gradient(spec, theta, single)
             assert np.linalg.norm(g - true_grad) <= rho + 1e-12

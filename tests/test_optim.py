@@ -152,9 +152,13 @@ class TestUnfoldedCoefficients:
             assert lo - 1e-12 <= ma[0] <= hi + 1e-12
 
 
-def steer(value):
-    """Evaluate hook whose 'performance' is the first parameter coordinate."""
-    return lambda params, batch: float(params[0])
+def steer(models, batch):
+    """Evaluate hook whose 'performance' of each model is its first coordinate."""
+    return [float(params[0]) for params in models]
+
+
+def flat(models, batch):
+    return [0.0] * len(models)
 
 
 class TestAmaStep:
@@ -187,9 +191,9 @@ class TestAmaStep:
     def test_weight_event_best1_clamps_and_copies(self):
         state = init_averager(pv(1.0), 2, gamma0=0.99, delta=5.0, k_m=10**9, k_v=10**9,
                               k_w=1)
-        state.ma = [pv(7.0), pv(3.0)]
+        state.ma[:] = [pv(7.0), pv(3.0)]
         state.i_best = 1
-        ama_step(state, pv(0.0), 1, lambda: None, steer(0))
+        ama_step(state, 1, lambda: None, steer)
         assert state.gammas[0] == 1.0                   # min(1, 4.95)
         assert np.isclose(state.gammas[1], 0.2)         # gamma1 / delta
         assert state.ma[1][0] == 7.0             # copy of the best
@@ -199,9 +203,9 @@ class TestAmaStep:
     def test_weight_event_best2_divides_and_copies(self):
         state = init_averager(pv(1.0), 2, gamma0=0.99, delta=5.0, k_m=10**9, k_v=10**9,
                               k_w=1)
-        state.ma = [pv(7.0), pv(3.0)]
+        state.ma[:] = [pv(7.0), pv(3.0)]
         state.i_best = 2
-        ama_step(state, pv(0.0), 1, lambda: None, steer(0))
+        ama_step(state, 1, lambda: None, steer)
         assert np.isclose(state.gammas[0], 0.198)
         assert np.isclose(state.gammas[1], 0.0396)
         assert state.ma[0][0] == 3.0
@@ -210,10 +214,9 @@ class TestAmaStep:
     def test_window_event_without_adapt_keeps_means_weights_and_models(self):
         state = init_averager(pv(1.0), 2, gamma0=0.99, delta=5.0, k_m=10**9, k_v=1,
                               k_w=2, adapt=False)
-        state.ma = [pv(7.0), pv(3.0)]
-        evaluate = lambda params, batch: float(params[0])
+        state.models[:] = [pv(7.0), pv(3.0), pv(0.5)]
         for k in (1, 2, 3, 4):
-            ama_step(state, pv(0.5), k, lambda: "batch", evaluate)
+            ama_step(state, k, lambda: "batch", steer)
         # k = 2 and 4 are k_w boundaries: no reset, no weight move, no copy
         assert state.n == 4
         assert (state.val[0].mean, state.val[1].mean, state.val_sgd.mean) == (7.0, 3.0, 0.5)
@@ -222,50 +225,50 @@ class TestAmaStep:
         assert state.i_best == 1
         # one and zero models always reset at k_w (they have no weights to move)
         for n_models in (0, 1):
-            other = init_averager(pv(1.0), n_models, k_m=10**9, k_v=1, k_w=2)
-            ama_step(other, pv(0.5), 1, lambda: "batch", evaluate)
+            other = init_averager(pv(0.5), n_models, k_m=10**9, k_v=1, k_w=2)
+            ama_step(other, 1, lambda: "batch", steer)
             assert other.n == 1
-            ama_step(other, pv(0.5), 2, lambda: "batch", evaluate)
+            ama_step(other, 2, lambda: "batch", steer)
             assert other.n == 0 and other.gammas == [0.99] * n_models
 
     def test_validation_folds_running_means(self):
         state = init_averager(pv(0.0), 2, k_m=10**9, k_v=1, k_w=10**9)
-        state.ma = [pv(1.0), pv(0.0)]
-        evaluate = lambda params, batch: float(params[0])
-        ama_step(state, pv(0.5), 1, lambda: "batch", evaluate)
+        state.models[:] = [pv(1.0), pv(0.0), pv(0.5)]
+        ama_step(state, 1, lambda: "batch", steer)
         assert (state.val[0].mean, state.val[1].mean, state.val_sgd.mean,
                 state.n) == (1.0, 0.0, 0.5, 1)
         assert state.i_best == 1
-        state.ma = [pv(0.0), pv(1.0)]
-        ama_step(state, pv(0.5), 2, lambda: "batch", evaluate)
+        state.ma[:] = [pv(0.0), pv(1.0)]
+        ama_step(state, 2, lambda: "batch", steer)
         assert (state.val[0].mean, state.val[1].mean, state.n) == (0.5, 0.5, 2)
         # exact tie retains the previous selection
         assert state.i_best == 1
-        ama_step(state, pv(0.5), 3, lambda: "batch", evaluate)
+        ama_step(state, 3, lambda: "batch", steer)
         assert state.i_best == 2
         assert np.isclose(state.sigma(), state.val[1].mean - state.val_sgd.mean)
 
     def test_empty_validation_source_skips_with_warning(self):
         state = init_averager(pv(0.0), 2, k_m=10**9, k_v=1, k_w=10**9)
-        ama_step(state, pv(0.5), 1, lambda: None, steer(0))
+        ama_step(state, 1, lambda: None, steer)
         assert state.n == 0
         assert state.skipped_validations == 1
 
     def test_ma_updates_only_on_km_boundary(self):
         state = init_averager(pv(0.0), 2, gamma0=0.5, k_m=3, k_v=10**9, k_w=10**9)
+        state.sgd[:] = 1.0
         for k in (1, 2):
-            ama_step(state, pv(1.0), k, lambda: None, steer(0))
+            ama_step(state, k, lambda: None, steer)
         assert state.ma[0][0] == 0.0
-        ama_step(state, pv(1.0), 3, lambda: None, steer(0))
+        ama_step(state, 3, lambda: None, steer)
         assert state.ma[0][0] == 0.5
 
     def test_gamma_ratio_invariant_after_every_weight_event(self):
         rng = np.random.default_rng(4)
         state = init_averager(pv(0.0), 2, gamma0=0.99, delta=5.0, k_m=2, k_v=4, k_w=8)
-        ev = lambda params, batch: float(rng.random())
+        ev = lambda models, batch: [float(rng.random()) for _ in models]
         for k in range(1, 200):
-            ama_step(state, pv(float(rng.standard_normal())), k,
-                     lambda: "b", ev)
+            state.sgd[:] = rng.standard_normal()
+            ama_step(state, k, lambda: "b", ev)
             if k % 8 == 0:
                 assert np.isclose(state.gammas[1], state.gammas[0] / state.delta)
             assert 0.0 <= state.gammas[0] <= 1.0
@@ -273,7 +276,7 @@ class TestAmaStep:
 
     def test_best_ma_returns_selected_model(self):
         state = init_averager(pv(0.0), 2)
-        state.ma = [pv(1.0), pv(2.0)]
+        state.ma[:] = [pv(1.0), pv(2.0)]
         state.i_best = 1
         assert best_ma(state)[0] == 1.0
         state.i_best = 2
@@ -284,14 +287,14 @@ class TestEquivalences:
     def run_trajectory(self, make_ma, steps=200, seed=0, k_m=1):
         """Shared SGD trajectory; returns the MA model after each iteration."""
         rng = np.random.default_rng(seed)
-        sgd = init_sgd(pv(*rng.standard_normal(3)), beta=0.9)
-        ma_state = make_ma(sgd.theta)
+        ma_state = make_ma(pv(*rng.standard_normal(3)))
+        sgd = init_sgd(ma_state.sgd, beta=0.9)
         out = []
         for k in range(1, steps + 1):
             g = (0.7 * (sgd.theta - np.array([1.0, -1.0, 0.5]))
                  + 0.1 * rng.standard_normal(3))
             sgd_step(sgd, g, lr=0.05)
-            ama_step(ma_state, sgd.theta, k, lambda: "b", lambda p, b: 0.0)
+            ama_step(ma_state, k, lambda: "b", flat)
             out.append(ma_state.ma[0].copy())
         return np.array(out)
 
@@ -305,24 +308,23 @@ class TestEquivalences:
 
     def test_ema_gamma_zero_tracks_sgd_bitwise(self):
         rng = np.random.default_rng(1)
-        sgd = init_sgd(pv(*rng.standard_normal(2)), beta=0.0)
-        ema = init_averager(sgd.theta, 1, 0.0, k_m=1)
+        ema = init_averager(pv(*rng.standard_normal(2)), 1, 0.0, k_m=1)
+        sgd = init_sgd(ema.sgd, beta=0.0)
         for k in range(1, 100):
             g = rng.standard_normal(2)
             sgd_step(sgd, g, lr=0.03)
-            ama_step(ema, sgd.theta, k, lambda: "b", lambda p, b: 0.0)
+            ama_step(ema, k, lambda: "b", flat)
             assert np.array_equal(ema.ma[0], sgd.theta)
 
 
 class TestCheckpoint:
     def test_sgd_ama_round_trip_resumes_bit_identically(self, tmp_path):
         rng = np.random.default_rng(9)
-        sgd = init_sgd(pv(*rng.standard_normal(4)), beta=0.9)
-        ama = init_averager(sgd.theta, 2, k_m=2, k_v=4, k_w=8)
-        ev = lambda p, b: float(p[0])
+        ama = init_averager(pv(*rng.standard_normal(4)), 2, k_m=2, k_v=4, k_w=8)
+        sgd = init_sgd(ama.sgd, beta=0.9)
         for k in range(1, 21):
             sgd_step(sgd, rng.standard_normal(4), lr=0.05)
-            ama_step(ama, sgd.theta, k, lambda: "b", ev)
+            ama_step(ama, k, lambda: "b", steer)
         path = tmp_path / "ckpt.npz"
         save_optimizer(path, sgd, ama)
         sgd2, ama2 = load_optimizer(path)
@@ -331,9 +333,9 @@ class TestCheckpoint:
         for k in range(21, 41):
             g = grads[k - 21]
             sgd_step(sgd, g.copy(), lr=0.05)
-            ama_step(ama, sgd.theta, k, lambda: "b", ev)
+            ama_step(ama, k, lambda: "b", steer)
             sgd_step(sgd2, g.copy(), lr=0.05)
-            ama_step(ama2, sgd2.theta, k, lambda: "b", ev)
+            ama_step(ama2, k, lambda: "b", steer)
         assert np.array_equal(sgd.theta, sgd2.theta)
         assert np.array_equal(ama.ma[0], ama2.ma[0])
         assert np.array_equal(ama.ma[1], ama2.ma[1])
@@ -361,6 +363,6 @@ class TestCostAccounting:
         state = init_averager(pv(0.0), 2, k_m=k_m, k_v=k_v, k_w=k_w)
         costs = CostCounter()
         for k in range(1, window + 1):
-            ama_step(state, pv(1.0), k, lambda: "b", lambda p, b: 0.0, costs)
+            ama_step(state, k, lambda: "b", flat, costs)
         assert costs.update == 2 * (window // k_m)
         assert costs.forward == 3 * (window // k_v)

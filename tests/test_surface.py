@@ -73,6 +73,7 @@ STALE = {
     "datapool.DataPool.checkpoint": "a step that raises ends the run: no pool is rolled back",
     "datapool.DataPool.restore": "a step that raises ends the run: no pool is rolled back",
     "datapool.DataPool.offer": "datapool.advance writes the slots a step overwrites",
+    "harness.loss_and_grad": "training computes the gradient alone (model.gradient)",
 }
 
 
