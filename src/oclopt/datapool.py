@@ -189,16 +189,6 @@ class DataPool:
             self._xs[new], self._ys[new] = xs[:m], ys[:m]
             self._arrival[new] = seen.searchsorted(np.arange(lo, hi), "right") + (first - 1)
 
-    def _ahead(self):
-        """(offer plan, the last offered step's index) if the plan holds that
-        step and the pool stands after its offers; else None."""
-        plan = self._offers
-        if plan is not None:
-            k = self.last_step - plan.first
-            if 0 <= k < len(plan.counts) and plan.seen[k + 1] == self.seen_count:
-                return plan, k
-        return None
-
     # -- views --------------------------------------------------------------
 
     def slots_between(self, first: int, last: int):
@@ -287,14 +277,6 @@ def advance(served: Served, t: int):
         pool.last_step = t
 
 
-def steady_sizes(pool: DataPool) -> np.ndarray:
-    """The pool's size after each step from its last offered step through
-    the last one before its offer plan next overwrites a stored item: the
-    steps over which rows read now stay put."""
-    plan, k = pool._ahead()
-    return np.minimum(plan.seen[k + 1:plan.calm[k] + 1], pool.capacity)
-
-
 def _replayed(pool: DataPool, key: tuple, make, gather) -> Minibatch:
     """The rows of the pool's replay plan for its last offered step t, as
     views. The plan serves if it was made under ``key`` from the offer plan
@@ -302,10 +284,10 @@ def _replayed(pool: DataPool, key: tuple, make, gather) -> Minibatch:
     index)`` draws the one that replaces it. ``gather(plan, lo, hi)``
     gathers the rows of step t and of the plan's later steps up to the next
     one whose offers overwrite a stored item, into ``pool.gathered``."""
-    t, found = pool.last_step, pool._ahead()
-    if found is None:
+    t, source = pool.last_step, pool._offers
+    k = -1 if source is None else t - source.first
+    if not (0 <= k < len(source.counts) and source.seen[k + 1] == pool.seen_count):
         raise ValueError(f"replay needs the offers of the pool's last offered step {t}")
-    source, k = found
     plan = pool._replay
     if (plan is None or plan.key != key or plan.source is not source
             or not 0 <= t - plan.first < len(plan.bound)):
@@ -428,10 +410,10 @@ def sample_folds(pool: DataPool, m: int, rng: np.random.Generator, bounds: np.nd
     """(inputs, labels) of one minibatch of m items per bound, shaped
     (len(bounds), m, ...): fold i's items are uniform with replacement over
     the first ``bounds[i]`` stored items, which must stay put until it is
-    served (see ``steady_sizes``). One generator call draws every fold, equal
-    to one ``rng.integers(0, bound, size=m)`` call per fold in order; a
-    bound of 0 (a skipped fold) draws nothing. One take per array gathers the
-    rows into buffers the pool keeps. None if every bound is 0."""
+    served. One generator call draws every fold, equal to one
+    ``rng.integers(0, bound, size=m)`` call per fold in order; a bound of 0
+    (a skipped fold) draws nothing. One take per array gathers the rows into
+    buffers the pool keeps. None if every bound is 0."""
     if not bounds.any():
         return None
     # a bound of 1 draws without consuming the generator

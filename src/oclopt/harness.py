@@ -29,7 +29,7 @@ import yaml
 from . import __version__, datapool
 from . import rng as rngmod
 from .datapool import (UNSERVED, DataPool, EmptyPoolError, Minibatch, sample_folds,
-                       sample_mixed_replay, sample_pure_replay, steady_sizes)
+                       sample_mixed_replay, sample_pure_replay)
 from .metrics import MetricLedger, forward_transfer, information_retention
 from .model import (DivergenceError, ModelSpec, Workspace, check_batch, gradient, init_params,
                     predict, step_ahead_performance, validation_performance)
@@ -179,6 +179,15 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     return dataclasses.asdict(config)
 
 
+def _finite(v) -> bool:
+    """v is an int or a float, not a bool, that a float holds finite (an
+    integer too large for a float is not: math.isfinite raises on it)."""
+    try:
+        return type(v) in (int, float) and math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 def _check(block, kinds: dict, where: str, required=()):
     """Reject a block that is no mapping, keys ``kinds`` (key -> annotation) does not
     name, ``required`` keys it lacks and values their key's annotation does not take."""
@@ -196,12 +205,13 @@ def _check(block, kinds: dict, where: str, required=()):
         kind = kinds[key]
         types, what = {
             "int": ((int,), "an integer"), "Optional[int]": ((int, type(None)), "an integer"),
-            "float": ((int, float), "a number"), "list[float]": ((list,), "a list of numbers"),
+            "float": ((int, float), "a finite number"),
+            "list[float]": ((list,), "a list of finite numbers"),
             "bool": ((bool,), "true or false"), "str": ((str,), "a string"),
             "Optional[str]": ((str, type(None)), "a string or null"),
         }.get(kind, ((type(value),), ""))
-        items = value if kind == "list[float]" and type(value) is list else ()
-        if type(value) not in types or any(type(v) not in (int, float) for v in items):
+        numbers = {"float": [value], "list[float]": value}.get(kind, ())
+        if type(value) not in types or not all(map(_finite, numbers)):
             raise ConfigError(f"{where} key {key} must be {what}, got {value!r}")
 
 
@@ -450,16 +460,16 @@ class Run:
         self.served = UNSERVED      # the block's steps served by index
 
     def plan_folds(self):
-        """Plan the validation minibatches of the folds the run reaches from
-        the current step on while the holdout's rows stay put (see
-        ``steady_sizes``): one bound per fold, the holdout's size at the
-        fold's step."""
+        """Plan the validation minibatches of the folds the run reaches in the
+        block, at its first step: one bound per fold, the holdout's size at
+        the fold's step, read from the offer plans. The holdout keeps every
+        datum routed to it, so its rows stay put through the block."""
         p, k_v = self.config.iters_per_step, self.averager.k_v
-        sizes = steady_sizes(self.holdout)
+        (_, pool_plan), (_, holdout_plan) = self.served.offers
+        sizes = np.array(holdout_plan.seen[1:])
         iters = np.full(len(sizes), p)
-        if self.config.replay.mode == "pure":   # a pool past its steady steps holds items
-            pool_sizes = steady_sizes(self.pool)[:len(sizes)]
-            iters[:len(pool_sizes)] *= pool_sizes > 0
+        if self.config.replay.mode == "pure":   # a step with an empty pool runs no iterations
+            iters *= np.array(pool_plan.seen[1:]) > 0
         done = self.k + np.cumsum(iters)
         folds = np.arange(self.k // k_v + 1, done[-1] // k_v + 1)
         bounds = sizes[done.searchsorted(folds * k_v)]

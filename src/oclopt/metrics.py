@@ -1,4 +1,4 @@
-"""Online continual learning metrics and the running-mean validation accumulator.
+"""Online continual learning metrics.
 
 Three stream-level metrics, all higher-is-better:
 
@@ -16,8 +16,6 @@ streams substitute negative loss so all comparisons stay maximizations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .datapool import DataPool, EmptyPoolError, Minibatch
@@ -27,23 +25,6 @@ from .stream import StreamSpec, eval_window
 
 class MetricError(RuntimeError):
     """A metric was requested from records that do not exist."""
-
-
-@dataclass
-class RunningMean:
-    """Incremental mean: mean <- (n * mean + x) / (n + 1)."""
-
-    mean: float = 0.0
-    n: int = 0
-
-    def fold(self, x: float) -> "RunningMean":
-        self.mean = (self.n * self.mean + x) / (self.n + 1)
-        self.n += 1
-        return self
-
-    def reset(self):
-        self.mean = 0.0
-        self.n = 0
 
 
 class MetricLedger:

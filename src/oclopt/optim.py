@@ -27,7 +27,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .metrics import RunningMean
 from .model import DivergenceError
 
 log = logging.getLogger(__name__)
@@ -62,6 +61,8 @@ class SgdState:
     lr: float = 0.0
 
     def __post_init__(self):
+        if not (0.0 <= self.beta < 1.0):
+            raise ValueError(f"momentum beta must lie in [0, 1), got {self.beta}")
         if self.momentum.shape != self.theta.shape:
             raise ValueError("momentum buffer shape must match theta")
 
@@ -98,6 +99,8 @@ class AdamState:
     def __post_init__(self):
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValueError("beta1, beta2 must lie in [0, 1)")
+        if not (self.eps > 0.0):
+            raise ValueError(f"eps must be > 0, got {self.eps}")
         if self.m.shape != self.theta.shape or self.v.shape != self.theta.shape:
             raise ValueError("moment accumulator shape must match theta")
 
@@ -149,10 +152,11 @@ class AmaState:
     call. Two models are the adaptive variant (AMA): weights a factor ``delta``
     apart, adapted by population search. One model is a fixed-weight EMA,
     and no model is plain SGD, which still keeps the online validation mean.
-    ``val`` holds one running validation mean per MA model and ``val_sgd``
-    the SGD model's; they fold every k_v iterations on a shared minibatch and
-    reset every k_w iterations. i_best (1-based) selects the MA model used
-    for inference and for the sigma signal (with no MA model, the SGD iterate).
+    ``means`` holds one running validation mean per row of ``models`` (the
+    MA models', then the SGD model's), over the ``n`` folds since the last
+    reset; they fold every k_v iterations on a shared minibatch and reset
+    every k_w iterations. i_best (1-based) selects the MA model used for
+    inference and for the sigma signal (with no MA model, the SGD iterate).
 
     With ``adapt`` off the k_w window event never fires: no reset and no
     weight move, so a 2-model averager with delta=1 reproduces EMA exactly.
@@ -160,8 +164,8 @@ class AmaState:
 
     models: np.ndarray
     gammas: list
-    val: list
-    val_sgd: RunningMean
+    means: list
+    n: int = 0
     delta: float = 5.0
     k_m: int = 10
     k_v: int = 20
@@ -171,9 +175,9 @@ class AmaState:
     skipped_validations: int = 0
 
     def __post_init__(self):
-        if not (len(self.models) - 1 == len(self.gammas) == len(self.val) <= 2):
-            raise ValueError("need one weight and one validation mean per MA model, "
-                             "at most two models")
+        if not (len(self.models) - 1 == len(self.gammas) == len(self.means) - 1 <= 2):
+            raise ValueError("need one weight per MA model and one validation mean per "
+                             "model, at most two MA models")
         for g in self.gammas:
             if not (0.0 <= g <= 1.0):
                 raise ValueError("MA weights must lie in [0, 1]")
@@ -183,18 +187,13 @@ class AmaState:
             raise ValueError("k_m, k_v and k_w must be >= 1")
         self.ma, self.sgd = self.models[:-1], self.models[-1]   # views of the rows
 
-    @property
-    def n(self) -> int:
-        """Validation folds since the last reset."""
-        return self.val_sgd.n
-
     def best_perf(self) -> float:
         """Running validation performance of the selected model (SGD if none)."""
-        return self.val[self.i_best - 1].mean if self.val else self.val_sgd.mean
+        return self.means[self.i_best - 1]   # best_ma's row
 
     def sigma(self) -> float:
         """Validation-performance gap between the best MA model and the SGD model."""
-        return self.best_perf() - self.val_sgd.mean if self.val else float("nan")
+        return self.best_perf() - self.means[-1] if self.gammas else float("nan")
 
     def search_columns(self) -> tuple:
         """(sigma, gamma_ma1, gamma_ma2, i_best) of the two-model weight search.
@@ -214,7 +213,7 @@ def init_averager(theta0: np.ndarray, n_models: int, gamma0: float = 0.99,
         raise ValueError("need gamma0 in [0, 1] and delta >= 1")
     return AmaState(models=np.tile(theta0, (n_models + 1, 1)),
                     gammas=[gamma0 / delta ** i for i in range(n_models)],
-                    val=[RunningMean() for _ in range(n_models)], val_sgd=RunningMean(),
+                    means=[0.0] * (n_models + 1),
                     delta=delta, k_m=k_m, k_v=k_v, k_w=k_w, adapt=adapt)
 
 
@@ -244,20 +243,22 @@ def ama_step(state: AmaState, k: int, sample_validation: Callable[[], object],
             state.skipped_validations += 1
             log.warning("no holdout data at validation iteration %d; fold skipped", k)
         else:
-            for acc, score in zip(state.val + [state.val_sgd], evaluate(state.models, batch)):
-                acc.fold(score)
+            n = state.n
+            state.means = [(n * m + x) / (n + 1)
+                           for m, x in zip(state.means, evaluate(state.models, batch))]
+            state.n = n + 1
             if costs is not None:
                 costs.forward += len(state.models)
-            if len(state.val) == 2:
-                acc1, acc2 = state.val[0].mean, state.val[1].mean
+            if len(state.gammas) == 2:
+                acc1, acc2 = state.means[:2]
                 if acc1 > acc2:
                     state.i_best = 1
                 elif acc2 > acc1:
                     state.i_best = 2
                 # exact tie: keep the previous selection
     if state.adapt and k % state.k_w == 0:
-        for acc in state.val + [state.val_sgd]:
-            acc.reset()
+        state.means = [0.0] * len(state.means)
+        state.n = 0
         if len(state.gammas) == 2:
             # copy the better model over the other, move both weights by delta
             (ma1, ma2), (g1, g2) = state.ma, state.gammas
@@ -281,11 +282,9 @@ def best_ma(state: AmaState) -> np.ndarray:
 # -- checkpointing -------------------------------------------------------------
 
 def save_optimizer(path, base, ma=None):
-    """Serialize optimizer state (and optional averager state) to an .npz archive.
-
-    Float64 values round-trip exactly, so a restored optimizer continues
-    bit-identically to one that was never saved.
-    """
+    """Serialize optimizer state (and optional averager state) to an .npz
+    archive whose float64 arrays hold every value exactly (the README lists
+    the keys and the order of the scalars)."""
     blobs = {}
     if isinstance(base, SgdState):
         blobs.update(base_kind="sgd", base_theta=base.theta,
@@ -301,7 +300,7 @@ def save_optimizer(path, base, ma=None):
     if isinstance(ma, AmaState):
         blobs.update(ma_models=np.array(ma.ma).reshape(-1, len(base.theta)),
                      ma_gammas=np.array(ma.gammas, dtype=float),
-                     ma_means=np.array([acc.mean for acc in ma.val + [ma.val_sgd]]),
+                     ma_means=np.array(ma.means),
                      ma_scalars=np.array([ma.delta, float(ma.k_m), float(ma.k_v),
                                           float(ma.k_w), float(ma.n), float(ma.i_best),
                                           float(ma.adapt),
@@ -310,31 +309,3 @@ def save_optimizer(path, base, ma=None):
         raise TypeError(f"unsupported MA state {type(ma)!r}")
     np.savez(path, **blobs)
 
-
-def load_optimizer(path):
-    """Restore (base_state, averager) saved by save_optimizer; theta is the averager's sgd."""
-    with np.load(path, allow_pickle=False) as z:
-        kind = str(z["base_kind"])
-        models = np.vstack([z["ma_models"], z["base_theta"]]) if "ma_models" in z else None
-        theta = z["base_theta"].copy() if models is None else models[-1]
-        if kind == "sgd":
-            beta, lr = z["base_scalars"]
-            base = SgdState(theta=theta,
-                            momentum=z["base_momentum"].copy(), beta=float(beta),
-                            lr=float(lr))
-        else:
-            b1, b2, eps, step, lr = z["base_scalars"]
-            base = AdamState(theta=theta,
-                             m=z["base_m"].copy(), v=z["base_v"].copy(),
-                             beta1=float(b1), beta2=float(b2), eps=float(eps),
-                             step=int(step), lr=float(lr))
-        ma = None
-        if models is not None:
-            delta, k_m, k_v, k_w, n, i_best, adapt, skipped = z["ma_scalars"]
-            means = [RunningMean(float(m), int(n)) for m in z["ma_means"]]
-            ma = AmaState(models=models,
-                          gammas=[float(g) for g in z["ma_gammas"]],
-                          val=means[:-1], val_sgd=means[-1], delta=float(delta),
-                          k_m=int(k_m), k_v=int(k_v), k_w=int(k_w), i_best=int(i_best),
-                          adapt=bool(adapt), skipped_validations=int(skipped))
-    return base, ma

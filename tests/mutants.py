@@ -11,7 +11,8 @@ temporary directory, applies the mutant, runs the mutant's tests there with
 no shrinking, since a killing example need not be minimal) and prints killed
 or survived with the time taken. It exits 1
 if a mutant survives, or if its snippet no longer occurs exactly once in its
-file, so the list stays current. pytest does not collect this file.
+file, so the list stays current. pytest does not collect this file;
+``tests/test_surface.py`` checks the snippets and test paths in tier-1.
 
 A change to a path listed here adds its mutants.
 """
@@ -30,6 +31,8 @@ HARNESS = "src/oclopt/harness.py"
 SCHEDULE = "src/oclopt/schedule.py"
 RATE_TESTS = ("tests/test_schedule.py", "tests/test_golden_artifacts.py")
 BAD_CONFIG_TESTS = ("tests/test_harness.py::TestCli::test_out_of_range_value_is_a_config_error",)
+FINITE_TESTS = (
+    "tests/test_harness.py::TestCli::test_a_number_that_is_not_finite_is_a_config_error",)
 SEED_TESTS = ("tests/test_harness.py::TestCli::test_every_seed_must_be_a_non_negative_integer",
               "tests/test_harness.py::TestTheoryConfig::test_verify_bounds_validates_its_config")
 OPTIM = "src/oclopt/optim.py"
@@ -75,13 +78,16 @@ MUTANTS = {
         SCHEDULE, "            or not math.isfinite(value) or positive and value <= 0):",
         "            or positive and value <= 0):", BAD_CONFIG_TESTS),
     "float-fields-unchecked": (
-        HARNESS, '"float": ((int, float), "a number"),', "", BAD_CONFIG_TESTS),
+        HARNESS, '"float": ((int, float), "a finite number"),', "", FINITE_TESTS),
+    "float-fields-take-non-finite": (
+        HARNESS, "return type(v) in (int, float) and math.isfinite(v)",
+        "return type(v) in (int, float)", FINITE_TESTS),
     "bool-fields-take-any-value": (
         HARNESS, '"bool": ((bool,), "true or false"),', "", BAD_CONFIG_TESTS),
     "str-fields-take-any-value": (HARNESS, '"str": ((str,), "a string"),', "", BAD_CONFIG_TESTS),
     "bool-is-a-number": (
-        HARNESS, "any(type(v) not in (int, float) for v in items)",
-        "any(not isinstance(v, (int, float)) for v in items)", BAD_CONFIG_TESTS),
+        HARNESS, "return type(v) in (int, float) and math.isfinite(v)",
+        "return isinstance(v, (int, float)) and math.isfinite(v)", BAD_CONFIG_TESTS),
     "loss-score-keeps-decay": (MODEL, LOSS_SCORE, LOSS_SCORE + STACK_DECAY, MODEL_TESTS),
     "probe-score-keeps-decay": (
         MODEL, "        score = -_quadratic(spec, theta[..., None, :] - y)",
@@ -153,7 +159,12 @@ MUTANTS = {
         HARNESS, "folds = np.arange(self.k // k_v + 1, done[-1] // k_v + 1)",
         "folds = np.arange(self.k // k_v + 1, done[-1] // k_v)", FOLD_TESTS),
     "fold-plan-counts-empty-pool-steps": (
-        HARNESS, "            iters[:len(pool_sizes)] *= pool_sizes > 0\n", "", FOLD_TESTS),
+        HARNESS, "iters *= np.array(pool_plan.seen[1:]) > 0",
+        "iters *= np.array(pool_plan.seen[1:]) >= 0", FOLD_TESTS),
+    "replay-skips-the-seen-count-test": (
+        DATAPOOL, " and source.seen[k + 1] == pool.seen_count", "",
+        ("tests/test_datapool.py::TestPlannedSteps::"
+         "test_a_draw_from_a_pool_another_plan_moved_raises",)),
     "arrival-ahead-one-step-late": (
         DATAPOOL, '"right") + (first - 1)', '"right") + first', STEP_TESTS),
     "mixed-draws-past-overwrite": (
@@ -164,6 +175,10 @@ MUTANTS = {
         "        pass\n", BAD_CONFIG_TESTS),
     "verify-bounds-skips-validation": (
         HARNESS, "th = config.validate().theory", "th = config.theory", SEED_TESTS),
+    "reset-keeps-the-means": (
+        OPTIM, "        state.means = [0.0] * len(state.means)\n", "", AVERAGER_TESTS),
+    "best-perf-reads-the-sgd-row": (
+        OPTIM, "return self.means[self.i_best - 1]", "return self.means[-1]", AVERAGER_TESTS),
     "delta-below-one-accepted": (
         OPTIM, "if self.delta < 1.0:", "if self.delta <= 0.0:", AVERAGER_TESTS),
     "fold-scores-the-sgd-row-for-every-model": (

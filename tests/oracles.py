@@ -32,6 +32,17 @@ def unfolded_ma_coefficients(gammas: np.ndarray) -> np.ndarray:
     return coeffs
 
 
+def folded_means(folds: list, width: int) -> list:
+    """Per-row running means of ``folds``, one list of ``width`` scores per
+    fold, folded one score at a time from 0.0 as mean <- (n * mean + x) /
+    (n + 1): the averager's fold, frozen."""
+    means = [0.0] * width
+    for n, scores in enumerate(folds):
+        for i, x in enumerate(scores):
+            means[i] = (n * means[i] + x) / (n + 1)
+    return means
+
+
 def grad_at(quad, theta: np.ndarray, t) -> np.ndarray:
     """Exact gradient of a ``DriftingQuadraticSpec``'s step-t loss at theta."""
     return quad.eigenvalues() * (theta - quad.center(t))

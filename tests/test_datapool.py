@@ -434,6 +434,33 @@ class TestPlannedSteps:
             assert np.concatenate([mb.labels for mb in rows]).tobytes() == ys.tobytes()
             rows.clear()
 
+    # A replay draw serves the step the pool was offered last, from the offer
+    # plan that holds that step, with the pool standing after the step's
+    # offers. A draw after the next block is planned but before its first
+    # step is taken, or from a pool that an older plan moved past the plan
+    # it holds (one made for a stream of larger batches), would serve rows
+    # of a step the pool does not stand at.
+    @pytest.mark.parametrize("sample", [sample_pure_replay, sample_mixed_replay])
+    def test_a_draw_before_the_planned_step_is_taken_raises(self, sample):
+        spec, served = small_stream(horizon=2 * BLOCK), datapool.UNSERVED
+        pool, holdout = DataPool(ROOM), DataPool(ROOM, holdout_fraction=0.1)
+        for t in range(1, BLOCK + 1):
+            served = integrate(pool, holdout, spec, t, served)
+        update(pool, holdout, spec, BLOCK + 1)
+        with pytest.raises(ValueError, match="needs the offers of the pool's last offered"):
+            sample(pool, 4)
+
+    @pytest.mark.parametrize("sample", [sample_pure_replay, sample_mixed_replay])
+    def test_a_draw_from_a_pool_another_plan_moved_raises(self, sample):
+        spec, served = small_stream(), datapool.UNSERVED
+        pool, holdout = DataPool(ROOM), DataPool(ROOM)
+        for t in range(1, 6):
+            served = integrate(pool, holdout, spec, t, served)
+        update(pool, holdout, small_stream(n=12), 6)
+        datapool.advance(served, 6)
+        with pytest.raises(ValueError, match="needs the offers of the pool's last offered"):
+            sample(pool, 4)
+
 
 class TestPlannedFolds:
     # Runs draw their validation minibatches once per block of steps, with

@@ -1,5 +1,6 @@
 """Experiment runner determinism, config round-trips, presets, and the CLI."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -84,6 +85,15 @@ rwp/seed5/main                             0.9486   1.0000   1.0000  1.221e-05
 rwp/seed6/ema-replay                       0.9826   0.9835   0.9880  1.221e-05
 rwp/seed6/main                             0.9917   1.0000   1.0000  1.221e-05
 """
+
+
+# key -> annotation of every config field annotated float or list[float]
+# (the top-level fields have none)
+FLOAT_KEYS = {f"{block}.{f.name}": f.type for block, cls in (
+    ("stream", harness.StreamConfig), ("model", harness.ModelConfig),
+    ("optimizer", harness.OptimizerConfig), ("replay", harness.ReplayConfig),
+    ("schedule", harness.ScheduleConfig), ("theory", harness.TheoryConfig))
+    for f in dataclasses.fields(cls) if f.type in ("float", "list[float]")}
 
 
 def preset_sha256(cfg) -> str:
@@ -716,13 +726,15 @@ class TestCli:
             "stream.batch_size=0", "replay.capacity=0", "replay.holdout_fraction=1.0",
             "schedule.k_r=0", "schedule.beta_lr=0", "schedule.alpha0=0",
             "stream.n_classes=1", "stream.d_in=1", "model.weight_decay=-1",
-            "model.hidden=0", "model.hidden=-1")),
+            "model.hidden=0", "model.hidden=-1", "optimizer.momentum=-3",
+            "optimizer.momentum=1")),
         *(pytest.param("objective-comparison", o, id=o) for o in (
             "stream.d_in=0", "stream.classes_per_task=0", "stream.classes_per_task=5",
             "stream.task_length=0", "model.kind=mlp-1-hidden model.hidden=0")),
         *(pytest.param("theory-verify", o, id=o) for o in (
             "stream.mu=0", "stream.d_in=3", "stream.noise_radius=-1")),
         pytest.param("adam-base", "optimizer.beta1=1.0", id="optimizer.beta1=1.0"),
+        pytest.param("adam-base", "optimizer.adam_eps=0", id="optimizer.adam_eps=0"),
         *(pytest.param("main-comparison", o, id=o) for o in (
             "optimizer.delta=0.5", "optimizer.delta=0.5 optimizer.gamma0=0.4",
             "schedule.kind=constant schedule.alpha0=0",
@@ -740,7 +752,8 @@ class TestCli:
         pytest.param("objective-comparison", "stream.mean_scale=x", id="stream.mean_scale=x"),
         *(pytest.param("theory-verify", o, id=o) for o in (
             'stream.center0=["a",1,1,1]', "stream.center0=[true,1,1,1]",
-            "stream.velocity=0")),
+            "stream.velocity=0",
+            'theory.configs=[["a",{"velocity":NaN,"schedule":"constant"}]]')),
         # the theory block is checked at load, by every command: its rate
         # kinds, a halving rate's halve_every and its seed count included
         *(pytest.param("theory-verify", o, id=o) for o in (
@@ -764,6 +777,24 @@ class TestCli:
         code = cli_main(args + ["--run"])
         assert code == 2
         assert "config error: " in capsys.readouterr().err
+
+    # A float field takes only a finite number, and a list[float] field a
+    # list of them: NaN, an infinity and an integer too large for a float
+    # (JSON and YAML both give these) are config errors at load, whether or
+    # not the run reads the field. The theory block is checked by
+    # verify-bounds.
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400],
+                             ids=["nan", "inf", "-inf", "10**400"])
+    @pytest.mark.parametrize("key", list(FLOAT_KEYS))
+    def test_a_number_that_is_not_finite_is_a_config_error(self, key, value, tmp_path,
+                                                           monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        override = f"{key}={value if FLOAT_KEYS[key] == 'float' else f'[{value},1.0]'}"
+        args = (["verify-bounds"] if key.startswith("theory.")
+                else ["preset", "main-comparison", "--run", "--override", "stream.horizon=30"])
+        assert cli_main(args + ["--override", override]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "finite number" in err
 
     # inputs that once ended in a traceback and exit 1, run in a fresh process
     # so that stderr holds everything a user would see

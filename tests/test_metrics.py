@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from oclopt import metrics
 from oclopt.datapool import UNSERVED, DataPool, EmptyPoolError
-from oclopt.metrics import (MetricError, MetricLedger, RunningMean, forward_transfer,
-                            information_retention)
+from oclopt.metrics import MetricError, MetricLedger, forward_transfer, information_retention
 from oclopt.model import ModelSpec, init_params, predict
 from oclopt.rng import substream
 from oclopt.stream import RotatingGaussianSpec, StreamSpec, eval_window
@@ -19,26 +18,6 @@ from tests.oracles import ROOM, integrate, offer_step, prefix_mean, retained_row
 
 def softmax_spec():
     return ModelSpec(kind="linear-softmax", loss="cross-entropy", d_in=2, n_classes=2)
-
-
-class TestRunningMean:
-    def test_single_fold(self):
-        acc = RunningMean()
-        acc.fold(0.8)
-        assert (acc.mean, acc.n) == (0.8, 1)
-
-    def test_two_folds_average(self):
-        acc = RunningMean()
-        acc.fold(1.0).fold(0.0)
-        assert acc.mean == 0.5
-
-    def test_matches_arithmetic_mean(self):
-        rng = np.random.default_rng(0)
-        xs = rng.random(7)
-        acc = RunningMean()
-        for x in xs:
-            acc.fold(float(x))
-        assert np.isclose(acc.mean, xs.mean(), rtol=1e-12)
 
 
 class TestLearningEfficacy:

@@ -1,5 +1,5 @@
 """Base-optimizer recurrences, MA algebra, the adaptive weight search, and
-checkpoint round-trips."""
+the checkpoint archive."""
 
 import copy
 import dataclasses
@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 
 from oclopt.model import DivergenceError
 from oclopt.optim import (CostCounter, adam_step, ama_step, best_ma, init_adam,
-                          init_averager, init_sgd, load_optimizer, ma_update,
-                          save_optimizer, sgd_step)
-from tests.oracles import unfolded_ma_coefficients
+                          init_averager, init_sgd, ma_update, save_optimizer, sgd_step)
+from tests.oracles import folded_means, unfolded_ma_coefficients
 
 
 def pv(*values):
@@ -198,7 +197,7 @@ class TestAmaStep:
         assert np.isclose(state.gammas[1], 0.2)         # gamma1 / delta
         assert state.ma[1][0] == 7.0             # copy of the best
         assert state.i_best == 2
-        assert state.val[0].mean == state.val[1].mean == 0.0 and state.n == 0
+        assert state.means == [0.0, 0.0, 0.0] and state.n == 0
 
     def test_weight_event_best2_divides_and_copies(self):
         state = init_averager(pv(1.0), 2, gamma0=0.99, delta=5.0, k_m=10**9, k_v=10**9,
@@ -219,7 +218,7 @@ class TestAmaStep:
             ama_step(state, k, lambda: "batch", steer)
         # k = 2 and 4 are k_w boundaries: no reset, no weight move, no copy
         assert state.n == 4
-        assert (state.val[0].mean, state.val[1].mean, state.val_sgd.mean) == (7.0, 3.0, 0.5)
+        assert state.means == [7.0, 3.0, 0.5]
         assert state.gammas == [0.99, 0.99 / 5.0]
         assert (state.ma[0][0], state.ma[1][0]) == (7.0, 3.0)
         assert state.i_best == 1
@@ -235,17 +234,16 @@ class TestAmaStep:
         state = init_averager(pv(0.0), 2, k_m=10**9, k_v=1, k_w=10**9)
         state.models[:] = [pv(1.0), pv(0.0), pv(0.5)]
         ama_step(state, 1, lambda: "batch", steer)
-        assert (state.val[0].mean, state.val[1].mean, state.val_sgd.mean,
-                state.n) == (1.0, 0.0, 0.5, 1)
+        assert (state.means, state.n) == ([1.0, 0.0, 0.5], 1)
         assert state.i_best == 1
         state.ma[:] = [pv(0.0), pv(1.0)]
         ama_step(state, 2, lambda: "batch", steer)
-        assert (state.val[0].mean, state.val[1].mean, state.n) == (0.5, 0.5, 2)
+        assert (state.means[:2], state.n) == ([0.5, 0.5], 2)
         # exact tie retains the previous selection
         assert state.i_best == 1
         ama_step(state, 3, lambda: "batch", steer)
         assert state.i_best == 2
-        assert np.isclose(state.sigma(), state.val[1].mean - state.val_sgd.mean)
+        assert np.isclose(state.sigma(), state.means[1] - state.means[2])
 
     def test_empty_validation_source_skips_with_warning(self):
         state = init_averager(pv(0.0), 2, k_m=10**9, k_v=1, k_w=10**9)
@@ -273,6 +271,41 @@ class TestAmaStep:
                 assert np.isclose(state.gammas[1], state.gammas[0] / state.delta)
             assert 0.0 <= state.gammas[0] <= 1.0
             assert 0.0 <= state.gammas[1] <= 1.0
+
+    # Every k_v iterations each row's mean folds its model's score, and
+    # every k_w iterations (with adapt) the means reset. After every step
+    # each mean must equal the frozen sequential fold of its row's scores
+    # since the last reset, bit for bit, lie within 1e-12 of their mean and
+    # be a Python float, and n must count those folds. The selected model's
+    # mean is the performance the rate controller reads.
+    @settings(max_examples=60, deadline=None)
+    @given(n_models=st.sampled_from([0, 1, 2]), k_v=st.integers(1, 5), k_w=st.integers(1, 12),
+           adapt=st.booleans(), sign=st.sampled_from([1.0, -1.0]), seed=st.integers(0, 2**16),
+           steps=st.integers(1, 80))
+    def test_means_are_the_sequential_fold_since_the_last_reset(self, n_models, k_v, k_w, adapt,
+                                                                sign, seed, steps):
+        rng = np.random.default_rng(seed)
+        state = init_averager(pv(0.0), n_models, k_m=1, k_v=k_v, k_w=k_w, adapt=adapt)
+        folds = []
+
+        def evaluate(models, batch):   # stub scores of one sign, as accuracies or losses are
+            folds.append([sign * float(x) for x in rng.random(len(models))])
+            return folds[-1]
+
+        for k in range(1, steps + 1):
+            state.sgd[:] = rng.standard_normal(1)
+            ama_step(state, k, lambda: "batch", evaluate)
+            if adapt and k % k_w == 0:
+                folds.clear()
+            want = folded_means(folds, n_models + 1)
+            assert state.n == len(folds)
+            assert all(type(m) is float for m in state.means)
+            assert [m.hex() for m in state.means] == [w.hex() for w in want]
+            if folds:
+                np.testing.assert_allclose(state.means, np.mean(folds, axis=0), rtol=1e-12)
+            assert state.best_perf() == want[state.i_best - 1]
+            if n_models:
+                assert state.sigma() == want[state.i_best - 1] - want[-1]
 
     def test_best_ma_returns_selected_model(self):
         state = init_averager(pv(0.0), 2)
@@ -317,43 +350,53 @@ class TestEquivalences:
             assert np.array_equal(ema.ma[0], sgd.theta)
 
 
+def archive(path) -> dict:
+    """Every array of an .npz archive, read without pickles."""
+    with np.load(path, allow_pickle=False) as z:
+        return {key: z[key] for key in z.files}
+
+
+def same(got: np.ndarray, values) -> bool:
+    """A float64 array equal, bit for bit, to ``values`` as float64."""
+    return got.dtype == np.float64 and got.tobytes() == np.array(values, float).tobytes()
+
+
 class TestCheckpoint:
-    def test_sgd_ama_round_trip_resumes_bit_identically(self, tmp_path):
+    # nothing in the program reads checkpoint.npz back, so the archive must
+    # hold every value of the states bit for bit, its scalars in the order
+    # the README lists
+    def test_sgd_ama_checkpoint_holds_the_states_bit_for_bit(self, tmp_path):
         rng = np.random.default_rng(9)
-        ama = init_averager(pv(*rng.standard_normal(4)), 2, k_m=2, k_v=4, k_w=8)
+        ama = init_averager(pv(*rng.standard_normal(4)), 2, delta=4.0, k_m=3, k_v=2, k_w=16)
         sgd = init_sgd(ama.sgd, beta=0.9)
-        for k in range(1, 21):
+        for k in range(1, 23):   # skips the folds at k = 2, 4; resets at 16; folds 18-22
             sgd_step(sgd, rng.standard_normal(4), lr=0.05)
-            ama_step(ama, k, lambda: "b", steer)
-        path = tmp_path / "ckpt.npz"
-        save_optimizer(path, sgd, ama)
-        sgd2, ama2 = load_optimizer(path)
-        follow = np.random.default_rng(77)
-        grads = [follow.standard_normal(4) for _ in range(20)]
-        for k in range(21, 41):
-            g = grads[k - 21]
-            sgd_step(sgd, g.copy(), lr=0.05)
-            ama_step(ama, k, lambda: "b", steer)
-            sgd_step(sgd2, g.copy(), lr=0.05)
-            ama_step(ama2, k, lambda: "b", steer)
-        assert np.array_equal(sgd.theta, sgd2.theta)
-        assert np.array_equal(ama.ma[0], ama2.ma[0])
-        assert np.array_equal(ama.ma[1], ama2.ma[1])
-        assert (ama.gammas, ama.i_best, ama.n) == (ama2.gammas, ama2.i_best, ama2.n)
+            ama_step(ama, k, lambda: None if k < 5 else "b", steer)
+        assert (ama.n, ama.skipped_validations) == (3, 2)
+        save_optimizer(tmp_path / "ckpt.npz", sgd, ama)
+        z = archive(tmp_path / "ckpt.npz")
+        assert sorted(z) == ["base_kind", "base_momentum", "base_scalars", "base_theta",
+                             "ma_gammas", "ma_means", "ma_models", "ma_scalars"]
+        assert z["base_kind"].item() == "sgd"
+        assert same(z["base_theta"], sgd.theta) and same(z["base_momentum"], sgd.momentum)
+        assert same(z["base_scalars"], [sgd.beta, sgd.lr])
+        assert same(z["ma_models"], ama.models[:-1]) and same(z["ma_gammas"], ama.gammas)
+        assert same(z["ma_means"], ama.means)
+        assert same(z["ma_scalars"], [ama.delta, ama.k_m, ama.k_v, ama.k_w, ama.n, ama.i_best,
+                                      ama.adapt, ama.skipped_validations])
 
     def test_adam_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)
-        adam = init_adam(pv(*rng.standard_normal(3)))
+        adam = init_adam(pv(*rng.standard_normal(3)), beta1=0.8, beta2=0.99, eps=1e-7)
         for _ in range(10):
             adam_step(adam, rng.standard_normal(3), lr=0.01)
-        path = tmp_path / "adam.npz"
-        save_optimizer(path, adam)
-        adam2, ma = load_optimizer(path)
-        assert ma is None
-        g = rng.standard_normal(3)
-        adam_step(adam, g.copy(), lr=0.01)
-        adam_step(adam2, g.copy(), lr=0.01)
-        assert np.array_equal(adam.theta, adam2.theta)
+        save_optimizer(tmp_path / "adam.npz", adam)
+        z = archive(tmp_path / "adam.npz")
+        assert sorted(z) == ["base_kind", "base_m", "base_scalars", "base_theta", "base_v"]
+        assert z["base_kind"].item() == "adam"
+        assert same(z["base_theta"], adam.theta)
+        assert same(z["base_m"], adam.m) and same(z["base_v"], adam.v)
+        assert same(z["base_scalars"], [adam.beta1, adam.beta2, adam.eps, adam.step, adam.lr])
 
 
 class TestCostAccounting:

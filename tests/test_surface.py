@@ -1,5 +1,5 @@
-"""The program carries no names that only tests reach, and the benchmark's
-tracer names what the program has.
+"""The program carries no names that only tests reach, the benchmark's
+tracer names what the program has, and every mutant still applies.
 
 Every module-level function and class in ``src/oclopt``, and every
 non-dunder method of such a class, must be named somewhere in ``src/``
@@ -10,22 +10,21 @@ strings and comments do not count.
 that are gone, so a rename would silently empty a per-layer metric. Its
 names are read from its source, not imported, and every one that no longer
 resolves must be listed in ``STALE``.
+
+``tests/mutants.py`` rewrites one exact snippet per mutant; a snippet that
+no longer occurs exactly once in its file, or a test path that no longer
+exists, shows up here rather than only when the runner runs.
 """
 
 import ast
-import importlib
+import importlib.util
 import io
 import tokenize
 from collections import defaultdict
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "oclopt"
-
-# name -> why it stays although nothing in src/ names it
-ALLOWED = {
-    "load_optimizer": "reads checkpoint.npz back; a run-state file that runs can "
-                      "resume from will replace it (ROADMAP item 4)",
-}
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "oclopt"
 
 
 def definitions(tree):
@@ -58,10 +57,10 @@ def unused_names() -> set:
 
 
 def test_every_src_name_is_used_in_src():
-    assert unused_names() == set(ALLOWED)
+    assert unused_names() == set()
 
 
-WORKER = SRC.parent.parent / "perfbench" / "worker.py"
+WORKER = ROOT / "perfbench" / "worker.py"
 
 # owner.attr -> why perfbench/worker.py traces it although the program has it no more
 STALE = {
@@ -106,3 +105,20 @@ def test_every_name_the_tracer_wraps_resolves_or_is_listed_stale():
     owners = {owner: resolve(owner) for owner, _ in names}   # every owner resolves
     assert {f"{owner}.{attr}" for owner, attr in names
             if not hasattr(owners[owner], attr)} == set(STALE)
+
+
+def test_every_mutant_applies_to_one_snippet_and_names_tests_that_exist():
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "tests" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    for name, (path, snippet, replacement, tests) in mutants.MUTANTS.items():
+        assert (ROOT / path).read_text().count(snippet) == 1, name
+        assert snippet != replacement, name
+        for test in tests:
+            file, *owner = test.split("::")
+            assert (ROOT / file).is_file(), (name, test)
+            if owner:   # a class, and maybe one of its tests
+                classes = {node.name: {getattr(item, "name", None) for item in node.body}
+                           for node in ast.parse((ROOT / file).read_text()).body
+                           if isinstance(node, ast.ClassDef)}
+                assert owner[0] in classes and set(owner[1:]) <= classes[owner[0]], (name, test)
