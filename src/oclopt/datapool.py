@@ -16,18 +16,21 @@ re-enumerated independently.
 Every pool-side draw and row copy is planned. At the first step of a block
 of ``BLOCK`` steps (those inside the horizon) ``update`` draws the block's
 routing coins, which no pool keeps, and plans both pools' offers: every
-reservoir draw in one generator call, and every appended row stored at once
-(rows past ``size`` are invisible: every reader stops there). A replay draw
-draws the rest of the block in one call and gathers its rows with one take
-per array, up to the next step whose offers overwrite a stored item, which
-gathers again; ``sample_folds`` plans validation minibatches alike. Every
-step of the block, its first included, is ``Served``: ``advance`` moves the
-pools by their plans and writes only the slots a step overwrites, and
-gathered rows are read by index. ``update`` is the only way rows enter a
-pool, and ``advance``, following its plans, the only way one moves. Planned
-draws equal draws made one call at a time: reservoir draws come one per
-evicting item in offer order, each item's once, and a replay plan serves a
-step only while the pool stands where the plan was made to find it.
+reservoir draw in one generator call, every appended row stored at once
+(rows past ``size`` are invisible: every reader stops there), and the rows
+the block's later steps overwrite with, taken in write order. A replay draw
+draws the rest of the block in one call. Pure replay gathers its rows with
+one take per array and gives a row whose slot a later step overwrites first
+that step's row; mixed replay gathers up to the next step whose offers
+overwrite a stored item, which draws again. ``sample_folds`` plans
+validation minibatches alike. Every step of the block, its first included,
+is ``Served``: ``advance`` moves the pools by their plans and writes only
+the slots a step overwrites, and gathered rows are read by index.
+``update`` is the only way rows enter a pool, and ``advance``, following its
+plans, the only way one moves. Planned draws equal draws made one call at a
+time: reservoir draws come one per evicting item in offer order, each
+item's once, and a replay plan serves a step only while the pool stands
+where the plan was made to find it.
 """
 
 from __future__ import annotations
@@ -69,13 +72,14 @@ def _reserve(shape: tuple, dtype) -> np.ndarray:
 class _Offers(NamedTuple):
     """Planned offers of ``counts[i]`` items at step ``first + i`` into one pool.
 
-    Step i appends its first ``fill[i]`` items and writes its item ``src[w]``
-    to slot ``slots[w]`` for w in ``at[i]:at[i + 1]``: one write per slot,
-    the step's last item drawn to it, in slot order. Rows read after step i
-    stay put through step ``calm[i] - 1``, the last before one that writes.
-    ``items``, the range's (inputs, labels) in offer order, were gathered
-    from ``block``, the range's stream batches stacked per step, and their
-    appended rows stored when the plan was made."""
+    Step i appends its first ``fill[i]`` items and writes rows ``a:b`` of
+    ``written`` to slots ``slots[a:b]``, for ``a, b = at[i], at[i + 1]``: one
+    write per slot, the step's last item drawn to it, in slot order.
+    ``written`` holds (inputs, labels) of those items in write order, taken
+    from ``block``, the range's stream batches stacked per step, when the
+    plan was made, and the range's appended rows were stored then too. Rows
+    read after step i stay put through step ``calm[i] - 1``, the last before
+    one that writes."""
 
     first: int
     counts: list
@@ -83,9 +87,8 @@ class _Offers(NamedTuple):
     fill: list
     at: list
     slots: np.ndarray
-    src: np.ndarray
+    written: tuple
     calm: list
-    items: tuple
     block: tuple
 
 
@@ -156,10 +159,10 @@ class DataPool:
         per step, algorithm R's writes (item i survives at slot j iff j <
         capacity; a slot drawn twice in one step keeps the later item). The
         items are the ``rows`` of ``block``'s batches joined in step order;
-        store every row the range appends (until the pool fills, an item's
-        slot is its offer index)."""
+        take the rows the range's steps write, and store every row the range
+        appends (until the pool fills, an item's slot is its offer index)."""
         self._offers = None   # free the old plan first
-        gathered = tuple(a.reshape(-1, *a.shape[2:]).take(rows, 0) for a in block)
+        joined = tuple(a.reshape(-1, *a.shape[2:]) for a in block)
         seen = self.seen_count + np.concatenate(([0], np.cumsum(counts)))
         cap, n_steps = self.capacity, len(counts)
         fill = np.clip(cap - seen[:-1], 0, counts)
@@ -171,23 +174,26 @@ class DataPool:
         key, last = np.unique((step * cap + drawn.take(hit))[::-1], return_index=True)
         hit = hit[::-1].take(last)
         step, slots = np.divmod(key, cap)
-        src = items.take(hit) - seen.take(step)
+        src = rows.take(items.take(hit) - seen[0])
         at = step.searchsorted(np.arange(n_steps + 1))
         writes = np.flatnonzero(np.diff(at))
         calm = np.append(writes, n_steps)[writes.searchsorted(np.arange(n_steps), "right")]
         # per-step scalars as lists: a step reads them as Python ints
         self._offers = _Offers(first, counts.tolist(), seen.tolist(), fill.tolist(),
-                               at.tolist(), slots, src, calm.tolist(), gathered, block)
+                               at.tolist(), slots, tuple(a.take(src, 0) for a in joined),
+                               calm.tolist(), block)
         lo, hi = min(seen[0], cap), min(seen[-1], cap)
         if hi > lo:
-            xs, ys = gathered
+            xs, ys = joined
             if self._xs is None:   # the first stored items fix the row shapes
                 self._xs = _reserve((cap,) + xs.shape[1:], np.float64)
                 self._ys = _reserve((cap,) + ys.shape[1:], ys.dtype)
                 self._arrival = _reserve((cap,), np.int64)
-            new, m = slice(lo, hi), hi - lo
-            self._xs[new], self._ys[new] = xs[:m], ys[:m]
-            self._arrival[new] = seen.searchsorted(np.arange(lo, hi), "right") + (first - 1)
+            new = rows[lo - seen[0]:hi - seen[0]]
+            # the indices are in range; mode "raise" would take into a temporary first
+            xs.take(new, 0, out=self._xs[lo:hi], mode="wrap")
+            ys.take(new, 0, out=self._ys[lo:hi], mode="wrap")
+            self._arrival[lo:hi] = seen.searchsorted(np.arange(lo, hi), "right") + (first - 1)
 
     # -- views --------------------------------------------------------------
 
@@ -269,8 +275,8 @@ def advance(served: Served, t: int):
         k = t - plan.first
         a, b = plan.at[k], plan.at[k + 1]
         if a < b:
-            j, src = plan.slots[a:b], plan.src[a:b] + (plan.seen[k] - plan.seen[0])
-            pool._xs[j], pool._ys[j] = plan.items[0].take(src, 0), plan.items[1].take(src, 0)
+            j = plan.slots[a:b]
+            pool._xs[j], pool._ys[j] = plan.written[0][a:b], plan.written[1][a:b]
             pool._arrival[j] = t
         pool.size += plan.fill[k]
         pool.seen_count = plan.seen[k + 1]
@@ -281,9 +287,9 @@ def _replayed(pool: DataPool, key: tuple, make, gather) -> Minibatch:
     """The rows of the pool's replay plan for its last offered step t, as
     views. The plan serves if it was made under ``key`` from the offer plan
     the pool stands at and holds step t; else ``make(offer plan, step t's
-    index)`` draws the one that replaces it. ``gather(plan, lo, hi)``
-    gathers the rows of step t and of the plan's later steps up to the next
-    one whose offers overwrite a stored item, into ``pool.gathered``."""
+    index)`` draws the one that replaces it. ``gather(plan, i)`` gathers the
+    rows of the plan's steps from its i-th, step t, on into
+    ``pool.gathered``."""
     t, source = pool.last_step, pool._offers
     k = -1 if source is None else t - source.first
     if not (0 <= k < len(source.counts) and source.seen[k + 1] == pool.seen_count):
@@ -293,10 +299,47 @@ def _replayed(pool: DataPool, key: tuple, make, gather) -> Minibatch:
             or not 0 <= t - plan.first < len(plan.bound)):
         pool._replay = None   # free the old plan before drawing the new one
         plan = pool._replay = make(source, k)
-    i = t - plan.first
-    xs, ys = gather(plan, i, min(len(plan.bound), i + source.calm[k] - k))
+    xs, ys = gather(plan, t - plan.first)
     pool.gathered = (t, xs, ys)
     return Minibatch(xs[0], ys[0])
+
+
+def _patch(pool: DataPool, idx: np.ndarray, xs: np.ndarray, ys: np.ndarray):
+    """Give the rows ``xs``, ``ys`` gathered from storage at the slots ``idx``
+    of the pool's last offered step t and the later steps of its offer plan,
+    one row of slots per step, the rows those steps stand at. Storage holds
+    every write through step t; at step s, a slot that some step in (t, s]
+    writes holds the row of the last such write. The later writes come in
+    step order, so those through step s are the first ``stop[s - t]``. A
+    row's slot whose first later write is past that stop keeps the stored
+    row, one whose last is before it takes that write, and the rest search
+    their slot's writes."""
+    source = pool._offers
+    k = pool.last_step - source.first
+    a = source.at[k + 1]
+    slots = source.slots[a:]
+    n = len(slots)
+    if n == 0:   # no later step writes
+        return
+    stop = np.array(source.at[k + 1:]) - a
+    order = slots.argsort(kind="stable")   # by slot, each slot's writes in step order
+    by_slot = slots.take(order)
+    head = np.flatnonzero(np.diff(by_slot, prepend=-1))   # each slot's first in by_slot
+    first, last = np.full((2, pool.capacity), n)   # n: no later write to the slot
+    first[by_slot.take(head)] = order.take(head)
+    last[by_slot.take(head)] = order.take(np.append(head[1:], n) - 1)
+    rows = np.flatnonzero(first.take(idx) < stop[:, None])
+    if len(rows) == 0:
+        return
+    v, lim = idx.reshape(-1).take(rows), stop.take(rows // idx.shape[1])
+    w = last.take(v)
+    again = np.flatnonzero(w >= lim)
+    if len(again):   # the last (slot, write) key below (slot, stop) is the slot's own
+        keys = by_slot * n + order
+        w[again] = order.take(keys.searchsorted(v.take(again) * n + lim.take(again)) - 1)
+    w += a
+    for out, new in zip((xs, ys), source.written):
+        out.reshape(-1, *out.shape[2:])[rows] = new.take(w, 0)
 
 
 def sample_pure_replay(pool: DataPool, m: int, count: int = 1) -> Minibatch:
@@ -307,7 +350,10 @@ def sample_pure_replay(pool: DataPool, m: int, count: int = 1) -> Minibatch:
 
     Serves views of the rows of the pool's replay plan, made at the first
     call of an offer plan's range with one draw for each step's pool size,
-    from the pool's own generator, and gathered as ``_replayed`` says.
+    from the pool's own generator. The call gathers the rows of its step and
+    of every later step of the range with one take per array, and gives a
+    row whose slot a later step overwrites first the row that step writes
+    (see ``_patch``).
     """
     if pool.size == 0:
         raise EmptyPoolError("cannot sample from an empty pool")
@@ -318,8 +364,10 @@ def sample_pure_replay(pool: DataPool, m: int, count: int = 1) -> Minibatch:
         idx = pool._replay_rng.integers(0, bounds[:, None], size=(len(bounds), count * m))
         return _Replay(key, source, pool.last_step, bounds, idx)
 
-    def gather(plan, lo, hi):
-        return pool._gather("replay", plan.idx[lo:hi])
+    def gather(plan, i):
+        xs, ys = pool._gather("replay", plan.idx[i:])
+        _patch(pool, plan.idx[i:], xs, ys)
+        return xs, ys
 
     return _replayed(pool, key, make, gather)
 
@@ -378,7 +426,8 @@ def sample_mixed_replay(pool: DataPool, m: int, window: Optional[int] = None,
                                         size=(n_steps, count, 2, half))
         return _Replay(key, source, t, bounds, idx, windows)
 
-    def gather(plan, lo, hi):
+    def gather(plan, lo):
+        hi = len(plan.bound)   # the plan stops before the next step that writes
         # current rows: the offer plan's stream batches, joined in step order
         cur_x, cur_y = (a.reshape(-1, *a.shape[2:]) for a in plan.source.block)
         n = plan.source.block[1].shape[1]

@@ -209,6 +209,7 @@ def _check(block, kinds: dict, where: str, required=()):
             "list[float]": ((list,), "a list of finite numbers"),
             "bool": ((bool,), "true or false"), "str": ((str,), "a string"),
             "Optional[str]": ((str, type(None)), "a string or null"),
+            "list": ((list,), "a list"), "Optional[list]": ((list, type(None)), "a list or null"),
         }.get(kind, ((type(value),), ""))
         numbers = {"float": [value], "list[float]": value}.get(kind, ())
         if type(value) not in types or not all(map(_finite, numbers)):
@@ -341,8 +342,9 @@ def run_protocol_step(run, t: int):
     ``run.pool`` and ``run.holdout`` by their offer plans, (4)
     ``run.update(t)`` runs the iterations. A step draws nothing outside a
     block's first, except where a capped pool's offers overwrite stored
-    items: it writes those slots, and from it on replay rows are gathered,
-    and mixed replay drawn, again (see ``oclopt.datapool``).
+    items under mixed replay: from that step on, its history windows are
+    drawn and gathered again. A pure-replay step that overwrites only
+    writes its slots (see ``oclopt.datapool``).
 
     A step that raises ends the run: nothing is rolled back. The pools keep
     the step's offers (their ``last_step`` is t, so the step cannot be run
@@ -397,6 +399,7 @@ class Run:
                 (r.mode not in ("pure", "mixed"), f"unknown replay mode {r.mode!r}"),
                 (r.mode == "mixed" and r.batch_size % 2 != 0,
                  "mixed replay needs an even batch size"),
+                (r.window is not None and r.window < 0, "replay.window must be >= 0 or null"),
                 (s.metric not in ("accuracy", "loss"), f"unknown schedule metric {s.metric!r}"),
                 (o.averaging not in AVERAGING, f"unknown averaging mode {o.averaging!r}"),
                 (s.kind == "malr" and o.averaging == "none",
@@ -503,12 +506,13 @@ class Run:
     def update(self, t: int):
         """Run one iteration on each of the step's replay minibatches: taken
         by index from the rows the pool gathered at an earlier step, or else
-        drawn from the pool's plan for the block, which gathers them for the
-        steps up to the next one whose offers overwrite a stored item. A
-        pure-replay step with an empty training pool (every datum so far went
-        to the holdout) runs no iterations. The first step of a block checks
-        the served rows, which replay serves, against the model and plans the
-        block's validation folds."""
+        drawn from the pool's plan for the block, which gathers them for
+        every later step of the block (pure replay, capped or not) or for the
+        steps up to the next one whose offers overwrite a stored item (mixed
+        replay). A pure-replay step with an empty training pool (every datum
+        so far went to the holdout) runs no iterations. The first step of a
+        block checks the served rows, which replay serves, against the model
+        and plans the block's validation folds."""
         p, r, served = self.config.iters_per_step, self.config.replay, self.served
         if p and t == served.first:
             rows = (a.reshape(-1, *a.shape[2:]) for a in (served.inputs, served.labels))

@@ -119,6 +119,8 @@ class RotatingGaussianSpec:
             raise ValueError("need at least 2 classes")
         if not np.isfinite(self.angular_velocity):
             raise ValueError("drift magnitudes must be finite")
+        if self.noise_std < 0:
+            raise ValueError("noise_std must be >= 0")
 
     def mean(self, klass, t: int, d_in: int) -> np.ndarray:
         """Class ``klass``'s mean at step t; an array of classes gives a row each."""
@@ -149,6 +151,8 @@ class PiecewiseTaskSpec:
             raise ValueError("classes_per_task must be in [1, n_classes]")
         if self.task_length < 1:
             raise ValueError("task_length must be >= 1")
+        if self.noise_std < 0:
+            raise ValueError("noise_std must be >= 0")
 
     def task_index(self, t: int) -> int:
         return (t - 1) // self.task_length

@@ -85,6 +85,12 @@ MUTANTS = {
     "bool-fields-take-any-value": (
         HARNESS, '"bool": ((bool,), "true or false"),', "", BAD_CONFIG_TESTS),
     "str-fields-take-any-value": (HARNESS, '"str": ((str,), "a string"),', "", BAD_CONFIG_TESTS),
+    "list-fields-take-any-value": (
+        HARNESS, '"Optional[list]": ((list, type(None)), "a list or null"),', "",
+        BAD_CONFIG_TESTS),
+    "negative-window-accepted": (
+        HARNESS, '(r.window is not None and r.window < 0, "replay.window must be >= 0 or null"),',
+        "", BAD_CONFIG_TESTS),
     "bool-is-a-number": (
         HARNESS, "return type(v) in (int, float) and math.isfinite(v)",
         "return isinstance(v, (int, float)) and math.isfinite(v)", BAD_CONFIG_TESTS),
@@ -123,8 +129,20 @@ MUTANTS = {
     "reservoir-draws-below-own-index": (
         DATAPOOL, "integers(0, items + 1)", "integers(0, items)", OFFER_TESTS),
     "replay-gathers-past-overwrite": (
-        DATAPOOL, "gather(plan, i, min(len(plan.bound), i + source.calm[k] - k))",
-        "gather(plan, i, len(plan.bound))", SERVED_STEP_TESTS[:1] + STEP_TESTS),
+        DATAPOOL, "    if len(again):", "    if False:", STEP_TESTS),
+    "patch-keeps-the-first-write": (
+        DATAPOOL, "    w = last.take(v)\n", "    w = first.take(v)\n", STEP_TESTS),
+    "patch-misses-the-steps-own-writes": (
+        DATAPOOL, "stop = np.array(source.at[k + 1:]) - a",
+        "stop = np.array(source.at[k:-1]) - a", STEP_TESTS),
+    "patch-applies-the-next-steps-writes": (
+        DATAPOOL, "stop = np.array(source.at[k + 1:]) - a",
+        "stop = np.array(source.at[k + 2:] + source.at[-1:]) - a", STEP_TESTS),
+    "pure-gather-skips-the-patch": (
+        DATAPOOL, "        _patch(pool, plan.idx[i:], xs, ys)\n", "", STEP_TESTS),
+    "written-rows-skip-the-routing": (
+        DATAPOOL, "src = rows.take(items.take(hit) - seen[0])", "src = items.take(hit) - seen[0]",
+        STEP_TESTS),
     "mixed-current-rows-off-plan": (
         DATAPOOL, "steps = np.arange(a, b) + (plan.first - plan.source.first)",
         "steps = np.arange(a, b)", STEP_TESTS),
@@ -193,7 +211,8 @@ MUTANTS = {
     "plateau-cut-reaches-zero": (
         SCHEDULE, "if cut and self.current * self.beta_lr > 0.0:", "if cut:", RATE_TESTS),
     "overwrite-reads-from-block-start": (
-        DATAPOOL, "plan.src[a:b] + (plan.seen[k] - plan.seen[0])", "plan.src[a:b]", STEP_TESTS),
+        DATAPOOL, "plan.written[0][a:b], plan.written[1][a:b]",
+        "plan.written[0][:b - a], plan.written[1][:b - a]", STEP_TESTS),
     "overwrite-keeps-old-arrival": (DATAPOOL, "            pool._arrival[j] = t\n", "",
                                     OFFER_TESTS),
     "theory-schedule-unchecked": (

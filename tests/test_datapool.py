@@ -388,13 +388,21 @@ class TestPlannedSteps:
     # from a generator keyed like the pool's. Pools that never evict (a
     # capacity of every item), that evict from the first blocks, and that
     # first evict partway through a later block (capacities of one to four
-    # blocks of steps) take their rows from gathers that stop at each step
-    # whose offers overwrite a stored item. The examples draw pure and mixed
-    # replay from a pool that overwrites at some steps of a block but not
-    # at others, which a step served by index from a gather must tell apart.
+    # blocks of steps) take their rows from gathers of whole blocks (pure
+    # replay) whose rows later steps overwrite, or gathers that stop at each
+    # step whose offers overwrite a stored item (mixed replay). The first
+    # examples draw pure and mixed replay from a pool that overwrites at
+    # some steps of a block but not at others, which a step served by index
+    # from a gather must tell apart. The next one's pool fills at step 200
+    # and evicts from there on; the last one's single slot takes several
+    # items at one step and is written again at most later steps.
     @example(capacity=60, holdout_fraction=0.1, mixed=True, window=None, iters=2, n=4, seed=3,
              horizon=300)
     @example(capacity=60, holdout_fraction=0.1, mixed=False, window=None, iters=2, n=4, seed=3,
+             horizon=300)
+    @example(capacity=400, holdout_fraction=0.0, mixed=False, window=None, iters=2, n=2, seed=5,
+             horizon=600)
+    @example(capacity=1, holdout_fraction=0.1, mixed=False, window=None, iters=3, n=6, seed=0,
              horizon=300)
     @settings(max_examples=25, deadline=None)
     @given(capacity=st.integers(1, 300) | st.integers(BLOCK, 4 * BLOCK) | st.just(600 * 6),

@@ -443,12 +443,15 @@ class TestRunExperiment:
                          2 * rngmod.BLOCK + 1: 600 - 2 * rngmod.BLOCK}
 
     @pytest.mark.parametrize("name,label", [("objective-comparison", "mixed-p5"),
-                                            ("main-comparison", "ama-malr")])
+                                            ("main-comparison", "ama-malr"),
+                                            ("buffer-size", "cap-1000")])
     def test_regular_steps_draw_no_validation_and_gather_no_pool_rows(self, name, label):
         # a noise-free work count: inside run_protocol_step, count the calls on
         # the validation generator (swapped for a subclass whose draw methods
         # are Python frames) and the takes whose source is a pool's storage
-        # (C calls, which a profile hook sees with the array they are bound to)
+        # (C calls, which a profile hook sees with the array they are bound to).
+        # The capped pure-replay pool overwrites stored items at most of its
+        # steps, and still only a block's first step gathers.
         class Counted(np.random.Generator):
             def integers(self, *args, **kwargs):
                 return super().integers(*args, **kwargs)
@@ -487,17 +490,22 @@ class TestRunExperiment:
             sys.setprofile(None)
         assert sorted(calls) == [1, rngmod.BLOCK + 1, 2 * rngmod.BLOCK + 1]
 
-    def test_a_regular_step_makes_few_python_calls(self):
+    @pytest.mark.parametrize("name,label", [("main-comparison", "ama-malr"),
+                                            ("buffer-size", "cap-1000")])
+    def test_a_regular_step_makes_few_python_calls(self, name, label):
         # a noise-free work count: the Python-level calls inside
         # run_protocol_step, not counting those inside Run.iterate, of each
-        # step that starts no block (the unlimited pool overwrites nothing).
-        # Served by index, with each model's prediction views kept, such a
-        # step makes 10 calls (two of them to Run.iterate), and 11 where a
-        # model predicts for the first time and sizes its buffers. Slicing the
-        # inference model's blocks on every step it made 14, and through the
-        # stream, the pools' offers and the replay samplers 25.
-        cfg = dict(expand_variants(apply_overrides(preset("main-comparison"),
-                                                   {"stream.horizon": 600})))["ama-malr"]
+        # step that starts no block, whether or not its offers overwrite
+        # stored items (the unlimited pool never does, the capped one at most
+        # steps). Served by index, with each model's prediction views kept,
+        # such a step makes 10 calls (two of them to Run.iterate), and 11
+        # where a model predicts for the first time and sizes its buffers.
+        # Slicing the inference model's blocks on every step it made 14,
+        # through the stream, the pools' offers and the replay samplers 25,
+        # and a capped pool's overwriting step that gathered its replay rows
+        # again 15 to 16.
+        cfg = dict(expand_variants(apply_overrides(preset(name),
+                                                   {"stream.horizon": 600})))[label]
         run = harness.Run(cfg, 0)
         step, iterate = harness.run_protocol_step.__code__, harness.Run.iterate.__code__
         calls, steps, inside = {}, [], []
@@ -700,7 +708,7 @@ class TestCli:
         ("- 1\n", "a config is a mapping of keys to values, got list"),
         ("variants: [[a]]\n", "a variant is [label, {key: value}], got ['a']"),
         ("variants: [[a, {iters_per_step: 2}], b]\n", "a variant is [label, {key: value}], got 'b'"),
-        ("variants: 5\n", "a variant is [label, {key: value}], got 5"),
+        ("variants: 5\n", "top-level key variants must be a list or null, got 5"),
         ("variants: [[a, {1: 2}]]\n", "unknown override key 1"),
         ("variants: [[a, {schedule.alpha0: 0.01}], [a, {schedule.alpha0: 0.05}]]\n",
          "variant label 'a' is used twice"),
@@ -767,7 +775,17 @@ class TestCli:
         # truthy), a string field only a string, and an optional one null too
         *(pytest.param("main-comparison", o, id=o) for o in (
             'schedule.use_c2="no"', 'optimizer.adapt="off"', "schedule.use_c3=1",
-            'name={"a":1}', "out_dir=5"))])
+            'name={"a":1}', "out_dir=5")),
+        # a list field takes only a list, and an optional one null too, even
+        # where the run does not read it
+        *(pytest.param("main-comparison", o, id=o) for o in (
+            'schedule.lr_trace="abc"', 'schedule.lr_trace={"a":1}')),
+        # a negative history window holds nothing, and a negative noise
+        # standard deviation is no spread
+        *(pytest.param("main-comparison", o, id=o) for o in (
+            "replay.mode=mixed replay.window=-3", "stream.noise_std=-0.6")),
+        pytest.param("objective-comparison", "stream.noise_std=-0.6",
+                     id="piecewise-stream.noise_std=-0.6")])
     def test_out_of_range_value_is_a_config_error(self, name, override, tmp_path,
                                                   monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)   # a run that got past validation writes runs/ here
