@@ -31,8 +31,8 @@ from . import rng as rngmod
 from .datapool import (UNSERVED, DataPool, EmptyPoolError, Minibatch, sample_folds,
                        sample_mixed_replay, sample_pure_replay)
 from .metrics import MetricLedger, forward_transfer, information_retention
-from .model import (DivergenceError, ModelSpec, Workspace, check_batch, gradient, init_params,
-                    predict, step_ahead_performance, validation_performance)
+from .model import (DivergenceError, ModelSpec, Workspace, check_batch, init_params, predict,
+                    step_ahead_performance, targets, validation_performance)
 from .optim import (AmaState, CostCounter, adam_step, ama_step, best_ma, init_adam,
                     init_averager, init_sgd, save_optimizer, sgd_step)
 from .rng import substream
@@ -331,6 +331,11 @@ def last_values(rows) -> dict:
     return last
 
 
+def _check_rows(spec: ModelSpec, xs: np.ndarray, ys: np.ndarray):
+    """``check_batch`` on a block's rows, stacked by step or fold."""
+    check_batch(spec, Minibatch(*(a.reshape(-1, *a.shape[2:]) for a in (xs, ys))))
+
+
 def run_protocol_step(run, t: int):
     """Execute step t of the online protocol on a run.
 
@@ -442,13 +447,18 @@ class Run:
                                           k_m=o.k_m, k_v=o.k_v, k_w=o.k_w,
                                           adapt=o.adapt or n_models < 2)
             theta = self.averager.sgd   # the base optimizer steps the models' last row
+            # the training kernel, bound once: the model kind's gradient and the base step
             self.work = Workspace(self.model_spec, theta)
+            self.gradient = self.work.gradient
             if o.base == "sgd":
-                self.base = init_sgd(theta, beta=o.momentum)
+                self.base, self.base_step = init_sgd(theta, beta=o.momentum), sgd_step
             else:
-                self.base = init_adam(theta, beta1=o.beta1, beta2=o.beta2, eps=o.adam_eps)
-            # each model's views and prediction buffers, apart from training's
+                self.base, self.base_step = init_adam(theta, beta1=o.beta1, beta2=o.beta2,
+                                                      eps=o.adam_eps), adam_step
+            # each model's views and prediction buffers, apart from training's,
+            # and the whole stack's, which a validation fold scores
             self.predictors = [Workspace(self.model_spec, row) for row in self.averager.models]
+            self.scorer = Workspace(self.model_spec, self.averager.models)
         except (TypeError, ValueError) as e:
             raise ConfigError(str(e)) from e
         self.k = 0
@@ -466,7 +476,8 @@ class Run:
         """Plan the validation minibatches of the folds the run reaches in the
         block, at its first step: one bound per fold, the holdout's size at
         the fold's step, read from the offer plans. The holdout keeps every
-        datum routed to it, so its rows stay put through the block."""
+        datum routed to it, so its rows stay put through the block. Every
+        fold's rows are checked here, so a fold scores them as they are."""
         p, k_v = self.config.iters_per_step, self.averager.k_v
         (_, pool_plan), (_, holdout_plan) = self.served.offers
         sizes = np.array(holdout_plan.seen[1:])
@@ -476,8 +487,10 @@ class Run:
         done = self.k + np.cumsum(iters)
         folds = np.arange(self.k // k_v + 1, done[-1] // k_v + 1)
         bounds = sizes[done.searchsorted(folds * k_v)]
-        self.folds = (self.k // k_v + 1, bounds,
-                      sample_folds(self.holdout, self.val_batch_size, self.val_rng, bounds))
+        rows = sample_folds(self.holdout, self.val_batch_size, self.val_rng, bounds)
+        if rows is not None:
+            _check_rows(self.model_spec, *rows)
+        self.folds = (self.k // k_v + 1, bounds, rows)
 
     def sample_validation(self):
         """The validation minibatch of the fold at iteration k, from the fold
@@ -494,10 +507,10 @@ class Run:
         return Minibatch(rows[0][i], rows[1][i])
 
     def evaluate(self, models, batch) -> list:
-        # the schedule/validation signal orientation is configurable; the
-        # stream metrics always use the natural metric for the model family
+        # rows checked by plan_folds; the schedule/validation signal orientation
+        # is configurable, the stream metrics use the model family's natural one
         return validation_performance(self.model_spec, models, batch,
-                                      metric=self.config.schedule.metric)
+                                      metric=self.config.schedule.metric, work=self.scorer)
 
     def predict(self, inputs):
         work = self.predictors[self.averager.i_best - 1]   # best_ma's row
@@ -512,11 +525,11 @@ class Run:
         replay). A pure-replay step with an empty training pool (every datum
         so far went to the holdout) runs no iterations. The first step of a
         block checks the served rows, which replay serves, against the model
-        and plans the block's validation folds."""
+        and plans the block's validation folds. The step's targets (one-hot
+        rows of a classifier's labels) are built once for all its iterations."""
         p, r, served = self.config.iters_per_step, self.config.replay, self.served
         if p and t == served.first:
-            rows = (a.reshape(-1, *a.shape[2:]) for a in (served.inputs, served.labels))
-            check_batch(self.model_spec, Minibatch(*rows))
+            _check_rows(self.model_spec, served.inputs, served.labels)
             self.plan_folds()
         first, xs, ys = self.pool.gathered
         if not 0 <= t - first < len(xs):
@@ -527,28 +540,30 @@ class Run:
             else:
                 sample_mixed_replay(self.pool, r.batch_size, window=r.window, count=p)
             first, xs, ys = self.pool.gathered
-        x, y, m = xs[t - first], ys[t - first], r.batch_size
+        x, m = xs[t - first], r.batch_size
+        hot = targets(self.model_spec, ys[t - first])
         for i in range(0, p * m, m):
-            self.iterate(Minibatch(x[i:i + m], y[i:i + m]))
+            self.iterate(x[i:i + m], hot[i:i + m])
 
-    def iterate(self, mb):
-        """One optimizer iteration on a replay minibatch: the base step at the
-        controller's rate, then the averager. At a validation fold whose window
+    def iterate(self, x, target):
+        """One optimizer iteration on a replay minibatch, its inputs x and its
+        labels' targets (``model.targets``): the run's kernel takes the base
+        step at the controller's rate, then the averager takes the iteration
+        if one of its intervals ends there. At a validation fold whose window
         is non-empty, the controller observes the fold, and a row it returns
         goes to ``schedule_rows``."""
         k = self.k + 1
         alpha = self.rate.alpha(k)
         self.costs.forward += 1
         self.costs.grad += 1
-        grad = gradient(self.model_spec, self.base.theta, mb, work=self.work)
-        if self.config.optimizer.base == "sgd":
-            sgd_step(self.base, grad, alpha)
-        else:
-            adam_step(self.base, grad, alpha)
+        self.base_step(self.base, self.gradient(x, target), alpha)
         self.costs.update += 1
         self.k = k
         self.lr_trace.append(alpha)
-        avg = ama_step(self.averager, k, self.sample_validation, self.evaluate, self.costs)
+        avg = self.averager
+        if k % avg.k_m and k % avg.k_v and (k % avg.k_w or not avg.adapt):
+            return   # the averager moves nothing at k
+        ama_step(avg, k, self.sample_validation, self.evaluate, self.costs)
         if k % avg.k_v == 0 and avg.n > 0:   # a fold scored a non-empty window
             row = self.rate.observe(k, avg.best_perf(), avg.sigma())
             if row is not None:
@@ -751,11 +766,14 @@ def preset(name: str) -> ExperimentConfig:
 
 
 def _labelled(entries, what: str) -> list:
-    """[(label, table)] of [label, {key: value}] entries (one entry that is
-    no list stands for itself). A label names an output file or directory,
-    so labels are unique non-empty names with no path separator."""
+    """[(label, table)] of a list of [label, {key: value}] entries. A label
+    names an output file or directory, so labels are unique non-empty names
+    with no path separator."""
+    if not isinstance(entries, list):
+        raise ConfigError(f"{what}s are a list of [label, {{key: value}}] entries, "
+                          f"got {entries!r}")
     out = {}
-    for entry in entries if isinstance(entries, list) else [entries]:
+    for entry in entries:
         if not (isinstance(entry, (list, tuple)) and len(entry) == 2
                 and isinstance(entry[1], dict)):
             raise ConfigError(f"a {what} is [label, {{key: value}}], got {entry!r}")

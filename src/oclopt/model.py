@@ -17,9 +17,9 @@ shape ``(spec.n_params,)``, and a stack of M models is ``(M, n_params)``.
 
 Losses are mean per-example loss plus 0.5 * weight_decay * ||theta||^2, and
 training computes only their exact gradient. Training, prediction and
-validation share one ``forward``; validation scores a stack in one pass and
-drops the decay term. Models carry no running statistics, so averaged
-parameters need no recomputing.
+validation share one classifier pass (``Workspace.propagate``); validation
+scores a stack in one pass and drops the decay term. Models carry no running
+statistics, so averaged parameters need no recomputing.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ class ModelSpec:
         if self.weight_decay < 0:
             raise ValueError("weight_decay must be >= 0")
 
-    @property
+    @cached_property
     def classification(self) -> bool:
         return self.kind != "quadratic-probe"
 
@@ -91,6 +91,11 @@ class ModelSpec:
             table[name] = (slice(start, stop), shape)
             start = stop
         return table
+
+    @cached_property
+    def one_hot(self) -> np.ndarray:
+        """A classifier's target rows: row y is 1.0 at y and 0.0 elsewhere."""
+        return np.eye(self.n_classes)
 
     @cached_property
     def n_params(self) -> int:
@@ -140,61 +145,97 @@ def check_batch(spec: ModelSpec, batch) -> np.ndarray:
 
 
 class Workspace:
-    """Buffers and views that ``gradient`` and ``predict`` reuse across calls on
-    one parameter array: the gradient and its blocks (the output layer's also as
-    a pair), ``forward``'s views of theta, and, sized to the minibatch, the logits,
-    the MLP's hidden layer and each logits row's flat offset. ``gradient``
-    returns the gradient buffer, which the next call overwrites."""
+    """Buffers and views that the training kernel, ``predict`` and a fold's
+    scoring reuse across calls on one parameter array, or a stack (M, P): the
+    gradient and its blocks, theta's forward views and, sized to the last
+    call's rows, the logits, the MLP's hidden layer and each logits row's flat
+    offset. ``gradient`` is the model kind's kernel, which a run binds once: it
+    takes checked inputs and ``targets``, and returns the gradient buffer."""
 
     def __init__(self, spec: ModelSpec, theta: np.ndarray):
-        if theta.shape != (spec.n_params,):
-            raise ValueError(f"parameter shape {theta.shape} != expected ({spec.n_params},)")
+        if theta.ndim not in (1, 2) or theta.shape[-1] != spec.n_params:
+            raise ValueError(f"parameter shape {theta.shape} != expected ({spec.n_params},), "
+                             "or (models, n_params) for a stack")
         self.spec, self.theta, self.grad = spec, theta, np.empty_like(theta)
-        self.grad_blocks = {name: spec.block(self.grad, name) for name in spec.layout}
-        self.views, self.rows, self.hidden = _forward_views(spec, theta), 0, None
-        self.grad_out = tuple(self.grad_blocks.values())[-2:]   # a classifier's output layer
+        self.grad_blocks = tuple(spec.block(self.grad, name) for name in spec.layout)
+        self.views = tuple(spec.block(theta, name).swapaxes(-1, -2) if name[0] == "w"
+                           else spec.block(theta, name)[..., None, :] for name in spec.layout)
+        self.rows, self.decay = 0, spec.weight_decay
+
+    @property
+    def gradient(self):
+        return self._probe_gradient if self.spec.kind == "quadratic-probe" else self.propagate
 
     def fit_rows(self, n: int):
-        c, hidden = self.spec.n_classes, (n, self.spec.hidden)
-        self.rows, self.logits, self.row_offsets = n, np.empty((n, c)), np.arange(n) * c
-        if self.spec.kind == "mlp-1-hidden":
-            self.hidden, self.dh = np.empty(hidden), np.empty(hidden)
+        lead, c, h = self.theta.shape[:-1] + (n,), self.spec.n_classes, self.spec.hidden
+        self.rows, self.logits = n, np.empty(lead + (c,))
+        self.row_offsets = np.arange(0, self.logits.size, c).reshape(lead)
+        if len(self.views) == 4:   # the MLP
+            self.hidden, self.dh = np.empty(lead + (h,)), np.empty(lead + (h,))
+
+    def propagate(self, x: np.ndarray, hot: np.ndarray | None = None, softmax: bool = False):
+        """Rows x through a classifier, into buffers the next call overwrites:
+        the logits, on a leading model axis for a stack, each bit-equal to its
+        own call; with ``softmax``, the probabilities; given ``hot``, the rows'
+        one-hot targets (one model), back to the gradient. The softmax shifts a
+        row by its max, which argmax finds faster than a reduction (0.0 or
+        -0.0, exp(z - max) is the same); a target row subtracts 1.0 at the
+        label and 0.0, which changes no value, elsewhere."""
+        theta, decay, views = self.theta, self.decay, self.views
+        if hot is not None:
+            penalty = 0.5 * decay * float(theta @ theta) if decay > 0.0 else 0.0
+            if not math.isfinite(penalty):
+                raise DivergenceError("non-finite weight-decay term")
+        if len(x) != self.rows:
+            self.fit_rows(len(x))
+        feats = x
+        if len(views) == 4:   # the MLP's tanh layer
+            feats = np.matmul(x, views[0], out=self.hidden)
+            feats += views[1]
+            np.tanh(feats, out=feats)
+        p = np.matmul(feats, views[-2], out=self.logits)
+        p += views[-1]
+        if hot is None and not softmax:
+            return p
+        p -= p.take(self.row_offsets + p.argmax(axis=-1))[..., None]
+        np.exp(p, out=p)
+        p /= np.add.reduce(p, axis=-1, keepdims=True)
+        if hot is None:
+            return p
+        p -= hot
+        p /= len(p)   # p is now the loss gradient in the logits
+        grad_w, grad_b = self.grad_blocks[-2:]
+        np.matmul(p.T, feats, out=grad_w)
+        np.add.reduce(p, axis=0, out=grad_b)
+        if len(views) == 4:
+            dh = np.matmul(p, views[2].T, out=self.dh)
+            dh *= 1.0 - feats * feats
+            np.matmul(dh.T, x, out=self.grad_blocks[0])
+            np.add.reduce(dh, axis=0, out=self.grad_blocks[1])
+        if decay > 0.0:
+            self.grad += decay * theta
+        return self.grad
+
+    def _probe_gradient(self, x: np.ndarray, target: np.ndarray):
+        """The quadratic probe's gradient against its target rows, once its
+        whole loss is checked."""
+        theta, decay = self.theta, self.decay
+        penalty = 0.5 * decay * float(theta @ theta) if decay > 0.0 else 0.0
+        if not math.isfinite(_quadratic(self.spec, theta - target) + penalty):
+            raise DivergenceError("non-finite loss")
+        self.grad[:] = np.asarray(self.spec.curvature) * (theta - target.mean(axis=0))
+        if decay > 0.0:
+            self.grad += decay * theta
+        return self.grad
 
 
-def _forward_views(spec: ModelSpec, theta: np.ndarray) -> tuple:
-    """The blocks as ``forward`` reads them: weights transposed, biases as rows."""
-    return tuple(spec.block(theta, name).swapaxes(-1, -2) if name[0] == "w"
-                 else spec.block(theta, name)[..., None, :] for name in spec.layout)
-
-
-def forward(spec: ModelSpec, theta: np.ndarray, x: np.ndarray, work: Workspace | None = None):
-    """A classifier's features (x, or the MLP's tanh layer) and logits, through ``work``
-    if given; for a stack (M, P), on a leading model axis, each bit-equal to its own call."""
-    if work is None:
-        hidden = logits = None
-        views = _forward_views(spec, theta)
-    else:
-        if len(x) != work.rows:
-            work.fit_rows(len(x))
-        hidden, logits, views = work.hidden, work.logits, work.views
-    feats = x
-    if len(views) == 4:   # the MLP's tanh layer
-        feats = np.matmul(x, views[0], out=hidden)
-        feats += views[1]
-        np.tanh(feats, out=feats)
-    z = np.matmul(feats, views[-2], out=logits)
-    z += views[-1]
-    return feats, z
-
-
-def _softmax(p: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The softmax of the logits p along their last axis, in place; rows holds
-    each row's flat offset. argmax finds a row's max faster than a reduction,
-    and whether it picks 0.0 or -0.0, exp(z - max) is the same."""
-    p -= p.take(rows + p.argmax(axis=-1))[..., None]
-    np.exp(p, out=p)
-    p /= np.add.reduce(p, axis=-1, keepdims=True)
-    return p
+def targets(spec: ModelSpec, labels: np.ndarray) -> np.ndarray:
+    """The gradient's targets of a minibatch's labels: a classifier's one-hot
+    rows as floats, which subtract as False and True would, or the probe's
+    target rows as they are."""
+    if not spec.classification:
+        return labels
+    return spec.one_hot.take(labels, axis=0)
 
 
 def _quadratic(spec: ModelSpec, d: np.ndarray):
@@ -202,8 +243,21 @@ def _quadratic(spec: ModelSpec, d: np.ndarray):
     return 0.5 * np.mean(np.sum(d * d * np.asarray(spec.curvature), axis=-1), axis=-1)
 
 
+def _prepared(spec: ModelSpec, theta: np.ndarray, batch, work: Workspace | None):
+    """(workspace, inputs) of a call on a batch: without ``work``, a new
+    workspace and the inputs once checked; with ``work``, which must be built
+    for this spec and theta, the inputs as they are (the caller checked the
+    batch's arrays with ``check_batch``)."""
+    if work is None:
+        return Workspace(spec, theta), check_batch(spec, batch)
+    if work.spec is not spec or work.theta is not theta:
+        raise ValueError("the workspace was built for another spec or parameter array")
+    return work, batch.inputs
+
+
 def gradient(spec: ModelSpec, theta: np.ndarray, batch, work: Workspace | None = None):
-    """The exact gradient of the mean per-example loss plus the L2 penalty.
+    """The exact gradient of the mean per-example loss plus the L2 penalty,
+    through the kernel a run binds (``Workspace.gradient``).
 
     Deterministic in (theta, batch). Raises DivergenceError where the loss is
     not finite and returns a non-finite gradient as-is, for the base step to
@@ -220,40 +274,10 @@ def gradient(spec: ModelSpec, theta: np.ndarray, batch, work: Workspace | None =
     ``work``, a ``Workspace`` built for this spec and theta, the caller has
     checked the batch's arrays (``check_batch``) and gets the workspace's buffer.
     """
-    if work is None:
-        work, x, y = Workspace(spec, theta), check_batch(spec, batch), np.asarray(batch.labels)
-    elif work.spec is spec and work.theta is theta:
-        x, y = batch.inputs, batch.labels
-    else:
-        raise ValueError("the workspace was built for another spec or parameter array")
-
-    decay = spec.weight_decay
-    penalty = 0.5 * decay * float(theta @ theta) if decay > 0.0 else 0.0
-    if spec.kind == "quadratic-probe":
-        if not math.isfinite(_quadratic(spec, theta - y) + penalty):
-            raise DivergenceError("non-finite loss")
-        work.grad[:] = np.asarray(spec.curvature) * (theta - y.mean(axis=0))
-    else:
-        if not math.isfinite(penalty):
-            raise DivergenceError("non-finite weight-decay term")
-        feats, p = forward(spec, theta, x, work)
-        label_at = work.row_offsets + y
-        picked = _softmax(p, work.row_offsets).take(label_at)
-        picked -= 1.0
-        p.put(label_at, picked)
-        p /= len(p)   # p is now the loss gradient in the logits
-        grad_w, grad_b = work.grad_out
-        np.matmul(p.T, feats, out=grad_w)
-        np.add.reduce(p, axis=0, out=grad_b)
-        if spec.kind == "mlp-1-hidden":
-            dh = np.matmul(p, work.views[2].T, out=work.dh)
-            dh *= 1.0 - feats * feats
-            np.matmul(dh.T, x, out=work.grad_blocks["w1"])
-            np.add.reduce(dh, axis=0, out=work.grad_blocks["b1"])
-
-    if decay > 0.0:
-        work.grad += decay * theta
-    return work.grad
+    if np.ndim(theta) != 1:
+        raise ValueError(f"parameter shape {np.shape(theta)} != expected ({spec.n_params},)")
+    work, x = _prepared(spec, theta, batch, work)
+    return work.gradient(x, targets(spec, np.asarray(batch.labels)))
 
 
 def predict(spec: ModelSpec, theta: np.ndarray, inputs: np.ndarray,
@@ -263,25 +287,25 @@ def predict(spec: ModelSpec, theta: np.ndarray, inputs: np.ndarray,
     parameter vector replicated per datum for the probe."""
     if spec.kind == "quadratic-probe":
         return np.tile(theta, (len(inputs), 1))
-    return forward(spec, theta, np.asarray(inputs, dtype=float), work)[1].argmax(axis=-1)
+    work = Workspace(spec, theta) if work is None else work
+    return work.propagate(np.asarray(inputs, dtype=float)).argmax(axis=-1)
 
 
 def validation_performance(spec: ModelSpec, theta: np.ndarray, batch,
-                           metric: str = "accuracy"):
+                           metric: str = "accuracy", work: Workspace | None = None):
     """Higher-is-better validation signal from a forward pass: a classifier's
     accuracy, or the negative loss without the weight-decay term for
     metric='loss' and always for the quadratic probe. A float; for a stack
-    (M, P), one pass and M floats, each its row's own score bit for bit."""
-    x, y = check_batch(spec, batch), np.asarray(batch.labels)
+    (M, P), one pass and M floats, each its row's own score bit for bit. The
+    batch is checked as ``gradient`` checks it, or, with ``work``, was."""
+    (work, x), y = _prepared(spec, theta, batch, work), np.asarray(batch.labels)
     if not spec.classification:
         score = -_quadratic(spec, theta[..., None, :] - y)
     elif metric == "accuracy":
-        hits = forward(spec, theta, x)[1].argmax(axis=-1) == y
-        score = np.count_nonzero(hits, axis=-1) / len(x)
+        hits = work.propagate(x).argmax(axis=-1) == y
+        score = np.add.reduce(hits, axis=-1) / len(x)
     else:
-        p = forward(spec, theta, x)[1]
-        rows = np.arange(0, p.size, spec.n_classes).reshape(p.shape[:-1])
-        picked = _softmax(p, rows).take(rows + y)
+        picked = work.propagate(x, softmax=True).take(work.row_offsets + y)
         score = np.add.reduce(np.log(np.maximum(picked, 1e-300)), axis=-1) / len(x)
     return score.tolist()   # Python floats: a numpy scalar's repr would reach the CSVs
 

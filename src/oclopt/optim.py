@@ -41,9 +41,11 @@ class CostCounter:
     update: int = 0
 
 
-def _check_finite(g: np.ndarray):
-    if not np.logical_and.reduce(np.isfinite(g)):
-        raise DivergenceError("non-finite gradient")
+def _refusal(lr: float) -> Exception:
+    """Why a base step moves nothing: the rate, or else a non-finite gradient."""
+    if lr <= 0.0:
+        return ValueError("learning rate must be positive")
+    return DivergenceError("non-finite gradient")
 
 
 # -- base optimizers ----------------------------------------------------------
@@ -71,15 +73,14 @@ def init_sgd(theta: np.ndarray, beta: float = 0.9) -> SgdState:
     return SgdState(theta=theta, momentum=np.zeros_like(theta), beta=beta)
 
 
-def sgd_step(state: SgdState, grad, lr: float) -> SgdState:
-    if lr <= 0.0:
-        raise ValueError("learning rate must be positive")
-    g = np.asarray(grad)
-    if g.shape != state.theta.shape:
-        raise ValueError("gradient shape mismatch")
-    _check_finite(g)
+def sgd_step(state: SgdState, grad: np.ndarray, lr: float) -> SgdState:
+    """The heavy-ball step on grad, an array of theta's shape (a run's
+    gradient buffer, whose shape its ``Workspace`` fixed): nothing moves
+    unless lr is positive and every entry of grad is finite."""
+    if lr <= 0.0 or not np.logical_and.reduce(np.isfinite(grad)):
+        raise _refusal(lr)
     state.momentum *= state.beta
-    state.momentum += g
+    state.momentum += grad
     state.theta -= lr * state.momentum
     state.lr = lr
     return state
@@ -111,18 +112,15 @@ def init_adam(theta: np.ndarray, beta1: float = 0.9, beta2: float = 0.999,
                      beta1=beta1, beta2=beta2, eps=eps)
 
 
-def adam_step(state: AdamState, grad, lr: float) -> AdamState:
-    if lr <= 0.0:
-        raise ValueError("learning rate must be positive")
-    g = np.asarray(grad)
-    if g.shape != state.theta.shape:
-        raise ValueError("gradient shape mismatch")
-    _check_finite(g)
+def adam_step(state: AdamState, grad: np.ndarray, lr: float) -> AdamState:
+    """The Adam step on grad, as ``sgd_step`` takes its gradient and refuses it."""
+    if lr <= 0.0 or not np.logical_and.reduce(np.isfinite(grad)):
+        raise _refusal(lr)
     state.step += 1
     state.m *= state.beta1
-    state.m += (1.0 - state.beta1) * g
+    state.m += (1.0 - state.beta1) * grad
     state.v *= state.beta2
-    state.v += (1.0 - state.beta2) * g * g
+    state.v += (1.0 - state.beta2) * grad * grad
     m_hat = state.m / (1.0 - state.beta1 ** state.step)
     v_hat = state.v / (1.0 - state.beta2 ** state.step)
     state.theta -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
@@ -136,7 +134,7 @@ def ma_update(ma: np.ndarray, gamma, theta: np.ndarray) -> np.ndarray:
     """Elementwise convex combination ma <- gamma * ma + (1 - gamma) * theta, in
     one pass for a stack of models (n, P) with one weight each in gamma."""
     gamma = np.asarray(gamma, dtype=float)[..., None]
-    if not all(0.0 <= g <= 1.0 for g in gamma.ravel().tolist()):
+    if not np.logical_and.reduce((0.0 <= gamma) & (gamma <= 1.0), axis=None):
         raise ValueError(f"MA weight must lie in [0, 1], got {gamma.ravel().tolist()}")
     ma *= gamma
     ma += (1.0 - gamma) * theta

@@ -39,6 +39,9 @@ OPTIM = "src/oclopt/optim.py"
 AVERAGER_TESTS = ("tests/test_optim.py::TestAmaStep",)
 MODEL = "src/oclopt/model.py"
 MODEL_TESTS = ("tests/test_model.py",)
+KERNEL_TESTS = ("tests/test_model.py::TestRunKernel", "tests/test_optim.py::TestSgd")
+EVENT_TESTS = ("tests/test_harness.py::TestRunExperiment::"
+               "test_the_averager_takes_every_iteration_where_an_interval_ends",)
 DATAPOOL = "src/oclopt/datapool.py"
 OFFER_TESTS = ("tests/test_datapool.py::TestOffer",)
 STEP_TESTS = ("tests/test_datapool.py::TestPlannedSteps",)
@@ -50,8 +53,9 @@ SERVED_TESTS = ("tests/test_stream.py::TestServedDraws",)
 LABEL_TESTS = ("tests/test_stream.py::TestBlockLabels",)
 SERVED_STEP_TESTS = ("tests/test_harness.py::TestServedSteps",
                      "tests/test_stream.py::TestProtocol")
-SCORE_CHECK = "    x, y = check_batch(spec, batch), np.asarray(batch.labels)\n"
-UNCHECKED = "    x, y = np.asarray(batch.inputs, dtype=float), np.asarray(batch.labels)\n"
+SCORE_CHECK = "    (work, x), y = _prepared(spec, theta, batch, work), np.asarray(batch.labels)\n"
+UNCHECKED = ("    (work, x), y = (Workspace(spec, theta), np.asarray(batch.inputs, dtype=float)), "
+             "np.asarray(batch.labels)\n")
 STACK_DECAY = " - 0.5 * spec.weight_decay * np.add.reduce(theta * theta, axis=-1)"
 LOSS_SCORE = "        score = np.add.reduce(np.log(np.maximum(picked, 1e-300)), axis=-1) / len(x)"
 
@@ -98,17 +102,19 @@ MUTANTS = {
     "probe-score-keeps-decay": (
         MODEL, "        score = -_quadratic(spec, theta[..., None, :] - y)",
         "        score = -_quadratic(spec, theta[..., None, :] - y)" + STACK_DECAY, MODEL_TESTS),
-    "forward-drops-b1": (MODEL, "        feats += views[1]\n", "", MODEL_TESTS),
-    "forward-drops-output-bias": (MODEL, "    z += views[-1]\n", "", MODEL_TESTS),
+    "forward-drops-b1": (MODEL, "            feats += views[1]\n", "", MODEL_TESTS),
+    "forward-drops-output-bias": (MODEL, "        p += views[-1]\n", "", MODEL_TESTS),
     "stacked-bias-on-wrong-axis": (
         MODEL, "else spec.block(theta, name)[..., None, :]", "else spec.block(theta, name)[None]",
         MODEL_TESTS),
     "softmax-shifts-by-the-first-logit": (
-        MODEL, "p.take(rows + p.argmax(axis=-1))", "p.take(rows)", MODEL_TESTS),
+        MODEL, "p.take(self.row_offsets + p.argmax(axis=-1))", "p.take(self.row_offsets)",
+        MODEL_TESTS),
     "decay-check-dropped": (
-        MODEL, "        if not math.isfinite(penalty):\n", "        if False:\n", MODEL_TESTS),
+        MODEL, "            if not math.isfinite(penalty):\n", "            if False:\n",
+        MODEL_TESTS),
     "probe-loss-check-dropped": (
-        MODEL, "        if not math.isfinite(_quadratic(spec, theta - y) + penalty):\n",
+        MODEL, "        if not math.isfinite(_quadratic(self.spec, theta - target) + penalty):\n",
         "        if False:\n", MODEL_TESTS),
     "quadratic-drops-half": (
         MODEL, "return 0.5 * np.mean(", "return np.mean(", MODEL_TESTS),
@@ -123,6 +129,24 @@ MUTANTS = {
         MODEL, SCORE_CHECK,
         UNCHECKED + '    if metric != "accuracy":\n        check_batch(spec, batch)\n',
         MODEL_TESTS),
+    "one-hot-against-shifted-classes": (
+        MODEL, "return np.eye(self.n_classes)", "return np.eye(self.n_classes, k=1)", MODEL_TESTS),
+    "finite-check-after-the-momentum-update": (
+        OPTIM, "    if lr <= 0.0 or not np.logical_and.reduce(np.isfinite(grad)):\n"
+               "        raise _refusal(lr)\n"
+               "    state.momentum *= state.beta\n"
+               "    state.momentum += grad\n",
+        "    state.momentum *= state.beta\n"
+        "    state.momentum += grad\n"
+        "    if lr <= 0.0 or not np.logical_and.reduce(np.isfinite(grad)):\n"
+        "        raise _refusal(lr)\n",
+        KERNEL_TESTS),
+    "event-test-skips-the-window": (
+        HARNESS, "if k % avg.k_m and k % avg.k_v and (k % avg.k_w or not avg.adapt):",
+        "if k % avg.k_m and k % avg.k_v:", EVENT_TESTS),
+    "step-targets-one-row-late": (
+        HARNESS, "self.iterate(x[i:i + m], hot[i:i + m])",
+        "self.iterate(x[i:i + m], hot[i + 1:i + m + 1])", STEP_TESTS),
     "label-bound-counts-the-sign-bit": (
         MODEL, 'bits = 8 * y.itemsize - (y.dtype.kind == "i")', "bits = 8 * y.itemsize",
         MODEL_TESTS),

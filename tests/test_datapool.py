@@ -420,7 +420,8 @@ class TestPlannedSteps:
             "replay.holdout_fraction": holdout_fraction,
             "schedule.kind": "constant", "optimizer.averaging": "none"})
         run, rows = Run(cfg, seed), []
-        run.predict, run.iterate = (lambda inputs: None), rows.append
+        run.predict = lambda inputs: None
+        run.iterate = lambda x, target: rows.append((x, target))
         ref, ref_hold = (ReferencePool(cap, seed, room=horizon * n) for cap in (capacity, None))
         g = substream(seed, rngmod.REPLAY)
         for t in range(1, horizon + 1):
@@ -438,8 +439,10 @@ class TestPlannedSteps:
                 xs, ys = consecutive_draws(scan_mixed_replay, iters, ref, t, batch, m, window, g)
             else:
                 xs, ys = consecutive_draws(per_call_pure_replay, iters, ref, m, g)
-            assert np.concatenate([mb.inputs for mb in rows]).tobytes() == xs.tobytes()
-            assert np.concatenate([mb.labels for mb in rows]).tobytes() == ys.tobytes()
+            # each iteration gets its rows and their labels' one-hot targets
+            assert np.concatenate([x for x, _ in rows]).tobytes() == xs.tobytes()
+            hot = np.eye(run.model_spec.n_classes)[ys]
+            assert np.concatenate([target for _, target in rows]).tobytes() == hot.tobytes()
             rows.clear()
 
     # A replay draw serves the step the pool was offered last, from the offer
@@ -503,7 +506,7 @@ class TestPlannedFolds:
             "optimizer.averaging": "none"})
         run, g, folds = Run(cfg, seed), substream(seed, rngmod.VALIDATION), []
 
-        def iterate(mb):
+        def iterate(x, target):
             run.k += 1
             if run.k % k_v == 0:
                 got = run.sample_validation()

@@ -160,6 +160,16 @@ class TestConfig:
             for _, concrete in expand_variants(cfg):
                 concrete.validate()
 
+    @pytest.mark.parametrize("variants", [5, ("a", {}), {"a": {}}],
+                             ids=["number", "one-pair", "mapping"])
+    def test_variants_set_in_code_must_be_a_list(self, variants):
+        # a config file's non-list is rejected at load; one set in code is
+        # rejected when the variants expand, and no entry stands for itself
+        cfg = ExperimentConfig()
+        cfg.variants = variants
+        with pytest.raises(ConfigError, match="variants are a list of"):
+            list(expand_variants(cfg))
+
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
             preset("does-not-exist")
@@ -497,13 +507,14 @@ class TestRunExperiment:
         # run_protocol_step, not counting those inside Run.iterate, of each
         # step that starts no block, whether or not its offers overwrite
         # stored items (the unlimited pool never does, the capped one at most
-        # steps). Served by index, with each model's prediction views kept,
-        # such a step makes 10 calls (two of them to Run.iterate), and 11
-        # where a model predicts for the first time and sizes its buffers.
-        # Slicing the inference model's blocks on every step it made 14,
-        # through the stream, the pools' offers and the replay samplers 25,
-        # and a capped pool's overwriting step that gathered its replay rows
-        # again 15 to 16.
+        # steps). Served by index, with each model's prediction views kept
+        # and the step's targets built once, such a step makes 9 calls (two
+        # of them to Run.iterate), and 10 where a model predicts for the first
+        # time and sizes its buffers; with a minibatch built per iteration it
+        # made 10 and 11. Slicing the inference model's blocks on every step
+        # it made 14, through the stream, the pools' offers and the replay
+        # samplers 25, and a capped pool's overwriting step that gathered its
+        # replay rows again 15 to 16.
         cfg = dict(expand_variants(apply_overrides(preset(name),
                                                    {"stream.horizon": 600})))[label]
         run = harness.Run(cfg, 0)
@@ -532,36 +543,92 @@ class TestRunExperiment:
         regular = [calls[t] for t in range(1, 601) if (t - 1) % rngmod.BLOCK]
         assert len(regular) == 597 and max(regular) <= 11
 
-    @pytest.mark.parametrize("averaging", AVERAGING)
-    def test_a_fold_checks_and_forwards_its_batch_once(self, averaging):
-        # a validation fold scores the MA models and the SGD model as one
-        # stack: one batch check and one forward pass, not one per model
-        cfg = dict(expand_variants(apply_overrides(
-            preset("main-comparison"),
-            {"stream.horizon": 60, "optimizer.averaging": averaging})))["ama-clr"]
+    @pytest.mark.parametrize("name,label", [("objective-comparison", "mixed-p5"),
+                                            ("main-comparison", "ama-malr"),
+                                            ("buffer-size", "cap-1000")])
+    def test_an_iteration_makes_few_python_calls(self, name, label):
+        # a noise-free work count: the Python-level calls inside Run.update,
+        # Run.iterate included, per iteration, over steps 10 to 256 of seed 0
+        # (none starts a block). With the one-hot targets built once per step,
+        # the kernel bound once (one gradient call and one base step) and the
+        # averager reached only where one of its intervals ends, this is 5.5
+        # to 5.8; with a minibatch, a forward, a softmax, a finite check and
+        # an averager call per iteration it was 12.0.
+        cfg = dict(expand_variants(apply_overrides(preset(name),
+                                                   {"stream.horizon": 256})))[label]
         run = harness.Run(cfg, 0)
-        fold, counted = optim.ama_step.__code__, (model.check_batch.__code__,
-                                                  model.forward.__code__)
-        calls, inside = [], []
+        update, inside, calls = harness.Run.update.__code__, [], [0]
 
         def profile(frame, event, arg):
-            if event == "call" and frame.f_code is fold:
+            if event == "call" and frame.f_code is update:
                 inside.append(frame)
-                calls.append([0, 0])   # [check_batch, forward] calls in this ama_step
-            elif event == "return" and frame.f_code is fold:
+            elif event == "return" and inside and frame is inside[-1]:
                 inside.pop()
-            elif event == "call" and inside and frame.f_code in counted:
-                calls[-1][counted.index(frame.f_code)] += 1
+            elif event == "call" and inside:
+                calls[0] += 1
 
+        for t in range(1, 10):
+            assert run.step(t)
+        k = run.k
         sys.setprofile(profile)
         try:
-            for t in range(1, 61):
+            for t in range(10, 257):
                 assert run.step(t)
         finally:
             sys.setprofile(None)
-        folds = [c for c in calls if c != [0, 0]]
+        assert run.k - k == 247 * cfg.iters_per_step
+        assert calls[0] <= 6 * (run.k - k)
+
+    @pytest.mark.parametrize("adapt", [True, False])
+    def test_the_averager_takes_every_iteration_where_an_interval_ends(self, adapt,
+                                                                       monkeypatch):
+        # intervals that share no factor: ama_step runs at each multiple of
+        # k_m or k_v, and of k_w where weights adapt, and at no other iteration
+        cfg = tiny_config(**{"optimizer.k_m": 3, "optimizer.k_v": 4, "optimizer.k_w": 5,
+                             "optimizer.adapt": adapt, "schedule.kind": "constant"})
+        seen, ama_step = [], harness.ama_step
+        monkeypatch.setattr(harness, "ama_step",
+                            lambda state, k, *args: seen.append(k) or ama_step(state, k, *args))
+        run = harness.Run(cfg, 0)
+        for t in range(1, cfg.stream.horizon + 1):
+            assert run.step(t)
+        assert run.k > 60
+        assert seen == [k for k in range(1, run.k + 1)
+                        if k % 3 == 0 or k % 4 == 0 or adapt and k % 5 == 0]
+
+    @pytest.mark.parametrize("averaging", AVERAGING)
+    def test_a_fold_checks_and_forwards_its_batch_once(self, averaging):
+        # a validation fold scores the MA models and the SGD model as one
+        # stack, in one forward pass, not one per model; its rows were
+        # checked once, with every other fold's of the block, when the block
+        # planned its folds
+        cfg = dict(expand_variants(apply_overrides(
+            preset("main-comparison"),
+            {"stream.horizon": 300, "optimizer.averaging": averaging})))["ama-clr"]
+        run = harness.Run(cfg, 0)
+        fold, plan = optim.ama_step.__code__, harness.Run.plan_folds.__code__
+        counted = (model.check_batch.__code__, model.Workspace.propagate.__code__)
+        calls, inside = {fold: [], plan: []}, []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in calls:
+                inside.append(frame)
+                calls[frame.f_code].append([0, 0])   # [check_batch, propagate] calls
+            elif event == "return" and inside and frame is inside[-1]:
+                inside.pop()
+            elif event == "call" and inside and frame.f_code in counted:
+                calls[inside[-1].f_code][-1][counted.index(frame.f_code)] += 1
+
+        sys.setprofile(profile)
+        try:
+            for t in range(1, 301):
+                assert run.step(t)
+        finally:
+            sys.setprofile(None)
+        folds = [c for c in calls[fold] if c != [0, 0]]
         assert len(folds) == run.k // run.averager.k_v - run.averager.skipped_validations > 0
-        assert all(c == [1, 1] for c in folds)
+        assert all(c == [0, 1] for c in folds)
+        assert calls[plan] == [[1, 0]] * -(-300 // rngmod.BLOCK)   # one check per block
 
     @pytest.mark.parametrize("name,label,horizon", [("buffer-size", "cap-100", 800),
                                                     ("objective-comparison", "mixed-p5", 600),
@@ -607,7 +674,7 @@ class TestServedSteps:
         assert 3 < run.served.stop
         with pytest.raises(harness.ProtocolError, match="expected step 3, got 4"):
             harness.run_protocol_step(run, 4)
-        run.iterate = lambda mb: 1 / 0
+        run.iterate = lambda x, target: 1 / 0
         with pytest.raises(ZeroDivisionError):
             run.step(3)
         assert run.pool.last_step == run.holdout.last_step == 3

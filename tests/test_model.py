@@ -10,8 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oclopt.datapool import Minibatch
+from oclopt.harness import ExperimentConfig, Run, apply_overrides
 from oclopt.model import (DivergenceError, ModelSpec, Workspace, check_batch, gradient,
-                          init_params, predict, step_ahead_performance,
+                          init_params, predict, step_ahead_performance, targets,
                           validation_performance)
 from tests.oracles import (frozen_check_batch, frozen_loss_and_grad, frozen_predict,
                            frozen_step_ahead_performance, frozen_validation_performance)
@@ -253,6 +254,99 @@ class TestKernelMatchesFrozen:
             assert diverges(lambda: gradient(spec, theta, batch, work=work)) == want
         if not want:
             assert np.array_equal(work.grad, want_grad)
+
+
+def kernel_run(kind, base, wd, d_in, n_classes, hidden, lr) -> Run:
+    """A run of the model kind and base optimizer at the constant rate lr,
+    with no averager, whose kernel the test drives through ``Run.iterate``."""
+    if kind == "quadratic-probe":
+        model = {"stream.kind": "drifting-quadratic", "model.loss": "quadratic",
+                 "stream.center0": [1.0] * d_in, "stream.velocity": [0.0] * d_in}
+    else:
+        model = {"stream.n_classes": n_classes, "model.hidden": hidden}
+    return Run(apply_overrides(ExperimentConfig(), {
+        **model, "model.kind": kind, "stream.d_in": d_in, "model.weight_decay": wd,
+        "optimizer.base": base, "optimizer.averaging": "none", "schedule.kind": "constant",
+        "schedule.alpha0": lr, "stream.horizon": 2}), 0)
+
+
+def reference_step(base, state: dict, g, lr) -> dict:
+    """The heavy-ball or Adam step, written out, on a copy of the state's arrays."""
+    s = {name: np.copy(value) for name, value in state.items()}
+    if base == "sgd":
+        s["momentum"] = s["beta"] * s["momentum"] + g
+        s["theta"] = s["theta"] - lr * s["momentum"]
+    else:
+        s["step"] = step = s["step"] + 1
+        s["m"] = s["beta1"] * s["m"] + (1.0 - s["beta1"]) * g
+        s["v"] = s["beta2"] * s["v"] + (1.0 - s["beta2"]) * g * g
+        m_hat, v_hat = s["m"] / (1.0 - s["beta1"] ** step), s["v"] / (1.0 - s["beta2"] ** step)
+        s["theta"] = s["theta"] - lr * m_hat / (np.sqrt(v_hat) + s["eps"])
+    s["lr"] = lr
+    return s
+
+
+def same_state(got: dict, want: dict) -> bool:
+    return got.keys() == want.keys() and all(
+        np.array_equal(got[name], want[name], equal_nan=True) for name in got)
+
+
+class TestRunKernel:
+    # one iteration of a run's bound kernel (its model kind's gradient, then
+    # its base step) against the frozen gradient and the step written out;
+    # parameter scales up to 1e200 overflow the decay term, inputs up to
+    # 1e300 the logits. Where the frozen loss or gradient is not finite the
+    # kernel raises before any of the run's state moves, and only the forward
+    # and gradient costs count the failed iteration. The examples overflow
+    # the decay term (or the probe's loss) alone, and the logits alone, so
+    # that the base step refuses the gradient.
+    @settings(max_examples=200, deadline=None)
+    @example(kind="linear-softmax", base="sgd", wd=0.3, n=4, d_in=2, n_classes=3, hidden=2,
+             log_scale=160.0, log_inputs=0.0, lr=0.1, seed=0)
+    @example(kind="mlp-1-hidden", base="adam", wd=1e-4, n=4, d_in=2, n_classes=3, hidden=2,
+             log_scale=160.0, log_inputs=0.0, lr=0.1, seed=0)
+    @example(kind="quadratic-probe", base="sgd", wd=0.0, n=4, d_in=2, n_classes=3, hidden=2,
+             log_scale=160.0, log_inputs=0.0, lr=0.1, seed=0)
+    @example(kind="linear-softmax", base="sgd", wd=0.0, n=8, d_in=2, n_classes=3, hidden=2,
+             log_scale=0.0, log_inputs=300.0, lr=0.1, seed=0)
+    @example(kind="mlp-1-hidden", base="adam", wd=1e-4, n=8, d_in=2, n_classes=3, hidden=2,
+             log_scale=10.0, log_inputs=300.0, lr=0.1, seed=0)
+    @given(kind=KINDS, base=st.sampled_from(["sgd", "adam"]), wd=st.sampled_from([0.0, 1e-4, 0.3]),
+           n=st.integers(1, 64), d_in=st.integers(2, 6), n_classes=st.integers(2, 16),
+           hidden=st.integers(1, 16), log_scale=st.floats(-3.0, 200.0),
+           log_inputs=st.floats(-3.0, 300.0), lr=st.sampled_from([1e-3, 0.05, 1.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_an_iteration_is_the_frozen_gradient_then_the_written_out_step(
+            self, kind, base, wd, n, d_in, n_classes, hidden, log_scale, log_inputs, lr, seed):
+        rng = np.random.default_rng(seed)
+        run = kernel_run(kind, base, wd, d_in, n_classes, hidden, lr)
+        spec, state = run.model_spec, run.base
+        state.theta[:] = 10.0 ** log_scale * rng.standard_normal(spec.n_params)
+        if base == "sgd":
+            state.momentum[:] = rng.standard_normal(spec.n_params)
+        else:
+            state.m[:], state.v[:] = rng.standard_normal((2, spec.n_params)) ** [[1], [2]]
+            state.step = int(rng.integers(0, 4))
+        labels = (rng.standard_normal((n, d_in)) if kind == "quadratic-probe"
+                  else rng.integers(0, n_classes, n))
+        batch = Minibatch(10.0 ** log_inputs * rng.standard_normal((n, d_in)), labels)
+        before = {name: np.copy(value) for name, value in vars(state).items()}
+        with np.errstate(all="ignore"):
+            want_loss, want_grad = frozen_loss_and_grad(spec, before["theta"], batch)
+            if not (np.isfinite(want_loss) and np.all(np.isfinite(want_grad))):
+                with pytest.raises(DivergenceError):
+                    run.iterate(batch.inputs, targets(spec, labels))
+                assert same_state(vars(state), before)
+                assert (run.k, run.lr_trace, vars(run.costs)) == (
+                    0, [], {"forward": 1, "grad": 1, "update": 0})
+                return
+            public = gradient(spec, before["theta"], batch)
+            run.iterate(batch.inputs, targets(spec, labels))
+            want = reference_step(base, before, want_grad, lr)
+        assert run.work.grad.tobytes() == want_grad.tobytes() == public.tobytes()
+        assert same_state(vars(state), want)
+        assert (run.k, run.lr_trace, vars(run.costs)) == (
+            1, [lr], {"forward": 1, "grad": 1, "update": 1})
 
 
 def same(got, want) -> bool:
