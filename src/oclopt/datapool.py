@@ -23,7 +23,9 @@ draws the rest of the block in one call. Pure replay gathers its rows with
 one take per array and gives a row whose slot a later step overwrites first
 that step's row; mixed replay gathers up to the next step whose offers
 overwrite a stored item, which draws again. ``sample_folds`` plans
-validation minibatches alike. Every step of the block, its first included,
+validation minibatches alike. Gathered input rows carry a trailing 1.0,
+written once when a gather buffer is made, for a classifier layer's bias
+(see ``oclopt.model``). Every step of the block, its first included,
 is ``Served``: ``advance`` moves the pools by their plans and writes only
 the slots a step overwrites, and gathered rows are read by index.
 ``update`` is the only way rows enter a pool, and ``advance``, following its
@@ -47,7 +49,7 @@ from .rng import BLOCK, step_streams, substream
 from .stream import HorizonError, training_block
 
 
-GATHER_STEPS = 32   # steps per chunk of a mixed-replay gather
+GATHER_STEPS = 32   # steps (or folds) per chunk of a gather, which bounds its temporaries
 
 
 class EmptyPoolError(RuntimeError):
@@ -211,24 +213,26 @@ class DataPool:
 
     def _rows(self, purpose: str, n: int, width: int, xs: np.ndarray, ys: np.ndarray):
         """(inputs, labels) arrays of n x ``width`` rows like those of xs and
-        ys: views of the pool's buffers for ``purpose``, made anew only to
-        grow or to change shape."""
+        ys, each input row with a trailing 1.0 that writers leave as it is
+        (they fill ``[..., :-1]``): views of the pool's buffers for
+        ``purpose``, made anew only to grow or to change shape."""
         shape = (width, xs.shape[1:], ys.shape[1:], ys.dtype)
         have, buf = self._buffers.get(purpose, (None, None))
         if have != shape or len(buf[0]) < n:
-            buf = tuple(np.empty((n, width) + a.shape[1:], a.dtype) for a in (xs, ys))
+            inputs = np.empty((n, width, xs.shape[1] + 1))
+            inputs[..., -1] = 1.0
+            buf = inputs, np.empty((n, width) + ys.shape[1:], ys.dtype)
             self._buffers[purpose] = (shape, buf)
         return buf[0][:n], buf[1][:n]
 
     def _gather(self, purpose: str, idx: np.ndarray):
         """The stored rows at the (n, width) slots ``idx``, by one take per
-        array into the ``purpose`` buffers (for one row of slots, a buffer
-        would save no allocation worth its upkeep)."""
-        if len(idx) == 1:
-            return self._xs.take(idx, 0), self._ys.take(idx, 0)
+        array into the ``purpose`` buffers."""
         xs, ys = self._rows(purpose, *idx.shape, self._xs, self._ys)
         # the indices are in range; mode "raise" would gather into a temporary first
-        self._xs.take(idx, 0, out=xs, mode="wrap")
+        for a in range(0, len(idx), GATHER_STEPS):   # into strided rows, through a temporary
+            self._xs.take(idx[a:a + GATHER_STEPS], 0, out=xs[a:a + GATHER_STEPS, :, :-1],
+                          mode="wrap")
         self._ys.take(idx, 0, out=ys, mode="wrap")
         return xs, ys
 
@@ -301,7 +305,7 @@ def _replayed(pool: DataPool, key: tuple, make, gather) -> Minibatch:
         plan = pool._replay = make(source, k)
     xs, ys = gather(plan, t - plan.first)
     pool.gathered = (t, xs, ys)
-    return Minibatch(xs[0], ys[0])
+    return Minibatch(xs[0, :, :-1], ys[0])
 
 
 def _patch(pool: DataPool, idx: np.ndarray, xs: np.ndarray, ys: np.ndarray):
@@ -338,7 +342,7 @@ def _patch(pool: DataPool, idx: np.ndarray, xs: np.ndarray, ys: np.ndarray):
         keys = by_slot * n + order
         w[again] = order.take(keys.searchsorted(v.take(again) * n + lim.take(again)) - 1)
     w += a
-    for out, new in zip((xs, ys), source.written):
+    for out, new in zip((xs[..., :-1], ys), source.written):
         out.reshape(-1, *out.shape[2:])[rows] = new.take(w, 0)
 
 
@@ -442,7 +446,8 @@ def sample_mixed_replay(pool: DataPool, m: int, window: Optional[int] = None,
                         for w, h, f, s in zip(windows, hist, full, steps)]
             else:
                 hist = hist + np.where(full, windows, n * steps)[:, None, None]
-            for out, cur_src, pool_src in ((xs, cur_x, pool._xs), (ys, cur_y, pool._ys)):
+            for out, cur_src, pool_src in ((xs[..., :-1], cur_x, pool._xs),
+                                           (ys, cur_y, pool._ys)):
                 out = out[a - lo:b - lo].reshape(b - a, count, 2, half, *out.shape[2:])
                 out[:, :, 0] = cur_src.take(cur, 0)
                 if full.all():
@@ -457,7 +462,7 @@ def sample_mixed_replay(pool: DataPool, m: int, window: Optional[int] = None,
 
 def sample_folds(pool: DataPool, m: int, rng: np.random.Generator, bounds: np.ndarray):
     """(inputs, labels) of one minibatch of m items per bound, shaped
-    (len(bounds), m, ...): fold i's items are uniform with replacement over
+    (len(bounds), m, ...), each input row with a trailing 1.0: fold i's items are uniform with replacement over
     the first ``bounds[i]`` stored items, which must stay put until it is
     served. One generator call draws every fold, equal to one
     ``rng.integers(0, bound, size=m)`` call per fold in order; a bound of 0

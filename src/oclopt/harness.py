@@ -308,6 +308,7 @@ class RunResult:
     costs: CostCounter
     lr_trace: list             # alpha used at each iteration 1..K
     base: object               # the base optimizer state (SgdState or AdamState)
+    model_spec: ModelSpec
     diverged: bool = False
     ama: Optional[AmaState] = None   # the averager (0, 1 or 2 MA models)
 
@@ -329,6 +330,13 @@ def last_values(rows) -> dict:
             if not math.isnan(val):
                 last[name] = val
     return last
+
+
+def _relative(name) -> bool:
+    """name is a non-empty relative path (``/`` and ``\\`` separate its
+    components) with no ``..`` component: a directory under an output root."""
+    parts = name.replace("\\", "/").split("/") if isinstance(name, str) else [""]
+    return parts[0] != "" and ".." not in parts
 
 
 def _check_rows(spec: ModelSpec, xs: np.ndarray, ys: np.ndarray):
@@ -398,6 +406,8 @@ class Run:
             # the kinds, pairings and values only the harness resolves; every
             # other range check sits in the constructor that owns the value
             errors = [message for bad, message in (
+                (not _relative(config.name), "name must be a non-empty relative path with "
+                 f"no '..' component, got {config.name!r}"),
                 # type() rather than isinstance(): a bool is not a seed
                 (type(seed) is not int or seed < 0,
                  f"seeds must be non-negative integers, got {seed!r}"),
@@ -488,8 +498,8 @@ class Run:
         folds = np.arange(self.k // k_v + 1, done[-1] // k_v + 1)
         bounds = sizes[done.searchsorted(folds * k_v)]
         rows = sample_folds(self.holdout, self.val_batch_size, self.val_rng, bounds)
-        if rows is not None:
-            _check_rows(self.model_spec, *rows)
+        if rows is not None:   # the inputs' feature columns, before the trailing 1.0
+            _check_rows(self.model_spec, rows[0][..., :-1], rows[1])
         self.folds = (self.k // k_v + 1, bounds, rows)
 
     def sample_validation(self):
@@ -601,7 +611,7 @@ class Run:
         return RunResult(config=self.config, seed=self.seed, metric_rows=self.metric_rows,
                          schedule_rows=self.schedule_rows, ledger=self.ledger,
                          costs=self.costs, lr_trace=self.lr_trace, base=self.base,
-                         diverged=self.diverged, ama=self.averager)
+                         model_spec=self.model_spec, diverged=self.diverged, ama=self.averager)
 
 
 def run_experiment(config: ExperimentConfig, seed: Optional[int] = None,
@@ -641,7 +651,7 @@ def write_artifacts(result: RunResult, out_dir) -> dict:
     write_csv(out / "metrics.csv", METRIC_COLUMNS, result.metric_rows)
     write_csv(out / "schedule.csv", SCHEDULE_COLUMNS, result.schedule_rows)
     save_config(result.config, out / "config.yaml")
-    save_optimizer(out / "checkpoint.npz", result.base, result.ama)
+    save_optimizer(out / "checkpoint.npz", result.base, result.ama, result.model_spec.canonical)
     manifest = {
         "package_version": __version__,
         "seed": result.seed,

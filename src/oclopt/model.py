@@ -12,13 +12,20 @@ framework:
 
 Parameters, gradients and averaged models are plain flat float64 arrays of
 shape ``(spec.n_params,)``, and a stack of M models is ``(M, n_params)``.
-``ModelSpec.layout`` names the blocks of that vector, and
-``spec.block(theta, name)`` is a reshaped view into it (per row of a stack).
+A classifier layer of ``units`` units on ``inputs`` inputs is one
+``(units, inputs + 1)`` matrix in that vector, row by row: unit u's row is
+``[w_u | b_u]``. ``ModelSpec.layout`` names the blocks (each layer's weights
+and bias), ``spec.block(theta, name)`` is a view of one (per row of a
+stack), and ``theta.take(spec.canonical, axis=-1)`` lists them in the
+canonical order, each layer's weights then its bias, as ``checkpoint.npz``
+holds them.
 
 Losses are mean per-example loss plus 0.5 * weight_decay * ||theta||^2, and
 training computes only their exact gradient. Training, prediction and
 validation share one classifier pass (``Workspace.propagate``); validation
-scores a stack in one pass and drops the decay term. Models carry no running
+scores a stack in one pass and drops the decay term. The rows a pool gathers
+for replay and validation carry a trailing 1.0, so a layer's product with
+its matrix adds the bias in the same BLAS call. Models carry no running
 statistics, so averaged parameters need no recomputing.
 """
 
@@ -27,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,19 +85,31 @@ class ModelSpec:
         return self.kind != "quadratic-probe"
 
     @cached_property
+    def layers(self) -> tuple:
+        """(units, inputs) of each classifier layer, input to output; the probe has none."""
+        if self.kind == "linear-softmax":
+            return ((self.n_classes, self.d_in),)
+        if self.kind == "mlp-1-hidden":
+            return ((self.hidden, self.d_in), (self.n_classes, self.hidden))
+        return ()
+
+    @cached_property
     def layout(self) -> dict:
-        if self.kind == "quadratic-probe":
-            shapes = {"theta": (self.dim,)}
-        elif self.kind == "linear-softmax":
-            shapes = {"w": (self.n_classes, self.d_in), "b": (self.n_classes,)}
-        else:
-            shapes = {"w1": (self.hidden, self.d_in), "b1": (self.hidden,),
-                      "w2": (self.n_classes, self.hidden), "b2": (self.n_classes,)}
+        """Block name -> (slice, shape, columns): the block is ``columns`` of
+        the ``shape`` matrix that fills ``slice`` of the vector row by row. A
+        layer's matrix is (units, inputs + 1); its weights "w" (or "w1", "w2")
+        are the first ``inputs`` columns and its bias "b" (or "b1", "b2") the
+        last. The probe's one block "theta" is the whole vector. Blocks come
+        in the canonical order: each layer's weights, then its bias."""
+        if not self.classification:
+            return {"theta": (slice(0, self.dim), (self.dim,), np.s_[...])}
         table, start = {}, 0
-        for name, shape in shapes.items():
-            stop = start + math.prod(shape)
-            table[name] = (slice(start, stop), shape)
-            start = stop
+        for i, (units, inputs) in enumerate(self.layers, 1):
+            where, shape = slice(start, start + units * (inputs + 1)), (units, inputs + 1)
+            suffix = str(i) if len(self.layers) > 1 else ""
+            table["w" + suffix] = (where, shape, np.s_[..., :-1])
+            table["b" + suffix] = (where, shape, np.s_[..., -1])
+            start = where.stop
         return table
 
     @cached_property
@@ -101,10 +121,21 @@ class ModelSpec:
     def n_params(self) -> int:
         return next(reversed(self.layout.values()))[0].stop
 
+    @cached_property
+    def canonical(self) -> np.ndarray:
+        """Indices that list a parameter array's blocks in the canonical
+        order, each block flat: ``theta.take(spec.canonical, axis=-1)``."""
+        index = np.arange(self.n_params)
+        return np.concatenate([self.block(index, name).ravel() for name in self.layout])
+
+    def matrix(self, theta: np.ndarray, name: str) -> np.ndarray:
+        """View of the whole matrix that holds the named block, per row of a stack."""
+        where, shape, _ = self.layout[name]
+        return theta[..., where].reshape(theta.shape[:-1] + shape)
+
     def block(self, theta: np.ndarray, name: str) -> np.ndarray:
         """View of the named block of a parameter array, per row of a stack (shares memory)."""
-        where, shape = self.layout[name]
-        return theta[..., where].reshape(theta.shape[:-1] + shape)
+        return self.matrix(theta, name)[self.layout[name][2]]
 
 
 def init_params(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
@@ -144,22 +175,41 @@ def check_batch(spec: ModelSpec, batch) -> np.ndarray:
     return x
 
 
+class _Layer(NamedTuple):
+    """A classifier layer's views in a ``Workspace``: theta's (inputs + 1,
+    units) matrix, its weight rows and its bias row; the gradient's (units,
+    inputs + 1) matrix, its weight columns and its bias column. ``gemm``: both
+    forms of the layer's products are BLAS gemm calls at two rows or more."""
+
+    inputs: int
+    gemm: bool
+    mat: np.ndarray
+    w: np.ndarray
+    b: np.ndarray
+    grad: np.ndarray
+    grad_w: np.ndarray
+    grad_b: np.ndarray
+
+
 class Workspace:
     """Buffers and views that the training kernel, ``predict`` and a fold's
     scoring reuse across calls on one parameter array, or a stack (M, P): the
-    gradient and its blocks, theta's forward views and, sized to the last
-    call's rows, the logits, the MLP's hidden layer and each logits row's flat
-    offset. ``gradient`` is the model kind's kernel, which a run binds once: it
-    takes checked inputs and ``targets``, and returns the gradient buffer."""
+    gradient, each layer's views of theta and of the gradient (``_Layer``)
+    and, sized to the last call's rows, the logits, the MLP's hidden rows and
+    each logits row's flat offset. ``gradient`` is the model kind's kernel,
+    which a run binds once: it takes checked inputs and ``targets``, and
+    returns the gradient buffer."""
 
     def __init__(self, spec: ModelSpec, theta: np.ndarray):
         if theta.ndim not in (1, 2) or theta.shape[-1] != spec.n_params:
             raise ValueError(f"parameter shape {theta.shape} != expected ({spec.n_params},), "
                              "or (models, n_params) for a stack")
         self.spec, self.theta, self.grad = spec, theta, np.empty_like(theta)
-        self.grad_blocks = tuple(spec.block(self.grad, name) for name in spec.layout)
-        self.views = tuple(spec.block(theta, name).swapaxes(-1, -2) if name[0] == "w"
-                           else spec.block(theta, name)[..., None, :] for name in spec.layout)
+        self.layers = []
+        for name, (units, inputs) in zip(list(spec.layout)[::2], spec.layers):
+            mat, grad = spec.matrix(theta, name).swapaxes(-1, -2), spec.matrix(self.grad, name)
+            self.layers.append(_Layer(inputs, min(units, inputs) >= 2, mat, mat[..., :-1, :],
+                                      mat[..., -1:, :], grad, grad[..., :-1], grad[..., -1]))
         self.rows, self.decay = 0, spec.weight_decay
 
     @property
@@ -170,31 +220,59 @@ class Workspace:
         lead, c, h = self.theta.shape[:-1] + (n,), self.spec.n_classes, self.spec.hidden
         self.rows, self.logits = n, np.empty(lead + (c,))
         self.row_offsets = np.arange(0, self.logits.size, c).reshape(lead)
-        if len(self.views) == 4:   # the MLP
-            self.hidden, self.dh = np.empty(lead + (h,)), np.empty(lead + (h,))
+        # a layer is fused (see ``propagate``) where both its forms are gemm
+        # calls: numpy sends a product with one row, input or unit to gemv or
+        # to a loop of its own, whose bits differ from the one-product form's
+        self.fused = [n >= 2 and layer.gemm for layer in self.layers]
+        if len(self.layers) == 2:   # the MLP's hidden rows carry the output layer's 1.0
+            self.hidden, self.dh = np.empty(lead + (h + 1,)), np.empty(lead + (h,))
+            self.hidden[..., h] = 1.0
+            self.units = self.hidden[..., :h]
 
     def propagate(self, x: np.ndarray, hot: np.ndarray | None = None, softmax: bool = False):
         """Rows x through a classifier, into buffers the next call overwrites:
         the logits, on a leading model axis for a stack, each bit-equal to its
         own call; with ``softmax``, the probabilities; given ``hot``, the rows'
-        one-hot targets (one model), back to the gradient. The softmax shifts a
-        row by its max, which argmax finds faster than a reduction (0.0 or
-        -0.0, exp(z - max) is the same); a target row subtracts 1.0 at the
-        label and 0.0, which changes no value, elsewhere."""
-        theta, decay, views = self.theta, self.decay, self.views
+        one-hot targets (one model), back to the gradient.
+
+        Rows are plain, or carry a trailing 1.0 (the rows a pool gathers, and
+        the MLP's hidden rows). A layer that ``fit_rows`` fused takes such
+        rows in one product with its matrix each way, whose gemm call adds
+        the bias after the inputs and sums the 1.0 column's rows as the
+        two-op form does, bit for bit. Elsewhere a layer takes plain rows,
+        or the features of wide ones copied contiguous (numpy reads a
+        strided vector operand in other bits), times its weights plus its
+        bias. The softmax shifts a row by its max, which argmax finds faster
+        than a reduction (0.0 or -0.0, exp(z - max) is the same); a target
+        row subtracts 1.0 at the label and 0.0, which changes no value,
+        elsewhere."""
+        theta, decay, layers = self.theta, self.decay, self.layers
         if hot is not None:
             penalty = 0.5 * decay * float(theta @ theta) if decay > 0.0 else 0.0
             if not math.isfinite(penalty):
                 raise DivergenceError("non-finite weight-decay term")
         if len(x) != self.rows:
             self.fit_rows(len(x))
-        feats = x
-        if len(views) == 4:   # the MLP's tanh layer
-            feats = np.matmul(x, views[0], out=self.hidden)
-            feats += views[1]
-            np.tanh(feats, out=feats)
-        p = np.matmul(feats, views[-2], out=self.logits)
-        p += views[-1]
+        first, out = layers[0], layers[-1]
+        one = x.shape[-1] > first.inputs
+        if one and not self.fused[0]:
+            x, one = x[..., :-1].copy(), False
+        feats, last = x, one
+        if len(layers) == 2:   # the MLP's tanh layer, into the hidden rows' unit columns
+            h = self.units
+            if one:
+                np.matmul(x, first.mat, out=h)
+            else:
+                np.matmul(x, first.w, out=h)
+                h += first.b
+            np.tanh(h, out=h)
+            feats, last = (self.hidden, True) if self.fused[1] else (h.copy(), False)
+        p = self.logits
+        if last:
+            np.matmul(feats, out.mat, out=p)
+        else:
+            np.matmul(feats, out.w, out=p)
+            p += out.b
         if hot is None and not softmax:
             return p
         p -= p.take(self.row_offsets + p.argmax(axis=-1))[..., None]
@@ -204,14 +282,19 @@ class Workspace:
             return p
         p -= hot
         p /= len(p)   # p is now the loss gradient in the logits
-        grad_w, grad_b = self.grad_blocks[-2:]
-        np.matmul(p.T, feats, out=grad_w)
-        np.add.reduce(p, axis=0, out=grad_b)
-        if len(views) == 4:
-            dh = np.matmul(p, views[2].T, out=self.dh)
-            dh *= 1.0 - feats * feats
-            np.matmul(dh.T, x, out=self.grad_blocks[0])
-            np.add.reduce(dh, axis=0, out=self.grad_blocks[1])
+        if last:
+            np.matmul(p.T, feats, out=out.grad)
+        else:
+            np.matmul(p.T, feats, out=out.grad_w)
+            np.add.reduce(p, axis=0, out=out.grad_b)
+        if len(layers) == 2:
+            dh = np.matmul(p, out.w.T, out=self.dh)
+            dh *= 1.0 - h * h
+            if one:
+                np.matmul(dh.T, x, out=first.grad)
+            else:
+                np.matmul(dh.T, x, out=first.grad_w)
+                np.add.reduce(dh, axis=0, out=first.grad_b)
         if decay > 0.0:
             self.grad += decay * theta
         return self.grad

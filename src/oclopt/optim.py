@@ -279,24 +279,29 @@ def best_ma(state: AmaState) -> np.ndarray:
 
 # -- checkpointing -------------------------------------------------------------
 
-def save_optimizer(path, base, ma=None):
+def save_optimizer(path, base, ma=None, order=None):
     """Serialize optimizer state (and optional averager state) to an .npz
     archive whose float64 arrays hold every value exactly (the README lists
-    the keys and the order of the scalars)."""
+    the keys and the order of the scalars). ``order``, indices such as
+    ``ModelSpec.canonical``, lists each parameter-shaped array's values in
+    the order they are written; None writes them as they are."""
+    def params(a):
+        return a if order is None else a.take(order, axis=-1)
+
     blobs = {}
     if isinstance(base, SgdState):
-        blobs.update(base_kind="sgd", base_theta=base.theta,
-                     base_momentum=base.momentum,
+        blobs.update(base_kind="sgd", base_theta=params(base.theta),
+                     base_momentum=params(base.momentum),
                      base_scalars=np.array([base.beta, base.lr]))
     elif isinstance(base, AdamState):
-        blobs.update(base_kind="adam", base_theta=base.theta,
-                     base_m=base.m, base_v=base.v,
+        blobs.update(base_kind="adam", base_theta=params(base.theta),
+                     base_m=params(base.m), base_v=params(base.v),
                      base_scalars=np.array([base.beta1, base.beta2, base.eps,
                                             float(base.step), base.lr]))
     else:
         raise TypeError(f"unsupported base optimizer {type(base)!r}")
     if isinstance(ma, AmaState):
-        blobs.update(ma_models=np.array(ma.ma).reshape(-1, len(base.theta)),
+        blobs.update(ma_models=params(np.array(ma.ma).reshape(-1, len(base.theta))),
                      ma_gammas=np.array(ma.gammas, dtype=float),
                      ma_means=np.array(ma.means),
                      ma_scalars=np.array([ma.delta, float(ma.k_m), float(ma.k_v),

@@ -4,9 +4,14 @@ Every source of randomness in the package is a Philox4x64-10 counter-based
 generator keyed by (seed, purpose, *indices) through numpy's SeedSequence.
 Substreams are independent and random-access: the batch at time step t can
 be regenerated without replaying steps 1..t-1, and the same (seed, path)
-yields the identical stream on any platform. ``step_streams`` builds one
-generator per block of steps and re-keys it for each step from a cached table
-of 1 024-step key blocks that equals SeedSequence's keys.
+yields the identical bit stream on any platform. Values computed from it can
+still differ in their last bits between hosts: ``ball_uniform`` draws its
+radii with ``** (1 / dim)``, whose result follows numpy's SIMD dispatch
+(its AVX-512 and AVX2 loops differ), so the drifting-quadratic stream is
+bound to the host's dispatch; the classification streams matched under
+both. ``step_streams`` builds one generator per block of steps and re-keys
+it for each step from a cached table of 1 024-step key blocks that equals
+SeedSequence's keys.
 """
 
 from __future__ import annotations
@@ -94,7 +99,8 @@ def ball_uniform(rng: np.random.Generator, n: int, dim: int, radius: float) -> n
     """Draw n points uniformly from the closed Euclidean ball of given radius.
 
     Zero-mean and norm-bounded by construction, which is what the bounded
-    gradient-noise model needs.
+    gradient-noise model needs. The radii's last bits follow numpy's SIMD
+    dispatch for ``** (1 / dim)``.
     """
     if radius == 0.0:
         return np.zeros((n, dim))

@@ -40,6 +40,7 @@ AVERAGER_TESTS = ("tests/test_optim.py::TestAmaStep",)
 MODEL = "src/oclopt/model.py"
 MODEL_TESTS = ("tests/test_model.py",)
 KERNEL_TESTS = ("tests/test_model.py::TestRunKernel", "tests/test_optim.py::TestSgd")
+ONE_PRODUCT_TESTS = ("tests/test_model.py::TestOneProduct",)
 EVENT_TESTS = ("tests/test_harness.py::TestRunExperiment::"
                "test_the_averager_takes_every_iteration_where_an_interval_ends",)
 DATAPOOL = "src/oclopt/datapool.py"
@@ -102,11 +103,22 @@ MUTANTS = {
     "probe-score-keeps-decay": (
         MODEL, "        score = -_quadratic(spec, theta[..., None, :] - y)",
         "        score = -_quadratic(spec, theta[..., None, :] - y)" + STACK_DECAY, MODEL_TESTS),
-    "forward-drops-b1": (MODEL, "            feats += views[1]\n", "", MODEL_TESTS),
-    "forward-drops-output-bias": (MODEL, "        p += views[-1]\n", "", MODEL_TESTS),
-    "stacked-bias-on-wrong-axis": (
-        MODEL, "else spec.block(theta, name)[..., None, :]", "else spec.block(theta, name)[None]",
-        MODEL_TESTS),
+    "forward-drops-b1": (MODEL, "                h += first.b\n", "", MODEL_TESTS),
+    "forward-drops-output-bias": (MODEL, "            p += out.b\n", "", MODEL_TESTS),
+    "stacked-bias-on-wrong-axis": (MODEL, "mat[..., -1:, :]", "mat[-1:]", MODEL_TESTS),
+    "one-column-written-as-zero": (
+        DATAPOOL, "            inputs[..., -1] = 1.0\n", "            inputs[..., -1] = 0.0\n",
+        STEP_TESTS),
+    "one-product-gradient-drops-the-bias-column": (
+        MODEL, "np.matmul(p.T, feats, out=out.grad)",
+        "np.matmul(p.T, feats[..., :-1], out=out.grad_w)", ONE_PRODUCT_TESTS),
+    "one-row-takes-one-product": (
+        MODEL, "self.fused = [n >= 2 and layer.gemm", "self.fused = [n >= 1 and layer.gemm",
+        ONE_PRODUCT_TESTS),
+    "checkpoint-in-internal-order": (
+        HARNESS, "result.ama, result.model_spec.canonical)", "result.ama)",
+        ("tests/test_harness.py::TestRunExperiment::"
+         "test_the_checkpoint_lists_each_layers_weights_then_its_bias",)),
     "softmax-shifts-by-the-first-logit": (
         MODEL, "p.take(self.row_offsets + p.argmax(axis=-1))", "p.take(self.row_offsets)",
         MODEL_TESTS),

@@ -439,8 +439,11 @@ class TestPlannedSteps:
                 xs, ys = consecutive_draws(scan_mixed_replay, iters, ref, t, batch, m, window, g)
             else:
                 xs, ys = consecutive_draws(per_call_pure_replay, iters, ref, m, g)
-            # each iteration gets its rows and their labels' one-hot targets
-            assert np.concatenate([x for x, _ in rows]).tobytes() == xs.tobytes()
+            # each iteration gets its rows, each with a trailing 1.0, and
+            # their labels' one-hot targets
+            got = np.concatenate([x for x, _ in rows])
+            assert got[:, :-1].tobytes() == xs.tobytes()
+            assert got[:, -1].tobytes() == np.ones(len(got)).tobytes()
             hot = np.eye(run.model_spec.n_classes)[ys]
             assert np.concatenate([target for _, target in rows]).tobytes() == hot.tobytes()
             rows.clear()
@@ -513,8 +516,9 @@ class TestPlannedFolds:
                 want = per_call_pure_replay(run.holdout, m, g) if run.holdout.size else None
                 folds.append(want is None)
                 assert (got is None) == (want is None)
-                if want is not None:
-                    assert got.inputs.tobytes() == want[0].tobytes()
+                if want is not None:   # the fold's rows, each with a trailing 1.0
+                    assert got.inputs[:, :-1].tobytes() == want[0].tobytes()
+                    assert got.inputs[:, -1].tobytes() == np.ones(m).tobytes()
                     assert got.labels.tobytes() == want[1].tobytes()
 
         run.predict, run.iterate = (lambda inputs: None), iterate

@@ -384,6 +384,25 @@ class TestRunExperiment:
         rows = (tmp_path / "metrics.csv").read_text().splitlines()[1:]
         assert [int(row.split(",")[0]) for row in rows] == [5, 10, 15]
 
+    @pytest.mark.parametrize("kind", ["linear-softmax", "mlp-1-hidden"])
+    def test_the_checkpoint_lists_each_layers_weights_then_its_bias(self, kind, tmp_path):
+        # a run keeps unit u's weights and bias as one row [w_u | b_u], and
+        # checkpoint.npz keeps the canonical order: every block flat in turn
+        cfg = dict(expand_variants(apply_overrides(preset("main-comparison"), {
+            "stream.horizon": 40, "model.kind": kind, "model.hidden": 3})))["ama-malr"]
+        res = run_experiment(cfg, seed=0, out_dir=tmp_path)
+        spec = res.model_spec
+
+        def canonical(a):
+            return np.concatenate([spec.block(a, name).reshape(a.shape[:-1] + (-1,))
+                                   for name in spec.layout], axis=-1).tobytes()
+
+        with np.load(tmp_path / "checkpoint.npz") as z:
+            assert z["base_theta"].tobytes() == canonical(res.base.theta)
+            assert z["base_momentum"].tobytes() == canonical(res.base.momentum)
+            assert z["ma_models"].tobytes() == canonical(res.ama.ma)
+        assert canonical(res.base.theta) != res.base.theta.tobytes()
+
     @pytest.mark.parametrize("name,label,seed", [("main-comparison", "ama-malr", 26),
                                                  ("theory-verify", "base", 26),
                                                  ("theory-verify", "base", 35)])
@@ -995,6 +1014,29 @@ class TestCli:
         assert captured.out == ""
         assert [line[:16] for line in captured.err.splitlines()] == ["cannot use afile"]
 
+    # a config's name names its directory under runs/, so a name that is
+    # empty, absolute or climbs out with '..' is a config error, and nothing
+    # is written; a variant's name, {name}/{label}, keeps its '/'
+    @pytest.mark.parametrize("name", ["../escape", "", "/tmp/escape", "a/../../escape",
+                                      "..\\escape", ".."])
+    def test_a_name_that_leaves_the_output_root_exits_2(self, name, tmp_path, monkeypatch,
+                                                        capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(climod, "run_with_companions", None)   # no run may start
+        args = ["preset", "main-comparison", "--override", f"name={name}",
+                "--override", 'variants=[["a", {}]]', "--run"]
+        assert cli_main(args) == 2
+        assert capsys.readouterr().err.startswith("config error: name must be")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_nested_name_runs_under_the_output_root(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        args = ["preset", "main-comparison", "--override", "name=study/one",
+                "--override", 'variants=[["a", {}]]', "--override", "stream.horizon=5"]
+        assert cli_main(args + ["--run"]) == 0
+        assert (tmp_path / "runs" / "study" / "one" / "a" / "seed0" / "main"
+                / "metrics.csv").is_file()
+
     # preset writes or prints a config only once run would accept it
     @pytest.mark.parametrize("override", ["replay.batch_size=0", "seeds=[]"])
     @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
@@ -1256,6 +1298,41 @@ class TestCliInputs:
             finally:
                 os.chdir(cwd)
         assert code in (0, 2, 3, 4)
+
+
+    # a config.yaml of any YAML tree: random blocks, keys and values, a
+    # block that is no mapping, or a document that is none. run exits 0, 2
+    # (a config error) or 3 (the run diverged), never with a traceback. A
+    # stream block's horizon is kept at 30 steps or fewer
+    @settings(max_examples=60, deadline=None)
+    @given(tree=st.one_of(
+        VALUES, st.lists(st.sampled_from([*SCHEMA, "nope", "stream.nope"]).flatmap(overrides_of),
+                         max_size=6)))
+    def test_any_yaml_tree_as_config_exits_with_a_known_code(self, tree, tmp_path_factory):
+        if isinstance(tree, list) and all(isinstance(e, tuple) for e in tree) and tree:
+            doc = {}
+            for key, value in tree:   # dotted keys into nested blocks, the last one winning
+                *blocks, leaf = key.split(".")
+                node = doc
+                for b in blocks:
+                    node = node.setdefault(b, {}) if isinstance(node.get(b, {}), dict) else {}
+                node[leaf] = value
+            tree = doc
+        if isinstance(tree, dict) and isinstance(tree.get("stream", {}), dict):
+            stream = tree.setdefault("stream", {})
+            horizon = stream.get("horizon")
+            stream["horizon"] = min(horizon, 30) if type(horizon) is int else 30
+        tmp = tmp_path_factory.mktemp("yaml")
+        (tmp / "config.yaml").write_text(yaml.safe_dump(tree))
+        cwd = os.getcwd()
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")
+            os.chdir(tmp)
+            try:
+                code = cli_main(["run", "config.yaml", "--out", "out"])
+            finally:
+                os.chdir(cwd)
+        assert code in (0, 2, 3)
 
 
 # (stream kind, model kind) pairs a run accepts

@@ -10,12 +10,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oclopt.datapool import Minibatch
-from oclopt.harness import ExperimentConfig, Run, apply_overrides
+from oclopt.harness import (PRESET_NAMES, ExperimentConfig, Run, apply_overrides,
+                            expand_variants, preset)
 from oclopt.model import (DivergenceError, ModelSpec, Workspace, check_batch, gradient,
                           init_params, predict, step_ahead_performance, targets,
                           validation_performance)
-from tests.oracles import (frozen_check_batch, frozen_loss_and_grad, frozen_predict,
-                           frozen_step_ahead_performance, frozen_validation_performance)
+from tests.oracles import (frozen_check_batch, frozen_logits, frozen_loss_and_grad,
+                           frozen_predict, frozen_step_ahead_performance,
+                           frozen_validation_performance)
 
 
 def fd_gradient(spec, theta, batch, h=1e-5):
@@ -439,6 +441,88 @@ class TestLabelCheckMatchesFrozen:
         assert accepts(check_batch, spec, batch) == accepts(frozen_check_batch, spec, batch)
 
 
+def wide(x: np.ndarray) -> np.ndarray:
+    """Rows as a pool gathers them: each with a trailing 1.0."""
+    return np.concatenate((x, np.ones((len(x), 1))), axis=1)
+
+
+def run_shapes() -> set:
+    """(model kind, d_in, n_classes, hidden, rows) of every replay minibatch
+    and validation fold that a preset variant or a golden case runs with a
+    classifier, read from the configs (the classifier's layers follow from
+    the first four)."""
+    from tests.test_golden_artifacts import cases
+    configs = [cfg for name in PRESET_NAMES for _, cfg in expand_variants(preset(name))]
+    shapes = set()
+    for cfg in configs + [cfg for cfg, _ in cases().values()]:
+        run = Run(cfg, cfg.seeds[0])
+        spec = run.model_spec
+        if spec.classification:
+            for rows in (cfg.replay.batch_size, run.val_batch_size):
+                shapes.add((spec.kind, spec.d_in, spec.n_classes, spec.hidden, rows))
+    return shapes
+
+
+class TestOneProduct:
+    # rows with the trailing 1.0 take each fused layer in one product each
+    # way: bit for bit what the product plus the bias and the product plus
+    # the bias's reduction give (the frozen kernels), on every shape a run
+    # takes: replay minibatches train, and folds score a stack of models
+    def test_the_one_product_form_equals_the_two_op_form_on_every_run_shape(self):
+        shapes = run_shapes()
+        assert {kind for kind, *_ in shapes} == {"linear-softmax", "mlp-1-hidden"}
+        for kind, d_in, n_classes, hidden, n in sorted(shapes):
+            spec = ModelSpec(kind=kind, loss="cross-entropy", weight_decay=1e-4, d_in=d_in,
+                             n_classes=n_classes, hidden=hidden)
+            for seed in range(4):
+                rng = np.random.default_rng(seed)
+                theta = 10.0 ** rng.uniform(-2.0, 1.0) * rng.standard_normal(spec.n_params)
+                x, labels = rng.standard_normal((n, d_in)), rng.integers(0, n_classes, n)
+                work = Workspace(spec, theta)
+                grad = work.gradient(wide(x), targets(spec, labels))
+                assert all(work.fused) and len(work.fused) == len(spec.layers)
+                _, want = frozen_loss_and_grad(spec, theta, Minibatch(x, labels))
+                assert grad.tobytes() == want.tobytes()
+                stack = rng.standard_normal((3, spec.n_params))
+                scorer = Workspace(spec, stack)
+                logits = scorer.propagate(wide(x))
+                assert all(scorer.fused)
+                for row, got in zip(stack, logits):
+                    assert got.tobytes() == frozen_logits(spec, row, x).tobytes()
+
+    # a layer that one row, one input or one unit leaves outside a gemm call
+    # is never fused, so rows with the trailing 1.0 take the plain form there,
+    # bit for bit as plain rows do, on any host: one row, or else a
+    # classifier's one input or the MLP's one hidden unit
+    @settings(max_examples=150, deadline=None)
+    @example(kind="linear-softmax", one="rows", n=5, d_in=3, n_classes=4, hidden=2, seed=0)
+    @example(kind="mlp-1-hidden", one="rows", n=5, d_in=6, n_classes=9, hidden=5, seed=1)
+    @given(kind=st.sampled_from(["linear-softmax", "mlp-1-hidden"]),
+           one=st.sampled_from(["rows", "width"]), n=st.integers(1, 64),
+           d_in=st.integers(1, 6), n_classes=st.integers(2, 16), hidden=st.integers(1, 16),
+           seed=st.integers(0, 2**32 - 1))
+    def test_rows_no_gemm_call_serves_take_the_plain_form(self, kind, one, n, d_in, n_classes,
+                                                          hidden, seed):
+        if one == "rows":
+            n = 1
+        elif kind == "linear-softmax":
+            d_in = 1
+        else:   # one hidden unit: one unit in, one input out
+            hidden = 1
+        rng = np.random.default_rng(seed)
+        spec = ModelSpec(kind=kind, loss="cross-entropy", weight_decay=1e-4, d_in=d_in,
+                         n_classes=n_classes, hidden=hidden)
+        theta = rng.standard_normal(spec.n_params)
+        x, labels = rng.standard_normal((n, d_in)), rng.integers(0, n_classes, n)
+        work = Workspace(spec, theta)
+        grad = work.gradient(wide(x), targets(spec, labels))
+        assert not any(work.fused)
+        _, want = frozen_loss_and_grad(spec, theta, Minibatch(x, labels))
+        assert grad.tobytes() == want.tobytes()
+        assert Workspace(spec, theta).propagate(wide(x)).tobytes() == \
+            frozen_logits(spec, theta, x).tobytes()
+
+
 class TestAccuracy:
     def spec(self):
         return ModelSpec(kind="linear-softmax", loss="cross-entropy", d_in=2,
@@ -503,32 +587,50 @@ class TestAccuracy:
 
 
 class TestLayout:
+    # a classifier layer of u units on i inputs is one (u, i + 1) matrix in
+    # the vector, row by row: unit u's row is [w_u | b_u], and the layers
+    # follow each other. Every block is a view of its entries; the canonical
+    # order lists each layer's weights, then its bias, flat.
     @settings(max_examples=60, deadline=None)
     @given(kind=st.sampled_from(["quadratic-probe", "linear-softmax", "mlp-1-hidden"]),
            d_in=st.integers(1, 6), n_classes=st.integers(2, 5),
            hidden=st.integers(1, 7), dim=st.integers(1, 6), seed=st.integers(0, 99))
-    def test_blocks_tile_the_vector(self, kind, d_in, n_classes, hidden, dim, seed):
-        if kind == "quadratic-probe":
+    def test_each_unit_is_one_row_of_weights_then_bias(self, kind, d_in, n_classes, hidden,
+                                                        dim, seed):
+        if kind == "quadratic-probe":   # one block, the whole vector
             spec = ModelSpec(kind=kind, loss="quadratic", dim=dim, curvature=(1.0,) * dim)
-        else:
-            spec = ModelSpec(kind=kind, loss="cross-entropy", d_in=d_in,
-                             n_classes=n_classes, hidden=hidden)
+            theta = init_params(spec, np.random.default_rng(seed))
+            assert theta.shape == (dim,) and spec.canonical.tolist() == list(range(dim))
+            assert np.shares_memory(spec.block(theta, "theta"), theta)
+            return
+        spec = ModelSpec(kind=kind, loss="cross-entropy", d_in=d_in, n_classes=n_classes,
+                         hidden=hidden)
+        layers = ([(n_classes, d_in)] if kind == "linear-softmax"
+                  else [(hidden, d_in), (n_classes, hidden)])
+        names = [("w", "b")] if kind == "linear-softmax" else [("w1", "b1"), ("w2", "b2")]
         theta = init_params(spec, np.random.default_rng(seed))
         assert theta.shape == (spec.n_params,)
-        covered = 0
-        for name, (where, shape) in spec.layout.items():
-            assert (where.start, where.stop) == (covered, covered + int(np.prod(shape)))
-            covered = where.stop
-            view = spec.block(theta, name)
-            assert view.shape == shape and np.shares_memory(view, theta)
-        assert covered == spec.n_params
+        start, canonical = 0, []
+        for (units, inputs), (w, b) in zip(layers, names):
+            rows = np.arange(start, start + units * (inputs + 1)).reshape(units, inputs + 1)
+            for name, index in ((w, rows[:, :-1]), (b, rows[:, -1])):
+                view = spec.block(theta, name)
+                assert view.shape == index.shape and np.shares_memory(view, theta)
+                assert view.tobytes() == theta[index].tobytes()
+                canonical += index.ravel().tolist()
+            start += rows.size
+        assert start == spec.n_params and list(spec.layout) == [n for pair in names for n in pair]
+        assert spec.canonical.tolist() == canonical
 
     def test_block_views_share_memory(self):
+        # per unit: [w_u | b_u], so a write to b lands at the end of each row
         spec = ModelSpec(kind="linear-softmax", loss="cross-entropy", d_in=2,
                          n_classes=2)
         theta = np.zeros(spec.n_params)
         spec.block(theta, "b")[:] = 7.0
-        assert np.all(theta[-2:] == 7.0)
+        spec.block(theta, "w")[1] = 3.0
+        assert theta.tolist() == [0.0, 0.0, 7.0, 3.0, 3.0, 7.0]
+        assert theta[spec.canonical].tolist() == [0.0, 0.0, 3.0, 3.0, 7.0, 7.0]
 
     def test_init_is_deterministic(self):
         from oclopt.rng import substream
