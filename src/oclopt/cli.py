@@ -137,9 +137,13 @@ def cmd_verify_bounds(args) -> int:
 
 def _metric_rows(path) -> list:
     """The rows of a metrics.csv below its METRIC_COLUMNS header, as floats;
-    a ConfigError naming the line of a wrong header or row."""
-    with open(path, newline="") as f:
-        data = list(csv.reader(f))
+    a ConfigError naming the line of a wrong header or row, or a file that
+    is not text."""
+    try:
+        with open(path, newline="") as f:
+            data = list(csv.reader(f))
+    except UnicodeError as e:
+        raise ConfigError(f"{path}: {e}") from e
     if data[:1] != [list(METRIC_COLUMNS)]:
         raise ConfigError(f"{path} line 1: the header is not {','.join(METRIC_COLUMNS)}")
     rows = []

@@ -13,26 +13,28 @@ it is offered to the training pool. Routing coins come from a random-access
 substream keyed by the arrival step, so the routing of any step can be
 re-enumerated independently.
 
-Every pool-side draw and row copy is planned. At the first step of a block
-of ``BLOCK`` steps (those inside the horizon) ``update`` draws the block's
-routing coins, which no pool keeps, and plans both pools' offers: every
-reservoir draw in one generator call, every appended row stored at once
-(rows past ``size`` are invisible: every reader stops there), and the rows
-the block's later steps overwrite with, taken in write order. A replay draw
-draws the rest of the block in one call. Pure replay gathers its rows with
-one take per array and gives a row whose slot a later step overwrites first
-that step's row; mixed replay gathers up to the next step whose offers
-overwrite a stored item, which draws again. ``sample_folds`` plans
-validation minibatches alike. Gathered input rows carry a trailing 1.0,
-written once when a gather buffer is made, for a classifier layer's bias
-(see ``oclopt.model``). Every step of the block, its first included,
-is ``Served``: ``advance`` moves the pools by their plans and writes only
-the slots a step overwrites, and gathered rows are read by index.
-``update`` is the only way rows enter a pool, and ``advance``, following its
-plans, the only way one moves. Planned draws equal draws made one call at a
-time: reservoir draws come one per evicting item in offer order, each
-item's once, and a replay plan serves a step only while the pool stands
-where the plan was made to find it.
+Every pool-side draw and row copy of a block of ``BLOCK`` steps (those
+inside the horizon) is planned at its first step, before any pool moves,
+into one ``Block``. ``update`` draws the block's routing coins, which no
+pool keeps, and plans both pools' offers: every reservoir draw in one
+generator call, every appended row stored at once (rows past ``size`` are
+invisible: every reader stops there), and the rows the block's steps
+overwrite with, taken in write order. A replay planner then draws every
+step's replay indices: pure replay in one call, mixed replay in one call per
+segment, from the first step and from each step whose offers overwrite a
+stored item up to the next, with the history windows the arrival steps give
+after the writes of the segment's first step. Both gather their rows with
+one take per array and source, and give a row whose slot a step up to its
+own overwrites the row of the last such write (``_patch``).
+``sample_folds`` plans validation minibatches alike. Gathered input rows
+carry a trailing 1.0 for a classifier layer's bias (see ``oclopt.model``).
+Every step of the block, its first included, is served by index:
+``advance`` moves the pools by their plans and writes only the slots a step
+overwrites. ``update`` is the only way rows enter a pool, and ``advance``,
+following its plans, the only way one moves. Planned draws equal draws made
+one call at a time: reservoir draws come one per evicting item in offer
+order, each item's once, and replay draws in the order per-step calls would
+make them, each from the rows the pool holds at its step.
 """
 
 from __future__ import annotations
@@ -79,9 +81,7 @@ class _Offers(NamedTuple):
     write per slot, the step's last item drawn to it, in slot order.
     ``written`` holds (inputs, labels) of those items in write order, taken
     from ``block``, the range's stream batches stacked per step, when the
-    plan was made, and the range's appended rows were stored then too. Rows
-    read after step i stay put through step ``calm[i] - 1``, the last before
-    one that writes."""
+    plan was made, and the range's appended rows were stored then too."""
 
     first: int
     counts: list
@@ -90,39 +90,26 @@ class _Offers(NamedTuple):
     at: list
     slots: np.ndarray
     written: tuple
-    calm: list
     block: tuple
 
 
-class Served(NamedTuple):
-    """The steps ``first`` .. ``stop - 1`` of the offer plans ``update`` made:
-    step t's batch is row ``t - first`` of ``inputs`` and ``labels``, and
-    ``advance`` takes step t's offers into each (pool, offer plan) of
-    ``offers``."""
+class Block(NamedTuple):
+    """The steps ``first`` .. ``stop - 1``, every draw and row copy of them
+    planned at the first: step t's batch is row ``t - first`` of ``inputs``
+    and ``labels``, and ``advance`` takes step t's offers into each (pool,
+    offer plan) of ``offers``. ``replay`` holds the replay rows of the
+    block's last steps, one row of minibatches per step, ending with the
+    block's last step (a step before them runs no iterations), and
+    ``folds`` (first fold, bounds, rows) of the validation folds the block
+    reaches (see ``sample_folds``)."""
 
     first: int
     stop: int
-    inputs: Optional[np.ndarray]
-    labels: Optional[np.ndarray]
+    inputs: np.ndarray
+    labels: np.ndarray
     offers: tuple
-
-
-UNSERVED = Served(0, 0, None, None, ())   # serves no step
-
-
-class _Replay(NamedTuple):
-    """Planned replay draws of steps ``first`` .. ``first + len(bound) - 1``,
-    made under ``key`` from the offer plan ``source``:
-    ``idx[i]`` was drawn for step ``first + i`` with bound ``bound[i]`` (the
-    pool size, or the history window's item count). ``windows`` locates the
-    history windows of mixed replay (see ``_windows``)."""
-
-    key: tuple
-    source: _Offers
-    first: int
-    bound: np.ndarray
-    idx: np.ndarray
-    windows: object = None
+    replay: Minibatch = Minibatch((), ())
+    folds: tuple = (0, (), None)
 
 
 class DataPool:
@@ -143,10 +130,6 @@ class DataPool:
         self.capacity, self.seed, self.holdout_fraction = capacity, seed, holdout_fraction
         self.size = self.seen_count = self.last_step = 0
         self._xs = self._ys = self._arrival = None   # reserved at the first item
-        self._offers: Optional[_Offers] = None
-        self._replay: Optional[_Replay] = None
-        self.gathered = (0, (), ())   # (first step, inputs, labels) of the last replay gather
-        self._buffers = {}                  # purpose -> (shape, (inputs, labels) buffers)
 
     # each built on its first draw
     _reservoir_rng = cached_property(lambda self: substream(self.seed, rngmod.RESERVOIR))
@@ -154,7 +137,8 @@ class DataPool:
 
     # -- storage ------------------------------------------------------------
 
-    def _plan_offers(self, first: int, counts: np.ndarray, block: tuple, rows: np.ndarray):
+    def _plan_offers(self, first: int, counts: np.ndarray, block: tuple,
+                     rows: np.ndarray) -> _Offers:
         """Plan the offers of ``counts[i]`` items at step ``first + i`` from the
         current state: every reservoir draw of the range at once (the item
         with global index i past capacity draws slot j ~ Uniform{0..i}), and,
@@ -163,7 +147,6 @@ class DataPool:
         items are the ``rows`` of ``block``'s batches joined in step order;
         take the rows the range's steps write, and store every row the range
         appends (until the pool fills, an item's slot is its offer index)."""
-        self._offers = None   # free the old plan first
         joined = tuple(a.reshape(-1, *a.shape[2:]) for a in block)
         seen = self.seen_count + np.concatenate(([0], np.cumsum(counts)))
         cap, n_steps = self.capacity, len(counts)
@@ -178,12 +161,6 @@ class DataPool:
         step, slots = np.divmod(key, cap)
         src = rows.take(items.take(hit) - seen[0])
         at = step.searchsorted(np.arange(n_steps + 1))
-        writes = np.flatnonzero(np.diff(at))
-        calm = np.append(writes, n_steps)[writes.searchsorted(np.arange(n_steps), "right")]
-        # per-step scalars as lists: a step reads them as Python ints
-        self._offers = _Offers(first, counts.tolist(), seen.tolist(), fill.tolist(),
-                               at.tolist(), slots, tuple(a.take(src, 0) for a in joined),
-                               calm.tolist(), block)
         lo, hi = min(seen[0], cap), min(seen[-1], cap)
         if hi > lo:
             xs, ys = joined
@@ -196,6 +173,9 @@ class DataPool:
             xs.take(new, 0, out=self._xs[lo:hi], mode="wrap")
             ys.take(new, 0, out=self._ys[lo:hi], mode="wrap")
             self._arrival[lo:hi] = seen.searchsorted(np.arange(lo, hi), "right") + (first - 1)
+        # per-step scalars as lists: a step reads them as Python ints
+        return _Offers(first, counts.tolist(), seen.tolist(), fill.tolist(), at.tolist(), slots,
+                       tuple(a.take(src, 0) for a in joined), block)
 
     # -- views --------------------------------------------------------------
 
@@ -211,36 +191,12 @@ class DataPool:
             return slice(*arrival.searchsorted((first, last + 1)))
         return np.flatnonzero((arrival >= first) & (arrival <= last))
 
-    def _rows(self, purpose: str, n: int, width: int, xs: np.ndarray, ys: np.ndarray):
-        """(inputs, labels) arrays of n x ``width`` rows like those of xs and
-        ys, each input row with a trailing 1.0 that writers leave as it is
-        (they fill ``[..., :-1]``): views of the pool's buffers for
-        ``purpose``, made anew only to grow or to change shape."""
-        shape = (width, xs.shape[1:], ys.shape[1:], ys.dtype)
-        have, buf = self._buffers.get(purpose, (None, None))
-        if have != shape or len(buf[0]) < n:
-            inputs = np.empty((n, width, xs.shape[1] + 1))
-            inputs[..., -1] = 1.0
-            buf = inputs, np.empty((n, width) + ys.shape[1:], ys.dtype)
-            self._buffers[purpose] = (shape, buf)
-        return buf[0][:n], buf[1][:n]
 
-    def _gather(self, purpose: str, idx: np.ndarray):
-        """The stored rows at the (n, width) slots ``idx``, by one take per
-        array into the ``purpose`` buffers."""
-        xs, ys = self._rows(purpose, *idx.shape, self._xs, self._ys)
-        # the indices are in range; mode "raise" would gather into a temporary first
-        for a in range(0, len(idx), GATHER_STEPS):   # into strided rows, through a temporary
-            self._xs.take(idx[a:a + GATHER_STEPS], 0, out=xs[a:a + GATHER_STEPS, :, :-1],
-                          mode="wrap")
-        self._ys.take(idx, 0, out=ys, mode="wrap")
-        return xs, ys
-
-
-def update(pool: DataPool, holdout: DataPool, spec, t: int) -> Served:
+def update(pool: DataPool, holdout: DataPool, spec, t: int) -> Block:
     """Plan the offers of step t of the stream ``spec`` and of the later steps
     of its block inside the horizon: route each datum of those steps' batches
-    to the holdout or the training pool, and return the ``Served`` steps.
+    to the holdout or the training pool, and return the ``Block`` of the
+    steps, with no replay rows or folds yet.
 
     A datum goes to the holdout iff its routing coin, drawn from the (seed,
     HOLDOUT, t) substream of the stream's seed, is below the holdout's
@@ -264,18 +220,18 @@ def update(pool: DataPool, holdout: DataPool, spec, t: int) -> Served:
             g.random(out=row)
         hold = coins < holdout.holdout_fraction
     block = training_block(spec, t)
-    for target, mask in ((pool, ~hold), (holdout, hold)):
-        # row j * n + r of the steps is row r of step t + j
-        target._plan_offers(t, mask.sum(1), block, np.flatnonzero(mask))
-    return Served(t, stop, *block, ((pool, pool._offers), (holdout, holdout._offers)))
+    # row j * n + r of the steps is row r of step t + j
+    offers = tuple((target, target._plan_offers(t, mask.sum(1), block, np.flatnonzero(mask)))
+                   for target, mask in ((pool, ~hold), (holdout, hold)))
+    return Block(t, stop, *block, offers)
 
 
-def advance(served: Served, t: int):
-    """Integrate step t of ``served`` into each pool: the one way a pool
+def advance(block: Block, t: int):
+    """Integrate step t of ``block`` into each pool: the one way a pool
     moves. The step's appended rows are stored already, so a pool writes
     only the slots its offers overwrite (reservoir eviction past capacity),
     then moves by its offer plan's counters."""
-    for pool, plan in served.offers:
+    for pool, plan in block.offers:
         k = t - plan.first
         a, b = plan.at[k], plan.at[k + 1]
         if a < b:
@@ -287,189 +243,182 @@ def advance(served: Served, t: int):
         pool.last_step = t
 
 
-def _replayed(pool: DataPool, key: tuple, make, gather) -> Minibatch:
-    """The rows of the pool's replay plan for its last offered step t, as
-    views. The plan serves if it was made under ``key`` from the offer plan
-    the pool stands at and holds step t; else ``make(offer plan, step t's
-    index)`` draws the one that replaces it. ``gather(plan, i)`` gathers the
-    rows of the plan's steps from its i-th, step t, on into
-    ``pool.gathered``."""
-    t, source = pool.last_step, pool._offers
-    k = -1 if source is None else t - source.first
-    if not (0 <= k < len(source.counts) and source.seen[k + 1] == pool.seen_count):
-        raise ValueError(f"replay needs the offers of the pool's last offered step {t}")
-    plan = pool._replay
-    if (plan is None or plan.key != key or plan.source is not source
-            or not 0 <= t - plan.first < len(plan.bound)):
-        pool._replay = None   # free the old plan before drawing the new one
-        plan = pool._replay = make(source, k)
-    xs, ys = gather(plan, t - plan.first)
-    pool.gathered = (t, xs, ys)
-    return Minibatch(xs[0, :, :-1], ys[0])
+def _take(pool: DataPool, refs: np.ndarray, block: tuple) -> Minibatch:
+    """The rows ``refs`` refers to, in arrays of their own shaped like it,
+    each input row with a trailing 1.0 for a classifier layer's bias (see
+    ``oclopt.model``). A reference below the pool's capacity is a slot of
+    its storage, and ``capacity + j`` row j of ``block``, stream batches
+    stacked per step, joined in step order; the references of each run
+    along the last axis all refer to one of the two. One take per array and
+    source, a chunk of GATHER_STEPS rows of ``refs`` at a time."""
+    cap, joined = pool.capacity, tuple(a.reshape(-1, *a.shape[2:]) for a in block)
+    stores = joined if pool._xs is None else (pool._xs, pool._ys)   # no slot to refer to yet
+    xs = np.empty(refs.shape + (joined[0].shape[1] + 1,))
+    xs[..., -1] = 1.0
+    ys = np.empty(refs.shape + joined[1].shape[1:], joined[1].dtype)
+    for a in range(0, len(refs), GATHER_STEPS):
+        r, chunk = refs[a:a + GATHER_STEPS], slice(a, a + GATHER_STEPS)
+        stored = r[..., 0] < cap
+        for out, store, rows in zip((xs[chunk, ..., :-1], ys[chunk]), stores, joined):
+            if stored.all():   # in range: mode "raise" would take into a temporary first
+                store.take(r, 0, out=out, mode="wrap")
+            else:
+                out[stored] = store.take(r[stored], 0)
+                out[~stored] = rows.take(r[~stored] - cap, 0)
+    return Minibatch(xs, ys)
 
 
-def _patch(pool: DataPool, idx: np.ndarray, xs: np.ndarray, ys: np.ndarray):
-    """Give the rows ``xs``, ``ys`` gathered from storage at the slots ``idx``
-    of the pool's last offered step t and the later steps of its offer plan,
-    one row of slots per step, the rows those steps stand at. Storage holds
-    every write through step t; at step s, a slot that some step in (t, s]
-    writes holds the row of the last such write. The later writes come in
-    step order, so those through step s are the first ``stop[s - t]``. A
-    row's slot whose first later write is past that stop keeps the stored
-    row, one whose last is before it takes that write, and the rest search
-    their slot's writes."""
-    source = pool._offers
-    k = pool.last_step - source.first
-    a = source.at[k + 1]
-    slots = source.slots[a:]
+def _patch(offers: _Offers, capacity: int, refs: np.ndarray, rows: Minibatch):
+    """Give the ``rows`` of ``refs`` (see ``_take``), one row of references
+    per step of the offer plan ``offers``, ending with its last step, the
+    rows those steps stand at. Storage holds the writes of the steps before
+    the plan's; at step s, a slot that a step of the plan through s writes
+    holds the row of the last such write. The writes come in step order, so
+    those through step s are the first ``at[s + 1]``, the row's stop. A
+    row's slot whose first write is past that stop keeps the stored row,
+    one whose last is before it takes that write, and the rest search their
+    slot's writes."""
+    slots = offers.slots
     n = len(slots)
-    if n == 0:   # no later step writes
+    if n == 0:   # no step writes
         return
-    stop = np.array(source.at[k + 1:]) - a
+    stop = np.array(offers.at[len(offers.at) - len(refs):])
     order = slots.argsort(kind="stable")   # by slot, each slot's writes in step order
     by_slot = slots.take(order)
     head = np.flatnonzero(np.diff(by_slot, prepend=-1))   # each slot's first in by_slot
-    first, last = np.full((2, pool.capacity), n)   # n: no later write to the slot
+    # n: no write to the slot; entry ``capacity`` stands for every stream row
+    first, last = np.full((2, capacity + 1), n)
     first[by_slot.take(head)] = order.take(head)
     last[by_slot.take(head)] = order.take(np.append(head[1:], n) - 1)
-    rows = np.flatnonzero(first.take(idx) < stop[:, None])
-    if len(rows) == 0:
+    hit = np.flatnonzero(first.take(refs, mode="clip") < stop[:, None])
+    if len(hit) == 0:
         return
-    v, lim = idx.reshape(-1).take(rows), stop.take(rows // idx.shape[1])
+    v, lim = refs.reshape(-1).take(hit), stop.take(hit // refs.shape[1])
     w = last.take(v)
     again = np.flatnonzero(w >= lim)
     if len(again):   # the last (slot, write) key below (slot, stop) is the slot's own
         keys = by_slot * n + order
         w[again] = order.take(keys.searchsorted(v.take(again) * n + lim.take(again)) - 1)
-    w += a
-    for out, new in zip((xs[..., :-1], ys), source.written):
-        out.reshape(-1, *out.shape[2:])[rows] = new.take(w, 0)
+    for out, new in zip((rows.inputs[..., :-1], rows.labels), offers.written):
+        out.reshape(-1, *out.shape[2:])[hit] = new.take(w, 0)
 
 
-def sample_pure_replay(pool: DataPool, m: int, count: int = 1) -> Minibatch:
-    """``count`` minibatches of m items, uniform with replacement over
-    everything stored, as one block of ``count * m`` rows: rows [i*m, (i+1)*m)
-    are the i-th minibatch. One joined draw equals ``count`` consecutive
-    draws of m, row for row, and leaves the generator in the same state.
+def _gather(pool: DataPool, offers: _Offers, refs: np.ndarray) -> Minibatch:
+    """The replay rows of ``refs`` (see ``_take``), whose first axis runs over
+    the plan's last ``len(refs)`` steps: one row of rows per step, each the
+    row its step reads (see ``_patch``)."""
+    shape = len(refs), math.prod(refs.shape[1:])
+    rows = Minibatch(*(a.reshape(*shape, *a.shape[refs.ndim:])
+                       for a in _take(pool, refs, offers.block)))
+    _patch(offers, pool.capacity, refs.reshape(shape), rows)
+    return rows
 
-    Serves views of the rows of the pool's replay plan, made at the first
-    call of an offer plan's range with one draw for each step's pool size,
-    from the pool's own generator. The call gathers the rows of its step and
-    of every later step of the range with one take per array, and gives a
-    row whose slot a later step overwrites first the row that step writes
-    (see ``_patch``).
+
+def sample_pure_replay(pool: DataPool, offers: _Offers, m: int, count: int = 1) -> Minibatch:
+    """Plan the pure replay of the steps of the offer plan ``offers``, the
+    pool standing before the first: ``count`` minibatches of m items per
+    step, uniform with replacement over everything stored at the step, as
+    one row of ``count * m`` rows: rows [i*m, (i+1)*m) are the i-th
+    minibatch. A pool never shrinks, so the steps with a stored item are the
+    last ones; the rows are theirs, one row per step, and a step before them
+    draws nothing.
+
+    One draw from the pool's own generator, bounded by each step's pool
+    size, equals ``count`` consecutive draws of m per step, row for row, and
+    leaves the generator in the same state. One take per array gathers the
+    rows, and a row whose slot a step up to its own overwrites takes that
+    step's row (see ``_patch``).
     """
-    if pool.size == 0:
-        raise EmptyPoolError("cannot sample from an empty pool")
-    key = ("pure", m, count)
-
-    def make(source, k):
-        bounds = np.minimum(source.seen[k + 1:], pool.capacity)
-        idx = pool._replay_rng.integers(0, bounds[:, None], size=(len(bounds), count * m))
-        return _Replay(key, source, pool.last_step, bounds, idx)
-
-    def gather(plan, i):
-        xs, ys = pool._gather("replay", plan.idx[i:])
-        _patch(pool, plan.idx[i:], xs, ys)
-        return xs, ys
-
-    return _replayed(pool, key, make, gather)
+    bounds = np.minimum(offers.seen[1:], pool.capacity)
+    bounds = bounds[bounds > 0]
+    return _gather(pool, offers, pool._replay_rng.integers(0, bounds[:, None],
+                                                           size=(len(bounds), count * m)))
 
 
-def _windows(pool: DataPool, steps: np.ndarray, window: Optional[int], size: int) -> tuple:
+def _windows(arrival: np.ndarray, steps: np.ndarray, window: Optional[int],
+             in_order: bool) -> tuple:
     """(item counts, windows) of the history windows [t - window, t - 1]
-    (window=None: [1, t - 1]) of the given steps, over the first ``size``
-    slots, for steps between which the pool overwrites no stored item. A
-    pool that has never dropped or overwritten an item keeps its arrivals
-    sorted, including the rows its offer plan has stored ahead, so windows
-    are the first slots of runs (binary search); otherwise the pool stays
-    full and unchanged, and windows are slot arrays (an O(size) scan each)."""
+    (window=None: [1, t - 1]) of the given steps among the slots whose
+    arrival steps are ``arrival``. Arrivals ``in_order`` (those of a pool
+    that has never dropped or overwritten an item, including the rows its
+    offer plan has stored ahead) make windows the first slots of runs
+    (binary search); otherwise windows are slot arrays (an O(size) scan
+    each)."""
     lo = np.ones_like(steps) if window is None else steps - window
-    if size == 0:
-        return np.zeros(len(steps), dtype=np.int64), np.zeros(len(steps), dtype=np.int64)
-    if pool.size == pool.seen_count:
-        arrival = pool._arrival[:size]
+    if in_order:
         first = arrival.searchsorted(lo)
         return arrival.searchsorted(steps) - first, first
-    slots = [pool.slots_between(a, b - 1) for a, b in zip(lo, steps)]
+    slots = [np.flatnonzero((arrival >= a) & (arrival < b)) for a, b in zip(lo, steps)]
     return np.array([len(s) for s in slots]), slots
 
 
-def sample_mixed_replay(pool: DataPool, m: int, window: Optional[int] = None,
+def sample_mixed_replay(pool: DataPool, offers: _Offers, m: int, window: Optional[int] = None,
                         count: int = 1) -> Minibatch:
-    """Half the minibatch from the current step, half uniform from the history window.
+    """Plan the mixed replay of the steps of the offer plan ``offers``, the
+    pool standing before the first: at step t, half of each minibatch comes
+    from the step's batch, its rows of the plan's stream block, and half
+    uniformly from the stored items with arrival step in [t - window, t - 1]
+    (window=None: [1, t - 1]). If the window holds nothing (e.g. t=1), the
+    whole minibatch comes from the current batch.
 
-    The current step t is the pool's last offered step, and its batch the
-    step's rows of the served stream block of the offer plan that holds it.
-    The history half draws uniformly from stored items with arrival step in
-    [t - window, t - 1]; window=None means t-1 (full coverage). If the window
-    holds nothing (e.g. t=1), the whole minibatch falls back to current data.
-
-    ``count`` minibatches come as one block of ``count * m`` rows: rows
-    [i*m, (i+1)*m) are the i-th minibatch, current half first. They are drawn
-    by one call whose bounds repeat [current, history] ``count`` times, so
-    the block equals ``count`` consecutive calls with ``count=1``, row for
-    row, and leaves the replay generator in the same state. Serves views of
-    the rows of the pool's replay plan, drawn and gathered at the first call
-    of an offer plan's range for the steps up to the next one whose offers
-    overwrite a stored item (see ``_windows``).
+    ``count`` minibatches of a step come as one row of ``count * m`` rows:
+    rows [i*m, (i+1)*m) are the i-th minibatch, current half first. They are
+    drawn with bounds that repeat [current, history] ``count`` times, which
+    equals ``count`` consecutive draws, row for row. The steps are drawn in
+    segments, from the first step and from each step whose offers overwrite
+    a stored item up to the next: one call on the pool's replay generator
+    per segment, with the history windows of the arrival steps after the
+    writes of the segment's first step (see ``_windows``). One take per
+    array and source gathers the rows (see ``_gather``).
     """
     if m % 2 != 0:
         raise ValueError("mixed replay needs an even minibatch size")
-    t, half = pool.last_step, m // 2
-    key = ("mixed", m, count, window)
-
-    def make(source, k):
-        n, n_steps = source.block[1].shape[1], source.calm[k] - k
-        size = min(source.seen[k + n_steps], pool.capacity)
-        bounds, windows = _windows(pool, t + np.arange(n_steps), window, size)
+    cap, at, seen, half = pool.capacity, offers.at, offers.seen, m // 2
+    n_steps, n = len(offers.counts), offers.block[1].shape[1]
+    writes = np.flatnonzero(np.diff(at)[1:]) + 1
+    edges = [0, *writes, n_steps]
+    refs = []   # each segment's draws, made references in place
+    arrival = None   # a full pool's arrival steps, after the current segment's first writes
+    for a, b in zip(edges[:-1], edges[1:]):
+        steps = np.arange(a, b)
+        cur = cap + n * steps[:, None, None]   # row j of a step's batch is cur + j
+        if seen[a + 1] <= cap:   # nothing dropped or overwritten yet: arrivals in order
+            size = min(seen[b], cap)
+            ahead = pool._arrival[:size] if size else np.empty(0, np.int64)
+            bounds, windows = _windows(ahead, offers.first + steps, window, True)
+        else:
+            if arrival is None:
+                arrival = pool._arrival.copy()
+            arrival[offers.slots[at[a]:at[a + 1]]] = offers.first + a
+            bounds, windows = _windows(arrival, offers.first + steps, window, False)
         # per step and minibatch: the current half, then the history half
         # (all current when the window is empty)
-        high = np.stack((np.full(n_steps, n), np.where(bounds > 0, bounds, n)), 1)
-        idx = pool._replay_rng.integers(0, high[:, None, :, None],
-                                        size=(n_steps, count, 2, half))
-        return _Replay(key, source, t, bounds, idx, windows)
-
-    def gather(plan, lo):
-        hi = len(plan.bound)   # the plan stops before the next step that writes
-        # current rows: the offer plan's stream batches, joined in step order
-        cur_x, cur_y = (a.reshape(-1, *a.shape[2:]) for a in plan.source.block)
-        n = plan.source.block[1].shape[1]
-        xs, ys = pool._rows("replay", hi - lo, count * m, cur_x, cur_y)
-        for a in range(lo, hi, GATHER_STEPS):   # the takes' temporaries hold one chunk
-            b = min(a + GATHER_STEPS, hi)
-            steps = np.arange(a, b) + (plan.first - plan.source.first)
-            cur, hist = plan.idx[a:b, :, 0] + n * steps[:, None, None], plan.idx[a:b, :, 1]
-            full, windows = plan.bound[a:b] > 0, plan.windows[a:b]
-            if isinstance(windows, list):   # an empty window draws all current rows
-                hist = [w.take(h) if f else h + n * s
-                        for w, h, f, s in zip(windows, hist, full, steps)]
-            else:
-                hist = hist + np.where(full, windows, n * steps)[:, None, None]
-            for out, cur_src, pool_src in ((xs[..., :-1], cur_x, pool._xs),
-                                           (ys, cur_y, pool._ys)):
-                out = out[a - lo:b - lo].reshape(b - a, count, 2, half, *out.shape[2:])
-                out[:, :, 0] = cur_src.take(cur, 0)
-                if full.all():
-                    out[:, :, 1] = pool_src.take(hist, 0)
-                else:
-                    for i, h in enumerate(hist):
-                        out[i, :, 1] = (pool_src if full[i] else cur_src).take(h, 0)
-        return xs, ys
-
-    return _replayed(pool, key, make, gather)
+        full = bounds > 0
+        high = np.stack((np.full(b - a, n), np.where(full, bounds, n)), 1)
+        idx = pool._replay_rng.integers(0, high[:, None, :, None], size=(b - a, count, 2, half))
+        idx[:, :, 0] += cur
+        if isinstance(windows, list):
+            idx[:, :, 1] = [w.take(h) if f else h + c
+                            for w, h, f, c in zip(windows, idx[:, :, 1], full, cur)]
+        else:
+            idx[:, :, 1] += np.where(full[:, None, None], windows[:, None, None], cur)
+        refs.append(idx)
+    # one segment (every block of a pool that never overwrites) is gathered without a copy
+    return _gather(pool, offers, refs[0] if len(refs) == 1 else np.concatenate(refs))
 
 
-def sample_folds(pool: DataPool, m: int, rng: np.random.Generator, bounds: np.ndarray):
+def sample_folds(pool: DataPool, block: tuple, m: int, rng: np.random.Generator,
+                 bounds: np.ndarray):
     """(inputs, labels) of one minibatch of m items per bound, shaped
-    (len(bounds), m, ...), each input row with a trailing 1.0: fold i's items are uniform with replacement over
-    the first ``bounds[i]`` stored items, which must stay put until it is
-    served. One generator call draws every fold, equal to one
-    ``rng.integers(0, bound, size=m)`` call per fold in order; a bound of 0
-    (a skipped fold) draws nothing. One take per array gathers the rows into
-    buffers the pool keeps. None if every bound is 0."""
+    (len(bounds), m, ...) like the rows of ``block``'s stream batches, each
+    input row with a trailing 1.0. Fold i's items are uniform with
+    replacement over the first ``bounds[i]`` stored items, which must stay
+    put until it is served. One generator call draws every fold, equal to
+    one ``rng.integers(0, bound, size=m)`` call per fold in order; a bound
+    of 0 (a skipped fold) draws nothing. One take per array gathers the
+    rows. None if every bound is 0."""
     if not bounds.any():
         return None
     # a bound of 1 draws without consuming the generator
-    return pool._gather("folds", rng.integers(0, np.maximum(bounds, 1)[:, None],
-                                              size=(len(bounds), m)))
+    return _take(pool, rng.integers(0, np.maximum(bounds, 1)[:, None], size=(len(bounds), m)),
+                 block)

@@ -28,8 +28,8 @@ import yaml
 
 from . import __version__, datapool
 from . import rng as rngmod
-from .datapool import (UNSERVED, DataPool, EmptyPoolError, Minibatch, sample_folds,
-                       sample_mixed_replay, sample_pure_replay)
+from .datapool import (DataPool, EmptyPoolError, Minibatch, sample_folds, sample_mixed_replay,
+                       sample_pure_replay)
 from .metrics import MetricLedger, forward_transfer, information_retention
 from .model import (DivergenceError, ModelSpec, Workspace, check_batch, init_params, predict,
                     step_ahead_performance, targets, validation_performance)
@@ -245,7 +245,8 @@ def save_config(config: ExperimentConfig, path):
 def load_config(path) -> ExperimentConfig:
     try:
         return config_from_dict(yaml.safe_load(Path(path).read_text()))
-    except (OSError, TypeError, yaml.YAMLError) as e:   # OSError: a file it cannot read
+    # OSError: a file it cannot read; UnicodeError: one that is not text
+    except (OSError, TypeError, UnicodeError, yaml.YAMLError) as e:
         raise ConfigError(str(e)) from e
 
 
@@ -347,37 +348,37 @@ def _check_rows(spec: ModelSpec, xs: np.ndarray, ys: np.ndarray):
 def run_protocol_step(run, t: int):
     """Execute step t of the online protocol on a run.
 
-    A block's first step (one at or past ``run.served.stop``) plans the
-    block's pool offers (``datapool.update``) and keeps them in
-    ``run.served``. Then every step is served by index, in order: (1) its
-    batch is its row of the served stream block, (2) ``run.predict`` scores
-    every datum before labels are revealed, (3) ``datapool.advance`` moves
-    ``run.pool`` and ``run.holdout`` by their offer plans, (4)
-    ``run.update(t)`` runs the iterations. A step draws nothing outside a
-    block's first, except where a capped pool's offers overwrite stored
-    items under mixed replay: from that step on, its history windows are
-    drawn and gathered again. A pure-replay step that overwrites only
-    writes its slots (see ``oclopt.datapool``).
+    A block's first step (the first step, or one at or past
+    ``run.block.stop``) drops the old block, then has ``run.plan(t)`` plan
+    every draw and row copy of the new one before any pool moves, and keeps
+    the ``datapool.Block`` it returns in ``run.block``. Then every step is
+    served by index, in order: (1) its batch is its row of the block's
+    stream rows, (2) ``run.predict`` scores every datum before labels are
+    revealed, (3) ``datapool.advance`` moves ``run.pool`` and
+    ``run.holdout`` by their offer plans, writing only the slots the step
+    overwrites, (4) ``run.update(t)`` runs the iterations on the step's
+    replay rows. No step outside a block's first draws or gathers anything
+    (see ``oclopt.datapool``).
 
     A step that raises ends the run: nothing is rolled back. The pools keep
     the step's offers (their ``last_step`` is t, so the step cannot be run
     again), and the optimizer, averager, schedule, compute costs and
     learning-rate trace keep the iterations completed before the failure.
 
-    ``run`` is anything with ``stream_spec``, ``pool``, ``holdout``,
-    ``served`` (``datapool.UNSERVED`` before the first step), ``predict``
-    and ``update``. Returns (predictions, batch); predictions come from the
-    pre-update parameters.
+    ``run`` is anything with ``pool``, ``block`` (None before the first
+    step), ``plan``, ``predict`` and ``update``. Returns (predictions,
+    batch); predictions come from the pre-update parameters.
     """
-    pool, served = run.pool, run.served
+    pool, block = run.pool, run.block
     if t != pool.last_step + 1:
         raise ProtocolError(f"expected step {pool.last_step + 1}, got {t}")
-    if t >= served.stop:
-        served = run.served = datapool.update(pool, run.holdout, run.stream_spec, t)
-    i = t - served.first
-    batch = Minibatch(served.inputs[i], served.labels[i])
+    if block is None or t >= block.stop:
+        block = run.block = None   # free the old block before planning the next
+        block = run.block = run.plan(t)
+    i = t - block.first
+    batch = Minibatch(block.inputs[i], block.labels[i])
     predictions = run.predict(batch.inputs)
-    datapool.advance(served, t)
+    datapool.advance(block, t)
     run.update(t)
     return predictions, batch
 
@@ -390,8 +391,8 @@ class Run:
     whatever the constructors it calls reject as a ConfigError. One rate
     controller, ``rate`` (see ``oclopt.schedule``), sets every iteration's
     rate. ``step(t)`` executes protocol step t through ``run_protocol_step``,
-    which calls back ``predict`` and ``update``, then records the step's
-    metrics.
+    which calls back ``plan`` at a block's first step, ``predict`` and
+    ``update``, then records the step's metrics.
     """
 
     def __init__(self, config: ExperimentConfig, seed: int):
@@ -479,35 +480,53 @@ class Run:
         self.schedule_rows = []
         self.lr_trace = []
         self.val_rng = substream(seed, rngmod.VALIDATION)
-        self.folds = (0, (), None)   # (first fold, bounds, rows)
-        self.served = UNSERVED      # the block's steps served by index
+        self.block = None   # the block of steps served by index
 
-    def plan_folds(self):
-        """Plan the validation minibatches of the folds the run reaches in the
-        block, at its first step: one bound per fold, the holdout's size at
-        the fold's step, read from the offer plans. The holdout keeps every
-        datum routed to it, so its rows stay put through the block. Every
-        fold's rows are checked here, so a fold scores them as they are."""
+    def plan(self, t: int) -> datapool.Block:
+        """Plan the block of steps from t: the pools' offers
+        (``datapool.update``), then, where steps run iterations, the check of
+        the block's rows against the model, every step's replay rows, drawn
+        by the replay mode's planner, and the validation folds
+        (``plan_folds``)."""
+        block = datapool.update(self.pool, self.holdout, self.stream_spec, t)
+        p, r = self.config.iters_per_step, self.config.replay
+        if p == 0:
+            return block
+        _check_rows(self.model_spec, block.inputs, block.labels)
+        offers = block.offers[0][1]
+        if r.mode == "pure":
+            replay = sample_pure_replay(self.pool, offers, r.batch_size, count=p)
+        else:
+            replay = sample_mixed_replay(self.pool, offers, r.batch_size, window=r.window,
+                                         count=p)
+        return block._replace(replay=replay, folds=self.plan_folds(block, len(replay.inputs)))
+
+    def plan_folds(self, block, replayed: int) -> tuple:
+        """(first fold, bounds, rows) of the validation minibatches of the
+        folds the run reaches in ``block``, whose last ``replayed`` steps run
+        iterations: one bound per fold, the holdout's size at the fold's
+        step, read from its offer plan. The holdout keeps every datum routed
+        to it, so its rows stay put through the block. Every fold's rows are
+        checked here, so a fold scores them as they are."""
         p, k_v = self.config.iters_per_step, self.averager.k_v
-        (_, pool_plan), (_, holdout_plan) = self.served.offers
-        sizes = np.array(holdout_plan.seen[1:])
+        sizes = np.array(block.offers[1][1].seen[1:])
         iters = np.full(len(sizes), p)
-        if self.config.replay.mode == "pure":   # a step with an empty pool runs no iterations
-            iters *= np.array(pool_plan.seen[1:]) > 0
+        iters[:len(sizes) - replayed] = 0
         done = self.k + np.cumsum(iters)
         folds = np.arange(self.k // k_v + 1, done[-1] // k_v + 1)
         bounds = sizes[done.searchsorted(folds * k_v)]
-        rows = sample_folds(self.holdout, self.val_batch_size, self.val_rng, bounds)
+        rows = sample_folds(self.holdout, (block.inputs, block.labels), self.val_batch_size,
+                            self.val_rng, bounds)
         if rows is not None:   # the inputs' feature columns, before the trailing 1.0
             _check_rows(self.model_spec, rows[0][..., :-1], rows[1])
-        self.folds = (self.k // k_v + 1, bounds, rows)
+        return self.k // k_v + 1, bounds, rows
 
     def sample_validation(self):
         """The validation minibatch of the fold at iteration k, from the fold
         plan; None while the holdout is empty (the fold is skipped). A fold
         that the plan did not draw at the holdout's current size is an
         internal error: drawing it now would shift every later fold."""
-        size, (first, bounds, rows) = self.holdout.size, self.folds
+        size, (first, bounds, rows) = self.holdout.size, self.block.folds
         i = self.k // self.averager.k_v - first
         if size == 0:
             return None
@@ -527,32 +546,18 @@ class Run:
         return predict(self.model_spec, work.theta, inputs, work)
 
     def update(self, t: int):
-        """Run one iteration on each of the step's replay minibatches: taken
-        by index from the rows the pool gathered at an earlier step, or else
-        drawn from the pool's plan for the block, which gathers them for
-        every later step of the block (pure replay, capped or not) or for the
-        steps up to the next one whose offers overwrite a stored item (mixed
-        replay). A pure-replay step with an empty training pool (every datum
-        so far went to the holdout) runs no iterations. The first step of a
-        block checks the served rows, which replay serves, against the model
-        and plans the block's validation folds. The step's targets (one-hot
-        rows of a classifier's labels) are built once for all its iterations."""
-        p, r, served = self.config.iters_per_step, self.config.replay, self.served
-        if p and t == served.first:
-            _check_rows(self.model_spec, served.inputs, served.labels)
-            self.plan_folds()
-        first, xs, ys = self.pool.gathered
-        if not 0 <= t - first < len(xs):
-            if p == 0 or (r.mode == "pure" and self.pool.size == 0):
-                return
-            if r.mode == "pure":
-                sample_pure_replay(self.pool, r.batch_size, count=p)
-            else:
-                sample_mixed_replay(self.pool, r.batch_size, window=r.window, count=p)
-            first, xs, ys = self.pool.gathered
-        x, m = xs[t - first], r.batch_size
-        hot = targets(self.model_spec, ys[t - first])
-        for i in range(0, p * m, m):
+        """Run one iteration on each of the step's replay minibatches, its
+        row of the block's replay rows, taken by index. A step the rows do
+        not reach runs none: every step when ``iters_per_step`` is 0, and a
+        pure-replay step whose training pool is still empty (every datum so
+        far went to the holdout). The step's targets (one-hot rows of a
+        classifier's labels) are built once for all its iterations."""
+        (xs, ys), m = self.block.replay, self.config.replay.batch_size
+        row = t - self.block.stop + len(xs)   # the rows end with the block's last step
+        if row < 0:
+            return
+        x, hot = xs[row], targets(self.model_spec, ys[row])
+        for i in range(0, len(x), m):
             self.iterate(x[i:i + m], hot[i:i + m])
 
     def iterate(self, x, target):

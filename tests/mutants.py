@@ -107,8 +107,7 @@ MUTANTS = {
     "forward-drops-output-bias": (MODEL, "            p += out.b\n", "", MODEL_TESTS),
     "stacked-bias-on-wrong-axis": (MODEL, "mat[..., -1:, :]", "mat[-1:]", MODEL_TESTS),
     "one-column-written-as-zero": (
-        DATAPOOL, "            inputs[..., -1] = 1.0\n", "            inputs[..., -1] = 0.0\n",
-        STEP_TESTS),
+        DATAPOOL, "    xs[..., -1] = 1.0\n", "    xs[..., -1] = 0.0\n", STEP_TESTS),
     "one-product-gradient-drops-the-bias-column": (
         MODEL, "np.matmul(p.T, feats, out=out.grad)",
         "np.matmul(p.T, feats[..., :-1], out=out.grad_w)", ONE_PRODUCT_TESTS),
@@ -169,19 +168,21 @@ MUTANTS = {
     "patch-keeps-the-first-write": (
         DATAPOOL, "    w = last.take(v)\n", "    w = first.take(v)\n", STEP_TESTS),
     "patch-misses-the-steps-own-writes": (
-        DATAPOOL, "stop = np.array(source.at[k + 1:]) - a",
-        "stop = np.array(source.at[k:-1]) - a", STEP_TESTS),
+        DATAPOOL, "stop = np.array(offers.at[len(offers.at) - len(refs):])",
+        "stop = np.array(offers.at[len(offers.at) - len(refs) - 1:-1])", STEP_TESTS),
     "patch-applies-the-next-steps-writes": (
-        DATAPOOL, "stop = np.array(source.at[k + 1:]) - a",
-        "stop = np.array(source.at[k + 2:] + source.at[-1:]) - a", STEP_TESTS),
-    "pure-gather-skips-the-patch": (
-        DATAPOOL, "        _patch(pool, plan.idx[i:], xs, ys)\n", "", STEP_TESTS),
+        DATAPOOL, "stop = np.array(offers.at[len(offers.at) - len(refs):])",
+        "stop = np.array(offers.at[len(offers.at) - len(refs) + 1:] + offers.at[-1:])",
+        STEP_TESTS),
+    "replay-gather-skips-the-patch": (
+        DATAPOOL, "    _patch(offers, pool.capacity, refs.reshape(shape), rows)\n", "",
+        STEP_TESTS),
     "written-rows-skip-the-routing": (
         DATAPOOL, "src = rows.take(items.take(hit) - seen[0])", "src = items.take(hit) - seen[0]",
         STEP_TESTS),
     "mixed-current-rows-off-plan": (
-        DATAPOOL, "steps = np.arange(a, b) + (plan.first - plan.source.first)",
-        "steps = np.arange(a, b)", STEP_TESTS),
+        DATAPOOL, "cur = cap + n * steps[:, None, None]",
+        "cur = cap + n * (steps - a)[:, None, None]", STEP_TESTS),
     "last-block-past-horizon": (
         DATAPOOL, "stop = min(t - i + BLOCK, spec.horizon + 1)",
         "stop = min(t - i + BLOCK, spec.horizon + 2)", STEP_TESTS),
@@ -201,29 +202,37 @@ MUTANTS = {
         STREAM, "        for i in np.flatnonzero(rejected):\n",
         "        for i in np.flatnonzero(rejected)[:0]:\n", LABEL_TESTS),
     "served-step-reads-next-row": (
-        HARNESS, "    i = t - served.first\n", "    i = t + 1 - served.first\n",
-        SERVED_STEP_TESTS),
+        HARNESS, "    i = t - block.first\n", "    i = t + 1 - block.first\n", SERVED_STEP_TESTS),
     "advance-moves-by-last-steps-fill": (
         DATAPOOL, "pool.size += plan.fill[k]", "pool.size += plan.fill[k - 1]",
         SERVED_STEP_TESTS + STEP_TESTS),
     "block-starts-one-step-late": (
-        HARNESS, "if p and t == served.first:", "if p and t == served.first + 1:",
+        HARNESS, "if block is None or t >= block.stop:", "if block is None or t > block.stop:",
         SERVED_STEP_TESTS + FOLD_TESTS),
     "fold-plan-drops-last-fold": (
         HARNESS, "folds = np.arange(self.k // k_v + 1, done[-1] // k_v + 1)",
         "folds = np.arange(self.k // k_v + 1, done[-1] // k_v)", FOLD_TESTS),
     "fold-plan-counts-empty-pool-steps": (
-        HARNESS, "iters *= np.array(pool_plan.seen[1:]) > 0",
-        "iters *= np.array(pool_plan.seen[1:]) >= 0", FOLD_TESTS),
-    "replay-skips-the-seen-count-test": (
-        DATAPOOL, " and source.seen[k + 1] == pool.seen_count", "",
-        ("tests/test_datapool.py::TestPlannedSteps::"
-         "test_a_draw_from_a_pool_another_plan_moved_raises",)),
+        HARNESS, "iters[:len(sizes) - replayed] = 0", "iters[:0] = 0", FOLD_TESTS),
+    "pure-replay-draws-for-an-empty-pool": (
+        DATAPOOL, "bounds = bounds[bounds > 0]", "bounds = bounds[bounds >= 0]", FOLD_TESTS),
     "arrival-ahead-one-step-late": (
         DATAPOOL, '"right") + (first - 1)', '"right") + first', STEP_TESTS),
     "mixed-draws-past-overwrite": (
-        DATAPOOL, "n, n_steps = source.block[1].shape[1], source.calm[k] - k",
-        "n, n_steps = source.block[1].shape[1], len(source.counts) - k", STEP_TESTS),
+        DATAPOOL, "writes = np.flatnonzero(np.diff(at)[1:]) + 1",
+        "writes = np.flatnonzero(np.diff(at)[1:])[:0] + 1", STEP_TESTS),
+    "mixed-draws-one-segment-short": (
+        DATAPOOL, "edges = [0, *writes, n_steps]", "edges = [0, *writes[1:], n_steps]",
+        STEP_TESTS),
+    "mixed-window-one-step-stale": (
+        DATAPOOL, "            arrival[offers.slots[at[a]:at[a + 1]]] = offers.first + a\n"
+                  "            bounds, windows = _windows(arrival, offers.first + steps, window, "
+                  "False)\n",
+        "            bounds, windows = _windows(arrival, offers.first + steps, window, False)\n"
+        "            arrival[offers.slots[at[a]:at[a + 1]]] = offers.first + a\n", STEP_TESTS),
+    "mixed-window-takes-later-writes": (
+        DATAPOOL, "arrival[offers.slots[at[a]:at[a + 1]]] = offers.first + a",
+        "arrival[offers.slots[at[a]:]] = offers.first + a", STEP_TESTS),
     "theory-block-not-built": (
         HARNESS, '        parts["theory"] = _build(TheoryConfig, d.pop("theory"), "theory")\n',
         "        pass\n", BAD_CONFIG_TESTS),

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from oclopt.datapool import UNSERVED, Served, advance, update
+from oclopt.datapool import Block, Minibatch, advance, update
 from oclopt.harness import config_from_dict, run_experiment
 from oclopt.rng import HOLDOUT, REPLAY, RESERVOIR, ball_uniform, substream
 
@@ -104,27 +104,34 @@ def same_items(pool, ref):
             assert a[: pool.size].tobytes() == b[: ref.size].tobytes()
 
 
-def offer_step(pool, t, xs, ys, keep=None):
+def offer_step(pool, t, xs, ys, keep=None, plan=None):
     """Offer the rows of (xs, ys) that the mask ``keep`` selects (all by
     default) to a ``DataPool`` at step t, as ``datapool.update`` does: the
     rows stacked as one step, as ``stream.training_block`` serves steps, and
     the kept ones planned by the same ``_plan_offers`` call, then taken by
-    ``datapool.advance``."""
+    ``datapool.advance``. In between, where a run plans its block's replay,
+    ``plan(offers)``, if given, plans the step's replay rows from the offer
+    plan; they come back as a ``Minibatch``, without the trailing 1.0, or
+    None if the planner gave the step no rows."""
     rows = np.flatnonzero(np.ones(len(xs), bool) if keep is None else keep)
-    pool._plan_offers(t, np.array([len(rows)]), (xs[None], ys[None]), rows)
-    advance(Served(t, t + 1, xs[None], ys[None], ((pool, pool._offers),)), t)
+    offers = pool._plan_offers(t, np.array([len(rows)]), (xs[None], ys[None]), rows)
+    replay = None if plan is None else plan(offers)
+    advance(Block(t, t + 1, xs[None], ys[None], ((pool, offers),)), t)
+    if replay is not None and len(replay.inputs):
+        return Minibatch(replay.inputs[0, :, :-1], replay.labels[0])
+    return None
 
 
-def integrate(pool, holdout, spec, t, served=UNSERVED):
+def integrate(pool, holdout, spec, t, block=None):
     """Take step t of the stream ``spec`` into the pools as
-    ``run_protocol_step`` does: at a block's first step (one at or past
-    ``served.stop``) plan the block's offers with ``datapool.update``, then
-    advance the pools by the step's. Returns the served steps, which the
-    next step takes back as ``served``."""
-    if t >= served.stop:
-        served = update(pool, holdout, spec, t)
-    advance(served, t)
-    return served
+    ``run_protocol_step`` does: at a block's first step (with no block yet,
+    or one at or past ``block.stop``) plan the block's offers with
+    ``datapool.update``, then advance the pools by the step's. Returns the
+    block, which the next step takes back."""
+    if block is None or t >= block.stop:
+        block = update(pool, holdout, spec, t)
+    advance(block, t)
+    return block
 
 
 def per_call_pure_replay(pool, m, g):

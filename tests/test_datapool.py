@@ -11,8 +11,8 @@ from scipy import stats
 
 from oclopt import datapool
 from oclopt import rng as rngmod
-from oclopt.datapool import (DataPool, EmptyPoolError, Minibatch, sample_mixed_replay,
-                             sample_pure_replay, update)
+from oclopt.datapool import (DataPool, Minibatch, sample_mixed_replay, sample_pure_replay,
+                             update)
 from oclopt.harness import (ExperimentConfig, Run, apply_overrides, expand_variants, preset,
                             run_protocol_step)
 from oclopt.rng import BLOCK, substream
@@ -27,10 +27,14 @@ def offer_items(pool, n, t=1, d=2):
     offer_step(pool, t, xs, np.arange(n, dtype=np.int64))
 
 
-def offer_none_of(pool, t, current):
-    """Offer the pool none of the rows of step t's batch ``current`` (all
-    held out), so that it stands at the step for a mixed draw."""
-    offer_step(pool, t, current.inputs, current.labels, np.zeros(len(current.labels), bool))
+def draw_at(pool, t, current, sample, *args, **kwargs):
+    """The replay rows ``sample(pool, offers, *args, **kwargs)`` plans for
+    step t, whose batch is ``current`` and which offers the pool none of its
+    rows (all held out), as ``offer_step`` returns them: the pool's rows
+    stand as they did after its last offer."""
+    return offer_step(pool, t, current.inputs, current.labels,
+                      np.zeros(len(current.labels), bool),
+                      plan=lambda offers: sample(pool, offers, *args, **kwargs))
 
 
 def make_items(t, n=10, d=2, seed=0):
@@ -84,9 +88,9 @@ class TestReservoir:
     def test_unlimited_pool_keeps_everything(self):
         # a capacity of exactly the items offered is never exceeded
         pool, holdout = DataPool(capacity=100, seed=0), DataPool(ROOM)
-        spec, served = small_stream(horizon=10), datapool.UNSERVED
+        spec, block = small_stream(horizon=10), None
         for t in range(1, 11):
-            served = integrate(pool, holdout, spec, t, served)
+            block = integrate(pool, holdout, spec, t, block)
         assert pool.size == pool.seen_count == 100
 
     def test_capacity_clamp(self):
@@ -139,9 +143,9 @@ class TestHoldoutRouting:
         # features are continuous draws, so a stored row's bytes name its item
         pool = DataPool(ROOM, seed=3)
         holdout = DataPool(ROOM, seed=3, holdout_fraction=0.2)
-        spec, served = small_stream(n=20, horizon=29, seed=3), datapool.UNSERVED
+        spec, block = small_stream(n=20, horizon=29, seed=3), None
         for t in range(1, 30):
-            served = integrate(pool, holdout, spec, t, served)
+            block = integrate(pool, holdout, spec, t, block)
         train_items, hold_items = ({row.tobytes() for row in stored_items(p)[0]}
                                    for p in (pool, holdout))
         assert train_items.isdisjoint(hold_items)
@@ -165,25 +169,30 @@ class TestHoldoutRouting:
         with pytest.raises(HorizonError, match="step 6 outside"):
             update(DataPool(ROOM), DataPool(ROOM, holdout_fraction=0.2), spec, 6)
         pool, holdout = DataPool(ROOM), DataPool(ROOM, holdout_fraction=0.2)
-        served = datapool.UNSERVED
+        block = None
         for t in range(1, 6):
-            served = integrate(pool, holdout, spec, t, served)
+            block = integrate(pool, holdout, spec, t, block)
         with pytest.raises(HorizonError, match="step 6 outside"):
             update(pool, holdout, spec, 6)
         assert pool.last_step == holdout.last_step == 5
 
 
 class TestPureReplay:
+    # pure replay draws at a step that offers nothing, so the pool stands as
+    # its last offer left it
     def test_singleton_pool_repeats(self):
         pool = DataPool(ROOM, seed=0)
         offer_items(pool, 1)
-        mb = sample_pure_replay(pool, 6)
+        mb = draw_at(pool, 2, make_batch(2), sample_pure_replay, 6)
         assert np.all(mb.labels == mb.labels[0])
         assert len(mb.inputs) == 6
 
-    def test_empty_pool_raises(self):
-        with pytest.raises(EmptyPoolError):
-            sample_pure_replay(DataPool(ROOM, seed=0), 4)
+    def test_a_step_with_an_empty_pool_gets_no_rows(self):
+        # it runs no iterations, and the draw leaves the generator as it was
+        pool = DataPool(ROOM, seed=0)
+        state = pool._replay_rng.bit_generator.state
+        assert draw_at(pool, 1, make_batch(1), sample_pure_replay, 4) is None
+        np.testing.assert_equal(pool._replay_rng.bit_generator.state, state)
 
     def test_uniform_over_items_chi_square(self):
         # frequency per originating step converges to n_t / sum(n_t)
@@ -192,7 +201,7 @@ class TestPureReplay:
         for t, n in sizes.items():
             offer_step(pool, t, np.full((n, 1), float(t)), np.full(n, t, dtype=np.int64))
         draws = 10_000
-        mb = sample_pure_replay(pool, draws)
+        mb = draw_at(pool, 4, make_batch(4, d=1), sample_pure_replay, draws)
         counts = np.array([(mb.labels == t).sum() for t in sizes])
         expected = draws * np.array(list(sizes.values())) / 100
         chi2 = float(np.sum((counts - expected) ** 2 / expected))
@@ -203,7 +212,7 @@ class TestPureReplay:
         pool = DataPool(ROOM, seed=9)
         offer_items(pool, 100)
         draws = 100_000
-        mb = sample_pure_replay(pool, draws)
+        mb = draw_at(pool, 2, make_batch(2), sample_pure_replay, draws)
         counts = np.bincount(mb.labels.astype(int), minlength=100)
         tv = 0.5 * float(np.abs(counts / draws - 0.01).sum())
         assert tv < 0.02
@@ -213,8 +222,8 @@ class TestPureReplay:
         unlimited = DataPool(capacity=ROOM, seed=4)
         offer_items(limited, 100)
         offer_items(unlimited, 100)
-        a = sample_pure_replay(limited, 50)
-        b = sample_pure_replay(unlimited, 50)
+        a, b = (draw_at(pool, 2, make_batch(2), sample_pure_replay, 50)
+                for pool in (limited, unlimited))
         assert np.array_equal(a.inputs, b.inputs)
 
 
@@ -222,8 +231,7 @@ class TestMixedReplay:
     def test_no_history_falls_back_to_current(self):
         pool = DataPool(ROOM, seed=0)
         current = make_batch(1)
-        offer_none_of(pool, 1, current)
-        mb = sample_mixed_replay(pool, 8)
+        mb = draw_at(pool, 1, current, sample_mixed_replay, 8)
         assert len(mb.inputs) == 8
         # every item comes from the current batch
         assert all(any(np.array_equal(x, c) for c in current.inputs) for x in mb.inputs)
@@ -231,16 +239,16 @@ class TestMixedReplay:
     def test_odd_batch_size_rejected(self):
         pool = DataPool(ROOM, seed=0)
         with pytest.raises(ValueError):
-            sample_mixed_replay(pool, 7)
+            draw_at(pool, 1, make_batch(1), sample_mixed_replay, 7)
 
     def test_half_and_half_counts_exact(self):
         pool = DataPool(ROOM, seed=1)
         for t in range(1, 5):
             offer_step(pool, t, np.full((10, 1), float(t)), np.full(10, t, dtype=np.int64))
         current = Minibatch(np.full((10, 1), 5.0), np.full(10, 5, dtype=np.int64))
-        offer_none_of(pool, 5, current)
         # 200 minibatches, equal to 200 calls with count=1 (TestJoinedDraws)
-        labels = sample_mixed_replay(pool, 10, count=200).labels.reshape(200, 10)
+        labels = draw_at(pool, 5, current, sample_mixed_replay, 10,
+                         count=200).labels.reshape(200, 10)
         assert ((labels == 5).sum(1) == 5).all()
         assert ((labels < 5).sum(1) == 5).all()
 
@@ -249,8 +257,7 @@ class TestMixedReplay:
         for t in range(1, 5):
             offer_step(pool, t, np.full((10, 1), float(t)), np.full(10, t, dtype=np.int64))
         current = Minibatch(np.full((4, 1), 5.0), np.full(4, 5, dtype=np.int64))
-        offer_none_of(pool, 5, current)
-        mb = sample_mixed_replay(pool, 40, window=2)
+        mb = draw_at(pool, 5, current, sample_mixed_replay, 40, window=2)
         hist = mb.labels[mb.labels != 5]
         assert set(np.unique(hist)) <= {3, 4}
 
@@ -259,15 +266,8 @@ class TestMixedReplay:
         for t in range(1, 4):
             offer_step(pool, t, np.full((5, 1), float(t)), np.full(5, t, dtype=np.int64))
         current = Minibatch(np.full((5, 1), 4.0), np.full(5, 4, dtype=np.int64))
-        offer_none_of(pool, 4, current)
-        mb = sample_mixed_replay(pool, 6, count=100)
+        mb = draw_at(pool, 4, current, sample_mixed_replay, 6, count=100)
         assert set(np.unique(mb.labels[mb.labels != 4])) == {1, 2, 3}
-
-    def test_a_pool_offered_nothing_raises(self):
-        # the current step is the pool's last offered step, and a pool that
-        # was never offered a step has no current batch
-        with pytest.raises(ValueError, match="last offered step 0"):
-            sample_mixed_replay(DataPool(ROOM, seed=0), 4)
 
 
 class TestMixedReplayMatchesScan:
@@ -275,7 +275,7 @@ class TestMixedReplayMatchesScan:
     # increasing steps into unlimited pools (a capacity of the most items the
     # offers hold), whose arrivals stay sorted, and capped ones, which may
     # evict; a draw at the step of every offer, with that step's batch as
-    # the current one.
+    # the current one, planned before the offer is taken.
     @settings(max_examples=150, deadline=None)
     @given(capacity=st.integers(1, 50) | st.just(15 * 20), seed=st.integers(0, 2**16),
            offers=st.lists(st.tuples(st.integers(1, 2), st.integers(1, 20)), max_size=15),
@@ -287,11 +287,11 @@ class TestMixedReplayMatchesScan:
             t += gap
             current = make_batch(t, n=n, seed=seed)
             keep = data.draw(st.lists(st.booleans(), min_size=n, max_size=n), label="keep")
-            offer_step(pool, t, current.inputs, current.labels, keep)
             window = data.draw(st.none() | st.integers(0, t + 3), label="window")
             m = data.draw(st.sampled_from([2, 4, 8]), label="m")
             g = copy.deepcopy(pool._replay_rng)
-            mb = sample_mixed_replay(pool, m, window=window)
+            mb = offer_step(pool, t, current.inputs, current.labels, keep,
+                            lambda offers: sample_mixed_replay(pool, offers, m, window=window))
             xs, ys = scan_mixed_replay(pool, t, current, m, window, g)
             assert mb.inputs.tobytes() == xs.tobytes()
             assert mb.labels.tobytes() == ys.tobytes()
@@ -304,7 +304,7 @@ class TestJoinedDraws:
     # draws: unlimited pools (a capacity no offers reach) and capped ones
     # (which evict past their capacity), windowed draws, and the fallback
     # when the window holds nothing (an empty pool at t=1, or a window past
-    # every stored item). Mixed replay draws at a step that offers nothing.
+    # every stored item). Both draw at a step that offers nothing.
     @settings(max_examples=150, deadline=None)
     @given(capacity=st.integers(1, 30) | st.just(8 * 12), seed=st.integers(0, 2**16),
            sizes=st.lists(st.integers(0, 12), max_size=8), mixed=st.booleans(),
@@ -318,15 +318,13 @@ class TestJoinedDraws:
         if not mixed and pool.size == 0:
             return
         g = copy.deepcopy(pool._replay_rng)
-        m = 2 * half
+        m, t = 2 * half, len(sizes) + 1
+        current = make_batch(t, n=n_current, seed=seed)
         if mixed:
-            t = len(sizes) + 1
-            current = make_batch(t, n=n_current, seed=seed)
-            offer_none_of(pool, t, current)
-            block = sample_mixed_replay(pool, m, window=window, count=count)
+            block = draw_at(pool, t, current, sample_mixed_replay, m, window=window, count=count)
             xs, ys = consecutive_draws(scan_mixed_replay, count, pool, t, current, m, window, g)
         else:
-            block = sample_pure_replay(pool, m, count=count)
+            block = draw_at(pool, t, current, sample_pure_replay, m, count=count)
             xs, ys = consecutive_draws(per_call_pure_replay, count, pool, m, g)
         assert block.inputs.tobytes() == xs.tobytes()
         assert block.labels.tobytes() == ys.tobytes()
@@ -388,19 +386,24 @@ class TestPlannedSteps:
     # from a generator keyed like the pool's. Pools that never evict (a
     # capacity of every item), that evict from the first blocks, and that
     # first evict partway through a later block (capacities of one to four
-    # blocks of steps) take their rows from gathers of whole blocks (pure
-    # replay) whose rows later steps overwrite, or gathers that stop at each
-    # step whose offers overwrite a stored item (mixed replay). The first
-    # examples draw pure and mixed replay from a pool that overwrites at
-    # some steps of a block but not at others, which a step served by index
-    # from a gather must tell apart. The next one's pool fills at step 200
-    # and evicts from there on; the last one's single slot takes several
-    # items at one step and is written again at most later steps.
+    # blocks of steps) take their rows from gathers of whole blocks whose
+    # rows a step up to their own overwrites; mixed replay draws each
+    # segment of a block, from its first step and from each step whose
+    # offers overwrite a stored item up to the next, with the windows that
+    # segment's first writes leave. The first examples draw pure and mixed
+    # replay from a pool that overwrites at some steps of a block but not at
+    # others, which a step served by index from a gather must tell apart.
+    # The next ones' pool fills at step 200 and evicts from there on, so
+    # mixed replay switches from sorted-run windows to slot arrays inside a
+    # block; the last one's single slot takes several items at one step and
+    # is written again at most later steps.
     @example(capacity=60, holdout_fraction=0.1, mixed=True, window=None, iters=2, n=4, seed=3,
              horizon=300)
     @example(capacity=60, holdout_fraction=0.1, mixed=False, window=None, iters=2, n=4, seed=3,
              horizon=300)
     @example(capacity=400, holdout_fraction=0.0, mixed=False, window=None, iters=2, n=2, seed=5,
+             horizon=600)
+    @example(capacity=400, holdout_fraction=0.0, mixed=True, window=20, iters=2, n=2, seed=5,
              horizon=600)
     @example(capacity=1, holdout_fraction=0.1, mixed=False, window=None, iters=3, n=6, seed=0,
              horizon=300)
@@ -447,33 +450,6 @@ class TestPlannedSteps:
             hot = np.eye(run.model_spec.n_classes)[ys]
             assert np.concatenate([target for _, target in rows]).tobytes() == hot.tobytes()
             rows.clear()
-
-    # A replay draw serves the step the pool was offered last, from the offer
-    # plan that holds that step, with the pool standing after the step's
-    # offers. A draw after the next block is planned but before its first
-    # step is taken, or from a pool that an older plan moved past the plan
-    # it holds (one made for a stream of larger batches), would serve rows
-    # of a step the pool does not stand at.
-    @pytest.mark.parametrize("sample", [sample_pure_replay, sample_mixed_replay])
-    def test_a_draw_before_the_planned_step_is_taken_raises(self, sample):
-        spec, served = small_stream(horizon=2 * BLOCK), datapool.UNSERVED
-        pool, holdout = DataPool(ROOM), DataPool(ROOM, holdout_fraction=0.1)
-        for t in range(1, BLOCK + 1):
-            served = integrate(pool, holdout, spec, t, served)
-        update(pool, holdout, spec, BLOCK + 1)
-        with pytest.raises(ValueError, match="needs the offers of the pool's last offered"):
-            sample(pool, 4)
-
-    @pytest.mark.parametrize("sample", [sample_pure_replay, sample_mixed_replay])
-    def test_a_draw_from_a_pool_another_plan_moved_raises(self, sample):
-        spec, served = small_stream(), datapool.UNSERVED
-        pool, holdout = DataPool(ROOM), DataPool(ROOM)
-        for t in range(1, 6):
-            served = integrate(pool, holdout, spec, t, served)
-        update(pool, holdout, small_stream(n=12), 6)
-        datapool.advance(served, 6)
-        with pytest.raises(ValueError, match="needs the offers of the pool's last offered"):
-            sample(pool, 4)
 
 
 class TestPlannedFolds:
@@ -536,8 +512,8 @@ class TestPlannedFolds:
             assert run.step(t)
         assert run.holdout.size > 0
         state = run.val_rng.bit_generator.state
-        first, bounds, rows = run.folds
-        run.folds = (first, bounds[:0], rows)
+        first, bounds, rows = run.block.folds
+        run.block = run.block._replace(folds=(first, bounds[:0], rows))
         with pytest.raises(RuntimeError, match="not in the fold plan"):
             run.sample_validation()
         np.testing.assert_equal(run.val_rng.bit_generator.state, state)

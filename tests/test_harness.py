@@ -519,23 +519,28 @@ class TestRunExperiment:
             sys.setprofile(None)
         assert sorted(calls) == [1, rngmod.BLOCK + 1, 2 * rngmod.BLOCK + 1]
 
-    @pytest.mark.parametrize("name,label", [("main-comparison", "ama-malr"),
-                                            ("buffer-size", "cap-1000")])
-    def test_a_regular_step_makes_few_python_calls(self, name, label):
+    @pytest.mark.parametrize("name,label,overrides", [
+        ("main-comparison", "ama-malr", {}), ("buffer-size", "cap-1000", {}),
+        ("objective-comparison", "mixed-p5", {}),
+        ("objective-comparison", "mixed-p5", {"replay.capacity": 200})])
+    def test_a_regular_step_makes_few_python_calls(self, name, label, overrides):
         # a noise-free work count: the Python-level calls inside
         # run_protocol_step, not counting those inside Run.iterate, of each
         # step that starts no block, whether or not its offers overwrite
-        # stored items (the unlimited pool never does, the capped one at most
+        # stored items (the unlimited pools never do, the capped ones at most
         # steps). Served by index, with each model's prediction views kept
-        # and the step's targets built once, such a step makes 9 calls (two
-        # of them to Run.iterate), and 10 where a model predicts for the first
-        # time and sizes its buffers; with a minibatch built per iteration it
-        # made 10 and 11. Slicing the inference model's blocks on every step
-        # it made 14, through the stream, the pools' offers and the replay
-        # samplers 25, and a capped pool's overwriting step that gathered its
-        # replay rows again 15 to 16.
+        # and the step's targets built once, such a step makes 7 calls plus
+        # one per iteration (to Run.iterate), and one more where a model
+        # predicts for the first time and sizes its buffers; with a minibatch
+        # built per iteration it made one more. Slicing the inference model's
+        # blocks on every step it made 14 at 2 iterations, through the
+        # stream, the pools' offers and the replay samplers 25, and a capped
+        # pool's overwriting step that gathered its replay rows again 15 to
+        # 16, or under mixed replay, which drew and gathered its history
+        # windows again, a median of 60 and up to 140 at 5 iterations.
         cfg = dict(expand_variants(apply_overrides(preset(name),
                                                    {"stream.horizon": 600})))[label]
+        cfg = apply_overrides(cfg, overrides)
         run = harness.Run(cfg, 0)
         step, iterate = harness.run_protocol_step.__code__, harness.Run.iterate.__code__
         calls, steps, inside = {}, [], []
@@ -560,7 +565,7 @@ class TestRunExperiment:
         finally:
             sys.setprofile(None)
         regular = [calls[t] for t in range(1, 601) if (t - 1) % rngmod.BLOCK]
-        assert len(regular) == 597 and max(regular) <= 11
+        assert len(regular) == 597 and max(regular) <= 9 + cfg.iters_per_step
 
     @pytest.mark.parametrize("name,label", [("objective-comparison", "mixed-p5"),
                                             ("main-comparison", "ama-malr"),
@@ -662,9 +667,10 @@ class TestRunExperiment:
         for t in range(1, horizon + 1):
             assert run.step(t)
         last = horizon - (horizon - 1) // rngmod.BLOCK * rngmod.BLOCK
-        assert len(run.pool._offers.counts) == len(run.holdout._offers.counts) == last
-        assert run.pool._replay.first + len(run.pool._replay.bound) - 1 == horizon
-        first, bounds, _ = run.folds
+        block = run.block
+        assert [len(plan.counts) for _, plan in block.offers] == [last, last]
+        assert block.stop == horizon + 1 and len(block.replay.inputs) == last
+        first, bounds, _ = block.folds
         assert first + len(bounds) - 1 == horizon * cfg.iters_per_step // cfg.optimizer.k_v
 
     def test_generators_are_built_per_block_not_per_step(self, monkeypatch):
@@ -690,7 +696,7 @@ class TestServedSteps:
                                                    {"stream.horizon": 300})))["ama-malr"]
         run = harness.Run(cfg, 0)
         assert run.step(1) and run.step(2)
-        assert 3 < run.served.stop
+        assert 3 < run.block.stop
         with pytest.raises(harness.ProtocolError, match="expected step 3, got 4"):
             harness.run_protocol_step(run, 4)
         run.iterate = lambda x, target: 1 / 0
@@ -1061,6 +1067,18 @@ class TestCli:
         path.write_text(text)
         assert cli_main(["report", str(tmp_path / "runs")]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {path} line {line}: ")
+
+    # a config or metrics file that is not UTF-8 text is an unusable input
+    @pytest.mark.parametrize("command", ["run", "sweep", "verify-bounds", "report"])
+    def test_a_file_that_is_not_utf8_exits_2(self, command, tmp_path, capsys):
+        name = "metrics.csv" if command == "report" else "bad.yaml"
+        path = tmp_path / "runs" / "a" / name
+        path.parent.mkdir(parents=True)
+        path.write_bytes(b"\xff\xfe\x00bad")
+        arg = str(tmp_path / "runs") if command == "report" else str(path)
+        assert cli_main([command, arg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "utf-8" in err and "Traceback" not in err
 
     def test_unknown_schedule_metric_is_a_config_error(self):
         with pytest.raises(ConfigError, match="unknown schedule metric 'acuracy'"):

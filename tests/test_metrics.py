@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oclopt import metrics
-from oclopt.datapool import UNSERVED, DataPool, EmptyPoolError
+from oclopt.datapool import DataPool, EmptyPoolError
 from oclopt.metrics import MetricError, MetricLedger, forward_transfer, information_retention
 from oclopt.model import ModelSpec, init_params, predict
 from oclopt.rng import substream
@@ -220,9 +220,9 @@ class TestRetentionInvariants:
         theta = init_params(spec, substream(8, 6))
         pool = DataPool(ROOM, seed=4)
         holdout = DataPool(ROOM, seed=4, holdout_fraction=0.3)
-        values, served = [], UNSERVED
+        values, block = [], None
         for t in range(1, 201):
-            served = integrate(pool, holdout, stream, t, served)
+            block = integrate(pool, holdout, stream, t, block)
             if t % 40 == 0:
                 values.append(information_retention(spec, theta, holdout, t))
         assert max(values) - min(values) < 0.05
@@ -237,8 +237,8 @@ class TestRetentionInvariants:
         for capacity in (ROOM, 64, 8):
             pool = DataPool(capacity=capacity, seed=9)
             holdout = DataPool(ROOM, seed=9, holdout_fraction=0.2)
-            served = UNSERVED
+            block = None
             for t in range(1, 51):
-                served = integrate(pool, holdout, stream, t, served)
+                block = integrate(pool, holdout, stream, t, block)
             values.append(information_retention(spec, theta, holdout, 50))
         assert values[0] == values[1] == values[2]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oclopt import rng as rngmod
 from oclopt import stream as stream_module
-from oclopt.datapool import UNSERVED, DataPool, Minibatch, sample_pure_replay
+from oclopt.datapool import DataPool, Minibatch, sample_pure_replay, update
 from oclopt.harness import (PRESET_NAMES, ProtocolError, build_stream_spec,
                             expand_variants, preset, run_protocol_step)
 from oclopt.rng import BLOCK, substream
@@ -283,23 +283,26 @@ class TestDriftConstants:
 
 class _FakeRun:
     """What ``run_protocol_step`` drives: a stream, a training pool and a
-    holdout pool, plus a learner that predicts zeros and whose update draws a
-    replay minibatch, then raises while ``fail_at`` equals the step."""
+    holdout pool, whose blocks plan the pools' offers and a replay minibatch
+    per step, plus a learner that predicts zeros and whose update raises
+    while ``fail_at`` equals the step."""
 
     def __init__(self, holdout_fraction=0.05, seed=5):
         self.stream_spec = rotating_spec(seed=seed)
         self.pool = DataPool(ROOM, seed=seed)
         self.holdout = DataPool(ROOM, seed=seed, holdout_fraction=holdout_fraction)
-        self.served = UNSERVED
+        self.block = None
         self.fail_at = None
         self.updates = []
+
+    def plan(self, t):
+        block = update(self.pool, self.holdout, self.stream_spec, t)
+        return block._replace(replay=sample_pure_replay(self.pool, block.offers[0][1], 4))
 
     def predict(self, inputs):
         return np.zeros(len(inputs), dtype=np.int64)
 
     def update(self, t):
-        if self.pool.size:
-            sample_pure_replay(self.pool, 4)
         if self.fail_at == t:
             raise RuntimeError("boom")
         self.updates.append(t)
